@@ -21,7 +21,9 @@
 pub mod load;
 
 pub use combar_rt::asyncb::{block_on, yield_now, Sleep, WaitFuture, YieldNow};
-pub use combar_rt::{AsyncBarrier, AsyncWaiter, BarrierError, Deadline, Executor, Timer};
+pub use combar_rt::{
+    AsyncBarrier, AsyncWaiter, BarrierError, Deadline, ExecStats, Executor, Timer,
+};
 
 pub use combar_chaos::{WakeChaosConfig, WakeFaultPlan};
 

@@ -1,21 +1,48 @@
-//! The minimal in-tree executor, timer, and `block_on` bridge for the
-//! async epoch runtime.
+//! The in-tree executor, timer, and `block_on` bridge for the async
+//! epoch runtime: ≥ 1M logical participants over ≤ 8 *driver* OS
+//! threads, zero dependencies, no `unsafe`.
 //!
-//! The design constraint is the ISSUE's: ≥ 1M logical participants
-//! over ≤ 8 *driver* OS threads, with zero dependencies. That rules
-//! out anything clever — this is the textbook shared-injector
-//! executor:
+//! The executor is built around the barrier's notification phase, where
+//! one poll (the releaser's) wakes every other task at once:
 //!
-//! * a [`Task`] is `Arc<{Mutex<Option<BoxFuture>>, queued flag}>`; its
-//!   [`std::task::Wake`] impl re-enqueues it on the shared run queue
-//!   (the `queued` flag dedupes concurrent wakes, so a batch release
-//!   waking the same task through several stale wakers costs one
-//!   requeue);
-//! * driver threads pop and poll; a panicking task is counted and
-//!   dropped, never unwound into the driver loop;
+//! * a [`Task`] is `Arc<{Mutex<Option<BoxFuture>>, queued flag}>`; the
+//!   `queued` flag dedupes concurrent wakes, so a batch release waking
+//!   the same task through several stale wakers costs one requeue and
+//!   one poll;
+//! * **queues**: every driver owns a local FIFO; one shared *injector*
+//!   is the door for spawns, for wakes issued off the driver threads
+//!   ([`Timer`], `block_on` callers, test threads) and for the tasks a
+//!   killed driver leaves behind. A driver moves tasks to a private
+//!   chunk (at most `CHUNK` per lock, and never more than its fair
+//!   share of a short queue) and polls the chunk without touching a
+//!   lock; every refill looks at its own queue *and* the injector, so a
+//!   local stream of re-wakes cannot starve a spawn;
+//! * **wake routing**: a wake issued on a driver thread for one of its
+//!   executor's tasks goes into that thread's *wake buffer*, not into a
+//!   lock. `AsyncBarrier`'s release fan-out closes the buffer once per
+//!   shard (`close_wake_batch`), which puts the whole shard batch on
+//!   **one** driver's queue in one transaction; successive batches
+//!   rotate over the live drivers, so each driver resumes the tasks of
+//!   its own shards and two drivers do not meet on one shard lock.
+//!   Whatever a poll leaves in the buffer (a `yield_now`, a handful of
+//!   ad-hoc wakes) goes to the polling driver's own queue when the poll
+//!   returns — a buffered wake is therefore visible to the other
+//!   drivers at the latest when the poll that issued it ends;
+//! * **stealing**: a driver that finds its queue and the injector empty
+//!   takes the back half of the first non-empty peer queue;
+//! * **sleeping**: a driver with nothing to take parks on one condvar
+//!   (20 ms safety timeout). An enqueue notifies only when the
+//!   `sleepers` count says somebody is parked, and a driver that leaves
+//!   work behind after a refill passes the notification on;
+//! * a panicking task is counted and dropped, never unwound into the
+//!   driver loop;
 //! * [`Executor::kill_driver`] makes one driver exit cooperatively —
-//!   the chaos hook for "driver-thread death"; queued tasks survive in
-//!   the injector and drain on the remaining drivers;
+//!   the chaos hook for "driver-thread death". The dying driver closes
+//!   its queue under the queue lock and hands its chunk and queue to
+//!   the injector; a batch routed at a closed queue moves on to the
+//!   next live driver, so nothing strands;
+//! * [`Executor::stats`] exposes relaxed event counters (no clock
+//!   reads) for count-based tests and attribution;
 //! * [`Timer`] is one hierarchical timing wheel
 //!   ([`combar_des::TickWheel`], ~1 ms ticks) + one thread delivering
 //!   deadline wakes — the recovery path that turns a *lost* wakeup
@@ -33,18 +60,31 @@
 //! [`super::AsyncWaiter::poll_wait`] manually on virtual threads
 //! instead of through an executor.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
+use crate::pad::CachePadded;
 use crate::spin::Deadline;
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
+type TaskQueue = VecDeque<Arc<Task>>;
+
+/// Most tasks a driver moves to its private chunk under one lock.
+const CHUNK: usize = 64;
+/// Buffered wakes after which a poll's first batch is routed without
+/// waiting for the batch to close, so the first resume of a release
+/// does not wait for a whole shard to be walked (`async_64k`: 37 µs
+/// from last arrival to first resume with it, 250+ µs without).
+const EARLY_FLUSH: usize = 128;
+/// How long a parked driver sleeps before it looks again unprompted.
+const PARK_TIMEOUT: Duration = Duration::from_millis(20);
 
 /// One spawned logical participant: the future plus its requeue state.
 struct Task {
@@ -62,31 +102,299 @@ impl Wake for Task {
         if self.queued.swap(true, Ordering::AcqRel) {
             return;
         }
-        if let Some(exec) = self.exec.upgrade() {
-            exec.push(self);
+        // On one of this executor's driver threads the wake joins the
+        // thread's buffer; anywhere else it takes the injector.
+        let exec = self.exec.as_ptr();
+        let mut task = Some(self);
+        with_driver(|ctx| {
+            if std::ptr::eq(Arc::as_ptr(&ctx.shared), exec) {
+                ctx.buffer(task.take().expect("taken only here"));
+            }
+        });
+        if let Some(task) = task {
+            if let Some(exec) = task.exec.upgrade() {
+                exec.inject(task);
+            }
         }
     }
 }
 
+/// A driver thread's side of the wake path, kept in a thread-local so
+/// [`Task::wake`] can find it.
+struct DriverCtx {
+    shared: Arc<Shared>,
+    me: usize,
+    /// Wakes issued during the current poll that are on no queue yet.
+    buf: Vec<Arc<Task>>,
+    /// The driver the next closed batch goes to.
+    cursor: usize,
+    /// The current poll has routed its early first chunk.
+    early_done: bool,
+}
+
+thread_local! {
+    static DRIVER: RefCell<Option<DriverCtx>> = const { RefCell::new(None) };
+}
+
+/// Runs `f` on the calling thread's driver context. `None` off the
+/// driver threads, with the context already borrowed, or with the
+/// thread-local gone at thread exit.
+fn with_driver<R>(f: impl FnOnce(&mut DriverCtx) -> R) -> Option<R> {
+    DRIVER
+        .try_with(|d| d.try_borrow_mut().ok()?.as_mut().map(f))
+        .ok()
+        .flatten()
+}
+
+impl DriverCtx {
+    fn buffer(&mut self, task: Arc<Task>) {
+        self.buf.push(task);
+        if !self.early_done && self.buf.len() >= EARLY_FLUSH {
+            self.early_done = true;
+            self.route(false);
+        }
+    }
+
+    /// Puts the buffer on the cursor driver's queue in one transaction.
+    /// `close` ends the batch: the cursor moves on, so the next batch
+    /// goes to the next live driver.
+    fn route(&mut self, close: bool) {
+        if self.buf.is_empty() {
+            return;
+        }
+        let n = self.shared.locals.len();
+        // A live driver always exists (the last one cannot be killed)
+        // and its queue is open, so one lap finds a target; whatever
+        // stays buffered goes to this driver's own queue at `end_poll`.
+        for _ in 0..n {
+            let target = &self.shared.locals[self.cursor % n];
+            if !target.killed.load(Ordering::Acquire)
+                && target.push_batch(&self.shared, &mut self.buf)
+            {
+                if close {
+                    self.cursor += 1;
+                }
+                return;
+            }
+            self.cursor += 1;
+        }
+    }
+
+    /// After a poll: what the poll left buffered goes to this driver's
+    /// own queue (open for as long as the driver runs).
+    fn end_poll(&mut self) {
+        self.early_done = false;
+        if !self.buf.is_empty() {
+            let pushed = self.shared.locals[self.me].push_batch(&self.shared, &mut self.buf);
+            debug_assert!(pushed, "a running driver's queue is open");
+        }
+    }
+}
+
+/// Closes the calling driver thread's wake buffer as one batch (see the
+/// module docs); a no-op on any other thread, whose wakes went to the
+/// injector one by one.
+pub(super) fn close_wake_batch() {
+    with_driver(|ctx| ctx.route(true));
+}
+
+/// One driver's queue and flags, on its own cache line.
+struct Local {
+    queue: Mutex<LocalQueue>,
+    /// Cooperative kill flag (chaos: driver death).
+    killed: AtomicBool,
+    /// Polls this driver has finished.
+    polls: AtomicU64,
+}
+
+struct LocalQueue {
+    tasks: TaskQueue,
+    /// The owner exited (killed) and drained the queue for the last
+    /// time. Set and read under the queue lock, so a batch can never
+    /// land behind the final drain.
+    closed: bool,
+}
+
+impl Local {
+    /// Appends `batch` unless the queue is closed.
+    fn push_batch(&self, shared: &Shared, batch: &mut Vec<Arc<Task>>) -> bool {
+        {
+            let mut q = self.queue.lock().unwrap();
+            if q.closed {
+                return false;
+            }
+            q.tasks.extend(batch.drain(..));
+        }
+        shared.enqueued();
+        true
+    }
+}
+
+/// Event counters of one [`Executor`], all relaxed: each is exact once
+/// the executor is idle, and none reads a clock.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ExecStats {
+    /// Polls of a future that have returned (a stale requeue of a
+    /// finished task is not one).
+    pub polls: u64,
+    /// Lock acquisitions that put tasks on a run queue: one per spawn,
+    /// one per wake from a non-driver thread, one per wake batch (routed
+    /// at its close or left at the end of a poll), one per killed
+    /// driver's hand-over. Chunk pops and steals are not counted.
+    pub queue_transactions: u64,
+    /// Condvar notifications issued because a driver was parked.
+    pub notifies: u64,
+    /// Times an idle driver took half of a peer's queue.
+    pub steals: u64,
+    /// Tasks a killed driver handed to the injector.
+    pub migrated: u64,
+}
+
+#[derive(Default)]
+struct Counters {
+    queue_transactions: AtomicU64,
+    notifies: AtomicU64,
+    steals: AtomicU64,
+    migrated: AtomicU64,
+}
+
 /// State shared by the drivers and the [`Executor`] handle.
 struct Shared {
-    queue: Mutex<VecDeque<Arc<Task>>>,
+    injector: Mutex<TaskQueue>,
+    locals: Box<[CachePadded<Local>]>,
+    /// Drivers parked (or about to park) on `ready`. A driver raises
+    /// it while holding `sleep` and *then* looks at the queues once
+    /// more; an enqueuer looks at it *after* its queue lock is
+    /// released. Whichever of the two queue-lock sections comes second
+    /// sees the other side's write, so either the driver finds the task
+    /// or the enqueuer finds the sleeper.
+    sleepers: AtomicUsize,
+    /// Held by a driver from raising `sleepers` until it waits, and by
+    /// whoever notifies `ready`: a notification cannot fall between a
+    /// driver's last look and its wait. Also serializes kills.
+    sleep: Mutex<()>,
     ready: Condvar,
     shutdown: AtomicBool,
-    /// Per-driver cooperative kill flags (chaos: driver death).
-    kills: Mutex<Vec<bool>>,
     /// Spawned minus completed tasks.
     active: AtomicU64,
     /// Tasks that completed by panicking (counted, not propagated).
     panics: AtomicU64,
     idle: Condvar,
     idle_lock: Mutex<()>,
+    stats: Counters,
 }
 
 impl Shared {
-    fn push(&self, task: Arc<Task>) {
-        self.queue.lock().unwrap().push_back(task);
-        self.ready.notify_one();
+    fn inject(&self, task: Arc<Task>) {
+        self.inject_batch(std::iter::once(task));
+    }
+
+    fn inject_batch(&self, tasks: impl IntoIterator<Item = Arc<Task>>) {
+        self.injector.lock().unwrap().extend(tasks);
+        self.enqueued();
+    }
+
+    /// Bookkeeping after any enqueue, outside the queue lock.
+    fn enqueued(&self) {
+        self.stats
+            .queue_transactions
+            .fetch_add(1, Ordering::Relaxed);
+        self.notify_if_asleep();
+    }
+
+    fn notify_if_asleep(&self) {
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            let _sleep = self.sleep.lock().unwrap();
+            self.ready.notify_one();
+            self.stats.notifies.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Moves a driver's share of `from` to its chunk: at most `CHUNK`,
+    /// and of a short queue only one driver's part, so a few heavy
+    /// tasks spread over the drivers instead of riding in one chunk.
+    /// Returns whether `from` still holds tasks.
+    fn take(&self, from: &mut TaskQueue, chunk: &mut TaskQueue) -> bool {
+        let n = from.len().div_ceil(self.locals.len()).min(CHUNK);
+        chunk.extend(from.drain(..n));
+        !from.is_empty()
+    }
+
+    /// Refills `chunk` from the driver's own queue and the injector,
+    /// else by stealing. Returns whether work was left behind that a
+    /// parked driver could take.
+    fn refill(&self, me: usize, chunk: &mut TaskQueue) -> bool {
+        let mut more = self.take(&mut self.locals[me].queue.lock().unwrap().tasks, chunk);
+        more |= self.take(&mut self.injector.lock().unwrap(), chunk);
+        if chunk.is_empty() {
+            more = self.steal(me, chunk);
+        }
+        more
+    }
+
+    /// Takes the back half of the first non-empty peer queue: a chunk
+    /// of it to poll now, the rest onto the thief's own queue.
+    fn steal(&self, me: usize, chunk: &mut TaskQueue) -> bool {
+        let n = self.locals.len();
+        for k in 1..n {
+            let mut stolen = {
+                let mut victim = self.locals[(me + k) % n].queue.lock().unwrap();
+                if victim.tasks.is_empty() {
+                    continue;
+                }
+                let keep = victim.tasks.len() / 2;
+                victim.tasks.split_off(keep)
+            };
+            self.stats.steals.fetch_add(1, Ordering::Relaxed);
+            let more = self.take(&mut stolen, chunk);
+            if more {
+                let mut own = self.locals[me].queue.lock().unwrap();
+                own.tasks.append(&mut stolen);
+            }
+            return more;
+        }
+        false
+    }
+
+    /// Fills `chunk`, parking while there is nothing to take. Returns
+    /// with an empty chunk after a wake-up, a time-out, or on shutdown
+    /// or kill; the driver loop then looks at its flags again.
+    fn next_chunk(&self, me: usize, chunk: &mut TaskQueue) {
+        let mut more = self.refill(me, chunk);
+        if chunk.is_empty() {
+            let sleep = self.sleep.lock().unwrap();
+            self.sleepers.fetch_add(1, Ordering::SeqCst);
+            more = self.refill(me, chunk);
+            if chunk.is_empty()
+                && !self.shutdown.load(Ordering::Acquire)
+                && !self.locals[me].killed.load(Ordering::Acquire)
+            {
+                drop(self.ready.wait_timeout(sleep, PARK_TIMEOUT).unwrap());
+            } else {
+                drop(sleep);
+            }
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        }
+        if more {
+            self.notify_if_asleep();
+        }
+    }
+
+    /// A killed driver's last act: close its queue and hand the queue
+    /// and its unpolled chunk to the injector. Its wake buffer is empty
+    /// here — `end_poll` ran after the last poll.
+    fn orphan(&self, me: usize, mut chunk: TaskQueue) {
+        {
+            let mut q = self.locals[me].queue.lock().unwrap();
+            q.closed = true;
+            chunk.append(&mut q.tasks);
+        }
+        self.stats
+            .migrated
+            .fetch_add(chunk.len() as u64, Ordering::Relaxed);
+        if !chunk.is_empty() {
+            self.inject_batch(chunk);
+        }
     }
 }
 
@@ -112,21 +420,35 @@ impl Executor {
     pub fn new(drivers: usize) -> Self {
         let drivers = drivers.max(1);
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
+            injector: Mutex::new(VecDeque::new()),
+            locals: (0..drivers)
+                .map(|_| {
+                    CachePadded::new(Local {
+                        queue: Mutex::new(LocalQueue {
+                            tasks: VecDeque::new(),
+                            closed: false,
+                        }),
+                        killed: AtomicBool::new(false),
+                        polls: AtomicU64::new(0),
+                    })
+                })
+                .collect(),
+            sleepers: AtomicUsize::new(0),
+            sleep: Mutex::new(()),
             ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            kills: Mutex::new(vec![false; drivers]),
             active: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             idle: Condvar::new(),
             idle_lock: Mutex::new(()),
+            stats: Counters::default(),
         });
         let handles = (0..drivers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("combar-driver-{i}"))
-                    .spawn(move || drive(&shared, i))
+                    .spawn(move || drive(shared, i))
                     .expect("spawn driver thread")
             })
             .collect();
@@ -148,7 +470,7 @@ impl Executor {
             queued: AtomicBool::new(true),
             exec: Arc::downgrade(&self.shared),
         });
-        self.shared.push(task);
+        self.shared.inject(task);
     }
 
     /// Tasks spawned and not yet completed.
@@ -161,14 +483,29 @@ impl Executor {
         self.shared.panics.load(Ordering::Acquire)
     }
 
+    /// A snapshot of the event counters.
+    pub fn stats(&self) -> ExecStats {
+        let c = &self.shared.stats;
+        ExecStats {
+            polls: self
+                .shared
+                .locals
+                .iter()
+                .map(|l| l.polls.load(Ordering::Relaxed))
+                .sum(),
+            queue_transactions: c.queue_transactions.load(Ordering::Relaxed),
+            notifies: c.notifies.load(Ordering::Relaxed),
+            steals: c.steals.load(Ordering::Relaxed),
+            migrated: c.migrated.load(Ordering::Relaxed),
+        }
+    }
+
     /// Number of driver threads still running (not killed).
     pub fn live_drivers(&self) -> usize {
         self.shared
-            .kills
-            .lock()
-            .unwrap()
+            .locals
             .iter()
-            .filter(|k| !**k)
+            .filter(|l| !l.killed.load(Ordering::Acquire))
             .count()
     }
 
@@ -178,12 +515,14 @@ impl Executor {
     /// the last driver alive (killing every driver would silently
     /// strand the task set).
     pub fn kill_driver(&self, i: usize) -> bool {
-        let mut kills = self.shared.kills.lock().unwrap();
-        if i >= kills.len() || kills[i] || kills.iter().filter(|k| !**k).count() <= 1 {
+        let _sleep = self.shared.sleep.lock().unwrap();
+        let Some(local) = self.shared.locals.get(i) else {
+            return false;
+        };
+        if local.killed.load(Ordering::Acquire) || self.live_drivers() <= 1 {
             return false;
         }
-        kills[i] = true;
-        drop(kills);
+        local.killed.store(true, Ordering::Release);
         self.shared.ready.notify_all();
         true
     }
@@ -210,7 +549,14 @@ impl Executor {
 impl Drop for Executor {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.ready.notify_all();
+        {
+            let _sleep = self
+                .shared
+                .sleep
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.shared.ready.notify_all();
+        }
         for h in self.drivers.drain(..) {
             let _ = h.join();
         }
@@ -218,39 +564,39 @@ impl Drop for Executor {
 }
 
 /// One driver thread's loop.
-fn drive(shared: &Shared, me: usize) {
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) || shared.kills.lock().unwrap()[me] {
-            return;
+fn drive(shared: Arc<Shared>, me: usize) {
+    DRIVER.with(|d| {
+        *d.borrow_mut() = Some(DriverCtx {
+            shared: Arc::clone(&shared),
+            me,
+            buf: Vec::new(),
+            // A release's first batch goes to a peer: this driver is
+            // busy walking the remaining shards.
+            cursor: me + 1,
+            early_done: false,
+        });
+    });
+    let local = &shared.locals[me];
+    let mut chunk = TaskQueue::new();
+    while !shared.shutdown.load(Ordering::Acquire) {
+        if local.killed.load(Ordering::Acquire) {
+            shared.orphan(me, std::mem::take(&mut chunk));
+            break;
         }
-        let task = {
-            let mut q = shared.queue.lock().unwrap();
-            loop {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                if let Some(t) = q.pop_front() {
-                    break t;
-                }
-                // Re-check the kill flag while parked so a killed idle
-                // driver exits promptly.
-                drop(q);
-                if shared.kills.lock().unwrap()[me] {
-                    return;
-                }
-                q = shared.queue.lock().unwrap();
-                let (guard, _t) = shared
-                    .ready
-                    .wait_timeout(q, Duration::from_millis(20))
-                    .unwrap();
-                q = guard;
-            }
+        let Some(task) = chunk.pop_front() else {
+            shared.next_chunk(me, &mut chunk);
+            continue;
         };
-        poll_task(shared, &task);
+        poll_task(&shared, local, &task);
+        with_driver(DriverCtx::end_poll);
     }
+    // Out of the thread-local first, then dropped: a future dropped
+    // here may wake, and that wake must find the slot unborrowed.
+    let ctx = DRIVER.with(|d| d.borrow_mut().take());
+    drop(ctx);
 }
 
-fn poll_task(shared: &Shared, task: &Arc<Task>) {
+fn poll_task(shared: &Shared, local: &Local, task: &Arc<Task>) {
     // Clear before polling: a wake arriving mid-poll re-enqueues.
     task.queued.store(false, Ordering::Release);
     let waker = Waker::from(Arc::clone(task));
@@ -267,6 +613,7 @@ fn poll_task(shared: &Shared, task: &Arc<Task>) {
             true
         }
     };
+    local.polls.fetch_add(1, Ordering::Relaxed);
     if done {
         *fut_slot = None;
         drop(fut_slot);
@@ -399,7 +746,18 @@ struct TimerThread {
 
 impl Drop for TimerThread {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Under the wheel lock: the timer thread looks at the flag with
+        // the lock held just before it waits, so the store cannot fall
+        // between that look and the wait and leave the notification
+        // with nobody to hear it.
+        {
+            let _wheel = self
+                .shared
+                .wheel
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.cv.notify_all();
         if let Some(h) = self.handle.lock().unwrap().take() {
             let _ = h.join();
@@ -467,26 +825,30 @@ impl Timer {
 
 fn timer_loop(shared: &TimerShared) {
     let mut due: Vec<Waker> = Vec::new();
+    let mut wheel = shared.wheel.lock().unwrap();
     loop {
+        // The flag and the wheel are read under the lock that
+        // `TimerThread::drop` and `register` write under, and the lock
+        // is held from here to the wait: neither a shutdown nor an
+        // earlier deadline can slip in unheard.
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let wait = {
-            let mut wheel = shared.wheel.lock().unwrap();
-            let now = Instant::now();
-            match wheel.collect_due(now, &mut due) {
-                Some(at) => at.saturating_duration_since(now),
-                None => Duration::from_millis(50),
-            }
+        let now = Instant::now();
+        let wait = match wheel.collect_due(now, &mut due) {
+            Some(at) => at.saturating_duration_since(now),
+            None => Duration::from_millis(50),
         };
-        // Wake outside the wheel lock: a wake may synchronously
-        // re-register.
-        for w in due.drain(..) {
-            w.wake();
-        }
-        if wait > Duration::ZERO {
-            let guard = shared.wheel.lock().unwrap();
-            let _ = shared.cv.wait_timeout(guard, wait).unwrap();
+        if due.is_empty() {
+            wheel = shared.cv.wait_timeout(wheel, wait).unwrap().0;
+        } else {
+            // Wake outside the wheel lock: a wake may synchronously
+            // re-register.
+            drop(wheel);
+            for w in due.drain(..) {
+                w.wake();
+            }
+            wheel = shared.wheel.lock().unwrap();
         }
     }
 }
@@ -632,6 +994,58 @@ mod tests {
         assert_eq!(exec.panics(), 1);
     }
 
+    /// A resettable one-shot door a test thread opens for a task.
+    #[derive(Default)]
+    struct Gate {
+        open: AtomicBool,
+        waker: Mutex<Option<Waker>>,
+    }
+
+    impl Gate {
+        fn open(&self) {
+            self.open.store(true, Ordering::Release);
+            if let Some(w) = self.waker.lock().unwrap().take() {
+                w.wake();
+            }
+        }
+
+        async fn pass(&self) {
+            std::future::poll_fn(|cx| {
+                if self.open.swap(false, Ordering::AcqRel) {
+                    return Poll::Ready(());
+                }
+                *self.waker.lock().unwrap() = Some(cx.waker().clone());
+                if self.open.swap(false, Ordering::AcqRel) {
+                    return Poll::Ready(());
+                }
+                Poll::Pending
+            })
+            .await
+        }
+    }
+
+    /// Pending once, with a clone of the task's waker left in `stash`.
+    async fn park_in(stash: &Mutex<Vec<Waker>>) {
+        let mut parked = false;
+        std::future::poll_fn(|cx| {
+            if parked {
+                return Poll::Ready(());
+            }
+            parked = true;
+            stash.lock().unwrap().push(cx.waker().clone());
+            Poll::Pending
+        })
+        .await
+    }
+
+    fn wait_for(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Deadline::after(Duration::from_secs(60));
+        while !cond() {
+            assert!(!deadline.expired(), "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn killed_driver_leaves_tasks_to_survivors() {
         let exec = Executor::new(2);
@@ -648,6 +1062,208 @@ mod tests {
         }
         assert!(exec.wait_idle(Deadline::after(Duration::from_secs(10))));
         assert_eq!(hits.load(Ordering::Acquire), 32);
+    }
+
+    /// A driver killed with a full local queue and a popped chunk:
+    /// the first task a burst of wakes resumes holds its driver inside
+    /// the poll until the test thread has killed exactly that driver.
+    #[test]
+    fn killed_driver_migrates_its_queue_and_chunk() {
+        const PARKED: u32 = 1_000;
+        let exec = Executor::new(2);
+        let stash = Arc::new(Mutex::new(Vec::new()));
+        let hits = Arc::new(AtomicU32::new(0));
+        let first = Arc::new(AtomicBool::new(true));
+        let (on_driver, which_driver) = std::sync::mpsc::channel::<usize>();
+        let (killed, was_killed) = std::sync::mpsc::channel::<()>();
+        let was_killed = Arc::new(Mutex::new(was_killed));
+        for _ in 0..PARKED {
+            let (stash, hits, first) = (Arc::clone(&stash), Arc::clone(&hits), Arc::clone(&first));
+            let (on_driver, was_killed) = (on_driver.clone(), Arc::clone(&was_killed));
+            exec.spawn(async move {
+                park_in(&stash).await;
+                if first.swap(false, Ordering::AcqRel) {
+                    let me = with_driver(|ctx| ctx.me).expect("on a driver");
+                    on_driver.send(me).unwrap();
+                    was_killed.lock().unwrap().recv().unwrap();
+                }
+                hits.fetch_add(1, Ordering::AcqRel);
+            });
+        }
+        wait_for("every task to park", || {
+            exec.stats().polls == u64::from(PARKED)
+        });
+        // One poll wakes them all: the early chunk goes to the peer,
+        // the rest to the waking driver's own queue.
+        let burst = Arc::clone(&stash);
+        exec.spawn(async move {
+            for w in burst.lock().unwrap().drain(..) {
+                w.wake();
+            }
+        });
+        let victim = which_driver.recv().unwrap();
+        assert!(exec.kill_driver(victim));
+        killed.send(()).unwrap();
+        assert!(exec.wait_idle(Deadline::after(Duration::from_secs(60))));
+        assert_eq!(hits.load(Ordering::Acquire), PARKED);
+        assert_eq!(exec.live_drivers(), 1);
+        assert_eq!(exec.panics(), 0);
+        let stats = exec.stats();
+        assert!(stats.migrated >= 1, "nothing migrated: {stats:?}");
+        assert_eq!(stats.polls, 2 * u64::from(PARKED) + 1);
+    }
+
+    /// One release of 16 × 4096 parked wakers is one queue transaction
+    /// per shard (plus the early first chunk and the wake that opened
+    /// the gate), not one per waker.
+    #[test]
+    fn release_costs_a_queue_transaction_per_shard() {
+        use super::super::AsyncBarrier;
+        const SHARDS: u32 = 16;
+        const P: u32 = SHARDS * 4096;
+        let barrier = AsyncBarrier::new(P, SHARDS);
+        let exec = Executor::new(2);
+        let gate = Arc::new(Gate::default());
+        for tid in 0..P {
+            let (barrier, gate) = (barrier.clone(), Arc::clone(&gate));
+            exec.spawn(async move {
+                let mut w = barrier.waiter_for(tid);
+                if tid == P - 1 {
+                    gate.pass().await;
+                }
+                w.wait_async().await.unwrap();
+            });
+        }
+        wait_for("every task's first poll", || {
+            exec.stats().polls == u64::from(P)
+        });
+        let before = exec.stats();
+        assert_eq!(before.queue_transactions, u64::from(P), "one per spawn");
+        gate.open();
+        assert!(exec.wait_idle(Deadline::after(Duration::from_secs(120))));
+        let after = exec.stats();
+        assert_eq!(barrier.epoch(), 1);
+        assert_eq!(after.polls - before.polls, u64::from(P));
+        let transactions = after.queue_transactions - before.queue_transactions;
+        assert!(
+            transactions <= u64::from(SHARDS) + 2,
+            "{transactions} queue transactions for one release of {SHARDS} shards"
+        );
+        assert_eq!(after.migrated, 0);
+    }
+
+    /// A wake from a thread that is no driver, with every driver
+    /// parked, notifies one: the task is polled long before the parked
+    /// drivers' safety time-out (which both have just started).
+    #[test]
+    fn foreign_wake_notifies_a_parked_driver() {
+        const ROUNDS: usize = 101;
+        let exec = Executor::new(2);
+        let gate = Arc::new(Gate::default());
+        let passed = Arc::new(AtomicU32::new(0));
+        let (g, p) = (Arc::clone(&gate), Arc::clone(&passed));
+        exec.spawn(async move {
+            for _ in 0..ROUNDS {
+                g.pass().await;
+                p.fetch_add(1, Ordering::AcqRel);
+            }
+        });
+        let mut waits = Vec::with_capacity(ROUNDS);
+        for round in 0..ROUNDS {
+            wait_for("both drivers to park", || {
+                exec.shared.sleepers.load(Ordering::SeqCst) == 2
+            });
+            let t0 = Instant::now();
+            gate.open();
+            wait_for("the woken task's poll", || {
+                passed.load(Ordering::Acquire) as usize > round
+            });
+            waits.push(t0.elapsed());
+        }
+        assert!(exec.wait_idle(Deadline::after(Duration::from_secs(10))));
+        assert!(exec.stats().notifies >= 1, "{:?}", exec.stats());
+        waits.sort();
+        assert!(
+            waits[ROUNDS / 2] < PARK_TIMEOUT / 4,
+            "median wake-to-poll {:?}: the task waited out the park time-out",
+            waits[ROUNDS / 2]
+        );
+    }
+
+    /// `k` stale wakers of one task, all woken inside one poll on the
+    /// only driver, cost one requeue and one poll.
+    #[test]
+    fn stale_wakers_cost_one_poll() {
+        const K: usize = 64;
+        let exec = Executor::new(1);
+        let stash = Arc::new(Mutex::new(Vec::new()));
+        let polls = Arc::new(AtomicU32::new(0));
+        let (s, p) = (Arc::clone(&stash), Arc::clone(&polls));
+        exec.spawn(std::future::poll_fn(move |cx| {
+            if p.fetch_add(1, Ordering::AcqRel) == 0 {
+                s.lock()
+                    .unwrap()
+                    .extend(std::iter::repeat_n(cx.waker().clone(), K));
+                return Poll::Pending;
+            }
+            Poll::Ready(())
+        }));
+        wait_for("the first poll", || exec.stats().polls == 1);
+        let before = exec.stats();
+        exec.spawn(async move {
+            for w in stash.lock().unwrap().drain(..) {
+                w.wake();
+            }
+        });
+        assert!(exec.wait_idle(Deadline::after(Duration::from_secs(10))));
+        assert_eq!(polls.load(Ordering::Acquire), 2);
+        let after = exec.stats();
+        assert_eq!(
+            after.polls - before.polls,
+            2,
+            "the waking task and one resume"
+        );
+        assert_eq!(
+            after.queue_transactions - before.queue_transactions,
+            2,
+            "one spawn and one requeue"
+        );
+    }
+
+    /// `TimerThread::drop` used to set the flag without the wheel lock,
+    /// so the notification could land between the timer thread's look
+    /// at the flag and its wait — and the drop then slept until the
+    /// furthest registered deadline. A due waker that dawdles inside
+    /// `wake` holds the timer thread in exactly that gap while the
+    /// drop arrives.
+    #[test]
+    fn timer_with_a_far_registration_drops_promptly() {
+        struct Dawdle(std::sync::mpsc::Sender<()>);
+        impl Wake for Dawdle {
+            fn wake(self: Arc<Self>) {
+                let _ = self.0.send(());
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+        let far = Instant::now() + Duration::from_secs(90);
+        let (done, dropped) = std::sync::mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            for _ in 0..200 {
+                let (entered, in_wake) = std::sync::mpsc::channel();
+                let timer = Timer::new();
+                timer.register(far, Waker::noop().clone());
+                timer.register(Instant::now(), Waker::from(Arc::new(Dawdle(entered))));
+                in_wake.recv().unwrap();
+                drop(timer);
+                done.send(()).unwrap();
+            }
+        });
+        for i in 0..200 {
+            dropped
+                .recv_timeout(Duration::from_secs(1))
+                .unwrap_or_else(|_| panic!("drop {i} took more than 1 s"));
+        }
+        dropper.join().unwrap();
     }
 
     #[test]

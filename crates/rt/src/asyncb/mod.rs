@@ -22,7 +22,9 @@
 //!   (exactly like the threaded barriers' releaser-side membership
 //!   fold), publishes the new epoch, and only *then* takes each
 //!   shard's parked-waker list and wakes it as one batch — the
-//!   releaser never walks one million-entry list under a single lock.
+//!   releaser never walks one million-entry list under a single lock,
+//!   and on an [`Executor`] driver each shard's batch lands on one
+//!   driver's run queue in one transaction.
 //! * **No lost wakeups**: parking is `push waker; re-check epoch`.
 //!   Because the epoch bump happens before any wait list is taken, a
 //!   waker pushed after its list was swept is guaranteed to observe
@@ -53,7 +55,7 @@
 pub mod conformance;
 mod exec;
 
-pub use exec::{block_on, yield_now, Executor, Sleep, Timer, YieldNow};
+pub use exec::{block_on, yield_now, ExecStats, Executor, Sleep, Timer, YieldNow};
 
 use std::future::Future;
 use std::pin::Pin;
@@ -174,6 +176,10 @@ struct Inner {
     poison: AtomicU32,
     /// Seeded lost-wakeup injection for the release fan-out.
     faults: Mutex<Option<WakeFaultPlan>>,
+    /// The last fan-out's drained (empty) batch buffer, so a release
+    /// swaps capacity into the shards instead of allocating it under
+    /// their locks. Only the one releaser touches it.
+    spare: Mutex<Vec<Waker>>,
     lat: WakeLatency,
 }
 
@@ -228,6 +234,7 @@ impl AsyncBarrier {
                 epoch: AtomicU32::new(0),
                 poison: AtomicU32::new(0),
                 faults: Mutex::new(None),
+                spare: Mutex::new(Vec::new()),
                 lat: WakeLatency::new(),
             }),
         }
@@ -497,33 +504,38 @@ impl AsyncBarrier {
     }
 
     /// Wakes each shard's parked batch, applying the lost-wakeup fault
-    /// plan and recording per-batch latency when enabled.
+    /// plan and recording per-batch latency when enabled. On a driver
+    /// thread the wakes of one shard collect in the driver's buffer and
+    /// reach one run queue together when the batch closes.
     fn fan_out(inner: &Arc<Inner>, epoch: u32, by: u32) {
         let faults = *inner.faults.lock().unwrap();
         let record = inner.lat.enabled.load(std::sync::atomic::Ordering::Acquire);
         let mut slot = 0u64;
+        let mut batch = std::mem::take(&mut *inner.spare.lock().unwrap());
         for (si, sh) in inner.shards.iter().enumerate() {
-            let batch = {
+            {
                 let mut st = sh.lock().unwrap();
                 if st.wakers.is_empty() {
                     continue;
                 }
-                let cap = st.wakers.len();
-                std::mem::replace(&mut st.wakers, Vec::with_capacity(cap))
-            };
+                // The shard gets the previous batch's drained buffer.
+                std::mem::swap(&mut st.wakers, &mut batch);
+            }
             trace::emit(epoch, by, trace::Kind::Wake(si as u32));
             let t0 = record.then(Instant::now);
-            for w in batch {
+            for w in batch.drain(..) {
                 let dropped = faults.is_some_and(|p| p.drops_wake(epoch, slot));
                 slot += 1;
                 if !dropped {
                     w.wake();
                 }
             }
+            exec::close_wake_batch();
             if let Some(t0) = t0 {
                 inner.lat.record(t0.elapsed().as_nanos() as u64);
             }
         }
+        *inner.spare.lock().unwrap() = batch;
     }
 }
 

@@ -134,7 +134,7 @@ pub mod tournament;
 pub mod tree;
 
 pub use adaptive::{AdaptiveBarrier, AdaptiveWaiter, DegreePolicy};
-pub use asyncb::{yield_now, AsyncBarrier, AsyncWaiter, Executor, Timer, WaitFuture};
+pub use asyncb::{yield_now, AsyncBarrier, AsyncWaiter, ExecStats, Executor, Timer, WaitFuture};
 pub use barrier::{Barrier, BarrierBuilder, Waiter};
 pub use blocking::{BlockingBarrier, BlockingWaiter};
 pub use central::{CentralBarrier, CentralWaiter};

@@ -160,6 +160,53 @@ fn chaos_lost_wakes_cancels_killed_driver_never_hang() {
     assert!(!b.is_poisoned());
 }
 
+/// A driver killed in the middle of back-to-back release storms: no
+/// work between crossings, so at any instant a release fan-out is
+/// routing shard batches at the drivers' queues or the drivers are
+/// draining them. The waits are unbounded and no timer runs — a batch
+/// stranded behind the dead driver's last drain would hang the run
+/// instead of being papered over by a deadline re-poll.
+#[test]
+fn chaos_kill_during_release_storm_strands_nothing() {
+    let p: u32 = 4096;
+    let episodes: u32 = 300;
+    for (round, kill_at) in [3u32, 40, 41, 150].into_iter().enumerate() {
+        let b = AsyncBarrier::new(p, 8);
+        let exec = Executor::new(3);
+        for tid in 0..p {
+            let b = b.clone();
+            exec.spawn(async move {
+                let mut w = b.waiter_for(tid);
+                for _ in 0..episodes {
+                    w.wait_async().await.expect("storm crossing failed");
+                }
+            });
+        }
+        let t0 = Instant::now();
+        while b.epoch() < kill_at && t0.elapsed() < Duration::from_secs(120) {
+            std::thread::yield_now();
+        }
+        let victim = round % 3;
+        assert!(exec.kill_driver(victim), "driver {victim} killed once");
+        assert!(
+            exec.wait_idle(Deadline::after(Duration::from_secs(240))),
+            "round {round}: stranded at epoch {} of {episodes}, {} tasks live, {:?}\n{}",
+            b.epoch(),
+            exec.active(),
+            exec.stats(),
+            b.debug_state()
+        );
+        assert_eq!(exec.panics(), 0, "no task panicked");
+        assert_eq!(exec.live_drivers(), 2, "exactly one driver died");
+        assert_eq!(b.epoch(), episodes, "every epoch released exactly once");
+        assert!(!b.is_poisoned());
+        eprintln!(
+            "storm round {round}: killed {victim} at epoch >= {kill_at}: {:?}",
+            exec.stats()
+        );
+    }
+}
+
 mod mux_soak {
     use super::*;
     use combar_net::{EpochServer, MuxConfig, MuxReport, ServerConfig, SessionMux};
