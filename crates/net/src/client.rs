@@ -264,6 +264,9 @@ impl<T: Transport> BarrierClient<T> {
     /// `Err(Timeout)` just means "not yet"; re-send the arrival on your
     /// own schedule ([`send_arrive`](Self::send_arrive) re-sends are
     /// idempotent and renew the session lease) and poll again.
+    ///
+    /// The wire is looked at before the clock: a zero `wait` is one
+    /// non-blocking receive, not a no-op.
     pub fn poll_release(&mut self, wait: Duration) -> Result<u64, BarrierError> {
         if !self.joined {
             return Err(BarrierError::Evicted);
@@ -272,11 +275,8 @@ impl<T: Transport> BarrierClient<T> {
             return Err(BarrierError::Timeout);
         }
         let deadline = Instant::now() + wait;
+        let mut remaining = wait;
         loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(BarrierError::Timeout);
-            }
             match self.transport.recv_timeout(remaining) {
                 Ok(frame) => match self.accept(&frame) {
                     Some(Response::Release { episode, .. }) if episode >= self.episode => {
@@ -351,10 +351,14 @@ impl<T: Transport> BarrierClient<T> {
                     // Stale releases for earlier episodes,
                     // duplicate welcomes, cross-session noise:
                     // drop, exactly like the wire would.
-                    _ => continue,
+                    _ => {}
                 },
                 Err(NetError::Timeout) => return Err(BarrierError::Timeout),
                 Err(NetError::Closed) => return Err(BarrierError::Poisoned),
+            }
+            remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return Err(BarrierError::Timeout);
             }
         }
     }
@@ -679,6 +683,25 @@ mod tests {
         assert_eq!(c.arrive(), Err(BarrierError::Diverged));
         assert!(!c.is_joined());
         h.join().unwrap();
+    }
+
+    #[test]
+    fn zero_wait_poll_looks_at_the_wire_once() {
+        let (client_side, mut server_side) = loopback_pair();
+        let mut c = BarrierClient::new(client_side, 2, ClientConfig::default());
+        c.joined = true;
+        c.episode = 1;
+        c.send_arrive().unwrap();
+        let mut look = || c.poll_release(Duration::ZERO);
+        assert_eq!(look(), Err(BarrierError::Timeout), "nothing there yet");
+        // A stale release queued ahead of the real one: one look takes
+        // one frame, whatever it is.
+        for episode in [0, 1] {
+            let release = Response::Release { episode, inc: 0 };
+            server_side.send(&release.encode()).unwrap();
+        }
+        assert_eq!(look(), Err(BarrierError::Timeout), "took the stale frame");
+        assert_eq!(look(), Ok(1));
     }
 
     #[test]

@@ -146,12 +146,15 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         // Arm the silence clock if it isn't running: quiet time
         // accumulates across calls so short polls sum toward the grace.
         self.recv_quiet_since.get_or_insert_with(Instant::now);
+        // Look, then check the clock: a zero timeout still reads the
+        // wire once (without blocking), like the endpoints it wraps.
+        let mut looked = false;
         loop {
             if let Some(f) = self.recv_ready.pop_front() {
                 return Ok(f);
             }
             let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
+            if remaining.is_zero() && looked {
                 // Only after a full quiet-wire grace — not on every
                 // caller-timeout expiry — does a held frame surface out
                 // of schedule: a "delayed" datagram still arrives
@@ -167,6 +170,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
                 }
                 return Err(NetError::Timeout);
             }
+            looked = true;
             match self.inner.recv_timeout(remaining) {
                 Ok(frame) => {
                     self.recv_quiet_since = Some(Instant::now());

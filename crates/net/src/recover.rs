@@ -674,8 +674,14 @@ mod tests {
         // happened, then complete 3 more — so the second half provably
         // crosses the crash boundary.
         let restarted = AtomicBool::new(false);
+        // A session that is alone completes every episode by itself:
+        // nobody arrives until both have joined, or the first could run
+        // its three epochs (and trigger the kill) before the second is
+        // on the journal's roster.
+        let both_joined = std::sync::Barrier::new(2);
         let run = |mut c: BarrierClient<ReconnectTransport>| {
             c.join().unwrap();
+            both_joined.wait();
             for _ in 0..3 {
                 c.arrive().unwrap();
             }

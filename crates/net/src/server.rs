@@ -10,11 +10,12 @@
 //! evictions, and rejoins the same way PR 4's releaser window serializes
 //! shape changes. A shard that observes all of its live sessions arrived
 //! reports *one* batched completeness bit to the root (its
-//! `shard_reported` flag — per-shard, so a report keeps its identity
-//! and a dead shard's stale report is simply ignored); the shard whose
-//! report completes the root view performs the release — bump the
-//! global episode, clear the reported flags, broadcast a `Release`
-//! control message — and every shard
+//! `shard_reported` slot — per-shard and stamped with the episode, so
+//! a report keeps its identity: a dead shard's report is simply
+//! ignored and a released episode's cannot count towards the next);
+//! the shard whose report completes the root view performs the
+//! release — bump the global episode, broadcast a `Release` control
+//! message — and every shard
 //! fans the release out to its own clients. Arrival traffic therefore
 //! aggregates up the tree (sessions → shard → root) and the release
 //! broadcasts back down, exactly the paper's arrival/release split.
@@ -86,7 +87,7 @@ use combar_trace::Kind;
 use crate::journal::{frame_entry, roster_hash, Journal, JournalRecord};
 use crate::proto::{Request, Response, SessionId};
 use crate::recover::RecoveredState;
-use crate::transport::{LoopbackTransport, Transport};
+use crate::transport::{recv_handoff, LoopbackTransport, Transport};
 
 /// Tuning for [`EpochServer`].
 #[derive(Debug, Clone)]
@@ -195,17 +196,17 @@ enum OutSink {
 }
 
 impl OutSink {
-    fn send(&self, frame: &[u8]) {
+    fn send(&self, frame: Vec<u8>) {
         match self {
             OutSink::Chan(tx) => {
-                let _ = tx.send(frame.to_vec());
+                let _ = tx.send(frame);
             }
             #[cfg(unix)]
             OutSink::Uds(sock) => {
                 // The socket is nonblocking: a client that stopped
                 // draining its buffer gets wire loss (WouldBlock,
                 // swallowed here), never a blocked shard thread.
-                let _ = sock.send(frame);
+                let _ = sock.send(&frame);
             }
         }
     }
@@ -248,16 +249,21 @@ struct LedgerBuf {
 struct Shared {
     /// The global current episode. Bumped (CAS) by the releasing shard.
     episode: AtomicU64,
-    /// Per-shard "all my live sessions arrived for the current episode"
-    /// flags — the root state of the combining tree, cleared by the
-    /// release winner. Keyed by shard (not a bare counter) so a report
-    /// keeps its identity: `try_release` only counts a flag paired with
-    /// a *live* shard, which retracts a dead shard's stale report
+    /// Per-shard "all my live sessions arrived" reports — the root state
+    /// of the combining tree. Each holds the episode it is for, plus one
+    /// (0: none yet). Keyed by shard (not a bare counter) so a report
+    /// keeps its identity: `try_release` only counts a report paired
+    /// with a *live* shard, which retracts a dead shard's stale report
     /// implicitly. A counter could not do that — a shard that reported
     /// and then died would keep satisfying `done >= live` against the
     /// post-death live count while a surviving shard still owed its own
-    /// report, releasing the episode early.
-    shard_reported: Vec<AtomicBool>,
+    /// report, releasing the episode early. And stamped with its episode
+    /// (not a bare flag) so that it expires with the winning CAS itself:
+    /// flags cleared *after* the CAS left a window in which a second
+    /// caller read the released episode's flags as the next one's, won
+    /// the bumped CAS too and released an episode nobody had arrived
+    /// for — which every client then crossed on a re-ack, uncredited.
+    shard_reported: Vec<AtomicU64>,
     /// Live (not declared dead) shard count.
     live_shards: AtomicU64,
     shard_alive: Vec<AtomicBool>,
@@ -380,6 +386,10 @@ struct Router {
     shard_tx: Vec<mpsc::Sender<ShardMsg>>,
     assign: Mutex<HashMap<SessionId, Assignment>>,
     outbox: Mutex<HashMap<ConnId, OutSink>>,
+    /// Times the `outbox` lock was taken, so a test can hold a release
+    /// fan-out to one.
+    #[cfg(test)]
+    outbox_locks: AtomicU64,
     next_conn: AtomicU64,
     /// Per-shard session slot capacity, mirrored from `ServerConfig` so
     /// `pick_shard` can steer admissions toward headroom.
@@ -448,10 +458,32 @@ impl Router {
         let _ = self.shard_tx[shard].send(ShardMsg::Net(conn, req));
     }
 
+    fn outbox(&self) -> std::sync::MutexGuard<'_, HashMap<ConnId, OutSink>> {
+        #[cfg(test)]
+        self.outbox_locks.fetch_add(1, Ordering::Relaxed);
+        self.outbox.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn respond(&self, conn: ConnId, resp: Response) {
-        let outbox = self.outbox.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(sink) = outbox.get(&conn) {
-            sink.send(&resp.encode());
+        if let Some(sink) = self.outbox().get(&conn) {
+            sink.send(resp.encode());
+        }
+    }
+
+    /// Registers a loopback connection: frames the client sends are
+    /// routed on its own thread, frames for it come back over `rx`.
+    fn connect(self: &Arc<Self>) -> LoopbackTransport {
+        let conn = self.next_conn.fetch_add(1, Ordering::Relaxed);
+        let (tx, rx) = mpsc::channel::<Vec<u8>>();
+        self.outbox().insert(conn, OutSink::Chan(tx));
+        let router = Arc::clone(self);
+        LoopbackTransport {
+            tx: Box::new(move |frame: &[u8]| {
+                router.route(conn, frame);
+                Ok(())
+            }),
+            rx,
+            hot: false,
         }
     }
 }
@@ -518,6 +550,9 @@ struct ShardState {
     stall_logged: bool,
     /// Last standby-heartbeat send (lowest live shard only).
     last_repl_beat: Instant,
+    /// Whether the last inbox wait ended with a message: the spin-or-park
+    /// state of [`recv_handoff`].
+    inbox_hot: bool,
 }
 
 impl ShardState {
@@ -545,6 +580,7 @@ impl ShardState {
             frame_since: Instant::now(),
             stall_logged: false,
             last_repl_beat: Instant::now(),
+            inbox_hot: false,
         }
     }
 
@@ -952,27 +988,32 @@ impl ShardState {
 
     /// Fan a completed episode out to this shard's arrived sessions and
     /// open the next frame.
+    ///
+    /// Credit, then release, both under the one `stats` guard that
+    /// [`EpochServer::session_stats`] reads through: a client that has
+    /// seen its `Release` can never read a ledger that has not counted
+    /// it yet, and no reader sees the credit before the frames are out.
+    /// Every session gets the same frame, so it is encoded once and the
+    /// `outbox` is locked once for the whole fan-out.
     fn on_release(&mut self, ep: u64) {
-        let mut stats = Vec::new();
-        for (&session, s) in &self.sessions {
-            if s.live && s.arrived_for == Some(ep) {
-                self.router.respond(
-                    s.conn,
-                    Response::Release {
-                        episode: ep,
-                        inc: self.shared.incarnation,
-                    },
-                );
-                combar_trace::emit(ep as u32, session as u32, Kind::Release);
-                if s.explicit {
-                    stats.push(session);
-                }
-            }
+        let frame = Response::Release {
+            episode: ep,
+            inc: self.shared.incarnation,
         }
-        if !stats.is_empty() {
-            let mut map = self.shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-            for session in stats {
-                map.entry(session).or_default().completed += 1;
+        .encode();
+        {
+            let mut stats = self.shared.stats.lock().unwrap_or_else(|e| e.into_inner());
+            let outbox = self.router.outbox();
+            for (&session, s) in &self.sessions {
+                if s.live && s.arrived_for == Some(ep) {
+                    if s.explicit {
+                        stats.entry(session).or_default().completed += 1;
+                    }
+                    if let Some(sink) = outbox.get(&s.conn) {
+                        sink.send(frame.clone());
+                    }
+                    combar_trace::emit(ep as u32, session as u32, Kind::Release);
+                }
             }
         }
         self.frame = ep + 1;
@@ -1027,7 +1068,7 @@ impl ShardState {
                         .extend(completers);
                 }
             }
-            self.shared.shard_reported[self.idx].store(true, Ordering::Release);
+            self.shared.shard_reported[self.idx].store(self.frame + 1, Ordering::Release);
         }
         try_release(&self.shared, &self.router);
     }
@@ -1161,13 +1202,14 @@ impl ShardState {
     }
 }
 
-/// The downward half of the root: if every live shard has reported and
-/// any session exists, the winning CAS bumps the episode, clears the
-/// reported flags, and broadcasts the release. Any shard (or the shard
-/// poller, after folding a dead shard out) may perform it; the CAS
-/// guarantees exactly one winner per episode. Reports are read *paired
-/// with liveness* — a dead shard's stale flag never counts — so a
-/// shard death can only delay a release, never complete one early.
+/// The downward half of the root: if every live shard has reported the
+/// current episode and any session exists, the winning CAS bumps the
+/// episode (which expires the reports) and broadcasts the release. Any
+/// shard (or the shard poller, after folding a dead shard out) may
+/// perform it; the CAS guarantees exactly one winner per episode.
+/// Reports are read *paired with liveness* — a dead shard's stale
+/// report never counts — so a shard death can only delay a release,
+/// never complete one early.
 fn try_release(shared: &Shared, router: &Router) {
     // A halted server is dead and a fenced one is a zombie: neither may
     // ever release (the fence guard also stops a zombie from burning
@@ -1189,7 +1231,7 @@ fn try_release(shared: &Shared, router: &Router) {
             .iter()
             .zip(&shared.shard_reported)
             .all(|(alive, reported)| {
-                !alive.load(Ordering::Acquire) || reported.load(Ordering::Acquire)
+                !alive.load(Ordering::Acquire) || reported.load(Ordering::Acquire) == ep + 1
             });
     if !all_reported || shared.total_sessions() == 0 {
         return;
@@ -1201,18 +1243,14 @@ fn try_release(shared: &Shared, router: &Router) {
     {
         return; // another shard released this episode
     }
-    // Clear the reports *immediately* after winning: they are this
-    // episode's, and leaving them set while the journal append below
-    // runs would let a concurrent caller (the shard poller ticks into
-    // here at any moment) read them as the *next* episode's, win the
-    // bumped CAS, and run a second release in parallel — draining the
-    // completer slots out from under us and appending episodes out of
-    // order, which recovery would then skip as stale. No shard can
-    // re-report until it processes the Release broadcast at the bottom,
-    // so clearing here closes the window without losing a report.
-    for reported in &shared.shard_reported {
-        reported.store(false, Ordering::Release);
-    }
+    // The reports were for `ep`, so the CAS has just expired them: a
+    // concurrent caller (the shard poller ticks into here at any
+    // moment) cannot read them as the *next* episode's while the
+    // journal append below runs, win the bumped CAS, and run a second
+    // release in parallel — draining the completer slots out from
+    // under us and appending episodes out of order, which recovery
+    // would then skip as stale. No shard reports `ep + 1` until it
+    // processes the Release broadcast at the bottom.
     // ── Write-ahead: journal the episode before any client can hear of
     // it. Group commit: the batch is every membership delta since the
     // last release plus one episode record — one append per epoch, not
@@ -1390,6 +1428,73 @@ fn declare_shard_dead(shared: &Shared, router: &Router, shard: usize) {
     try_release(shared, router);
 }
 
+/// Most messages one wake of a shard handles before it runs its
+/// housekeeping again: a flood of traffic may delay a lease poll or the
+/// shard's own heartbeat by one batch, never starve it.
+const BATCH: usize = 64;
+
+impl ShardState {
+    /// A shard the root lease declared dead must stop serving even
+    /// when the declaration was a false positive (a stalled-but-alive
+    /// thread): its sessions were evicted and rerouted the moment it
+    /// was declared, so anything it did from here — reporting its stale
+    /// frame complete, answering sessions that rejoined elsewhere —
+    /// would be a zombie copy of state that now lives on the surviving
+    /// shards. A halted server is a "crashed" host: same silence.
+    fn must_stop(&self) -> bool {
+        !self.shared.shard_alive[self.idx].load(Ordering::Acquire)
+            || self.shared.halted.load(Ordering::Acquire)
+    }
+
+    /// Handles `msgs` in order, looking at the stop flags before each
+    /// one, so a death declaration or a scripted crash that lands in
+    /// mid-batch leaves every later message unhandled. `false` once the
+    /// shard must exit: flagged, `Stall` (simulated crash: no cleanup)
+    /// or `Shutdown`.
+    fn drain(&mut self, msgs: impl Iterator<Item = ShardMsg>) -> bool {
+        for msg in msgs {
+            if self.must_stop() {
+                return false;
+            }
+            match msg {
+                ShardMsg::Net(conn, req) => self.handle(conn, req),
+                ShardMsg::Release(ep) => self.on_release(ep),
+                ShardMsg::Stall | ShardMsg::Shutdown => return false,
+            }
+        }
+        true
+    }
+
+    /// One wake of the shard loop: wait at most a tick for traffic
+    /// (through the same spin-then-park hand-off as a client, see
+    /// [`crate::transport`]), drain at most [`BATCH`] queued messages,
+    /// then run the housekeeping once for the batch and not once per
+    /// message — the lease passes rate-limit themselves per tick anyway,
+    /// and the shard's own beat only has to outrun a grace that is
+    /// floored at `min_grace`. `false` once the shard must exit.
+    fn turn(&mut self, inbox: &mpsc::Receiver<ShardMsg>) -> bool {
+        if self.must_stop() {
+            return false;
+        }
+        self.shared.shard_super.beat(self.idx as u32);
+        let first = match recv_handoff(inbox, self.cfg.tick, &mut self.inbox_hot) {
+            Ok(msg) => Some(msg),
+            Err(mpsc::RecvTimeoutError::Timeout) => None,
+            Err(mpsc::RecvTimeoutError::Disconnected) => return false,
+        };
+        let queued = std::iter::from_fn(|| inbox.try_recv().ok());
+        if !self.drain(first.into_iter().chain(queued).take(BATCH)) || self.must_stop() {
+            return false; // told to, or declared dead (or "crashed") meanwhile
+        }
+        self.poll_leases();
+        self.poll_shards();
+        self.recovery_duty();
+        // Membership may have changed without traffic (evictions).
+        self.check_complete();
+        true
+    }
+}
+
 fn run_shard(
     idx: usize,
     inbox: mpsc::Receiver<ShardMsg>,
@@ -1397,39 +1502,8 @@ fn run_shard(
     router: Arc<Router>,
     cfg: ServerConfig,
 ) {
-    let tick = cfg.tick;
-    let mut st = ShardState::new(idx, shared.clone(), router, cfg);
-    loop {
-        // A shard the root lease declared dead must stop serving even
-        // when the declaration was a false positive (a stalled-but-
-        // alive thread): its sessions were evicted and rerouted the
-        // moment it was declared, so anything it did from here —
-        // reporting its stale frame complete, answering sessions that
-        // rejoined elsewhere — would be a zombie copy of state that now
-        // lives on the surviving shards.
-        if !shared.shard_alive[idx].load(Ordering::Acquire) || shared.halted.load(Ordering::Acquire)
-        {
-            return;
-        }
-        shared.shard_super.beat(idx as u32);
-        let msg = inbox.recv_timeout(tick);
-        if !shared.shard_alive[idx].load(Ordering::Acquire) || shared.halted.load(Ordering::Acquire)
-        {
-            return; // declared dead (or the whole host "crashed") in recv
-        }
-        match msg {
-            Ok(ShardMsg::Net(conn, req)) => st.handle(conn, req),
-            Ok(ShardMsg::Release(ep)) => st.on_release(ep),
-            Ok(ShardMsg::Stall) => return, // simulated crash: no cleanup
-            Ok(ShardMsg::Shutdown) | Err(mpsc::RecvTimeoutError::Disconnected) => return,
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-        }
-        st.poll_leases();
-        st.poll_shards();
-        st.recovery_duty();
-        // Membership may have changed without traffic (evictions).
-        st.check_complete();
-    }
+    let mut st = ShardState::new(idx, shared, router, cfg);
+    while st.turn(&inbox) {}
 }
 
 /// A running barrier-as-a-service instance. See the module docs.
@@ -1470,6 +1544,36 @@ impl EpochServer {
         journal: Option<Arc<Journal>>,
         state: Option<RecoveredState>,
     ) -> Self {
+        let (shared, router, inboxes) = Self::wire_up(&cfg, journal, state);
+        let shard_handles = inboxes
+            .into_iter()
+            .enumerate()
+            .map(|(idx, rx)| {
+                let shared = shared.clone();
+                let router = router.clone();
+                let cfg = cfg.clone();
+                std::thread::Builder::new()
+                    .name(format!("combar-net-shard-{idx}"))
+                    .spawn(move || run_shard(idx, rx, shared, router, cfg))
+                    .expect("spawn shard thread")
+            })
+            .collect();
+        Self {
+            router,
+            shared,
+            shard_handles,
+            pump_handles: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Builds the root state, the router and one inbox per shard — all of
+    /// a server except its threads, so a test can run a shard's loop by
+    /// hand on an inbox it filled itself.
+    fn wire_up(
+        cfg: &ServerConfig,
+        journal: Option<Arc<Journal>>,
+        state: Option<RecoveredState>,
+    ) -> (Arc<Shared>, Arc<Router>, Vec<mpsc::Receiver<ShardMsg>>) {
         assert!(cfg.shards >= 1, "need at least one shard");
         let shards = cfg.shards;
         let incarnation = match &journal {
@@ -1498,7 +1602,7 @@ impl EpochServer {
         };
         let shared = Arc::new(Shared {
             episode: AtomicU64::new(epoch0),
-            shard_reported: (0..shards).map(|_| AtomicBool::new(false)).collect(),
+            shard_reported: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             live_shards: AtomicU64::new(shards as u64),
             shard_alive: (0..shards).map(|_| AtomicBool::new(true)).collect(),
             live_sessions: (0..shards).map(|_| AtomicU64::new(0)).collect(),
@@ -1529,50 +1633,20 @@ impl EpochServer {
             shard_tx: txs,
             assign: Mutex::new(HashMap::new()),
             outbox: Mutex::new(HashMap::new()),
+            #[cfg(test)]
+            outbox_locks: AtomicU64::new(0),
             next_conn: AtomicU64::new(0),
             session_capacity: u64::from(cfg.session_capacity),
             shared: shared.clone(),
         });
-        let shard_handles = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(idx, rx)| {
-                let shared = shared.clone();
-                let router = router.clone();
-                let cfg = cfg.clone();
-                std::thread::Builder::new()
-                    .name(format!("combar-net-shard-{idx}"))
-                    .spawn(move || run_shard(idx, rx, shared, router, cfg))
-                    .expect("spawn shard thread")
-            })
-            .collect();
-        Self {
-            router,
-            shared,
-            shard_handles,
-            pump_handles: Mutex::new(Vec::new()),
-        }
+        (shared, router, rxs)
     }
 
     /// Opens an in-process loopback connection. Cheap: two `mpsc`
     /// channels and a map entry, so thousands of sessions fit in one
     /// process.
     pub fn connect(&self) -> LoopbackTransport {
-        let conn = self.router.next_conn.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel::<Vec<u8>>();
-        self.router
-            .outbox
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(conn, OutSink::Chan(tx));
-        let router = self.router.clone();
-        LoopbackTransport {
-            tx: Box::new(move |frame: &[u8]| {
-                router.route(conn, frame);
-                Ok(())
-            }),
-            rx,
-        }
+        self.router.connect()
     }
 
     /// Opens a Unix-domain datagram connection (real socketpairs with
@@ -1594,11 +1668,7 @@ impl EpochServer {
         c2s_client.set_nonblocking(true)?;
         s2c_server.set_nonblocking(true)?;
         let conn = self.router.next_conn.fetch_add(1, Ordering::Relaxed);
-        self.router
-            .outbox
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(conn, OutSink::Uds(s2c_server));
+        self.router.outbox().insert(conn, OutSink::Uds(s2c_server));
         let router = self.router.clone();
         let shared = self.shared.clone();
         let pump = std::thread::Builder::new()
@@ -1741,6 +1811,7 @@ impl Drop for EpochServer {
 mod tests {
     use super::*;
     use crate::client::{BarrierClient, ClientConfig};
+    use crate::transport::NetError;
 
     /// Fast ticks with a generous session lease: these tests exercise
     /// the protocol, not eviction, and must not lose a session to a
@@ -1775,6 +1846,27 @@ mod tests {
         server.shutdown();
     }
 
+    /// The credit for an episode is on the ledger no later than the
+    /// `Release` that announces it: a client that reads the ledger
+    /// straight after `arrive()` returns must find every episode it has
+    /// seen released — and, the session being alone, not one more.
+    #[test]
+    fn ledger_is_never_behind_an_observed_release() {
+        let server = EpochServer::start(quick_cfg(1));
+        let mut c = BarrierClient::new(server.connect(), 1, ClientConfig::default());
+        c.join().unwrap();
+        // The join epoch was released by proxy (no credit); its re-ack
+        // answers this arrive, so nothing is in flight at the read.
+        c.arrive().unwrap();
+        let base = server.session_stats()[&1].completed;
+        for done in 1..=5_000 {
+            c.arrive().unwrap();
+            let seen = server.session_stats()[&1].completed;
+            assert_eq!(seen, base + done, "ledger vs releases seen");
+        }
+        server.shutdown();
+    }
+
     #[test]
     fn two_clients_rendezvous() {
         let server = EpochServer::start(quick_cfg(2));
@@ -1788,6 +1880,11 @@ mod tests {
                     for _ in 0..20 {
                         c.arrive().unwrap();
                     }
+                    // The two may have been welcomed one episode apart
+                    // (the first join's proxy arrival releases an epoch
+                    // on its own): whoever finishes first must not leave
+                    // the other waiting out its lease for the last one.
+                    c.leave().unwrap();
                 });
             }
         });
@@ -1976,6 +2073,136 @@ mod tests {
             );
         }
         server.shutdown();
+    }
+
+    /// Shard 0 of a server without its threads, and that shard's inbox:
+    /// the test is the shard thread.
+    fn hand_cranked(cfg: ServerConfig) -> (ShardState, mpsc::Receiver<ShardMsg>) {
+        let (shared, router, mut inboxes) = EpochServer::wire_up(&cfg, None, None);
+        (ShardState::new(0, shared, router, cfg), inboxes.remove(0))
+    }
+
+    #[test]
+    fn sixteen_queued_arrives_cost_one_turn_and_one_outbox_lock() {
+        let (mut st, inbox) = hand_cranked(quick_cfg(1));
+        let mut wires: Vec<_> = (0..16).map(|_| st.router.connect()).collect();
+        let mut send_all = |req: &dyn Fn(u64) -> Request| {
+            for (sid, w) in wires.iter_mut().enumerate() {
+                while w.recv_timeout(Duration::ZERO).is_ok() {} // earlier replies
+                w.send(&req(sid as u64).encode()).unwrap();
+            }
+        };
+        // Sixteen joins, and the release of the join epoch that the
+        // first of them completes by proxy: one batch.
+        send_all(&|session| Request::Hello { session, seq: 0 });
+        assert!(st.turn(&inbox));
+        assert_eq!((st.frame, st.live, st.arrived), (1, 16, 0));
+        // Sixteen arrivals and the release the last one causes: one
+        // turn — so one housekeeping pass — and one lock of the outbox
+        // for the whole fan-out.
+        send_all(&|session| Request::Arrive {
+            session,
+            episode: 1,
+            seq: 1,
+        });
+        let locks = st.router.outbox_locks.load(Ordering::Relaxed);
+        assert!(st.turn(&inbox));
+        assert_eq!(st.router.outbox_locks.load(Ordering::Relaxed) - locks, 1);
+        assert_eq!(st.frame, 2, "the release rode in the arrivals' batch");
+        assert!(inbox.try_recv().is_err(), "nothing left for a second turn");
+        for w in &mut wires {
+            let frame = w.recv_timeout(Duration::ZERO).expect("released");
+            let release = Response::Release { episode: 1, inc: 0 };
+            assert_eq!(Response::decode(&frame), Ok(release));
+            assert_eq!(w.recv_timeout(Duration::ZERO), Err(NetError::Timeout));
+        }
+        let ledger = st.shared.stats.lock().unwrap();
+        assert!((0..16).all(|sid| ledger[&sid].completed == 1), "{ledger:?}");
+    }
+
+    #[test]
+    fn a_stop_in_mid_batch_leaves_every_later_message_unhandled() {
+        let hello = |session| ShardMsg::Net(session, Request::Hello { session, seq: 0 });
+        let joined = |st: &ShardState| {
+            let mut sids: Vec<_> = st.sessions.keys().copied().collect();
+            sids.sort_unstable();
+            sids
+        };
+        // A simulated shard crash.
+        let (mut st, _inbox) = hand_cranked(quick_cfg(1));
+        assert!(!st.drain([hello(0), ShardMsg::Stall, hello(1)].into_iter()));
+        assert_eq!(joined(&st), [0]);
+        // A scripted whole-server crash, raised by the release that the
+        // first message's own handling wins.
+        let (mut st, _inbox) = hand_cranked(ServerConfig {
+            crash: Some(ServerCrash {
+                at_epoch: 0,
+                mid_broadcast: false,
+            }),
+            ..quick_cfg(1)
+        });
+        assert!(!st.drain([hello(0), hello(1)].into_iter()));
+        assert!(st.shared.halted.load(Ordering::Acquire));
+        assert_eq!(joined(&st), [0]);
+        // A death declaration by the root lease, landing between the
+        // first message and the second.
+        let (mut st, _inbox) = hand_cranked(quick_cfg(1));
+        let shared = st.shared.clone();
+        let msgs = [hello(0), hello(1), hello(2)].into_iter().enumerate();
+        assert!(!st.drain(msgs.map(|(i, msg)| {
+            if i == 1 {
+                shared.shard_alive[0].store(false, Ordering::Release);
+            }
+            msg
+        })));
+        assert_eq!(joined(&st), [0]);
+    }
+
+    /// What a release winner preempted straight after its CAS leaves
+    /// behind: the episode bumped, the reports it won on still standing.
+    /// A second caller must not take them for the next episode's.
+    #[test]
+    fn reports_expire_with_the_episode_they_were_for() {
+        let (st, inbox) = hand_cranked(quick_cfg(1));
+        let shared = &st.shared;
+        shared.live_sessions[0].store(1, Ordering::Release);
+        shared.shard_reported[0].store(1, Ordering::Release); // episode 0
+        shared.episode.store(1, Ordering::Release); // the winner's CAS
+        try_release(shared, &st.router);
+        assert_eq!(shared.episode.load(Ordering::Acquire), 1);
+        assert!(inbox.try_recv().is_err(), "released with nobody arrived");
+        // Once the shard reports episode 1 itself, it releases.
+        shared.shard_reported[0].store(2, Ordering::Release);
+        try_release(shared, &st.router);
+        assert!(matches!(inbox.try_recv(), Ok(ShardMsg::Release(1))));
+    }
+
+    #[test]
+    fn idle_shard_never_spins_and_waits_out_its_tick() {
+        use crate::transport::handoff_cost;
+        let (mut st, inbox) = hand_cranked(quick_cfg(1));
+        let tick = st.cfg.tick;
+        // `(spins, parks)` of one turn; an idle one must last its tick.
+        let turn = |st: &mut ShardState, idle: bool| {
+            let t0 = Instant::now();
+            let (alive, cost) = handoff_cost(|| st.turn(&inbox));
+            assert!(alive);
+            assert!(
+                !idle || t0.elapsed() >= tick,
+                "an idle turn cut its tick short"
+            );
+            cost
+        };
+        for _ in 0..3 {
+            assert_eq!(turn(&mut st, true), (0, 1));
+        }
+        // Traffic makes the shard hot for exactly one more wait.
+        let beat = Request::Heartbeat { session: 9, seq: 0 };
+        st.router.shard_tx[0].send(ShardMsg::Net(0, beat)).unwrap();
+        assert_eq!(turn(&mut st, false), (0, 0), "the message was waiting");
+        let (spins, parks) = turn(&mut st, true);
+        assert!(spins > 0 && parks <= 1, "hot: looked, then parked");
+        assert_eq!(turn(&mut st, true), (0, 1), "cold again");
     }
 
     /// Router assignments are sticky, so a shard with no free session
