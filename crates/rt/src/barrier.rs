@@ -40,15 +40,16 @@ use combar_trace as trace;
 use crate::adaptive::{AdaptiveBarrier, AdaptiveWaiter, DegreePolicy};
 use crate::asyncb::{AsyncBarrier, AsyncWaiter};
 use crate::blocking::{BlockingBarrier, BlockingWaiter};
-use crate::central::{CentralBarrier, CentralWaiter};
+use crate::central::CentralBarrier;
 use crate::conformance::BarrierKind;
+use crate::counter::{Climb, CounterBarrier, CounterWaiter};
 use crate::dissemination::{DisseminationBarrier, DisseminationWaiter};
-use crate::dynamic::{DynamicBarrier, DynamicWaiter};
+use crate::dynamic::DynamicBarrier;
 use crate::error::BarrierError;
 use crate::fuzzy::FuzzyWaiter;
 use crate::heal::{SelfHealing, Supervisor, SupervisorConfig};
 use crate::tournament::{TournamentBarrier, TournamentWaiter};
-use crate::tree::{TreeBarrier, TreeWaiter};
+use crate::tree::TreeBarrier;
 
 /// The per-thread handle contract every barrier kind implements.
 ///
@@ -192,7 +193,7 @@ macro_rules! forward_wait {
     };
 }
 
-impl Waiter for CentralWaiter<'_> {
+impl<K: Climb> Waiter for CounterWaiter<'_, K> {
     forward_wait!();
     fn as_fuzzy(&mut self) -> Option<&mut dyn FuzzyWaiter> {
         Some(self)
@@ -215,38 +216,12 @@ impl Waiter for BlockingWaiter<'_> {
     }
 }
 
-impl Waiter for TreeWaiter<'_> {
-    forward_wait!();
-    fn as_fuzzy(&mut self) -> Option<&mut dyn FuzzyWaiter> {
-        Some(self)
-    }
-    fn rejoin(&mut self) -> Result<bool, BarrierError> {
-        Self::rejoin(self)
-    }
-    fn rejoin_within(&mut self, timeout: Duration) -> Result<bool, BarrierError> {
-        Self::rejoin_within(self, timeout)
-    }
-}
-
 impl Waiter for DisseminationWaiter<'_> {
     forward_wait!();
 }
 
 impl Waiter for TournamentWaiter<'_> {
     forward_wait!();
-    fn rejoin(&mut self) -> Result<bool, BarrierError> {
-        Self::rejoin(self)
-    }
-    fn rejoin_within(&mut self, timeout: Duration) -> Result<bool, BarrierError> {
-        Self::rejoin_within(self, timeout)
-    }
-}
-
-impl Waiter for DynamicWaiter<'_> {
-    forward_wait!();
-    fn as_fuzzy(&mut self) -> Option<&mut dyn FuzzyWaiter> {
-        Some(self)
-    }
     fn rejoin(&mut self) -> Result<bool, BarrierError> {
         Self::rejoin(self)
     }
@@ -270,7 +245,7 @@ impl Waiter for AdaptiveWaiter<'_> {
     }
 }
 
-impl Barrier for CentralBarrier {
+impl<K: Climb> Barrier for CounterBarrier<K> {
     fn threads(&self) -> u32 {
         Self::threads(self)
     }
@@ -296,7 +271,7 @@ impl Barrier for CentralBarrier {
         Self::live_count(self)
     }
     fn critical_depth(&self) -> Option<u32> {
-        Some(1) // one shared counter, regardless of p
+        Some(Self::critical_depth(self))
     }
 }
 
@@ -321,36 +296,6 @@ impl Barrier for BlockingBarrier {
     }
     fn critical_depth(&self) -> Option<u32> {
         Some(1) // one mutex-protected count
-    }
-}
-
-impl Barrier for TreeBarrier {
-    fn threads(&self) -> u32 {
-        Self::threads(self)
-    }
-    fn waiter<'a>(&'a self, tid: u32) -> Box<dyn Waiter + 'a> {
-        Box::new(self.waiter(tid))
-    }
-    fn is_poisoned(&self) -> bool {
-        Self::is_poisoned(self)
-    }
-    fn stragglers(&self) -> Vec<u32> {
-        Self::stragglers(self)
-    }
-    fn evict(&self, tid: u32) -> bool {
-        Self::evict(self, tid)
-    }
-    fn evict_stragglers(&self) -> Vec<u32> {
-        Self::evict_stragglers(self)
-    }
-    fn detach(&self, tid: u32) -> bool {
-        Self::detach(self, tid)
-    }
-    fn live_count(&self) -> u32 {
-        Self::live_count(self)
-    }
-    fn critical_depth(&self) -> Option<u32> {
-        Some(Self::critical_depth(self))
     }
 }
 
@@ -396,36 +341,6 @@ impl Barrier for TournamentBarrier {
     }
     fn critical_depth(&self) -> Option<u32> {
         Some(self.rounds())
-    }
-}
-
-impl Barrier for DynamicBarrier {
-    fn threads(&self) -> u32 {
-        Self::threads(self)
-    }
-    fn waiter<'a>(&'a self, tid: u32) -> Box<dyn Waiter + 'a> {
-        Box::new(self.waiter(tid))
-    }
-    fn is_poisoned(&self) -> bool {
-        Self::is_poisoned(self)
-    }
-    fn stragglers(&self) -> Vec<u32> {
-        Self::stragglers(self)
-    }
-    fn evict(&self, tid: u32) -> bool {
-        Self::evict(self, tid)
-    }
-    fn evict_stragglers(&self) -> Vec<u32> {
-        Self::evict_stragglers(self)
-    }
-    fn detach(&self, tid: u32) -> bool {
-        Self::detach(self, tid)
-    }
-    fn live_count(&self) -> u32 {
-        Self::live_count(self)
-    }
-    fn critical_depth(&self) -> Option<u32> {
-        Some(Self::critical_depth(self))
     }
 }
 

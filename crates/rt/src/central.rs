@@ -7,52 +7,31 @@
 //! processor pays a single update), which is exactly the paper's
 //! 64-processor σ = 25·t_c result.
 //!
-//! # Fault model
-//!
-//! Besides the infallible spinning API, the barrier supports the
-//! crate-wide degradation protocol: [`CentralWaiter::wait_timeout`]
-//! bounds every wait, a waiter dropped mid-episode poisons the barrier
-//! ([`BarrierError::Poisoned`]), and a participant that stops arriving
-//! can be evicted ([`CentralBarrier::evict`]) so survivors keep
-//! crossing — its arrivals are thereafter delivered by proxy at each
-//! release, and it may later [`CentralWaiter::rejoin`].
-//!
-//! # Self-healing
-//!
-//! Eviction keeps the expected count: the dead thread's arrival is
-//! proxied every episode forever. A *detach* ([`CentralBarrier::detach`]
-//! or [`SelfHealing::fail`] from a supervisor) additionally shrinks the
-//! expected count at the next episode boundary — the releaser's
-//! quiescent window (after the counter resets, before the epoch bump)
-//! is the one instant no arrival is in flight, so the new expected
-//! count publishes atomically with the release. A detached thread
-//! rejoins through [`CentralWaiter::try_rejoin`] /
-//! [`CentralWaiter::rejoin_within`]; the grant lands at a boundary and
-//! restores the full count.
+//! This file holds only what is central's own: the counter, the
+//! one-update climb, and the expected count a detach shrinks. The
+//! waiter life-cycle, fault model and self-healing are the shared
+//! [`counter`](crate::counter) core's.
 
-use crate::error::BarrierError;
-use crate::heal::{self, Change, Membership, RejoinStatus, SelfHealing};
+use crate::counter::{sealed, Climb, CounterBarrier, CounterWaiter};
 use crate::pad::CachePadded;
-use crate::roster::{Arrival, Roster};
-use crate::spin::{wait_for_epoch_fallible, EpochWait};
 use crate::sync::{AtomicU32, Ordering};
 use combar_trace as trace;
-use std::time::{Duration, Instant};
 
-/// A sense-reversing central counter barrier for `p` threads.
+/// The central climb: one counter every thread updates once.
 #[derive(Debug)]
-pub struct CentralBarrier {
+pub struct Central {
     count: CachePadded<AtomicU32>,
     /// Arrivals that release an episode — the live count; rewritten
     /// only inside a releaser's quiescent window.
     expected: CachePadded<AtomicU32>,
-    epoch: CachePadded<AtomicU32>,
-    poison: CachePadded<AtomicU32>,
-    roster: Roster,
-    membership: Membership,
     next_id: AtomicU32,
-    p: u32,
 }
+
+/// A sense-reversing central counter barrier for `p` threads.
+pub type CentralBarrier = CounterBarrier<Central>;
+
+/// Per-thread handle to a [`CentralBarrier`].
+pub type CentralWaiter<'a> = CounterWaiter<'a, Central>;
 
 impl CentralBarrier {
     /// Creates a barrier for `p` threads.
@@ -67,435 +46,97 @@ impl CentralBarrier {
     /// Panics if `p == 0`.
     pub fn new(p: u32) -> Self {
         assert!(p > 0, "barrier needs at least one thread");
-        Self {
+        let kind = Central {
             count: CachePadded::new(AtomicU32::new(0)),
             expected: CachePadded::new(AtomicU32::new(p)),
-            epoch: CachePadded::new(AtomicU32::new(0)),
-            poison: CachePadded::new(AtomicU32::new(0)),
-            roster: Roster::new(p),
-            membership: Membership::new(p),
             next_id: AtomicU32::new(0),
-            p,
-        }
-    }
-
-    /// Number of participating threads.
-    pub fn threads(&self) -> u32 {
-        self.p
+        };
+        Self::with_climb(kind, p)
     }
 
     /// Creates the per-thread handle. Each thread must use its own;
-    /// participant ids are assigned round-robin in creation order.
-    ///
-    /// Waiters may be created at any quiescent point (no episode in
-    /// flight): they inherit the barrier's current epoch, so barriers
-    /// survive being reused across thread-team phases.
+    /// participant ids are assigned round-robin in creation order (use
+    /// [`Self::waiter_for`] when eviction decisions must name a
+    /// specific thread).
     pub fn waiter(&self) -> CentralWaiter<'_> {
-        let tid = self.next_id.fetch_add(1, Ordering::Relaxed) % self.p;
+        let tid = self.kind().next_id.fetch_add(1, Ordering::Relaxed) % self.threads();
         self.waiter_for(tid)
     }
+}
 
-    /// Creates the handle for an explicit participant id — useful when
-    /// eviction decisions must name a specific thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tid` is out of range.
-    pub fn waiter_for(&self, tid: u32) -> CentralWaiter<'_> {
-        assert!(tid < self.p, "thread id out of range");
-        CentralWaiter {
-            barrier: self,
-            tid,
-            epoch: self.epoch.load(Ordering::Acquire),
-            pending: false,
-            awaiting_attach: false,
-        }
-    }
-
-    /// Whether a participant died mid-episode, wedging the barrier.
-    pub fn is_poisoned(&self) -> bool {
-        self.poison.load(Ordering::Acquire) != 0
-    }
-
-    /// Number of currently evicted participants.
-    pub fn evicted_count(&self) -> u32 {
-        self.roster.evicted_count()
-    }
-
-    /// Whether participant `tid` is currently evicted.
-    pub fn is_evicted(&self, tid: u32) -> bool {
-        self.roster.is_evicted(tid)
-    }
-
-    /// Evicts participant `tid` if it has not arrived for the episode
-    /// in flight, delivering its arrival by proxy so survivors release.
-    /// Each later release re-delivers its proxy, so the barrier keeps
-    /// functioning with `p − evicted` live threads. Returns whether the
-    /// eviction happened (`false`: already evicted, or it did arrive).
-    pub fn evict(&self, tid: u32) -> bool {
-        assert!(tid < self.p, "thread id out of range");
-        if self.roster.evict(tid, &self.epoch) {
-            if trace::enabled() {
-                trace::emit(
-                    self.epoch.load(Ordering::Relaxed),
-                    tid,
-                    trace::Kind::Evict(tid),
-                );
-            }
-            if self.bump() {
-                self.maintain();
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Evicts every participant that has not arrived for the in-flight
-    /// episode; returns the evicted ids. The caller is inherently not
-    /// among them (it has either arrived or not entered the episode,
-    /// and evicting a thread that later shows up is safe — it gets
-    /// [`BarrierError::Evicted`] and may rejoin).
-    pub fn evict_stragglers(&self) -> Vec<u32> {
-        self.stragglers()
-            .into_iter()
-            .filter(|&t| self.evict(t))
-            .collect()
-    }
-
-    /// Participants that have not arrived for the in-flight episode.
-    pub fn stragglers(&self) -> Vec<u32> {
-        self.roster.stragglers(&self.epoch)
-    }
-
-    /// Number of participants the live shape currently counts.
-    pub fn live_count(&self) -> u32 {
-        self.membership.live_count()
-    }
-
-    /// Whether the live shape still counts `tid` (detaches flip this at
-    /// an episode boundary, not at declaration time).
-    pub fn is_live(&self, tid: u32) -> bool {
-        self.membership.is_live(tid)
-    }
-
-    /// Number of expected-count reconfigurations applied so far.
-    pub fn shape_epoch(&self) -> u32 {
-        self.membership.shape_epoch()
-    }
-
-    /// Declares `tid` dead: evicts it if needed (delivering the
-    /// in-flight proxy) and shrinks the expected count at the next
-    /// episode boundary. Fails (returning `false`) when the thread has
-    /// arrived for the in-flight episode — it is provably alive — or
-    /// when it is the last live participant (a barrier with nobody
-    /// left could never release again). Idempotent.
-    pub fn detach(&self, tid: u32) -> bool {
-        assert!(tid < self.p, "thread id out of range");
-        if self.membership.is_live(tid) && self.membership.live_count() <= 1 {
-            return false;
-        }
-        let _ = self.evict(tid);
-        self.membership.request_detach(&self.roster, tid)
-    }
-
-    /// One arrival count; returns whether it released the episode.
-    fn bump(&self) -> bool {
+impl Central {
+    /// One arrival count for `subject`; returns whether it was the last
+    /// the episode expects.
+    fn bump(&self, subject: u32, episode: u32) -> bool {
         let expected = self.expected.load(Ordering::Acquire);
         let prev = self.count.fetch_add(1, Ordering::AcqRel);
         debug_assert!(prev < expected, "more arrivals than the live count");
-        if prev + 1 == expected {
-            // Last arriver: reset for the next episode (the quiescent
-            // window — no arrival in flight), fold membership changes,
-            // then release.
-            self.count.store(0, Ordering::Relaxed);
-            self.apply_pending();
-            self.epoch.fetch_add(1, Ordering::Release);
-            true
-        } else {
-            false
+        if prev + 1 < expected {
+            trace::emit(episode, subject, trace::Kind::Lose(0));
+            return false;
         }
-    }
-
-    /// Folds queued membership changes into the expected count. Called
-    /// only from the releaser's quiescent window.
-    fn apply_pending(&self) {
-        if !self.membership.has_pending() {
-            return;
-        }
-        let changes = self.membership.collect(&self.roster);
-        if changes.is_empty() {
-            return;
-        }
-        self.expected
-            .store(self.membership.live_count(), Ordering::Relaxed);
-        // Grants last: the roster CAS publishes the store above to the
-        // polling rejoiner (survivors get it from the epoch bump).
-        for change in changes {
-            match change {
-                Change::Attach(tid) => self.membership.grant(&self.roster, tid),
-                Change::Detach(tid) => {
-                    debug_assert!(!self.membership.is_live(tid));
-                }
-            }
-        }
-    }
-
-    /// Post-release proxy sweep for evicted participants. Detached
-    /// slots are stamped but not counted — the expected count no longer
-    /// includes them.
-    fn maintain(&self) {
-        self.roster.maintain(&self.epoch, |tid| {
-            if !self.membership.is_live(tid) {
-                return false;
-            }
-            if trace::enabled() {
-                trace::emit(
-                    self.epoch.load(Ordering::Relaxed),
-                    tid,
-                    trace::Kind::ProxyArrival(0),
-                );
-            }
-            self.bump()
-        });
+        trace::emit(episode, subject, trace::Kind::Win(0));
+        // Last arriver: reset for the next episode before the release —
+        // nobody re-enters until after it.
+        self.count.store(0, Ordering::Relaxed);
+        true
     }
 }
 
-impl SelfHealing for CentralBarrier {
-    fn threads(&self) -> u32 {
-        CentralBarrier::threads(self)
-    }
-    fn stragglers(&self) -> Vec<u32> {
-        CentralBarrier::stragglers(self)
-    }
-    fn fail(&self, tid: u32) -> bool {
-        self.detach(tid)
-    }
-    fn is_poisoned(&self) -> bool {
-        CentralBarrier::is_poisoned(self)
-    }
-}
+impl sealed::Sealed for Central {}
 
-/// Per-thread handle to a [`CentralBarrier`].
-///
-/// Dropping a waiter between `arrive` and a completed depart (e.g. a
-/// panic unwinding through the slack section of a fuzzy episode)
-/// poisons the barrier: peers receive [`BarrierError::Poisoned`]
-/// instead of spinning forever.
-#[derive(Debug)]
-pub struct CentralWaiter<'a> {
-    barrier: &'a CentralBarrier,
-    tid: u32,
-    epoch: u32,
-    pending: bool,
-    /// An attach request is outstanding; waiting for a releaser grant.
-    awaiting_attach: bool,
-}
+impl Climb for Central {
+    type Seat = ();
 
-impl CentralWaiter<'_> {
-    /// Signals arrival (the fuzzy barrier's release phase). The caller
-    /// may then run independent slack work before [`Self::depart`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if called twice without a depart, if the barrier is
-    /// poisoned, or if this participant has been evicted (use
-    /// [`Self::try_arrive`] for the fallible form).
-    pub fn arrive(&mut self) {
-        assert!(!self.pending, "arrive called twice without depart");
-        if let Err(e) = self.try_arrive() {
-            panic!("barrier arrive failed: {e}");
-        }
+    fn seat(&self, _tid: u32) {}
+
+    #[inline]
+    fn climb(&self, tid: u32, _seat: &mut (), episode: u32) -> bool {
+        self.bump(tid, episode)
     }
 
-    /// Fallible arrival: errors with [`BarrierError::Poisoned`] or
-    /// [`BarrierError::Evicted`] instead of panicking.
-    pub fn try_arrive(&mut self) -> Result<(), BarrierError> {
-        assert!(!self.pending, "arrive called twice without depart");
-        let b = self.barrier;
-        if b.is_poisoned() {
-            return Err(BarrierError::Poisoned);
-        }
-        let target = self.epoch.wrapping_add(1);
-        match b.roster.try_arrive(self.tid, target) {
-            Arrival::Evicted => Err(BarrierError::Evicted),
-            Arrival::Claimed => {
-                self.pending = true;
-                trace::emit(self.epoch, self.tid, trace::Kind::Arrive);
-                if b.bump() {
-                    trace::emit(self.epoch, self.tid, trace::Kind::Win(0));
-                    trace::emit(self.epoch, self.tid, trace::Kind::Release);
-                    b.maintain();
-                } else {
-                    trace::emit(self.epoch, self.tid, trace::Kind::Lose(0));
-                }
-                Ok(())
-            }
-        }
+    fn proxy_climb(&self, tid: u32, episode: u32) -> bool {
+        trace::emit(episode, tid, trace::Kind::ProxyArrival(0));
+        self.bump(tid, episode)
     }
 
-    /// Blocks until every thread of the current episode has arrived
-    /// (the fuzzy barrier's enforce phase).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the barrier becomes poisoned while waiting.
-    pub fn depart(&mut self) {
-        assert!(self.pending, "depart called without arrive");
-        if let Err(e) = self.depart_deadline(None) {
-            panic!("barrier depart failed: {e}");
-        }
+    fn reshape(&self, live: &[bool]) {
+        let count = live.iter().filter(|&&l| l).count() as u32;
+        self.expected.store(count, Ordering::Relaxed);
     }
 
-    fn depart_deadline(&mut self, deadline: Option<Instant>) -> Result<(), BarrierError> {
-        assert!(self.pending, "depart called without arrive");
-        let b = self.barrier;
-        let target = self.epoch.wrapping_add(1);
-        match wait_for_epoch_fallible(&b.epoch, target, &b.poison, deadline) {
-            EpochWait::Released => {
-                self.epoch = target;
-                self.pending = false;
-                Ok(())
-            }
-            EpochWait::TimedOut => Err(BarrierError::Timeout),
-            EpochWait::Poisoned => Err(BarrierError::Poisoned),
-        }
-    }
-
-    fn wait_deadline(&mut self, deadline: Option<Instant>) -> Result<(), BarrierError> {
-        if !self.pending {
-            self.try_arrive()?;
-        }
-        self.depart_deadline(deadline)
-    }
-
-    /// A full barrier: `arrive` then `depart`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the barrier is poisoned or this participant evicted.
-    pub fn wait(&mut self) {
-        if let Err(e) = self.wait_deadline(None) {
-            panic!("barrier wait failed: {e}");
-        }
-    }
-
-    /// A full barrier bounded by `timeout`.
-    ///
-    /// On [`BarrierError::Timeout`] the arrival stays registered: call
-    /// a wait method again to resume the same episode. A timed-out
-    /// waiter must not simply be dropped — that poisons the barrier
-    /// (the episode still counts its arrival); retry, or have a peer
-    /// evict it.
-    pub fn wait_timeout(&mut self, timeout: Duration) -> Result<(), BarrierError> {
-        self.wait_deadline(Some(Instant::now() + timeout))
-    }
-
-    /// Unbounded fallible full barrier: like [`Self::wait`] but
-    /// returning poisoning/eviction as an error instead of panicking.
-    /// Reads no clock, so schedules stay deterministic under the
-    /// `combar-check` model checker.
-    pub fn try_wait(&mut self) -> Result<(), BarrierError> {
-        self.wait_deadline(None)
-    }
-
-    /// Barrier episodes this waiter has completed (its local copy of
-    /// the barrier epoch). After [`Self::rejoin`], reflects the epoch
-    /// the proxied pending episode belongs to minus one, so a revived
-    /// participant can tell how many episodes its proxy already covered.
-    pub fn episodes(&self) -> u32 {
-        self.epoch
-    }
-
-    /// Unbounded fallible depart: like [`Self::depart`] but returning
-    /// poisoning as an error instead of panicking. Reads no clock.
-    pub fn try_depart(&mut self) -> Result<(), BarrierError> {
-        self.depart_deadline(None)
-    }
-
-    /// One non-blocking rejoin step. Reads no clock, so rejoin loops
-    /// stay deterministic under the `combar-check` model checker.
-    ///
-    /// * Merely evicted (count untouched) → re-admits immediately via
-    ///   the fast roster path, returns [`RejoinStatus::Rejoined`].
-    /// * Detached → files an attach request the next episode's releaser
-    ///   grants inside its quiescent window, then returns
-    ///   [`RejoinStatus::Pending`] until the grant lands.
-    ///
-    /// After `Rejoined` the waiter is mid-episode (its latest arrival
-    /// was delivered by proxy): complete it with a wait call, which
-    /// departs without re-arriving.
-    pub fn try_rejoin(&mut self) -> Result<RejoinStatus, BarrierError> {
-        let b = self.barrier;
-        if b.is_poisoned() {
-            return Err(BarrierError::Poisoned);
-        }
-        let status = heal::try_rejoin_step(
-            &b.roster,
-            &b.membership,
-            self.tid,
-            &mut self.awaiting_attach,
-            &mut self.epoch,
-            &mut self.pending,
-        );
-        if matches!(status, RejoinStatus::Rejoined) {
-            trace::emit(self.epoch, self.tid, trace::Kind::Rejoin);
-        }
-        Ok(status)
-    }
-
-    /// Re-admission after eviction: drives [`Self::try_rejoin`] until it
-    /// resolves, spin-then-yield between polls. On success the waiter is
-    /// mid-episode (its latest arrival was delivered by proxy): complete
-    /// it with a wait call, which departs without re-arriving. Returns
-    /// `Ok(false)` if this participant was not evicted.
-    ///
-    /// An attach can only be granted by an episode boundary, so for a
-    /// detached participant this blocks until the live participants
-    /// complete an episode; if they may be idle, prefer
-    /// [`Self::rejoin_within`].
-    pub fn rejoin(&mut self) -> Result<bool, BarrierError> {
-        let this = self;
-        heal::drive_rejoin(move || this.try_rejoin())
-    }
-
-    /// [`Self::rejoin`] bounded by `timeout`, polling with jittered
-    /// exponential backoff ([`crate::JitterBackoff`]) so simultaneous
-    /// rejoiners desynchronize. Returns [`BarrierError::Timeout`] if no
-    /// episode boundary granted the attach in time (the request stays
-    /// filed; a later call resumes waiting for it).
-    pub fn rejoin_within(&mut self, timeout: Duration) -> Result<bool, BarrierError> {
-        let tid = self.tid;
-        let this = self;
-        heal::drive_rejoin_within(tid, timeout, move || this.try_rejoin())
-    }
-
-    /// This thread's participant id.
-    pub fn tid(&self) -> u32 {
-        self.tid
-    }
-}
-
-impl Drop for CentralWaiter<'_> {
-    fn drop(&mut self) {
-        if self.pending {
-            self.barrier.poison.store(1, Ordering::Release);
-        }
+    fn critical_depth(&self, _live: &[bool]) -> u32 {
+        1 // one shared counter, regardless of p
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heal::RejoinStatus;
     use std::sync::atomic::{AtomicU32, Ordering};
 
+    crate::counter::lifecycle_tests!(CentralBarrier::new);
+
+    /// An episode a proxy arrival completes goes through the one
+    /// release path, so it is traced like any other (it used to emit
+    /// nothing, and `critical_paths` silently skipped it).
     #[test]
-    fn single_thread_never_blocks() {
-        let b = CentralBarrier::new(1);
-        let mut w = b.waiter();
-        for _ in 0..100 {
-            w.wait();
+    fn proxy_released_episode_is_traced() {
+        let book = trace::TraceBook::new();
+        let b = CentralBarrier::new(2);
+        {
+            let _g = book.attach(0);
+            let mut w = b.waiter_for(0);
+            w.try_arrive().unwrap();
+            assert!(b.evict(1));
+            w.try_depart().unwrap();
         }
+        let paths = trace::critical_paths(&book.drain());
+        assert_eq!(paths.len(), 1, "the proxy-released episode is reported");
+        assert_eq!((paths[0].episode, paths[0].releaser), (0, 1));
+        assert_eq!(paths[0].chain, vec![0]);
+        assert_eq!((paths[0].arrivals, paths[0].proxied), (1, 1));
     }
 
     #[test]
@@ -543,50 +184,6 @@ mod tests {
             }
         });
         assert_eq!(acc.load(Ordering::Relaxed), 150);
-    }
-
-    #[test]
-    fn eviction_lets_survivors_cross_and_rejoin_resumes() {
-        // Single-threaded orchestration of the full degradation cycle.
-        let b = CentralBarrier::new(2);
-        let mut alive = b.waiter_for(0);
-        let mut lost = b.waiter_for(1);
-
-        // Episode 1: tid 1 never arrives; the survivor times out, then
-        // evicts the straggler and completes.
-        alive.try_arrive().unwrap();
-        assert_eq!(
-            alive.wait_timeout(Duration::from_millis(2)),
-            Err(BarrierError::Timeout)
-        );
-        assert_eq!(b.evict_stragglers(), vec![1]);
-        alive.wait_timeout(Duration::from_millis(100)).unwrap();
-
-        // Survivor keeps crossing alone: proxies flow each release.
-        for _ in 0..150 {
-            alive.wait_timeout(Duration::from_millis(100)).unwrap();
-        }
-        assert_eq!(b.evicted_count(), 1);
-
-        // The lost thread shows up late, learns of its eviction,
-        // rejoins, and the pair is in lockstep again.
-        assert_eq!(lost.try_arrive(), Err(BarrierError::Evicted));
-        assert!(lost.rejoin().unwrap());
-        assert_eq!(b.evicted_count(), 0);
-        // The rejoined waiter resumes mid-episode (arrival proxied), so
-        // its first wait merely departs; the pair then runs in lockstep.
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for _ in 0..20 {
-                    alive.wait_timeout(Duration::from_millis(500)).unwrap();
-                }
-            });
-            s.spawn(|| {
-                for _ in 0..20 {
-                    lost.wait_timeout(Duration::from_millis(500)).unwrap();
-                }
-            });
-        });
     }
 
     #[test]
@@ -639,71 +236,6 @@ mod tests {
         for w in ws.iter_mut() {
             w.try_depart().unwrap();
         }
-    }
-
-    #[test]
-    fn detach_refuses_last_live_participant() {
-        let b = CentralBarrier::new(2);
-        let mut w0 = b.waiter_for(0);
-        assert!(b.detach(1));
-        // The first boundary applies the detach; the second runs on
-        // the shrunk count alone.
-        w0.try_wait().unwrap();
-        w0.try_wait().unwrap();
-        assert_eq!(b.live_count(), 1);
-        assert!(!b.detach(0), "last live participant is not declarable");
-        assert!(!b.is_evicted(0));
-        w0.try_wait().unwrap();
-    }
-
-    #[test]
-    fn evicting_an_arrived_thread_is_refused() {
-        let b = CentralBarrier::new(2);
-        let mut w = b.waiter_for(0);
-        w.try_arrive().unwrap();
-        assert!(!b.evict(0), "arrived participant must not be evictable");
-        assert!(b.evict_stragglers().contains(&1));
-        w.wait_timeout(Duration::from_millis(100)).unwrap();
-    }
-
-    #[test]
-    fn dropping_pending_waiter_poisons_peers() {
-        let b = CentralBarrier::new(2);
-        {
-            let mut dying = b.waiter_for(0);
-            dying.try_arrive().unwrap();
-            // dropped here, mid-episode
-        }
-        assert!(b.is_poisoned());
-        let mut peer = b.waiter_for(1);
-        assert_eq!(peer.try_arrive(), Err(BarrierError::Poisoned));
-    }
-
-    #[test]
-    fn clean_drop_does_not_poison() {
-        let b = CentralBarrier::new(1);
-        {
-            let mut w = b.waiter();
-            w.wait();
-        }
-        assert!(!b.is_poisoned());
-    }
-
-    #[test]
-    #[should_panic(expected = "arrive called twice")]
-    fn double_arrive_is_rejected() {
-        let b = CentralBarrier::new(2);
-        let mut w = b.waiter();
-        w.arrive();
-        w.arrive();
-    }
-
-    #[test]
-    #[should_panic(expected = "depart called without arrive")]
-    fn depart_without_arrive_is_rejected() {
-        let b = CentralBarrier::new(2);
-        let mut w = b.waiter();
-        w.depart();
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use crate::error::BarrierError;
 use crate::pad::CachePadded;
-use crate::spin::{wait_for_epoch_fallible, EpochWait};
+use crate::spin::wait_for_epoch_fallible;
 use crate::sync::{AtomicU32, Ordering};
 use combar_trace as trace;
 use std::time::{Duration, Instant};
@@ -182,19 +182,14 @@ impl DisseminationWaiter<'_> {
             );
             // Idempotent on resume: re-storing the same episode is fine.
             b.flags[r][partner as usize].store(self.episode, Ordering::Release);
-            match wait_for_epoch_fallible(
+            wait_for_epoch_fallible(
                 &b.flags[r][self.tid as usize],
                 self.episode,
                 &b.poison,
                 deadline,
-            ) {
-                EpochWait::Released => {
-                    trace::emit(self.episode, self.tid, trace::Kind::CombineEnd(self.round));
-                    self.round += 1;
-                }
-                EpochWait::TimedOut => return Err(BarrierError::Timeout),
-                EpochWait::Poisoned => return Err(BarrierError::Poisoned),
-            }
+            )?;
+            trace::emit(self.episode, self.tid, trace::Kind::CombineEnd(self.round));
+            self.round += 1;
         }
         // Benign race: every thread stores the same value.
         b.episode_hint.store(self.episode, Ordering::Release);

@@ -32,46 +32,62 @@
 //!   swap per counter per episode, i.e. `1/(d+1)` extra communications
 //!   per processor.
 //!
-//! # Fault model
+//! # Under faults
 //!
-//! Same surface as the static tree: bounded waits via
-//! [`DynamicWaiter::wait_timeout`], poisoning on mid-episode drops, and
-//! eviction with proxy arrivals. A proxy walk never swaps — the evicted
-//! thread is not present to notice a displacement — but it does consume
-//! any displacement notice left for the thread, so the roster always
-//! signals the thread's live (possibly migrated) home counter, and a
-//! rejoining waiter resumes from that counter.
+//! The waiter life-cycle, fault model and self-healing are the shared
+//! [`counter`](crate::counter) core's, and the counters, shape arrays
+//! and static walk are the tree's (`tree::Shape`); this file holds only
+//! what placement adds to them.
 //!
-//! # Self-healing
+//! A proxy walk never swaps — the evicted thread is not present to
+//! notice a displacement — but it does consume any displacement notice
+//! left for the thread, so the proxy always signals the thread's live
+//! (possibly migrated) home counter, and a rejoining waiter resumes
+//! from that counter.
 //!
-//! A *detach* ([`DynamicBarrier::detach`] or [`SelfHealing::fail`])
-//! removes a declared-dead participant from the live shape at the next
-//! episode boundary: inside the releaser's quiescent window the tree is
-//! recomputed from the base topology restricted to live members
-//! (`Topology::prune_shape`), and **all placement state is reset to
-//! that pruned shape** — counter owners, swappability, and every live
-//! thread's home. Migrations learned before the fault are deliberately
-//! discarded (the victim/victor assignment may reference the dead
-//! thread's counters); the placement re-learns within a few episodes,
-//! which is the transient-throughput-for-permanent-correctness trade
-//! the paper's dynamic barrier needs under churn. Survivors learn their
-//! reset home through the ordinary displacement-notice slot, so the
-//! victim-side path in `try_arrive` needs no new code. A detached
-//! thread rejoins through [`DynamicWaiter::try_rejoin`] /
-//! [`DynamicWaiter::rejoin_within`] and is grafted back at (the pruned
-//! position of) its original leaf.
+//! A membership change re-prunes the tree like the static barrier's,
+//! and **all placement state is reset to that pruned shape** — counter
+//! owners, swappability, and every live thread's home. Migrations
+//! learned before the fault are deliberately discarded (the
+//! victim/victor assignment may reference the dead thread's counters);
+//! the placement re-learns within a few episodes, which is the
+//! transient-throughput-for-permanent-correctness trade the paper's
+//! dynamic barrier needs under churn. Survivors learn their reset home
+//! through the ordinary displacement-notice slot, so the victim-side
+//! path of the climb needs no new code.
 
-use crate::error::BarrierError;
-use crate::heal::{self, Change, Membership, RejoinStatus, SelfHealing};
+use crate::counter::{sealed, Climb, CounterBarrier, CounterWaiter};
 use crate::pad::CachePadded;
-use crate::roster::{Arrival, Roster};
-use crate::spin::{wait_for_epoch_fallible, EpochWait};
 use crate::sync::{AtomicU32, AtomicU64, Ordering};
+use crate::tree::Shape;
 use combar_topo::{CounterId, Topology};
 use combar_trace as trace;
-use std::time::{Duration, Instant};
 
 const INVALID: u32 = u32::MAX;
+
+/// The dynamic-placement climb: the tree walk plus the victor/victim
+/// swap.
+#[derive(Debug)]
+pub struct Dynamic {
+    /// Counters, shape arrays and each thread's current home — kept
+    /// current at swap time so fresh waiters (created between phases)
+    /// and proxies start from the live placement.
+    shape: Shape,
+    /// Owner of each single-occupant counter (`INVALID` for shared
+    /// leaves and the merge root).
+    local: Vec<CachePadded<AtomicU32>>,
+    /// Per-thread displacement notice: the new home counter, or
+    /// `INVALID`.
+    new_home: Vec<CachePadded<AtomicU32>>,
+    /// Ring id per counter (`INVALID` for the merge root), used to keep
+    /// swaps within rings on KSR-style topologies. A base property,
+    /// untouched by reconfiguration.
+    ring: Vec<u32>,
+    /// Whether a counter may be a swap target (exactly one live
+    /// occupant); 0/1, rewritten with the rest of the shape.
+    swappable: Vec<CachePadded<AtomicU32>>,
+    swaps: AtomicU64,
+}
 
 /// A dynamic placement tree barrier.
 ///
@@ -103,39 +119,10 @@ const INVALID: u32 = u32::MAX;
 /// });
 /// assert!(barrier.swap_count() > 0);
 /// ```
-#[derive(Debug)]
-pub struct DynamicBarrier {
-    counts: Vec<CachePadded<AtomicU32>>,
-    /// Owner of each single-occupant counter (`INVALID` for shared
-    /// leaves and the merge root).
-    local: Vec<CachePadded<AtomicU32>>,
-    /// Per-thread displacement notice: the new home counter, or
-    /// `INVALID`.
-    new_home: Vec<CachePadded<AtomicU32>>,
-    /// Live-shape arrays, indexed like the base topology; rewritten
-    /// only inside a releaser's quiescent window.
-    fan_in: Vec<CachePadded<AtomicU32>>,
-    parent: Vec<CachePadded<AtomicU32>>,
-    path_len: Vec<CachePadded<AtomicU32>>,
-    /// Ring id per counter (`INVALID` for the merge root), used to keep
-    /// swaps within rings on KSR-style topologies. A base property,
-    /// untouched by reconfiguration.
-    ring: Vec<u32>,
-    /// Whether a counter may be a swap target (exactly one live
-    /// occupant); 0/1, rewritten with the rest of the shape.
-    swappable: Vec<CachePadded<AtomicU32>>,
-    epoch: CachePadded<AtomicU32>,
-    poison: CachePadded<AtomicU32>,
-    roster: Roster,
-    membership: Membership,
-    /// The immutable original topology every reconfiguration prunes.
-    base: Topology,
-    swaps: AtomicU64,
-    /// Current home of each thread, maintained at swap time so fresh
-    /// waiters (created between phases) start from the live placement.
-    cur_home: Vec<CachePadded<AtomicU32>>,
-    degree: u32,
-}
+pub type DynamicBarrier = CounterBarrier<Dynamic>;
+
+/// Per-thread handle to a [`DynamicBarrier`].
+pub type DynamicWaiter<'a> = CounterWaiter<'a, Dynamic>;
 
 impl DynamicBarrier {
     /// Builds the barrier from an owner-tree topology (MCS or ring-MCS;
@@ -146,7 +133,6 @@ impl DynamicBarrier {
     ///
     /// Panics if no counter of the topology is swappable.
     pub fn from_topology(topo: &Topology) -> Self {
-        let swappable: Vec<bool> = topo.nodes().iter().map(|n| n.procs.len() == 1).collect();
         assert!(
             !matches!(topo.kind(), combar_topo::TopologyKind::Combining)
                 || topo.num_counters() == 1,
@@ -155,62 +141,29 @@ impl DynamicBarrier {
         // Tiny owner trees (p ≤ d+1) collapse to one shared leaf with
         // no swappable counter; the barrier then degenerates to static
         // behaviour, which is correct (there is no depth to save).
-        Self {
-            counts: (0..topo.num_counters())
-                .map(|_| CachePadded::new(AtomicU32::new(0)))
-                .collect(),
-            local: topo
-                .nodes()
+        let nodes = topo.nodes();
+        let cell = |v: u32| CachePadded::new(AtomicU32::new(v));
+        let kind = Dynamic {
+            shape: Shape::new(topo),
+            local: nodes
                 .iter()
                 .map(|n| {
-                    let owner = if n.procs.len() == 1 {
+                    cell(if n.procs.len() == 1 {
                         n.procs[0]
                     } else {
                         INVALID
-                    };
-                    CachePadded::new(AtomicU32::new(owner))
+                    })
                 })
                 .collect(),
-            new_home: (0..topo.num_procs())
-                .map(|_| CachePadded::new(AtomicU32::new(INVALID)))
-                .collect(),
-            fan_in: topo
-                .nodes()
+            new_home: (0..topo.num_procs()).map(|_| cell(INVALID)).collect(),
+            ring: nodes.iter().map(|n| n.ring.unwrap_or(INVALID)).collect(),
+            swappable: nodes
                 .iter()
-                .map(|n| CachePadded::new(AtomicU32::new(n.fan_in())))
+                .map(|n| cell((n.procs.len() == 1) as u32))
                 .collect(),
-            parent: topo
-                .nodes()
-                .iter()
-                .map(|n| CachePadded::new(AtomicU32::new(n.parent.unwrap_or(INVALID))))
-                .collect(),
-            path_len: topo
-                .nodes()
-                .iter()
-                .map(|n| CachePadded::new(AtomicU32::new(n.path_len)))
-                .collect(),
-            ring: topo
-                .nodes()
-                .iter()
-                .map(|n| n.ring.unwrap_or(INVALID))
-                .collect(),
-            swappable: swappable
-                .iter()
-                .map(|&s| CachePadded::new(AtomicU32::new(s as u32)))
-                .collect(),
-            epoch: CachePadded::new(AtomicU32::new(0)),
-            poison: CachePadded::new(AtomicU32::new(0)),
-            roster: Roster::new(topo.num_procs()),
-            membership: Membership::new(topo.num_procs()),
-            base: topo.clone(),
             swaps: AtomicU64::new(0),
-            cur_home: topo
-                .homes()
-                .iter()
-                .map(|&h| CachePadded::new(AtomicU32::new(h)))
-                .collect(),
-            degree: topo.degree(),
-        }
+        };
+        Self::with_climb(kind, topo.num_procs())
     }
 
     /// An MCS owner tree of the given degree over `p` threads.
@@ -223,277 +176,53 @@ impl DynamicBarrier {
         Self::from_topology(&Topology::mcs(p, degree))
     }
 
-    /// Number of participating threads.
-    pub fn threads(&self) -> u32 {
-        self.new_home.len() as u32
+    /// Creates the per-thread handle for thread `tid`; see
+    /// [`Self::waiter_for`].
+    pub fn waiter(&self, tid: u32) -> DynamicWaiter<'_> {
+        self.waiter_for(tid)
     }
 
     /// The construction degree.
     pub fn degree(&self) -> u32 {
-        self.degree
-    }
-
-    /// Total swaps applied so far.
-    pub fn swap_count(&self) -> u64 {
-        self.swaps.load(Ordering::Relaxed)
-    }
-
-    /// Creates the per-thread handle for thread `tid`.
-    ///
-    /// Waiters may be created at any quiescent point (no episode in
-    /// flight): they inherit the barrier's current epoch and the
-    /// thread's *current* (possibly migrated) home counter, so the
-    /// barrier survives being reused across thread-team phases.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tid` is out of range.
-    pub fn waiter(&self, tid: u32) -> DynamicWaiter<'_> {
-        assert!(
-            (tid as usize) < self.new_home.len(),
-            "thread id out of range"
-        );
-        DynamicWaiter {
-            barrier: self,
-            tid,
-            epoch: self.epoch.load(Ordering::Acquire),
-            fc: self.cur_home[tid as usize].load(Ordering::Acquire),
-            pending: false,
-            awaiting_attach: false,
-        }
-    }
-
-    /// Whether a participant died mid-episode, wedging the barrier.
-    pub fn is_poisoned(&self) -> bool {
-        self.poison.load(Ordering::Acquire) != 0
-    }
-
-    /// Number of currently evicted participants.
-    pub fn evicted_count(&self) -> u32 {
-        self.roster.evicted_count()
-    }
-
-    /// Whether participant `tid` is currently evicted.
-    pub fn is_evicted(&self, tid: u32) -> bool {
-        self.roster.is_evicted(tid)
-    }
-
-    /// Participants that have not arrived for the in-flight episode.
-    pub fn stragglers(&self) -> Vec<u32> {
-        self.roster.stragglers(&self.epoch)
-    }
-
-    /// Evicts participant `tid` if it has not arrived for the episode
-    /// in flight; its (current) home counter is thereafter walked by
-    /// proxy at each release. Returns whether the eviction happened.
-    pub fn evict(&self, tid: u32) -> bool {
-        assert!(
-            (tid as usize) < self.new_home.len(),
-            "thread id out of range"
-        );
-        if self.roster.evict(tid, &self.epoch) {
-            if trace::enabled() {
-                trace::emit(self.trace_epoch(), tid, trace::Kind::Evict(tid));
-            }
-            if self.proxy_signal(tid) {
-                self.maintain();
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Evicts every current straggler; returns the evicted ids.
-    pub fn evict_stragglers(&self) -> Vec<u32> {
-        self.stragglers()
-            .into_iter()
-            .filter(|&t| self.evict(t))
-            .collect()
-    }
-
-    /// Number of participants the live shape currently counts.
-    pub fn live_count(&self) -> u32 {
-        self.membership.live_count()
-    }
-
-    /// Whether the live shape still counts `tid` (detaches flip this at
-    /// an episode boundary, not at declaration time).
-    pub fn is_live(&self, tid: u32) -> bool {
-        self.membership.is_live(tid)
-    }
-
-    /// Number of shape reconfigurations applied so far.
-    pub fn shape_epoch(&self) -> u32 {
-        self.membership.shape_epoch()
-    }
-
-    /// The longest root path any *live* participant currently walks.
-    pub fn critical_depth(&self) -> u32 {
-        (0..self.threads())
-            .filter(|&t| self.membership.is_live(t))
-            .map(|t| {
-                let home = self.cur_home[t as usize].load(Ordering::Acquire);
-                self.path_len[home as usize].load(Ordering::Acquire)
-            })
-            .max()
-            .unwrap_or(0)
+        self.kind().shape.base().degree()
     }
 
     /// The fault-free depth of the base topology.
     pub fn base_depth(&self) -> u32 {
-        self.base.depth()
+        self.kind().shape.base().depth()
     }
 
-    /// Declares `tid` dead: evicts it if needed (delivering the
-    /// in-flight proxy) and schedules its removal from the live shape
-    /// for the next episode boundary, which also resets the learned
-    /// placement. Fails (returning `false`) when the thread has arrived
-    /// for the in-flight episode, or when it is the last live
-    /// participant. Idempotent.
-    pub fn detach(&self, tid: u32) -> bool {
-        assert!(
-            (tid as usize) < self.new_home.len(),
-            "thread id out of range"
-        );
-        if self.membership.is_live(tid) && self.membership.live_count() <= 1 {
-            return false;
-        }
-        let _ = self.evict(tid);
-        self.membership.request_detach(&self.roster, tid)
+    /// Total swaps applied so far.
+    pub fn swap_count(&self) -> u64 {
+        self.kind().swaps.load(Ordering::Relaxed)
     }
+}
 
-    /// The signalling walk without swaps: increment from `start`
-    /// upward; returns whether this walk released the episode.
-    /// `subject`/`episode` tag the emitted trace events.
-    fn signal_static(&self, start: CounterId, subject: u32, episode: u32) -> bool {
-        let mut c = start as usize;
-        loop {
-            let fan = self.fan_in[c].load(Ordering::Acquire);
-            let prev = self.counts[c].fetch_add(1, Ordering::AcqRel);
-            debug_assert!(prev < fan, "counter over-updated");
-            if prev + 1 < fan {
-                trace::emit(episode, subject, trace::Kind::Lose(c as u32));
-                return false;
-            }
-            trace::emit(episode, subject, trace::Kind::Win(c as u32));
-            self.counts[c].store(0, Ordering::Relaxed);
-            let par = self.parent[c].load(Ordering::Acquire);
-            if par == INVALID {
-                // Quiescent window: every counter reset, every surviving
-                // waiter spinning on the epoch. Membership changes and
-                // the placement reset they imply apply here.
-                self.apply_pending();
-                trace::emit(episode, subject, trace::Kind::Release);
-                self.epoch.fetch_add(1, Ordering::Release);
-                return true;
-            }
-            c = par as usize;
-        }
+impl DynamicWaiter<'_> {
+    /// Path length from this thread's current home to the root — the
+    /// paper's "tree depth seen" metric. Reflects relocations the
+    /// thread has already noticed.
+    pub fn depth(&self) -> u32 {
+        self.barrier().kind().shape.depth_from(*self.seat())
     }
+}
 
-    /// Episode tag for barrier-side (proxy) emission: the in-flight
-    /// epoch, read only while a trace sink is attached.
-    fn trace_epoch(&self) -> u32 {
-        if trace::enabled() {
-            self.epoch.load(Ordering::Relaxed)
-        } else {
-            0
-        }
-    }
-
-    /// Folds queued membership changes into the live shape, resetting
-    /// all placement state to the pruned base topology. Called only
-    /// from the releaser's quiescent window.
-    fn apply_pending(&self) {
-        if !self.membership.has_pending() {
-            return;
-        }
-        let changes = self.membership.collect(&self.roster);
-        if changes.is_empty() {
-            return;
-        }
-        let mask = self.membership.live_mask();
-        let shape = self.base.prune_shape(&mask);
-        for c in 0..self.base.num_counters() {
-            self.fan_in[c].store(shape.fan_in[c], Ordering::Relaxed);
-            self.parent[c].store(shape.parent[c].unwrap_or(INVALID), Ordering::Relaxed);
-            self.path_len[c].store(shape.path_len[c], Ordering::Relaxed);
-            // Recomputed below from the reset homes.
-            self.local[c].store(INVALID, Ordering::Relaxed);
-            self.swappable[c].store(0, Ordering::Relaxed);
-        }
-        // Single live occupant per counter ⇒ it owns the counter and
-        // the counter is a swap target again.
-        let mut occupants: Vec<u32> = vec![0; self.base.num_counters()];
-        for (t, live) in mask.iter().enumerate() {
-            if *live {
-                if let Some(h) = shape.home[t] {
-                    occupants[h as usize] += 1;
-                }
-            }
-        }
-        for (t, live) in mask.iter().enumerate() {
-            if !*live {
-                continue;
-            }
-            let h = shape.home[t].expect("live thread must be homed");
-            self.cur_home[t].store(h, Ordering::Relaxed);
-            // The reset home rides the ordinary displacement-notice
-            // slot, overwriting any stale pre-fault notice; survivors
-            // consume it (redundant or not) on their next arrival.
-            self.new_home[t].store(h, Ordering::Relaxed);
-            if occupants[h as usize] == 1 {
-                self.local[h as usize].store(t as u32, Ordering::Relaxed);
-                self.swappable[h as usize].store(1, Ordering::Relaxed);
-            }
-        }
-        // Grants last: the roster CAS publishes the stores above to the
-        // polling rejoiner (survivors get them from the epoch bump).
-        for change in changes {
-            match change {
-                Change::Attach(tid) => self.membership.grant(&self.roster, tid),
-                Change::Detach(tid) => {
-                    debug_assert!(!self.membership.is_live(tid));
-                    // Void any stale displacement notice so a later
-                    // attach starts from the recomputed home.
-                    self.new_home[tid as usize].store(INVALID, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
-    /// Arrival walk performed on behalf of evicted thread `tid`:
-    /// consumes any displacement notice (keeping `cur_home` live), then
-    /// signals statically from the thread's current home.
+impl Dynamic {
+    /// Consumes `tid`'s displacement notice, if one is waiting, and
+    /// returns the home it names.
     ///
-    /// Safe against concurrent swaps: a swap victimising `tid` requires
-    /// `tid`'s home counter to fill, which requires this very proxy's
-    /// increment — so the notice consumed here (if any) happened-before
-    /// this call, and no new notice can appear until after our
-    /// increment below.
-    fn proxy_signal(&self, tid: u32) -> bool {
-        let t = tid as usize;
-        let moved = self.new_home[t].load(Ordering::Acquire);
-        if moved != INVALID {
-            self.new_home[t].store(INVALID, Ordering::Relaxed);
-            self.cur_home[t].store(moved, Ordering::Release);
-        }
-        let home = self.cur_home[t].load(Ordering::Acquire);
-        let ep = self.trace_epoch();
-        if trace::enabled() {
-            trace::emit(ep, tid, trace::Kind::ProxyArrival(home));
-        }
-        self.signal_static(home, tid, ep)
-    }
-
-    /// Post-release proxy sweep for evicted participants. Detached
-    /// slots are stamped but not walked — the live shape no longer
-    /// counts them.
-    fn maintain(&self) {
-        self.roster.maintain(&self.epoch, |tid| {
-            self.membership.is_live(tid) && self.proxy_signal(tid)
-        });
+    /// Also the proxy's first step, where it is safe against concurrent
+    /// swaps: a swap victimising `tid` requires `tid`'s home counter to
+    /// fill, which requires this very proxy's increment — so a notice
+    /// consumed here happened-before the call, and no new notice can
+    /// appear until after the increment that follows.
+    fn take_notice(&self, tid: u32) -> Option<CounterId> {
+        let slot = &self.new_home[tid as usize];
+        let moved = slot.load(Ordering::Acquire);
+        (moved != INVALID).then(|| {
+            slot.store(INVALID, Ordering::Relaxed);
+            moved
+        })
     }
 
     /// Whether `target` is a legal swap destination for a thread homed
@@ -517,269 +246,88 @@ impl DynamicBarrier {
             self.local[from as usize].store(victim, Ordering::Release);
         }
         self.new_home[victim as usize].store(from, Ordering::Release);
-        self.cur_home[tid as usize].store(target, Ordering::Release);
-        self.cur_home[victim as usize].store(from, Ordering::Release);
+        self.shape.set_home(tid, target);
+        self.shape.set_home(victim, from);
         self.swaps.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-impl SelfHealing for DynamicBarrier {
-    fn threads(&self) -> u32 {
-        DynamicBarrier::threads(self)
-    }
-    fn stragglers(&self) -> Vec<u32> {
-        DynamicBarrier::stragglers(self)
-    }
-    fn fail(&self, tid: u32) -> bool {
-        self.detach(tid)
-    }
-    fn is_poisoned(&self) -> bool {
-        DynamicBarrier::is_poisoned(self)
-    }
-}
+impl sealed::Sealed for Dynamic {}
 
-/// Per-thread handle to a [`DynamicBarrier`].
-///
-/// Dropping a waiter between `arrive` and a completed depart poisons
-/// the barrier: peers receive [`BarrierError::Poisoned`] instead of
-/// spinning forever.
-#[derive(Debug)]
-pub struct DynamicWaiter<'a> {
-    barrier: &'a DynamicBarrier,
-    tid: u32,
-    epoch: u32,
-    fc: CounterId,
-    pending: bool,
-    /// An attach request is outstanding; waiting for a releaser grant.
-    awaiting_attach: bool,
-}
+impl Climb for Dynamic {
+    /// The first counter `fc`: where this thread's next climb starts.
+    type Seat = CounterId;
 
-impl DynamicWaiter<'_> {
-    /// Signals arrival, performing any pending relocation first and
-    /// cascading swaps while winning counters on the way up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called twice without a depart, if the barrier is
-    /// poisoned, or if this participant has been evicted.
-    pub fn arrive(&mut self) {
-        assert!(!self.pending, "arrive called twice without depart");
-        if let Err(e) = self.try_arrive() {
-            panic!("barrier arrive failed: {e}");
-        }
+    fn seat(&self, tid: u32) -> CounterId {
+        self.shape.home_of(tid)
     }
 
-    /// Fallible arrival: errors with [`BarrierError::Poisoned`] or
-    /// [`BarrierError::Evicted`] instead of panicking.
-    pub fn try_arrive(&mut self) -> Result<(), BarrierError> {
-        assert!(!self.pending, "arrive called twice without depart");
-        let b = self.barrier;
-        if b.is_poisoned() {
-            return Err(BarrierError::Poisoned);
-        }
-        let target = self.epoch.wrapping_add(1);
-        match b.roster.try_arrive(self.tid, target) {
-            Arrival::Evicted => return Err(BarrierError::Evicted),
-            Arrival::Claimed => {}
-        }
-        self.pending = true;
-        let tid = self.tid as usize;
-        trace::emit(self.epoch, self.tid, trace::Kind::Arrive);
-
+    #[inline]
+    fn climb(&self, tid: u32, fc: &mut CounterId, episode: u32) -> bool {
         // Victim side (paper Figure 6d): notice a displacement before
         // touching any counter. One extra communication.
-        let moved = b.new_home[tid].load(Ordering::Acquire);
-        if moved != INVALID {
-            b.new_home[tid].store(INVALID, Ordering::Relaxed);
-            self.fc = moved;
+        if let Some(moved) = self.take_notice(tid) {
+            *fc = moved;
         }
-
-        let mut c = self.fc as usize;
-        loop {
-            let fan = b.fan_in[c].load(Ordering::Acquire);
-            let prev = b.counts[c].fetch_add(1, Ordering::AcqRel);
-            debug_assert!(prev < fan, "counter over-updated");
-            if prev + 1 < fan {
-                trace::emit(self.epoch, self.tid, trace::Kind::Lose(c as u32));
-                return Ok(()); // not last: propagation is someone else's job
+        // Victor side: swap upward at each new highest win, *before*
+        // the next increment that might lose (see the module docs).
+        self.shape.walk(*fc, tid, episode, |c| {
+            if self.swap_ok(*fc, c) {
+                self.apply_swap(tid, *fc, c);
+                *fc = c;
+                trace::emit(episode, tid, trace::Kind::Swap(c));
             }
-            trace::emit(self.epoch, self.tid, trace::Kind::Win(c as u32));
-            // Last updater of c: reset, swap upward if this is a new
-            // highest win, then continue.
-            b.counts[c].store(0, Ordering::Relaxed);
-            if b.swap_ok(self.fc, c as CounterId) {
-                b.apply_swap(self.tid, self.fc, c as CounterId);
-                self.fc = c as CounterId;
-                trace::emit(self.epoch, self.tid, trace::Kind::Swap(c as u32));
+        })
+    }
+
+    fn proxy_climb(&self, tid: u32, episode: u32) -> bool {
+        if let Some(moved) = self.take_notice(tid) {
+            self.shape.set_home(tid, moved);
+        }
+        self.shape.proxy_walk(tid, episode)
+    }
+
+    fn reshape(&self, live: &[bool]) {
+        let shape = self.shape.rewrite(live);
+        // Recomputed below from the reset homes.
+        for (local, swappable) in self.local.iter().zip(&self.swappable) {
+            local.store(INVALID, Ordering::Relaxed);
+            swappable.store(0, Ordering::Relaxed);
+        }
+        let mut occupants = vec![0u32; self.local.len()];
+        for h in shape.home.iter().flatten() {
+            occupants[*h as usize] += 1;
+        }
+        for (t, home) in shape.home.iter().enumerate() {
+            // The reset home rides the ordinary displacement-notice
+            // slot, overwriting any stale pre-fault notice; survivors
+            // consume it (redundant or not) on their next arrival. A
+            // thread outside the shape gets its slot voided, so a later
+            // attach starts from the recomputed home.
+            self.new_home[t].store(home.unwrap_or(INVALID), Ordering::Relaxed);
+            // Single live occupant per counter ⇒ it owns the counter and
+            // the counter is a swap target again.
+            if let Some(h) = home.filter(|&h| occupants[h as usize] == 1) {
+                self.local[h as usize].store(t as u32, Ordering::Relaxed);
+                self.swappable[h as usize].store(1, Ordering::Relaxed);
             }
-            let par = b.parent[c].load(Ordering::Acquire);
-            if par == INVALID {
-                b.apply_pending();
-                trace::emit(self.epoch, self.tid, trace::Kind::Release);
-                b.epoch.fetch_add(1, Ordering::Release);
-                b.maintain();
-                return Ok(());
-            }
-            c = par as usize;
         }
     }
 
-    /// Blocks until the barrier releases.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the barrier becomes poisoned while waiting.
-    pub fn depart(&mut self) {
-        assert!(self.pending, "depart called without arrive");
-        if let Err(e) = self.depart_deadline(None) {
-            panic!("barrier depart failed: {e}");
-        }
-    }
-
-    fn depart_deadline(&mut self, deadline: Option<Instant>) -> Result<(), BarrierError> {
-        assert!(self.pending, "depart called without arrive");
-        let b = self.barrier;
-        let target = self.epoch.wrapping_add(1);
-        match wait_for_epoch_fallible(&b.epoch, target, &b.poison, deadline) {
-            EpochWait::Released => {
-                self.epoch = target;
-                self.pending = false;
-                Ok(())
-            }
-            EpochWait::TimedOut => Err(BarrierError::Timeout),
-            EpochWait::Poisoned => Err(BarrierError::Poisoned),
-        }
-    }
-
-    fn wait_deadline(&mut self, deadline: Option<Instant>) -> Result<(), BarrierError> {
-        if !self.pending {
-            self.try_arrive()?;
-        }
-        self.depart_deadline(deadline)
-    }
-
-    /// A full barrier: `arrive` then `depart`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the barrier is poisoned or this participant evicted.
-    pub fn wait(&mut self) {
-        if let Err(e) = self.wait_deadline(None) {
-            panic!("barrier wait failed: {e}");
-        }
-    }
-
-    /// A full barrier bounded by `timeout`.
-    ///
-    /// On [`BarrierError::Timeout`] the arrival stays registered: call
-    /// a wait method again to resume the same episode rather than
-    /// re-arriving. A timed-out waiter must not simply be dropped —
-    /// that poisons the barrier; retry, or have a peer evict it.
-    pub fn wait_timeout(&mut self, timeout: Duration) -> Result<(), BarrierError> {
-        self.wait_deadline(Some(Instant::now() + timeout))
-    }
-
-    /// Unbounded fallible full barrier: like [`Self::wait`] but
-    /// returning poisoning/eviction as an error instead of panicking.
-    /// Reads no clock, so schedules stay deterministic under the
-    /// `combar-check` model checker.
-    pub fn try_wait(&mut self) -> Result<(), BarrierError> {
-        self.wait_deadline(None)
-    }
-
-    /// Unbounded fallible depart: like [`Self::depart`] but returning
-    /// poisoning as an error instead of panicking. Reads no clock.
-    pub fn try_depart(&mut self) -> Result<(), BarrierError> {
-        self.depart_deadline(None)
-    }
-
-    /// One non-blocking rejoin step. Reads no clock, so rejoin loops
-    /// stay deterministic under the `combar-check` model checker.
-    ///
-    /// * Merely evicted (shape untouched) → re-admits immediately via
-    ///   the fast roster path, returns [`RejoinStatus::Rejoined`].
-    /// * Detached → files an attach request the next episode's releaser
-    ///   grants inside its quiescent window (re-grafting this thread at
-    ///   the pruned position of its original leaf), then returns
-    ///   [`RejoinStatus::Pending`] until the grant lands.
-    ///
-    /// After `Rejoined` the waiter is mid-episode (its latest arrival
-    /// was delivered by proxy from its live home counter): complete it
-    /// with a wait call, which departs without re-arriving.
-    pub fn try_rejoin(&mut self) -> Result<RejoinStatus, BarrierError> {
-        let b = self.barrier;
-        if b.is_poisoned() {
-            return Err(BarrierError::Poisoned);
-        }
-        let status = heal::try_rejoin_step(
-            &b.roster,
-            &b.membership,
-            self.tid,
-            &mut self.awaiting_attach,
-            &mut self.epoch,
-            &mut self.pending,
-        );
-        if status == RejoinStatus::Rejoined {
-            // Proxies (fast path) or the boundary reconfiguration
-            // (attach path) kept cur_home live; resume from there.
-            self.fc = b.cur_home[self.tid as usize].load(Ordering::Acquire);
-            trace::emit(self.epoch, self.tid, trace::Kind::Rejoin);
-        }
-        Ok(status)
-    }
-
-    /// Re-admission after eviction: drives [`Self::try_rejoin`] until it
-    /// resolves, spin-then-yield between polls. On success the waiter is
-    /// mid-episode (its latest arrival was delivered by proxy): complete
-    /// it with a wait call, which departs without re-arriving. Returns
-    /// `Ok(false)` if this participant was not evicted.
-    ///
-    /// An attach can only be granted by an episode boundary, so for a
-    /// detached participant this blocks until the live participants
-    /// complete an episode; if they may be idle, prefer
-    /// [`Self::rejoin_within`].
-    pub fn rejoin(&mut self) -> Result<bool, BarrierError> {
-        let this = self;
-        heal::drive_rejoin(move || this.try_rejoin())
-    }
-
-    /// [`Self::rejoin`] bounded by `timeout`, polling with jittered
-    /// exponential backoff ([`crate::JitterBackoff`]) so simultaneous
-    /// rejoiners desynchronize. Returns [`BarrierError::Timeout`] if no
-    /// episode boundary granted the attach in time (the request stays
-    /// filed; a later call resumes waiting for it).
-    pub fn rejoin_within(&mut self, timeout: Duration) -> Result<bool, BarrierError> {
-        let tid = self.tid;
-        let this = self;
-        heal::drive_rejoin_within(tid, timeout, move || this.try_rejoin())
-    }
-
-    /// Path length from this thread's current home to the root — the
-    /// paper's "tree depth seen" metric. Reflects relocations the
-    /// thread has already noticed.
-    pub fn depth(&self) -> u32 {
-        self.barrier.path_len[self.fc as usize].load(Ordering::Acquire)
-    }
-
-    /// This thread's id.
-    pub fn tid(&self) -> u32 {
-        self.tid
-    }
-}
-
-impl Drop for DynamicWaiter<'_> {
-    fn drop(&mut self) {
-        if self.pending {
-            self.barrier.poison.store(1, Ordering::Release);
-        }
+    fn critical_depth(&self, live: &[bool]) -> u32 {
+        self.shape.critical_depth(live)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::BarrierError;
+    use crate::heal::RejoinStatus;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::time::Duration;
+
+    crate::counter::lifecycle_tests!(|p| DynamicBarrier::mcs(p, 2));
 
     fn lockstep_check(barrier: &DynamicBarrier, episodes: u32, stagger: bool) {
         let p = barrier.threads() as usize;
@@ -882,7 +430,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(b.local[root].load(Ordering::Relaxed), INVALID);
+        assert_eq!(b.kind().local[root].load(Ordering::Relaxed), INVALID);
     }
 
     /// After any number of episodes, the set of current homes (as seen
@@ -906,9 +454,7 @@ mod tests {
                 });
             }
         });
-        for c in &b.counts {
-            assert_eq!(c.load(Ordering::Relaxed), 0);
-        }
+        assert!(b.kind().shape.at_rest());
     }
 
     /// Eviction must track migration: the dead thread is first swapped

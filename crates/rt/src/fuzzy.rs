@@ -7,13 +7,12 @@
 //! arrival order across iterations, making the slow processor
 //! predictable.
 //!
-//! Every counter-tree waiter in this crate already exposes
-//! `arrive`/`depart`; this module unifies them behind a trait and adds
-//! a convenience wrapper that times the phases.
+//! The counter-barrier waiter (central, tree, dynamic — one type) and
+//! the blocking and async waiters expose `arrive`/`depart`; this module
+//! names the split as a trait and adds a convenience wrapper that times
+//! the phases.
 
-use crate::central::CentralWaiter;
-use crate::dynamic::DynamicWaiter;
-use crate::tree::TreeWaiter;
+use crate::counter::{Climb, CounterWaiter};
 use std::time::{Duration, Instant};
 
 /// A barrier participant that supports the fuzzy split.
@@ -32,30 +31,12 @@ pub trait FuzzyWaiter {
     }
 }
 
-impl FuzzyWaiter for CentralWaiter<'_> {
+impl<K: Climb> FuzzyWaiter for CounterWaiter<'_, K> {
     fn arrive(&mut self) {
-        CentralWaiter::arrive(self)
+        CounterWaiter::arrive(self)
     }
     fn depart(&mut self) {
-        CentralWaiter::depart(self)
-    }
-}
-
-impl FuzzyWaiter for TreeWaiter<'_> {
-    fn arrive(&mut self) {
-        TreeWaiter::arrive(self)
-    }
-    fn depart(&mut self) {
-        TreeWaiter::depart(self)
-    }
-}
-
-impl FuzzyWaiter for DynamicWaiter<'_> {
-    fn arrive(&mut self) {
-        DynamicWaiter::arrive(self)
-    }
-    fn depart(&mut self) {
-        DynamicWaiter::depart(self)
+        CounterWaiter::depart(self)
     }
 }
 

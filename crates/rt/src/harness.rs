@@ -279,7 +279,7 @@ pub struct ChaosReport {
 ///   `move |d| waiter.wait_timeout(d)`;
 /// * **rescue**: invoked after repeated timeouts; it should evict the
 ///   stragglers wedging the barrier (e.g.
-///   `move || barrier.evict_stragglers()`) and return the evicted ids
+///   `move || rescue_stragglers(barrier, tid)`) and return the evicted ids
 ///   so the harness can exclude them from the lockstep check. Barriers
 ///   without eviction support may return an empty vec — the wedged run
 ///   then ends in give-ups rather than survival.
@@ -531,9 +531,9 @@ pub struct ChurnReport {
 ///   one bounded crossing (`wait_timeout(d).map(|()| true)`),
 ///   [`ChurnOp::Revive`] one bounded rejoin attempt (`rejoin_within(d)`).
 ///   One closure handles both so it can own the waiter.
-/// * **rescue** `FnMut() -> Vec<u32>`: detaches the stragglers wedging
-///   the barrier (e.g. `|| barrier.detach_stragglers()` or
-///   `|| barrier.evict_stragglers()`) and returns their ids.
+/// * **rescue** `FnMut() -> Vec<u32>`: evicts the stragglers wedging
+///   the barrier (e.g. `|| rescue_stragglers(barrier, tid)`) and returns
+///   their ids.
 ///
 /// A thread whose plan schedules `Die(Stall)` with a rejoin episode
 /// goes silent, waits until the surviving cohort has crossed that many
@@ -661,7 +661,11 @@ where
                                     break 'run; // dead for good, clean drop
                                 };
                                 // Dormant until the survivors have
-                                // crossed the comeback episode.
+                                // crossed the comeback episode. The
+                                // clock is `crossings`, which every
+                                // thread keeps counting; `phases` stops
+                                // at a thread's first exclusion, so it
+                                // can freeze below `back` for good.
                                 loop {
                                     if abort.load(Ordering::Acquire)
                                         || stop.load(Ordering::Acquire)
@@ -669,9 +673,9 @@ where
                                     {
                                         break 'run;
                                     }
-                                    let front = phases
+                                    let front = crossings
                                         .iter()
-                                        .map(|p| p.load(Ordering::Acquire))
+                                        .map(|c| c.load(Ordering::Relaxed))
                                         .max()
                                         .unwrap_or(0);
                                     if front >= back {
@@ -913,8 +917,29 @@ pub fn work_torture_on<B: Barrier + ?Sized>(
     })
 }
 
+/// The rescue of a participant `tid` whose bounded wait just timed out:
+/// evicts the stragglers wedging its episode and returns their ids.
+///
+/// [`Barrier::stragglers`] judges against whatever episode is in flight
+/// *now*. If `tid` finds itself listed, the episode it timed out on has
+/// released in the meantime and the list names the next episode's
+/// not-yet-arrived participants — live threads — so nothing is evicted.
+/// (An episode that releases between the listing and an eviction can
+/// still cost a live thread its seat; it rejoins. Closing that needs a
+/// rescue bound to the waiter's pending episode — ROADMAP item 2.)
+pub fn rescue_stragglers<B: Barrier + ?Sized>(barrier: &B, tid: u32) -> Vec<u32> {
+    let stragglers = barrier.stragglers();
+    if stragglers.contains(&tid) {
+        return Vec::new();
+    }
+    stragglers
+        .into_iter()
+        .filter(|&t| barrier.evict(t))
+        .collect()
+}
+
 /// [`chaos_torture`] over the unified [`Barrier`] trait: steps are
-/// bounded waits, rescues are `evict_stragglers` through the trait.
+/// bounded waits, rescues are [`rescue_stragglers`].
 pub fn chaos_torture_on<B: Barrier + ?Sized>(
     barrier: &B,
     episodes: u32,
@@ -925,14 +950,14 @@ pub fn chaos_torture_on<B: Barrier + ?Sized>(
         let mut w = barrier.waiter(tid);
         (
             move |d: Duration| w.wait_timeout(d),
-            move || barrier.evict_stragglers(),
+            move || rescue_stragglers(barrier, tid),
         )
     })
 }
 
 /// [`churn_torture`] over the unified [`Barrier`] trait: crossings are
-/// bounded waits, revivals are `rejoin_within`, rescues and the
-/// full-membership probe go through the trait's capability methods.
+/// bounded waits, revivals are `rejoin_within`, rescues are
+/// [`rescue_stragglers`] and the full-membership probe is `live_count`.
 pub fn churn_torture_on<B: Barrier + ?Sized>(
     barrier: &B,
     min_episodes: u32,
@@ -952,7 +977,7 @@ pub fn churn_torture_on<B: Barrier + ?Sized>(
                     ChurnOp::Step => w.wait_timeout(d).map(|()| true),
                     ChurnOp::Revive => w.rejoin_within(d),
                 },
-                move || barrier.evict_stragglers(),
+                move || rescue_stragglers(barrier, tid),
             )
         },
     )
@@ -1058,7 +1083,10 @@ mod tests {
         let rep = chaos_torture(4, 40, plan, Duration::from_millis(100), |tid| {
             let b = &b;
             let mut w = b.waiter_for(tid);
-            (move |d| w.wait_timeout(d), move || b.evict_stragglers())
+            (
+                move |d| w.wait_timeout(d),
+                move || rescue_stragglers(b, tid),
+            )
         });
         assert_eq!(rep.planned_deaths, 1);
         assert_eq!(rep.survivors, 3);
@@ -1083,7 +1111,10 @@ mod tests {
         let rep = chaos_torture(3, 30, plan, Duration::from_millis(30), |tid| {
             let b = &b;
             let mut w = b.waiter_for(tid);
-            (move |d| w.wait_timeout(d), move || b.evict_stragglers())
+            (
+                move |d| w.wait_timeout(d),
+                move || rescue_stragglers(b, tid),
+            )
         });
         assert!(rep.poisoned, "an abandoned arrival must poison the barrier");
         assert!(rep.survivors <= 2);
@@ -1107,7 +1138,7 @@ mod tests {
                         ChurnOp::Step => w.wait_timeout(d).map(|()| true),
                         ChurnOp::Revive => w.rejoin_within(d),
                     },
-                    move || b.evict_stragglers(),
+                    move || rescue_stragglers(b, tid),
                 )
             },
         );
@@ -1133,6 +1164,44 @@ mod tests {
         assert!(rep.max_skew <= 1);
     }
 
+    /// The come-back clock must keep running when every survivor has
+    /// been evicted (and healed) once: scripted closures, no barrier,
+    /// no sleeps. Each survivor's first step reports `Evicted`, so all
+    /// of them are skew-excluded — and stop publishing `phases` —
+    /// before the corpse's come-back episode.
+    #[test]
+    fn churn_comeback_survives_every_survivor_being_evicted_once() {
+        const SURVIVORS: u32 = 2;
+        let plan = FaultPlan::quiet(31).with_churn(0, 1, DeathMode::Stall, 6);
+        let rep = churn_torture(
+            1 + SURVIVORS,
+            20,
+            plan,
+            Duration::from_millis(50),
+            || 0,
+            |tid| {
+                let mut evict_once = tid != 0;
+                (
+                    move |op, _| match op {
+                        ChurnOp::Step if std::mem::take(&mut evict_once) => {
+                            Err(BarrierError::Evicted)
+                        }
+                        ChurnOp::Step | ChurnOp::Revive => Ok(true),
+                    },
+                    Vec::new,
+                )
+            },
+        );
+        assert!(rep.probe_at_full.is_some(), "the scheduled comeback landed");
+        assert_eq!(rep.planned_rejoins, 1);
+        assert_eq!(
+            rep.rejoins,
+            rep.planned_rejoins + SURVIVORS,
+            "the corpse, and every survivor once"
+        );
+        assert_eq!((rep.gave_up, rep.poisoned), (0, false));
+    }
+
     #[test]
     fn churn_torture_on_a_tree_restores_full_membership() {
         let plan = FaultPlan::quiet(29)
@@ -1153,7 +1222,7 @@ mod tests {
                         ChurnOp::Step => w.wait_timeout(d).map(|()| true),
                         ChurnOp::Revive => w.rejoin_within(d),
                     },
-                    move || b.evict_stragglers(),
+                    move || rescue_stragglers(b, tid),
                 )
             },
         );

@@ -26,9 +26,10 @@
 //!    jittered exponential delays so a herd of rejoiners does not
 //!    hammer the roster.
 //!
-//! [`Membership`] is the crate-internal half shared by the counter
-//! barriers (central, tree, dynamic): the live-shape flags plus the
-//! pending attach/detach requests, with the apply step run only inside
+//! [`Membership`] is the crate-internal half the counter-barrier core
+//! ([`crate::counter`], under central, tree and dynamic) drives: the
+//! live-shape flags plus the pending attach/detach requests, with the
+//! apply step run only inside
 //! the releaser's quiescent window (after the root counter resets,
 //! before the epoch bump — every surviving waiter is provably spinning
 //! at that instant, so the new shape publishes atomically with the
@@ -375,9 +376,10 @@ impl Membership {
     /// [`Membership::grant`] for every `Attach`, and finally bump the
     /// barrier epoch (Release) to publish.
     ///
-    /// A detach that would leave the live shape empty is skipped (the
-    /// slot stays parked and proxy-maintained): a barrier with zero
-    /// expected arrivals could never release an episode again.
+    /// A detach can never leave the live shape empty (a barrier with
+    /// zero expected arrivals could never release an episode again):
+    /// only a parked slot detaches, the roster always keeps one slot
+    /// active, and an active slot is live.
     pub(crate) fn collect(&self, roster: &Roster) -> Vec<Change> {
         if self.pending.swap(0, Ordering::AcqRel) == 0 {
             return Vec::new();
@@ -403,9 +405,7 @@ impl Membership {
                 }
                 // A stale request for a non-parked slot is dropped.
             } else if parked && self.is_live(tid) {
-                if live_now <= 1 {
-                    continue; // never detach the last live participant
-                }
+                debug_assert!(live_now > 1, "detaching the last live participant");
                 self.live[tid as usize].store(0, Ordering::Relaxed);
                 live_now -= 1;
                 changes.push(Change::Detach(tid));
@@ -426,9 +426,9 @@ impl Membership {
     }
 }
 
-/// One non-blocking rejoin step over the shared roster/membership
-/// protocol — the waiter half every counter barrier shares. The caller
-/// checks poisoning first. Reads no clock.
+/// One non-blocking rejoin step over the roster/membership protocol —
+/// the waiter half of it. The caller checks poisoning first. Reads no
+/// clock.
 ///
 /// * Merely evicted (shape untouched) → fast roster re-admission.
 /// * Detached (or detach-parked) → files an attach request the next
@@ -634,11 +634,11 @@ mod tests {
         let roster = Roster::new(2);
         let epoch = AtomicU32::new(0);
         assert!(roster.evict(0, &epoch));
-        assert!(roster.evict(1, &epoch));
+        assert!(!roster.evict(1, &epoch), "the roster keeps one slot active");
         assert!(m.request_detach(&roster, 0));
-        assert!(m.request_detach(&roster, 1));
+        assert!(!m.request_detach(&roster, 1), "an active slot cannot park");
         let changes = m.collect(&roster);
-        assert_eq!(changes.len(), 1, "one of the two detaches must wait");
+        assert_eq!(changes.len(), 1, "only one of the two can detach");
         assert_eq!(m.live_count(), 1);
         assert_eq!(m.shape_epoch(), 1);
         assert!(m.collect(&roster).is_empty(), "pending flag consumed");

@@ -15,6 +15,14 @@
 //! * [`DynamicBarrier`] — the paper's dynamic placement barrier
 //!   (Section 5.1): victor/victim swaps migrate slow threads to the
 //!   root;
+//! * [`counter`] — what those three share. They are one protocol (the
+//!   last updater of a counter climbs to its parent, the root's last
+//!   updater releases everyone through one epoch flag) that differs
+//!   only in degree and in who sits where, so they are one type,
+//!   [`CounterBarrier`], over three climbs: the epoch / poison / evict
+//!   / rejoin state machine, the waiter life-cycle and the release
+//!   path exist once, and `central`, `tree` and `dynamic` hold only
+//!   their counters and walks;
 //! * [`DisseminationBarrier`] and [`TournamentBarrier`] — the classic
 //!   `⌈log₂ p⌉`-round baselines from the literature the paper builds
 //!   on;
@@ -90,7 +98,8 @@
 //!   tree, dynamic, blocking, adaptive) support *eviction*: a
 //!   participant that stops arriving can be removed (`evict` /
 //!   `evict_stragglers`) and its arrivals are thereafter delivered by
-//!   proxy at each release, so survivors keep crossing. The
+//!   proxy at each release, so survivors keep crossing (never the last
+//!   active participant: somebody must be left to arrive). The
 //!   [`TournamentBarrier`] supports eviction too, through *adoption*:
 //!   losers replay a dead winner's whole signalling track, so the
 //!   static pairwise schedule heals around the corpse. Only the
@@ -120,6 +129,7 @@ pub mod barrier;
 pub mod blocking;
 pub mod central;
 pub mod conformance;
+pub mod counter;
 pub mod dissemination;
 pub mod dynamic;
 pub mod error;
@@ -139,6 +149,7 @@ pub use barrier::{Barrier, BarrierBuilder, Waiter};
 pub use blocking::{BlockingBarrier, BlockingWaiter};
 pub use central::{CentralBarrier, CentralWaiter};
 pub use conformance::{AnyBarrier, AnyWaiter, BarrierKind};
+pub use counter::{CounterBarrier, CounterWaiter};
 pub use dissemination::{DisseminationBarrier, DisseminationWaiter};
 pub use dynamic::{DynamicBarrier, DynamicWaiter};
 pub use error::BarrierError;
@@ -149,6 +160,6 @@ pub use harness::{
 };
 pub use heal::{JitterBackoff, RejoinStatus, SelfHealing, Supervisor, SupervisorConfig};
 pub use pad::CachePadded;
-pub use spin::{Deadline, EpochWait};
+pub use spin::Deadline;
 pub use tournament::{TournamentBarrier, TournamentWaiter};
 pub use tree::{TreeBarrier, TreeWaiter};

@@ -82,8 +82,10 @@ impl Roster {
         }
     }
 
-    /// Number of currently evicted participants. A single relaxed-ish
-    /// load, cheap enough for every release path.
+    /// Number of currently evicted participants, plus any eviction
+    /// still being decided (see [`Roster::evict`]) — never fewer than
+    /// the non-active slots. A single load, cheap enough for every
+    /// release path.
     pub(crate) fn evicted_count(&self) -> u32 {
         self.evicted.load(Ordering::Acquire)
     }
@@ -170,21 +172,36 @@ impl Roster {
     }
 
     /// Evicts `tid` if (and only if) it has not arrived for the episode
-    /// in flight. On success the slot is already tagged with that
-    /// episode's target and the caller **must** deliver the proxy
-    /// signal for it exactly once.
+    /// in flight and is not the last active participant. On success
+    /// the slot is already tagged with that episode's target and the
+    /// caller **must** deliver the proxy signal for it exactly once.
+    ///
+    /// The eviction is reserved on `evicted` *before* the slot leaves
+    /// `Active` (and re-admission lowers `evicted` only *after* the
+    /// slot is back), so the counter never under-counts the non-active
+    /// slots; refusing a reservation that would reach `p` therefore
+    /// keeps at least one slot active however many evictors race. With
+    /// nobody left to arrive, every proxy sweep would release an
+    /// episode and [`Roster::maintain`] would never return. A racing
+    /// evictor may be refused on a reservation that is then rolled
+    /// back; eviction is safe to retry.
     ///
     /// `epoch` is re-read on every CAS retry: a successful CAS proves
     /// the slot did not change since the target was computed, and the
     /// in-flight episode cannot release without this slot changing, so
     /// the target is never stale at the linearization point.
     pub(crate) fn evict(&self, tid: u32, epoch: &AtomicU32) -> bool {
+        if self.evicted.fetch_add(1, Ordering::AcqRel) + 1 >= self.slots.len() as u32 {
+            self.evicted.fetch_sub(1, Ordering::AcqRel);
+            return false; // would leave nobody active
+        }
         let slot = &self.slots[tid as usize];
         loop {
             let target = epoch.load(Ordering::Acquire).wrapping_add(1);
             let s = slot.load(Ordering::Acquire);
             let (state, last) = unpack(s);
             if state != ACTIVE || last == target {
+                self.evicted.fetch_sub(1, Ordering::AcqRel);
                 return false; // already evicted, or it did arrive
             }
             if slot
@@ -196,7 +213,6 @@ impl Roster {
                 )
                 .is_ok()
             {
-                self.evicted.fetch_add(1, Ordering::AcqRel);
                 return true;
             }
         }
@@ -303,7 +319,7 @@ mod tests {
 
     #[test]
     fn rejoin_restores_active_state() {
-        let r = Roster::new(1);
+        let r = Roster::new(2);
         let epoch = AtomicU32::new(4);
         assert!(r.evict(0, &epoch));
         assert_eq!(
@@ -314,6 +330,21 @@ mod tests {
         assert_eq!(r.rejoin(0), None, "double rejoin is a no-op");
         assert_eq!(r.evicted_count(), 0);
         assert!(!r.is_evicted(0));
+    }
+
+    #[test]
+    fn evict_spares_the_last_active_slot() {
+        let r = Roster::new(3);
+        let epoch = AtomicU32::new(0);
+        assert!(r.evict(0, &epoch));
+        assert!(r.evict(1, &epoch));
+        assert!(!r.evict(2, &epoch), "nobody would be left to arrive");
+        assert_eq!(r.evicted_count(), 2, "a refused reservation is undone");
+        assert!(!r.is_evicted(2));
+        // A slot coming back makes room again.
+        assert_eq!(r.rejoin(0), Some(1));
+        assert!(r.evict(2, &epoch));
+        assert!(!Roster::new(1).evict(0, &epoch), "p = 1 is always last");
     }
 
     #[test]
@@ -368,7 +399,7 @@ mod tests {
 
     #[test]
     fn maintain_stamps_parked_slots() {
-        let r = Roster::new(1);
+        let r = Roster::new(2);
         let epoch = AtomicU32::new(0);
         assert!(r.evict(0, &epoch)); // tagged for target 1
         assert!(r.park(0));
@@ -386,7 +417,7 @@ mod tests {
 
     #[test]
     fn maintain_loops_while_proxies_release() {
-        let r = Roster::new(1);
+        let r = Roster::new(2);
         let epoch = AtomicU32::new(0);
         assert!(r.evict(0, &epoch)); // slot tagged for target 1
         epoch.store(1, Ordering::Release); // the evictor's proxy released it

@@ -6,6 +6,7 @@
 //! briefly and then yields to the scheduler with exponential backoff —
 //! the standard adaptive strategy.
 
+use crate::error::BarrierError;
 use crate::sync::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
@@ -163,51 +164,32 @@ impl Backoff {
     }
 }
 
-/// Spins until `flag` (an epoch counter) reaches at least `target`,
-/// with Acquire ordering on the successful read.
-#[inline]
-pub fn wait_for_epoch(flag: &AtomicU32, target: u32) {
-    let mut backoff = Backoff::new();
-    while flag.load(Ordering::Acquire).wrapping_sub(target) > u32::MAX / 2 {
-        backoff.snooze();
-    }
-}
-
-/// How a fallible epoch wait ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EpochWait {
-    /// The flag reached the target.
-    Released,
-    /// The deadline passed first.
-    TimedOut,
-    /// The poison flag became set first.
-    Poisoned,
-}
-
-/// Fault-aware variant of [`wait_for_epoch`]: additionally watches a
-/// poison flag (any non-zero value aborts the wait) and an optional
-/// deadline. The release check runs first, so a wait whose target is
-/// already met never reports a timeout or poisoning.
+/// Spins until `flag` (an epoch counter) reaches at least `target`
+/// (wrap-around aware, Acquire ordering on the successful read), a
+/// poison flag becomes set ([`BarrierError::Poisoned`]; any non-zero
+/// value aborts the wait) or the optional deadline passes
+/// ([`BarrierError::Timeout`]). The release check runs first, so a wait
+/// whose target is already met never reports a timeout or poisoning.
 #[inline]
 pub fn wait_for_epoch_fallible(
     flag: &AtomicU32,
     target: u32,
     poison: &AtomicU32,
     deadline: Option<Instant>,
-) -> EpochWait {
+) -> Result<(), BarrierError> {
     let mut backoff = match deadline {
         Some(d) => Backoff::with_deadline(d),
         None => Backoff::new(),
     };
     loop {
         if flag.load(Ordering::Acquire).wrapping_sub(target) <= u32::MAX / 2 {
-            return EpochWait::Released;
+            return Ok(());
         }
         if poison.load(Ordering::Acquire) != 0 {
-            return EpochWait::Poisoned;
+            return Err(BarrierError::Poisoned);
         }
         if backoff.expired() {
-            return EpochWait::TimedOut;
+            return Err(BarrierError::Timeout);
         }
         backoff.snooze();
     }
@@ -240,7 +222,10 @@ mod tests {
             }
             f2.store(3, Ordering::Release);
         });
-        wait_for_epoch(&flag, 3);
+        assert_eq!(
+            wait_for_epoch_fallible(&flag, 3, &AtomicU32::new(0), None),
+            Ok(())
+        );
         assert!(flag.load(Ordering::Relaxed) >= 3);
         h.join().unwrap();
     }
@@ -254,27 +239,29 @@ mod tests {
         let deadline = Instant::now();
         assert_eq!(
             wait_for_epoch_fallible(&flag, 1, &poison, Some(deadline)),
-            EpochWait::TimedOut
+            Err(BarrierError::Timeout)
         );
         // Released target wins even with an expired deadline.
         flag.store(1, Ordering::Release);
         assert_eq!(
             wait_for_epoch_fallible(&flag, 1, &poison, Some(deadline)),
-            EpochWait::Released
+            Ok(())
         );
         // Poison wins over an unmet target.
         poison.store(1, Ordering::Release);
         assert_eq!(
             wait_for_epoch_fallible(&flag, 2, &poison, None),
-            EpochWait::Poisoned
+            Err(BarrierError::Poisoned)
         );
+        // …but a met target wins over poison.
+        assert_eq!(wait_for_epoch_fallible(&flag, 1, &poison, None), Ok(()));
         // Short real deadline actually elapses.
         poison.store(0, Ordering::Release);
         let t0 = Instant::now();
         let deadline = t0 + Duration::from_millis(5);
         assert_eq!(
             wait_for_epoch_fallible(&flag, 2, &poison, Some(deadline)),
-            EpochWait::TimedOut
+            Err(BarrierError::Timeout)
         );
         assert!(t0.elapsed() >= Duration::from_millis(5));
     }
@@ -328,10 +315,20 @@ mod tests {
     fn wait_for_epoch_handles_wraparound() {
         // target just past a wrapped counter: u32::MAX wraps to 0, 1 …
         let flag = AtomicU32::new(u32::MAX);
+        let poison = AtomicU32::new(0);
+        let expired = Some(Instant::now());
         // already-satisfied target (flag − target small) returns at once
-        wait_for_epoch(&flag, u32::MAX);
+        assert_eq!(
+            wait_for_epoch_fallible(&flag, u32::MAX, &poison, expired),
+            Ok(())
+        );
+        // one past the wrap is not yet reached
+        assert_eq!(
+            wait_for_epoch_fallible(&flag, 0, &poison, expired),
+            Err(BarrierError::Timeout)
+        );
         flag.store(2, Ordering::Release); // wrapped past target 0
-        wait_for_epoch(&flag, 0);
-        wait_for_epoch(&flag, 2);
+        assert_eq!(wait_for_epoch_fallible(&flag, 0, &poison, expired), Ok(()));
+        assert_eq!(wait_for_epoch_fallible(&flag, 2, &poison, expired), Ok(()));
     }
 }

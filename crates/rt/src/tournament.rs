@@ -202,7 +202,8 @@ impl TournamentBarrier {
     /// in flight. No proxy walk happens — the survivors notice the
     /// death inside their own waits (adoption / self-service) and
     /// replay the dead thread's bracket themselves. Returns whether
-    /// the eviction happened.
+    /// the eviction happened (the roster refuses the last active
+    /// participant: somebody must be left to run the bracket).
     pub fn evict(&self, tid: u32) -> bool {
         assert!(tid < self.p, "thread id out of range");
         let ok = self.roster.evict(tid, &self.epoch);

@@ -4,58 +4,164 @@
 //! [`Topology`]: classic combining trees (threads at the leaves),
 //! MCS-style owner trees, or ring-constrained KSR trees. A thread
 //! updates its home counter; whoever brings a counter to its fan-in
-//! propagates to the parent; the root's last updater bumps the shared
-//! epoch flag, releasing everyone (the paper's "last processor …
-//! releases all the processors by updating a shared variable").
+//! propagates to the parent; the root's last updater releases everyone
+//! (the paper's "last processor … releases all the processors by
+//! updating a shared variable").
 //!
 //! Counter resets happen *before* the release, so the structure is
 //! immediately reusable: no thread can start the next episode until
 //! after the release, which orders every reset before every
 //! next-episode increment.
 //!
-//! # Fault model
-//!
-//! [`TreeWaiter::wait_timeout`] bounds every wait; a waiter dropped
-//! mid-episode poisons the barrier; a participant that stops arriving
-//! can be evicted ([`TreeBarrier::evict`]) — its home-counter walk is
-//! thereafter performed by proxy at each release — and later readmitted
-//! via [`TreeWaiter::rejoin`].
-//!
-//! # Self-healing
-//!
-//! Eviction keeps the tree's shape (and its depth cost): the dead
-//! thread's whole root path is still walked by proxy every episode. A
-//! *detach* ([`TreeBarrier::detach`], or [`SelfHealing::fail`] from a
-//! supervisor) additionally removes the participant from the live
-//! shape: the releaser of the next episode recomputes the tree from
-//! the base topology restricted to live members
-//! (`Topology::prune_shape` — orphaned children re-parent onto the
-//! grandparent, single-survivor chains splice out), inside its
-//! quiescent window. That window — after the root counter resets,
-//! before the epoch bump — is the one instant when no counter holds a
-//! partial episode and no waiter can arrive (all are spinning on the
-//! epoch), so shape stores need no further synchronization: the
-//! Release epoch bump publishes them to survivors, and the roster
-//! re-admission CAS publishes them to rejoiners. Reconfiguration
-//! therefore always takes effect at an episode boundary, never
-//! mid-episode. A detached thread rejoins through
-//! [`TreeWaiter::try_rejoin`] / [`TreeWaiter::rejoin_within`]: the
-//! request parks until a releaser grafts the thread back at (the
-//! pruned position of) its original leaf, so full membership restores
-//! the exact original shape.
+//! This file holds only what is the tree's own: the counters and shape
+//! arrays (`Shape`, which the dynamic barrier climbs too), the static
+//! walk, and the re-prune a membership change triggers. The waiter
+//! life-cycle, fault model and self-healing are the shared
+//! [`counter`](crate::counter) core's.
 
-use crate::error::BarrierError;
-use crate::heal::{self, Change, Membership, RejoinStatus, SelfHealing};
+use crate::counter::{sealed, Climb, CounterBarrier, CounterWaiter};
 use crate::pad::CachePadded;
-use crate::roster::{Arrival, Roster};
-use crate::spin::{wait_for_epoch_fallible, EpochWait};
 use crate::sync::{AtomicU32, Ordering};
-use combar_topo::{CounterId, Topology};
+use combar_topo::{CounterId, PrunedShape, Topology};
 use combar_trace as trace;
-use std::time::{Duration, Instant};
 
 /// Sentinel for "no parent" in the atomic parent array.
 const NO_PARENT: u32 = u32::MAX;
+
+fn padded(values: impl Iterator<Item = u32>) -> Vec<CachePadded<AtomicU32>> {
+    values
+        .map(|v| CachePadded::new(AtomicU32::new(v)))
+        .collect()
+}
+
+/// The counters of a tree barrier and its live shape, indexed like the
+/// base topology. The shape arrays are rewritten only inside a
+/// releaser's quiescent window.
+#[derive(Debug)]
+pub(crate) struct Shape {
+    counts: Vec<CachePadded<AtomicU32>>,
+    fan_in: Vec<CachePadded<AtomicU32>>,
+    parent: Vec<CachePadded<AtomicU32>>,
+    path_len: Vec<CachePadded<AtomicU32>>,
+    /// Current home counter of each thread.
+    homes: Vec<CachePadded<AtomicU32>>,
+    /// The immutable original topology every reconfiguration prunes.
+    base: Topology,
+}
+
+impl Shape {
+    pub(crate) fn new(topo: &Topology) -> Self {
+        let nodes = topo.nodes();
+        Self {
+            counts: padded(nodes.iter().map(|_| 0)),
+            fan_in: padded(nodes.iter().map(|n| n.fan_in())),
+            parent: padded(nodes.iter().map(|n| n.parent.unwrap_or(NO_PARENT))),
+            path_len: padded(nodes.iter().map(|n| n.path_len)),
+            homes: padded(topo.homes().iter().copied()),
+            base: topo.clone(),
+        }
+    }
+
+    pub(crate) fn base(&self) -> &Topology {
+        &self.base
+    }
+
+    pub(crate) fn home_of(&self, tid: u32) -> CounterId {
+        self.homes[tid as usize].load(Ordering::Acquire)
+    }
+
+    pub(crate) fn set_home(&self, tid: u32, home: CounterId) {
+        self.homes[tid as usize].store(home, Ordering::Release);
+    }
+
+    /// Path length (counters to the root, inclusive) from counter `c`.
+    pub(crate) fn depth_from(&self, c: CounterId) -> u32 {
+        self.path_len[c as usize].load(Ordering::Acquire)
+    }
+
+    pub(crate) fn critical_depth(&self, live: &[bool]) -> u32 {
+        (0..live.len())
+            .filter(|&t| live[t])
+            .map(|t| self.depth_from(self.home_of(t as u32)))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The signalling walk: increment from `start` upward; returns
+    /// whether this walk filled the root. `subject`/`episode` tag the
+    /// emitted trace events (the walking thread, or the proxied thread
+    /// on eviction sweeps). `won(c)` runs after each counter `c` the
+    /// walk fills and resets, before it moves on — the hook dynamic
+    /// placement swaps from (inlined into each climb, so the static
+    /// tree's empty hook costs nothing).
+    #[inline]
+    pub(crate) fn walk(
+        &self,
+        start: CounterId,
+        subject: u32,
+        episode: u32,
+        mut won: impl FnMut(CounterId),
+    ) -> bool {
+        let mut c = start as usize;
+        loop {
+            let fan = self.fan_in[c].load(Ordering::Acquire);
+            let prev = self.counts[c].fetch_add(1, Ordering::AcqRel);
+            debug_assert!(prev < fan, "counter over-updated");
+            if prev + 1 < fan {
+                trace::emit(episode, subject, trace::Kind::Lose(c as u32));
+                return false; // not last here: someone else will propagate
+            }
+            trace::emit(episode, subject, trace::Kind::Win(c as u32));
+            // Last updater: reset for the next episode (safe before the
+            // release — nobody re-enters until after it), then continue
+            // upward.
+            self.counts[c].store(0, Ordering::Relaxed);
+            won(c as CounterId);
+            let par = self.parent[c].load(Ordering::Acquire);
+            if par == NO_PARENT {
+                return true;
+            }
+            c = par as usize;
+        }
+    }
+
+    /// [`Self::walk`] on behalf of evicted `tid`, from its current home.
+    pub(crate) fn proxy_walk(&self, tid: u32, episode: u32) -> bool {
+        let home = self.home_of(tid);
+        trace::emit(episode, tid, trace::Kind::ProxyArrival(home));
+        self.walk(home, tid, episode, |_| {})
+    }
+
+    /// Whether every counter reads zero (true between episodes).
+    #[cfg(test)]
+    pub(crate) fn at_rest(&self) -> bool {
+        self.counts.iter().all(|c| c.load(Ordering::Relaxed) == 0)
+    }
+
+    /// Re-prunes the base topology to the `live` set and rewrites the
+    /// shape arrays and every live thread's home to it; returns the
+    /// pruned shape.
+    pub(crate) fn rewrite(&self, live: &[bool]) -> PrunedShape {
+        let shape = self.base.prune_shape(live);
+        for c in 0..self.base.num_counters() {
+            self.fan_in[c].store(shape.fan_in[c], Ordering::Relaxed);
+            self.parent[c].store(shape.parent[c].unwrap_or(NO_PARENT), Ordering::Relaxed);
+            self.path_len[c].store(shape.path_len[c], Ordering::Relaxed);
+        }
+        for (t, home) in shape.home.iter().enumerate() {
+            if let Some(h) = home {
+                self.homes[t].store(*h, Ordering::Relaxed);
+            }
+        }
+        shape
+    }
+}
+
+/// The static tree climb: every thread walks up from its fixed home.
+#[derive(Debug)]
+pub struct Tree {
+    shape: Shape,
+}
 
 /// A static-placement tree barrier over an arbitrary topology.
 ///
@@ -77,59 +183,18 @@ const NO_PARENT: u32 = u32::MAX;
 ///     }
 /// });
 /// ```
-#[derive(Debug)]
-pub struct TreeBarrier {
-    counts: Vec<CachePadded<AtomicU32>>,
-    /// Live-shape arrays, indexed like the base topology; rewritten
-    /// only inside a releaser's quiescent window.
-    fan_in: Vec<CachePadded<AtomicU32>>,
-    parent: Vec<CachePadded<AtomicU32>>,
-    homes: Vec<CachePadded<AtomicU32>>,
-    path_len: Vec<CachePadded<AtomicU32>>,
-    epoch: CachePadded<AtomicU32>,
-    poison: CachePadded<AtomicU32>,
-    roster: Roster,
-    membership: Membership,
-    /// The immutable original topology every reconfiguration prunes.
-    base: Topology,
-    degree: u32,
-}
+pub type TreeBarrier = CounterBarrier<Tree>;
+
+/// Per-thread handle to a [`TreeBarrier`].
+pub type TreeWaiter<'a> = CounterWaiter<'a, Tree>;
 
 impl TreeBarrier {
     /// Builds the barrier from a topology (one thread per processor).
     pub fn from_topology(topo: &Topology) -> Self {
-        let counts = (0..topo.num_counters())
-            .map(|_| CachePadded::new(AtomicU32::new(0)))
-            .collect();
-        Self {
-            counts,
-            fan_in: topo
-                .nodes()
-                .iter()
-                .map(|n| CachePadded::new(AtomicU32::new(n.fan_in())))
-                .collect(),
-            parent: topo
-                .nodes()
-                .iter()
-                .map(|n| CachePadded::new(AtomicU32::new(n.parent.unwrap_or(NO_PARENT))))
-                .collect(),
-            homes: topo
-                .homes()
-                .iter()
-                .map(|&h| CachePadded::new(AtomicU32::new(h)))
-                .collect(),
-            path_len: topo
-                .nodes()
-                .iter()
-                .map(|n| CachePadded::new(AtomicU32::new(n.path_len)))
-                .collect(),
-            epoch: CachePadded::new(AtomicU32::new(0)),
-            poison: CachePadded::new(AtomicU32::new(0)),
-            roster: Roster::new(topo.num_procs()),
-            membership: Membership::new(topo.num_procs()),
-            base: topo.clone(),
-            degree: topo.degree(),
-        }
+        let kind = Tree {
+            shape: Shape::new(topo),
+        };
+        Self::with_climb(kind, topo.num_procs())
     }
 
     /// A classic combining tree of the given degree over `p` threads
@@ -157,74 +222,48 @@ impl TreeBarrier {
         Self::from_topology(&Topology::mcs(p, degree))
     }
 
-    /// Number of participating threads.
-    pub fn threads(&self) -> u32 {
-        self.homes.len() as u32
+    /// Creates the per-thread handle for thread `tid`; see
+    /// [`Self::waiter_for`].
+    pub fn waiter(&self, tid: u32) -> TreeWaiter<'_> {
+        self.waiter_for(tid)
     }
 
     /// The construction degree.
     pub fn degree(&self) -> u32 {
-        self.degree
+        self.kind().shape.base.degree()
+    }
+
+    /// The fault-free depth of the base topology.
+    pub fn base_depth(&self) -> u32 {
+        self.kind().shape.base.depth()
     }
 
     /// Path length (counters to the root, inclusive) seen by `tid` in
     /// the current live shape.
     pub fn depth_of(&self, tid: u32) -> u32 {
-        let home = self.homes[tid as usize].load(Ordering::Acquire);
-        self.path_len[home as usize].load(Ordering::Acquire)
-    }
-
-    /// The longest root path any *live* participant walks — the
-    /// barrier's current critical depth. Shrinks after detaches,
-    /// returns to the base depth after full rejoin.
-    pub fn critical_depth(&self) -> u32 {
-        (0..self.threads())
-            .filter(|&t| self.membership.is_live(t))
-            .map(|t| self.depth_of(t))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The fault-free depth of the base topology.
-    pub fn base_depth(&self) -> u32 {
-        self.base.depth()
-    }
-
-    /// Number of participants the live shape currently counts.
-    pub fn live_count(&self) -> u32 {
-        self.membership.live_count()
-    }
-
-    /// Whether the live shape still counts `tid` (detaches flip this at
-    /// an episode boundary, not at declaration time).
-    pub fn is_live(&self, tid: u32) -> bool {
-        self.membership.is_live(tid)
-    }
-
-    /// Number of shape reconfigurations applied so far.
-    pub fn shape_epoch(&self) -> u32 {
-        self.membership.shape_epoch()
+        let shape = &self.kind().shape;
+        shape.depth_from(shape.home_of(tid))
     }
 
     /// Checks the live shape against a fresh prune of the base
     /// topology; call only at a quiescent point (no episode in
     /// flight). Used by property tests and the soak job.
     pub fn validate_shape(&self) -> Result<(), String> {
-        let mask = self.membership.live_mask();
-        let shape = self.base.prune_shape(&mask);
+        let live = &self.kind().shape;
+        let shape = live.base.prune_shape(&self.live_mask());
         shape.validate()?;
-        for c in 0..self.base.num_counters() {
-            let fan = self.fan_in[c].load(Ordering::Acquire);
+        for c in 0..live.base.num_counters() {
+            let fan = live.fan_in[c].load(Ordering::Acquire);
             if fan != shape.fan_in[c] {
                 return Err(format!("counter {c}: fan_in {fan} != {}", shape.fan_in[c]));
             }
-            let par = self.parent[c].load(Ordering::Acquire);
+            let par = live.parent[c].load(Ordering::Acquire);
             let want = shape.parent[c].unwrap_or(NO_PARENT);
             if shape.retained[c] && par != want {
                 return Err(format!("counter {c}: parent {par} != {want}"));
             }
             if shape.retained[c] {
-                let pl = self.path_len[c].load(Ordering::Acquire);
+                let pl = live.path_len[c].load(Ordering::Acquire);
                 if pl != shape.path_len[c] {
                     return Err(format!(
                         "counter {c}: path_len {pl} != {}",
@@ -232,14 +271,14 @@ impl TreeBarrier {
                     ));
                 }
             }
-            let count = self.counts[c].load(Ordering::Acquire);
+            let count = live.counts[c].load(Ordering::Acquire);
             if count != 0 {
                 return Err(format!("counter {c}: count {count} != 0 at quiescence"));
             }
         }
         for t in 0..self.threads() {
             if let Some(want) = shape.home[t as usize] {
-                let home = self.homes[t as usize].load(Ordering::Acquire);
+                let home = live.home_of(t);
                 if home != want {
                     return Err(format!("thread {t}: home {home} != {want}"));
                 }
@@ -247,407 +286,44 @@ impl TreeBarrier {
         }
         Ok(())
     }
-
-    /// Creates the per-thread handle for thread `tid`.
-    ///
-    /// Waiters may be created at any quiescent point (no episode in
-    /// flight): they inherit the barrier's current epoch, so barriers
-    /// survive being reused across thread-team phases.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tid` is out of range.
-    pub fn waiter(&self, tid: u32) -> TreeWaiter<'_> {
-        assert!((tid as usize) < self.homes.len(), "thread id out of range");
-        TreeWaiter {
-            barrier: self,
-            tid,
-            epoch: self.epoch.load(Ordering::Acquire),
-            pending: false,
-            awaiting_attach: false,
-        }
-    }
-
-    /// Whether a participant died mid-episode, wedging the barrier.
-    pub fn is_poisoned(&self) -> bool {
-        self.poison.load(Ordering::Acquire) != 0
-    }
-
-    /// Number of currently evicted participants.
-    pub fn evicted_count(&self) -> u32 {
-        self.roster.evicted_count()
-    }
-
-    /// Whether participant `tid` is currently evicted.
-    pub fn is_evicted(&self, tid: u32) -> bool {
-        self.roster.is_evicted(tid)
-    }
-
-    /// Participants that have not arrived for the in-flight episode.
-    pub fn stragglers(&self) -> Vec<u32> {
-        self.roster.stragglers(&self.epoch)
-    }
-
-    /// Evicts participant `tid` if it has not arrived for the episode
-    /// in flight, walking its home counter by proxy so survivors
-    /// release; every later release re-delivers the proxy. Returns
-    /// whether the eviction happened.
-    pub fn evict(&self, tid: u32) -> bool {
-        assert!((tid as usize) < self.homes.len(), "thread id out of range");
-        if self.roster.evict(tid, &self.epoch) {
-            let ep = self.trace_epoch();
-            if trace::enabled() {
-                trace::emit(ep, tid, trace::Kind::Evict(tid));
-            }
-            if self.signal(self.homes[tid as usize].load(Ordering::Acquire), tid, ep) {
-                self.maintain();
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Episode tag for barrier-side (proxy) emission: the in-flight
-    /// epoch, read only while a trace sink is attached.
-    fn trace_epoch(&self) -> u32 {
-        if trace::enabled() {
-            self.epoch.load(Ordering::Relaxed)
-        } else {
-            0
-        }
-    }
-
-    /// Evicts every current straggler; returns the evicted ids.
-    pub fn evict_stragglers(&self) -> Vec<u32> {
-        self.stragglers()
-            .into_iter()
-            .filter(|&t| self.evict(t))
-            .collect()
-    }
-
-    /// Declares `tid` dead: evicts it if needed (delivering the
-    /// in-flight proxy) and schedules its removal from the live shape
-    /// for the next episode boundary. Fails (returning `false`) when
-    /// the thread has arrived for the in-flight episode — i.e. it is
-    /// provably alive right now — or when it is the last live
-    /// participant (a barrier with nobody left could never release
-    /// again). Idempotent.
-    ///
-    /// Until the boundary, the proxy keeps covering the thread under
-    /// the old shape; afterwards the shape simply stops counting it
-    /// (the slot stays maintained so a later rejoin resumes cleanly).
-    pub fn detach(&self, tid: u32) -> bool {
-        assert!((tid as usize) < self.homes.len(), "thread id out of range");
-        if self.membership.is_live(tid) && self.membership.live_count() <= 1 {
-            return false;
-        }
-        let _ = self.evict(tid);
-        self.membership.request_detach(&self.roster, tid)
-    }
-
-    /// The signalling walk: increment from `start` upward; returns
-    /// whether this walk released the episode. `subject`/`episode` tag
-    /// the emitted trace events (the walking thread, or the proxied
-    /// thread on eviction sweeps).
-    fn signal(&self, start: CounterId, subject: u32, episode: u32) -> bool {
-        let mut c = start as usize;
-        loop {
-            let fan = self.fan_in[c].load(Ordering::Acquire);
-            let prev = self.counts[c].fetch_add(1, Ordering::AcqRel);
-            debug_assert!(prev < fan, "counter over-updated");
-            if prev + 1 < fan {
-                trace::emit(episode, subject, trace::Kind::Lose(c as u32));
-                return false; // not last here: someone else will propagate
-            }
-            trace::emit(episode, subject, trace::Kind::Win(c as u32));
-            // Last updater: reset for the next episode (safe before the
-            // release — nobody re-enters until after it), then continue
-            // upward or release.
-            self.counts[c].store(0, Ordering::Relaxed);
-            let par = self.parent[c].load(Ordering::Acquire);
-            if par == NO_PARENT {
-                // Quiescent window: every counter is reset, every
-                // surviving waiter is spinning on the epoch, and no
-                // proxy can start (all non-active slots are stamped for
-                // the in-flight target). Membership changes apply here.
-                self.apply_pending();
-                trace::emit(episode, subject, trace::Kind::Release);
-                self.epoch.fetch_add(1, Ordering::Release);
-                return true;
-            }
-            c = par as usize;
-        }
-    }
-
-    /// Folds queued membership changes into the live shape. Called only
-    /// from the releaser's quiescent window.
-    fn apply_pending(&self) {
-        if !self.membership.has_pending() {
-            return;
-        }
-        let changes = self.membership.collect(&self.roster);
-        if changes.is_empty() {
-            return;
-        }
-        let mask = self.membership.live_mask();
-        let shape = self.base.prune_shape(&mask);
-        for c in 0..self.base.num_counters() {
-            self.fan_in[c].store(shape.fan_in[c], Ordering::Relaxed);
-            self.parent[c].store(shape.parent[c].unwrap_or(NO_PARENT), Ordering::Relaxed);
-            self.path_len[c].store(shape.path_len[c], Ordering::Relaxed);
-        }
-        for (t, home) in shape.home.iter().enumerate() {
-            if let Some(h) = home {
-                self.homes[t].store(*h, Ordering::Relaxed);
-            }
-        }
-        // Grants last: the roster CAS publishes the stores above to the
-        // polling rejoiner (survivors get them from the epoch bump).
-        for change in changes {
-            match change {
-                Change::Attach(tid) => self.membership.grant(&self.roster, tid),
-                Change::Detach(tid) => {
-                    debug_assert!(!self.membership.is_live(tid));
-                }
-            }
-        }
-    }
-
-    /// Post-release proxy sweep for evicted participants. Detached
-    /// slots are stamped but not walked — the live shape no longer
-    /// counts them.
-    fn maintain(&self) {
-        self.roster.maintain(&self.epoch, |tid| {
-            if !self.membership.is_live(tid) {
-                return false;
-            }
-            let home = self.homes[tid as usize].load(Ordering::Acquire);
-            let ep = self.trace_epoch();
-            if trace::enabled() {
-                trace::emit(ep, tid, trace::Kind::ProxyArrival(home));
-            }
-            self.signal(home, tid, ep)
-        });
-    }
 }
 
-impl SelfHealing for TreeBarrier {
-    fn threads(&self) -> u32 {
-        TreeBarrier::threads(self)
-    }
-    fn stragglers(&self) -> Vec<u32> {
-        TreeBarrier::stragglers(self)
-    }
-    fn fail(&self, tid: u32) -> bool {
-        self.detach(tid)
-    }
-    fn is_poisoned(&self) -> bool {
-        TreeBarrier::is_poisoned(self)
-    }
-}
+impl sealed::Sealed for Tree {}
 
-/// Per-thread handle to a [`TreeBarrier`].
-///
-/// Dropping a waiter between `arrive` and a completed depart poisons
-/// the barrier: peers receive [`BarrierError::Poisoned`] instead of
-/// spinning forever.
-#[derive(Debug)]
-pub struct TreeWaiter<'a> {
-    barrier: &'a TreeBarrier,
-    tid: u32,
-    epoch: u32,
-    pending: bool,
-    /// An attach request is outstanding; waiting for a releaser grant.
-    awaiting_attach: bool,
-}
+impl Climb for Tree {
+    type Seat = ();
 
-impl TreeWaiter<'_> {
-    /// Signals arrival: walks the combining tree from this thread's
-    /// home counter. May be followed by slack work before
-    /// [`Self::depart`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if called twice without a depart, if the barrier is
-    /// poisoned, or if this participant has been evicted.
-    pub fn arrive(&mut self) {
-        assert!(!self.pending, "arrive called twice without depart");
-        if let Err(e) = self.try_arrive() {
-            panic!("barrier arrive failed: {e}");
-        }
+    fn seat(&self, _tid: u32) {}
+
+    #[inline]
+    fn climb(&self, tid: u32, _seat: &mut (), episode: u32) -> bool {
+        self.shape
+            .walk(self.shape.home_of(tid), tid, episode, |_| {})
     }
 
-    /// Fallible arrival: errors with [`BarrierError::Poisoned`] or
-    /// [`BarrierError::Evicted`] instead of panicking.
-    pub fn try_arrive(&mut self) -> Result<(), BarrierError> {
-        assert!(!self.pending, "arrive called twice without depart");
-        let b = self.barrier;
-        if b.is_poisoned() {
-            return Err(BarrierError::Poisoned);
-        }
-        let target = self.epoch.wrapping_add(1);
-        match b.roster.try_arrive(self.tid, target) {
-            Arrival::Evicted => Err(BarrierError::Evicted),
-            Arrival::Claimed => {
-                self.pending = true;
-                trace::emit(self.epoch, self.tid, trace::Kind::Arrive);
-                if b.signal(
-                    b.homes[self.tid as usize].load(Ordering::Acquire),
-                    self.tid,
-                    self.epoch,
-                ) {
-                    b.maintain();
-                }
-                Ok(())
-            }
-        }
+    fn proxy_climb(&self, tid: u32, episode: u32) -> bool {
+        self.shape.proxy_walk(tid, episode)
     }
 
-    /// Blocks until the barrier releases.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the barrier becomes poisoned while waiting.
-    pub fn depart(&mut self) {
-        assert!(self.pending, "depart called without arrive");
-        if let Err(e) = self.depart_deadline(None) {
-            panic!("barrier depart failed: {e}");
-        }
+    fn reshape(&self, live: &[bool]) {
+        self.shape.rewrite(live);
     }
 
-    fn depart_deadline(&mut self, deadline: Option<Instant>) -> Result<(), BarrierError> {
-        assert!(self.pending, "depart called without arrive");
-        let b = self.barrier;
-        let target = self.epoch.wrapping_add(1);
-        match wait_for_epoch_fallible(&b.epoch, target, &b.poison, deadline) {
-            EpochWait::Released => {
-                self.epoch = target;
-                self.pending = false;
-                Ok(())
-            }
-            EpochWait::TimedOut => Err(BarrierError::Timeout),
-            EpochWait::Poisoned => Err(BarrierError::Poisoned),
-        }
-    }
-
-    fn wait_deadline(&mut self, deadline: Option<Instant>) -> Result<(), BarrierError> {
-        if !self.pending {
-            self.try_arrive()?;
-        }
-        self.depart_deadline(deadline)
-    }
-
-    /// A full barrier: `arrive` then `depart`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the barrier is poisoned or this participant evicted.
-    pub fn wait(&mut self) {
-        if let Err(e) = self.wait_deadline(None) {
-            panic!("barrier wait failed: {e}");
-        }
-    }
-
-    /// A full barrier bounded by `timeout`.
-    ///
-    /// On [`BarrierError::Timeout`] the arrival stays registered: call
-    /// a wait method again to resume the same episode rather than
-    /// re-arriving. A timed-out waiter must not simply be dropped —
-    /// that poisons the barrier; retry, or have a peer evict it.
-    pub fn wait_timeout(&mut self, timeout: Duration) -> Result<(), BarrierError> {
-        self.wait_deadline(Some(Instant::now() + timeout))
-    }
-
-    /// Unbounded fallible full barrier: like [`Self::wait`] but
-    /// returning poisoning/eviction as an error instead of panicking.
-    /// Reads no clock, so schedules stay deterministic under the
-    /// `combar-check` model checker.
-    pub fn try_wait(&mut self) -> Result<(), BarrierError> {
-        self.wait_deadline(None)
-    }
-
-    /// Unbounded fallible depart: like [`Self::depart`] but returning
-    /// poisoning as an error instead of panicking. Reads no clock.
-    pub fn try_depart(&mut self) -> Result<(), BarrierError> {
-        self.depart_deadline(None)
-    }
-
-    /// One non-blocking rejoin step. Reads no clock, so rejoin loops
-    /// stay deterministic under the `combar-check` model checker.
-    ///
-    /// * Merely evicted (shape untouched) → re-admits immediately via
-    ///   the fast roster path, returns [`RejoinStatus::Rejoined`].
-    /// * Detached (or detach-parked) → files an attach request the next
-    ///   episode's releaser grants inside its quiescent window, then
-    ///   returns [`RejoinStatus::Pending`] until the grant lands.
-    ///
-    /// After `Rejoined` the waiter is mid-episode (its latest arrival
-    /// was delivered by proxy): complete it with a wait call, which
-    /// departs without re-arriving.
-    pub fn try_rejoin(&mut self) -> Result<RejoinStatus, BarrierError> {
-        let b = self.barrier;
-        if b.is_poisoned() {
-            return Err(BarrierError::Poisoned);
-        }
-        let status = heal::try_rejoin_step(
-            &b.roster,
-            &b.membership,
-            self.tid,
-            &mut self.awaiting_attach,
-            &mut self.epoch,
-            &mut self.pending,
-        );
-        if matches!(status, RejoinStatus::Rejoined) {
-            trace::emit(self.epoch, self.tid, trace::Kind::Rejoin);
-        }
-        Ok(status)
-    }
-
-    /// Re-admission after eviction: drives [`Self::try_rejoin`] until it
-    /// resolves, spin-then-yield between polls. On success the waiter is
-    /// mid-episode (its latest arrival was delivered by proxy): complete
-    /// it with a wait call, which departs without re-arriving. Returns
-    /// `Ok(false)` if this participant was not evicted.
-    ///
-    /// An attach can only be granted by an episode boundary, so this
-    /// blocks until the live participants complete an episode; if they
-    /// may be idle, prefer [`Self::rejoin_within`].
-    pub fn rejoin(&mut self) -> Result<bool, BarrierError> {
-        let this = self;
-        heal::drive_rejoin(move || this.try_rejoin())
-    }
-
-    /// [`Self::rejoin`] bounded by `timeout`, polling with jittered
-    /// exponential backoff ([`crate::JitterBackoff`]) so simultaneous
-    /// rejoiners desynchronize. Returns [`BarrierError::Timeout`] if no
-    /// episode boundary granted the attach in time (the request stays
-    /// filed; a later call resumes waiting for it).
-    pub fn rejoin_within(&mut self, timeout: Duration) -> Result<bool, BarrierError> {
-        let tid = self.tid;
-        let this = self;
-        heal::drive_rejoin_within(tid, timeout, move || this.try_rejoin())
-    }
-
-    /// This thread's id.
-    pub fn tid(&self) -> u32 {
-        self.tid
-    }
-}
-
-impl Drop for TreeWaiter<'_> {
-    fn drop(&mut self) {
-        if self.pending {
-            self.barrier.poison.store(1, Ordering::Release);
-        }
+    fn critical_depth(&self, live: &[bool]) -> u32 {
+        self.shape.critical_depth(live)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::BarrierError;
+    use crate::heal::RejoinStatus;
     use crate::spin::Deadline;
     use std::sync::atomic::{AtomicU32, Ordering};
+    use std::time::Duration;
+
+    crate::counter::lifecycle_tests!(|p| TreeBarrier::combining(p, 2));
 
     fn lockstep_check(barrier: &TreeBarrier, episodes: u32) {
         let p = barrier.threads() as usize;
@@ -694,15 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_never_blocks() {
-        let b = TreeBarrier::combining(1, 4);
-        let mut w = b.waiter(0);
-        for _ in 0..50 {
-            w.wait();
-        }
-    }
-
-    #[test]
     fn depth_of_matches_topology() {
         let topo = combar_topo::Topology::mcs(8, 2);
         let b = TreeBarrier::from_topology(&topo);
@@ -726,9 +393,7 @@ mod tests {
         for w in &mut ws {
             w.depart();
         }
-        for c in &b.counts {
-            assert_eq!(c.load(Ordering::Relaxed), 0);
-        }
+        assert!(b.kind().shape.at_rest());
     }
 
     #[test]
@@ -761,18 +426,6 @@ mod tests {
         }
         assert_eq!(b.evicted_count(), 1);
         assert!(b.is_evicted(7));
-    }
-
-    #[test]
-    fn poisoning_propagates_to_tree_peers() {
-        let b = TreeBarrier::combining(3, 2);
-        {
-            let mut dying = b.waiter(0);
-            dying.try_arrive().unwrap();
-        }
-        assert!(b.is_poisoned());
-        let mut peer = b.waiter(1);
-        assert_eq!(peer.try_arrive(), Err(BarrierError::Poisoned));
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! eviction, and deterministic chaos soaks driven by `combar-chaos`.
 
 use combar_chaos::{ChaosConfig, DeathMode, FaultPlan};
-use combar_rt::harness::{chaos_torture, churn_torture, lockstep_torture, ChurnOp, Stagger};
-use combar_rt::{
-    AdaptiveBarrier, BarrierError, BlockingBarrier, CentralBarrier, DisseminationBarrier,
-    DynamicBarrier, TournamentBarrier, TreeBarrier,
+use combar_rt::harness::{
+    chaos_torture_on, churn_torture, churn_torture_on, lockstep_torture_on, rescue_stragglers,
+    ChurnOp, ChurnReport, Stagger,
 };
+use combar_rt::{BarrierBuilder, BarrierError, BarrierKind, DynamicBarrier, TreeBarrier};
 use std::time::Duration;
 
 const SHORT: Duration = Duration::from_millis(20);
@@ -30,25 +30,15 @@ fn transient_plan(seed: u64) -> FaultPlan {
 /// peer never arrives — and leave the arrival intact for a retry.
 #[test]
 fn wait_timeout_reports_timeout_on_every_kind() {
-    fn expect_timeout(r: Result<(), BarrierError>) {
-        assert_eq!(r, Err(BarrierError::Timeout));
+    for kind in BarrierKind::all() {
+        let b = BarrierBuilder::new(kind, 3).build();
+        assert_eq!(
+            b.waiter(0).wait_timeout(SHORT),
+            Err(BarrierError::Timeout),
+            "{}",
+            kind.label()
+        );
     }
-    let b = CentralBarrier::new(2);
-    expect_timeout(b.waiter_for(0).wait_timeout(SHORT));
-    let b = TreeBarrier::combining(3, 2);
-    expect_timeout(b.waiter(0).wait_timeout(SHORT));
-    let b = TreeBarrier::mcs(3, 2);
-    expect_timeout(b.waiter(1).wait_timeout(SHORT));
-    let b = DynamicBarrier::mcs(3, 2);
-    expect_timeout(b.waiter(0).wait_timeout(SHORT));
-    let b = DisseminationBarrier::new(2);
-    expect_timeout(b.waiter(0).wait_timeout(SHORT));
-    let b = TournamentBarrier::new(2);
-    expect_timeout(b.waiter(0).wait_timeout(SHORT));
-    let b = BlockingBarrier::new(2);
-    expect_timeout(b.waiter_for(0).wait_timeout(SHORT));
-    let b = AdaptiveBarrier::new(2, &[2], 4, Box::new(|_, _| 0));
-    expect_timeout(b.waiter(0).wait_timeout(SHORT));
 }
 
 /// A timed-out arrival stays registered: once the peer shows up, the
@@ -74,149 +64,63 @@ fn timeout_then_retry_resumes_the_same_episode() {
 /// poisons the barrier for every peer, on every kind.
 #[test]
 fn dropped_mid_episode_waiter_poisons_every_kind() {
-    let b = CentralBarrier::new(2);
-    {
-        let mut w = b.waiter_for(0);
-        assert_eq!(w.wait_timeout(SHORT), Err(BarrierError::Timeout));
+    for kind in BarrierKind::all() {
+        if matches!(kind, BarrierKind::Async { .. }) {
+            continue; // by design a dropped async session leaves instead
+        }
+        let label = kind.label();
+        let b = BarrierBuilder::new(kind, 3).build();
+        {
+            let mut w = b.waiter(0);
+            assert_eq!(w.wait_timeout(SHORT), Err(BarrierError::Timeout), "{label}");
+        }
+        assert!(b.is_poisoned(), "{label}");
+        assert_eq!(
+            b.waiter(1).wait_timeout(SHORT),
+            Err(BarrierError::Poisoned),
+            "{label}"
+        );
     }
-    assert!(b.is_poisoned());
-    assert_eq!(
-        b.waiter_for(1).wait_timeout(SHORT),
-        Err(BarrierError::Poisoned)
-    );
-
-    let b = TreeBarrier::combining(3, 2);
-    {
-        let mut w = b.waiter(0);
-        assert_eq!(w.wait_timeout(SHORT), Err(BarrierError::Timeout));
-    }
-    assert!(b.is_poisoned());
-    assert_eq!(b.waiter(1).wait_timeout(SHORT), Err(BarrierError::Poisoned));
-
-    let b = DynamicBarrier::mcs(3, 2);
-    {
-        let mut w = b.waiter(2);
-        assert_eq!(w.wait_timeout(SHORT), Err(BarrierError::Timeout));
-    }
-    assert!(b.is_poisoned());
-    assert_eq!(b.waiter(0).wait_timeout(SHORT), Err(BarrierError::Poisoned));
-
-    let b = DisseminationBarrier::new(3);
-    {
-        let mut w = b.waiter(0);
-        assert_eq!(w.wait_timeout(SHORT), Err(BarrierError::Timeout));
-    }
-    assert!(b.is_poisoned());
-    assert_eq!(b.waiter(1).wait_timeout(SHORT), Err(BarrierError::Poisoned));
-
-    let b = TournamentBarrier::new(3);
-    {
-        let mut w = b.waiter(1);
-        assert_eq!(w.wait_timeout(SHORT), Err(BarrierError::Timeout));
-    }
-    assert!(b.is_poisoned());
-    assert_eq!(b.waiter(0).wait_timeout(SHORT), Err(BarrierError::Poisoned));
-
-    let b = BlockingBarrier::new(2);
-    {
-        let mut w = b.waiter_for(0);
-        assert_eq!(w.wait_timeout(SHORT), Err(BarrierError::Timeout));
-    }
-    assert!(b.is_poisoned());
-    assert_eq!(
-        b.waiter_for(1).wait_timeout(SHORT),
-        Err(BarrierError::Poisoned)
-    );
-
-    let b = AdaptiveBarrier::new(2, &[2], 4, Box::new(|_, _| 0));
-    {
-        let mut w = b.waiter(0);
-        assert_eq!(w.wait_timeout(SHORT), Err(BarrierError::Timeout));
-    }
-    assert!(b.is_poisoned());
-    assert_eq!(b.waiter(1).wait_timeout(SHORT), Err(BarrierError::Poisoned));
 }
 
 /// Graceful degradation: with one participant silent from the start,
 /// the survivors evict it and complete 100 further episodes — on every
-/// evictable (counter-tree) kind.
+/// kind that can evict.
 #[test]
 fn eviction_lets_survivors_complete_100_episodes() {
     const P: u32 = 3;
     const EPISODES: u32 = 100;
 
-    fn survive<S, R>(make: impl Fn(u32) -> (S, R) + Sync)
-    where
-        S: FnMut(Duration) -> Result<(), BarrierError> + Send,
-        R: FnMut() -> Vec<u32> + Send,
-    {
+    for kind in BarrierKind::all() {
+        let label = kind.label();
+        let b = BarrierBuilder::new(kind, P).build();
+        if b.stragglers().is_empty() {
+            continue; // no arrival tracking, so nobody to evict
+        }
         std::thread::scope(|s| {
             for tid in 0..P - 1 {
-                let (mut step, mut rescue) = make(tid);
+                let (b, label) = (&b, &label);
                 s.spawn(move || {
+                    let mut w = b.waiter(tid);
                     for _ in 0..EPISODES {
                         loop {
-                            match step(STEP) {
+                            match w.wait_timeout(STEP) {
                                 Ok(()) => break,
                                 Err(BarrierError::Timeout) => {
-                                    rescue();
+                                    rescue_stragglers(b.as_dyn(), tid);
                                 }
-                                Err(e) => panic!("survivor hit {e}"),
+                                Err(e) => panic!("{label}: survivor hit {e}"),
                             }
                         }
                     }
                 });
             }
         });
+        assert!(
+            !b.stragglers().contains(&(P - 1)) && !b.evict(P - 1),
+            "{label}: the silent thread stays evicted"
+        );
     }
-
-    let b = CentralBarrier::new(P);
-    survive(|tid| {
-        let b = &b;
-        let mut w = b.waiter_for(tid);
-        (move |d| w.wait_timeout(d), move || b.evict_stragglers())
-    });
-    assert_eq!(b.evicted_count(), 1);
-
-    let b = TreeBarrier::combining(P, 2);
-    survive(|tid| {
-        let b = &b;
-        let mut w = b.waiter(tid);
-        (move |d| w.wait_timeout(d), move || b.evict_stragglers())
-    });
-    assert!(b.is_evicted(P - 1));
-
-    let b = TreeBarrier::mcs(P, 2);
-    survive(|tid| {
-        let b = &b;
-        let mut w = b.waiter(tid);
-        (move |d| w.wait_timeout(d), move || b.evict_stragglers())
-    });
-    assert!(b.is_evicted(P - 1));
-
-    let b = DynamicBarrier::mcs(P, 2);
-    survive(|tid| {
-        let b = &b;
-        let mut w = b.waiter(tid);
-        (move |d| w.wait_timeout(d), move || b.evict_stragglers())
-    });
-    assert!(b.is_evicted(P - 1));
-
-    let b = BlockingBarrier::new(P);
-    survive(|tid| {
-        let b = &b;
-        let mut w = b.waiter_for(tid);
-        (move |d| w.wait_timeout(d), move || b.evict_stragglers())
-    });
-    assert!(b.is_evicted(P - 1));
-
-    let b = AdaptiveBarrier::new(P, &[2], 4, Box::new(|_, _| 0));
-    survive(|tid| {
-        let b = &b;
-        let mut w = b.waiter(tid);
-        (move |d| w.wait_timeout(d), move || b.evict_stragglers())
-    });
-    assert_eq!(b.evicted_count(), 1);
 }
 
 /// An evicted thread can re-admit itself and the barrier returns to
@@ -254,50 +158,11 @@ fn evicted_thread_rejoins_at_full_strength() {
 /// wakeups over every barrier kind, asserting lockstep throughout.
 #[test]
 fn chaos_soak_keeps_lockstep_on_every_kind() {
-    const P: u32 = 4;
-    const EPISODES: u32 = 60;
     let chaos = Stagger::Chaos(transient_plan(0x50AC));
-
-    let b = CentralBarrier::new(P);
-    lockstep_torture(P, EPISODES, chaos, |tid| {
-        let mut w = b.waiter_for(tid);
-        move || w.wait_timeout(LONG)
-    });
-    let b = TreeBarrier::combining(P, 2);
-    lockstep_torture(P, EPISODES, chaos, |tid| {
-        let mut w = b.waiter(tid);
-        move || w.wait_timeout(LONG)
-    });
-    let b = TreeBarrier::mcs(P, 2);
-    lockstep_torture(P, EPISODES, chaos, |tid| {
-        let mut w = b.waiter(tid);
-        move || w.wait_timeout(LONG)
-    });
-    let b = DynamicBarrier::mcs(P, 2);
-    lockstep_torture(P, EPISODES, chaos, |tid| {
-        let mut w = b.waiter(tid);
-        move || w.wait_timeout(LONG)
-    });
-    let b = DisseminationBarrier::new(P);
-    lockstep_torture(P, EPISODES, chaos, |tid| {
-        let mut w = b.waiter(tid);
-        move || w.wait_timeout(LONG)
-    });
-    let b = TournamentBarrier::new(P);
-    lockstep_torture(P, EPISODES, chaos, |tid| {
-        let mut w = b.waiter(tid);
-        move || w.wait_timeout(LONG)
-    });
-    let b = BlockingBarrier::new(P);
-    lockstep_torture(P, EPISODES, chaos, |tid| {
-        let mut w = b.waiter_for(tid);
-        move || w.wait_timeout(LONG)
-    });
-    let b = AdaptiveBarrier::new(P, &[2, 4], 5, Box::new(|_, _| 0));
-    lockstep_torture(P, EPISODES, chaos, |tid| {
-        let mut w = b.waiter(tid);
-        move || w.wait_timeout(LONG)
-    });
+    for kind in BarrierKind::all() {
+        let b = BarrierBuilder::new(kind, 4).build();
+        lockstep_torture_on(b.as_dyn(), 60, chaos, LONG);
+    }
 }
 
 /// Chaos soak with a scripted death: survivors stay in lockstep and
@@ -309,11 +174,7 @@ fn chaos_soak_with_death_keeps_survivors_in_lockstep() {
     let plan = FaultPlan::quiet(0xDEAD).with_death(1, 12, DeathMode::Stall);
 
     let b = TreeBarrier::combining(P, 2);
-    let report = chaos_torture(P, EPISODES, plan, STEP, |tid| {
-        let b = &b;
-        let mut w = b.waiter(tid);
-        (move |d| w.wait_timeout(d), move || b.evict_stragglers())
-    });
+    let report = chaos_torture_on(&b, EPISODES, plan, STEP);
     assert_eq!(report.survivors, P - 1);
     assert_eq!(report.completed[1], 12);
     for tid in [0usize, 2, 3] {
@@ -324,15 +185,33 @@ fn chaos_soak_with_death_keeps_survivors_in_lockstep() {
     assert!(!report.poisoned);
 
     let b = DynamicBarrier::mcs(P, 2);
-    let report = chaos_torture(P, EPISODES, plan, STEP, |tid| {
-        let b = &b;
-        let mut w = b.waiter(tid);
-        (move |d| w.wait_timeout(d), move || b.evict_stragglers())
-    });
+    let report = chaos_torture_on(&b, EPISODES, plan, STEP);
     assert_eq!(report.survivors, P - 1);
     for tid in [0usize, 2, 3] {
         assert_eq!(report.completed[tid], EPISODES, "tid {tid}");
     }
+}
+
+/// [`churn_torture`] over a tree barrier, probing `critical_depth()` at
+/// full membership ([`churn_torture_on`] probes `live_count()`).
+fn churn_probing_depth(b: &TreeBarrier, min_episodes: u32, plan: FaultPlan) -> ChurnReport {
+    churn_torture(
+        b.threads(),
+        min_episodes,
+        plan,
+        STEP,
+        || b.critical_depth(),
+        |tid| {
+            let mut w = b.waiter(tid);
+            (
+                move |op, d| match op {
+                    ChurnOp::Step => w.wait_timeout(d).map(|()| true),
+                    ChurnOp::Revive => w.rejoin_within(d),
+                },
+                move || rescue_stragglers(b, tid),
+            )
+        },
+    )
 }
 
 /// The acceptance scenario for the self-healing runtime: a churn plan
@@ -355,24 +234,7 @@ fn churn_kill_and_rejoin_restores_critical_depth() {
 
         let b = TreeBarrier::combining(P, 2);
         let healthy_depth = b.critical_depth();
-        let report = churn_torture(
-            P,
-            MIN_EPISODES,
-            plan,
-            STEP,
-            || b.critical_depth(),
-            |tid| {
-                let b = &b;
-                let mut w = b.waiter(tid);
-                (
-                    move |op, d| match op {
-                        ChurnOp::Step => w.wait_timeout(d).map(|()| true),
-                        ChurnOp::Revive => w.rejoin_within(d),
-                    },
-                    move || b.evict_stragglers(),
-                )
-            },
-        );
+        let report = churn_probing_depth(&b, MIN_EPISODES, plan);
         assert!(!report.poisoned, "k={k}: barrier poisoned");
         assert_eq!(report.gave_up, 0, "k={k}: a thread gave up");
         assert_eq!(report.planned_rejoins, k, "k={k}");
@@ -401,24 +263,7 @@ fn churn_kill_and_rejoin_heals_the_dynamic_barrier() {
         .with_churn(9, 10, DeathMode::Stall, 22);
 
     let b = DynamicBarrier::mcs(P, 2);
-    let report = churn_torture(
-        P,
-        30,
-        plan,
-        STEP,
-        || b.live_count(),
-        |tid| {
-            let b = &b;
-            let mut w = b.waiter(tid);
-            (
-                move |op, d| match op {
-                    ChurnOp::Step => w.wait_timeout(d).map(|()| true),
-                    ChurnOp::Revive => w.rejoin_within(d),
-                },
-                move || b.evict_stragglers(),
-            )
-        },
-    );
+    let report = churn_torture_on(&b, 30, plan, STEP);
     assert!(!report.poisoned);
     assert!(report.rejoins >= 2);
     assert_eq!(report.probe_at_full, Some(P));
@@ -447,24 +292,7 @@ fn churn_soak_bounded() {
 
             let b = TreeBarrier::combining(p, 2);
             let healthy = b.critical_depth();
-            let report = churn_torture(
-                p,
-                25,
-                plan,
-                STEP,
-                || b.critical_depth(),
-                |tid| {
-                    let b = &b;
-                    let mut w = b.waiter(tid);
-                    (
-                        move |op, d| match op {
-                            ChurnOp::Step => w.wait_timeout(d).map(|()| true),
-                            ChurnOp::Revive => w.rejoin_within(d),
-                        },
-                        move || b.evict_stragglers(),
-                    )
-                },
-            );
+            let report = churn_probing_depth(&b, 25, plan);
             assert!(!report.poisoned, "p={p} round={round}: poisoned");
             assert_eq!(report.gave_up, 0, "p={p} round={round}: give-up");
             assert!(report.rejoins >= k, "p={p} round={round}: unhealed");
@@ -475,24 +303,7 @@ fn churn_soak_bounded() {
             );
 
             let b = DynamicBarrier::mcs(p, 2);
-            let report = churn_torture(
-                p,
-                25,
-                plan,
-                STEP,
-                || b.live_count(),
-                |tid| {
-                    let b = &b;
-                    let mut w = b.waiter(tid);
-                    (
-                        move |op, d| match op {
-                            ChurnOp::Step => w.wait_timeout(d).map(|()| true),
-                            ChurnOp::Revive => w.rejoin_within(d),
-                        },
-                        move || b.evict_stragglers(),
-                    )
-                },
-            );
+            let report = churn_torture_on(&b, 25, plan, STEP);
             assert!(!report.poisoned, "dynamic p={p} round={round}: poisoned");
             assert_eq!(report.probe_at_full, Some(p), "dynamic p={p} round={round}");
         }

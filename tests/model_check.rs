@@ -26,6 +26,7 @@ use std::sync::Arc;
 
 use combar_check::shadow::{spin_hint, AtomicU32};
 use combar_check::{vthread, Checker, FailureKind, Outcome};
+use combar_rt::counter::{Climb, CounterBarrier, CounterWaiter};
 use combar_rt::{
     AsyncBarrier, AsyncWaiter, BarrierError, CentralBarrier, DisseminationBarrier, DynamicBarrier,
     RejoinStatus, TournamentBarrier, TreeBarrier,
@@ -39,6 +40,31 @@ fn pct_schedules() -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(200)
+}
+
+/// Runs an exhaustive lane — DFS to preemption bound 3 under a
+/// 2 M-schedule cap — requires the whole space to have been enumerated,
+/// and prints the explored-schedule count (`--nocapture`).
+fn expect_full_space(lane: &str, fx: impl Fn() + Sync) -> u64 {
+    match Checker::exhaustive(3).max_schedules(2_000_000).check(fx) {
+        Outcome::Pass {
+            schedules,
+            complete,
+        } => {
+            assert!(complete, "{lane}: schedule space not fully enumerated");
+            eprintln!("{lane}: {schedules} schedules, complete");
+            schedules
+        }
+        Outcome::Fail(f) => panic!("{lane} failed model check: {f}"),
+    }
+}
+
+fn tree_d2(p: u32) -> TreeBarrier {
+    TreeBarrier::combining(p, 2)
+}
+
+fn dynamic_d2(p: u32) -> DynamicBarrier {
+    DynamicBarrier::mcs(p, 2)
 }
 
 /// One fallible barrier-wait closure borrowing a barrier of type `B`.
@@ -127,16 +153,8 @@ fn tournament_wait(
 #[test]
 fn exhaustive_central_two_threads_full_space() {
     let fx = lockstep_fixture(2, 1, CentralBarrier::new, central_wait);
-    match Checker::exhaustive(3).max_schedules(2_000_000).check(fx) {
-        Outcome::Pass {
-            schedules,
-            complete,
-        } => {
-            assert!(complete, "schedule space not fully enumerated");
-            assert!(schedules > 10, "suspiciously few schedules: {schedules}");
-        }
-        Outcome::Fail(f) => panic!("central barrier failed model check: {f}"),
-    }
+    let schedules = expect_full_space("central p=2 lockstep", fx);
+    assert!(schedules > 10, "suspiciously few schedules: {schedules}");
 }
 
 // ---------------------------------------------------------------------------
@@ -248,13 +266,19 @@ fn pct_lockstep_dynamic_victor_victim_swaps() {
 /// interleaving the peer either crossed first (the doomed arrival
 /// still completed the episode) or observes `Poisoned` — it never
 /// spins forever, which the checker would report as a deadlock. The
-/// tally asserts the poisoned outcome is actually reachable.
-#[test]
-fn exhaustive_poisoning_never_strands_peer() {
+/// tally asserts the poisoned outcome is actually reachable. One peer
+/// thread holds every other seat (the extra ones arrive without
+/// blocking before the first waits), so the schedule space stays that
+/// of two threads at any `p`.
+fn poisoning_never_strands_peer<K: Climb + 'static>(
+    lane: &str,
+    p: u32,
+    make: fn(u32) -> CounterBarrier<K>,
+) {
     let poisoned_runs = Arc::new(AtomicUsize::new(0));
     let tally = Arc::clone(&poisoned_runs);
     let fx = move || {
-        let b = Arc::new(CentralBarrier::new(2));
+        let b = Arc::new(make(p));
         let doomed = {
             let b = Arc::clone(&b);
             vthread::spawn(move || {
@@ -267,12 +291,24 @@ fn exhaustive_poisoning_never_strands_peer() {
         let survivor = {
             let b = Arc::clone(&b);
             vthread::spawn(move || {
-                let mut w = b.waiter_for(0);
-                match w.try_wait() {
+                let poisoned = |r: Result<(), BarrierError>| match r {
                     Ok(()) => false,
                     Err(BarrierError::Poisoned) => true,
                     Err(e) => panic!("unexpected barrier error: {e}"),
+                };
+                let mut ws: Vec<_> = (0..p)
+                    .filter(|&tid| tid != 1)
+                    .map(|tid| b.waiter_for(tid))
+                    .collect();
+                let mut saw_poison = false;
+                for w in &mut ws[1..] {
+                    saw_poison |= poisoned(w.try_arrive());
                 }
+                // A seat that did arrive merely departs here.
+                for w in &mut ws {
+                    saw_poison |= poisoned(w.try_wait());
+                }
+                saw_poison
             })
         };
         let saw_poison = survivor.join();
@@ -282,14 +318,26 @@ fn exhaustive_poisoning_never_strands_peer() {
             tally.fetch_add(1, StdOrdering::Relaxed);
         }
     };
-    match Checker::exhaustive(3).max_schedules(2_000_000).check(fx) {
-        Outcome::Pass { complete, .. } => assert!(complete),
-        Outcome::Fail(f) => panic!("poisoning fixture failed: {f}"),
-    }
+    expect_full_space(lane, fx);
     assert!(
         poisoned_runs.load(StdOrdering::Relaxed) > 0,
-        "no explored schedule reached the poisoned outcome"
+        "{lane}: no explored schedule reached the poisoned outcome"
     );
+}
+
+#[test]
+fn exhaustive_poisoning_never_strands_peer() {
+    poisoning_never_strands_peer("central p=2 poisoning", 2, CentralBarrier::new);
+}
+
+#[test]
+fn exhaustive_poisoning_never_strands_tree_peers() {
+    poisoning_never_strands_peer("tree p=3 poisoning", 3, tree_d2);
+}
+
+#[test]
+fn exhaustive_poisoning_never_strands_dynamic_peers() {
+    poisoning_never_strands_peer("dynamic p=3 poisoning", 3, dynamic_d2);
 }
 
 // ---------------------------------------------------------------------------
@@ -297,29 +345,49 @@ fn exhaustive_poisoning_never_strands_peer() {
 // ---------------------------------------------------------------------------
 
 /// Evict a straggler, cross episodes at reduced strength, then revive
-/// it *concurrently* with the survivor's next episode. This drives the
-/// roster's rejoin CAS directly against `maintain`'s proxy-delivery
-/// CAS on the same slot — the race window audited in this PR:
-/// whichever CAS wins, the revived thread owes arrivals for exactly
-/// the episodes its proxy did not cover, which it discovers from its
-/// post-rejoin episode count. The survivor holds its *final* episode
-/// until the revival has happened (a rejoin only converges while
-/// peers keep crossing — the pending proxied episode needs their
-/// arrivals). Every interleaving must end with both at full strength.
-#[test]
-fn exhaustive_evict_rejoin_converges() {
+/// it *concurrently* with the survivors' next episode. This drives the
+/// roster's rejoin CAS directly against the sweep's proxy-delivery CAS
+/// on the same slot: whichever CAS wins, the revived thread owes
+/// arrivals for exactly the episodes its proxy did not cover, which it
+/// discovers from its post-rejoin episode count. The survivors hold
+/// their *final* episode until the revival has happened (a rejoin only
+/// converges while peers keep crossing — the pending proxied episode
+/// needs their arrivals). One thread holds every surviving seat, so
+/// the race is enumerated to the same depth at any `p`. Every
+/// interleaving must end with everyone at full strength.
+fn arrive_all<K: Climb>(ws: &mut [CounterWaiter<'_, K>]) {
+    for w in ws {
+        w.try_arrive().unwrap();
+    }
+}
+
+fn depart_all<K: Climb>(ws: &mut [CounterWaiter<'_, K>]) {
+    for w in ws {
+        w.try_depart().unwrap();
+    }
+}
+
+fn evict_rejoin_converges<K: Climb + 'static>(
+    lane: &str,
+    p: u32,
+    make: fn(u32) -> CounterBarrier<K>,
+) {
     const TOTAL: u32 = 4;
-    let fx = || {
-        let b = Arc::new(CentralBarrier::new(2));
+    let fx = move || {
+        let b = Arc::new(make(p));
         let rejoined = Arc::new(AtomicU32::new(0));
-        let mut w0 = b.waiter_for(0);
+        let mut ws: Vec<_> = (0..p)
+            .filter(|&tid| tid != 1)
+            .map(|tid| b.waiter_for(tid))
+            .collect();
         // Episode 1: thread 1 straggles (it has not even arrived) and
         // is evicted mid-episode; its arrival is delivered by proxy.
-        w0.try_arrive().unwrap();
+        arrive_all(&mut ws);
         assert!(b.evict(1));
-        w0.try_depart().unwrap();
+        depart_all(&mut ws);
         // Episode 2 at reduced strength.
-        w0.try_wait().unwrap();
+        arrive_all(&mut ws);
+        depart_all(&mut ws);
         // Episode 3 races against the revival below.
         let revived = {
             let b = Arc::clone(&b);
@@ -337,21 +405,71 @@ fn exhaustive_evict_rejoin_converges() {
                 w1.episodes()
             })
         };
-        w0.try_wait().unwrap();
+        arrive_all(&mut ws);
+        depart_all(&mut ws);
         while rejoined.load(Ordering::SeqCst) == 0 {
             spin_hint();
         }
-        while w0.episodes() < TOTAL {
-            w0.try_wait().unwrap();
+        while ws[0].episodes() < TOTAL {
+            arrive_all(&mut ws);
+            depart_all(&mut ws);
         }
         assert_eq!(revived.join(), TOTAL);
         assert_eq!(b.evicted_count(), 0);
         assert!(!b.is_poisoned());
     };
-    match Checker::exhaustive(3).max_schedules(2_000_000).check(fx) {
-        Outcome::Pass { complete, .. } => assert!(complete),
-        Outcome::Fail(f) => panic!("evict/rejoin fixture failed: {f}"),
-    }
+    expect_full_space(lane, fx);
+}
+
+#[test]
+fn exhaustive_evict_rejoin_converges() {
+    evict_rejoin_converges("central p=2 evict/rejoin", 2, CentralBarrier::new);
+}
+
+#[test]
+fn exhaustive_evict_rejoin_converges_on_the_tree() {
+    evict_rejoin_converges("tree p=3 evict/rejoin", 3, tree_d2);
+}
+
+#[test]
+fn exhaustive_evict_rejoin_converges_on_the_dynamic_barrier() {
+    evict_rejoin_converges("dynamic p=3 evict/rejoin", 3, dynamic_d2);
+}
+
+/// The last-active rule under the only race that can break it: at
+/// p = 2 each thread evicts the other. Exactly one eviction may win —
+/// two would leave nobody to arrive, and every proxy sweep would then
+/// release an episode and never return — and the winner's proxy lets
+/// the spared thread cross alone until the loser rejoins.
+#[test]
+fn exhaustive_racing_evictors_spare_the_last_active() {
+    let fx = || {
+        let b = Arc::new(CentralBarrier::new(2));
+        let evictors: Vec<_> = [1u32, 0]
+            .into_iter()
+            .map(|victim| {
+                let b = Arc::clone(&b);
+                vthread::spawn(move || b.evict(victim))
+            })
+            .collect();
+        let won: Vec<bool> = evictors.into_iter().map(|t| t.join()).collect();
+        assert_eq!(won.iter().filter(|&&w| w).count(), 1, "evictions: {won:?}");
+        let (spared, evicted) = if won[0] { (0, 1) } else { (1, 0) };
+        assert!(b.is_evicted(evicted) && !b.is_evicted(spared));
+        assert_eq!(b.evicted_count(), 1);
+        let mut ws = b.waiter_for(spared);
+        ws.try_wait().unwrap();
+        ws.try_wait().unwrap();
+        let mut we = b.waiter_for(evicted);
+        assert_eq!(we.try_arrive(), Err(BarrierError::Evicted));
+        assert!(we.rejoin().unwrap());
+        ws.try_arrive().unwrap();
+        we.try_depart().unwrap();
+        ws.try_depart().unwrap();
+        assert_eq!((ws.episodes(), we.episodes()), (3, 3));
+        assert_eq!(b.evicted_count(), 0);
+    };
+    expect_full_space("central p=2 racing evictors", fx);
 }
 
 /// Online tree reconfiguration under exhaustive exploration: two live
@@ -388,10 +506,7 @@ fn exhaustive_tree_detach_reparents_with_zero_violations() {
         assert!(!b.is_poisoned());
         b.validate_shape().unwrap();
     };
-    match Checker::exhaustive(3).max_schedules(2_000_000).check(fx) {
-        Outcome::Pass { complete, .. } => assert!(complete),
-        Outcome::Fail(f) => panic!("detach/re-parent fixture failed: {f}"),
-    }
+    expect_full_space("tree p=3 detach/re-parent", fx);
 }
 
 /// The rejoin race under PCT: a detached thread files its attach
@@ -554,16 +669,8 @@ fn exhaustive_async_park_vs_release_race() {
         assert_eq!(b.epoch(), EPISODES, "exactly one release per episode");
         assert!(!b.is_poisoned());
     };
-    match Checker::exhaustive(3).max_schedules(2_000_000).check(fx) {
-        Outcome::Pass {
-            schedules,
-            complete,
-        } => {
-            assert!(complete, "schedule space not fully enumerated");
-            assert!(schedules > 10, "suspiciously few schedules: {schedules}");
-        }
-        Outcome::Fail(f) => panic!("async park/release race failed model check: {f}"),
-    }
+    let schedules = expect_full_space("async p=2 park vs release", fx);
+    assert!(schedules > 10, "suspiciously few schedules: {schedules}");
 }
 
 /// Cancel-while-parked under seeded PCT schedules (CI drives this at
