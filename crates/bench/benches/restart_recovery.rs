@@ -20,6 +20,7 @@ use std::time::{Duration, Instant};
 use combar::presets::seeds;
 use combar_chaos::NetChaosConfig;
 use combar_net::{drive_with, FailoverCluster, Journal, ServerConfig, TrafficConfig};
+use combar_rng::stats::nearest_rank;
 
 const SESSIONS: u64 = 64;
 const SHARDS: usize = 4;
@@ -35,14 +36,6 @@ struct ScenarioResult {
     recovery_max_us: u64,
     retries: u64,
     resumes: u64,
-}
-
-fn percentile_us(sorted: &[Duration], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)].as_micros() as u64
 }
 
 fn run(name: &'static str, snapshot_every: Option<u64>) -> ScenarioResult {
@@ -96,12 +89,13 @@ fn run(name: &'static str, snapshot_every: Option<u64>) -> ScenarioResult {
     cluster.shutdown();
 
     recoveries.sort();
+    let recovery_us = |q| nearest_rank(&recoveries, q).map_or(0, |d| d.as_micros() as u64);
     ScenarioResult {
         name,
         eps_per_sec: report.total_episodes() as f64 / report.elapsed.as_secs_f64(),
-        recovery_p50_us: percentile_us(&recoveries, 50.0),
-        recovery_p99_us: percentile_us(&recoveries, 99.0),
-        recovery_max_us: recoveries.last().map_or(0, |d| d.as_micros() as u64),
+        recovery_p50_us: recovery_us(0.50),
+        recovery_p99_us: recovery_us(0.99),
+        recovery_max_us: recovery_us(1.0),
         retries: report.retries,
         resumes: report.resumes,
     }

@@ -7,12 +7,10 @@
 //! cargo run -p combar-bench --release --bin experiments -- --list
 //! ```
 //!
-//! Available ids: fig2, fig3, fig4, fig5, sec4-mcs, fig8, fig9, fig10,
-//! fig11, fig12, fig13, ablate, adaptive, chaos, churn, server, async,
-//! trace, balance, scale,
-//! fuzzy-idle, release, baselines, verify, all. A `--quick` flag
-//! shrinks replication counts for smoke runs; `--list` prints the
-//! available ids and exits; `--only a,b,c` selects a comma-separated
+//! The ids are the registry's
+//! ([`combar_bench::experiments::REGISTRY`]); `--list` prints the ones
+//! `all` expands to and exits. A `--quick` flag shrinks replication
+//! counts for smoke runs; `--only a,b,c` selects a comma-separated
 //! subset. `verify` grades the reproduction against the paper's
 //! reference values and exits non-zero on failure. `--json` emits one
 //! JSON object per id (JSON Lines) instead of text tables — derived by
@@ -24,45 +22,9 @@
 //! by `COMBAR_THREADS` (default: all cores) and never changes any
 //! output byte.
 
-use combar::presets::{
-    AsyncLoad, Balance, Fig12, Fig13, Fig2, Fig3Grid, Fig5, Fig8, RestartSim, Scale, ScalingSweep,
-    ServerSim,
-};
-use combar_bench::experiments::{
-    ablate, adaptive, asyncrt, balance, baselines, chaos, churn, fig2, fig34, fig5, fig8,
-    fuzzy_idle, ksr, mcs, release, restart, scale, scaling, seeds, server, trace,
-};
+use combar_bench::experiments::{all_ids, lookup, Rendered, REGISTRY};
 use combar_bench::table::{json_escape, parse_rendered};
 use std::time::Instant;
-
-/// The `all` expansion, in presentation order.
-const ALL_IDS: &[&str] = &[
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "sec4-mcs",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "ablate",
-    "adaptive",
-    "chaos",
-    "churn",
-    "server",
-    "restart",
-    "async",
-    "trace",
-    "balance",
-    "scale",
-    "fuzzy-idle",
-    "release",
-    "baselines",
-    "verify",
-];
 
 /// Prints one experiment's output: text verbatim, or one JSON-Lines
 /// object with the tables parsed back out of the rendering (non-table
@@ -100,7 +62,7 @@ fn main() {
             "--quick" => quick = true,
             "--json" => json = true,
             "--list" => {
-                for id in ALL_IDS {
+                for id in all_ids() {
                     println!("{id}");
                 }
                 return;
@@ -121,11 +83,10 @@ fn main() {
             }
         }
     }
-    let ids: Vec<&str> = ids.iter().map(|s| s.as_str()).collect();
-    let ids: Vec<&str> = if ids.is_empty() || ids.contains(&"all") {
-        ALL_IDS.to_vec()
+    let ids: Vec<&str> = if ids.is_empty() || ids.iter().any(|id| id == "all") {
+        all_ids().collect()
     } else {
-        ids
+        ids.iter().map(String::as_str).collect()
     };
 
     if json {
@@ -134,304 +95,23 @@ fn main() {
         println!("{{\"schema\":\"combar-experiments/1\"}}");
     }
 
-    // Figures 3/4 share one grid computation.
-    let mut grid_cache: Option<fig34::GridResult> = None;
-    let mut scaling_cache: Option<scaling::ScalingResult> = None;
-
+    // An entry runs once however many of its ids were asked for
+    // (Figures 3/4 share one grid, Figures 9-11 one sweep).
+    let mut ran: Vec<Option<Rendered>> = vec![None; REGISTRY.len()];
     for id in ids {
         let t0 = Instant::now();
-        let out: String = match id {
-            "fig2" => {
-                let preset = if quick {
-                    Fig2 {
-                        reps: 5,
-                        ..Fig2::default()
-                    }
-                } else {
-                    Fig2::default()
-                };
-                format!("{}\n", fig2::run(&preset).render())
-            }
-            "fig3" | "fig4" => {
-                if grid_cache.is_none() {
-                    let preset = if quick {
-                        Fig3Grid {
-                            reps: 6,
-                            procs: vec![64, 256],
-                            ..Fig3Grid::default()
-                        }
-                    } else {
-                        Fig3Grid::default()
-                    };
-                    grid_cache = Some(fig34::run(&preset));
-                }
-                let grid = grid_cache.as_ref().unwrap();
-                if id == "fig3" {
-                    format!("{}\n", grid.render_fig3())
-                } else {
-                    format!("{}\n", grid.render_fig4())
-                }
-            }
-            "fig5" => {
-                let preset = if quick {
-                    Fig5 {
-                        p: 256,
-                        iterations: 60,
-                        ..Fig5::default()
-                    }
-                } else {
-                    Fig5::default()
-                };
-                format!("{}\n", fig5::run(&preset).render())
-            }
-            "sec4-mcs" => {
-                let (p, reps) = if quick { (256, 10) } else { (4096, 20) };
-                let res = mcs::run(p, 250.0, &[2, 4, 8, 16, 64], reps);
-                format!("{}\n", res.render())
-            }
-            "fig8" => {
-                let preset = if quick {
-                    Fig8 {
-                        p: 256,
-                        iterations: 60,
-                        warmup: 10,
-                        ..Fig8::default()
-                    }
-                } else {
-                    Fig8::default()
-                };
-                format!("{}\n", fig8::run(&preset).render())
-            }
-            "fig9" | "fig10" | "fig11" => {
-                if scaling_cache.is_none() {
-                    let preset = if quick {
-                        ScalingSweep {
-                            procs: vec![16, 64, 256],
-                            iterations: 30,
-                            reps: 6,
-                            ..ScalingSweep::default()
-                        }
-                    } else {
-                        ScalingSweep::default()
-                    };
-                    scaling_cache = Some(scaling::run(&preset));
-                }
-                let res = scaling_cache.as_ref().unwrap();
-                if id == "fig9" {
-                    format!("{}\n", res.render_fig9())
-                } else if id == "fig10" {
-                    res.render_fig10_11()
-                } else {
-                    // fig11 is included in render_fig10_11; avoid
-                    // printing it twice when both were requested
-                    String::new()
-                }
-            }
-            "fig12" => {
-                let preset = if quick {
-                    Fig12 {
-                        iterations: 60,
-                        warmup: 5,
-                        ..Fig12::default()
-                    }
-                } else {
-                    Fig12::default()
-                };
-                format!("{}\n", ksr::run_fig12(&preset).render())
-            }
-            "fig13" => {
-                let preset = if quick {
-                    Fig13 {
-                        iterations: 60,
-                        warmup: 5,
-                        ..Fig13::default()
-                    }
-                } else {
-                    Fig13::default()
-                };
-                format!("{}\n", ksr::run_fig13(&preset).render())
-            }
-            "ablate" => {
-                let reps = if quick { 8 } else { 20 };
-                let shapes = ablate::run_shapes(256, &[6.2, 25.0], reps);
-                let err = ablate::run_model_error(256, &[0.0, 6.2, 25.0, 100.0], reps);
-                let prof = ablate::run_level_profile(4096, 12.5, &[4, 16, 64], reps);
-                let iters = if quick { 80 } else { 200 };
-                let corr = ksr::run_fig13_correlation(&[0.0, 0.3, 0.6, 0.9], 2_000.0, iters);
-                format!(
-                    "{}\n{}\n{}\n{}\n",
-                    ablate::render_shapes(&shapes, 256),
-                    ablate::render_model_error(&err),
-                    ablate::render_level_profile(&prof, 4096, 12.5),
-                    ksr::render_fig13_correlation(&corr, 2_000.0)
-                )
-            }
-            "adaptive" => {
-                let p = if quick { 1024 } else { 4096 };
-                let phases = [
-                    adaptive::Phase {
-                        sigma_tc: 0.0,
-                        iterations: 50,
-                    },
-                    adaptive::Phase {
-                        sigma_tc: 50.0,
-                        iterations: 50,
-                    },
-                    adaptive::Phase {
-                        sigma_tc: 12.5,
-                        iterations: 50,
-                    },
-                    adaptive::Phase {
-                        sigma_tc: 100.0,
-                        iterations: 50,
-                    },
-                ];
-                format!("{}\n", adaptive::run(p, &phases, 10).render())
-            }
-            "chaos" => {
-                let preset = if quick {
-                    chaos::ChaosPreset::quick(seeds::chaos())
-                } else {
-                    chaos::ChaosPreset::full(seeds::chaos())
-                };
-                format!("{}\n", chaos::run(&preset).render())
-            }
-            "churn" => {
-                let preset = if quick {
-                    churn::ChurnPreset::quick()
-                } else {
-                    churn::ChurnPreset::full()
-                };
-                format!("{}\n", churn::run(&preset).render())
-            }
-            "server" => {
-                let preset = if quick {
-                    ServerSim::quick()
-                } else {
-                    ServerSim::full()
-                };
-                format!("{}\n", server::run(&preset).render())
-            }
-            "restart" => {
-                let preset = if quick {
-                    RestartSim::quick()
-                } else {
-                    RestartSim::full()
-                };
-                format!("{}\n", restart::run(&preset).render())
-            }
-            "async" => {
-                let preset = if quick {
-                    AsyncLoad::quick()
-                } else {
-                    AsyncLoad::full()
-                };
-                format!("{}\n", asyncrt::run(&preset).render())
-            }
-            "trace" => {
-                let preset = if quick {
-                    trace::TracePreset::quick()
-                } else {
-                    trace::TracePreset::full()
-                };
-                trace::run(&preset).render()
-            }
-            "balance" => {
-                let preset = if quick {
-                    Balance::quick()
-                } else {
-                    Balance::full()
-                };
-                format!("{}\n", balance::run(&preset).render())
-            }
-            "scale" => {
-                let preset = if quick { Scale::quick() } else { Scale::full() };
-                format!("{}\n", scale::run(&preset).render())
-            }
-            "dot" => {
-                // Figure 6's mechanism, rendered: a small owner tree
-                // before and after a slow processor migrates.
-                use combar::combar_des::Duration;
-                use combar::combar_rng::{SeedableRng, Xoshiro256pp};
-                use combar_sim::{
-                    apply_dynamic_swaps, run_iterations, IterateConfig, Placement, PlacementMode,
-                    Seeded, Topology, WorkSource, Workload,
-                };
-                let topo = Topology::mcs(16, 2);
-                let before = format!("// initial placement\n{}", topo.to_dot(None));
-                // run a few iterations with one systemically slow proc
-                let cfg = IterateConfig {
-                    tc: Duration::from_us(20.0),
-                    slack: Duration::from_us(4_000.0),
-                    iterations: 30,
-                    warmup: 0,
-                    mode: PlacementMode::Dynamic,
-                    record_arrivals: false,
-                    release_model: combar_sim::ReleaseModel::CentralFlag,
-                };
-                let make = || {
-                    let mut seed_rng = Xoshiro256pp::seed_from_u64(2);
-                    Seeded::new(
-                        Workload::systemic(16, 9_500.0, 300.0, 20.0, &mut seed_rng),
-                        Xoshiro256pp::seed_from_u64(1),
-                    )
-                };
-                let _ = run_iterations(&topo, &cfg, &mut make());
-                // reconstruct the converged placement by replaying the
-                // same run through a placement we keep
-                let mut placement = Placement::initial(&topo);
-                let mut w = make();
-                let mut begin = [0.0f64; 16];
-                let mut works = vec![0.0f64; 16];
-                for e in 0..30 {
-                    use combar_sim::run_episode;
-                    w.sample_episode(e, &mut works);
-                    let arrivals: Vec<f64> = begin.iter().zip(&works).map(|(b, w)| b + w).collect();
-                    let homes = placement.homes().to_vec();
-                    let r = run_episode(&topo, &homes, &arrivals, Duration::from_us(20.0));
-                    apply_dynamic_swaps(&topo, &mut placement, &r.winners);
-                    for (b, done) in begin.iter_mut().zip(&r.signal_done_us) {
-                        *b = (done + 4_000.0).max(r.release_us);
-                    }
-                }
-                format!(
-                    "{}\n// after 30 iterations with a systemic slow set\n{}\n",
-                    before,
-                    topo.to_dot(Some(&placement))
-                )
-            }
-            "verify" => {
-                let verdicts = combar_bench::verify::run(quick);
-                let (table, all_ok) = combar_bench::verify::render(&verdicts);
-                if !all_ok {
-                    emit(json, id, &format!("{table}\n"));
-                    eprintln!("verification FAILED");
-                    std::process::exit(1);
-                }
-                format!("{table}\nall claims verified against the paper ✓\n")
-            }
-            "baselines" => {
-                let (p, reps) = if quick { (256, 8) } else { (1024, 20) };
-                let rows = baselines::run(p, &[0.0, 1.6, 6.2, 12.5, 25.0, 50.0, 100.0], reps);
-                format!("{}\n", baselines::render(&rows, p))
-            }
-            "release" => {
-                let reps = if quick { 3 } else { 10 };
-                let rows = release::run(&[64, 256, 1024, 4096], &[2, 4, 16], 2.0, reps);
-                format!("{}\n", release::render(&rows, 2.0))
-            }
-            "fuzzy-idle" => {
-                let (p, iters) = if quick { (256, 60) } else { (1024, 120) };
-                let slacks = [0.0, 250.0, 500.0, 1_000.0, 2_000.0, 4_000.0, 16_000.0];
-                format!("{}\n", fuzzy_idle::run(p, 250.0, &slacks, iters).render())
-            }
-            other => {
-                eprintln!("unknown experiment id: {other}");
-                eprintln!("known: {} all (see --list)", ALL_IDS.join(" "));
-                std::process::exit(2);
-            }
+        let Some((entry, text)) = lookup(id) else {
+            eprintln!("unknown experiment id: {id}");
+            let known: Vec<&str> = all_ids().collect();
+            eprintln!("known: {} all (see --list)", known.join(" "));
+            std::process::exit(2);
         };
-        emit(json, id, &out);
+        let out = ran[entry].get_or_insert_with(|| (REGISTRY[entry].run)(quick));
+        emit(json, id, &out.texts[text]);
+        if !out.ok {
+            eprintln!("{id} FAILED");
+            std::process::exit(1);
+        }
         eprintln!("[{id}] done in {:.1}s", t0.elapsed().as_secs_f64());
     }
 }

@@ -10,7 +10,7 @@
 //!    how much does a partial tree at equal p deviate from the
 //!    full-tree model prediction?
 
-use crate::experiments::seeds;
+use crate::experiments::{ksr, seeds, Rendered};
 use crate::table::{fmt_ratio, Table};
 use combar::model::BarrierModel;
 use combar::presets::TC_US;
@@ -274,6 +274,25 @@ pub fn optimal_under_normal(p: u32, sigma_tc: f64, reps: usize) -> u32 {
     };
     let swept = sweep_degrees(p, &default_degree_sweep(p), &cfg);
     optimal_degree(&swept).degree
+}
+
+/// The `ablate` experiment — tree shapes, model error, level profile
+/// and the Figure 13 correlation sweep: 20 replications and 200
+/// iterations, or 8 and 80 under `--quick`.
+pub fn rendered(quick: bool) -> Rendered {
+    let reps = if quick { 8 } else { 20 };
+    let iters = if quick { 80 } else { 200 };
+    let shapes = run_shapes(256, &[6.2, 25.0], reps);
+    let err = run_model_error(256, &[0.0, 6.2, 25.0, 100.0], reps);
+    let prof = run_level_profile(4096, 12.5, &[4, 16, 64], reps);
+    let corr = ksr::run_fig13_correlation(&[0.0, 0.3, 0.6, 0.9], 2_000.0, iters);
+    Rendered::text(format!(
+        "{}\n{}\n{}\n{}\n",
+        render_shapes(&shapes, 256),
+        render_model_error(&err),
+        render_level_profile(&prof, 4096, 12.5),
+        ksr::render_fig13_correlation(&corr, 2_000.0)
+    ))
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! * **oracle** — the best fixed degree per phase, found by exhaustive
 //!   search (the unreachable lower bound).
 
-use crate::experiments::seeds;
+use crate::experiments::{seeds, Rendered};
 use crate::table::{fmt_us, Table};
 use combar::policy::DegreeAdvisor;
 use combar::presets::TC_US;
@@ -162,6 +162,17 @@ impl AdaptiveResult {
         }
         t.render()
     }
+}
+
+/// The `adaptive` experiment: four 50-iteration phases of shifting σ
+/// at 4096 processors, or 1024 under `--quick`.
+pub fn rendered(quick: bool) -> Rendered {
+    let p = if quick { 1024 } else { 4096 };
+    let phases = [0.0, 50.0, 12.5, 100.0].map(|sigma_tc| Phase {
+        sigma_tc,
+        iterations: 50,
+    });
+    Rendered::table(run(p, &phases, 10).render())
 }
 
 #[cfg(test)]

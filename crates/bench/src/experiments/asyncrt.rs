@@ -1,5 +1,5 @@
 //! Beyond-paper experiment: the async epoch runtime at logical scale —
-//! the *real* [`combar_async::AsyncBarrier`] driven by the in-tree
+//! the *real* [`combar_rt::AsyncBarrier`] driven by the in-tree
 //! executor, rendered as schedule invariants.
 //!
 //! Unlike the virtual-time models in this directory, every cell here
@@ -12,13 +12,13 @@
 //! regardless of scheduling (arrival totals, exactly-one-release-per-
 //! epoch, no poison, full drain) or a pure function of the seeded work
 //! schedule (total and straggler statistics from
-//! [`combar_async::work_iters`]). CI diffs the rendering under
-//! `COMBAR_THREADS=1` vs `2` — a schedule-dependent byte anywhere is a
+//! [`combar_work::work_iters`]). The registry tests diff the rendering
+//! across thread counts — a schedule-dependent byte anywhere is a
 //! determinism regression.
 //!
-//! The wall-clock companion (epochs/s, wakeup-batch latency
-//! percentiles, the million-participant headline) is
-//! `benches/async_throughput.rs` → `BENCH_async.json`.
+//! The wall-clock companion (epochs/s, wakeup-batch latency, the
+//! parked-waker hand-off per layer) is the `async_64k` workload of
+//! `benchmark/`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -27,7 +27,8 @@ use std::time::Duration;
 use crate::experiments::seeds;
 use crate::table::Table;
 use combar::presets::AsyncLoad;
-use combar_async::{busy_work, work_iters, AsyncBarrier, Deadline, Executor};
+use combar_rt::{AsyncBarrier, Deadline, Executor};
+use combar_work::{busy_work, work_iters};
 
 /// One (participants, σ) cell's outcome.
 #[derive(Debug, Clone)]

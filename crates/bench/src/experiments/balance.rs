@@ -29,7 +29,7 @@
 //!
 //! Determinism: every cell is a pure function of the seed table —
 //! byte-identical output at any `COMBAR_THREADS`, golden-snapshotted
-//! via `balance_small`.
+//! as `balance_small.txt`.
 
 use crate::experiments::seeds;
 use crate::table::{fmt_us, Table};

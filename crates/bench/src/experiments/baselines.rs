@@ -13,7 +13,7 @@
 //! The crossover structure answers "when is any combining tree worth
 //! it at all?"
 
-use crate::experiments::seeds;
+use crate::experiments::{seeds, Rendered};
 use crate::table::{fmt_us, Table};
 use combar::presets::TC_US;
 use combar_des::Duration;
@@ -103,6 +103,14 @@ pub fn render(rows: &[BaselineRow], p: u32) -> String {
         ]);
     }
     t.render()
+}
+
+/// The `baselines` experiment: 1024 processors × 20 replications, or
+/// 256 × 8 under `--quick`.
+pub fn rendered(quick: bool) -> Rendered {
+    let (p, reps) = if quick { (256, 8) } else { (1024, 20) };
+    let rows = run(p, &[0.0, 1.6, 6.2, 12.5, 25.0, 50.0, 100.0], reps);
+    Rendered::table(render(&rows, p))
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! arrival-spread growth that makes dynamic placement's predictions
 //! possible.
 
-use crate::experiments::seeds;
+use crate::experiments::{seeds, Rendered};
 use crate::table::Table;
 use combar::presets::TC_US;
 use combar_des::Duration;
@@ -154,6 +154,14 @@ arrival-offset distribution at the largest slack (σ-units; skewness {:+.2}):
         ));
         out
     }
+}
+
+/// The `fuzzy-idle` experiment: 1024 processors × 120 iterations, or
+/// 256 × 60 under `--quick`.
+pub fn rendered(quick: bool) -> Rendered {
+    let (p, iters) = if quick { (256, 60) } else { (1024, 120) };
+    let slacks = [0.0, 250.0, 500.0, 1_000.0, 2_000.0, 4_000.0, 16_000.0];
+    Rendered::table(run(p, 250.0, &slacks, iters).render())
 }
 
 #[cfg(test)]

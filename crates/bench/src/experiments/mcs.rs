@@ -7,7 +7,7 @@
 //! larger than four" — because the fraction of processors attached
 //! above the leaves shrinks with the degree.
 
-use crate::experiments::seeds;
+use crate::experiments::{seeds, Rendered};
 use crate::table::{fmt_ratio, fmt_us, Table};
 use combar::presets::TC_US;
 use combar_des::Duration;
@@ -95,6 +95,13 @@ impl McsResult {
         }
         t.render()
     }
+}
+
+/// The `sec4-mcs` experiment: 4096 processors × 20 replications, or
+/// 256 × 10 under `--quick`.
+pub fn rendered(quick: bool) -> Rendered {
+    let (p, reps) = if quick { (256, 10) } else { (4096, 20) };
+    Rendered::table(run(p, 250.0, &[2, 4, 8, 16, 64], reps).render())
 }
 
 #[cfg(test)]

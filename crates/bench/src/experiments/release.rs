@@ -9,7 +9,7 @@
 //! the term a degree-selection model would need on machines where flag
 //! invalidation storms are not free.
 
-use crate::experiments::seeds;
+use crate::experiments::{seeds, Rendered};
 use crate::table::Table;
 use combar::presets::TC_US;
 use combar_des::Duration;
@@ -89,6 +89,14 @@ pub fn render(rows: &[ReleaseRow], notify_us: f64) -> String {
         ]);
     }
     t.render()
+}
+
+/// The `release` experiment: 10 replications per cell, or 3 under
+/// `--quick`.
+pub fn rendered(quick: bool) -> Rendered {
+    let reps = if quick { 3 } else { 10 };
+    let rows = run(&[64, 256, 1024, 4096], &[2, 4, 16], 2.0, reps);
+    Rendered::table(render(&rows, 2.0))
 }
 
 #[cfg(test)]

@@ -32,10 +32,12 @@
 //! server is `benches/restart_recovery.rs` → `BENCH_restart.json`.
 
 use crate::experiments::seeds;
+use crate::experiments::wire::transmit;
 use crate::table::{fmt_us, Table};
 use combar::presets::RestartSim;
-use combar_chaos::{NetChaosConfig, NetFault, NetFaultPlan};
+use combar_chaos::{NetChaosConfig, NetFaultPlan};
 use combar_exec::Sweep;
+use combar_rng::stats::nearest_rank;
 use combar_rng::{Distribution, Normal, SeedableRng, Xoshiro256pp};
 
 /// The four recovery designs, one sweep cell each.
@@ -140,38 +142,6 @@ fn replay_records(scenario: Scenario, preset: &RestartSim, ep: u32) -> u64 {
     roster + tail
 }
 
-fn transmit(plan: &NetFaultPlan, stream: u64, idx: &mut u64, preset: &RestartSim) -> (f64, u64) {
-    let mut cost = 0.0;
-    let mut retries = 0u64;
-    loop {
-        let fault = plan.fault(stream, *idx);
-        *idx += 1;
-        match fault {
-            Some(NetFault::Drop) => {
-                cost += preset.rto_us;
-                retries += 1;
-            }
-            Some(NetFault::Delay(d)) => {
-                return (cost + preset.hop_us * (1.0 + d as f64), retries);
-            }
-            Some(NetFault::Reorder) => {
-                return (cost + 2.0 * preset.hop_us, retries);
-            }
-            Some(NetFault::Duplicate) | None => {
-                return (cost + preset.hop_us, retries);
-            }
-        }
-    }
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
 fn soak(preset: &RestartSim, scenario: Scenario) -> RestartRow {
     let n = preset.sessions as usize;
     let crashes = scenario.crashes(preset);
@@ -206,7 +176,13 @@ fn soak(preset: &RestartSim, scenario: Scenario) -> RestartRow {
         for sid in 0..n {
             let work = spread.sample(&mut rng).max(0.0);
             arrive[sid] = ready[sid] + work;
-            let (cost, r) = transmit(&plan, 2 * sid as u64, &mut send_idx[sid], preset);
+            let (cost, r) = transmit(
+                &plan,
+                2 * sid as u64,
+                &mut send_idx[sid],
+                preset.rto_us,
+                preset.hop_us,
+            );
             retries += r;
             delivered[sid] = arrive[sid] + cost;
         }
@@ -237,7 +213,13 @@ fn soak(preset: &RestartSim, scenario: Scenario) -> RestartRow {
         }
         // Release broadcast back down the faulty wire.
         for sid in 0..n {
-            let (cost, r) = transmit(&plan, 2 * sid as u64 + 1, &mut recv_idx[sid], preset);
+            let (cost, r) = transmit(
+                &plan,
+                2 * sid as u64 + 1,
+                &mut recv_idx[sid],
+                preset.rto_us,
+                preset.hop_us,
+            );
             retries += r;
             let observed = release + cost;
             latencies.push(observed - arrive[sid]);
@@ -251,8 +233,8 @@ fn soak(preset: &RestartSim, scenario: Scenario) -> RestartRow {
         scenario: scenario.label(),
         episodes: preset.episodes,
         eps_per_sec: preset.episodes as f64 / (makespan_us / 1e6),
-        p50_us: percentile(&latencies, 50.0),
-        p99_us: percentile(&latencies, 99.0),
+        p50_us: nearest_rank(&latencies, 0.50).unwrap_or(0.0),
+        p99_us: nearest_rank(&latencies, 0.99).unwrap_or(0.0),
         crashes,
         recovery_us: if recoveries.is_empty() {
             0.0

@@ -23,14 +23,16 @@
 //! acceptance mix: drop + duplicate at [`ServerSim::loss`]), and
 //! `churn` (lossy plus `k` kills). Reported per scenario: virtual
 //! episodes/sec, p50/p99 arrive→release latency, retransmissions,
-//! evictions, rejoins. The wall-clock companion against the real
-//! server lives in `benches/server_throughput.rs`.
+//! evictions, rejoins. The wall-clock companions against the real
+//! server are `benchmark/`'s `served_clean` and `served_lossy`.
 
 use crate::experiments::seeds;
+use crate::experiments::wire::transmit;
 use crate::table::{fmt_us, Table};
 use combar::presets::ServerSim;
-use combar_chaos::{NetChaosConfig, NetFault, NetFaultPlan};
+use combar_chaos::{NetChaosConfig, NetFaultPlan};
 use combar_exec::Sweep;
+use combar_rng::stats::nearest_rank;
 use combar_rng::{Distribution, Normal, SeedableRng, Xoshiro256pp};
 
 /// The three wire conditions, one sweep cell each.
@@ -104,44 +106,6 @@ pub struct ServerResult {
     pub rows: Vec<ServerRow>,
 }
 
-/// Cost (extra virtual µs on top of the send instant) of pushing one
-/// frame through the fault plan until it is delivered, bumping the
-/// per-direction frame index as the wire consumes it. Drops pay a full
-/// retransmission timeout before the next try; delays and reorders pay
-/// extra hops; duplicates are absorbed by idempotence and cost
-/// nothing beyond the hop.
-fn transmit(plan: &NetFaultPlan, stream: u64, idx: &mut u64, preset: &ServerSim) -> (f64, u64) {
-    let mut cost = 0.0;
-    let mut retries = 0u64;
-    loop {
-        let fault = plan.fault(stream, *idx);
-        *idx += 1;
-        match fault {
-            Some(NetFault::Drop) => {
-                cost += preset.rto_us;
-                retries += 1;
-            }
-            Some(NetFault::Delay(d)) => {
-                return (cost + preset.hop_us * (1.0 + d as f64), retries);
-            }
-            Some(NetFault::Reorder) => {
-                return (cost + 2.0 * preset.hop_us, retries);
-            }
-            Some(NetFault::Duplicate) | None => {
-                return (cost + preset.hop_us, retries);
-            }
-        }
-    }
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
 fn soak(preset: &ServerSim, scenario: Scenario) -> ServerRow {
     let n = preset.sessions as usize;
     let loss = scenario.loss(preset);
@@ -199,7 +163,13 @@ fn soak(preset: &ServerSim, scenario: Scenario) -> ServerRow {
                 continue;
             }
             arrive[sid] = ready[sid] + work;
-            let (cost, r) = transmit(&plan, 2 * sid as u64, &mut send_idx[sid], preset);
+            let (cost, r) = transmit(
+                &plan,
+                2 * sid as u64,
+                &mut send_idx[sid],
+                preset.rto_us,
+                preset.hop_us,
+            );
             retries += r;
             delivered[sid] = arrive[sid] + cost;
         }
@@ -229,7 +199,13 @@ fn soak(preset: &ServerSim, scenario: Scenario) -> ServerRow {
             if !alive[sid] {
                 continue;
             }
-            let (cost, r) = transmit(&plan, 2 * sid as u64 + 1, &mut recv_idx[sid], preset);
+            let (cost, r) = transmit(
+                &plan,
+                2 * sid as u64 + 1,
+                &mut recv_idx[sid],
+                preset.rto_us,
+                preset.hop_us,
+            );
             retries += r;
             let observed = release + cost;
             latencies.push(observed - arrive[sid]);
@@ -244,8 +220,8 @@ fn soak(preset: &ServerSim, scenario: Scenario) -> ServerRow {
         scenario: scenario.label(),
         episodes: preset.episodes,
         eps_per_sec: preset.episodes as f64 / (makespan_us / 1e6),
-        p50_us: percentile(&latencies, 50.0),
-        p99_us: percentile(&latencies, 99.0),
+        p50_us: nearest_rank(&latencies, 0.50).unwrap_or(0.0),
+        p99_us: nearest_rank(&latencies, 0.99).unwrap_or(0.0),
         retries,
         evictions,
         rejoins,

@@ -6,7 +6,7 @@
 //! paper-vs-measured statements are not prose — they are checks that
 //! run.
 
-use crate::experiments::seeds;
+use crate::experiments::{seeds, Rendered};
 use crate::table::Table;
 use combar::model::BarrierModel;
 use combar::paper::{self, compare_trend, Shape};
@@ -289,6 +289,25 @@ pub fn render(verdicts: &[Verdict]) -> (String, bool) {
     (t.render(), all_ok)
 }
 
+/// The `verify` experiment: the graded table, closed by the all-clear
+/// line only when every claim held — a failed claim fails the run.
+pub fn rendered(quick: bool) -> Rendered {
+    graded(&run(quick))
+}
+
+fn graded(verdicts: &[Verdict]) -> Rendered {
+    let (table, ok) = render(verdicts);
+    let verdict = if ok {
+        "all claims verified against the paper ✓\n"
+    } else {
+        ""
+    };
+    Rendered {
+        texts: vec![format!("{table}\n{verdict}")],
+        ok,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,5 +335,10 @@ mod tests {
         let (s, ok) = render(&vs);
         assert!(!ok);
         assert!(s.contains("PASS") && s.contains("FAIL"));
+        // ... and the experiment fails the run without the all-clear.
+        let failed = graded(&vs);
+        assert!(!failed.ok);
+        assert_eq!(failed.texts, [format!("{s}\n")]);
+        assert!(graded(&vs[..1]).texts[0].ends_with("✓\n"));
     }
 }

@@ -1,8 +1,9 @@
 //! End-to-end coverage of the `experiments` binary's CLI surface:
 //! `--list`, `--only` (both spellings), the `--json` stream (schema
-//! header first), and `COMBAR_THREADS` invariance — run against the
-//! cheap fully deterministic ids so the whole file stays a smoke test.
+//! header first), and `COMBAR_THREADS` invariance — run at `--quick`
+//! size so the whole file stays a smoke test.
 
+use combar_bench::experiments::{all_ids, REGISTRY};
 use std::process::{Command, Output};
 
 fn experiments(args: &[&str], threads: Option<&str>) -> Output {
@@ -24,21 +25,19 @@ fn stdout_of(args: &[&str], threads: Option<&str>) -> String {
     String::from_utf8(out.stdout).expect("utf-8 stdout")
 }
 
+/// `--list` is the registry's `all` expansion, in registry order, and
+/// no id — listed or not — is owned twice (a duplicate would shadow an
+/// experiment, or run one twice under `all`).
 #[test]
 fn list_names_every_id_including_server() {
-    let listed: Vec<String> = stdout_of(&["--list"], None)
-        .lines()
-        .map(String::from)
-        .collect();
-    for id in ["fig2", "chaos", "churn", "server", "balance", "verify"] {
-        assert!(listed.iter().any(|l| l == id), "--list is missing {id}");
-    }
-    // --list ids are unique (a duplicate would run an id twice under
-    // `all`).
-    let mut dedup = listed.clone();
-    dedup.sort();
-    dedup.dedup();
-    assert_eq!(dedup.len(), listed.len(), "duplicate id in --list");
+    let listed = stdout_of(&["--list"], None);
+    let expected: Vec<&str> = all_ids().collect();
+    assert_eq!(listed.lines().collect::<Vec<_>>(), expected);
+    let mut ids: Vec<&str> = REGISTRY.iter().flat_map(|e| e.ids).copied().collect();
+    let owned = ids.len();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), owned, "an id is owned twice in the registry");
 }
 
 #[test]
@@ -89,16 +88,29 @@ fn unknown_id_fails_with_usage() {
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown experiment id"), "{err}");
+    let known: Vec<&str> = all_ids().collect();
+    assert!(
+        err.contains(&format!("known: {} all", known.join(" "))),
+        "{err}"
+    );
 }
 
-/// `COMBAR_THREADS` must never change an output byte: the simulated
-/// server experiment (and the churn one it is modelled on) are
-/// replayed per-cell from the frozen seed table, so 1 worker and 2
-/// workers render identical tables.
+/// `COMBAR_THREADS` must never change an output byte. Every registry
+/// entry with a snapshot (so: every experiment built to be
+/// deterministic) whose stdout carries no wall-clock column is run
+/// through the binary at 1 and at 2 workers; the streams must be
+/// byte-equal.
 #[test]
 fn thread_count_never_changes_output_bytes() {
-    let args = ["--quick", "--json", "--only", "server,churn,balance"];
+    let ids: Vec<&str> = REGISTRY
+        .iter()
+        .filter(|e| e.golden.is_some() && !e.wall_clock)
+        .flat_map(|e| e.ids)
+        .copied()
+        .collect();
+    let args = ["--quick", "--json", "--only", &ids.join(",")];
     let one = stdout_of(&args, Some("1"));
     let two = stdout_of(&args, Some("2"));
+    assert_eq!(one.lines().count(), 1 + ids.len(), "one object per id");
     assert_eq!(one, two, "COMBAR_THREADS leaked into rendered output");
 }

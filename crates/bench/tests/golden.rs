@@ -1,20 +1,20 @@
-//! Byte-exact snapshot tests over the deterministic experiment
-//! renderings in `combar_bench::golden`.
+//! Byte-exact snapshot tests over every deterministic rendering the
+//! experiment registry declares ([`combar_bench::experiments::Golden`]).
 //!
 //! A failure prints both versions; if the change was intended,
 //! re-bless with `COMBAR_BLESS=1 cargo test -p combar-bench --test
 //! golden` and commit the updated snapshot.
 
+use combar_bench::experiments::{goldens, Golden};
+use combar_exec::with_thread_count;
 use std::path::PathBuf;
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
+fn golden_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
 fn check(name: &str, actual: &str) {
-    let path = golden_path(name);
+    let path = golden_dir().join(name);
     if std::env::var_os("COMBAR_BLESS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, actual).unwrap();
@@ -42,101 +42,56 @@ fn check(name: &str, actual: &str) {
     }
 }
 
-#[test]
-fn fig2_table_is_stable() {
-    check("fig2_small.txt", &combar_bench::golden::fig2_small());
-}
-
-#[test]
-fn fig8_table_is_stable() {
-    check("fig8_small.txt", &combar_bench::golden::fig8_small());
-}
-
-#[test]
-fn chaos_des_table_is_stable() {
-    check(
-        "chaos_des_small.txt",
-        &combar_bench::golden::chaos_des_small(),
-    );
-}
-
-#[test]
-fn churn_table_is_stable() {
-    check("churn_small.txt", &combar_bench::golden::churn_small());
-}
-
-#[test]
-fn server_table_is_stable() {
-    check("server_small.txt", &combar_bench::golden::server_small());
-}
-
-#[test]
-fn restart_table_is_stable() {
-    check("restart_small.txt", &combar_bench::golden::restart_small());
-}
-
-#[test]
-fn async_table_is_stable() {
-    check("async_small.txt", &combar_bench::golden::async_small());
-}
-
-#[test]
-fn trace_tables_are_stable() {
-    check("trace_small.txt", &combar_bench::golden::trace_small());
-}
-
-#[test]
-fn balance_tables_are_stable() {
-    check("balance_small.txt", &combar_bench::golden::balance_small());
-}
-
-#[test]
-fn scale_tables_are_stable() {
-    check("scale_small.txt", &combar_bench::golden::scale_small());
-}
-
-/// The renderings really are deterministic: two in-process runs agree
-/// byte for byte (guards the snapshots themselves against flakiness).
+/// Every snapshot the registry declares matches its file, and the
+/// rendering behind it does not depend on the worker count: 1 and 4
+/// workers agree byte for byte (which also guards the snapshots
+/// themselves against flakiness — two in-process runs must agree).
 #[test]
 fn renderings_are_deterministic() {
-    assert_eq!(
-        combar_bench::golden::fig2_small(),
-        combar_bench::golden::fig2_small()
-    );
-    assert_eq!(
-        combar_bench::golden::fig8_small(),
-        combar_bench::golden::fig8_small()
-    );
-    assert_eq!(
-        combar_bench::golden::chaos_des_small(),
-        combar_bench::golden::chaos_des_small()
-    );
-    assert_eq!(
-        combar_bench::golden::churn_small(),
-        combar_bench::golden::churn_small()
-    );
-    assert_eq!(
-        combar_bench::golden::server_small(),
-        combar_bench::golden::server_small()
-    );
-    assert_eq!(
-        combar_bench::golden::restart_small(),
-        combar_bench::golden::restart_small()
-    );
-    assert_eq!(
-        combar_bench::golden::async_small(),
-        combar_bench::golden::async_small()
-    );
-    assert_eq!(
-        combar_bench::golden::trace_small(),
-        combar_bench::golden::trace_small()
-    );
-    assert_eq!(
-        combar_bench::golden::balance_small(),
-        combar_bench::golden::balance_small()
-    );
-    assert_eq!(
-        combar_bench::golden::scale_small(),
-        combar_bench::golden::scale_small()
-    );
+    for Golden { file, render } in goldens() {
+        let serial = with_thread_count(1, render);
+        let pooled = with_thread_count(4, render);
+        assert_eq!(serial, pooled, "{file} differs between 1 and 4 workers");
+        check(file, &serial);
+    }
+}
+
+/// The snapshot directory and the registry name the same files: no
+/// orphaned snapshot, no entry without one.
+#[test]
+fn snapshot_directory_matches_the_registry() {
+    let mut on_disk: Vec<String> = std::fs::read_dir(golden_dir())
+        .expect("tests/golden exists")
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    on_disk.sort();
+    let mut declared: Vec<&str> = goldens().map(|g| g.file).collect();
+    declared.sort_unstable();
+    assert_eq!(on_disk, declared);
+}
+
+/// The per-snapshot tests, named as they were before the registry:
+/// each renders its snapshot once at the host's own worker count, so a
+/// failure names the table that moved.
+macro_rules! snapshot_tests {
+    ($($name:ident => $file:literal,)*) => {$(
+        #[test]
+        fn $name() {
+            let golden = goldens().find(|g| g.file == $file).expect($file);
+            check(golden.file, &(golden.render)());
+        }
+    )*};
+}
+
+snapshot_tests! {
+    fig2_table_is_stable => "fig2_small.txt",
+    fig8_table_is_stable => "fig8_small.txt",
+    chaos_des_table_is_stable => "chaos_des_small.txt",
+    churn_table_is_stable => "churn_small.txt",
+    server_table_is_stable => "server_small.txt",
+    restart_table_is_stable => "restart_small.txt",
+    async_table_is_stable => "async_small.txt",
+    trace_tables_are_stable => "trace_small.txt",
+    balance_tables_are_stable => "balance_small.txt",
+    scale_tables_are_stable => "scale_small.txt",
 }

@@ -217,6 +217,16 @@ impl Default for Fig2 {
     }
 }
 
+impl Fig2 {
+    /// Shrunk run for smoke passes: the full axis at 5 replications.
+    pub fn quick() -> Self {
+        Self {
+            reps: 5,
+            ..Self::default()
+        }
+    }
+}
+
 /// Figures 3 and 4: the optimal-degree grid.
 #[derive(Debug, Clone)]
 pub struct Fig3Grid {
@@ -240,6 +250,16 @@ impl Default for Fig3Grid {
 }
 
 impl Fig3Grid {
+    /// Shrunk grid for smoke passes: the two small machines, 6
+    /// replications per cell.
+    pub fn quick() -> Self {
+        Self {
+            reps: 6,
+            procs: vec![64, 256],
+            ..Self::default()
+        }
+    }
+
     /// The `(p, σ/t_c)` grid as a parallel sweep, row-major in the
     /// order the Figure 3/4 tables print (processors outer, σ inner).
     /// Cell seeds come from [`seeds::fig34`], not the sweep's streams.
@@ -283,6 +303,16 @@ impl Default for Fig8 {
 }
 
 impl Fig8 {
+    /// Shrunk run for smoke passes: 256 processors, 60 iterations.
+    pub fn quick() -> Self {
+        Self {
+            p: 256,
+            iterations: 60,
+            warmup: 10,
+            ..Self::default()
+        }
+    }
+
     /// The `(degree, slack)` grid as a parallel sweep, row-major in the
     /// order the Figure 8 blocks print (degree outer, slack inner).
     /// Cell seeds come from [`seeds::fig8`].
@@ -327,6 +357,16 @@ impl Default for ScalingSweep {
 }
 
 impl ScalingSweep {
+    /// Shrunk sweep for smoke passes: up to 256 processors.
+    pub fn quick() -> Self {
+        Self {
+            procs: vec![16, 64, 256],
+            iterations: 30,
+            reps: 6,
+            ..Self::default()
+        }
+    }
+
     /// Figure 9's `(p, σ/t_c)` grid as a parallel sweep (processors
     /// outer, σ inner). Cell seeds come from [`seeds::fig9`].
     pub fn fig9_sweep(&self) -> Sweep<(u32, f64)> {
@@ -367,6 +407,15 @@ impl Default for Fig12 {
 }
 
 impl Fig12 {
+    /// Shrunk run for smoke passes: 60 relaxations per measurement.
+    pub fn quick() -> Self {
+        Self {
+            iterations: 60,
+            warmup: 5,
+            ..Self::default()
+        }
+    }
+
     /// Figure 12's `d_y` axis as a parallel sweep. Each cell scans all
     /// degrees with the shared [`seeds::fig12`] stream (the degree
     /// comparison is paired, so it stays inside the cell).
@@ -403,6 +452,15 @@ impl Default for Fig13 {
 }
 
 impl Fig13 {
+    /// Shrunk run for smoke passes: 60 relaxations per measurement.
+    pub fn quick() -> Self {
+        Self {
+            iterations: 60,
+            warmup: 5,
+            ..Self::default()
+        }
+    }
+
     /// The `(degree, slack)` grid as a parallel sweep (degree outer,
     /// slack inner). Cell seeds come from [`seeds::fig13`].
     pub fn sweep(&self) -> Sweep<(u32, f64)> {
@@ -416,8 +474,8 @@ impl Fig13 {
 ///
 /// The simulated mode exists so the `server` experiment row is
 /// byte-deterministic (golden-snapshotable, thread-count invariant);
-/// the wall-clock companion lives in `crates/bench/benches/
-/// server_throughput.rs` against the real [`combar-net`] server.
+/// the wall-clock companions are `benchmark/`'s `served_clean` and
+/// `served_lossy` workloads against the real [`combar-net`] server.
 #[derive(Debug, Clone)]
 pub struct ServerSim {
     /// Client sessions crossing the barrier together.
@@ -594,7 +652,7 @@ impl Default for RestartSim {
 /// columns are schedule *invariants* (arrival totals, final epoch,
 /// deterministic work-schedule statistics), so the table is
 /// byte-identical under any `COMBAR_THREADS`. The wall-clock companion
-/// is `benches/async_throughput.rs` → `BENCH_async.json`.
+/// is `benchmark/`'s `async_64k` workload.
 #[derive(Debug, Clone)]
 pub struct AsyncLoad {
     /// Logical participant counts, one table row each per σ.
@@ -806,6 +864,15 @@ impl Default for Fig5 {
 }
 
 impl Fig5 {
+    /// Shrunk run for smoke passes: 256 processors, 60 iterations.
+    pub fn quick() -> Self {
+        Self {
+            p: 256,
+            iterations: 60,
+            ..Self::default()
+        }
+    }
+
     /// The slack axis as a parallel sweep; cell seeds come from
     /// [`seeds::fig5`].
     pub fn sweep(&self) -> Sweep<f64> {

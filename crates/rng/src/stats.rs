@@ -143,6 +143,16 @@ pub fn percentile(data: &[f64], q: f64) -> f64 {
     }
 }
 
+/// Nearest-rank percentile of an already *sorted* slice
+/// (`q ∈ [0, 1]`): the sample at rank `round(q·(n − 1))`, never a
+/// value between two samples — what latency tables report, and usable
+/// for any sample type. `None` for an empty slice.
+pub fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
+    let last = sorted.len().checked_sub(1)?;
+    let rank = (q.clamp(0.0, 1.0) * last as f64).round() as usize;
+    Some(sorted[rank])
+}
+
 /// Spearman rank correlation between two equal-length slices.
 ///
 /// Used by the Figure 5 reproduction to quantify how strongly processor
@@ -313,6 +323,17 @@ mod tests {
         assert_eq!(percentile(&data, 1.0), 4.0);
         assert!((percentile(&data, 0.5) - 2.5).abs() < 1e-12);
         assert!(percentile(&[], 0.5).is_nan());
+    }
+
+    #[test]
+    fn nearest_rank_returns_a_sample() {
+        let data = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(nearest_rank(&data, 0.0), Some(1.0));
+        assert_eq!(nearest_rank(&data, 0.5), Some(3.0));
+        assert_eq!(nearest_rank(&data, 0.99), Some(4.0));
+        assert_eq!(nearest_rank(&data, 7.0), Some(4.0));
+        assert_eq!(nearest_rank(&[9u64], 0.5), Some(9));
+        assert_eq!(nearest_rank::<f64>(&[], 0.5), None);
     }
 
     #[test]

@@ -37,7 +37,8 @@
 //!   thread, so a handful of driver threads ([`asyncb::Executor`])
 //!   multiplex millions of logical participants; arrivals combine
 //!   through cache-padded shards into one root per epoch and release
-//!   fans out as batched wakeups per shard.
+//!   fans out as batched wakeups per shard; [`load`] is its
+//!   deterministic σ-imbalanced load harness.
 //!
 //! # Unified API
 //!
@@ -136,6 +137,7 @@ pub mod error;
 pub mod fuzzy;
 pub mod harness;
 pub mod heal;
+pub mod load;
 pub mod pad;
 mod roster;
 pub mod spin;

@@ -1,4 +1,5 @@
-//! Deterministic load harness: many logical participants, few drivers,
+//! Deterministic load harness for the async epoch runtime
+//! ([`crate::asyncb`]): many logical participants, few drivers,
 //! σ-imbalanced per-epoch work.
 //!
 //! The paper's subject is what load imbalance does to a barrier; this
@@ -14,13 +15,15 @@
 //!
 //! Everything is seeded and hash-derived (no RNG state shared between
 //! participants), so a run is reproducible bit-for-bit across driver
-//! counts — the determinism CI diffs with `COMBAR_THREADS=1` vs `2`
-//! relies on the *work schedule* being a pure function of
-//! `(seed, tid, epoch)`.
+//! counts: the *work schedule* ([`combar_work::work_iters`]) is a pure
+//! function of `(seed, tid, epoch)`. It is a library function rather
+//! than a test body so the `async_load` acceptance tiers share one
+//! loop.
 
 use std::time::{Duration, Instant};
 
-use combar_rt::{AsyncBarrier, Deadline, Executor};
+use crate::{AsyncBarrier, Deadline, Executor};
+use combar_work::{busy_work, work_iters};
 
 /// Shape of one load run.
 #[derive(Debug, Clone, Copy)]
@@ -79,13 +82,6 @@ pub struct LoadReport {
     /// The barrier's final epoch (equals `episodes` on a clean run).
     pub final_epoch: u32,
 }
-
-// The splitmix Irwin–Hall schedule now lives in `combar-work` — the
-// repository-wide work seam — with the exact same math; the re-export
-// keeps `combar_async::{work_iters, busy_work}` paths working and a
-// frozen-seed test below pins the numbers so BENCH_async.json stays
-// reproducible across the move.
-pub use combar_work::{busy_work, work_iters};
 
 /// Runs the configured load to completion and reports.
 ///
@@ -168,9 +164,10 @@ mod tests {
 
     /// Frozen-seed equivalence across the `combar-work` fold: these
     /// values were produced by the pre-refactor in-crate `work_iters`
-    /// (splitmix Irwin–Hall) and must never change — BENCH_async.json
-    /// and the `COMBAR_THREADS` determinism diffs both assume the work
-    /// schedule is stable across refactors.
+    /// (splitmix Irwin–Hall) and must never change — the `async`
+    /// experiment's snapshot and the `COMBAR_THREADS` determinism
+    /// checks both assume the work schedule is stable across
+    /// refactors.
     #[test]
     #[allow(clippy::type_complexity)]
     fn work_schedule_matches_pre_refactor_frozen_values() {

@@ -4,8 +4,8 @@
 //! barrier episode — *who does how much work?* — and before this crate
 //! each layer answered it privately: `combar-sim`'s RNG-threaded
 //! workloads, `combar-machine`'s SOR rows, the `combar-rt` torture
-//! staggers, and `combar-async`'s hash-derived iteration counts. This
-//! crate hoists one seam under all of them:
+//! staggers, and the async load harness's hash-derived iteration
+//! counts. This crate hoists one seam under all of them:
 //!
 //! * [`WorkSource`] — the dyn-compatible interface: one call per
 //!   episode fills the per-participant work times. Object-safe on
@@ -17,8 +17,8 @@
 //!   any evaluation order — the property the `combar-exec` sweeps and
 //!   the `COMBAR_THREADS` determinism CI diffs are built on.
 //! * [`work_iters`]/[`busy_work`] — the async runtime's busy-work
-//!   schedule (moved here verbatim from `combar-async`; a frozen-seed
-//!   test on that side pins the numbers).
+//!   schedule (moved here verbatim from the async load harness, now
+//!   `combar_rt::load`; a frozen-seed test there pins the numbers).
 //! * [`Diffuser`] — the feedback half of ROADMAP item 4: integer work
 //!   units redistributed along a neighbour graph (the barrier tree's
 //!   own edges) by a damped diffusion step, conserving the total unit

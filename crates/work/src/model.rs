@@ -12,8 +12,8 @@
 use crate::WorkSource;
 
 /// `splitmix64`-style finalizer: the hash behind every schedule here.
-/// (Moved from `combar-async`; its output is pinned by the frozen-seed
-/// equivalence test on that side.)
+/// (Moved from the async load harness; its output is pinned by the
+/// frozen-seed equivalence test in `combar_rt::load`.)
 #[inline]
 pub fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -45,7 +45,7 @@ fn std_normal(h: &mut u64) -> f64 {
 /// runtime: approximately normal, scaled to `mean · (1 + sigma · z)`
 /// and clamped at zero. Pure in `(seed, tid, epoch)` — the
 /// `COMBAR_THREADS` determinism diff depends on that, and
-/// `combar-async`'s frozen-seed test pins the exact outputs.
+/// `combar_rt::load`'s frozen-seed test pins the exact outputs.
 pub fn work_iters(seed: u64, tid: u32, epoch: u32, mean: u32, sigma: f64) -> u32 {
     if mean == 0 {
         return 0;
@@ -392,9 +392,9 @@ mod tests {
 
     #[test]
     fn work_iters_matches_frozen_async_schedule() {
-        // Reference values recorded from the pre-refactor
-        // `combar-async` implementation; the full equivalence test
-        // lives next to the async harness.
+        // Reference values recorded from the pre-refactor async
+        // harness implementation; the full equivalence test lives
+        // next to that harness (`combar_rt::load`).
         assert_eq!(work_iters(0xa57c_10ad, 0, 0, 32, 0.5), 24);
         assert_eq!(work_iters(0xa57c_10ad, 1, 0, 32, 0.5), 41);
         assert_eq!(work_iters(7, 3, 5, 1000, 0.5), 1976);

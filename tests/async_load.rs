@@ -7,8 +7,8 @@
 //! * an ungated ~64k-participant smoke (CI runs it on every push);
 //! * the headline run — at least one million logical participants
 //!   crossing 100 consecutive epochs on at most 8 drivers — gated
-//!   behind `COMBAR_LOAD=1` (minutes of wall clock; the committed
-//!   `BENCH_async.json` records a measured run);
+//!   behind `COMBAR_LOAD=1` (minutes of wall clock; DESIGN.md §14
+//!   records a measured run);
 //! * chaos: seeded lost wakeups, cancelled waits and a killed driver
 //!   must never hang — every failure surfaces as a `BarrierError` and
 //!   every wait is bounded by its own per-logical deadline.
@@ -21,10 +21,9 @@
 
 use std::time::{Duration, Instant};
 
-use combar_async::{
-    run_load, AsyncBarrier, BarrierError, Deadline, Executor, LoadConfig, Timer, WakeChaosConfig,
-    WakeFaultPlan,
-};
+use combar_chaos::{WakeChaosConfig, WakeFaultPlan};
+use combar_rt::load::{run_load, LoadConfig};
+use combar_rt::{AsyncBarrier, BarrierError, Deadline, Executor, Timer};
 
 fn env_set(name: &str) -> bool {
     std::env::var_os(name).is_some_and(|v| !v.is_empty() && v != "0")
@@ -55,7 +54,7 @@ fn smoke_64k_logical_participants() {
 
 /// The headline claim: ≥1M logical participants, 100 consecutive
 /// epochs, ≤8 driver threads, σ-imbalanced per-epoch work. Gated —
-/// takes minutes. `BENCH_async.json` holds a measured run of the same
+/// takes minutes. DESIGN.md §14 holds a measured run of the same
 /// shape.
 #[test]
 fn million_logical_participants_hundred_epochs() {

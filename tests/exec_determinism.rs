@@ -8,37 +8,47 @@
 //! synthetic closures) under different thread counts and diff the
 //! results exactly.
 
-use combar_bench::golden;
+use combar_bench::experiments::goldens;
 use combar_exec::{par_map, par_map_indexed, thread_count, with_thread_count, Sweep};
 use combar_sim::{default_degree_sweep, optimal_degree, sweep_degrees, SweepConfig, TreeStyle};
 
-/// Figure 2's golden rendering is byte-identical at 1 vs 4 threads.
+/// The registry snapshot `file`, rendered at 1 worker and at each of
+/// `pooled` workers, is the same bytes. `tests/golden.rs` makes this
+/// check at 1 vs 4 for *every* snapshot the registry declares; the
+/// four tests below keep the pipelines that motivated it under the
+/// names the test floor knows.
+fn render_is_thread_count_invariant(file: &str, pooled: &[usize]) {
+    let render = goldens().find(|g| g.file == file).expect(file).render;
+    let serial = with_thread_count(1, render);
+    for &threads in pooled {
+        assert_eq!(
+            serial,
+            with_thread_count(threads, render),
+            "{threads} workers"
+        );
+    }
+}
+
+/// Figure 2: replications fanned out inside `sweep_degrees`.
 #[test]
 fn fig2_render_is_thread_count_invariant() {
-    let serial = with_thread_count(1, golden::fig2_small);
-    let pooled = with_thread_count(4, golden::fig2_small);
-    assert_eq!(serial, pooled);
+    render_is_thread_count_invariant("fig2_small.txt", &[4]);
 }
 
 /// Figure 8 exercises the chained-iteration path (`run_modes` inside a
-/// `Sweep`); its rendering is byte-identical at 1 vs 4 threads.
+/// `Sweep`).
 #[test]
 fn fig8_render_is_thread_count_invariant() {
-    let serial = with_thread_count(1, golden::fig8_small);
-    let pooled = with_thread_count(4, golden::fig8_small);
-    assert_eq!(serial, pooled);
+    render_is_thread_count_invariant("fig8_small.txt", &[4]);
 }
 
 /// The trace experiment drives *real runtime barriers* inside its
 /// sweep cells; because each cell attaches its own `combar-trace` sink
 /// on its own driver thread and trace positions are logical ticks, the
-/// whole rendering — merged timelines included — is byte-identical at
-/// 1 vs 4 workers.
+/// whole rendering — merged timelines included — is byte-identical.
 #[test]
 fn trace_render_is_thread_count_invariant() {
-    let serial = with_thread_count(1, golden::trace_small);
-    let pooled = with_thread_count(4, golden::trace_small);
-    assert_eq!(serial, pooled);
+    render_is_thread_count_invariant("trace_small.txt", &[4]);
 }
 
 /// The scale experiment parallelizes its (p, k) grid over a `Sweep`
@@ -47,11 +57,7 @@ fn trace_render_is_thread_count_invariant() {
 /// byte-identical at 1 vs 2 vs 4 workers.
 #[test]
 fn scale_render_is_thread_count_invariant() {
-    let serial = with_thread_count(1, golden::scale_small);
-    let two = with_thread_count(2, golden::scale_small);
-    let pooled = with_thread_count(4, golden::scale_small);
-    assert_eq!(serial, two);
-    assert_eq!(serial, pooled);
+    render_is_thread_count_invariant("scale_small.txt", &[2, 4]);
 }
 
 /// The optimal-degree search — `sweep_degrees` parallelizes over

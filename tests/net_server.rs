@@ -20,7 +20,7 @@
 //! Companion coverage: protocol-level unit tests live in
 //! `crates/net/src/*`, the deterministic virtual-time replay is the
 //! `server` experiment, and wall-clock throughput is
-//! `crates/bench/benches/server_throughput.rs`.
+//! the `served_*` workloads of `benchmark/`.
 
 use std::time::{Duration, Instant};
 
