@@ -184,8 +184,8 @@ const MATRIX: &[(&str, BarrierKind, bool)] = &[
 /// the trait-object harness entry ([`chaos_torture_on`]) — the same
 /// unified surface downstream embedders get, so the matrix doubles as
 /// a conformance check on the trait path. A non-evictable kind
-/// (dissemination) simply returns no stragglers through the trait's
-/// default rescue surface.
+/// (dissemination) simply evicts nobody through the waiter trait's
+/// default rescue.
 pub fn run(preset: &ChaosPreset) -> ChaosResult {
     let p = preset.p;
     let episodes = preset.episodes;

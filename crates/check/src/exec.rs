@@ -451,6 +451,11 @@ impl Session {
         out
     }
 
+    /// Scheduled ops thread `me` has executed so far in this schedule.
+    pub(crate) fn steps_of(&self, me: usize) -> u64 {
+        lock(&self.state).threads[me].steps
+    }
+
     /// A yield / spin hint. Blocks until a watched location (one this
     /// thread read since its previous hint) is re-written; a no-op
     /// when one already was — the spinner's guard might now pass, so

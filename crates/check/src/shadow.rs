@@ -33,6 +33,18 @@ pub fn is_checked() -> bool {
     exec::tls_active()
 }
 
+/// Scheduled operations (shadow ops and scheduler-aware yields) the
+/// calling virtual thread has executed so far in this schedule; 0
+/// outside a checked run. Differences between two readings size a
+/// program segment, e.g. for the closed-form interleaving counts of
+/// fork/join-with-barrier programs.
+pub fn steps() -> u64 {
+    if !exec::tls_active() {
+        return 0;
+    }
+    with_session(|sess, me| sess.steps_of(me))
+}
+
 /// `std::thread::yield_now`, scheduler-aware.
 pub fn yield_now() {
     if !exec::tls_active() || std::thread::panicking() {

@@ -170,27 +170,27 @@ impl AdaptiveBarrier {
     /// proxies flow no matter which tree later windows select).
     /// Refused — returning `false` — if `tid` already arrived for the
     /// in-flight episode of the current tree.
+    ///
+    /// This is the supervisor's call; a participant rescuing its own
+    /// timed-out wait uses [`AdaptiveWaiter::evict_stragglers`].
     pub fn evict(&self, tid: u32) -> bool {
         let cur = self.current.load(Ordering::Acquire);
         if !self.trees[cur].evict(tid) {
             return false;
         }
-        for (i, t) in self.trees.iter().enumerate() {
-            if i != cur {
-                // Idle trees hold no in-flight arrival from `tid`, so
-                // these evictions cannot be refused.
-                t.evict(tid);
-            }
-        }
+        self.evict_from_idle(cur, tid);
         true
     }
 
-    /// Evicts every current straggler; returns the evicted ids.
-    pub fn evict_stragglers(&self) -> Vec<u32> {
-        self.stragglers()
-            .into_iter()
-            .filter(|&t| self.evict(t))
-            .collect()
+    /// Completes an eviction the tree at `cur` accepted. Idle trees
+    /// hold no in-flight arrival from `tid`, so these evictions cannot
+    /// be refused.
+    fn evict_from_idle(&self, cur: usize, tid: u32) {
+        for (i, t) in self.trees.iter().enumerate() {
+            if i != cur {
+                t.evict(tid);
+            }
+        }
     }
 
     /// Declares `tid` dead in **every** candidate tree: evicts it and
@@ -381,6 +381,18 @@ impl AdaptiveWaiter<'_> {
         self.mid = false;
         self.episode += 1;
         Ok(())
+    }
+
+    /// The rescue after a timed-out wait: evicts every participant
+    /// still missing from the episode this waiter is mid-way through —
+    /// judged by the tree it is crossing, which declines once that
+    /// episode has released — and returns their ids.
+    pub fn evict_stragglers(&mut self) -> Vec<u32> {
+        let evicted = self.waiters[self.idx].evict_stragglers();
+        for &tid in &evicted {
+            self.barrier.evict_from_idle(self.idx, tid);
+        }
+        evicted
     }
 
     /// The degree of the tree this thread is currently using.

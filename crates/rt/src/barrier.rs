@@ -9,13 +9,15 @@
 //!
 //! * [`Waiter`] — the per-thread handle: `wait` / `try_wait` /
 //!   `wait_timeout`, the fuzzy arrive–depart split where the kind
-//!   supports it ([`Waiter::as_fuzzy`]), and the rejoin surface for
-//!   kinds with graceful degradation.
+//!   supports it ([`Waiter::as_fuzzy`]), and, for kinds with graceful
+//!   degradation, the rescue of a timed-out wait
+//!   ([`Waiter::evict_stragglers`], bound to the episode the waiter is
+//!   in) and the rejoin surface.
 //! * [`Barrier`] — the shared object: `waiter` hands out boxed trait
-//!   objects, and the fault-management capabilities (`stragglers`,
-//!   `evict`, `detach`, …) default to no-ops so kinds without them
-//!   (dissemination has no eviction story at all) implement only what
-//!   they mean.
+//!   objects, and a supervisor's fault-management capabilities
+//!   (`stragglers`, `evict`, `detach`, …) default to no-ops so kinds
+//!   without them (dissemination has no eviction story at all)
+//!   implement only what they mean.
 //! * [`BarrierBuilder`] — one construction path over all ten kinds,
 //!   replacing the scattered `CentralBarrier::new` /
 //!   `TreeBarrier::combining` / `AdaptiveBarrier::new(p, degrees,
@@ -89,6 +91,18 @@ pub trait Waiter: fmt::Debug + Send {
         None
     }
 
+    /// The rescue after a timed-out wait: evicts every participant
+    /// still missing from the episode this waiter has a pending arrival
+    /// for, so the survivors release, and returns the evicted ids.
+    /// Bound to that episode: once it has released (or when no arrival
+    /// is pending) nothing is evicted, so a rescue that runs late never
+    /// mistakes a thread that is merely late for the *next* episode —
+    /// the caller included — for a dead one. Empty by default, for
+    /// kinds without eviction.
+    fn evict_stragglers(&mut self) -> Vec<u32> {
+        Vec::new()
+    }
+
     /// Re-admission after eviction: blocks until resolved. `Ok(false)`
     /// if this participant was never evicted — also the default for
     /// kinds without a rejoin protocol.
@@ -131,16 +145,13 @@ pub trait Barrier: fmt::Debug + Send + Sync {
         Vec::new()
     }
 
-    /// Evicts participant `tid` if it has not arrived for the episode
-    /// in flight. `false` (refused) by default.
+    /// Evicts participant `tid` if it has not arrived for whatever
+    /// episode is in flight — a supervisor's call; a participant
+    /// rescuing its own timed-out wait uses
+    /// [`Waiter::evict_stragglers`]. `false` (refused) by default.
     fn evict(&self, tid: u32) -> bool {
         let _ = tid;
         false
-    }
-
-    /// Evicts every current straggler; returns the evicted ids.
-    fn evict_stragglers(&self) -> Vec<u32> {
-        Vec::new()
     }
 
     /// Declares `tid` dead and schedules its removal from the live
@@ -198,6 +209,9 @@ impl<K: Climb> Waiter for CounterWaiter<'_, K> {
     fn as_fuzzy(&mut self) -> Option<&mut dyn FuzzyWaiter> {
         Some(self)
     }
+    fn evict_stragglers(&mut self) -> Vec<u32> {
+        Self::evict_stragglers(self)
+    }
     fn rejoin(&mut self) -> Result<bool, BarrierError> {
         Self::rejoin(self)
     }
@@ -211,6 +225,9 @@ impl Waiter for BlockingWaiter<'_> {
     fn as_fuzzy(&mut self) -> Option<&mut dyn FuzzyWaiter> {
         Some(self)
     }
+    fn evict_stragglers(&mut self) -> Vec<u32> {
+        Self::evict_stragglers(self)
+    }
     fn rejoin(&mut self) -> Result<bool, BarrierError> {
         Self::rejoin(self)
     }
@@ -222,6 +239,9 @@ impl Waiter for DisseminationWaiter<'_> {
 
 impl Waiter for TournamentWaiter<'_> {
     forward_wait!();
+    fn evict_stragglers(&mut self) -> Vec<u32> {
+        Self::evict_stragglers(self)
+    }
     fn rejoin(&mut self) -> Result<bool, BarrierError> {
         Self::rejoin(self)
     }
@@ -231,17 +251,9 @@ impl Waiter for TournamentWaiter<'_> {
 }
 
 impl Waiter for AdaptiveWaiter<'_> {
-    fn tid(&self) -> u32 {
-        Self::tid(self)
-    }
-    fn try_wait(&mut self) -> Result<(), BarrierError> {
-        Self::try_wait(self)
-    }
-    fn wait_timeout(&mut self, timeout: Duration) -> Result<(), BarrierError> {
-        Self::wait_timeout(self, timeout)
-    }
-    fn wait(&mut self) {
-        Self::wait(self)
+    forward_wait!();
+    fn evict_stragglers(&mut self) -> Vec<u32> {
+        Self::evict_stragglers(self)
     }
 }
 
@@ -260,9 +272,6 @@ impl<K: Climb> Barrier for CounterBarrier<K> {
     }
     fn evict(&self, tid: u32) -> bool {
         Self::evict(self, tid)
-    }
-    fn evict_stragglers(&self) -> Vec<u32> {
-        Self::evict_stragglers(self)
     }
     fn detach(&self, tid: u32) -> bool {
         Self::detach(self, tid)
@@ -290,9 +299,6 @@ impl Barrier for BlockingBarrier {
     }
     fn evict(&self, tid: u32) -> bool {
         Self::evict(self, tid)
-    }
-    fn evict_stragglers(&self) -> Vec<u32> {
-        Self::evict_stragglers(self)
     }
     fn critical_depth(&self) -> Option<u32> {
         Some(1) // one mutex-protected count
@@ -329,9 +335,6 @@ impl Barrier for TournamentBarrier {
     }
     fn evict(&self, tid: u32) -> bool {
         Self::evict(self, tid)
-    }
-    fn evict_stragglers(&self) -> Vec<u32> {
-        Self::evict_stragglers(self)
     }
     fn detach(&self, tid: u32) -> bool {
         Self::detach(self, tid)
@@ -390,9 +393,6 @@ impl Barrier for AdaptiveBarrier {
     }
     fn evict(&self, tid: u32) -> bool {
         Self::evict(self, tid)
-    }
-    fn evict_stragglers(&self) -> Vec<u32> {
-        Self::evict_stragglers(self)
     }
     fn detach(&self, tid: u32) -> bool {
         Self::detach(self, tid)
@@ -655,6 +655,11 @@ impl<'b> AnyWaiter<'b> {
         self.0.as_fuzzy()
     }
 
+    /// The rescue after a timed-out wait ([`Waiter::evict_stragglers`]).
+    pub fn evict_stragglers(&mut self) -> Vec<u32> {
+        self.0.evict_stragglers()
+    }
+
     /// Re-admission after eviction; `Ok(false)` if never evicted (or
     /// the kind has no rejoin protocol).
     pub fn rejoin(&mut self) -> Result<bool, BarrierError> {
@@ -682,6 +687,9 @@ impl Waiter for AnyWaiter<'_> {
     }
     fn as_fuzzy(&mut self) -> Option<&mut dyn FuzzyWaiter> {
         self.0.as_fuzzy()
+    }
+    fn evict_stragglers(&mut self) -> Vec<u32> {
+        self.0.evict_stragglers()
     }
     fn rejoin(&mut self) -> Result<bool, BarrierError> {
         self.0.rejoin()

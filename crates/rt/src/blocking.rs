@@ -39,6 +39,23 @@ struct State {
 }
 
 impl State {
+    /// Evicts `tid` unless it is already evicted, has arrived for the
+    /// episode in flight, or is the last participant still counted —
+    /// with nobody left, the empty episode would release itself.
+    /// Returns whether the eviction happened.
+    fn evict(&mut self, tid: u32) -> bool {
+        let t = tid as usize;
+        let counted = self.evicted.iter().filter(|&&e| !e).count();
+        if self.evicted[t] || self.arrived[t] || counted <= 1 {
+            return false;
+        }
+        self.evicted[t] = true;
+        if trace::enabled() {
+            trace::emit(self.generation as u32, tid, trace::Kind::Evict(tid));
+        }
+        true
+    }
+
     /// Releases the episode if every non-evicted participant arrived.
     /// Returns whether it did.
     fn release_if_complete(&mut self) -> bool {
@@ -159,37 +176,16 @@ impl BlockingBarrier {
 
     /// Evicts participant `tid` if it has not arrived for the episode
     /// in flight; it is excluded from release counts until it rejoins.
-    /// Returns whether the eviction happened.
+    /// Returns whether the eviction happened (never for the last
+    /// participant still counted).
+    ///
+    /// This is the supervisor's call; a participant rescuing its own
+    /// timed-out wait uses [`BlockingWaiter::evict_stragglers`].
     pub fn evict(&self, tid: u32) -> bool {
         assert!(tid < self.p, "thread id out of range");
         let mut st = self.lock();
-        let t = tid as usize;
-        if st.evicted[t] || st.arrived[t] {
-            return false;
-        }
-        st.evicted[t] = true;
-        if trace::enabled() {
-            trace::emit(st.generation as u32, tid, trace::Kind::Evict(tid));
-        }
-        if st.release_if_complete() {
-            self.cond.notify_all();
-        }
-        true
-    }
-
-    /// Evicts every current straggler; returns the evicted ids.
-    pub fn evict_stragglers(&self) -> Vec<u32> {
-        let mut st = self.lock();
-        let evicted: Vec<u32> = (0..self.p)
-            .filter(|&t| {
-                let t = t as usize;
-                !st.arrived[t] && !st.evicted[t]
-            })
-            .collect();
-        for &t in &evicted {
-            st.evicted[t as usize] = true;
-        }
-        if !evicted.is_empty() && st.release_if_complete() {
+        let evicted = st.evict(tid);
+        if evicted && st.release_if_complete() {
             self.cond.notify_all();
         }
         evicted
@@ -359,6 +355,25 @@ impl BlockingWaiter<'_> {
         Ok(true)
     }
 
+    /// The rescue after a timed-out wait: evicts every participant
+    /// still missing from the episode this waiter's arrival is pending
+    /// in, and returns their ids. Empty when no arrival is pending or
+    /// the episode has released in the meantime (the generation is
+    /// compared under the lock), so a late rescue never touches the
+    /// next episode's participants.
+    pub fn evict_stragglers(&mut self) -> Vec<u32> {
+        let b = self.barrier;
+        let mut st = b.lock();
+        if !self.pending || st.generation != self.generation {
+            return Vec::new();
+        }
+        let evicted: Vec<u32> = (0..b.p).filter(|&t| st.evict(t)).collect();
+        if !evicted.is_empty() && st.release_if_complete() {
+            b.cond.notify_all();
+        }
+        evicted
+    }
+
     /// This thread's id.
     pub fn tid(&self) -> u32 {
         self.tid
@@ -387,17 +402,14 @@ impl Drop for BlockingWaiter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{lockstep_torture, Stagger};
+    use crate::harness::{lockstep_torture_on, Stagger};
 
     #[test]
     fn lockstep_under_heavy_oversubscription() {
         // 16 threads on however-few cores: spinning would crawl; the
         // blocking barrier must stay correct and brisk.
         let b = BlockingBarrier::new(16);
-        let report = lockstep_torture(16, 60, Stagger::Mixed, |_| {
-            let mut w = b.waiter();
-            move || w.wait_timeout(Duration::from_secs(10))
-        });
+        let report = lockstep_torture_on(&b, 60, Stagger::Mixed, Duration::from_secs(10));
         assert!(report.max_skew <= 1);
     }
 
@@ -458,7 +470,7 @@ mod tests {
             w0.wait_timeout(Duration::from_millis(2)),
             Err(BarrierError::Timeout)
         );
-        assert_eq!(b.evict_stragglers(), vec![1]);
+        assert_eq!(w0.evict_stragglers(), vec![1]);
         // Eviction completed the episode; the survivor resumes alone
         // for 100 further episodes.
         for _ in 0..100 {

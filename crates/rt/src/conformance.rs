@@ -16,7 +16,7 @@
 //! The contracts:
 //!
 //! * [`check_lockstep`] — the fundamental guarantee, soaked under
-//!   adversarial staggering via [`lockstep_torture`] for ≥ 100
+//!   adversarial staggering via [`lockstep_torture_on`] for ≥ 100
 //!   episodes;
 //! * [`check_reuse_and_churn`] — back-to-back episodes at maximal
 //!   arrival rate across *odd-length* phases with fresh waiters per
@@ -34,7 +34,7 @@
 //! `combar-check`.
 
 use crate::barrier::BarrierBuilder;
-use crate::harness::{lockstep_torture, Stagger, TortureReport};
+use crate::harness::{lockstep_torture_on, Stagger, TortureReport};
 use crate::BarrierError;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
@@ -153,10 +153,7 @@ impl BarrierKind {
 /// Panics if the lockstep invariant is violated or the run wedges.
 pub fn check_lockstep(kind: BarrierKind, p: u32, episodes: u32) -> TortureReport {
     let b = kind.build(p);
-    let report = lockstep_torture(p, episodes, Stagger::Mixed, |tid| {
-        let mut w = b.waiter(tid);
-        move || w.wait_timeout(STEP)
-    });
+    let report = lockstep_torture_on(b.as_dyn(), episodes, Stagger::Mixed, STEP);
     assert_eq!(
         report.episodes,
         episodes,

@@ -37,14 +37,19 @@
 //!   depart (a panic unwinding through a fuzzy slack section) poisons
 //!   the barrier: peers get [`BarrierError::Poisoned`] instead of
 //!   spinning forever.
-//! * **Eviction.** A participant that stops arriving can be evicted
+//! * **Eviction.** A participant that stops arriving can be evicted —
+//!   by a peer whose own wait timed out
+//!   ([`CounterWaiter::evict_stragglers`]) or by a supervisor
 //!   ([`CounterBarrier::evict`]): its arrival is delivered by proxy for
 //!   the in-flight episode and re-delivered at every later release, so
 //!   the barrier keeps crossing at its old shape (and depth cost) with
-//!   `p − evicted` threads. The last *active* participant is never
-//!   evictable — with nobody left to arrive, proxies alone would
-//!   release episodes forever — and the refusal is decided atomically,
-//!   so racing evictors cannot both take the last two slots.
+//!   `p − evicted` threads. A waiter's rescue is bound to the episode
+//!   its own arrival is pending in and does nothing once that episode
+//!   has released: whoever is missing *then* is merely late for the
+//!   next one. The last *active* participant is never evictable — with
+//!   nobody left to arrive, proxies alone would release episodes
+//!   forever — and the refusal is decided atomically, so racing
+//!   evictors cannot both take the last two slots.
 //! * **Detach.** [`CounterBarrier::detach`] ([`SelfHealing::fail`] from
 //!   a supervisor) additionally removes the participant from the live
 //!   shape at the next episode boundary: central shrinks its expected
@@ -187,7 +192,7 @@ impl<K: Climb> CounterBarrier<K> {
 
     /// Participants that have not arrived for the in-flight episode.
     pub fn stragglers(&self) -> Vec<u32> {
-        self.roster.stragglers(&self.epoch)
+        self.roster.stragglers(&self.epoch, None)
     }
 
     /// Evicts participant `tid` if it has not arrived for the episode
@@ -195,9 +200,19 @@ impl<K: Climb> CounterBarrier<K> {
     /// every later release re-delivers the proxy. Returns whether the
     /// eviction happened: `false` if `tid` is already evicted, did
     /// arrive, or is the last active participant.
+    ///
+    /// This is the supervisor's call: it judges against whatever
+    /// episode is in flight when it runs. A participant rescuing its
+    /// own timed-out wait uses [`CounterWaiter::evict_stragglers`].
     pub fn evict(&self, tid: u32) -> bool {
+        self.evict_in(tid, None)
+    }
+
+    /// [`Self::evict`], declined unless `episode` (when given) is still
+    /// the one in flight.
+    fn evict_in(&self, tid: u32, episode: Option<u32>) -> bool {
         assert!(tid < self.p, "thread id out of range");
-        if !self.roster.evict(tid, &self.epoch) {
+        if !self.roster.evict(tid, &self.epoch, episode) {
             return false;
         }
         trace::emit(self.trace_epoch(), tid, trace::Kind::Evict(tid));
@@ -205,21 +220,6 @@ impl<K: Climb> CounterBarrier<K> {
             self.maintain();
         }
         true
-    }
-
-    /// Evicts every current straggler; returns the evicted ids.
-    ///
-    /// Stragglers are judged against whatever episode is in flight
-    /// *when this runs*: called a moment after the episode the caller
-    /// timed out on has released, it lists the next episode's
-    /// not-yet-arrived participants — live threads, the caller
-    /// included. They get [`BarrierError::Evicted`] and may rejoin; the
-    /// last active one is always spared.
-    pub fn evict_stragglers(&self) -> Vec<u32> {
-        self.stragglers()
-            .into_iter()
-            .filter(|&t| self.evict(t))
-            .collect()
     }
 
     /// Number of participants the live shape currently counts.
@@ -539,6 +539,25 @@ impl<'a, K: Climb> CounterWaiter<'a, K> {
         heal::drive_rejoin_within(self.tid, timeout, || self.try_rejoin())
     }
 
+    /// The rescue after a timed-out wait: evicts every participant
+    /// still missing from the episode this waiter's arrival is pending
+    /// in, and returns their ids. Empty when no arrival is pending or
+    /// the episode has released in the meantime — the rescue never
+    /// reaches into a later episode, so it cannot evict a thread that
+    /// is merely late for the next one (the caller included).
+    pub fn evict_stragglers(&mut self) -> Vec<u32> {
+        if !self.pending {
+            return Vec::new();
+        }
+        let b = self.barrier;
+        let episode = Some(self.epoch.wrapping_add(1));
+        b.roster
+            .stragglers(&b.epoch, episode)
+            .into_iter()
+            .filter(|&t| b.evict_in(t, episode))
+            .collect()
+    }
+
     /// This thread's participant id.
     pub fn tid(&self) -> u32 {
         self.tid
@@ -657,7 +676,7 @@ pub(crate) mod lifecycle {
         let mut w = b.waiter_for(0);
         w.try_arrive().unwrap();
         assert!(!b.evict(0), "arrived participant must not be evictable");
-        assert!(b.evict_stragglers().contains(&1));
+        assert_eq!(w.evict_stragglers(), vec![1]);
         w.wait_timeout(LONG).unwrap();
     }
 
@@ -692,7 +711,7 @@ pub(crate) mod lifecycle {
             alive.wait_timeout(Duration::from_millis(2)),
             Err(BarrierError::Timeout)
         );
-        assert_eq!(b.evict_stragglers(), vec![1]);
+        assert_eq!(alive.evict_stragglers(), vec![1]);
         alive.wait_timeout(LONG).unwrap();
 
         // Survivor keeps crossing alone: proxies flow each release.
@@ -724,9 +743,11 @@ pub(crate) mod lifecycle {
     }
 
     /// A rescue that runs just after the episode it timed out on has
-    /// released lists *every* live participant as a straggler of the
-    /// next one. Evicting them all used to leave nobody to arrive:
-    /// every proxy sweep then released an episode and never returned.
+    /// released finds *every* live participant missing from the next
+    /// one; being bound to its own episode it touches none of them.
+    /// Barrier-level evictions are not bound, but stop at the last
+    /// active participant: with nobody left to arrive, every proxy
+    /// sweep would release an episode and never return.
     pub(crate) fn evicting_everyone_spares_the_last_active_participant<K: Climb>(
         make: impl Fn(u32) -> CounterBarrier<K>,
     ) {
@@ -735,10 +756,11 @@ pub(crate) mod lifecycle {
         let mut w1 = b.waiter_for(1);
         w0.try_arrive().unwrap();
         w1.try_arrive().unwrap();
-        assert_eq!(b.evict_stragglers(), vec![2]); // releases episode 1
+        assert_eq!(w0.evict_stragglers(), vec![2]); // releases episode 1
         assert_eq!(b.stragglers(), vec![0, 1], "judged against episode 2");
-        assert_eq!(b.evict_stragglers(), vec![0], "the last active is spared");
-        assert!(!b.evict(1));
+        assert!(w0.evict_stragglers().is_empty(), "episode 1 is over");
+        assert!(b.evict(0));
+        assert!(!b.evict(1), "the last active is spared");
         assert_eq!(b.evicted_count(), 2);
         assert!(!b.is_evicted(1));
         // Both waiters still cross: 0 learns of its eviction and

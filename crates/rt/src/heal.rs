@@ -633,8 +633,11 @@ mod tests {
         let m = Membership::new(2);
         let roster = Roster::new(2);
         let epoch = AtomicU32::new(0);
-        assert!(roster.evict(0, &epoch));
-        assert!(!roster.evict(1, &epoch), "the roster keeps one slot active");
+        assert!(roster.evict(0, &epoch, None));
+        assert!(
+            !roster.evict(1, &epoch, None),
+            "the roster keeps one slot active"
+        );
         assert!(m.request_detach(&roster, 0));
         assert!(!m.request_detach(&roster, 1), "an active slot cannot park");
         let changes = m.collect(&roster);
@@ -649,7 +652,7 @@ mod tests {
         let m = Membership::new(2);
         let roster = Roster::new(2);
         let epoch = AtomicU32::new(0);
-        assert!(roster.evict(0, &epoch));
+        assert!(roster.evict(0, &epoch, None));
         assert!(m.request_detach(&roster, 0));
         m.request_attach(0); // rejoin lands before any boundary
         let changes = m.collect(&roster);

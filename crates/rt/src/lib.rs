@@ -97,10 +97,13 @@
 //!   deadlock into prompt [`BarrierError::Poisoned`] errors for peers;
 //! * **graceful degradation** — the counter-tree barriers (central,
 //!   tree, dynamic, blocking, adaptive) support *eviction*: a
-//!   participant that stops arriving can be removed (`evict` /
-//!   `evict_stragglers`) and its arrivals are thereafter delivered by
-//!   proxy at each release, so survivors keep crossing (never the last
-//!   active participant: somebody must be left to arrive). The
+//!   participant that stops arriving can be removed — by a peer whose
+//!   own wait timed out ([`Waiter::evict_stragglers`], bound to the
+//!   episode that waiter is in, so a rescue that runs late evicts
+//!   nobody) or by a supervisor (`evict(tid)`) — and its arrivals are
+//!   thereafter delivered by proxy at each release, so survivors keep
+//!   crossing (never the last active participant: somebody must be
+//!   left to arrive). The
 //!   [`TournamentBarrier`] supports eviction too, through *adoption*:
 //!   losers replay a dead winner's whole signalling track, so the
 //!   static pairwise schedule heals around the corpse. Only the
@@ -116,9 +119,9 @@
 //!   exponential backoff, [`JitterBackoff`]) — restoring the fault-free
 //!   shape at an episode boundary.
 //!
-//! [`harness::chaos_torture`] soaks any barrier under a seeded
+//! [`harness::chaos_torture_on`] soaks any barrier under a seeded
 //! `combar-chaos` fault plan, including participant deaths, and
-//! [`harness::churn_torture`] drives scripted death *and* comeback
+//! [`harness::churn_torture_on`] drives scripted death *and* comeback
 //! schedules through the whole self-healing loop.
 
 #![forbid(unsafe_code)]
@@ -157,7 +160,7 @@ pub use dynamic::{DynamicBarrier, DynamicWaiter};
 pub use error::BarrierError;
 pub use fuzzy::{fuzzy_episode, FuzzyTiming, FuzzyWaiter};
 pub use harness::{
-    chaos_torture, lockstep_torture, time_episodes, work_torture_on, ChaosReport, Stagger,
+    chaos_torture_on, lockstep_torture_on, time_episodes, work_torture_on, ChaosReport, Stagger,
     TortureReport,
 };
 pub use heal::{JitterBackoff, RejoinStatus, SelfHealing, Supervisor, SupervisorConfig};

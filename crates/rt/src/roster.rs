@@ -176,6 +176,13 @@ impl Roster {
     /// the slot is already tagged with that episode's target and the
     /// caller **must** deliver the proxy signal for it exactly once.
     ///
+    /// `episode` binds the eviction to one episode: `Some(e)` (a
+    /// waiter's rescue, `e` being the episode its own arrival is
+    /// pending in) declines once `e` is no longer the one in flight —
+    /// whoever has not arrived *now* is late for a later episode, not
+    /// missing from `e`. `None` (a supervisor's declaration) judges
+    /// against whatever is in flight.
+    ///
     /// The eviction is reserved on `evicted` *before* the slot leaves
     /// `Active` (and re-admission lowers `evicted` only *after* the
     /// slot is back), so the counter never under-counts the non-active
@@ -186,23 +193,28 @@ impl Roster {
     /// evictor may be refused on a reservation that is then rolled
     /// back; eviction is safe to retry.
     ///
-    /// `epoch` is re-read on every CAS retry: a successful CAS proves
-    /// the slot did not change since the target was computed, and the
+    /// Every CAS retry reads the slot and *then* the epoch: a
+    /// successful CAS proves the slot did not change from before the
+    /// target was computed until the eviction took effect, and the
     /// in-flight episode cannot release without this slot changing, so
-    /// the target is never stale at the linearization point.
-    pub(crate) fn evict(&self, tid: u32, epoch: &AtomicU32) -> bool {
+    /// the target — and with it the `episode` check — is never stale at
+    /// the linearization point. (Read the other way round, the episode
+    /// could release and `tid` re-arrive between the two loads, and the
+    /// CAS would evict an arrived participant under a stale target;
+    /// `tests/model_check.rs::exhaustive_late_rescue_*` finds that.)
+    pub(crate) fn evict(&self, tid: u32, epoch: &AtomicU32, episode: Option<u32>) -> bool {
         if self.evicted.fetch_add(1, Ordering::AcqRel) + 1 >= self.slots.len() as u32 {
             self.evicted.fetch_sub(1, Ordering::AcqRel);
             return false; // would leave nobody active
         }
         let slot = &self.slots[tid as usize];
         loop {
-            let target = epoch.load(Ordering::Acquire).wrapping_add(1);
             let s = slot.load(Ordering::Acquire);
+            let target = epoch.load(Ordering::Acquire).wrapping_add(1);
             let (state, last) = unpack(s);
-            if state != ACTIVE || last == target {
+            if state != ACTIVE || last == target || episode.is_some_and(|e| e != target) {
                 self.evicted.fetch_sub(1, Ordering::AcqRel);
-                return false; // already evicted, or it did arrive
+                return false; // already evicted, it did arrive, or `episode` is over
             }
             if slot
                 .compare_exchange(
@@ -219,9 +231,13 @@ impl Roster {
     }
 
     /// Participants that have not arrived for the in-flight episode
-    /// (candidates for [`Roster::evict`]).
-    pub(crate) fn stragglers(&self, epoch: &AtomicU32) -> Vec<u32> {
+    /// (candidates for [`Roster::evict`]); nobody when `episode` names
+    /// an episode that is no longer the one in flight.
+    pub(crate) fn stragglers(&self, epoch: &AtomicU32, episode: Option<u32>) -> Vec<u32> {
         let target = epoch.load(Ordering::Acquire).wrapping_add(1);
+        if episode.is_some_and(|e| e != target) {
+            return Vec::new();
+        }
         (0..self.slots.len() as u32)
             .filter(|&t| {
                 let (state, last) = unpack(self.slots[t as usize].load(Ordering::Acquire));
@@ -310,8 +326,11 @@ mod tests {
         let r = Roster::new(2);
         let epoch = AtomicU32::new(0);
         assert!(matches!(r.try_arrive(0, 1), Arrival::Claimed));
-        assert!(!r.evict(0, &epoch), "arrived participant is not evictable");
-        assert!(r.evict(1, &epoch));
+        assert!(
+            !r.evict(0, &epoch, None),
+            "arrived participant is not evictable"
+        );
+        assert!(r.evict(1, &epoch, None));
         assert!(r.is_evicted(1));
         assert!(matches!(r.try_arrive(1, 1), Arrival::Evicted));
         assert_eq!(r.evicted_count(), 1);
@@ -321,7 +340,7 @@ mod tests {
     fn rejoin_restores_active_state() {
         let r = Roster::new(2);
         let epoch = AtomicU32::new(4);
-        assert!(r.evict(0, &epoch));
+        assert!(r.evict(0, &epoch, None));
         assert_eq!(
             r.rejoin(0),
             Some(5),
@@ -336,15 +355,18 @@ mod tests {
     fn evict_spares_the_last_active_slot() {
         let r = Roster::new(3);
         let epoch = AtomicU32::new(0);
-        assert!(r.evict(0, &epoch));
-        assert!(r.evict(1, &epoch));
-        assert!(!r.evict(2, &epoch), "nobody would be left to arrive");
+        assert!(r.evict(0, &epoch, None));
+        assert!(r.evict(1, &epoch, None));
+        assert!(!r.evict(2, &epoch, None), "nobody would be left to arrive");
         assert_eq!(r.evicted_count(), 2, "a refused reservation is undone");
         assert!(!r.is_evicted(2));
         // A slot coming back makes room again.
         assert_eq!(r.rejoin(0), Some(1));
-        assert!(r.evict(2, &epoch));
-        assert!(!Roster::new(1).evict(0, &epoch), "p = 1 is always last");
+        assert!(r.evict(2, &epoch, None));
+        assert!(
+            !Roster::new(1).evict(0, &epoch, None),
+            "p = 1 is always last"
+        );
     }
 
     #[test]
@@ -352,15 +374,30 @@ mod tests {
         let r = Roster::new(3);
         let epoch = AtomicU32::new(0);
         assert!(matches!(r.try_arrive(0, 1), Arrival::Claimed));
-        assert!(r.evict(2, &epoch));
-        assert_eq!(r.stragglers(&epoch), vec![1]);
+        assert!(r.evict(2, &epoch, None));
+        assert_eq!(r.stragglers(&epoch, None), vec![1]);
+    }
+
+    #[test]
+    fn episode_bound_eviction_declines_once_its_episode_is_over() {
+        let r = Roster::new(3);
+        let epoch = AtomicU32::new(0);
+        assert_eq!(r.stragglers(&epoch, Some(1)), vec![0, 1, 2]);
+        epoch.store(1, Ordering::Release); // episode 1 released
+        assert!(r.stragglers(&epoch, Some(1)).is_empty());
+        assert!(
+            !r.evict(0, &epoch, Some(1)),
+            "late for 2, not missing from 1"
+        );
+        assert_eq!(r.evicted_count(), 0, "a declined reservation is undone");
+        assert!(r.evict(0, &epoch, Some(2)));
     }
 
     #[test]
     fn maintain_delivers_one_proxy_per_target() {
         let r = Roster::new(2);
         let epoch = AtomicU32::new(0);
-        assert!(r.evict(1, &epoch)); // tags slot with target 1
+        assert!(r.evict(1, &epoch, None)); // tags slot with target 1
         let mut calls = Vec::new();
         // Episode 1 not yet released: proxy for 1 already delivered by
         // the evictor, so maintain has nothing to do.
@@ -383,7 +420,7 @@ mod tests {
         let r = Roster::new(2);
         let epoch = AtomicU32::new(3);
         assert!(!r.park(0), "active participant cannot be parked");
-        assert!(r.evict(0, &epoch));
+        assert!(r.evict(0, &epoch, None));
         assert!(r.park(0));
         assert!(r.park(0), "parking is idempotent");
         assert!(r.is_parked(0));
@@ -401,7 +438,7 @@ mod tests {
     fn maintain_stamps_parked_slots() {
         let r = Roster::new(2);
         let epoch = AtomicU32::new(0);
-        assert!(r.evict(0, &epoch)); // tagged for target 1
+        assert!(r.evict(0, &epoch, None)); // tagged for target 1
         assert!(r.park(0));
         epoch.store(1, Ordering::Release);
         let mut calls = Vec::new();
@@ -419,7 +456,7 @@ mod tests {
     fn maintain_loops_while_proxies_release() {
         let r = Roster::new(2);
         let epoch = AtomicU32::new(0);
-        assert!(r.evict(0, &epoch)); // slot tagged for target 1
+        assert!(r.evict(0, &epoch, None)); // slot tagged for target 1
         epoch.store(1, Ordering::Release); // the evictor's proxy released it
                                            // Every further proxy releases an episode; emulate three then
                                            // stop releasing.

@@ -195,7 +195,7 @@ impl TournamentBarrier {
 
     /// Participants that have not arrived for the in-flight episode.
     pub fn stragglers(&self) -> Vec<u32> {
-        self.roster.stragglers(&self.epoch)
+        self.roster.stragglers(&self.epoch, None)
     }
 
     /// Evicts participant `tid` if it has not arrived for the episode
@@ -204,9 +204,18 @@ impl TournamentBarrier {
     /// replay the dead thread's bracket themselves. Returns whether
     /// the eviction happened (the roster refuses the last active
     /// participant: somebody must be left to run the bracket).
+    ///
+    /// This is the supervisor's call; a participant rescuing its own
+    /// timed-out wait uses [`TournamentWaiter::evict_stragglers`].
     pub fn evict(&self, tid: u32) -> bool {
+        self.evict_in(tid, None)
+    }
+
+    /// [`Self::evict`], declined unless `episode` (when given) is still
+    /// the one in flight.
+    fn evict_in(&self, tid: u32, episode: Option<u32>) -> bool {
         assert!(tid < self.p, "thread id out of range");
-        let ok = self.roster.evict(tid, &self.epoch);
+        let ok = self.roster.evict(tid, &self.epoch, episode);
         if ok && trace::enabled() {
             trace::emit(
                 self.epoch.load(Ordering::Relaxed),
@@ -215,14 +224,6 @@ impl TournamentBarrier {
             );
         }
         ok
-    }
-
-    /// Evicts every current straggler; returns the evicted ids.
-    pub fn evict_stragglers(&self) -> Vec<u32> {
-        self.stragglers()
-            .into_iter()
-            .filter(|&t| self.evict(t))
-            .collect()
     }
 
     /// Declares `tid` dead: evicts it if needed and schedules its
@@ -745,6 +746,24 @@ impl TournamentWaiter<'_> {
         let tid = self.tid;
         let this = self;
         heal::drive_rejoin_within(tid, timeout, move || this.try_rejoin())
+    }
+
+    /// The rescue after a timed-out wait: evicts every participant
+    /// still missing from the episode this waiter is mid-way through,
+    /// and returns their ids. Empty when no episode is in flight for
+    /// this waiter or it has released in the meantime, so a late
+    /// rescue never touches the next episode's participants.
+    pub fn evict_stragglers(&mut self) -> Vec<u32> {
+        if !self.mid {
+            return Vec::new();
+        }
+        let b = self.barrier;
+        let episode = Some(self.epoch);
+        b.roster
+            .stragglers(&b.epoch, episode)
+            .into_iter()
+            .filter(|&t| b.evict_in(t, episode))
+            .collect()
     }
 
     /// This thread's id.

@@ -409,7 +409,7 @@ mod tests {
             ws[0].wait_timeout(Duration::from_millis(2)),
             Err(BarrierError::Timeout)
         );
-        assert_eq!(b.evict_stragglers(), vec![7]);
+        assert_eq!(ws[0].evict_stragglers(), vec![7]);
         // The eviction's proxy released the in-flight episode; depart.
         for w in &mut ws {
             w.wait_timeout(Duration::from_millis(500)).unwrap();

@@ -3,10 +3,7 @@
 //! eviction, and deterministic chaos soaks driven by `combar-chaos`.
 
 use combar_chaos::{ChaosConfig, DeathMode, FaultPlan};
-use combar_rt::harness::{
-    chaos_torture_on, churn_torture, churn_torture_on, lockstep_torture_on, rescue_stragglers,
-    ChurnOp, ChurnReport, Stagger,
-};
+use combar_rt::harness::{chaos_torture_on, churn_torture_on, lockstep_torture_on, Stagger};
 use combar_rt::{BarrierBuilder, BarrierError, BarrierKind, DynamicBarrier, TreeBarrier};
 use std::time::Duration;
 
@@ -107,7 +104,7 @@ fn eviction_lets_survivors_complete_100_episodes() {
                             match w.wait_timeout(STEP) {
                                 Ok(()) => break,
                                 Err(BarrierError::Timeout) => {
-                                    rescue_stragglers(b.as_dyn(), tid);
+                                    w.evict_stragglers();
                                 }
                                 Err(e) => panic!("{label}: survivor hit {e}"),
                             }
@@ -123,6 +120,77 @@ fn eviction_lets_survivors_complete_100_episodes() {
     }
 }
 
+/// The kinds that can evict: the ones that track arrivals.
+fn evicting_kinds() -> impl Iterator<Item = BarrierKind> {
+    BarrierKind::all()
+        .into_iter()
+        .filter(|kind| !kind.build(2).stragglers().is_empty())
+}
+
+/// A rescue is bound to the episode its waiter timed out on. Run late —
+/// after a peer's arrival has released that episode — it finds both
+/// threads missing from the *next* one and must touch neither: they are
+/// merely late, and a barrier exists to wait for late threads.
+#[test]
+fn late_rescue_evicts_nobody_on_every_evicting_kind() {
+    for kind in evicting_kinds() {
+        let label = kind.label();
+        let b = BarrierBuilder::new(kind, 2).build();
+        // The rescuer is tid 1: the tournament's tid 0 is its champion,
+        // the one thread no episode releases without.
+        let mut rescuer = b.waiter(1);
+        let mut peer = b.waiter(0);
+        assert_eq!(
+            rescuer.wait_timeout(SHORT),
+            Err(BarrierError::Timeout),
+            "{label}"
+        );
+        assert_eq!(
+            peer.wait_timeout(LONG),
+            Ok(()),
+            "{label}: episode 1 releases"
+        );
+        assert_eq!(b.stragglers(), [0, 1], "{label}: both late for episode 2");
+        assert_eq!(rescuer.evict_stragglers(), [], "{label}: episode 1 is over");
+        assert_eq!(
+            rescuer.wait_timeout(LONG),
+            Ok(()),
+            "{label}: merely departs"
+        );
+        std::thread::scope(|s| {
+            for w in [&mut rescuer, &mut peer] {
+                let label = &label;
+                s.spawn(move || {
+                    for e in 2..12 {
+                        assert_eq!(w.wait_timeout(LONG), Ok(()), "{label}: episode {e}");
+                    }
+                });
+            }
+        });
+    }
+}
+
+/// Evicting everyone is refused at the last participant still counted:
+/// with nobody left to arrive, episodes would release themselves.
+#[test]
+fn evicting_everyone_spares_the_last_participant_on_every_evicting_kind() {
+    for kind in evicting_kinds() {
+        let label = kind.label();
+        let b = BarrierBuilder::new(kind, 2).build();
+        assert!(b.evict(0), "{label}");
+        assert!(!b.evict(1), "{label}: nobody would be left to arrive");
+        assert_eq!(
+            b.waiter(0).wait_timeout(SHORT),
+            Err(BarrierError::Evicted),
+            "{label}"
+        );
+        let mut spared = b.waiter(1);
+        for e in 1..=3 {
+            assert_eq!(spared.wait_timeout(LONG), Ok(()), "{label}: episode {e}");
+        }
+    }
+}
+
 /// An evicted thread can re-admit itself and the barrier returns to
 /// full strength (counter-tree kinds with rejoin support).
 #[test]
@@ -131,7 +199,7 @@ fn evicted_thread_rejoins_at_full_strength() {
     let mut w1 = b.waiter(1);
     assert_eq!(w1.wait_timeout(SHORT), Err(BarrierError::Timeout));
     // survivor evicts the straggler (tid 0, which never arrived)
-    assert_eq!(b.evict_stragglers(), vec![0]);
+    assert_eq!(w1.evict_stragglers(), vec![0]);
     assert_eq!(w1.wait_timeout(LONG), Ok(()));
     for _ in 0..10 {
         assert_eq!(w1.wait_timeout(LONG), Ok(()));
@@ -192,32 +260,10 @@ fn chaos_soak_with_death_keeps_survivors_in_lockstep() {
     }
 }
 
-/// [`churn_torture`] over a tree barrier, probing `critical_depth()` at
-/// full membership ([`churn_torture_on`] probes `live_count()`).
-fn churn_probing_depth(b: &TreeBarrier, min_episodes: u32, plan: FaultPlan) -> ChurnReport {
-    churn_torture(
-        b.threads(),
-        min_episodes,
-        plan,
-        STEP,
-        || b.critical_depth(),
-        |tid| {
-            let mut w = b.waiter(tid);
-            (
-                move |op, d| match op {
-                    ChurnOp::Step => w.wait_timeout(d).map(|()| true),
-                    ChurnOp::Revive => w.rejoin_within(d),
-                },
-                move || rescue_stragglers(b, tid),
-            )
-        },
-    )
-}
-
 /// The acceptance scenario for the self-healing runtime: a churn plan
 /// kills k ∈ {1, 2, 4} of p = 16 threads mid-run, survivors detect and
 /// detach them, the corpses come back through the rejoin protocol, and
-/// the run completes with no poisoning. The probe samples
+/// the run completes with no poisoning. The harness samples
 /// `critical_depth()` at the instant membership is provably full
 /// again, so the healed shape is checked against the fault-free one.
 #[test]
@@ -234,7 +280,7 @@ fn churn_kill_and_rejoin_restores_critical_depth() {
 
         let b = TreeBarrier::combining(P, 2);
         let healthy_depth = b.critical_depth();
-        let report = churn_probing_depth(&b, MIN_EPISODES, plan);
+        let report = churn_torture_on(&b, MIN_EPISODES, plan, STEP);
         assert!(!report.poisoned, "k={k}: barrier poisoned");
         assert_eq!(report.gave_up, 0, "k={k}: a thread gave up");
         assert_eq!(report.planned_rejoins, k, "k={k}");
@@ -244,7 +290,7 @@ fn churn_kill_and_rejoin_restores_critical_depth() {
             report.rejoins
         );
         let healed_depth = report
-            .probe_at_full
+            .depth_at_full
             .unwrap_or_else(|| panic!("k={k}: membership never returned to full"));
         assert!(
             healed_depth.abs_diff(healthy_depth) <= 1,
@@ -266,7 +312,7 @@ fn churn_kill_and_rejoin_heals_the_dynamic_barrier() {
     let report = churn_torture_on(&b, 30, plan, STEP);
     assert!(!report.poisoned);
     assert!(report.rejoins >= 2);
-    assert_eq!(report.probe_at_full, Some(P));
+    assert_eq!(report.live_at_full, Some(P));
 }
 
 /// Bounded churn soak for CI (`COMBAR_SOAK=1`; skipped otherwise so
@@ -274,7 +320,7 @@ fn churn_kill_and_rejoin_heals_the_dynamic_barrier() {
 /// the tree and dynamic barriers at two thread counts, failing on
 /// poisoning, give-ups, unhealed membership, or a healed critical
 /// depth off the fault-free one by more than a level. Each round is a
-/// full `churn_torture` run, so lockstep violations panic inside.
+/// full `churn_torture_on` run, so lockstep violations panic inside.
 #[test]
 fn churn_soak_bounded() {
     if std::env::var_os("COMBAR_SOAK").is_none() {
@@ -292,11 +338,11 @@ fn churn_soak_bounded() {
 
             let b = TreeBarrier::combining(p, 2);
             let healthy = b.critical_depth();
-            let report = churn_probing_depth(&b, 25, plan);
+            let report = churn_torture_on(&b, 25, plan, STEP);
             assert!(!report.poisoned, "p={p} round={round}: poisoned");
             assert_eq!(report.gave_up, 0, "p={p} round={round}: give-up");
             assert!(report.rejoins >= k, "p={p} round={round}: unhealed");
-            let healed = report.probe_at_full.expect("membership never refilled");
+            let healed = report.depth_at_full.expect("membership never refilled");
             assert!(
                 healed.abs_diff(healthy) <= 1,
                 "p={p} round={round}: depth {healed} vs {healthy}"
@@ -305,7 +351,7 @@ fn churn_soak_bounded() {
             let b = DynamicBarrier::mcs(p, 2);
             let report = churn_torture_on(&b, 25, plan, STEP);
             assert!(!report.poisoned, "dynamic p={p} round={round}: poisoned");
-            assert_eq!(report.probe_at_full, Some(p), "dynamic p={p} round={round}");
+            assert_eq!(report.live_at_full, Some(p), "dynamic p={p} round={round}");
         }
     }
 }

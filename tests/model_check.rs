@@ -24,7 +24,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering as StdOrdering};
 use std::sync::Arc;
 
-use combar_check::shadow::{spin_hint, AtomicU32};
+use combar_check::shadow::{spin_hint, steps, AtomicU32};
 use combar_check::{vthread, Checker, FailureKind, Outcome};
 use combar_rt::counter::{Climb, CounterBarrier, CounterWaiter};
 use combar_rt::{
@@ -470,6 +470,119 @@ fn exhaustive_racing_evictors_spare_the_last_active() {
         assert_eq!(b.evicted_count(), 0);
     };
     expect_full_space("central p=2 racing evictors", fx);
+}
+
+/// `C(a + b, a)`: the interleavings of two straight-line threads of
+/// `a` and `b` atomic steps.
+fn shuffles(a: u64, b: u64) -> f64 {
+    (1..=a.min(b)).fold(1.0, |n, i| n * (a.max(b) + i) as f64 / i as f64)
+}
+
+/// The episode-bound rescue under the race it exists for: A arrives
+/// for episode 1 and calls `evict_stragglers` while B arrives for 1 and
+/// then for 2, so the rescue runs before, during and after episode 1's
+/// release. In every interleaving: A is never evicted; B is evicted
+/// only while still missing from episode 1 — the rescue names it
+/// exactly when B's episode-1 `try_arrive` reports `Evicted` — and
+/// never once it has arrived (its later arrivals `unwrap`); and each
+/// thread counts exactly once per episode: a lost count deadlocks, a
+/// doubled one releases the single-threaded third episode early. As in
+/// the evict/rejoin lane one thread holds every seat but B's, and holds
+/// its last episode until B's seat is settled (a rejoin only converges
+/// while peers keep crossing).
+///
+/// The lane is two virtual threads synchronizing at two global
+/// barriers, the program class whose executions Bodini et al. (arXiv
+/// 1907.04243) count in closed form: episodes compose in series,
+/// threads in parallel, so the unbounded total is `Π C(aₖ + bₖ, aₖ)`
+/// over the per-episode step counts. It is printed — for the step
+/// counts of the first, preemption-free schedule; the protocol's
+/// control flow makes them schedule-dependent — beside what
+/// preemption bound 3 explores.
+fn late_rescue_is_bound_to_its_episode<K: Climb + 'static>(
+    lane: &str,
+    p: u32,
+    make: fn(u32) -> CounterBarrier<K>,
+) {
+    const TOTAL: u32 = 2;
+    let first_counts = Arc::new(std::sync::OnceLock::new());
+    let counts = Arc::clone(&first_counts);
+    let fx = move || {
+        let b = Arc::new(make(p));
+        let settled = Arc::new(AtomicU32::new(0));
+        let late = {
+            let b = Arc::clone(&b);
+            let settled = Arc::clone(&settled);
+            vthread::spawn(move || {
+                let mut wb = b.waiter_for(1);
+                let evicted = match wb.try_arrive() {
+                    Ok(()) => false,
+                    Err(BarrierError::Evicted) => wb.rejoin().unwrap(),
+                    Err(e) => panic!("unexpected barrier error: {e}"),
+                };
+                // Arrived, itself or by proxy: no rescue may touch B now.
+                settled.store(1, Ordering::SeqCst);
+                wb.try_depart().unwrap();
+                let first = steps();
+                while wb.episodes() < TOTAL {
+                    wb.try_wait().unwrap();
+                }
+                (evicted, wb.episodes(), [first, steps() - first])
+            })
+        };
+        let mut ws: Vec<_> = (0..p)
+            .filter(|&tid| tid != 1)
+            .map(|tid| b.waiter_for(tid))
+            .collect();
+        arrive_all(&mut ws);
+        let rescued = ws[0].evict_stragglers();
+        depart_all(&mut ws);
+        let first = steps();
+        while settled.load(Ordering::SeqCst) == 0 {
+            spin_hint();
+        }
+        while ws[0].episodes() < TOTAL {
+            arrive_all(&mut ws);
+            depart_all(&mut ws);
+        }
+        let a_steps = [first, steps() - first];
+        let (b_evicted, b_episodes, b_steps) = late.join();
+        counts.get_or_init(|| (a_steps, b_steps));
+        let expected: &[u32] = if b_evicted { &[1] } else { &[] };
+        assert_eq!(rescued, expected, "the rescue and B disagree");
+        assert_eq!(b_episodes, TOTAL);
+        assert!(!b.is_evicted(0), "the rescuer lost its own seat");
+        assert_eq!(b.evicted_count(), 0);
+        assert!(!b.is_poisoned());
+        let mut wb = b.waiter_for(1);
+        arrive_all(&mut ws);
+        assert_eq!(b.stragglers(), [1], "a doubled count released episode 3");
+        wb.try_arrive().unwrap();
+        depart_all(&mut ws);
+        wb.try_depart().unwrap();
+    };
+    let schedules = expect_full_space(lane, fx);
+    let (a, b) = first_counts.get().expect("at least one schedule ran");
+    let total: f64 = a.iter().zip(b).map(|(&a, &b)| shuffles(a, b)).product();
+    eprintln!(
+        "{lane}: {schedules} schedules at preemption bound 3 of {total:.3e} unbounded \
+         (fork/join with barriers, per-episode steps A {a:?} B {b:?})"
+    );
+}
+
+#[test]
+fn exhaustive_late_rescue_is_bound_to_its_episode() {
+    late_rescue_is_bound_to_its_episode("central p=2 late rescue", 2, CentralBarrier::new);
+}
+
+#[test]
+fn exhaustive_late_rescue_is_bound_to_its_episode_on_the_tree() {
+    late_rescue_is_bound_to_its_episode("tree p=3 late rescue", 3, tree_d2);
+}
+
+#[test]
+fn exhaustive_late_rescue_is_bound_to_its_episode_on_the_dynamic_barrier() {
+    late_rescue_is_bound_to_its_episode("dynamic p=3 late rescue", 3, dynamic_d2);
 }
 
 /// Online tree reconfiguration under exhaustive exploration: two live

@@ -6,8 +6,8 @@
 //! used to be restated here now live in the matrix.
 
 use combar::model_policy;
-use combar_rt::harness::{lockstep_torture, Stagger};
-use combar_rt::{AdaptiveBarrier, BarrierError, DynamicBarrier, TreeBarrier};
+use combar_rt::harness::{lockstep_torture_on, Stagger};
+use combar_rt::{AdaptiveBarrier, Barrier, DynamicBarrier, TreeBarrier};
 use combar_topo::Topology;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
@@ -17,13 +17,9 @@ const EPISODES: u32 = 120;
 /// wedged run instead of hanging the test binary.
 const STEP: Duration = Duration::from_secs(5);
 
-/// The shared soak harness, with this file's historical call shape.
-fn torture<F, G>(p: usize, make: F)
-where
-    F: Fn(u32) -> G + Sync,
-    G: FnMut() -> Result<(), BarrierError> + Send,
-{
-    let report = lockstep_torture(p as u32, EPISODES, Stagger::Mixed, make);
+/// The shared soak harness at this file's episode count and step bound.
+fn torture(b: &dyn Barrier) {
+    let report = lockstep_torture_on(b, EPISODES, Stagger::Mixed, STEP);
     assert_eq!(report.episodes, EPISODES);
     assert!(report.max_skew <= 1);
 }
@@ -33,11 +29,7 @@ where
 #[test]
 fn ring_mcs_tree_lockstep() {
     let topo = Topology::ring_mcs(8, 2, 4);
-    let b = TreeBarrier::from_topology(&topo);
-    torture(8, |tid| {
-        let mut w = b.waiter(tid);
-        move || w.wait_timeout(STEP)
-    });
+    torture(&TreeBarrier::from_topology(&topo));
 }
 
 /// Mixed staggering makes different threads slow in different
@@ -45,12 +37,9 @@ fn ring_mcs_tree_lockstep() {
 /// in lockstep.
 #[test]
 fn dynamic_barrier_swaps_under_stagger() {
-    for (p, d) in [(6usize, 2u32), (8, 4)] {
-        let b = DynamicBarrier::mcs(p as u32, d);
-        torture(p, |tid| {
-            let mut w = b.waiter(tid);
-            move || w.wait_timeout(STEP)
-        });
+    for (p, d) in [(6u32, 2u32), (8, 4)] {
+        let b = DynamicBarrier::mcs(p, d);
+        torture(&b);
         assert!(b.swap_count() > 0, "p={p} d={d} swapped 0 times");
     }
 }
@@ -60,12 +49,7 @@ fn dynamic_barrier_swaps_under_stagger() {
 /// policy; this is the composition the core crate ships).
 #[test]
 fn adaptive_barrier_lockstep_with_model_policy() {
-    let p = 4usize;
-    let b = AdaptiveBarrier::new(p as u32, &[2, 4], 5, model_policy(20.0));
-    torture(p, |tid| {
-        let mut w = b.waiter(tid);
-        move || w.wait_timeout(STEP)
-    });
+    torture(&AdaptiveBarrier::new(4, &[2, 4], 5, model_policy(20.0)));
 }
 
 /// The dynamic barrier's migration matches the simulator's placement
