@@ -397,6 +397,62 @@ mod tests {
         assert_eq!(got, vec![7]);
     }
 
+    /// The independence the client's and server's loss-armed redundancy
+    /// rests on, checked on the plan the lossy workloads use. Drops on
+    /// one stream are independent, so two copies in a row are both lost
+    /// with probability p², and an episode of 16 sessions — an `Arrive`
+    /// out and a `Release` in for each, on the `2·sid` / `2·sid + 1`
+    /// streams — needs no repair (1 − p)³² = 19.4 % of the time with one
+    /// copy of each frame and (1 − p²)³² = 92.3 % with two. Burst loss
+    /// gets no such benefit: inside a disconnect window the second copy
+    /// falls with the first.
+    #[test]
+    fn independent_drops_lose_both_copies_at_p_squared() {
+        let p = 0.05;
+        let dropped =
+            |plan: &NetFaultPlan, stream, idx| plan.fault(stream, idx) == Some(NetFault::Drop);
+        // Of `pairs` adjacent index pairs: how many lose the first copy,
+        // and how many lose both.
+        let pair_drops = |plan: &NetFaultPlan, pairs: u64| {
+            let first: Vec<u64> = (0..pairs).filter(|&i| dropped(plan, 0, 2 * i)).collect();
+            let both = first
+                .iter()
+                .filter(|&&i| dropped(plan, 0, 2 * i + 1))
+                .count();
+            (first.len() as f64, both as f64)
+        };
+        let lossy = NetFaultPlan::new(NetChaosConfig::lossy(7, p));
+        let both = pair_drops(&lossy, 200_000).1 / 200_000.0;
+        assert!((both - p * p).abs() < 0.0006, "both copies lost: {both}");
+
+        let repair_free = |copies: u64| {
+            let episodes = 10_000;
+            let clean = (0..episodes)
+                .filter(|&e| {
+                    (0..32)
+                        .all(|stream| (0..copies).any(|c| !dropped(&lossy, stream, e * copies + c)))
+                })
+                .count();
+            clean as f64 / episodes as f64
+        };
+        let (one, two) = (repair_free(1), repair_free(2));
+        assert!((one - (1.0 - p).powi(32)).abs() < 0.015, "k = 1: {one}");
+        assert!((two - (1.0 - p * p).powi(32)).abs() < 0.015, "k = 2: {two}");
+
+        // The same 5 % mean loss as windows of eight drops.
+        let bursty = NetFaultPlan::new(NetChaosConfig {
+            seed: 7,
+            disconnect_prob: p / 8.0,
+            disconnect_len: 8,
+            ..NetChaosConfig::default()
+        });
+        let (first, both) = pair_drops(&bursty, 20_000);
+        assert!(
+            both / first > 0.5,
+            "a burst spared the second copy: {both} of {first}"
+        );
+    }
+
     #[test]
     fn held_inbound_frame_surfaces_on_quiet_wire() {
         let (mut a, b) = loopback_pair();

@@ -518,9 +518,13 @@ impl Journal {
         }
     }
 
-    /// Total journal length in bytes.
+    /// Total journal length in bytes, read without copying the journal.
     pub fn len(&self) -> Result<u64, JournalError> {
-        Ok(self.read_all()?.len() as u64)
+        let inner = self.inner.lock().expect("journal lock");
+        match &inner.backing {
+            Backing::Mem(buf) => Ok(buf.len() as u64),
+            Backing::File(path) => Ok(std::fs::metadata(path)?.len()),
+        }
     }
 
     /// Whether the journal holds no entries yet.
@@ -989,5 +993,47 @@ mod tests {
             other => panic!("expected snapshot, got {other:?}"),
         }
         assert_eq!(end as u64, j.len().expect("len"));
+    }
+
+    /// `len` answers from the backing's own length — the buffer's, the
+    /// file's metadata — and must agree with the bytes `read_all`
+    /// copies out, through every operation that changes the length.
+    #[test]
+    fn len_matches_read_all_on_both_backings() {
+        let dir = std::env::temp_dir().join(format!(
+            "combar-journal-len-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("epoch.wal");
+        let _ = std::fs::remove_file(&path);
+        for j in [Journal::memory(), Journal::open(&path).expect("open")] {
+            let agrees = |when: &str| {
+                let bytes = j.read_all().expect("read").len() as u64;
+                assert_eq!(j.len().expect("len"), bytes, "{when}");
+                assert_eq!(j.is_empty().expect("is_empty"), bytes == 0, "{when}");
+            };
+            agrees("fresh");
+            let inc = j.bump_incarnation().expect("inc");
+            for epoch in 0..5 {
+                let rec = JournalRecord::Episode {
+                    epoch,
+                    inc,
+                    roster_hash: roster_hash([1]),
+                    completers: vec![(1, epoch + 1)],
+                };
+                j.append_batch(inc, &[rec]).expect("append");
+            }
+            agrees("after appends");
+            let sessions = BTreeMap::from([(1, (true, SessionStats::default()))]);
+            j.compact(inc, &snapshot_record(5, inc, &sessions))
+                .expect("compact");
+            agrees("after compact");
+            j.truncate_tail(7).expect("truncate");
+            agrees("after truncate_tail");
+        }
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir(&dir);
     }
 }

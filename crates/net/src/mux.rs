@@ -505,14 +505,15 @@ mod tests {
             )
         };
         let (mut a, mut c, mut d) = (mk(1), mk(2), mk(3));
-        // Pacer c joins alone: epoch 0 releases instantly by its join
-        // proxy. Wait for the shard to drain that release from its own
-        // inbox before admitting d, so d provably lands at epoch 1 — an
-        // epoch held open by exactly one owed arrival (c's).
+        // Pacer c joins alone: epoch 0 releases at once by its join
+        // proxy. c's arrival for it is answered by `Release{0}`, which
+        // only a shard that has opened epoch 1 can have sent (a re-ack,
+        // or the release its own fan-out just made), so d's `Hello`
+        // provably lands at epoch 1 — an epoch held open by exactly one
+        // owed arrival (c's).
         c.join().unwrap();
-        std::thread::sleep(Duration::from_millis(10));
+        assert_eq!(c.arrive().unwrap(), 0); // c now owes epoch 1
         d.join().unwrap();
-        c.arrive().unwrap(); // re-acked epoch 0; c now owes epoch 1
         d.send_arrive().unwrap(); // d upgrades its join proxy: explicit
         a.join().unwrap(); // admitted mid-epoch-1 (proxy), epoch waits on c
         a.send_arrive().unwrap(); // a upgrades too: join epoch ticks explicitly
@@ -535,11 +536,16 @@ mod tests {
         d.send_arrive().unwrap();
         c.send_arrive().unwrap();
         a.send_arrive().unwrap(); // releases epoch 5, credits a
-                                  // The slack term needs the shard to process its own queued
-                                  // `Release` (which ticks a's `completed`) before the `Leave`
-                                  // folds a out; wait for the inbox to drain so the ordering is
-                                  // not a race between this thread and the shard thread.
-        std::thread::sleep(Duration::from_millis(10));
+
+        // The slack term needs the shard to process its own queued
+        // `Release` (which ticks a's `completed`) before the `Leave`
+        // folds a out. The credit is made inside that fan-out, so
+        // seeing it on the ledger orders the two.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.session_stats()[&1].completed != 5 {
+            assert!(Instant::now() < deadline, "epoch 5 never credited a");
+            std::thread::yield_now();
+        }
         a.leave().unwrap(); // processed after the release: gone before the ack
         assert_eq!(c.await_release().unwrap(), 5);
         assert_eq!(d.await_release().unwrap(), 5);

@@ -11,6 +11,11 @@
 //!   answered with the (re-sent) [`Response::Release`] rather than
 //!   being counted again. Episode counters therefore advance exactly
 //!   once per session per episode no matter how lossy the wire is.
+//!   A *redundant* copy — the second of the two identical frames a
+//!   loss-armed client sends per arrival, or a loss-armed server per
+//!   release (see `REDUNDANT_EPISODES`) — is therefore a duplicate
+//!   by construction: the same bytes, the same `seq`, deduplicated by
+//!   the same episode state as a wire duplicate.
 //! * [`Request::Hello`] carries the session id chosen by the client;
 //!   re-sending it re-delivers the same [`Response::Welcome`] with the
 //!   session's *current* join epoch.
@@ -37,6 +42,14 @@
 
 /// A client session identifier (chosen by the client at `Hello`).
 pub type SessionId = u64;
+
+/// How many episodes one piece of evidence of loss keeps a session's
+/// frames doubled. A client arms it on every re-send of an in-flight
+/// `Arrive` and then sends each of its next this-many arrivals twice; a
+/// server arms it when it re-acks an arrival for an already-released
+/// episode and then sends each of that session's next this-many
+/// releases twice. A clean wire never arms either end.
+pub(crate) const REDUNDANT_EPISODES: u32 = 64;
 
 /// Why a frame failed to decode. The receiver's policy for every
 /// variant is the same — drop the frame, as on a lossy wire — but the

@@ -49,7 +49,11 @@
 //! already-released frame is answered by re-sending `Release`; a
 //! duplicate `Hello` re-sends `Welcome`. Retries are therefore always
 //! safe, and per-session episode counters advance exactly once per
-//! episode no matter what the wire does.
+//! episode no matter what the wire does. A re-sent `Arrive` for the
+//! episode that session last arrived for, once it has released, means
+//! the `Release` was lost on the way: the re-ack arms the session's
+//! next releases to go out twice (the client half of the rule is in
+//! [`crate::client`]).
 //!
 //! # Crash recovery
 //!
@@ -85,7 +89,7 @@ use combar_rt::{SelfHealing, Supervisor, SupervisorConfig};
 use combar_trace::Kind;
 
 use crate::journal::{frame_entry, roster_hash, Journal, JournalRecord};
-use crate::proto::{Request, Response, SessionId};
+use crate::proto::{Request, Response, SessionId, REDUNDANT_EPISODES};
 use crate::recover::RecoveredState;
 use crate::transport::{recv_handoff, LoopbackTransport, Transport};
 
@@ -526,6 +530,9 @@ struct Sess {
     /// proxy (false). Only explicit arrivals tick `completed`, so the
     /// counter is an exactly-once oracle for retried arrivals.
     explicit: bool,
+    /// Releases still to be sent twice: set to [`REDUNDANT_EPISODES`]
+    /// when a re-sent arrival shows a `Release` went missing.
+    redundant: u32,
 }
 
 struct ShardState {
@@ -690,6 +697,7 @@ impl ShardState {
                         live: true,
                         arrived_for: Some(frame),
                         explicit: false,
+                        redundant: 0,
                     },
                 );
                 self.slot_owner.insert(slot, session);
@@ -755,7 +763,15 @@ impl ShardState {
         self.sup.beat(s.slot);
         if episode < frame {
             // The episode already released; the first ack was lost.
-            // Re-acking is the idempotent half of retry safety.
+            // Re-acking is the idempotent half of retry safety. An
+            // arrival this session already made for that episode, sent
+            // again, is the server's one sign that a `Release` went
+            // missing: double the session's next releases. (The catch-up
+            // arrival for a join epoch released by proxy is no such
+            // sign, and must not arm a clean wire.)
+            if s.arrived_for == Some(episode) && s.explicit {
+                s.redundant = REDUNDANT_EPISODES;
+            }
             self.router.respond(
                 conn,
                 Response::Release {
@@ -912,6 +928,7 @@ impl ShardState {
                 live: true,
                 arrived_for: None,
                 explicit: false,
+                redundant: 0,
             },
         );
         self.slot_owner.insert(slot, session);
@@ -994,7 +1011,8 @@ impl ShardState {
     /// seen its `Release` can never read a ledger that has not counted
     /// it yet, and no reader sees the credit before the frames are out.
     /// Every session gets the same frame, so it is encoded once and the
-    /// `outbox` is locked once for the whole fan-out.
+    /// `outbox` is locked once for the whole fan-out — a loss-armed
+    /// session just gets it twice.
     fn on_release(&mut self, ep: u64) {
         let frame = Response::Release {
             episode: ep,
@@ -1004,13 +1022,21 @@ impl ShardState {
         {
             let mut stats = self.shared.stats.lock().unwrap_or_else(|e| e.into_inner());
             let outbox = self.router.outbox();
-            for (&session, s) in &self.sessions {
+            for (&session, s) in &mut self.sessions {
                 if s.live && s.arrived_for == Some(ep) {
                     if s.explicit {
                         stats.entry(session).or_default().completed += 1;
                     }
+                    let copies = if s.redundant > 0 {
+                        s.redundant -= 1;
+                        2
+                    } else {
+                        1
+                    };
                     if let Some(sink) = outbox.get(&s.conn) {
-                        sink.send(frame.clone());
+                        for _ in 0..copies {
+                            sink.send(frame.clone());
+                        }
                     }
                     combar_trace::emit(ep as u32, session as u32, Kind::Release);
                 }
@@ -2118,6 +2144,188 @@ mod tests {
         }
         let ledger = st.shared.stats.lock().unwrap();
         assert!((0..16).all(|sid| ledger[&sid].completed == 1), "{ledger:?}");
+    }
+
+    /// Every frame waiting on a hand-rolled wire, oldest first.
+    fn drain_wire(w: &mut impl Transport) -> Vec<Vec<u8>> {
+        std::iter::from_fn(|| w.recv_timeout(Duration::ZERO).ok()).collect()
+    }
+
+    fn send_arrive_raw(w: &mut impl Transport, session: SessionId, episode: u64) {
+        let arrive = Request::Arrive {
+            session,
+            episode,
+            seq: 0,
+        };
+        w.send(&arrive.encode()).unwrap();
+    }
+
+    /// A client wire that logs `(session, outbound, episode)` for every
+    /// `Arrive` it sends and every `Release` it receives (`u64::MAX`
+    /// for the episode of any other frame).
+    struct Tally<T> {
+        inner: T,
+        session: SessionId,
+        log: Arc<Mutex<Vec<(SessionId, bool, u64)>>>,
+    }
+
+    impl<T: Transport> Transport for Tally<T> {
+        fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
+            let episode = match Request::decode(frame) {
+                Ok(Request::Arrive { episode, .. }) => episode,
+                _ => u64::MAX,
+            };
+            self.log.lock().unwrap().push((self.session, true, episode));
+            self.inner.send(frame)
+        }
+
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, NetError> {
+            let frame = self.inner.recv_timeout(timeout)?;
+            let episode = match Response::decode(&frame) {
+                Ok(Response::Release { episode, .. }) => episode,
+                _ => u64::MAX,
+            };
+            self.log
+                .lock()
+                .unwrap()
+                .push((self.session, false, episode));
+            Ok(frame)
+        }
+
+        fn flush_stale(&mut self) {
+            self.inner.flush_stale();
+        }
+    }
+
+    /// The clean wire is never armed: a thousand episodes of four real
+    /// clients put exactly one `Arrive` and one `Release` per session
+    /// per episode on the wire — `served_clean`'s sequence of
+    /// operations, including its join and catch-up, which re-acks a
+    /// join epoch released by proxy.
+    #[test]
+    fn a_clean_wire_sends_one_arrive_and_one_release_per_session_per_episode() {
+        const SESSIONS: u64 = 4;
+        const EPISODES: u64 = 1_000;
+        let (st, inbox) = hand_cranked(quick_cfg(1));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        // No attempt may time out on a loaded host and re-send.
+        let cfg = ClientConfig {
+            request_timeout: Duration::from_secs(5),
+            ..ClientConfig::default()
+        };
+        let mut clients: Vec<_> = (0..SESSIONS)
+            .map(|session| {
+                let wire = Tally {
+                    inner: st.router.connect(),
+                    session,
+                    log: Arc::clone(&log),
+                };
+                BarrierClient::new(wire, session, cfg)
+            })
+            .collect();
+        // Joining needs a shard that answers: run the loop on a helper
+        // thread until every client is in and they all stand at one
+        // episode, then take the shard back and crank it by hand.
+        let running = AtomicBool::new(true);
+        let (mut st, inbox) = std::thread::scope(|s| {
+            let running = &running;
+            let shard = s.spawn(move || {
+                let mut st = st;
+                while running.load(Ordering::Acquire) {
+                    assert!(st.turn(&inbox));
+                }
+                (st, inbox)
+            });
+            for c in &mut clients {
+                c.join().unwrap();
+            }
+            let front = clients.iter().map(|c| c.episode()).max().unwrap();
+            for c in &mut clients {
+                while c.episode() < front {
+                    c.arrive().unwrap();
+                }
+            }
+            running.store(false, Ordering::Release);
+            shard.join().unwrap()
+        });
+        let first = clients[0].episode();
+        let setup = log.lock().unwrap().len();
+        for episode in first..first + EPISODES {
+            for c in &mut clients {
+                c.send_arrive().unwrap();
+            }
+            assert!(st.turn(&inbox));
+            for c in &mut clients {
+                assert_eq!(c.poll_release(Duration::from_secs(1)), Ok(episode));
+            }
+        }
+        // What the catch-up left on a wire is an earlier episode's.
+        let mut measured: Vec<_> = log.lock().unwrap()[setup..]
+            .iter()
+            .copied()
+            .filter(|&(_, out, episode)| out || episode >= first)
+            .collect();
+        measured.sort_unstable();
+        let expected: Vec<_> = (0..SESSIONS)
+            .flat_map(|sid| [false, true].map(|out| (sid, out)))
+            .flat_map(|(sid, out)| (first..first + EPISODES).map(move |e| (sid, out, e)))
+            .collect();
+        assert_eq!(measured, expected);
+        assert!(clients.iter().all(|c| c.stats().retries == 0));
+    }
+
+    /// A re-sent arrival for a released episode is re-acked with one
+    /// frame and arms that session alone: its next `REDUNDANT_EPISODES`
+    /// releases go out as two frames, every other session's as one, each
+    /// fan-out still under one `outbox` lock. The armed session sends
+    /// both copies of each arrival, as an armed client does, and the
+    /// ledger credits every episode exactly once.
+    #[test]
+    fn a_reacked_arrive_doubles_that_sessions_next_releases() {
+        const SESSIONS: u64 = 3;
+        const ARMED: SessionId = 2;
+        let redundant = u64::from(REDUNDANT_EPISODES);
+        let (mut st, inbox) = hand_cranked(quick_cfg(1));
+        let mut wires: Vec<_> = (0..SESSIONS).map(|_| st.router.connect()).collect();
+        for (session, w) in (0..).zip(&mut wires) {
+            w.send(&Request::Hello { session, seq: 0 }.encode())
+                .unwrap();
+        }
+        assert!(st.turn(&inbox));
+        assert_eq!(st.frame, 1, "joined in one batch, epoch 0 by proxy");
+        let release = |episode| Response::Release { episode, inc: 0 }.encode();
+        for episode in 1..=redundant + 2 {
+            for (session, w) in (0..).zip(&mut wires) {
+                drain_wire(w);
+                send_arrive_raw(w, session, episode);
+                if session == ARMED && episode > 1 {
+                    send_arrive_raw(w, session, episode);
+                }
+            }
+            let locks = st.router.outbox_locks.load(Ordering::Relaxed);
+            assert!(st.turn(&inbox));
+            assert_eq!(st.router.outbox_locks.load(Ordering::Relaxed) - locks, 1);
+            assert_eq!(st.frame, episode + 1);
+            for (session, w) in (0..).zip(&mut wires) {
+                let doubled = session == ARMED && (2..2 + redundant).contains(&episode);
+                let copies = if doubled { 2 } else { 1 };
+                assert_eq!(
+                    drain_wire(w),
+                    vec![release(episode); copies],
+                    "session {session} episode {episode}"
+                );
+            }
+            if episode == 1 {
+                // The armed session's `Release{1}` is lost; it re-sends.
+                send_arrive_raw(&mut wires[ARMED as usize], ARMED, 1);
+                assert!(st.turn(&inbox));
+                assert_eq!(drain_wire(&mut wires[ARMED as usize]), vec![release(1)]);
+            }
+        }
+        let ledger = st.shared.stats.lock().unwrap();
+        for session in 0..SESSIONS {
+            assert_eq!(ledger[&session].completed, redundant + 2, "{ledger:?}");
+        }
     }
 
     #[test]
