@@ -40,7 +40,9 @@
 //!   journal   — write-ahead epoch journal (length-delimited, fenced)
 //!   transport — Transport trait; loopback + Unix-datagram endpoints
 //!   proto     — request/response frames, total binary codec
-//!   server    — sharded EpochServer, session & shard leases
+//!   server    — sharded EpochServer: the driver (threads, locks, clock,
+//!               journal, router), root release, shard leases
+//!   shard     — ShardCore: one shard's protocol as a pure step function
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,6 +55,7 @@ pub mod mux;
 pub mod proto;
 pub mod recover;
 pub mod server;
+mod shard;
 pub mod traffic;
 pub mod transport;
 

@@ -20,12 +20,26 @@
 //! aggregates up the tree (sessions → shard → root) and the release
 //! broadcasts back down, exactly the paper's arrival/release split.
 //!
+//! # Core and driver
+//!
+//! A shard is two halves. Its protocol — sessions, admissions, arrivals,
+//! tombstones, the release fan-out, its completeness report and the
+//! session leases — is `ShardCore` (`shard.rs`): a pure step function
+//! from one input (a request, a release notice or a tick) at a given
+//! `now` to one `Effects` value. This module is its driver: a shard
+//! thread reads the clock once per turn, steps the core once per message
+//! and once for housekeeping, and applies each step's effects to the
+//! routes, the ledger, the outboxes and the root, whose `try_release`
+//! wraps the CAS, journal append and broadcast around the pure
+//! `release_ready`. The shard-lease poller, the router and the UDS pumps
+//! are driver-only.
+//!
 //! # Liveness and degradation
 //!
 //! Two lease layers, both PR 4's [`Supervisor`]:
 //!
-//! * **Session leases** — each shard supervises its sessions; every
-//!   request beats the session's slot. A live session that neither
+//! * **Session leases** — each shard's core supervises its sessions;
+//!   every request beats the session's slot. A live session that neither
 //!   arrives nor heartbeats past its (exponentially widened) lease is
 //!   evicted: its in-flight arrival is delivered by proxy and the
 //!   membership folds without it, so an episode can never wedge on a
@@ -38,9 +52,10 @@
 //!   declared dead is folded out of the root view (episodes complete
 //!   without it — its reported flag stops counting, never the other
 //!   way), it observes the declaration and exits rather than serving on
-//!   as a zombie, its sessions are notified `Evicted` best-effort, and
-//!   their routing assignments are cleared so rejoins land on surviving
-//!   shards — graceful shard degradation rather than a wedged epoch.
+//!   as a zombie, the sessions live on it are notified `Evicted`
+//!   best-effort, and every routing assignment to it is cleared so
+//!   rejoins land on surviving shards — graceful shard degradation
+//!   rather than a wedged epoch.
 //!
 //! # Idempotency
 //!
@@ -78,19 +93,19 @@
 //! evicted) releases are paused, so the first resumer cannot race the
 //! epoch forward alone.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use combar_rt::{SelfHealing, Supervisor, SupervisorConfig};
+use combar_rt::{Supervisor, SupervisorConfig};
 use combar_trace::Kind;
 
 use crate::journal::{frame_entry, roster_hash, Journal, JournalRecord};
-use crate::proto::{Request, Response, SessionId, REDUNDANT_EPISODES};
+use crate::proto::{Request, Response, SessionId};
 use crate::recover::RecoveredState;
+use crate::shard::{release_ready, ConnId, Delta, Input, ShardCore};
 use crate::transport::{recv_handoff, LoopbackTransport, Transport};
 
 /// Tuning for [`EpochServer`].
@@ -183,16 +198,6 @@ pub struct SessionStats {
     pub rejoins: u64,
 }
 
-type ConnId = u64;
-
-/// Diagnostic logging to stderr, enabled by setting `COMBAR_NET_DEBUG`:
-/// evictions, frames stalled > 250 ms (with the sessions the shard is
-/// waiting on), and protocol-impossible ahead-of-frame arrivals.
-fn net_debug() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("COMBAR_NET_DEBUG").is_some())
-}
-
 enum OutSink {
     Chan(mpsc::Sender<Vec<u8>>),
     #[cfg(unix)]
@@ -233,6 +238,10 @@ enum ShardMsg {
 struct Assignment {
     shard: usize,
     conn: ConnId,
+    /// Whether the session is live on `shard`: admitted there, and
+    /// neither gone nor evicted since. A shard's death evicts exactly
+    /// these.
+    live: bool,
 }
 
 /// The journal-facing half of the ledger, mutated under one lock so
@@ -255,21 +264,9 @@ struct Shared {
     episode: AtomicU64,
     /// Per-shard "all my live sessions arrived" reports — the root state
     /// of the combining tree. Each holds the episode it is for, plus one
-    /// (0: none yet). Keyed by shard (not a bare counter) so a report
-    /// keeps its identity: `try_release` only counts a report paired
-    /// with a *live* shard, which retracts a dead shard's stale report
-    /// implicitly. A counter could not do that — a shard that reported
-    /// and then died would keep satisfying `done >= live` against the
-    /// post-death live count while a surviving shard still owed its own
-    /// report, releasing the episode early. And stamped with its episode
-    /// (not a bare flag) so that it expires with the winning CAS itself:
-    /// flags cleared *after* the CAS left a window in which a second
-    /// caller read the released episode's flags as the next one's, won
-    /// the bumped CAS too and released an episode nobody had arrived
-    /// for — which every client then crossed on a re-ack, uncredited.
+    /// (0: none yet); `release_ready` says why a report is keyed by shard
+    /// and stamped with its episode.
     shard_reported: Vec<AtomicU64>,
-    /// Live (not declared dead) shard count.
-    live_shards: AtomicU64,
     shard_alive: Vec<AtomicBool>,
     /// Live session count per shard (owner-written, root-read).
     live_sessions: Vec<AtomicU64>,
@@ -293,9 +290,12 @@ struct Shared {
     slots: Vec<Mutex<Vec<(SessionId, u64)>>>,
     /// Sessions the journal says were live but that have not yet proven
     /// themselves to this incarnation with `Resume` (or a fresh
-    /// `Hello`). While non-empty (inside the recovery grace) releases
-    /// are paused.
+    /// `Hello`).
     recovered: Mutex<BTreeSet<SessionId>>,
+    /// Whether `recovered` still holds anyone — cleared when the last
+    /// one proves itself or the grace purges the rest. Releases are
+    /// paused while it is set.
+    recovering: AtomicBool,
     /// When the recovery grace lapses and outstanding recovered
     /// sessions are purged as evicted.
     recovery_deadline: Option<Instant>,
@@ -363,24 +363,14 @@ impl Shared {
         }
     }
 
-    /// Whether a recovered-but-unresumed session set is still pausing
-    /// releases (inside the recovery grace).
-    fn recovery_pending(&self) -> bool {
-        match self.recovery_deadline {
-            None => false,
-            Some(deadline) => {
-                if self
-                    .recovered
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .is_empty()
-                {
-                    false
-                } else {
-                    Instant::now() < deadline
-                }
-            }
-        }
+    /// Whether the recovery still awaits `session`'s `Resume`.
+    fn awaiting_resume(&self, session: SessionId) -> bool {
+        self.recovering.load(Ordering::Acquire)
+            && self
+                .recovered
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .contains(&session)
     }
 }
 
@@ -451,7 +441,12 @@ impl Router {
                     let Some(s) = self.pick_shard(session) else {
                         return;
                     };
-                    assign.insert(session, Assignment { shard: s, conn });
+                    let assignment = Assignment {
+                        shard: s,
+                        conn,
+                        live: false, // until the shard admits it
+                    };
+                    assign.insert(session, assignment);
                     s
                 }
             }
@@ -466,12 +461,6 @@ impl Router {
         #[cfg(test)]
         self.outbox_locks.fetch_add(1, Ordering::Relaxed);
         self.outbox.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn respond(&self, conn: ConnId, resp: Response) {
-        if let Some(sink) = self.outbox().get(&conn) {
-            sink.send(resp.encode());
-        }
     }
 
     /// Registers a loopback connection: frames the client sends are
@@ -492,69 +481,22 @@ impl Router {
     }
 }
 
-/// Adapter exposing a shard's lease view to [`Supervisor::poll`]:
-/// stragglers are the live, not-yet-arrived session slots, and `fail`
-/// collects declarations for the shard thread to apply (the supervisor
-/// API is `&self`, the shard state is `&mut`).
-struct LeaseView {
-    capacity: u32,
-    stragglers: Vec<u32>,
-    declared: RefCell<Vec<u32>>,
-}
+/// Most messages one wake of a shard handles before it runs its
+/// housekeeping again: a flood of traffic may delay a lease poll or the
+/// shard's own heartbeat by one batch, never starve it.
+const BATCH: usize = 64;
 
-impl SelfHealing for LeaseView {
-    fn threads(&self) -> u32 {
-        self.capacity
-    }
-    fn stragglers(&self) -> Vec<u32> {
-        self.stragglers.clone()
-    }
-    fn fail(&self, tid: u32) -> bool {
-        self.declared.borrow_mut().push(tid);
-        true
-    }
-    fn is_poisoned(&self) -> bool {
-        false
-    }
-}
-
-struct Sess {
-    conn: ConnId,
-    slot: u32,
-    /// Counted in the shard's live membership. A tombstone
-    /// (`live == false`) answers late requests with `Evicted`.
-    live: bool,
-    /// The last frame this session arrived for (possibly by proxy).
-    arrived_for: Option<u64>,
-    /// Whether `arrived_for` was a real `Arrive` (true) or a join-side
-    /// proxy (false). Only explicit arrivals tick `completed`, so the
-    /// counter is an exactly-once oracle for retried arrivals.
-    explicit: bool,
-    /// Releases still to be sent twice: set to [`REDUNDANT_EPISODES`]
-    /// when a re-sent arrival shows a `Release` went missing.
-    redundant: u32,
-}
-
-struct ShardState {
+/// One shard thread: a [`ShardCore`] and everything the core may not
+/// touch — the inbox, the clock, the root, the router's outboxes and
+/// the journal's ledger.
+struct ShardDriver {
     idx: usize,
+    core: ShardCore,
     shared: Arc<Shared>,
     router: Arc<Router>,
     cfg: ServerConfig,
-    sessions: HashMap<SessionId, Sess>,
-    slot_owner: HashMap<u32, SessionId>,
-    free_slots: Vec<u32>,
-    next_slot: u32,
-    /// The episode this shard's bookkeeping is for. Trails the global
-    /// episode until the `Release` control message is processed, so all
-    /// local accounting stays frame-consistent.
-    frame: u64,
-    live: u64,
-    arrived: u64,
-    reported: bool,
-    sup: Supervisor,
-    last_lease_poll: Instant,
-    frame_since: Instant,
-    stall_logged: bool,
+    /// The clock, read once per turn, after its wait.
+    now: Instant,
     /// Last standby-heartbeat send (lowest live shard only).
     last_repl_beat: Instant,
     /// Whether the last inbox wait ended with a message: the spin-or-park
@@ -562,636 +504,133 @@ struct ShardState {
     inbox_hot: bool,
 }
 
-impl ShardState {
+impl ShardDriver {
     fn new(idx: usize, shared: Arc<Shared>, router: Arc<Router>, cfg: ServerConfig) -> Self {
-        let sup = Supervisor::with_config(cfg.session_capacity, cfg.lease);
-        // A resumed server starts past epoch 0: every shard's frame
-        // must open at the recovered global episode, or resuming
-        // clients would look "ahead" of the shard and be told Diverged.
+        let now = Instant::now();
         let frame = shared.episode.load(Ordering::Acquire);
+        let inc = shared.incarnation;
+        let core = ShardCore::new(idx, &cfg, inc, frame, shared.recovery_deadline, now);
         Self {
             idx,
+            core,
             shared,
             router,
             cfg,
-            sessions: HashMap::new(),
-            slot_owner: HashMap::new(),
-            free_slots: Vec::new(),
-            next_slot: 0,
-            frame,
-            live: 0,
-            arrived: 0,
-            reported: false,
-            sup,
-            last_lease_poll: Instant::now(),
-            frame_since: Instant::now(),
-            stall_logged: false,
-            last_repl_beat: Instant::now(),
+            now,
+            last_repl_beat: now,
             inbox_hot: false,
         }
     }
 
-    fn publish_live(&self) {
-        self.shared.live_sessions[self.idx].store(self.live, Ordering::Release);
-    }
-
-    fn alloc_slot(&mut self) -> Option<u32> {
-        if let Some(s) = self.free_slots.pop() {
-            return Some(s);
-        }
-        if self.next_slot < self.cfg.session_capacity {
-            let s = self.next_slot;
-            self.next_slot += 1;
-            return Some(s);
-        }
-        None
-    }
-
-    /// Answers an unknown-session request: a journaled session the
-    /// recovery replay knows about must prove its coordinate with
-    /// `Resume` before anything else is honoured; everyone else gets
-    /// the usual `Evicted` (rejoin via `Hello`).
-    fn challenge_unknown(&self, session: SessionId, conn: ConnId) {
-        let frame = self.frame;
-        let awaiting_resume = self
-            .shared
-            .recovered
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains(&session);
-        let resp = if awaiting_resume {
-            Response::ResumeRequired {
-                session,
-                episode: frame,
-                inc: self.shared.incarnation,
-            }
-        } else {
-            Response::Evicted {
-                session,
-                episode: frame,
-                inc: self.shared.incarnation,
-            }
-        };
-        self.router.respond(conn, resp);
-    }
-
-    fn handle(&mut self, conn: ConnId, req: Request) {
-        match req {
-            Request::Hello { session, .. } => self.on_hello(session, conn),
-            Request::Arrive {
-                session, episode, ..
-            } => self.on_arrive(session, conn, episode),
-            Request::Heartbeat { session, .. } => match self.sessions.get_mut(&session) {
-                Some(s) if s.live => {
-                    s.conn = conn;
-                    self.sup.beat(s.slot);
-                }
-                _ => self.challenge_unknown(session, conn),
-            },
-            Request::Leave { session, .. } => self.on_leave(session),
-            Request::Resume {
-                session,
-                next_episode,
-                ..
-            } => self.on_resume(session, conn, next_episode),
-        }
-    }
-
-    /// Admission, re-admission after eviction, and `Hello`-retry re-ack
-    /// all land here. A *new* session joins *arrived* for the in-flight
-    /// frame (the join-side proxy arrival), so admission can never
-    /// wedge the episode it lands in; its first real `Arrive` for this
-    /// frame deduplicates. A `Hello` for an already-live session (a
-    /// retry whose first copy landed, or a wire duplicate delivered
-    /// frames later) only re-routes and re-acks: registering a proxy
-    /// arrival here would let a stray duplicate complete an episode on
-    /// the session's behalf and silently skip its `completed` tick.
-    fn on_hello(&mut self, session: SessionId, conn: ConnId) {
-        let frame = self.frame;
-        match self.sessions.get_mut(&session) {
-            Some(s) if s.live => {
-                s.conn = conn;
-                self.sup.beat(s.slot);
-            }
-            other => {
-                let rejoining = other.is_some();
-                let Some(slot) = self.alloc_slot() else {
-                    // At capacity. Assignments are sticky while a shard
-                    // lives, so leaving one pointing here would pin
-                    // every retry to this full shard until join()
-                    // burned its attempts; clear it so the retry's
-                    // route() re-probes and lands on a shard with
-                    // headroom (pick_shard skips full shards via the
-                    // published live-session counts).
-                    let mut assign = self.router.assign.lock().unwrap_or_else(|e| e.into_inner());
-                    if assign.get(&session).is_some_and(|a| a.shard == self.idx) {
-                        assign.remove(&session);
-                    }
-                    return;
-                };
-                self.sessions.insert(
-                    session,
-                    Sess {
-                        conn,
-                        slot,
-                        live: true,
-                        arrived_for: Some(frame),
-                        explicit: false,
-                        redundant: 0,
-                    },
-                );
-                self.slot_owner.insert(slot, session);
-                self.sup.beat(slot);
-                self.live += 1;
-                self.arrived += 1;
-                self.publish_live();
-                // A recovered session greeting us with a fresh `Hello`
-                // (rather than `Resume`) chose the rejoin path; either
-                // way it has now proven itself to this incarnation.
-                self.shared
-                    .recovered
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(&session);
-                // A local tombstone proves a rejoin; a session unknown
-                // here may still be rejoining cross-shard (its home
-                // shard died and routing moved it) — the global stats
-                // ledger records the eviction either way.
-                let counted_rejoin = {
-                    let mut stats = self.shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-                    let entry = stats.entry(session).or_default();
-                    if rejoining || entry.evictions > entry.rejoins {
-                        entry.rejoins += 1;
-                        combar_trace::emit(frame as u32, session as u32, Kind::Rejoin);
-                        true
-                    } else {
-                        false
-                    }
-                };
-                self.shared.ledger_join(session, frame, counted_rejoin);
-            }
-        }
-        self.router.respond(
-            conn,
-            Response::Welcome {
-                session,
-                episode: frame,
-                inc: self.shared.incarnation,
-            },
-        );
-        self.check_complete();
-    }
-
-    fn on_arrive(&mut self, session: SessionId, conn: ConnId, episode: u64) {
-        let frame = self.frame;
-        let Some(s) = self.sessions.get_mut(&session) else {
-            self.challenge_unknown(session, conn);
-            return;
-        };
-        if !s.live {
-            self.router.respond(
-                conn,
-                Response::Evicted {
-                    session,
-                    episode: frame,
-                    inc: self.shared.incarnation,
-                },
-            );
-            return;
-        }
-        s.conn = conn;
-        self.sup.beat(s.slot);
-        if episode < frame {
-            // The episode already released; the first ack was lost.
-            // Re-acking is the idempotent half of retry safety. An
-            // arrival this session already made for that episode, sent
-            // again, is the server's one sign that a `Release` went
-            // missing: double the session's next releases. (The catch-up
-            // arrival for a join epoch released by proxy is no such
-            // sign, and must not arm a clean wire.)
-            if s.arrived_for == Some(episode) && s.explicit {
-                s.redundant = REDUNDANT_EPISODES;
-            }
-            self.router.respond(
-                conn,
-                Response::Release {
-                    episode,
-                    inc: self.shared.incarnation,
-                },
-            );
-            return;
-        }
-        if episode > frame {
-            if net_debug() {
-                eprintln!(
-                    "[ahead] shard {} session {session} e {episode} frame {frame}",
-                    self.idx
-                );
-            }
-            return; // can't happen with honest clients; drop defensively
-        }
-        if s.arrived_for != Some(frame) {
-            s.arrived_for = Some(frame);
-            s.explicit = true;
-            self.arrived += 1;
-            combar_trace::emit(frame as u32, session as u32, Kind::Arrive);
-            self.check_complete();
-        } else if !s.explicit {
-            // The real arrival caught up with its join-side proxy:
-            // upgrade so this episode counts.
-            s.explicit = true;
-            combar_trace::emit(frame as u32, session as u32, Kind::Arrive);
-            if self.reported && self.shared.journal.is_some() {
-                // The shard already filed its completer slot for this
-                // frame; file the late upgrade too so the journal's
-                // episode record credits it. (If the winner has drained
-                // the slot already, the entry rides to the next epoch's
-                // record — cumulative counters make that merge safe.)
-                let done = {
-                    let stats = self.shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-                    stats.get(&session).map_or(0, |e| e.completed) + 1
-                };
-                self.shared.slots[self.idx]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push((session, done));
-            }
-        }
-        // else: duplicate arrival — counted exactly once, nothing to do.
-    }
-
-    /// Orderly departure folds immediately: the shard thread *is* the
-    /// quiescent window (no arrival can interleave), so removing the
-    /// session now is indistinguishable from a boundary fold.
-    fn on_leave(&mut self, session: SessionId) {
-        let frame = self.frame;
-        if let Some(s) = self.sessions.remove(&session) {
-            if s.live {
-                self.live -= 1;
-                if s.arrived_for == Some(frame) {
-                    self.arrived -= 1;
-                }
-                self.slot_owner.remove(&s.slot);
-                self.free_slots.push(s.slot);
-                self.publish_live();
-                self.shared.ledger_remove(session, frame, true);
-                self.check_complete();
-            }
-        }
-    }
-
-    /// The recovery handshake. A session the journal replay vouches for
-    /// proves its next-expected episode:
-    ///
-    /// * `next == frame` — exact match: re-admit at the in-flight
-    ///   frame, un-arrived (its real `Arrive` follows), and ack
-    ///   `Resumed`. No `Join` delta — the session never left the
-    ///   journaled roster.
-    /// * `next < frame` — the client missed releases (e.g. an epoch
-    ///   journaled but never broadcast): re-ack `Release{next}` so it
-    ///   catches up, and keep the challenge open for its next request.
-    /// * `next > frame` — the client has observed epochs the journal
-    ///   does not record: a journal suffix was lost. Explicit
-    ///   `Diverged`, never silent epoch skew.
-    fn on_resume(&mut self, session: SessionId, conn: ConnId, next: u64) {
-        let frame = self.frame;
-        let inc = self.shared.incarnation;
-        if let Some(s) = self.sessions.get_mut(&session) {
-            if s.live {
-                // Duplicate Resume (the first ack was lost): re-ack.
-                s.conn = conn;
-                self.sup.beat(s.slot);
-                let resp = if next < frame {
-                    Response::Release { episode: next, inc }
-                } else {
-                    Response::Resumed {
-                        session,
-                        episode: frame,
-                        inc,
-                    }
-                };
-                self.router.respond(conn, resp);
-                return;
-            }
-        }
-        let awaiting = self
-            .shared
-            .recovered
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains(&session);
-        if !awaiting {
-            // Nothing vouches for this session here; the rejoin path
-            // (fresh `Hello`) is the only way in.
-            self.router.respond(
-                conn,
-                Response::Evicted {
-                    session,
-                    episode: frame,
-                    inc,
-                },
-            );
-            return;
-        }
-        if next > frame {
-            self.router.respond(
-                conn,
-                Response::Diverged {
-                    session,
-                    expected: frame,
-                    inc,
-                },
-            );
-            return;
-        }
-        if next < frame {
-            self.router
-                .respond(conn, Response::Release { episode: next, inc });
-            return;
-        }
-        // Exact coordinate: re-admit. Mirrors the `on_hello` admission
-        // except the session joins *un-arrived* (no proxy credit: its
-        // real `Arrive` for this frame is en route) and no rejoin is
-        // counted — the session never failed, the server did.
-        let Some(slot) = self.alloc_slot() else {
-            let mut assign = self.router.assign.lock().unwrap_or_else(|e| e.into_inner());
-            if assign.get(&session).is_some_and(|a| a.shard == self.idx) {
-                assign.remove(&session);
-            }
-            return;
-        };
-        self.sessions.insert(
-            session,
-            Sess {
-                conn,
-                slot,
-                live: true,
-                arrived_for: None,
-                explicit: false,
-                redundant: 0,
-            },
-        );
-        self.slot_owner.insert(slot, session);
-        self.sup.beat(slot);
-        self.live += 1;
-        self.publish_live();
-        self.shared
-            .recovered
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&session);
-        // ledger_join is a roster no-op here (still journaled live) but
-        // covers the corner where the session was purged a beat ago.
-        self.shared.ledger_join(session, frame, false);
-        self.router.respond(
-            conn,
-            Response::Resumed {
-                session,
-                episode: frame,
-                inc,
-            },
-        );
-        self.check_complete();
-    }
-
-    /// Declares a session dead: proxy its in-flight arrival (so the
-    /// frame completes), fold it out of the live membership, and tell
-    /// the client. Mirrors PR 4's evict-then-detach, collapsed into one
-    /// step because the shard thread serializes both halves.
-    fn evict(&mut self, session: SessionId) {
-        let frame = self.frame;
-        let Some(s) = self.sessions.get_mut(&session) else {
-            return;
-        };
-        if !s.live {
-            return;
-        }
-        if s.arrived_for == Some(frame) {
-            self.arrived -= 1;
-        } else {
-            combar_trace::emit(
-                frame as u32,
-                session as u32,
-                Kind::ProxyArrival(self.idx as u32),
-            );
-        }
-        s.live = false;
-        s.arrived_for = None;
-        self.live -= 1;
-        let slot = s.slot;
-        let conn = s.conn;
-        self.slot_owner.remove(&slot);
-        self.free_slots.push(slot);
-        self.publish_live();
-        {
-            let mut stats = self.shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-            stats.entry(session).or_default().evictions += 1;
-        }
-        if net_debug() {
-            eprintln!("[evict] shard {} session {session} frame {frame}", self.idx);
-        }
-        combar_trace::emit(frame as u32, session as u32, Kind::Evict(session as u32));
-        self.shared.ledger_remove(session, frame, false);
-        self.router.respond(
-            conn,
-            Response::Evicted {
-                session,
-                episode: frame,
-                inc: self.shared.incarnation,
-            },
-        );
-        self.check_complete();
-    }
-
-    /// Fan a completed episode out to this shard's arrived sessions and
-    /// open the next frame.
-    ///
-    /// Credit, then release, both under the one `stats` guard that
-    /// [`EpochServer::session_stats`] reads through: a client that has
+    /// Steps the core with one input at this turn's `now`, then applies
+    /// what the step did, in order: routing and the live count; the
+    /// recovery; the ledger and the frames under one `stats` guard and
+    /// one `outbox` lock — credit, then release, so a client that has
     /// seen its `Release` can never read a ledger that has not counted
-    /// it yet, and no reader sees the credit before the frames are out.
-    /// Every session gets the same frame, so it is encoded once and the
-    /// `outbox` is locked once for the whole fan-out — a loss-armed
-    /// session just gets it twice.
-    fn on_release(&mut self, ep: u64) {
-        let frame = Response::Release {
-            episode: ep,
-            inc: self.shared.incarnation,
+    /// it (a step without frames takes no `outbox` lock, one without
+    /// ledger effects no `stats` guard); then the report, filed with its
+    /// completers, and the root's release check.
+    fn step(&mut self, input: Input) {
+        let fx = self.core.step(self.now, input);
+        let (shared, router, idx, frame) =
+            (&*self.shared, &*self.router, self.idx, self.core.frame);
+        if !(fx.roster.is_empty() && fx.unroute.is_empty()) {
+            let mut assign = router.assign.lock().unwrap_or_else(|e| e.into_inner());
+            for &(session, delta) in &fx.roster {
+                if let Some(a) = assign.get_mut(&session).filter(|a| a.shard == idx) {
+                    a.live = delta.admits();
+                }
+            }
+            for session in &fx.unroute {
+                if assign.get(session).is_some_and(|a| a.shard == idx) {
+                    assign.remove(session);
+                }
+            }
+            drop(assign);
+            shared.live_sessions[idx].store(self.core.live, Ordering::Release);
         }
-        .encode();
-        {
-            let mut stats = self.shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-            let outbox = self.router.outbox();
-            for (&session, s) in &mut self.sessions {
-                if s.live && s.arrived_for == Some(ep) {
-                    if s.explicit {
-                        stats.entry(session).or_default().completed += 1;
-                    }
-                    let copies = if s.redundant > 0 {
-                        s.redundant -= 1;
-                        2
-                    } else {
-                        1
-                    };
-                    if let Some(sink) = outbox.get(&s.conn) {
-                        for _ in 0..copies {
-                            sink.send(frame.clone());
+        // Admissions prove their sessions to the recovery (a recovered
+        // session greeting us with a fresh `Hello` rather than `Resume`
+        // chose the rejoin path; either way it has proven itself to this
+        // incarnation), and a lapsed grace purges the laggards.
+        let mut laggards = BTreeSet::new();
+        let recovery = fx.purge || fx.roster.iter().any(|d| d.1.admits());
+        if recovery && shared.recovering.load(Ordering::Acquire) {
+            let mut rec = shared.recovered.lock().unwrap_or_else(|e| e.into_inner());
+            rec.retain(|s| !fx.roster.iter().any(|d| d.0 == *s && d.1.admits()));
+            if fx.purge {
+                laggards = std::mem::take(&mut *rec);
+            }
+            if rec.is_empty() {
+                shared.recovering.store(false, Ordering::Release);
+            }
+        }
+        let files = shared.journal.is_some() && !fx.completers.is_empty();
+        let settles = files || !(fx.roster.is_empty() && fx.credits.is_empty());
+        let stats = (settles || !laggards.is_empty()).then(|| {
+            let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
+            for session in laggards {
+                stats.entry(session).or_default().evictions += 1;
+                shared.ledger_remove(session, frame, false);
+            }
+            for &(session, delta) in &fx.roster {
+                let entry = stats.entry(session).or_default();
+                match delta {
+                    // A local tombstone proves a rejoin; a session unknown
+                    // here may still be rejoining cross-shard (its home
+                    // shard died and routing moved it) — the global stats
+                    // ledger records the eviction either way.
+                    Delta::Hello(tombstone) => {
+                        let rejoin = tombstone || entry.evictions > entry.rejoins;
+                        if rejoin {
+                            entry.rejoins += 1;
+                            combar_trace::emit(frame as u32, session as u32, Kind::Rejoin);
                         }
+                        shared.ledger_join(session, frame, rejoin);
                     }
-                    combar_trace::emit(ep as u32, session as u32, Kind::Release);
+                    // A roster no-op (still journaled live) but covers
+                    // the corner where the session was purged a beat ago.
+                    Delta::Resume => shared.ledger_join(session, frame, false),
+                    Delta::Leave => shared.ledger_remove(session, frame, true),
+                    Delta::Evict => {
+                        entry.evictions += 1;
+                        shared.ledger_remove(session, frame, false);
+                    }
+                }
+            }
+            for &session in &fx.credits {
+                stats.entry(session).or_default().completed += 1;
+            }
+            if files {
+                let done = |sid| stats.get(&sid).map_or(0, |e| e.completed) + 1;
+                let filed = fx.completers.iter().map(|&sid| (sid, done(sid)));
+                let mut slot = shared.slots[idx].lock().unwrap_or_else(|e| e.into_inner());
+                slot.extend(filed);
+            }
+            stats
+        });
+        if !(fx.frames.is_empty() && fx.fanout.is_empty()) {
+            let outbox = router.outbox();
+            for (conn, resp) in &fx.frames {
+                if let Some(sink) = outbox.get(conn) {
+                    sink.send(resp.encode());
+                }
+            }
+            if let Some(episode) = fx.release {
+                let inc = shared.incarnation;
+                let frame = Response::Release { episode, inc }.encode();
+                for &(conn, copies) in &fx.fanout {
+                    if let Some(sink) = outbox.get(&conn) {
+                        (0..copies).for_each(|_| sink.send(frame.clone()));
+                    }
                 }
             }
         }
-        self.frame = ep + 1;
-        self.reported = false;
-        self.frame_since = Instant::now();
-        self.stall_logged = false;
-        // Admissions processed after the global bump but before this
-        // control message may already sit in the new frame; recount
-        // rather than zero.
-        self.arrived = self
-            .sessions
-            .values()
-            .filter(|s| s.live && s.arrived_for == Some(self.frame))
-            .count() as u64;
-        self.check_complete();
-    }
-
-    /// The upward half of the aggregation tree: report this shard
-    /// complete (at most once per frame), then try to release globally.
-    /// When journaling, the report also files the shard's completer
-    /// slot — who explicitly arrived, with their cumulative counters —
-    /// for the winner to drain into the episode record.
-    fn check_complete(&mut self) {
-        // An empty shard reports immediately so it never blocks a
-        // release — EXCEPT while recovered sessions are still resuming:
-        // any of them may resume *into this shard*, and an early
-        // `live == 0` flip would stand as a stale report after they do,
-        // releasing the post-recovery epoch before they ever arrive.
-        let empty_ok = self.live == 0
-            && (self.shared.journal.is_none()
-                || self
-                    .shared
-                    .recovered
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .is_empty());
-        if !self.reported && (empty_ok || (self.live > 0 && self.arrived >= self.live)) {
-            self.reported = true;
-            if self.shared.journal.is_some() {
-                let completers: Vec<(SessionId, u64)> = {
-                    let stats = self.shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-                    self.sessions
-                        .iter()
-                        .filter(|(_, s)| s.live && s.arrived_for == Some(self.frame) && s.explicit)
-                        .map(|(&sid, _)| (sid, stats.get(&sid).map_or(0, |e| e.completed) + 1))
-                        .collect()
-                };
-                if !completers.is_empty() {
-                    self.shared.slots[self.idx]
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .extend(completers);
-                }
-            }
-            self.shared.shard_reported[self.idx].store(self.frame + 1, Ordering::Release);
+        drop(stats);
+        if let Some(frame) = fx.report {
+            shared.shard_reported[idx].store(frame + 1, Ordering::Release);
         }
-        try_release(&self.shared, &self.router);
-    }
-
-    /// Recovery/replication housekeeping, run by the lowest live shard
-    /// each tick: beacon a heartbeat to any attached standby (so it can
-    /// tell an idle primary from a dead one), and — once the recovery
-    /// grace lapses — purge journaled sessions that never resumed,
-    /// folding them out as evicted so the paused releases can flow.
-    fn recovery_duty(&mut self) {
-        if self.shared.journal.is_none() {
-            return;
-        }
-        let lowest = (0..self.shared.shard_alive.len())
-            .find(|&s| self.shared.shard_alive[s].load(Ordering::Acquire));
-        if lowest != Some(self.idx) {
-            return;
-        }
-        if self.last_repl_beat.elapsed() >= self.cfg.tick {
-            self.last_repl_beat = Instant::now();
-            let mut repl = self.shared.repl.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(t) = repl.as_mut() {
-                let _ = t.send(&frame_entry(&JournalRecord::Heartbeat {
-                    inc: self.shared.incarnation,
-                }));
-            }
-        }
-        if let Some(deadline) = self.shared.recovery_deadline {
-            if Instant::now() >= deadline {
-                let stragglers: Vec<SessionId> = {
-                    let mut rec = self
-                        .shared
-                        .recovered
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner());
-                    std::mem::take(&mut *rec).into_iter().collect()
-                };
-                if !stragglers.is_empty() {
-                    let epoch = self.shared.episode.load(Ordering::Acquire);
-                    let mut stats = self.shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-                    for &sid in &stragglers {
-                        stats.entry(sid).or_default().evictions += 1;
-                    }
-                    drop(stats);
-                    for sid in stragglers {
-                        self.shared.ledger_remove(sid, epoch, false);
-                    }
-                    self.check_complete();
-                }
-            }
-        }
-    }
-
-    /// Session-lease pass, at most once per tick.
-    fn poll_leases(&mut self) {
-        if self.last_lease_poll.elapsed() < self.cfg.tick {
-            return;
-        }
-        self.last_lease_poll = Instant::now();
-        let frame = self.frame;
-        if !self.stall_logged
-            && self.frame_since.elapsed() > Duration::from_millis(250)
-            && net_debug()
-        {
-            self.stall_logged = true;
-            let waiting: Vec<SessionId> = self
-                .sessions
-                .iter()
-                .filter(|(_, s)| s.live && s.arrived_for != Some(frame))
-                .map(|(&sid, _)| sid)
-                .collect();
-            eprintln!(
-                "[stall] shard {} frame {frame} live {} arrived {} reported {} waiting_on {waiting:?}",
-                self.idx, self.live, self.arrived, self.reported
-            );
-        }
-        let stragglers: Vec<u32> = self
-            .sessions
-            .values()
-            .filter(|s| s.live && s.arrived_for != Some(frame))
-            .map(|s| s.slot)
-            .collect();
-        if stragglers.is_empty() {
-            return;
-        }
-        let view = LeaseView {
-            capacity: self.cfg.session_capacity,
-            stragglers,
-            declared: RefCell::new(Vec::new()),
-        };
-        self.sup.poll(&view);
-        let declared = view.declared.into_inner();
-        for slot in declared {
-            if let Some(&session) = self.slot_owner.get(&slot) {
-                self.evict(session);
-            }
-        }
+        try_release(shared, router);
     }
 
     /// Root-lease pass. Each target is polled by exactly one shard —
@@ -1202,29 +641,105 @@ impl ShardState {
     /// peer, and the second-lowest polls the lowest — so the poller's
     /// own death is detected too, instead of silently ending all
     /// detection.
-    fn poll_shards(&mut self) {
+    fn poll_shards(&self) {
         let alive: Vec<usize> = (0..self.shared.shard_alive.len())
             .filter(|&s| self.shared.shard_alive[s].load(Ordering::Acquire))
             .collect();
-        let stragglers: Vec<u32> = alive
+        let targets: Vec<u32> = alive
             .iter()
             .filter(|&&target| {
                 target != self.idx && alive.iter().find(|&&s| s != target) == Some(&self.idx)
             })
             .map(|&s| s as u32)
             .collect();
-        if stragglers.is_empty() {
-            return;
-        }
-        let view = LeaseView {
-            capacity: self.shared.shard_alive.len() as u32,
-            stragglers,
-            declared: RefCell::new(Vec::new()),
-        };
-        self.shared.shard_super.poll(&view);
-        for shard in view.declared.into_inner() {
+        for shard in self.shared.shard_super.lease_pass(self.now, &targets) {
             declare_shard_dead(&self.shared, &self.router, shard as usize);
         }
+    }
+
+    /// The lowest live shard beacons a heartbeat to any attached
+    /// standby each tick, so it can tell an idle primary from a dead
+    /// one.
+    fn beacon(&mut self) {
+        let lowest = (0..self.shared.shard_alive.len())
+            .find(|&s| self.shared.shard_alive[s].load(Ordering::Acquire));
+        if self.shared.journal.is_none()
+            || lowest != Some(self.idx)
+            || self.now.saturating_duration_since(self.last_repl_beat) < self.cfg.tick
+        {
+            return;
+        }
+        self.last_repl_beat = self.now;
+        let mut repl = self.shared.repl.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(t) = repl.as_mut() {
+            let inc = self.shared.incarnation;
+            let _ = t.send(&frame_entry(&JournalRecord::Heartbeat { inc }));
+        }
+    }
+
+    /// A shard the root lease declared dead must stop serving even
+    /// when the declaration was a false positive (a stalled-but-alive
+    /// thread): its sessions were evicted and rerouted the moment it
+    /// was declared, so anything it did from here — reporting its stale
+    /// frame complete, answering sessions that rejoined elsewhere —
+    /// would be a zombie copy of state that now lives on the surviving
+    /// shards. A halted server is a "crashed" host: same silence.
+    fn must_stop(&self) -> bool {
+        !self.shared.shard_alive[self.idx].load(Ordering::Acquire)
+            || self.shared.halted.load(Ordering::Acquire)
+    }
+
+    /// Steps `msgs` in order, looking at the stop flags before each
+    /// one, so a death declaration or a scripted crash that lands in
+    /// mid-batch leaves every later message unhandled. `false` once the
+    /// shard must exit: flagged, `Stall` (simulated crash: no cleanup)
+    /// or `Shutdown`.
+    fn drain(&mut self, msgs: impl Iterator<Item = ShardMsg>) -> bool {
+        for msg in msgs {
+            if self.must_stop() {
+                return false;
+            }
+            let input = match msg {
+                ShardMsg::Net(conn, req) => {
+                    let awaiting = self.shared.awaiting_resume(req.session());
+                    Input::Request(conn, req, awaiting)
+                }
+                ShardMsg::Release(ep) => Input::Release(ep),
+                ShardMsg::Stall | ShardMsg::Shutdown => return false,
+            };
+            self.step(input);
+        }
+        true
+    }
+
+    /// One wake of the shard loop: wait at most a tick for traffic
+    /// (through the same spin-then-park hand-off as a client, see
+    /// [`crate::transport`]), read the clock, drain at most [`BATCH`]
+    /// queued messages, then run the housekeeping once for the batch and
+    /// not once per message — the lease passes rate-limit themselves per
+    /// tick anyway, and the shard's own beat only has to outrun a grace
+    /// that is floored at `min_grace`. `false` once the shard must exit.
+    fn turn(&mut self, inbox: &mpsc::Receiver<ShardMsg>) -> bool {
+        if self.must_stop() {
+            return false;
+        }
+        let first = match recv_handoff(inbox, self.cfg.tick, &mut self.inbox_hot) {
+            Ok(msg) => Some(msg),
+            Err(mpsc::RecvTimeoutError::Timeout) => None,
+            Err(mpsc::RecvTimeoutError::Disconnected) => return false,
+        };
+        self.now = Instant::now();
+        self.shared.shard_super.beat_at(self.idx as u32, self.now);
+        let queued = std::iter::from_fn(|| inbox.try_recv().ok());
+        if !self.drain(first.into_iter().chain(queued).take(BATCH)) || self.must_stop() {
+            return false; // told to, or declared dead (or "crashed") meanwhile
+        }
+        // Membership may change without traffic (evictions), and so may
+        // the recovery.
+        self.step(Input::Tick(self.shared.recovering.load(Ordering::Acquire)));
+        self.poll_shards();
+        self.beacon();
+        true
     }
 }
 
@@ -1237,29 +752,23 @@ impl ShardState {
 /// report never counts — so a shard death can only delay a release,
 /// never complete one early.
 fn try_release(shared: &Shared, router: &Router) {
+    let ep = shared.episode.load(Ordering::Acquire);
+    let load = |a: &AtomicU64| a.load(Ordering::Acquire);
+    let alive = shared.shard_alive.iter().map(|a| a.load(Ordering::Acquire));
+    let reports = alive.zip(shared.shard_reported.iter().map(load));
+    let shards = reports.zip(shared.live_sessions.iter().map(load));
+    let shards = shards.map(|((alive, report), live)| (alive, report, live));
     // A halted server is dead and a fenced one is a zombie: neither may
     // ever release (the fence guard also stops a zombie from burning
-    // phantom CAS bumps after its first rejected append).
-    if shared.halted.load(Ordering::Acquire) || shared.fenced.load(Ordering::Acquire) {
-        return;
-    }
-    // A recovered server holds releases until every journaled-live
-    // session has resumed (or the grace purges it): the recovered
-    // roster *is* the membership, and crossing without it would let the
-    // first resumer race ahead alone.
-    if shared.recovery_pending() {
-        return;
-    }
-    let ep = shared.episode.load(Ordering::Acquire);
-    let all_reported =
-        shared
-            .shard_alive
-            .iter()
-            .zip(&shared.shard_reported)
-            .all(|(alive, reported)| {
-                !alive.load(Ordering::Acquire) || reported.load(Ordering::Acquire) == ep + 1
-            });
-    if !all_reported || shared.total_sessions() == 0 {
+    // phantom CAS bumps after its first rejected append). A recovered
+    // server holds releases until every journaled-live session has
+    // resumed (or the grace purges it): the recovered roster *is* the
+    // membership, and crossing without it would let the first resumer
+    // race ahead alone.
+    let halted = shared.halted.load(Ordering::Acquire);
+    let fenced = shared.fenced.load(Ordering::Acquire);
+    let recovering = shared.recovering.load(Ordering::Acquire);
+    if !release_ready(ep, shards, halted, fenced, recovering) {
         return;
     }
     if shared
@@ -1405,120 +914,45 @@ fn compact_journal(shared: &Shared, journal: &Journal, ep: u64, batch: &[Journal
 }
 
 /// Folds a dead shard out of the root: episodes complete without it,
-/// its sessions are told `Evicted` best-effort, and their assignments
-/// clear so rejoins land on live shards.
+/// the sessions live on it are evicted and told so best-effort, and
+/// every assignment to it clears so rejoins land on live shards.
 fn declare_shard_dead(shared: &Shared, router: &Router, shard: usize) {
     if !shared.shard_alive[shard].swap(false, Ordering::AcqRel) {
         return; // already declared
     }
-    shared.live_shards.fetch_sub(1, Ordering::AcqRel);
     shared.live_sessions[shard].store(0, Ordering::Release);
     let episode = shared.episode.load(Ordering::Acquire);
-    let orphans: Vec<(SessionId, ConnId)> = {
-        let mut assign = router.assign.lock().unwrap_or_else(|e| e.into_inner());
-        let victims: Vec<SessionId> = assign
-            .iter()
-            .filter(|(_, a)| a.shard == shard)
-            .map(|(&s, _)| s)
-            .collect();
-        victims
-            .into_iter()
-            .map(|s| {
-                let a = assign.remove(&s).expect("victim present");
-                (s, a.conn)
-            })
-            .collect()
-    };
-    {
-        let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-        for &(session, _) in &orphans {
-            stats.entry(session).or_default().evictions += 1;
+    let mut orphans: Vec<(SessionId, ConnId)> = Vec::new();
+    let mut assign = router.assign.lock().unwrap_or_else(|e| e.into_inner());
+    assign.retain(|&session, a| {
+        if a.shard == shard && a.live {
+            orphans.push((session, a.conn));
         }
-    }
+        a.shard != shard
+    });
+    drop(assign);
+    let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
+    let outbox = router.outbox();
     for (session, conn) in orphans {
+        stats.entry(session).or_default().evictions += 1;
         shared.ledger_remove(session, episode, false);
         combar_trace::emit(episode as u32, session as u32, Kind::Evict(session as u32));
-        router.respond(
-            conn,
-            Response::Evicted {
-                session,
-                episode,
-                inc: shared.incarnation,
-            },
-        );
+        let evicted = Response::Evicted {
+            session,
+            episode,
+            inc: shared.incarnation,
+        };
+        if let Some(sink) = outbox.get(&conn) {
+            sink.send(evicted.encode());
+        }
     }
+    drop(outbox);
+    drop(stats);
     // The dead shard may have been the missing report — and if it had
     // instead *already* reported, try_release now disregards that stale
     // flag (reports only count paired with a live shard), so a survivor
     // that still owes its own report keeps the episode open.
     try_release(shared, router);
-}
-
-/// Most messages one wake of a shard handles before it runs its
-/// housekeeping again: a flood of traffic may delay a lease poll or the
-/// shard's own heartbeat by one batch, never starve it.
-const BATCH: usize = 64;
-
-impl ShardState {
-    /// A shard the root lease declared dead must stop serving even
-    /// when the declaration was a false positive (a stalled-but-alive
-    /// thread): its sessions were evicted and rerouted the moment it
-    /// was declared, so anything it did from here — reporting its stale
-    /// frame complete, answering sessions that rejoined elsewhere —
-    /// would be a zombie copy of state that now lives on the surviving
-    /// shards. A halted server is a "crashed" host: same silence.
-    fn must_stop(&self) -> bool {
-        !self.shared.shard_alive[self.idx].load(Ordering::Acquire)
-            || self.shared.halted.load(Ordering::Acquire)
-    }
-
-    /// Handles `msgs` in order, looking at the stop flags before each
-    /// one, so a death declaration or a scripted crash that lands in
-    /// mid-batch leaves every later message unhandled. `false` once the
-    /// shard must exit: flagged, `Stall` (simulated crash: no cleanup)
-    /// or `Shutdown`.
-    fn drain(&mut self, msgs: impl Iterator<Item = ShardMsg>) -> bool {
-        for msg in msgs {
-            if self.must_stop() {
-                return false;
-            }
-            match msg {
-                ShardMsg::Net(conn, req) => self.handle(conn, req),
-                ShardMsg::Release(ep) => self.on_release(ep),
-                ShardMsg::Stall | ShardMsg::Shutdown => return false,
-            }
-        }
-        true
-    }
-
-    /// One wake of the shard loop: wait at most a tick for traffic
-    /// (through the same spin-then-park hand-off as a client, see
-    /// [`crate::transport`]), drain at most [`BATCH`] queued messages,
-    /// then run the housekeeping once for the batch and not once per
-    /// message — the lease passes rate-limit themselves per tick anyway,
-    /// and the shard's own beat only has to outrun a grace that is
-    /// floored at `min_grace`. `false` once the shard must exit.
-    fn turn(&mut self, inbox: &mpsc::Receiver<ShardMsg>) -> bool {
-        if self.must_stop() {
-            return false;
-        }
-        self.shared.shard_super.beat(self.idx as u32);
-        let first = match recv_handoff(inbox, self.cfg.tick, &mut self.inbox_hot) {
-            Ok(msg) => Some(msg),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => return false,
-        };
-        let queued = std::iter::from_fn(|| inbox.try_recv().ok());
-        if !self.drain(first.into_iter().chain(queued).take(BATCH)) || self.must_stop() {
-            return false; // told to, or declared dead (or "crashed") meanwhile
-        }
-        self.poll_leases();
-        self.poll_shards();
-        self.recovery_duty();
-        // Membership may have changed without traffic (evictions).
-        self.check_complete();
-        true
-    }
 }
 
 fn run_shard(
@@ -1528,7 +962,7 @@ fn run_shard(
     router: Arc<Router>,
     cfg: ServerConfig,
 ) {
-    let mut st = ShardState::new(idx, shared, router, cfg);
+    let mut st = ShardDriver::new(idx, shared, router, cfg);
     while st.turn(&inbox) {}
 }
 
@@ -1629,7 +1063,6 @@ impl EpochServer {
         let shared = Arc::new(Shared {
             episode: AtomicU64::new(epoch0),
             shard_reported: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            live_shards: AtomicU64::new(shards as u64),
             shard_alive: (0..shards).map(|_| AtomicBool::new(true)).collect(),
             live_sessions: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             shard_super: Supervisor::with_config(shards as u32, cfg.shard_lease),
@@ -1640,6 +1073,7 @@ impl EpochServer {
             journal,
             ledger: Mutex::new(ledger0),
             slots: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+            recovering: AtomicBool::new(!recovered0.is_empty()),
             recovered: Mutex::new(recovered0),
             recovery_deadline,
             repl: Mutex::new(None),
@@ -1741,7 +1175,8 @@ impl EpochServer {
 
     /// Shards not declared dead.
     pub fn live_shards(&self) -> u64 {
-        self.shared.live_shards.load(Ordering::Acquire)
+        let alive = self.shared.shard_alive.iter();
+        alive.filter(|a| a.load(Ordering::Acquire)).count() as u64
     }
 
     /// Live sessions across live shards.
@@ -1837,6 +1272,7 @@ impl Drop for EpochServer {
 mod tests {
     use super::*;
     use crate::client::{BarrierClient, ClientConfig};
+    use crate::proto::REDUNDANT_EPISODES;
     use crate::transport::NetError;
 
     /// Fast ticks with a generous session lease: these tests exercise
@@ -2103,9 +1539,9 @@ mod tests {
 
     /// Shard 0 of a server without its threads, and that shard's inbox:
     /// the test is the shard thread.
-    fn hand_cranked(cfg: ServerConfig) -> (ShardState, mpsc::Receiver<ShardMsg>) {
+    fn hand_cranked(cfg: ServerConfig) -> (ShardDriver, mpsc::Receiver<ShardMsg>) {
         let (shared, router, mut inboxes) = EpochServer::wire_up(&cfg, None, None);
-        (ShardState::new(0, shared, router, cfg), inboxes.remove(0))
+        (ShardDriver::new(0, shared, router, cfg), inboxes.remove(0))
     }
 
     #[test]
@@ -2122,7 +1558,7 @@ mod tests {
         // first of them completes by proxy: one batch.
         send_all(&|session| Request::Hello { session, seq: 0 });
         assert!(st.turn(&inbox));
-        assert_eq!((st.frame, st.live, st.arrived), (1, 16, 0));
+        assert_eq!((st.core.frame, st.core.live, st.core.arrived), (1, 16, 0));
         // Sixteen arrivals and the release the last one causes: one
         // turn — so one housekeeping pass — and one lock of the outbox
         // for the whole fan-out.
@@ -2134,7 +1570,7 @@ mod tests {
         let locks = st.router.outbox_locks.load(Ordering::Relaxed);
         assert!(st.turn(&inbox));
         assert_eq!(st.router.outbox_locks.load(Ordering::Relaxed) - locks, 1);
-        assert_eq!(st.frame, 2, "the release rode in the arrivals' batch");
+        assert_eq!(st.core.frame, 2, "the release rode in the arrivals' batch");
         assert!(inbox.try_recv().is_err(), "nothing left for a second turn");
         for w in &mut wires {
             let frame = w.recv_timeout(Duration::ZERO).expect("released");
@@ -2292,7 +1728,7 @@ mod tests {
                 .unwrap();
         }
         assert!(st.turn(&inbox));
-        assert_eq!(st.frame, 1, "joined in one batch, epoch 0 by proxy");
+        assert_eq!(st.core.frame, 1, "joined in one batch, epoch 0 by proxy");
         let release = |episode| Response::Release { episode, inc: 0 }.encode();
         for episode in 1..=redundant + 2 {
             for (session, w) in (0..).zip(&mut wires) {
@@ -2305,7 +1741,7 @@ mod tests {
             let locks = st.router.outbox_locks.load(Ordering::Relaxed);
             assert!(st.turn(&inbox));
             assert_eq!(st.router.outbox_locks.load(Ordering::Relaxed) - locks, 1);
-            assert_eq!(st.frame, episode + 1);
+            assert_eq!(st.core.frame, episode + 1);
             for (session, w) in (0..).zip(&mut wires) {
                 let doubled = session == ARMED && (2..2 + redundant).contains(&episode);
                 let copies = if doubled { 2 } else { 1 };
@@ -2331,8 +1767,8 @@ mod tests {
     #[test]
     fn a_stop_in_mid_batch_leaves_every_later_message_unhandled() {
         let hello = |session| ShardMsg::Net(session, Request::Hello { session, seq: 0 });
-        let joined = |st: &ShardState| {
-            let mut sids: Vec<_> = st.sessions.keys().copied().collect();
+        let joined = |st: &ShardDriver| {
+            let mut sids: Vec<_> = st.core.sessions.keys().copied().collect();
             sids.sort_unstable();
             sids
         };
@@ -2385,13 +1821,52 @@ mod tests {
         assert!(matches!(inbox.try_recv(), Ok(ShardMsg::Release(1))));
     }
 
+    /// A one-shard server, hand-cranked, with session 0 joined and its
+    /// join epoch released: the session owes frame 1.
+    fn one_joined_session() -> (ShardDriver, mpsc::Receiver<ShardMsg>, LoopbackTransport) {
+        let (mut st, inbox) = hand_cranked(quick_cfg(1));
+        let mut wire = st.router.connect();
+        wire.send(&Request::Hello { session: 0, seq: 0 }.encode())
+            .unwrap();
+        assert!(st.turn(&inbox));
+        assert_eq!((st.core.frame, st.core.live), (1, 1));
+        (st, inbox, wire)
+    }
+
+    fn evictions(st: &ShardDriver, session: SessionId) -> u64 {
+        st.shared.stats.lock().unwrap()[&session].evictions
+    }
+
+    #[test]
+    fn a_dead_shard_does_not_evict_a_session_that_left() {
+        let (mut st, inbox, mut wire) = one_joined_session();
+        wire.send(&Request::Leave { session: 0, seq: 1 }.encode())
+            .unwrap();
+        assert!(st.turn(&inbox));
+        declare_shard_dead(&st.shared, &st.router, 0);
+        assert_eq!(evictions(&st, 0), 0);
+    }
+
+    #[test]
+    fn a_dead_shard_does_not_evict_a_lease_evicted_session_again() {
+        let (mut st, _inbox, _wire) = one_joined_session();
+        // Silent on a virtual clock until its lease declares it.
+        while st.core.live > 0 {
+            st.now += Duration::from_secs(10);
+            st.step(Input::Tick(false));
+        }
+        assert_eq!(evictions(&st, 0), 1);
+        declare_shard_dead(&st.shared, &st.router, 0);
+        assert_eq!(evictions(&st, 0), 1);
+    }
+
     #[test]
     fn idle_shard_never_spins_and_waits_out_its_tick() {
         use crate::transport::handoff_cost;
         let (mut st, inbox) = hand_cranked(quick_cfg(1));
         let tick = st.cfg.tick;
         // `(spins, parks)` of one turn; an idle one must last its tick.
-        let turn = |st: &mut ShardState, idle: bool| {
+        let turn = |st: &mut ShardDriver, idle: bool| {
             let t0 = Instant::now();
             let (alive, cost) = handoff_cost(|| st.turn(&inbox));
             assert!(alive);

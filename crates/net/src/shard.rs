@@ -1,0 +1,764 @@
+//! One shard of the epoch server as a pure protocol core.
+//!
+//! [`ShardCore`] owns everything a shard knows — its session table, slot
+//! allocator and tombstones, the frame it counts arrivals for, each
+//! session's loss-armed countdown and the session-lease supervisor — and
+//! [`ShardCore::step`] is the only way to change it: one [`Input`] at a
+//! caller-supplied `now` in, one [`Effects`] value out, holding every
+//! consequence outside the core. The core spawns nothing, locks nothing,
+//! reads no clock and sends nothing; the driver in [`crate::server`]
+//! does all of that, one step at a time. So the protocol can be stepped
+//! in virtual time — by a test, a simulator or a model checker — and its
+//! effects compared byte for byte.
+//!
+//! Two facts live in state shared by every shard, and the driver passes
+//! them in with the input: whether a session is awaiting `Resume` (the
+//! recovery's outstanding set), and whether recovery is still open.
+//!
+//! The root's half of the combining tree — may this episode be released,
+//! given every shard's report — is the pure [`release_ready`].
+
+use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
+
+use combar_rt::Supervisor;
+use combar_trace::Kind;
+
+use crate::proto::{Request, Response, SessionId, REDUNDANT_EPISODES};
+use crate::server::ServerConfig;
+
+/// A connection, as the driver numbers them.
+pub(crate) type ConnId = u64;
+
+/// One input to [`ShardCore::step`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Input {
+    /// A decoded request on a connection, and whether the recovery still
+    /// awaits that session's `Resume`.
+    Request(ConnId, Request, bool),
+    /// The root released this episode: fan it out and open the next
+    /// frame.
+    Release(u64),
+    /// Housekeeping — the session-lease pass and the recovery grace —
+    /// with whether any recovered session is still outstanding.
+    Tick(bool),
+}
+
+/// How a session's membership changed. A step that moves the frame (a
+/// release) changes no membership, so every change dates from the frame
+/// the shard is at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Delta {
+    /// Admitted by `Hello`; `true` if this shard had evicted it before.
+    Hello(bool),
+    /// Re-admitted by `Resume` at its journaled coordinate.
+    Resume,
+    /// Left in order.
+    Leave,
+    /// Declared dead by its lease.
+    Evict,
+}
+
+impl Delta {
+    /// Whether the session joined, which also proves it to the recovery.
+    pub(crate) fn admits(self) -> bool {
+        matches!(self, Delta::Hello(_) | Delta::Resume)
+    }
+}
+
+/// Everything one step changes outside the core.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub(crate) struct Effects {
+    /// Membership changes, in the order they happened.
+    pub(crate) roster: Vec<(SessionId, Delta)>,
+    /// Sessions the released episode credits one completion each: those
+    /// that arrived for it explicitly.
+    pub(crate) credits: Vec<SessionId>,
+    /// The released episode, whose one `Release` frame goes to every
+    /// `(connection, copies)` of `fanout`.
+    pub(crate) release: Option<u64>,
+    pub(crate) fanout: Vec<(ConnId, u32)>,
+    /// Responses, each for one connection, in the order they were made.
+    pub(crate) frames: Vec<(ConnId, Response)>,
+    /// The frame this shard reported complete, at most once per frame.
+    pub(crate) report: Option<u64>,
+    /// Sessions whose explicit arrival the journal's next episode record
+    /// credits: the report's, or one that upgraded a proxy after it.
+    pub(crate) completers: Vec<SessionId>,
+    /// Sessions this full shard could not seat. Routes are sticky, so
+    /// theirs must be dropped for a retry to probe a shard with headroom.
+    pub(crate) unroute: Vec<SessionId>,
+    /// The recovery grace lapsed: every session still outstanding is
+    /// purged as evicted.
+    pub(crate) purge: bool,
+}
+
+pub(crate) struct Sess {
+    conn: ConnId,
+    slot: u32,
+    /// Counted in the shard's live membership. A tombstone
+    /// (`live == false`) answers late requests with `Evicted`.
+    live: bool,
+    /// The last frame this session arrived for (possibly by proxy).
+    arrived_for: Option<u64>,
+    /// Whether `arrived_for` was a real `Arrive` (true) or a join-side
+    /// proxy (false). Only explicit arrivals are credited, so the ledger
+    /// is an exactly-once oracle for retried arrivals.
+    explicit: bool,
+    /// Releases still to be sent twice: set to [`REDUNDANT_EPISODES`]
+    /// when a re-sent arrival shows a `Release` went missing.
+    redundant: u32,
+}
+
+/// The protocol state of one shard. See the module docs. The crate
+/// reads `sessions`, `frame`, `live` and `arrived`; only a step writes
+/// them.
+pub(crate) struct ShardCore {
+    idx: usize,
+    /// This server's incarnation, stamped on every response.
+    inc: u64,
+    tick: Duration,
+    capacity: u32,
+    /// When outstanding recovered sessions are purged, if this server
+    /// was recovered with any.
+    recovery_deadline: Option<Instant>,
+    /// Whether any recovered session was outstanding at the last tick.
+    recovery_open: bool,
+    pub(crate) sessions: BTreeMap<SessionId, Sess>,
+    /// Slot → the live session holding it. Grows up to `capacity`.
+    owners: Vec<Option<SessionId>>,
+    free_slots: Vec<u32>,
+    /// The episode this shard's bookkeeping is for. Trails the global
+    /// episode until the release notice is stepped, so all local
+    /// accounting stays frame-consistent.
+    pub(crate) frame: u64,
+    pub(crate) live: u64,
+    pub(crate) arrived: u64,
+    reported: bool,
+    sup: Supervisor,
+    last_lease_poll: Instant,
+    /// The time of the step in hand.
+    now: Instant,
+    /// The step in hand's effects.
+    out: Effects,
+}
+
+impl ShardCore {
+    /// Shard `idx` of a server of incarnation `inc`, opening at `frame`
+    /// (a resumed server starts past epoch 0, and every shard must open
+    /// at the recovered episode, or resuming clients would look "ahead"
+    /// and be told `Diverged`).
+    pub(crate) fn new(
+        idx: usize,
+        cfg: &ServerConfig,
+        inc: u64,
+        frame: u64,
+        recovery_deadline: Option<Instant>,
+        now: Instant,
+    ) -> Self {
+        Self {
+            idx,
+            inc,
+            tick: cfg.tick,
+            capacity: cfg.session_capacity,
+            recovery_deadline,
+            recovery_open: recovery_deadline.is_some(),
+            sessions: BTreeMap::new(),
+            owners: Vec::new(),
+            free_slots: Vec::new(),
+            frame,
+            live: 0,
+            arrived: 0,
+            reported: false,
+            sup: Supervisor::starting_at(cfg.session_capacity, cfg.lease, now),
+            last_lease_poll: now,
+            now,
+            out: Effects::default(),
+        }
+    }
+
+    /// Handles one input at `now`, then reports the frame complete if it
+    /// now is, and returns what the step changed outside the core.
+    pub(crate) fn step(&mut self, now: Instant, input: Input) -> Effects {
+        self.now = now;
+        match input {
+            Input::Request(conn, req, awaiting) => match req {
+                Request::Hello { session, .. } => self.on_hello(session, conn),
+                Request::Arrive {
+                    session, episode, ..
+                } => self.on_arrive(session, conn, episode, awaiting),
+                Request::Heartbeat { session, .. } => match self.sessions.get_mut(&session) {
+                    Some(s) if s.live => {
+                        s.conn = conn;
+                        self.sup.beat_at(s.slot, now);
+                    }
+                    _ => self.challenge(session, conn, awaiting),
+                },
+                Request::Leave { session, .. } => self.on_leave(session),
+                Request::Resume {
+                    session,
+                    next_episode,
+                    ..
+                } => self.on_resume(session, conn, next_episode, awaiting),
+            },
+            Input::Release(ep) => self.on_release(ep),
+            Input::Tick(recovery_open) => {
+                self.recovery_open = recovery_open;
+                if recovery_open && self.recovery_deadline.is_some_and(|d| now >= d) {
+                    self.out.purge = true;
+                    self.recovery_open = false;
+                }
+                self.poll_leases();
+            }
+        }
+        self.check_complete();
+        std::mem::take(&mut self.out)
+    }
+
+    /// Answers a session this shard does not serve (unknown here, or a
+    /// tombstone): one the recovery replay vouches for must prove its
+    /// coordinate with `Resume` before anything else is honoured;
+    /// everyone else gets the usual `Evicted` (rejoin via `Hello`).
+    fn challenge(&mut self, session: SessionId, conn: ConnId, awaiting: bool) {
+        let resp = if awaiting {
+            Response::ResumeRequired {
+                session,
+                episode: self.frame,
+                inc: self.inc,
+            }
+        } else {
+            Response::Evicted {
+                session,
+                episode: self.frame,
+                inc: self.inc,
+            }
+        };
+        self.out.frames.push((conn, resp));
+    }
+
+    /// Seats `session` in a free slot — arrived by proxy for the
+    /// in-flight frame if `proxy` — or, with none free, drops its route
+    /// so the retry probes another shard, and returns `false`.
+    fn admit(&mut self, session: SessionId, conn: ConnId, proxy: bool) -> bool {
+        let slot = match self.free_slots.pop() {
+            Some(slot) => slot,
+            None if self.owners.len() < self.capacity as usize => {
+                self.owners.push(None);
+                self.owners.len() as u32 - 1
+            }
+            None => {
+                self.out.unroute.push(session);
+                return false;
+            }
+        };
+        let sess = Sess {
+            conn,
+            slot,
+            live: true,
+            arrived_for: proxy.then_some(self.frame),
+            explicit: false,
+            redundant: 0,
+        };
+        self.sessions.insert(session, sess);
+        self.owners[slot as usize] = Some(session);
+        self.sup.beat_at(slot, self.now);
+        self.live += 1;
+        self.arrived += u64::from(proxy);
+        true
+    }
+
+    /// Folds a live session out of the membership, freeing its slot.
+    fn fold_out(&mut self, arrived_for: Option<u64>, slot: u32) {
+        self.live -= 1;
+        if arrived_for == Some(self.frame) {
+            self.arrived -= 1;
+        }
+        self.owners[slot as usize] = None;
+        self.free_slots.push(slot);
+    }
+
+    /// Admission, re-admission after eviction, and `Hello`-retry re-ack
+    /// all land here. A *new* session joins *arrived* for the in-flight
+    /// frame (the join-side proxy arrival), so admission can never wedge
+    /// the episode it lands in; its first real `Arrive` for this frame
+    /// deduplicates. A `Hello` for an already-live session (a retry
+    /// whose first copy landed, or a wire duplicate delivered frames
+    /// later) only re-routes and re-acks: registering a proxy arrival
+    /// here would let a stray duplicate complete an episode on the
+    /// session's behalf and silently skip its credit.
+    fn on_hello(&mut self, session: SessionId, conn: ConnId) {
+        match self.sessions.get_mut(&session) {
+            Some(s) if s.live => {
+                s.conn = conn;
+                self.sup.beat_at(s.slot, self.now);
+            }
+            tombstone => {
+                let rejoining = tombstone.is_some();
+                if !self.admit(session, conn, true) {
+                    return;
+                }
+                self.out.roster.push((session, Delta::Hello(rejoining)));
+            }
+        }
+        let welcome = Response::Welcome {
+            session,
+            episode: self.frame,
+            inc: self.inc,
+        };
+        self.out.frames.push((conn, welcome));
+    }
+
+    fn on_arrive(&mut self, session: SessionId, conn: ConnId, episode: u64, awaiting: bool) {
+        let (frame, inc) = (self.frame, self.inc);
+        let Some(s) = self.sessions.get_mut(&session).filter(|s| s.live) else {
+            return self.challenge(session, conn, awaiting);
+        };
+        s.conn = conn;
+        self.sup.beat_at(s.slot, self.now);
+        if episode < frame {
+            // The episode already released; the first ack was lost.
+            // Re-acking is the idempotent half of retry safety. An
+            // arrival this session already made for that episode, sent
+            // again, is the server's one sign that a `Release` went
+            // missing: double the session's next releases. (The catch-up
+            // arrival for a join epoch released by proxy is no such
+            // sign, and must not arm a clean wire.)
+            if s.arrived_for == Some(episode) && s.explicit {
+                s.redundant = REDUNDANT_EPISODES;
+            }
+            self.out
+                .frames
+                .push((conn, Response::Release { episode, inc }));
+        } else if episode > frame {
+            // Cannot happen with honest clients; dropped defensively.
+        } else if s.arrived_for != Some(frame) {
+            s.arrived_for = Some(frame);
+            s.explicit = true;
+            self.arrived += 1;
+            combar_trace::emit(frame as u32, session as u32, Kind::Arrive);
+        } else if !s.explicit {
+            // The real arrival caught up with its join-side proxy:
+            // upgrade so this episode counts.
+            s.explicit = true;
+            combar_trace::emit(frame as u32, session as u32, Kind::Arrive);
+            if self.reported {
+                // The report already named its completers; name this
+                // one too, so the journal's episode record credits it
+                // (or the next one does — the counters are cumulative,
+                // which makes that merge safe).
+                self.out.completers.push(session);
+            }
+        }
+        // else: duplicate arrival — counted exactly once, nothing to do.
+    }
+
+    /// Orderly departure folds immediately: a step *is* the quiescent
+    /// window (no arrival can interleave), so removing the session now
+    /// is indistinguishable from a boundary fold.
+    fn on_leave(&mut self, session: SessionId) {
+        if let Some(s) = self.sessions.remove(&session).filter(|s| s.live) {
+            self.fold_out(s.arrived_for, s.slot);
+            self.out.roster.push((session, Delta::Leave));
+        }
+    }
+
+    /// The recovery handshake. A session the journal replay vouches for
+    /// proves its next-expected episode:
+    ///
+    /// * `next == frame` — exact match: re-admit at the in-flight
+    ///   frame, un-arrived (its real `Arrive` follows; no proxy credit),
+    ///   and ack `Resumed`. No rejoin is counted — the session never
+    ///   failed, the server did.
+    /// * `next < frame` — the client missed releases (e.g. an epoch
+    ///   journaled but never broadcast): re-ack `Release{next}` so it
+    ///   catches up, and keep the challenge open for its next request.
+    /// * `next > frame` — the client has observed epochs the journal
+    ///   does not record: a journal suffix was lost. Explicit
+    ///   `Diverged`, never silent epoch skew.
+    fn on_resume(&mut self, session: SessionId, conn: ConnId, next: u64, awaiting: bool) {
+        let (frame, inc) = (self.frame, self.inc);
+        let resumed = Response::Resumed {
+            session,
+            episode: frame,
+            inc,
+        };
+        let resp = match self.sessions.get_mut(&session) {
+            // Duplicate Resume (the first ack was lost): re-ack.
+            Some(s) if s.live => {
+                s.conn = conn;
+                self.sup.beat_at(s.slot, self.now);
+                if next < frame {
+                    Response::Release { episode: next, inc }
+                } else {
+                    resumed
+                }
+            }
+            // Nothing vouches for this session here; the rejoin path
+            // (fresh `Hello`) is the only way in.
+            _ if !awaiting => return self.challenge(session, conn, false),
+            _ if next > frame => Response::Diverged {
+                session,
+                expected: frame,
+                inc,
+            },
+            _ if next < frame => Response::Release { episode: next, inc },
+            _ => {
+                if !self.admit(session, conn, false) {
+                    return;
+                }
+                self.out.roster.push((session, Delta::Resume));
+                resumed
+            }
+        };
+        self.out.frames.push((conn, resp));
+    }
+
+    /// Declares a session dead: proxy its in-flight arrival (so the
+    /// frame completes), fold it out of the live membership, and tell
+    /// the client. PR 4's evict-then-detach, collapsed into one step
+    /// because a step serializes both halves.
+    fn evict(&mut self, session: SessionId) {
+        let frame = self.frame;
+        let Some(s) = self.sessions.get_mut(&session).filter(|s| s.live) else {
+            return;
+        };
+        if s.arrived_for != Some(frame) {
+            let proxy = Kind::ProxyArrival(self.idx as u32);
+            combar_trace::emit(frame as u32, session as u32, proxy);
+        }
+        s.live = false;
+        let (arrived_for, slot, conn) = (s.arrived_for.take(), s.slot, s.conn);
+        self.fold_out(arrived_for, slot);
+        combar_trace::emit(frame as u32, session as u32, Kind::Evict(session as u32));
+        self.out.roster.push((session, Delta::Evict));
+        self.challenge(session, conn, false);
+    }
+
+    /// Fans a completed episode out to this shard's arrived sessions —
+    /// crediting the explicit ones, twice to a loss-armed one — and
+    /// opens the next frame.
+    fn on_release(&mut self, ep: u64) {
+        self.out.release = Some(ep);
+        for (&session, s) in &mut self.sessions {
+            if s.live && s.arrived_for == Some(ep) {
+                if s.explicit {
+                    self.out.credits.push(session);
+                }
+                let copies = 1 + u32::from(s.redundant > 0);
+                s.redundant = s.redundant.saturating_sub(1);
+                self.out.fanout.push((s.conn, copies));
+                combar_trace::emit(ep as u32, session as u32, Kind::Release);
+            }
+        }
+        self.frame = ep + 1;
+        self.reported = false;
+        // Admissions stepped after the global bump but before this
+        // notice may already sit in the new frame; recount rather than
+        // zero.
+        self.arrived = self
+            .sessions
+            .values()
+            .filter(|s| s.live && s.arrived_for == Some(self.frame))
+            .count() as u64;
+    }
+
+    /// The upward half of the aggregation tree: report this shard
+    /// complete, at most once per frame, naming the sessions that
+    /// explicitly arrived (the journal credits them in the episode
+    /// record).
+    fn check_complete(&mut self) {
+        // An empty shard reports immediately so it never blocks a
+        // release — EXCEPT while recovered sessions are still resuming:
+        // any of them may resume *into this shard*, and an early
+        // `live == 0` report would stand after they do, releasing the
+        // post-recovery epoch before they ever arrive.
+        let empty_ok = self.live == 0 && !self.recovery_open;
+        if self.reported || !(empty_ok || (self.live > 0 && self.arrived >= self.live)) {
+            return;
+        }
+        self.reported = true;
+        let frame = self.frame;
+        self.out.report = Some(frame);
+        self.out.completers.extend(
+            self.sessions
+                .iter()
+                .filter(|(_, s)| s.live && s.arrived_for == Some(frame) && s.explicit)
+                .map(|(&sid, _)| sid),
+        );
+    }
+
+    /// Session-lease pass, at most once per tick: a live session that
+    /// still owes the frame and outlived its (widened) lease is evicted.
+    fn poll_leases(&mut self) {
+        if self.now.saturating_duration_since(self.last_lease_poll) < self.tick {
+            return;
+        }
+        self.last_lease_poll = self.now;
+        let stragglers: Vec<u32> = self
+            .sessions
+            .values()
+            .filter(|s| s.live && s.arrived_for != Some(self.frame))
+            .map(|s| s.slot)
+            .collect();
+        for slot in self.sup.lease_pass(self.now, &stragglers) {
+            if let Some(session) = self.owners[slot as usize] {
+                self.evict(session);
+            }
+        }
+    }
+}
+
+/// The root's half of the combining tree: whether `episode` may be
+/// released, given every shard's `(alive, report, live sessions)`.
+///
+/// A report holds the episode it is for plus one (0: none yet), and
+/// counts only paired with a live shard. Paired, because a shard that
+/// reported and then died must not keep satisfying a bare count against
+/// the post-death live count while a survivor still owes its report —
+/// that released episodes early. Stamped, so a report expires with the
+/// winning CAS itself: flags cleared *after* the CAS left a window in
+/// which a second caller read the released episode's flags as the next
+/// one's, won the bumped CAS too and released an episode nobody had
+/// arrived for, which every client then crossed uncredited. A halted
+/// (dead), fenced (zombie) or recovering server never releases, and
+/// neither does one without sessions.
+pub(crate) fn release_ready(
+    episode: u64,
+    shards: impl IntoIterator<Item = (bool, u64, u64)>,
+    halted: bool,
+    fenced: bool,
+    recovering: bool,
+) -> bool {
+    let (mut ready, mut sessions) = (!(halted || fenced || recovering), 0);
+    for (_, report, live) in shards.into_iter().filter(|shard| shard.0) {
+        ready &= report == episode + 1;
+        sessions += live;
+    }
+    ready && sessions > 0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use combar_rt::SupervisorConfig;
+    use std::fmt::Write;
+
+    const TICK: Duration = Duration::from_micros(200);
+
+    fn config(max_misses: u32) -> ServerConfig {
+        ServerConfig {
+            shards: 1,
+            tick: TICK,
+            session_capacity: 8,
+            lease: SupervisorConfig {
+                min_grace: Duration::from_millis(2),
+                sigma_mult: 4.0,
+                max_misses,
+            },
+            ..ServerConfig::default()
+        }
+    }
+
+    /// A request from `session` on connection `session`.
+    fn req(req: Request) -> Input {
+        Input::Request(req.session(), req, false)
+    }
+
+    fn hello(session: SessionId) -> Input {
+        req(Request::Hello { session, seq: 0 })
+    }
+
+    fn beat(session: SessionId) -> Input {
+        req(Request::Heartbeat { session, seq: 0 })
+    }
+
+    /// Sessions 1 and 2 join at `t0` and their join epoch releases;
+    /// then session 2 heartbeats every tick while session 1 stays
+    /// silent. Returns every eviction as `(tick, session)`.
+    fn lease_scenario(max_misses: u32, ticks: u32) -> Vec<(u32, SessionId)> {
+        let t0 = Instant::now();
+        let mut core = ShardCore::new(0, &config(max_misses), 0, 0, None, t0);
+        core.step(t0, hello(1));
+        core.step(t0, hello(2));
+        let fanout = core.step(t0, Input::Release(0)).fanout;
+        assert_eq!(fanout, [(1, 1), (2, 1)]);
+        let mut evictions = Vec::new();
+        for k in 1..=ticks {
+            let now = t0 + TICK * k;
+            core.step(now, beat(2));
+            for (session, delta) in core.step(now, Input::Tick(false)).roster {
+                assert_eq!(delta, Delta::Evict);
+                evictions.push((k, session));
+            }
+        }
+        evictions
+    }
+
+    #[test]
+    fn a_silent_session_is_evicted_on_the_tick_its_lease_predicts() {
+        for max_misses in [1, 2, 3] {
+            // The survivor's beats are a tick apart, under `min_grace`,
+            // so the grace is `min_grace`; each miss doubles it, and the
+            // pass after `max_misses` of them declares.
+            let cfg = config(max_misses);
+            let due = cfg.lease.min_grace * (1 << max_misses);
+            let due_tick = (due.as_nanos() / TICK.as_nanos()) as u32;
+            let evictions = lease_scenario(max_misses, due_tick + 50);
+            assert_eq!(evictions, [(due_tick, 1)], "max_misses {max_misses}");
+        }
+    }
+
+    #[test]
+    fn a_session_that_beats_every_tick_is_never_evicted() {
+        let evictions = lease_scenario(2, 10_000);
+        assert!(evictions.iter().all(|&(_, session)| session != 2));
+    }
+
+    #[test]
+    fn a_tombstoned_sessions_hello_is_one_rejoin() {
+        let t0 = Instant::now();
+        let mut core = ShardCore::new(0, &config(1), 0, 0, None, t0);
+        core.step(t0, hello(1));
+        core.step(t0, hello(2));
+        core.step(t0, Input::Release(0));
+        let mut now = t0;
+        while core.live == 2 {
+            now += TICK;
+            core.step(now, beat(2));
+            core.step(now, Input::Tick(false));
+        }
+        // The tombstone answers for the evicted session until it rejoins.
+        let late = core.step(now, beat(1));
+        assert!(matches!(late.frames[..], [(1, Response::Evicted { .. })]));
+        let rejoin = core.step(now, hello(1));
+        assert_eq!(rejoin.roster, [(1, Delta::Hello(true))]);
+        // A duplicate `Hello` re-acks and admits nobody a second time.
+        let duplicate = core.step(now, hello(1));
+        assert!(duplicate.roster.is_empty());
+        assert!(matches!(
+            duplicate.frames[..],
+            [(1, Response::Welcome { .. })]
+        ));
+        assert_eq!(core.live, 2);
+    }
+
+    #[test]
+    fn recovered_sessions_are_purged_at_the_grace_deadline_not_a_tick_earlier() {
+        let t0 = Instant::now();
+        let deadline = t0 + TICK * 500;
+        let mut core = ShardCore::new(0, &config(3), 0, 9, Some(deadline), t0);
+        // An empty shard holds its report while recovery is open.
+        for k in 1..500 {
+            let fx = core.step(t0 + TICK * k, Input::Tick(true));
+            assert_eq!((fx.purge, fx.report), (false, None), "tick {k}");
+        }
+        let fx = core.step(deadline, Input::Tick(true));
+        assert_eq!((fx.purge, fx.report), (true, Some(9)));
+    }
+
+    /// A splitmix64 stream: the script's only source of choices.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Ten thousand seeded inputs — every request kind from twelve
+    /// sessions (four of them recovered, some over capacity) at random
+    /// moments, releases whenever the shard reports — rendered effect
+    /// by effect.
+    fn script(seed: u64) -> String {
+        let (t0, mut cfg) = (Instant::now(), config(2));
+        cfg.lease.sigma_mult = 0.0; // leases the silences below can outlast
+        let mut core = ShardCore::new(0, &cfg, 3, 0, Some(t0 + TICK * 1_000), t0);
+        let mut recovered: Vec<SessionId> = (8..12).collect();
+        let (mut rng, mut now, mut reported) = (seed, t0, None);
+        let mut log = String::new();
+        for _ in 0..10_000 {
+            // Now and then a second passes in silence, and the leases
+            // of whoever stays silent through the next ticks lapse.
+            let pause = next(&mut rng) % 2_000;
+            now += Duration::from_micros(if pause < 4 { 1_000_000 } else { pause });
+            let (session, frame) = (next(&mut rng) % 12, core.frame);
+            let input = match next(&mut rng) % 10 {
+                // A one-shard root: release what the shard reported as
+                // soon as it has a session.
+                _ if reported == Some(frame) && core.live > 0 => Input::Release(frame),
+                8 | 9 => Input::Tick(!recovered.is_empty()),
+                kind => {
+                    let request = match kind {
+                        0 => Request::Hello { session, seq: 0 },
+                        1..=4 => Request::Arrive {
+                            session,
+                            episode: frame.saturating_sub(next(&mut rng) % 2),
+                            seq: 0,
+                        },
+                        5 => Request::Heartbeat { session, seq: 0 },
+                        6 => Request::Leave { session, seq: 0 },
+                        _ => Request::Resume {
+                            session,
+                            next_episode: frame + 1 - next(&mut rng) % 3,
+                            seq: 0,
+                        },
+                    };
+                    Input::Request(session, request, recovered.contains(&session))
+                }
+            };
+            let fx = core.step(now, input);
+            reported = fx.report.or(reported);
+            recovered.retain(|s| !fx.roster.iter().any(|d| d.0 == *s && d.1.admits()));
+            if fx.purge {
+                recovered.clear();
+            }
+            writeln!(log, "{input:?} -> {fx:?}").unwrap();
+        }
+        log
+    }
+
+    #[test]
+    fn a_seeded_script_replays_byte_identical_effects() {
+        let log = script(7);
+        assert_eq!(log, script(7));
+        // The script reaches every corner it is meant to exercise.
+        for needle in [
+            "Release(",
+            "Evict)",
+            "Hello(",
+            "Resume)",
+            "Leave)",
+            "Diverged",
+            "ResumeRequired",
+            "purge: true",
+        ] {
+            assert!(log.contains(needle), "no {needle} in the script");
+        }
+        for field in ["credits", "completers", "unroute"] {
+            let (any, empty) = (format!("{field}: ["), format!("{field}: []"));
+            let filled = log.matches(&any).count() - log.matches(&empty).count();
+            assert!(filled > 0, "{field} always empty");
+        }
+    }
+
+    #[test]
+    fn the_core_is_sans_io() {
+        let src = include_str!("shard.rs");
+        let core = src.split("#[cfg(test)]\nmod tests").next().unwrap();
+        for banned in [
+            "Instant::",
+            ".elapsed()",
+            "SystemTime",
+            "std::thread",
+            "std::sync",
+            "mpsc",
+            "Mutex",
+            "Atomic",
+            "Router",
+            "OutSink",
+            "Arc<Journal>",
+        ] {
+            assert!(!core.contains(banned), "the core names {banned}");
+        }
+    }
+}

@@ -102,6 +102,11 @@ impl Default for SupervisorConfig {
 /// Any thread may drive [`Supervisor::poll`]; detection is cooperative
 /// and does not need a dedicated monitor thread. The supervisor never
 /// touches barrier internals except through [`SelfHealing`].
+///
+/// The `_at` forms and [`Supervisor::lease_pass`] take the time as an
+/// argument instead of reading the clock, so a caller that owns its
+/// clock — a simulation, a protocol core stepped with virtual time —
+/// gets the same lease arithmetic.
 #[derive(Debug)]
 pub struct Supervisor {
     start: Instant,
@@ -124,8 +129,14 @@ impl Supervisor {
 
     /// A supervisor for `p` participants.
     pub fn with_config(p: u32, cfg: SupervisorConfig) -> Self {
+        Self::starting_at(p, cfg, Instant::now())
+    }
+
+    /// A supervisor for `p` participants whose clock starts at `start`:
+    /// a participant that never beat has been silent since then.
+    pub fn starting_at(p: u32, cfg: SupervisorConfig, start: Instant) -> Self {
         Self {
-            start: Instant::now(),
+            start,
             cfg,
             beats: (0..p)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
@@ -141,7 +152,12 @@ impl Supervisor {
 
     /// Records a heartbeat for `tid`. Call on every barrier-wait entry.
     pub fn beat(&self, tid: u32) {
-        let now = self.now_ns();
+        self.beat_at(tid, Instant::now());
+    }
+
+    /// Records a heartbeat for `tid` at `now`.
+    pub fn beat_at(&self, tid: u32, now: Instant) {
+        let now = self.ns_at(now);
         let prev = self.beats[tid as usize].swap(now, Ordering::AcqRel);
         if prev != 0 {
             let delta_us = now.saturating_sub(prev) / 1_000;
@@ -182,10 +198,28 @@ impl Supervisor {
     /// the widening leases — a slow-but-alive thread that beats in
     /// between resets its count.
     pub fn poll<B: SelfHealing + ?Sized>(&self, barrier: &B) -> Vec<u32> {
+        let mut declared = self.lease_pass(Instant::now(), &barrier.stragglers());
+        declared.retain(|&tid| {
+            let failed = barrier.fail(tid);
+            if failed {
+                // Episode 0: the supervisor runs outside any episode;
+                // heal events are correlated by subject, not episode.
+                combar_trace::emit(0, tid, combar_trace::Kind::Heal(tid));
+            }
+            failed
+        });
+        declared
+    }
+
+    /// One detection pass over `stragglers` at `now`, the arithmetic of
+    /// [`Supervisor::poll`] without a barrier: returns the stragglers
+    /// over `max_misses` whose widened lease lapsed again, for the
+    /// caller to declare dead.
+    pub fn lease_pass(&self, now: Instant, stragglers: &[u32]) -> Vec<u32> {
         let grace = self.grace();
-        let now = self.now_ns();
+        let now = self.ns_at(now);
         let mut declared = Vec::new();
-        for tid in barrier.stragglers() {
+        for &tid in stragglers {
             let last = self.beats[tid as usize].load(Ordering::Acquire);
             let silent_ns = now.saturating_sub(last); // beat 0 = never: silent since start
             let misses = self.misses[tid as usize].load(Ordering::Acquire);
@@ -194,12 +228,7 @@ impl Supervisor {
                 continue;
             }
             if misses >= self.cfg.max_misses {
-                if barrier.fail(tid) {
-                    // Episode 0: the supervisor runs outside any episode;
-                    // heal events are correlated by subject, not episode.
-                    combar_trace::emit(0, tid, combar_trace::Kind::Heal(tid));
-                    declared.push(tid);
-                }
+                declared.push(tid);
             } else {
                 self.misses[tid as usize].store(misses + 1, Ordering::Release);
             }
@@ -207,9 +236,9 @@ impl Supervisor {
         declared
     }
 
-    fn now_ns(&self) -> u64 {
+    fn ns_at(&self, now: Instant) -> u64 {
         // +1 so a beat at t=0 is distinguishable from "never beat".
-        self.start.elapsed().as_nanos() as u64 + 1
+        now.saturating_duration_since(self.start).as_nanos() as u64 + 1
     }
 }
 
@@ -543,6 +572,43 @@ mod tests {
         }
         let g = s.grace();
         assert!(g >= Duration::from_micros(500), "grace too small: {g:?}");
+    }
+
+    #[test]
+    fn leases_run_on_a_virtual_clock() {
+        let t0 = Instant::now();
+        let at = |us: u64| t0 + Duration::from_micros(us);
+        let s = Supervisor::starting_at(
+            1,
+            SupervisorConfig {
+                min_grace: Duration::from_micros(10),
+                sigma_mult: 4.0,
+                max_misses: 2,
+            },
+            t0,
+        );
+        for k in 0..=4 {
+            s.beat_at(0, at(k * 1_000));
+        }
+        assert_eq!(s.grace(), Duration::from_millis(1), "σ = 0: the mean");
+        let misses = || s.misses[0].load(Ordering::Relaxed);
+        let pass = |us: u64| s.lease_pass(at(us), &[0]);
+        // Last beat at 4 ms: each lease is the grace times 2^misses.
+        assert!(pass(4_999).is_empty() && misses() == 0, "inside the lease");
+        assert!(pass(5_000).is_empty() && misses() == 1);
+        assert!(
+            pass(5_000).is_empty() && misses() == 1,
+            "one miss per lapse"
+        );
+        assert!(pass(5_999).is_empty() && misses() == 1, "widened to 2 ms");
+        assert!(pass(6_000).is_empty() && misses() == 2);
+        assert!(pass(7_999).is_empty() && misses() == 2, "widened to 4 ms");
+        assert_eq!(pass(8_000), [0], "declared after max_misses");
+        // A beat resets the count: its next lapse is a first miss again.
+        s.beat_at(0, at(9_000));
+        assert_eq!(misses(), 0);
+        let lapse = 9_000 + s.grace().as_micros() as u64;
+        assert!(pass(lapse).is_empty() && misses() == 1);
     }
 
     #[test]
