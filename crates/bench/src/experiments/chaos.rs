@@ -197,10 +197,7 @@ pub fn run(preset: &ChaosPreset) -> ChaosResult {
         let soak = |plan: FaultPlan| {
             let builder = BarrierBuilder::new(bk, p);
             let builder = if bk == BarrierKind::Adaptive {
-                builder
-                    .candidates(&[2, 4])
-                    .window(5)
-                    .policy(model_policy(20.0))
+                builder.policy(model_policy(20.0))
             } else {
                 builder
             };

@@ -1,83 +1,176 @@
-//! An adaptive-degree barrier.
+//! The adaptive-degree barrier.
 //!
 //! The paper closes Section 8 noting that its analytic model "indicates
 //! the feasibility of barriers that would adapt their degree at run
 //! time to minimize their synchronization delay". This module builds
-//! that barrier: it measures the arrival-time spread σ̂ over a window of
-//! episodes and switches between prebuilt combining trees of candidate
-//! degrees according to a pluggable policy (the `combar` core crate
-//! supplies the paper's analytic model as that policy).
+//! that barrier as a fourth [`Climb`] of the [`counter`](crate::counter)
+//! core: one combining-tree shape per candidate degree (the powers of
+//! two below `p`, then `p` itself, the flat counter), the index of the
+//! shape in use, and one arrival stamp per thread. A climb stamps its
+//! arrival and walks the current shape; the degree policy is pluggable
+//! (the `combar` core crate supplies the paper's analytic model as that
+//! policy).
 //!
-//! # Agreement without a leader
+//! # The releaser decides
 //!
-//! All threads must use the *same* tree in every episode or the barrier
-//! deadlocks. Instead of electing a reconfiguring leader, every thread
-//! recomputes the decision independently from identical inputs:
-//! arrival timestamps are written to per-thread slots, double-buffered
-//! by window parity, so during window `w` every thread reads the
-//! *complete, frozen* slots of window `w−1` (the final barrier of
-//! window `w−1` orders all writes before any window-`w` read) and runs
-//! the same deterministic float computation — hence every thread picks
-//! the same tree.
+//! Every thread of an episode must climb the same shape. The climb that
+//! fills the root is already inside the releaser's quiescent window
+//! (see the [core](crate::counter)): nobody else is climbing, and
+//! nobody can start the next episode before the epoch bump. There, and
+//! only there, it folds the episode's arrival spread σ — the standard
+//! deviation of the stamps the episode's own arrivals left; it clears
+//! them, so an evicted or detached thread's last stamp never counts —
+//! into the window, and at every [`WINDOW`]-th release it hands the
+//! window mean σ̂ to the [`DegreePolicy`] and stores the index of the
+//! candidate nearest its answer. The epoch bump publishes that store
+//! exactly as it publishes a membership reshape, and the proxy sweep
+//! after the bump already walks the new shape.
 //!
 //! # Fault model
 //!
-//! Bounded waits ([`AdaptiveWaiter::wait_timeout`]), poisoning,
-//! eviction, and detach are supported; both are applied to **every**
-//! candidate tree, so proxies flow no matter which tree later windows
-//! select. Each tree folds a detach into its shape at its *own* next
-//! episode boundary — an idle candidate keeps the victim parked (and
-//! proxy-covered) until a later window selects it, at which point its
-//! first release applies the pending reconfiguration. Re-admission is
-//! *not* supported: a rejoiner would have to reconcile the
-//! pre-delivered proxy counts and per-tree shape epochs sitting in the
-//! inactive trees, which cannot be done race-free without a
-//! stop-the-world reconfiguration across all candidates. Rebuild the
-//! barrier to re-admit a participant.
+//! The core's: bounded waits, poisoning, eviction, detach and rejoin. A
+//! membership change rewrites *every* candidate shape in the quiescent
+//! window, so an idle shape is never stale and a rejoiner is grafted
+//! back into all of them at once.
 
-use crate::error::BarrierError;
-use crate::heal::SelfHealing;
+use crate::counter::{sealed, Climb, CounterBarrier, CounterWaiter};
 use crate::pad::CachePadded;
-use crate::tree::{TreeBarrier, TreeWaiter};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use crate::sync::{AtomicU32, Ordering};
+use crate::tree::{combining_topology, Shape};
+use combar_rng::stats::OnlineStats;
+use combar_topo::default_degree_sweep;
+use std::fmt;
+// The stamps are plain `std` atomics, not the checker's shadow ones:
+// they steer nothing but the policy's input, so a schedule point at
+// each would multiply the model checker's schedules for nothing.
+use std::sync::atomic::AtomicU64;
+use std::sync::Mutex;
+use std::time::Instant;
+
+/// Releases per degree decision: σ̂ is the mean spread of the last
+/// `WINDOW` episodes.
+pub const WINDOW: u32 = 5;
 
 /// Chooses a tree degree from the measured arrival spread.
 ///
-/// Arguments: σ̂ in microseconds, thread count. The returned degree is
-/// mapped to the nearest candidate.
+/// Arguments: σ̂ in microseconds (the mean, over the last [`WINDOW`]
+/// episodes, of each episode's arrival-time standard deviation) and the
+/// thread count. The returned degree is mapped to the nearest
+/// candidate.
 pub type DegreePolicy = Box<dyn Fn(f64, u32) -> u32 + Send + Sync>;
 
-/// An adaptive-degree combining-tree barrier.
-pub struct AdaptiveBarrier {
-    trees: Vec<TreeBarrier>,
+/// The adaptive climb: one tree shape per candidate degree and the
+/// releaser's choice among them.
+///
+/// Only releasers read the stamps and the window, so `Relaxed` suffices
+/// for the stamps: each is stored before its writer's first counter
+/// update, which the root's last updater acquires. `current` is stored
+/// in the quiescent window and published, like a reshape, by the epoch
+/// bump (`Release`) every later climber has acquired.
+pub struct Adaptive {
     degrees: Vec<u32>,
-    /// `slots[parity][tid]`: arrival timestamp (ns bits) for the window
-    /// with that parity.
-    slots: [Vec<CachePadded<AtomicU64>>; 2],
+    shapes: Vec<Shape>,
+    current: AtomicU32,
+    /// Arrival time of each thread's own climb this episode, in ns
+    /// since `start` plus one; 0 is "no own arrival".
+    stamps: Vec<CachePadded<AtomicU64>>,
+    /// The open window's per-episode spreads (µs).
+    window: Mutex<OnlineStats>,
     policy: DegreePolicy,
-    window: u32,
     start: Instant,
-    p: u32,
-    initial_idx: usize,
-    /// Tree index in use this window (every waiter stores the same
-    /// value; read by the eviction API to find stragglers).
-    current: AtomicUsize,
 }
 
-impl std::fmt::Debug for AdaptiveBarrier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdaptiveBarrier")
+impl fmt::Debug for Adaptive {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Adaptive")
             .field("degrees", &self.degrees)
-            .field("window", &self.window)
-            .field("p", &self.p)
+            .field("current", &self.degrees[self.index()])
             .finish_non_exhaustive()
     }
 }
 
+impl Adaptive {
+    fn index(&self) -> usize {
+        self.current.load(Ordering::Acquire) as usize
+    }
+
+    fn shape(&self) -> &Shape {
+        &self.shapes[self.index()]
+    }
+
+    /// The releaser's share of the quiescent window, run when a walk
+    /// filled the root: folds this episode's spread into the window
+    /// and, at its last release, asks the policy for the next shape.
+    fn settle_if(&self, filled: bool) -> bool {
+        if !filled {
+            return false;
+        }
+        let mut window = self.window.lock().expect("only releasers lock it");
+        window.push(self.take_spread_us());
+        if window.count() == u64::from(WINDOW) {
+            let wanted = (self.policy)(window.mean(), self.stamps.len() as u32);
+            self.current.store(
+                nearest_index(&self.degrees, wanted) as u32,
+                Ordering::Relaxed,
+            );
+            *window = OnlineStats::new();
+        }
+        true
+    }
+
+    /// The sample standard deviation (µs) of the stamps this episode's
+    /// own arrivals left, clearing them for the next episode.
+    fn take_spread_us(&self) -> f64 {
+        let mut arrivals = OnlineStats::new();
+        for stamp in &self.stamps {
+            match stamp.swap(0, Ordering::Relaxed) {
+                0 => {}
+                t => arrivals.push(t as f64),
+            }
+        }
+        arrivals.std_dev() / 1e3
+    }
+}
+
+impl sealed::Sealed for Adaptive {}
+
+impl Climb for Adaptive {
+    type Seat = ();
+
+    fn seat(&self, _tid: u32) {}
+
+    fn climb(&self, tid: u32, _seat: &mut (), episode: u32) -> bool {
+        let now = self.start.elapsed().as_nanos() as u64 + 1;
+        self.stamps[tid as usize].store(now, Ordering::Relaxed);
+        let shape = self.shape();
+        self.settle_if(shape.walk(shape.home_of(tid), tid, episode, |_| {}))
+    }
+
+    fn proxy_climb(&self, tid: u32, episode: u32) -> bool {
+        self.settle_if(self.shape().proxy_walk(tid, episode))
+    }
+
+    fn reshape(&self, live: &[bool]) {
+        for shape in &self.shapes {
+            shape.rewrite(live);
+        }
+    }
+
+    fn critical_depth(&self, live: &[bool]) -> u32 {
+        self.shape().critical_depth(live)
+    }
+}
+
+/// An adaptive-degree combining-tree barrier.
+pub type AdaptiveBarrier = CounterBarrier<Adaptive>;
+
+/// Per-thread handle to an [`AdaptiveBarrier`].
+pub type AdaptiveWaiter<'a> = CounterWaiter<'a, Adaptive>;
+
 impl AdaptiveBarrier {
-    /// Creates an adaptive barrier for `p` threads over the given
-    /// candidate degrees, re-deciding every `window` episodes.
+    /// Creates an adaptive barrier for `p` threads. It starts on the
+    /// candidate nearest degree 4, the classical default, and re-picks
+    /// its degree with `policy` every [`WINDOW`] releases.
     ///
     /// Prefer building through [`crate::BarrierBuilder`] when a
     /// trait-object ([`crate::Barrier`]) surface, supervision, or a
@@ -86,210 +179,55 @@ impl AdaptiveBarrier {
     ///
     /// # Panics
     ///
-    /// Panics if `p == 0`, `degrees` is empty, or `window == 0`.
-    pub fn new(p: u32, degrees: &[u32], window: u32, policy: DegreePolicy) -> Self {
+    /// Panics if `p == 0`.
+    pub fn new(p: u32, policy: DegreePolicy) -> Self {
         assert!(p > 0, "barrier needs at least one thread");
-        assert!(!degrees.is_empty(), "need at least one candidate degree");
-        assert!(window > 0, "window must be positive");
-        let mut degrees = degrees.to_vec();
-        degrees.sort_unstable();
-        degrees.dedup();
-        let trees = degrees
-            .iter()
-            .map(|&d| TreeBarrier::combining(p, d))
-            .collect();
-        let mk = || {
-            (0..p)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect()
-        };
-        // start near degree 4, the classical default
-        let initial_idx = nearest_index(&degrees, 4);
-        Self {
-            trees,
+        let degrees = default_degree_sweep(p);
+        let kind = Adaptive {
+            shapes: degrees
+                .iter()
+                .map(|&d| Shape::new(&combining_topology(p, d)))
+                .collect(),
+            current: AtomicU32::new(nearest_index(&degrees, 4) as u32),
             degrees,
-            slots: [mk(), mk()],
+            stamps: (0..p)
+                .map(|_| CachePadded::new(AtomicU64::new(0)))
+                .collect(),
+            window: Mutex::new(OnlineStats::new()),
             policy,
-            window,
             start: Instant::now(),
-            p,
-            initial_idx,
-            current: AtomicUsize::new(initial_idx),
-        }
-    }
-
-    /// Number of participating threads.
-    pub fn threads(&self) -> u32 {
-        self.p
-    }
-
-    /// The candidate degrees (sorted, deduplicated).
-    pub fn degrees(&self) -> &[u32] {
-        &self.degrees
-    }
-
-    /// Creates the per-thread handle for thread `tid`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tid` is out of range.
-    pub fn waiter(&self, tid: u32) -> AdaptiveWaiter<'_> {
-        assert!(tid < self.p, "thread id out of range");
-        AdaptiveWaiter {
-            barrier: self,
-            waiters: self.trees.iter().map(|t| t.waiter(tid)).collect(),
-            tid,
-            episode: 0,
-            idx: self.initial_idx,
-            mid: false,
-        }
-    }
-
-    /// Whether a participant died mid-episode in any candidate tree.
-    pub fn is_poisoned(&self) -> bool {
-        self.trees.iter().any(|t| t.is_poisoned())
-    }
-
-    /// Number of currently evicted participants.
-    pub fn evicted_count(&self) -> u32 {
-        self.trees[self.current.load(Ordering::Acquire)].evicted_count()
-    }
-
-    /// Whether participant `tid` is currently evicted.
-    pub fn is_evicted(&self, tid: u32) -> bool {
-        self.trees[self.current.load(Ordering::Acquire)].is_evicted(tid)
-    }
-
-    /// Participants that have not arrived for the in-flight episode of
-    /// the tree currently in use.
-    pub fn stragglers(&self) -> Vec<u32> {
-        self.trees[self.current.load(Ordering::Acquire)].stragglers()
-    }
-
-    /// Evicts participant `tid` from **every** candidate tree (so
-    /// proxies flow no matter which tree later windows select).
-    /// Refused — returning `false` — if `tid` already arrived for the
-    /// in-flight episode of the current tree.
-    ///
-    /// This is the supervisor's call; a participant rescuing its own
-    /// timed-out wait uses [`AdaptiveWaiter::evict_stragglers`].
-    pub fn evict(&self, tid: u32) -> bool {
-        let cur = self.current.load(Ordering::Acquire);
-        if !self.trees[cur].evict(tid) {
-            return false;
-        }
-        self.evict_from_idle(cur, tid);
-        true
-    }
-
-    /// Completes an eviction the tree at `cur` accepted. Idle trees
-    /// hold no in-flight arrival from `tid`, so these evictions cannot
-    /// be refused.
-    fn evict_from_idle(&self, cur: usize, tid: u32) {
-        for (i, t) in self.trees.iter().enumerate() {
-            if i != cur {
-                t.evict(tid);
-            }
-        }
-    }
-
-    /// Declares `tid` dead in **every** candidate tree: evicts it and
-    /// schedules its removal from each tree's live shape at that tree's
-    /// own next episode boundary (idle candidates apply it when a later
-    /// window selects them; until then proxies keep covering the slot).
-    /// Refused when the thread has arrived for the in-flight episode of
-    /// the current tree, or when it is the last live participant.
-    /// Idempotent.
-    pub fn detach(&self, tid: u32) -> bool {
-        assert!(tid < self.p, "thread id out of range");
-        let cur = self.current.load(Ordering::Acquire);
-        if self.trees[cur].is_live(tid) && self.trees[cur].live_count() <= 1 {
-            return false;
-        }
-        if !self.trees[cur].detach(tid) {
-            return false;
-        }
-        for (i, t) in self.trees.iter().enumerate() {
-            if i != cur {
-                // Idle trees hold no in-flight arrival from `tid`, so
-                // these detaches cannot be refused.
-                t.detach(tid);
-            }
-        }
-        true
-    }
-
-    /// Number of participants the current tree's live shape counts.
-    /// (Idle candidates may lag until their next boundary.)
-    pub fn live_count(&self) -> u32 {
-        self.trees[self.current.load(Ordering::Acquire)].live_count()
-    }
-
-    /// Whether the current tree's live shape still counts `tid`.
-    pub fn is_live(&self, tid: u32) -> bool {
-        self.trees[self.current.load(Ordering::Acquire)].is_live(tid)
-    }
-
-    /// Shape reconfigurations applied by the current tree.
-    pub fn shape_epoch(&self) -> u32 {
-        self.trees[self.current.load(Ordering::Acquire)].shape_epoch()
-    }
-
-    /// The longest root path any live participant walks in the current
-    /// tree.
-    pub fn critical_depth(&self) -> u32 {
-        self.trees[self.current.load(Ordering::Acquire)].critical_depth()
-    }
-
-    /// Checks the current tree's live shape against a fresh prune of
-    /// its base topology; call only at a quiescent point. Only the
-    /// current tree is checked: an idle candidate with an evicted
-    /// participant legitimately holds that participant's in-flight
-    /// proxy arrival (a partial episode) until a later window selects
-    /// it, so it is not quiescent even when the barrier is.
-    pub fn validate_shape(&self) -> Result<(), String> {
-        let cur = self.current.load(Ordering::Acquire);
-        self.trees[cur]
-            .validate_shape()
-            .map_err(|e| format!("degree-{} tree: {e}", self.degrees[cur]))
-    }
-
-    /// Deterministic decision from one window's frozen slots: compute
-    /// σ̂ of the recorded arrival times and ask the policy.
-    fn decide(&self, parity: usize) -> usize {
-        let n = self.p as f64;
-        let mut mean = 0.0f64;
-        for s in &self.slots[parity] {
-            mean += s.load(Ordering::Acquire) as f64;
-        }
-        mean /= n;
-        let mut ss = 0.0f64;
-        for s in &self.slots[parity] {
-            let d = s.load(Ordering::Acquire) as f64 - mean;
-            ss += d * d;
-        }
-        let sigma_us = if self.p > 1 {
-            (ss / (n - 1.0)).sqrt() / 1e3
-        } else {
-            0.0
         };
-        let wanted = (self.policy)(sigma_us, self.p);
-        nearest_index(&self.degrees, wanted)
+        Self::with_climb(kind, p)
     }
-}
 
-impl SelfHealing for AdaptiveBarrier {
-    fn threads(&self) -> u32 {
-        AdaptiveBarrier::threads(self)
+    /// Creates the per-thread handle for thread `tid`; see
+    /// [`Self::waiter_for`].
+    pub fn waiter(&self, tid: u32) -> AdaptiveWaiter<'_> {
+        self.waiter_for(tid)
     }
-    fn stragglers(&self) -> Vec<u32> {
-        AdaptiveBarrier::stragglers(self)
+
+    /// The candidate degrees, ascending.
+    pub fn degrees(&self) -> &[u32] {
+        &self.kind().degrees
     }
-    fn fail(&self, tid: u32) -> bool {
-        self.detach(tid)
+
+    /// The degree of the shape the next episode climbs.
+    pub fn current_degree(&self) -> u32 {
+        let kind = self.kind();
+        kind.degrees[kind.index()]
     }
-    fn is_poisoned(&self) -> bool {
-        AdaptiveBarrier::is_poisoned(self)
+
+    /// Checks every candidate shape against a fresh prune of its base
+    /// topology; call only at a quiescent point (no episode in flight).
+    pub fn validate_shape(&self) -> Result<(), String> {
+        let live = self.live_mask();
+        let kind = self.kind();
+        for (shape, d) in kind.shapes.iter().zip(&kind.degrees) {
+            shape
+                .validate(&live)
+                .map_err(|e| format!("degree-{d} shape: {e}"))?;
+        }
+        Ok(())
     }
 }
 
@@ -308,109 +246,39 @@ fn nearest_index(degrees: &[u32], wanted: u32) -> usize {
     best
 }
 
-/// Per-thread handle to an [`AdaptiveBarrier`].
-///
-/// Dropping a waiter mid-episode poisons the barrier (via the tree it
-/// was crossing).
-#[derive(Debug)]
-pub struct AdaptiveWaiter<'a> {
-    barrier: &'a AdaptiveBarrier,
-    waiters: Vec<TreeWaiter<'a>>,
-    tid: u32,
-    episode: u32,
-    idx: usize,
-    /// Whether an episode is in flight (preamble done, tree wait not
-    /// yet complete).
-    mid: bool,
-}
-
-impl AdaptiveWaiter<'_> {
-    /// Measurement/reconfiguration preamble, run once per episode.
-    fn preamble(&mut self) {
-        let b = self.barrier;
-        let win = self.episode / b.window;
-        if self.episode % b.window == 0 && win > 0 {
-            // Decide from the previous window's frozen slots; every
-            // thread computes the same index.
-            self.idx = b.decide(((win - 1) % 2) as usize);
-        }
-        b.current.store(self.idx, Ordering::Release);
-        let now_ns = b.start.elapsed().as_nanos() as u64;
-        b.slots[(win % 2) as usize][self.tid as usize].store(now_ns, Ordering::Release);
-        self.mid = true;
-    }
-
-    /// One barrier episode, including measurement and (at window
-    /// boundaries) reconfiguration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the barrier is poisoned or this participant evicted.
-    pub fn wait(&mut self) {
-        if !self.mid {
-            self.preamble();
-        }
-        self.waiters[self.idx].wait();
-        self.mid = false;
-        self.episode += 1;
-    }
-
-    /// One barrier episode bounded by `timeout`.
-    ///
-    /// On [`BarrierError::Timeout`] the episode stays in flight: call a
-    /// wait method again to resume it. A timed-out waiter must not
-    /// simply be dropped — that poisons the barrier; retry, or have a
-    /// peer evict it.
-    pub fn wait_timeout(&mut self, timeout: Duration) -> Result<(), BarrierError> {
-        if !self.mid {
-            self.preamble();
-        }
-        self.waiters[self.idx].wait_timeout(timeout)?;
-        self.mid = false;
-        self.episode += 1;
-        Ok(())
-    }
-
-    /// Unbounded fallible full barrier: like [`Self::wait`] but
-    /// returning poisoning/eviction as an error instead of panicking.
-    pub fn try_wait(&mut self) -> Result<(), BarrierError> {
-        if !self.mid {
-            self.preamble();
-        }
-        self.waiters[self.idx].try_wait()?;
-        self.mid = false;
-        self.episode += 1;
-        Ok(())
-    }
-
-    /// The rescue after a timed-out wait: evicts every participant
-    /// still missing from the episode this waiter is mid-way through —
-    /// judged by the tree it is crossing, which declines once that
-    /// episode has released — and returns their ids.
-    pub fn evict_stragglers(&mut self) -> Vec<u32> {
-        let evicted = self.waiters[self.idx].evict_stragglers();
-        for &tid in &evicted {
-            self.barrier.evict_from_idle(self.idx, tid);
-        }
-        evicted
-    }
-
-    /// The degree of the tree this thread is currently using.
-    pub fn current_degree(&self) -> u32 {
-        self.barrier.degrees[self.idx]
-    }
-
-    /// This thread's id.
-    pub fn tid(&self) -> u32 {
-        self.tid
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use crate::error::BarrierError;
+    use crate::heal::RejoinStatus;
+    use std::sync::atomic::{AtomicBool, AtomicU32};
+    use std::sync::{Arc, Mutex};
     use std::time::Duration;
+
+    /// Answers degree 2 and the flat degree in turn, so every window
+    /// boundary switches shapes (at `p ≥ 3`, where there are two).
+    fn flipping() -> DegreePolicy {
+        let wide = AtomicBool::new(false);
+        Box::new(move |_, p| {
+            if wide.fetch_xor(true, Ordering::Relaxed) {
+                p
+            } else {
+                2
+            }
+        })
+    }
+
+    /// One episode, single-threaded: arrive all, then depart all.
+    fn cross(ws: &mut [AdaptiveWaiter<'_>]) {
+        for w in ws.iter_mut() {
+            w.try_arrive().unwrap();
+        }
+        for w in ws.iter_mut() {
+            w.try_depart().unwrap();
+        }
+    }
+
+    crate::counter::lifecycle_tests!(|p| AdaptiveBarrier::new(p, flipping()));
 
     #[test]
     fn nearest_index_prefers_wider_on_ties() {
@@ -422,10 +290,24 @@ mod tests {
     }
 
     #[test]
+    fn candidates_are_the_degree_sweep_starting_nearest_four() {
+        let cases: [(u32, &[u32], u32); 4] = [
+            (1, &[1], 1),
+            (3, &[2, 3], 3),
+            (4, &[2, 4], 4),
+            (8, &[2, 4, 8], 4),
+        ];
+        for (p, degrees, start) in cases {
+            let b = AdaptiveBarrier::new(p, flipping());
+            assert_eq!(b.degrees(), degrees, "p={p}");
+            assert_eq!(b.current_degree(), start, "p={p}");
+        }
+    }
+
+    #[test]
     fn lockstep_across_reconfigurations() {
         const P: usize = 4;
-        let policy: DegreePolicy = Box::new(|sigma_us, _| if sigma_us > 100.0 { 8 } else { 2 });
-        let barrier = AdaptiveBarrier::new(P as u32, &[2, 4, 8], 3, policy);
+        let barrier = AdaptiveBarrier::new(P as u32, flipping());
         let phases: Vec<AtomicU32> = (0..P).map(|_| AtomicU32::new(0)).collect();
         std::thread::scope(|s| {
             for tid in 0..P {
@@ -450,43 +332,60 @@ mod tests {
     }
 
     /// With a large injected arrival spread, the policy must widen the
-    /// tree.
+    /// tree from its degree-4 start to the flat counter.
     #[test]
     fn widens_under_injected_imbalance() {
-        const P: usize = 4;
+        const P: u32 = 8;
         let policy: DegreePolicy = Box::new(|sigma_us, p| if sigma_us > 500.0 { p } else { 4 });
-        let barrier = AdaptiveBarrier::new(P as u32, &[2, 4, P as u32], 4, policy);
-        let final_degree = AtomicU32::new(0);
+        let barrier = AdaptiveBarrier::new(P, policy);
+        assert_eq!(barrier.current_degree(), 4);
         std::thread::scope(|s| {
             for tid in 0..P {
                 let barrier = &barrier;
-                let final_degree = &final_degree;
                 s.spawn(move || {
-                    let mut w = barrier.waiter(tid as u32);
-                    for _ in 0..16 {
+                    let mut w = barrier.waiter(tid);
+                    for _ in 0..2 * WINDOW {
                         if tid == 0 {
                             std::thread::sleep(Duration::from_millis(3));
                         }
                         w.wait();
                     }
-                    if tid == 0 {
-                        final_degree.store(w.current_degree(), Ordering::Relaxed);
-                    }
                 });
             }
         });
-        assert_eq!(final_degree.load(Ordering::Relaxed), P as u32);
+        assert_eq!(barrier.current_degree(), P);
     }
 
+    /// A thread that stops arriving leaves no stamp behind: every σ̂ the
+    /// policy sees is the survivors' own spread, however long ago the
+    /// silent thread last arrived.
     #[test]
-    fn single_thread_never_blocks() {
-        let policy: DegreePolicy = Box::new(|_, _| 4);
-        let b = AdaptiveBarrier::new(1, &[2, 4], 2, policy);
-        let mut w = b.waiter(0);
-        for _ in 0..10 {
-            w.wait();
+    fn evicted_threads_stamps_do_not_inflate_the_spread() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        let policy: DegreePolicy = Box::new(move |sigma_us, _| {
+            log.lock().unwrap().push(sigma_us);
+            2
+        });
+        let b = AdaptiveBarrier::new(4, policy);
+        let mut ws: Vec<_> = (0..4).map(|t| b.waiter(t)).collect();
+        cross(&mut ws);
+        // Thread 3 goes silent and a rescue evicts it.
+        let live = &mut ws[..3];
+        for w in live.iter_mut() {
+            w.try_arrive().unwrap();
         }
-        assert_eq!(w.current_degree(), 4);
+        assert_eq!(live[0].evict_stragglers(), vec![3]);
+        for w in live.iter_mut() {
+            w.try_depart().unwrap();
+        }
+        for _ in 0..4 * WINDOW {
+            std::thread::sleep(Duration::from_millis(2));
+            cross(live);
+        }
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 4, "22 releases make 4 decisions");
+        assert!(seen.iter().all(|&s| s < 1000.0), "σ̂ (µs): {seen:?}");
     }
 
     /// Survivors keep crossing — including across a window boundary
@@ -494,11 +393,12 @@ mod tests {
     #[test]
     fn eviction_survives_tree_switches() {
         const P: u32 = 4;
-        // Starts on the degree-8 tree (nearest to the default 4, ties
-        // widen); the policy then steers every later window to degree 2,
-        // so the evicted participant's proxies must flow in both trees.
+        // Starts on the flat degree-4 shape; the policy steers every
+        // window boundary to degree 2, so the evicted participant's
+        // proxies must flow in both shapes.
         let policy: DegreePolicy = Box::new(|_, _| 2);
-        let b = AdaptiveBarrier::new(P, &[2, 8], 5, policy);
+        let b = AdaptiveBarrier::new(P, policy);
+        assert_eq!(b.current_degree(), 4);
         let dead = 3u32;
         std::thread::scope(|s| {
             for tid in 0..P {
@@ -526,20 +426,22 @@ mod tests {
                 });
             }
         });
+        assert_eq!(b.current_degree(), 2);
         assert!(b.is_evicted(dead));
         assert!(!b.is_poisoned());
     }
 
-    /// A detach is forwarded to every candidate tree and each folds it
-    /// in at its own boundary, so survivors keep crossing — and the
-    /// shape actually shrinks — across a window switch.
+    /// A detach rewrites every candidate shape at the boundary that
+    /// folds it in, so survivors keep crossing — and the shape actually
+    /// shrinks — across a window switch.
     #[test]
     fn detach_applies_across_tree_switches() {
         const P: u32 = 4;
-        // Starts on the degree-8 tree; the policy steers every later
-        // window to degree 2, so both trees must fold the detach in.
+        // Starts on the flat degree-4 shape; the policy steers every
+        // window boundary to degree 2.
         let policy: DegreePolicy = Box::new(|_, _| 2);
-        let b = AdaptiveBarrier::new(P, &[2, 8], 5, policy);
+        let b = AdaptiveBarrier::new(P, policy);
+        assert_eq!(b.current_degree(), 4);
         let dead = 3u32;
         std::thread::scope(|s| {
             for tid in 0..P {
@@ -567,6 +469,7 @@ mod tests {
                 });
             }
         });
+        assert_eq!(b.current_degree(), 2);
         assert!(b.is_evicted(dead));
         assert!(!b.is_live(dead));
         assert_eq!(b.live_count(), P - 1);
@@ -574,21 +477,31 @@ mod tests {
         b.validate_shape().unwrap();
     }
 
+    /// A detached thread rejoins on a different degree than the one it
+    /// left: the reshapes kept every candidate current, so the next
+    /// switch lands on a full-strength shape too.
     #[test]
-    fn detach_refuses_last_live_participant() {
-        let policy: DegreePolicy = Box::new(|_, _| 2);
-        let b = AdaptiveBarrier::new(2, &[2], 4, policy);
-        assert!(b.detach(1));
-        let mut w0 = b.waiter(0);
-        w0.wait_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(b.live_count(), 1);
-        assert!(!b.detach(0), "cannot detach the last live participant");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one candidate")]
-    fn empty_degrees_rejected() {
-        let policy: DegreePolicy = Box::new(|_, _| 4);
-        let _ = AdaptiveBarrier::new(4, &[], 2, policy);
+    fn rejoin_after_detach_restores_every_shape() {
+        let b = AdaptiveBarrier::new(4, flipping());
+        let mut ws: Vec<_> = (0..4).map(|t| b.waiter(t)).collect();
+        assert!(b.detach(3));
+        // Release 1 folds the detach in; release 5 switches 4 → 2.
+        for _ in 0..WINDOW {
+            cross(&mut ws[..3]);
+        }
+        assert_eq!((b.live_count(), b.current_degree()), (3, 2));
+        b.validate_shape().unwrap();
+        assert_eq!(ws[3].try_rejoin().unwrap(), RejoinStatus::Pending);
+        cross(&mut ws[..3]);
+        assert_eq!(ws[3].try_rejoin().unwrap(), RejoinStatus::Rejoined);
+        ws[3].try_depart().unwrap(); // resumed mid-episode, departs at once
+        assert_eq!(b.live_count(), 4);
+        b.validate_shape().unwrap();
+        // Release 10 switches back to the flat shape, at full strength.
+        for _ in 0..WINDOW - 1 {
+            cross(&mut ws);
+        }
+        assert_eq!((b.current_degree(), b.critical_depth()), (4, 1));
+        b.validate_shape().unwrap();
     }
 }

@@ -20,9 +20,9 @@
 //!   implement only what they mean.
 //! * [`BarrierBuilder`] — one construction path over all ten kinds,
 //!   replacing the scattered `CentralBarrier::new` /
-//!   `TreeBarrier::combining` / `AdaptiveBarrier::new(p, degrees,
-//!   window, policy)` signatures, with optional supervisor
-//!   configuration and a `combar-trace` sink.
+//!   `TreeBarrier::combining` / `AdaptiveBarrier::new(p, policy)`
+//!   signatures, with optional supervisor configuration and a
+//!   `combar-trace` sink.
 //!
 //! The conformance matrix's [`AnyBarrier`]/[`AnyWaiter`] are thin
 //! newtypes over `Box<dyn Barrier>` / `Box<dyn Waiter>`, so the full
@@ -39,7 +39,7 @@ use std::time::Duration;
 
 use combar_trace as trace;
 
-use crate::adaptive::{AdaptiveBarrier, AdaptiveWaiter, DegreePolicy};
+use crate::adaptive::{AdaptiveBarrier, DegreePolicy};
 use crate::asyncb::{AsyncBarrier, AsyncWaiter};
 use crate::blocking::{BlockingBarrier, BlockingWaiter};
 use crate::central::CentralBarrier;
@@ -85,8 +85,7 @@ pub trait Waiter: fmt::Debug + Send {
 
     /// The fuzzy arrive/depart view, for kinds with a separable
     /// signal/enforce split. `None` (the default) for kinds without
-    /// one (dissemination and tournament interleave both phases;
-    /// adaptive must run its measurement preamble inside `wait`).
+    /// one (dissemination and tournament interleave both phases).
     fn as_fuzzy(&mut self) -> Option<&mut dyn FuzzyWaiter> {
         None
     }
@@ -250,13 +249,6 @@ impl Waiter for TournamentWaiter<'_> {
     }
 }
 
-impl Waiter for AdaptiveWaiter<'_> {
-    forward_wait!();
-    fn evict_stragglers(&mut self) -> Vec<u32> {
-        Self::evict_stragglers(self)
-    }
-}
-
 impl<K: Climb> Barrier for CounterBarrier<K> {
     fn threads(&self) -> u32 {
         Self::threads(self)
@@ -378,33 +370,6 @@ impl Barrier for AsyncBarrier {
     }
 }
 
-impl Barrier for AdaptiveBarrier {
-    fn threads(&self) -> u32 {
-        Self::threads(self)
-    }
-    fn waiter<'a>(&'a self, tid: u32) -> Box<dyn Waiter + 'a> {
-        Box::new(self.waiter(tid))
-    }
-    fn is_poisoned(&self) -> bool {
-        Self::is_poisoned(self)
-    }
-    fn stragglers(&self) -> Vec<u32> {
-        Self::stragglers(self)
-    }
-    fn evict(&self, tid: u32) -> bool {
-        Self::evict(self, tid)
-    }
-    fn detach(&self, tid: u32) -> bool {
-        Self::detach(self, tid)
-    }
-    fn live_count(&self) -> u32 {
-        Self::live_count(self)
-    }
-    fn critical_depth(&self) -> Option<u32> {
-        Some(Self::critical_depth(self))
-    }
-}
-
 /// One construction path over all ten barrier kinds.
 ///
 /// The kind (with its shape parameters) picks the family; the optional
@@ -420,15 +385,12 @@ impl Barrier for AdaptiveBarrier {
 /// # drop(w);
 /// ```
 ///
-/// For [`BarrierKind::Adaptive`], `candidates`, `window`, and `policy`
-/// feed `AdaptiveBarrier::new`; the defaults match the conformance
-/// matrix's spread-threshold stand-in. A supervisor config and a trace
-/// sink can be attached for any kind.
+/// For [`BarrierKind::Adaptive`], `policy` feeds `AdaptiveBarrier::new`;
+/// the default is the conformance matrix's spread-threshold stand-in. A
+/// supervisor config and a trace sink can be attached for any kind.
 pub struct BarrierBuilder {
     kind: BarrierKind,
     participants: u32,
-    candidates: Vec<u32>,
-    window: u32,
     policy: Option<DegreePolicy>,
     supervisor: Option<SupervisorConfig>,
     book: Option<Arc<trace::TraceBook>>,
@@ -439,8 +401,6 @@ impl fmt::Debug for BarrierBuilder {
         f.debug_struct("BarrierBuilder")
             .field("kind", &self.kind)
             .field("participants", &self.participants)
-            .field("candidates", &self.candidates)
-            .field("window", &self.window)
             .finish_non_exhaustive()
     }
 }
@@ -451,25 +411,10 @@ impl BarrierBuilder {
         Self {
             kind,
             participants,
-            candidates: vec![2, 4],
-            window: 5,
             policy: None,
             supervisor: None,
             book: None,
         }
-    }
-
-    /// Candidate degrees for [`BarrierKind::Adaptive`] (ignored by the
-    /// other kinds).
-    pub fn candidates(mut self, degrees: &[u32]) -> Self {
-        self.candidates = degrees.to_vec();
-        self
-    }
-
-    /// Re-decision window (episodes) for [`BarrierKind::Adaptive`].
-    pub fn window(mut self, episodes: u32) -> Self {
-        self.window = episodes;
-        self
     }
 
     /// Degree policy for [`BarrierKind::Adaptive`]. Defaults to the
@@ -500,7 +445,7 @@ impl BarrierBuilder {
     /// # Panics
     ///
     /// Panics if `participants == 0` (or the kind's own shape
-    /// constraints are violated, e.g. empty adaptive candidates).
+    /// constraints are violated, e.g. a tree degree below 2).
     pub fn build(self) -> AnyBarrier {
         let p = self.participants;
         let inner: Box<dyn Barrier> = match self.kind {
@@ -518,12 +463,7 @@ impl BarrierBuilder {
                     // spread out.
                     Box::new(|sigma_us, _p| if sigma_us > 25.0 { 2 } else { 4 })
                 });
-                Box::new(AdaptiveBarrier::new(
-                    p,
-                    &self.candidates,
-                    self.window,
-                    policy,
-                ))
+                Box::new(AdaptiveBarrier::new(p, policy))
             }
             BarrierKind::Async { shards } => Box::new(AsyncBarrier::new(p, shards)),
         };

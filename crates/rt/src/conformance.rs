@@ -133,6 +133,7 @@ impl BarrierKind {
                 | BarrierKind::CombiningTree { .. }
                 | BarrierKind::McsTree { .. }
                 | BarrierKind::Dynamic { .. }
+                | BarrierKind::Adaptive
                 | BarrierKind::Async { .. }
         )
     }

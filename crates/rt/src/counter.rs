@@ -1,5 +1,5 @@
 //! The counter-barrier core: one epoch / poison / evict / rejoin state
-//! machine under the central, tree and dynamic barriers.
+//! machine under the central, tree, dynamic and adaptive barriers.
 //!
 //! The paper's central counter, degree-`d` combining tree and
 //! dynamic-placement tree are one protocol: a thread updates a counter,
@@ -81,7 +81,7 @@ pub(crate) mod sealed {
 }
 
 /// What differs between the counter barriers: the counters and the
-/// walk over them. Sealed — the three kinds of this crate are its only
+/// walk over them. Sealed — the four kinds of this crate are its only
 /// implementations, and it is not an extension point.
 ///
 /// Every climb emits its own `Win`/`Lose` trace events, tagged with the
@@ -115,8 +115,9 @@ pub trait Climb: sealed::Sealed + fmt::Debug + Send + Sync {
 
 /// A counter barrier: the shared state machine around one [`Climb`].
 /// Used through its aliases [`crate::CentralBarrier`],
-/// [`crate::TreeBarrier`] and [`crate::DynamicBarrier`], which add the
-/// constructors and the kind-specific accessors.
+/// [`crate::TreeBarrier`], [`crate::DynamicBarrier`] and
+/// [`crate::AdaptiveBarrier`], which add the constructors and the
+/// kind-specific accessors.
 #[derive(Debug)]
 pub struct CounterBarrier<K: Climb> {
     kind: K,
@@ -340,8 +341,8 @@ impl<K: Climb> SelfHealing for CounterBarrier<K> {
 }
 
 /// Per-thread handle to a [`CounterBarrier`] (aliased as
-/// [`crate::CentralWaiter`], [`crate::TreeWaiter`] and
-/// [`crate::DynamicWaiter`]).
+/// [`crate::CentralWaiter`], [`crate::TreeWaiter`],
+/// [`crate::DynamicWaiter`] and [`crate::AdaptiveWaiter`]).
 ///
 /// Dropping a waiter between `arrive` and a completed depart (e.g. a
 /// panic unwinding through the slack section of a fuzzy episode)
@@ -476,7 +477,7 @@ impl<'a, K: Climb> CounterWaiter<'a, K> {
     /// proxied pending arrival belongs to minus one, so a revived
     /// participant can tell how many episodes its proxy already
     /// covered. The life-cycle is one type, so this is available on the
-    /// central, tree and dynamic waiters alike.
+    /// central, tree, dynamic and adaptive waiters alike.
     pub fn episodes(&self) -> u32 {
         self.epoch
     }
@@ -613,7 +614,7 @@ pub(crate) use lifecycle_tests;
 
 /// The shared life-cycle, tested once: each function takes a
 /// constructor `make(p)` and [`lifecycle_tests!`] instantiates the set
-/// in a kind's own test module, so every check runs over all three
+/// in a kind's own test module, so every check runs over all four
 /// climbs.
 #[cfg(test)]
 pub(crate) mod lifecycle {

@@ -15,14 +15,14 @@
 //! * [`DynamicBarrier`] — the paper's dynamic placement barrier
 //!   (Section 5.1): victor/victim swaps migrate slow threads to the
 //!   root;
-//! * [`counter`] — what those three share. They are one protocol (the
-//!   last updater of a counter climbs to its parent, the root's last
-//!   updater releases everyone through one epoch flag) that differs
-//!   only in degree and in who sits where, so they are one type,
-//!   [`CounterBarrier`], over three climbs: the epoch / poison / evict
-//!   / rejoin state machine, the waiter life-cycle and the release
-//!   path exist once, and `central`, `tree` and `dynamic` hold only
-//!   their counters and walks;
+//! * [`counter`] — what those three and the adaptive barrier share.
+//!   They are one protocol (the last updater of a counter climbs to its
+//!   parent, the root's last updater releases everyone through one
+//!   epoch flag) that differs only in degree and in who sits where, so
+//!   they are one type, [`CounterBarrier`], over four climbs: the epoch
+//!   / poison / evict / rejoin state machine, the waiter life-cycle and
+//!   the release path exist once, and `central`, `tree`, `dynamic` and
+//!   `adaptive` hold only their counters and walks;
 //! * [`DisseminationBarrier`] and [`TournamentBarrier`] — the classic
 //!   `⌈log₂ p⌉`-round baselines from the literature the paper builds
 //!   on;
@@ -30,8 +30,9 @@
 //!   counter-tree waiter supports;
 //! * [`AdaptiveBarrier`] — reconfigures its degree at run time from the
 //!   measured arrival spread (the feasibility claim of the paper's
-//!   conclusion), with the degree policy injected (the `combar` core
-//!   crate supplies the analytic model as that policy);
+//!   conclusion): its releaser picks one of the candidate tree shapes
+//!   in the quiescent window, with the degree policy injected (the
+//!   `combar` core crate supplies the analytic model as that policy);
 //! * [`AsyncBarrier`] ([`asyncb`]) — the async epoch runtime: a
 //!   participant is a parked waker on a sharded wait list, not an OS
 //!   thread, so a handful of driver threads ([`asyncb::Executor`])

@@ -14,9 +14,9 @@
 //! next-episode increment.
 //!
 //! This file holds only what is the tree's own: the counters and shape
-//! arrays (`Shape`, which the dynamic barrier climbs too), the static
-//! walk, and the re-prune a membership change triggers. The waiter
-//! life-cycle, fault model and self-healing are the shared
+//! arrays (`Shape`, which the dynamic and adaptive barriers climb too),
+//! the static walk, and the re-prune a membership change triggers. The
+//! waiter life-cycle, fault model and self-healing are the shared
 //! [`counter`](crate::counter) core's.
 
 use crate::counter::{sealed, Climb, CounterBarrier, CounterWaiter};
@@ -32,6 +32,16 @@ fn padded(values: impl Iterator<Item = u32>) -> Vec<CachePadded<AtomicU32>> {
     values
         .map(|v| CachePadded::new(AtomicU32::new(v)))
         .collect()
+}
+
+/// The classic combining tree of `degree` over `p` threads; a degree of
+/// `p` or more builds the flat counter.
+pub(crate) fn combining_topology(p: u32, degree: u32) -> Topology {
+    if degree >= p {
+        Topology::flat(p)
+    } else {
+        Topology::combining(p, degree)
+    }
 }
 
 /// The counters of a tree barrier and its live shape, indexed like the
@@ -138,6 +148,46 @@ impl Shape {
         self.counts.iter().all(|c| c.load(Ordering::Relaxed) == 0)
     }
 
+    /// Checks the shape against a fresh prune of the base topology to
+    /// `live`; call only at a quiescent point (no episode in flight).
+    pub(crate) fn validate(&self, live: &[bool]) -> Result<(), String> {
+        let shape = self.base.prune_shape(live);
+        shape.validate()?;
+        for c in 0..self.base.num_counters() {
+            let fan = self.fan_in[c].load(Ordering::Acquire);
+            if fan != shape.fan_in[c] {
+                return Err(format!("counter {c}: fan_in {fan} != {}", shape.fan_in[c]));
+            }
+            let par = self.parent[c].load(Ordering::Acquire);
+            let want = shape.parent[c].unwrap_or(NO_PARENT);
+            if shape.retained[c] && par != want {
+                return Err(format!("counter {c}: parent {par} != {want}"));
+            }
+            if shape.retained[c] {
+                let pl = self.path_len[c].load(Ordering::Acquire);
+                if pl != shape.path_len[c] {
+                    return Err(format!(
+                        "counter {c}: path_len {pl} != {}",
+                        shape.path_len[c]
+                    ));
+                }
+            }
+            let count = self.counts[c].load(Ordering::Acquire);
+            if count != 0 {
+                return Err(format!("counter {c}: count {count} != 0 at quiescence"));
+            }
+        }
+        for (t, want) in shape.home.iter().enumerate() {
+            if let Some(want) = *want {
+                let home = self.home_of(t as u32);
+                if home != want {
+                    return Err(format!("thread {t}: home {home} != {want}"));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Re-prunes the base topology to the `live` set and rewrites the
     /// shape arrays and every live thread's home to it; returns the
     /// pruned shape.
@@ -205,11 +255,7 @@ impl TreeBarrier {
     /// trace sink is wanted; the direct constructor stays for
     /// statically-typed embedding.
     pub fn combining(p: u32, degree: u32) -> Self {
-        if degree >= p {
-            Self::from_topology(&Topology::flat(p))
-        } else {
-            Self::from_topology(&Topology::combining(p, degree))
-        }
+        Self::from_topology(&combining_topology(p, degree))
     }
 
     /// An MCS-style owner tree of the given degree over `p` threads.
@@ -249,42 +295,7 @@ impl TreeBarrier {
     /// topology; call only at a quiescent point (no episode in
     /// flight). Used by property tests and the soak job.
     pub fn validate_shape(&self) -> Result<(), String> {
-        let live = &self.kind().shape;
-        let shape = live.base.prune_shape(&self.live_mask());
-        shape.validate()?;
-        for c in 0..live.base.num_counters() {
-            let fan = live.fan_in[c].load(Ordering::Acquire);
-            if fan != shape.fan_in[c] {
-                return Err(format!("counter {c}: fan_in {fan} != {}", shape.fan_in[c]));
-            }
-            let par = live.parent[c].load(Ordering::Acquire);
-            let want = shape.parent[c].unwrap_or(NO_PARENT);
-            if shape.retained[c] && par != want {
-                return Err(format!("counter {c}: parent {par} != {want}"));
-            }
-            if shape.retained[c] {
-                let pl = live.path_len[c].load(Ordering::Acquire);
-                if pl != shape.path_len[c] {
-                    return Err(format!(
-                        "counter {c}: path_len {pl} != {}",
-                        shape.path_len[c]
-                    ));
-                }
-            }
-            let count = live.counts[c].load(Ordering::Acquire);
-            if count != 0 {
-                return Err(format!("counter {c}: count {count} != 0 at quiescence"));
-            }
-        }
-        for t in 0..self.threads() {
-            if let Some(want) = shape.home[t as usize] {
-                let home = live.home_of(t);
-                if home != want {
-                    return Err(format!("thread {t}: home {home} != {want}"));
-                }
-            }
-        }
-        Ok(())
+        self.kind().shape.validate(&self.live_mask())
     }
 }
 

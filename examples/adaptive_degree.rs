@@ -11,6 +11,8 @@
 //! same policy at simulator scale (4096 processors), where the degree
 //! swings matter most.
 
+use combar::combar_rt::adaptive::WINDOW;
+use combar::combar_topo::default_degree_sweep;
 use combar::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration as StdDuration;
@@ -23,14 +25,14 @@ fn main() {
 /// Four real threads; imbalance switches on halfway through.
 fn threaded_demo() {
     const THREADS: u32 = 4;
-    const WINDOW: u32 = 4;
-    const QUIET: u32 = 12;
-    const NOISY: u32 = 16;
+    const QUIET: u32 = 3 * WINDOW;
+    const NOISY: u32 = 3 * WINDOW;
 
-    println!("adaptive barrier, {THREADS} threads, window {WINDOW} episodes");
+    println!(
+        "adaptive barrier, {THREADS} threads, degrees {:?}, window {WINDOW} episodes",
+        default_degree_sweep(THREADS)
+    );
     let barrier = BarrierBuilder::new(BarrierKind::Adaptive, THREADS)
-        .candidates(&[2, 4, THREADS])
-        .window(WINDOW)
         .policy(model_policy(20.0))
         .build();
     let quiet_depth = AtomicU32::new(0);

@@ -4,7 +4,10 @@
 
 use combar_chaos::{ChaosConfig, DeathMode, FaultPlan};
 use combar_rt::harness::{chaos_torture_on, churn_torture_on, lockstep_torture_on, Stagger};
-use combar_rt::{BarrierBuilder, BarrierError, BarrierKind, DynamicBarrier, TreeBarrier};
+use combar_rt::{
+    AdaptiveBarrier, BarrierBuilder, BarrierError, BarrierKind, DynamicBarrier, TreeBarrier,
+};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 const SHORT: Duration = Duration::from_millis(20);
@@ -315,12 +318,47 @@ fn churn_kill_and_rejoin_heals_the_dynamic_barrier() {
     assert_eq!(report.live_at_full, Some(P));
 }
 
+/// An adaptive barrier whose policy answers degree 2 and the flat degree
+/// in turn, so every window boundary switches trees under the churn.
+fn flipping_adaptive(p: u32) -> AdaptiveBarrier {
+    let wide = AtomicBool::new(false);
+    AdaptiveBarrier::new(
+        p,
+        Box::new(move |_, p| {
+            if wide.fetch_xor(true, Ordering::Relaxed) {
+                p
+            } else {
+                2
+            }
+        }),
+    )
+}
+
+/// The same churn scenario on the adaptive barrier: every detach and
+/// every granted rejoin rewrites all candidate trees, so the corpses
+/// come back at full strength whichever degree is current when they do.
+#[test]
+fn churn_kill_and_rejoin_heals_the_adaptive_barrier() {
+    const P: u32 = 16;
+    let plan = FaultPlan::quiet(0xC4A2)
+        .with_churn(3, 8, DeathMode::Stall, 20)
+        .with_churn(9, 10, DeathMode::Stall, 22);
+
+    let b = flipping_adaptive(P);
+    let report = churn_torture_on(&b, 30, plan, STEP);
+    assert!(!report.poisoned);
+    assert_eq!(report.gave_up, 0);
+    assert!(report.rejoins >= 2);
+    assert_eq!(report.live_at_full, Some(P));
+}
+
 /// Bounded churn soak for CI (`COMBAR_SOAK=1`; skipped otherwise so
 /// the default test run stays fast). Repeated kill/rejoin rounds over
-/// the tree and dynamic barriers at two thread counts, failing on
-/// poisoning, give-ups, unhealed membership, or a healed critical
-/// depth off the fault-free one by more than a level. Each round is a
-/// full `churn_torture_on` run, so lockstep violations panic inside.
+/// the tree, dynamic and adaptive barriers at two thread counts,
+/// failing on poisoning, give-ups, unhealed membership, or a healed
+/// critical depth off the fault-free one by more than a level. Each
+/// round is a full `churn_torture_on` run, so lockstep violations panic
+/// inside.
 #[test]
 fn churn_soak_bounded() {
     if std::env::var_os("COMBAR_SOAK").is_none() {
@@ -352,6 +390,11 @@ fn churn_soak_bounded() {
             let report = churn_torture_on(&b, 25, plan, STEP);
             assert!(!report.poisoned, "dynamic p={p} round={round}: poisoned");
             assert_eq!(report.live_at_full, Some(p), "dynamic p={p} round={round}");
+
+            let b = flipping_adaptive(p);
+            let report = churn_torture_on(&b, 25, plan, STEP);
+            assert!(!report.poisoned, "adaptive p={p} round={round}: poisoned");
+            assert_eq!(report.live_at_full, Some(p), "adaptive p={p} round={round}");
         }
     }
 }

@@ -21,15 +21,16 @@
 //! a racing victor/victim swap) would release an episode early and
 //! trip the lower bound; a lost arrival would deadlock.
 
-use std::sync::atomic::{AtomicUsize, Ordering as StdOrdering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as StdOrdering};
 use std::sync::Arc;
 
 use combar_check::shadow::{spin_hint, steps, AtomicU32};
 use combar_check::{vthread, Checker, FailureKind, Outcome};
+use combar_rt::adaptive::WINDOW;
 use combar_rt::counter::{Climb, CounterBarrier, CounterWaiter};
 use combar_rt::{
-    AsyncBarrier, AsyncWaiter, BarrierError, CentralBarrier, DisseminationBarrier, DynamicBarrier,
-    RejoinStatus, TournamentBarrier, TreeBarrier,
+    AdaptiveBarrier, AsyncBarrier, AsyncWaiter, BarrierError, CentralBarrier, DisseminationBarrier,
+    DynamicBarrier, RejoinStatus, TournamentBarrier, TreeBarrier,
 };
 use std::sync::atomic::Ordering;
 use std::task::{Context, Poll, Wake, Waker};
@@ -367,14 +368,25 @@ fn depart_all<K: Climb>(ws: &mut [CounterWaiter<'_, K>]) {
     }
 }
 
+/// The lane described above. `warmup` full-strength episodes, crossed
+/// single-threaded before the first virtual thread exists (so they add
+/// no schedule), shift which release the race lands on; `settled` runs
+/// on the barrier at the end of every schedule.
 fn evict_rejoin_converges<K: Climb + 'static>(
     lane: &str,
     p: u32,
     make: fn(u32) -> CounterBarrier<K>,
+    warmup: u32,
+    settled: fn(&CounterBarrier<K>),
 ) {
-    const TOTAL: u32 = 4;
+    let total = warmup + 4;
     let fx = move || {
         let b = Arc::new(make(p));
+        for _ in 0..warmup {
+            let mut all: Vec<_> = (0..p).map(|tid| b.waiter_for(tid)).collect();
+            arrive_all(&mut all);
+            depart_all(&mut all);
+        }
         let rejoined = Arc::new(AtomicU32::new(0));
         let mut ws: Vec<_> = (0..p)
             .filter(|&tid| tid != 1)
@@ -399,7 +411,7 @@ fn evict_rejoin_converges<K: Climb + 'static>(
                 // Complete the episode the proxy already arrived for…
                 w1.try_depart().unwrap();
                 // …then arrive for every remaining episode ourselves.
-                while w1.episodes() < TOTAL {
+                while w1.episodes() < total {
                     w1.try_wait().unwrap();
                 }
                 w1.episodes()
@@ -410,30 +422,74 @@ fn evict_rejoin_converges<K: Climb + 'static>(
         while rejoined.load(Ordering::SeqCst) == 0 {
             spin_hint();
         }
-        while ws[0].episodes() < TOTAL {
+        while ws[0].episodes() < total {
             arrive_all(&mut ws);
             depart_all(&mut ws);
         }
-        assert_eq!(revived.join(), TOTAL);
+        assert_eq!(revived.join(), total);
         assert_eq!(b.evicted_count(), 0);
         assert!(!b.is_poisoned());
+        settled(&b);
     };
     expect_full_space(lane, fx);
 }
 
 #[test]
 fn exhaustive_evict_rejoin_converges() {
-    evict_rejoin_converges("central p=2 evict/rejoin", 2, CentralBarrier::new);
+    evict_rejoin_converges(
+        "central p=2 evict/rejoin",
+        2,
+        CentralBarrier::new,
+        0,
+        |_| {},
+    );
 }
 
 #[test]
 fn exhaustive_evict_rejoin_converges_on_the_tree() {
-    evict_rejoin_converges("tree p=3 evict/rejoin", 3, tree_d2);
+    evict_rejoin_converges("tree p=3 evict/rejoin", 3, tree_d2, 0, |_| {});
 }
 
 #[test]
 fn exhaustive_evict_rejoin_converges_on_the_dynamic_barrier() {
-    evict_rejoin_converges("dynamic p=3 evict/rejoin", 3, dynamic_d2);
+    evict_rejoin_converges("dynamic p=3 evict/rejoin", 3, dynamic_d2, 0, |_| {});
+}
+
+/// An adaptive barrier whose policy flips between degree 2 and the flat
+/// degree on every call and never reads σ̂, so the wall-clock arrival
+/// stamps steer nothing and every schedule replays.
+fn flipping_adaptive(p: u32) -> AdaptiveBarrier {
+    let wide = AtomicBool::new(false);
+    AdaptiveBarrier::new(
+        p,
+        Box::new(move |_, p| {
+            if wide.fetch_xor(true, StdOrdering::Relaxed) {
+                p
+            } else {
+                2
+            }
+        }),
+    )
+}
+
+/// The degree switch meets the revival: `WINDOW - 3` warm-up episodes
+/// make episode 3 — the one the rejoin CAS races against its release
+/// and proxy sweep — the `WINDOW`-th release, so its releaser switches
+/// the flat shape to degree 2 in the same quiescent window, and the
+/// sweep after the bump walks the new shape.
+#[test]
+fn exhaustive_evict_rejoin_converges_on_the_adaptive_barrier() {
+    assert_eq!(flipping_adaptive(3).current_degree(), 3);
+    let warmup = WINDOW - 3;
+    evict_rejoin_converges(
+        "adaptive p=3 evict/rejoin",
+        3,
+        flipping_adaptive,
+        warmup,
+        |b| {
+            assert_eq!(b.current_degree(), 2, "episode 3's release switched degree");
+        },
+    );
 }
 
 /// The last-active rule under the only race that can break it: at

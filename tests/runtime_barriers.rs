@@ -49,7 +49,7 @@ fn dynamic_barrier_swaps_under_stagger() {
 /// policy; this is the composition the core crate ships).
 #[test]
 fn adaptive_barrier_lockstep_with_model_policy() {
-    torture(&AdaptiveBarrier::new(4, &[2, 4], 5, model_policy(20.0)));
+    torture(&AdaptiveBarrier::new(4, model_policy(20.0)));
 }
 
 /// The dynamic barrier's migration matches the simulator's placement
