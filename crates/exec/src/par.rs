@@ -158,11 +158,22 @@ mod tests {
 
     #[test]
     fn uses_multiple_workers_when_asked() {
+        use std::time::{Duration, Instant};
+        // Item 0 holds its worker until a second thread has entered `f`,
+        // so one worker cannot drain every chunk before the others start
+        // on a loaded host; a serial run never sees a second thread.
+        let entered = Mutex::new(std::collections::HashSet::new());
         let ids = with_thread_count(4, || {
-            par_map_indexed(256, |_| {
-                // Give the other workers a chance to claim chunks.
-                std::thread::yield_now();
-                std::thread::current().id()
+            par_map_indexed(256, |i| {
+                let me = std::thread::current().id();
+                entered.lock().unwrap().insert(me);
+                if i == 0 {
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while entered.lock().unwrap().len() < 2 && Instant::now() < deadline {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                me
             })
         });
         let distinct: std::collections::HashSet<_> = ids.into_iter().collect();

@@ -24,6 +24,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use combar_chaos::{NetChaosConfig, NetFaultPlan};
+use combar_rng::stats::nearest_rank;
 
 use crate::client::{BarrierClient, ClientConfig};
 use crate::faulty::FaultyTransport;
@@ -92,11 +93,7 @@ pub struct TrafficReport {
 impl TrafficReport {
     /// The `p`-th percentile latency (0 ≤ p ≤ 100), or 0 if empty.
     pub fn percentile_us(&self, p: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let rank = ((p / 100.0) * (self.latencies_us.len() - 1) as f64).round() as usize;
-        self.latencies_us[rank.min(self.latencies_us.len() - 1)]
+        nearest_rank(&self.latencies_us, p / 100.0).unwrap_or(0)
     }
 
     /// Completed episodes summed over all sessions.

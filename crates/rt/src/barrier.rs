@@ -41,10 +41,10 @@ use combar_trace as trace;
 
 use crate::adaptive::{AdaptiveBarrier, DegreePolicy};
 use crate::asyncb::{AsyncBarrier, AsyncWaiter};
-use crate::blocking::{BlockingBarrier, BlockingWaiter};
+use crate::blocking::BlockingBarrier;
 use crate::central::CentralBarrier;
 use crate::conformance::BarrierKind;
-use crate::counter::{Climb, CounterBarrier, CounterWaiter};
+use crate::counter::{Climb, CounterBarrier, CounterWaiter, Notify};
 use crate::dissemination::{DisseminationBarrier, DisseminationWaiter};
 use crate::dynamic::DynamicBarrier;
 use crate::error::BarrierError;
@@ -203,7 +203,7 @@ macro_rules! forward_wait {
     };
 }
 
-impl<K: Climb> Waiter for CounterWaiter<'_, K> {
+impl<K: Climb, N: Notify> Waiter for CounterWaiter<'_, K, N> {
     forward_wait!();
     fn as_fuzzy(&mut self) -> Option<&mut dyn FuzzyWaiter> {
         Some(self)
@@ -216,19 +216,6 @@ impl<K: Climb> Waiter for CounterWaiter<'_, K> {
     }
     fn rejoin_within(&mut self, timeout: Duration) -> Result<bool, BarrierError> {
         Self::rejoin_within(self, timeout)
-    }
-}
-
-impl Waiter for BlockingWaiter<'_> {
-    forward_wait!();
-    fn as_fuzzy(&mut self) -> Option<&mut dyn FuzzyWaiter> {
-        Some(self)
-    }
-    fn evict_stragglers(&mut self) -> Vec<u32> {
-        Self::evict_stragglers(self)
-    }
-    fn rejoin(&mut self) -> Result<bool, BarrierError> {
-        Self::rejoin(self)
     }
 }
 
@@ -249,7 +236,7 @@ impl Waiter for TournamentWaiter<'_> {
     }
 }
 
-impl<K: Climb> Barrier for CounterBarrier<K> {
+impl<K: Climb, N: Notify> Barrier for CounterBarrier<K, N> {
     fn threads(&self) -> u32 {
         Self::threads(self)
     }
@@ -273,27 +260,6 @@ impl<K: Climb> Barrier for CounterBarrier<K> {
     }
     fn critical_depth(&self) -> Option<u32> {
         Some(Self::critical_depth(self))
-    }
-}
-
-impl Barrier for BlockingBarrier {
-    fn threads(&self) -> u32 {
-        Self::threads(self)
-    }
-    fn waiter<'a>(&'a self, tid: u32) -> Box<dyn Waiter + 'a> {
-        Box::new(self.waiter_for(tid))
-    }
-    fn is_poisoned(&self) -> bool {
-        Self::is_poisoned(self)
-    }
-    fn stragglers(&self) -> Vec<u32> {
-        Self::stragglers(self)
-    }
-    fn evict(&self, tid: u32) -> bool {
-        Self::evict(self, tid)
-    }
-    fn critical_depth(&self) -> Option<u32> {
-        Some(1) // one mutex-protected count
     }
 }
 
@@ -708,43 +674,55 @@ mod tests {
     }
 
     /// The supervisor configured at build time declares a straggler
-    /// through the `SelfHealing` impl on `AnyBarrier`.
+    /// through the `SelfHealing` impl on `AnyBarrier`, on a spinning and
+    /// a sleeping kind.
     #[test]
     fn supervisor_heals_through_the_trait_object() {
-        let cfg = SupervisorConfig {
-            min_grace: Duration::from_millis(2),
-            ..SupervisorConfig::default()
-        };
-        let b = BarrierBuilder::new(BarrierKind::CombiningTree { degree: 2 }, 2)
-            .supervise(cfg)
-            .build();
-        let sup = b.supervisor().expect("configured");
-        let mut w0 = b.waiter(0);
-        assert_eq!(
-            w0.wait_timeout(Duration::from_millis(5)),
-            Err(BarrierError::Timeout)
-        );
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            let declared = sup.poll(&b);
-            if declared == vec![1] {
-                break;
-            }
-            assert!(declared.is_empty(), "unexpected declarations: {declared:?}");
-            assert!(
-                std::time::Instant::now() < deadline,
-                "straggler never declared"
+        for kind in [
+            BarrierKind::CombiningTree { degree: 2 },
+            BarrierKind::Blocking,
+        ] {
+            let label = kind.label();
+            let cfg = SupervisorConfig {
+                min_grace: Duration::from_millis(2),
+                ..SupervisorConfig::default()
+            };
+            let b = BarrierBuilder::new(kind, 2).supervise(cfg).build();
+            let sup = b.supervisor().expect("configured");
+            let mut w0 = b.waiter(0);
+            assert_eq!(
+                w0.wait_timeout(Duration::from_millis(5)),
+                Err(BarrierError::Timeout),
+                "{label}"
             );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // The declared detach folds into the live shape at an episode
-        // boundary; cross until the shape reflects it.
-        loop {
-            w0.wait_timeout(Duration::from_secs(5)).unwrap();
-            if b.live_count() == 1 {
-                break;
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            loop {
+                let declared = sup.poll(&b);
+                if declared == vec![1] {
+                    break;
+                }
+                assert!(
+                    declared.is_empty(),
+                    "{label}: unexpected declarations: {declared:?}"
+                );
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "{label}: straggler never declared"
+                );
+                std::thread::sleep(Duration::from_millis(1));
             }
-            assert!(std::time::Instant::now() < deadline, "detach never applied");
+            // The declared detach folds into the live shape at an episode
+            // boundary; cross until the shape reflects it.
+            loop {
+                w0.wait_timeout(Duration::from_secs(5)).unwrap();
+                if b.live_count() == 1 {
+                    break;
+                }
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "{label}: detach never applied"
+                );
+            }
         }
     }
 }

@@ -10,9 +10,11 @@
 //! This file holds only what is central's own: the counter, the
 //! one-update climb, and the expected count a detach shrinks. The
 //! waiter life-cycle, fault model and self-healing are the shared
-//! [`counter`](crate::counter) core's.
+//! [`counter`](crate::counter) core's, and how waiters wait is its
+//! [`Notify`]: the constructors below serve the spinning
+//! [`CentralBarrier`] and the sleeping [`crate::BlockingBarrier`] alike.
 
-use crate::counter::{sealed, Climb, CounterBarrier, CounterWaiter};
+use crate::counter::{sealed, Climb, CounterBarrier, CounterWaiter, Notify};
 use crate::pad::CachePadded;
 use crate::sync::{AtomicU32, Ordering};
 use combar_trace as trace;
@@ -33,7 +35,7 @@ pub type CentralBarrier = CounterBarrier<Central>;
 /// Per-thread handle to a [`CentralBarrier`].
 pub type CentralWaiter<'a> = CounterWaiter<'a, Central>;
 
-impl CentralBarrier {
+impl<N: Notify> CounterBarrier<Central, N> {
     /// Creates a barrier for `p` threads.
     ///
     /// Prefer building through [`crate::BarrierBuilder`] when a
@@ -58,7 +60,7 @@ impl CentralBarrier {
     /// participant ids are assigned round-robin in creation order (use
     /// [`Self::waiter_for`] when eviction decisions must name a
     /// specific thread).
-    pub fn waiter(&self) -> CentralWaiter<'_> {
+    pub fn waiter(&self) -> CounterWaiter<'_, Central, N> {
         let tid = self.kind().next_id.fetch_add(1, Ordering::Relaxed) % self.threads();
         self.waiter_for(tid)
     }

@@ -54,7 +54,8 @@ const STEP: Duration = Duration::from_secs(5);
 pub enum BarrierKind {
     /// Single shared counter with sense reversal.
     Central,
-    /// Mutex/condvar barrier (threads sleep instead of spinning).
+    /// Central counter whose waiters sleep on a condvar instead of
+    /// spinning (`Central × Park`).
     Blocking,
     /// Static combining tree of the given fan-in.
     CombiningTree {

@@ -1,5 +1,6 @@
 //! The counter-barrier core: one epoch / poison / evict / rejoin state
-//! machine under the central, tree, dynamic and adaptive barriers.
+//! machine under the central, blocking, tree, dynamic and adaptive
+//! barriers.
 //!
 //! The paper's central counter, degree-`d` combining tree and
 //! dynamic-placement tree are one protocol: a thread updates a counter,
@@ -12,11 +13,21 @@
 //! the waiter life-cycle, the fault surface and the single release
 //! path.
 //!
+//! [`Notify`] is the second axis: how a waiter waits for the release
+//! and how the release (or a poisoning) wakes it. The paper prices
+//! arrival (the climb) and notification (the root's release) as two
+//! terms; a barrier is one `Climb` × one `Notify`. [`Flag`], the
+//! default, spins then yields on the epoch and needs no wake, so the
+//! central, tree, dynamic and adaptive barriers are exactly their
+//! climbs. [`Park`](crate::blocking::Park) sleeps until the release
+//! wakes it: [`crate::BlockingBarrier`] is `Central × Park`, with the
+//! same fault model as every other counter barrier.
+//!
 //! # Release path
 //!
 //! A climb (a waiter's own, or a proxy's) that fills the root has
 //! already reset every counter it won, so at that instant no counter
-//! holds a partial episode, every surviving waiter is spinning on the
+//! holds a partial episode, every surviving waiter is waiting on the
 //! epoch, and no proxy can start (all non-active roster slots are
 //! stamped for the in-flight target). Inside that *quiescent window*
 //! the releaser folds queued membership changes into the shape, emits
@@ -26,7 +37,8 @@
 //! After the bump it sweeps proxy arrivals for every evicted slot into
 //! the next episode. There is one such path, so an episode completed by
 //! a proxy arrival is traced (`Win`/`Release`) exactly like one
-//! completed by a waiter.
+//! completed by a waiter. The bump is followed by the notify's wake (a
+//! no-op for [`Flag`]); so is the poisoning store of a dropped waiter.
 //!
 //! # Fault model
 //!
@@ -36,7 +48,7 @@
 //! * **Poisoning.** A waiter dropped between `arrive` and a completed
 //!   depart (a panic unwinding through a fuzzy slack section) poisons
 //!   the barrier: peers get [`BarrierError::Poisoned`] instead of
-//!   spinning forever.
+//!   waiting forever.
 //! * **Eviction.** A participant that stops arriving can be evicted —
 //!   by a peer whose own wait timed out
 //!   ([`CounterWaiter::evict_stragglers`]) or by a supervisor
@@ -75,9 +87,54 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 pub(crate) mod sealed {
-    /// Keeps [`super::Climb`] closed: nameable (tests are generic over
-    /// it) but implementable only inside this crate.
+    /// Keeps [`super::Climb`] and [`super::Notify`] closed: nameable
+    /// (tests are generic over them) but implementable only inside this
+    /// crate.
     pub trait Sealed {}
+}
+
+/// How a waiter waits for the release, and how the release wakes it.
+/// Sealed — [`Flag`] and [`Park`](crate::blocking::Park) are its only
+/// implementations.
+pub trait Notify: sealed::Sealed + fmt::Debug + Default + Send + Sync {
+    /// Waits until `epoch` reaches `target`, `poison` is set
+    /// ([`BarrierError::Poisoned`]) or `deadline` passes
+    /// ([`BarrierError::Timeout`]). The release check comes first, so a
+    /// met target never reports a timeout or poisoning.
+    fn wait(
+        &self,
+        epoch: &AtomicU32,
+        target: u32,
+        poison: &AtomicU32,
+        deadline: Option<Instant>,
+    ) -> Result<(), BarrierError>;
+
+    /// Wakes every waiter; called after each epoch bump and after the
+    /// poisoning store.
+    fn wake(&self);
+}
+
+/// The global flag: waiters spin then yield on the epoch
+/// ([`wait_for_epoch_fallible`]), so the epoch bump is the whole wake.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Flag;
+
+impl sealed::Sealed for Flag {}
+
+impl Notify for Flag {
+    #[inline]
+    fn wait(
+        &self,
+        epoch: &AtomicU32,
+        target: u32,
+        poison: &AtomicU32,
+        deadline: Option<Instant>,
+    ) -> Result<(), BarrierError> {
+        wait_for_epoch_fallible(epoch, target, poison, deadline)
+    }
+
+    #[inline]
+    fn wake(&self) {}
 }
 
 /// What differs between the counter barriers: the counters and the
@@ -113,14 +170,16 @@ pub trait Climb: sealed::Sealed + fmt::Debug + Send + Sync {
     fn critical_depth(&self, live: &[bool]) -> u32;
 }
 
-/// A counter barrier: the shared state machine around one [`Climb`].
-/// Used through its aliases [`crate::CentralBarrier`],
+/// A counter barrier: the shared state machine around one [`Climb`]
+/// and one [`Notify`]. Used through its aliases
+/// [`crate::CentralBarrier`], [`crate::BlockingBarrier`],
 /// [`crate::TreeBarrier`], [`crate::DynamicBarrier`] and
 /// [`crate::AdaptiveBarrier`], which add the constructors and the
 /// kind-specific accessors.
 #[derive(Debug)]
-pub struct CounterBarrier<K: Climb> {
+pub struct CounterBarrier<K: Climb, N: Notify = Flag> {
     kind: K,
+    pub(crate) notify: N,
     epoch: CachePadded<AtomicU32>,
     poison: CachePadded<AtomicU32>,
     roster: Roster,
@@ -128,10 +187,11 @@ pub struct CounterBarrier<K: Climb> {
     p: u32,
 }
 
-impl<K: Climb> CounterBarrier<K> {
+impl<K: Climb, N: Notify> CounterBarrier<K, N> {
     pub(crate) fn with_climb(kind: K, p: u32) -> Self {
         Self {
             kind,
+            notify: N::default(),
             epoch: CachePadded::new(AtomicU32::new(0)),
             poison: CachePadded::new(AtomicU32::new(0)),
             roster: Roster::new(p),
@@ -163,7 +223,7 @@ impl<K: Climb> CounterBarrier<K> {
     /// # Panics
     ///
     /// Panics if `tid` is out of range.
-    pub fn waiter_for(&self, tid: u32) -> CounterWaiter<'_, K> {
+    pub fn waiter_for(&self, tid: u32) -> CounterWaiter<'_, K, N> {
         assert!(tid < self.p, "thread id out of range");
         CounterWaiter {
             barrier: self,
@@ -282,6 +342,7 @@ impl<K: Climb> CounterBarrier<K> {
         self.fold_membership();
         trace::emit(episode, subject, trace::Kind::Release);
         self.epoch.fetch_add(1, Ordering::Release);
+        self.notify.wake();
     }
 
     /// Folds queued membership changes into the shape.
@@ -325,7 +386,7 @@ impl<K: Climb> CounterBarrier<K> {
     }
 }
 
-impl<K: Climb> SelfHealing for CounterBarrier<K> {
+impl<K: Climb, N: Notify> SelfHealing for CounterBarrier<K, N> {
     fn threads(&self) -> u32 {
         self.p
     }
@@ -341,16 +402,17 @@ impl<K: Climb> SelfHealing for CounterBarrier<K> {
 }
 
 /// Per-thread handle to a [`CounterBarrier`] (aliased as
-/// [`crate::CentralWaiter`], [`crate::TreeWaiter`],
-/// [`crate::DynamicWaiter`] and [`crate::AdaptiveWaiter`]).
+/// [`crate::CentralWaiter`], [`crate::BlockingWaiter`],
+/// [`crate::TreeWaiter`], [`crate::DynamicWaiter`] and
+/// [`crate::AdaptiveWaiter`]).
 ///
 /// Dropping a waiter between `arrive` and a completed depart (e.g. a
 /// panic unwinding through the slack section of a fuzzy episode)
 /// poisons the barrier: peers receive [`BarrierError::Poisoned`]
-/// instead of spinning forever.
+/// instead of waiting forever.
 #[derive(Debug)]
-pub struct CounterWaiter<'a, K: Climb> {
-    barrier: &'a CounterBarrier<K>,
+pub struct CounterWaiter<'a, K: Climb, N: Notify = Flag> {
+    barrier: &'a CounterBarrier<K, N>,
     tid: u32,
     epoch: u32,
     seat: K::Seat,
@@ -359,8 +421,8 @@ pub struct CounterWaiter<'a, K: Climb> {
     awaiting_attach: bool,
 }
 
-impl<'a, K: Climb> CounterWaiter<'a, K> {
-    pub(crate) fn barrier(&self) -> &'a CounterBarrier<K> {
+impl<'a, K: Climb, N: Notify> CounterWaiter<'a, K, N> {
+    pub(crate) fn barrier(&self) -> &'a CounterBarrier<K, N> {
         self.barrier
     }
 
@@ -423,7 +485,7 @@ impl<'a, K: Climb> CounterWaiter<'a, K> {
         assert!(self.pending, "depart called without arrive");
         let b = self.barrier;
         let target = self.epoch.wrapping_add(1);
-        wait_for_epoch_fallible(&b.epoch, target, &b.poison, deadline)?;
+        b.notify.wait(&b.epoch, target, &b.poison, deadline)?;
         self.epoch = target;
         self.pending = false;
         Ok(())
@@ -565,15 +627,16 @@ impl<'a, K: Climb> CounterWaiter<'a, K> {
     }
 }
 
-impl<K: Climb> Drop for CounterWaiter<'_, K> {
+impl<K: Climb, N: Notify> Drop for CounterWaiter<'_, K, N> {
     fn drop(&mut self) {
         if self.pending {
             self.barrier.poison.store(1, Ordering::Release);
+            self.barrier.notify.wake();
         }
     }
 }
 
-/// Instantiates the [`lifecycle`] checks as `#[test]`s for the climb
+/// Instantiates the [`lifecycle`] checks as `#[test]`s for the barrier
 /// `$make(p)` constructs.
 #[cfg(test)]
 macro_rules! lifecycle_tests {
@@ -615,14 +678,16 @@ pub(crate) use lifecycle_tests;
 /// The shared life-cycle, tested once: each function takes a
 /// constructor `make(p)` and [`lifecycle_tests!`] instantiates the set
 /// in a kind's own test module, so every check runs over all four
-/// climbs.
+/// climbs and both notifies.
 #[cfg(test)]
 pub(crate) mod lifecycle {
     use super::*;
 
     const LONG: Duration = Duration::from_millis(500);
 
-    pub(crate) fn single_thread_never_blocks<K: Climb>(make: impl Fn(u32) -> CounterBarrier<K>) {
+    pub(crate) fn single_thread_never_blocks<K: Climb, N: Notify>(
+        make: impl Fn(u32) -> CounterBarrier<K, N>,
+    ) {
         let b = make(1);
         let mut w = b.waiter_for(0);
         for _ in 0..100 {
@@ -631,8 +696,8 @@ pub(crate) mod lifecycle {
         assert_eq!(w.episodes(), 100);
     }
 
-    pub(crate) fn dropping_pending_waiter_poisons_peers<K: Climb>(
-        make: impl Fn(u32) -> CounterBarrier<K>,
+    pub(crate) fn dropping_pending_waiter_poisons_peers<K: Climb, N: Notify>(
+        make: impl Fn(u32) -> CounterBarrier<K, N>,
     ) {
         let b = make(3);
         {
@@ -646,7 +711,9 @@ pub(crate) mod lifecycle {
         assert_eq!(peer.try_rejoin(), Err(BarrierError::Poisoned));
     }
 
-    pub(crate) fn clean_drop_does_not_poison<K: Climb>(make: impl Fn(u32) -> CounterBarrier<K>) {
+    pub(crate) fn clean_drop_does_not_poison<K: Climb, N: Notify>(
+        make: impl Fn(u32) -> CounterBarrier<K, N>,
+    ) {
         let b = make(1);
         {
             let mut w = b.waiter_for(0);
@@ -655,23 +722,25 @@ pub(crate) mod lifecycle {
         assert!(!b.is_poisoned());
     }
 
-    pub(crate) fn double_arrive_is_rejected<K: Climb>(make: impl Fn(u32) -> CounterBarrier<K>) {
+    pub(crate) fn double_arrive_is_rejected<K: Climb, N: Notify>(
+        make: impl Fn(u32) -> CounterBarrier<K, N>,
+    ) {
         let b = make(2);
         let mut w = b.waiter_for(0);
         w.arrive();
         w.arrive();
     }
 
-    pub(crate) fn depart_without_arrive_is_rejected<K: Climb>(
-        make: impl Fn(u32) -> CounterBarrier<K>,
+    pub(crate) fn depart_without_arrive_is_rejected<K: Climb, N: Notify>(
+        make: impl Fn(u32) -> CounterBarrier<K, N>,
     ) {
         let b = make(2);
         let mut w = b.waiter_for(0);
         w.depart();
     }
 
-    pub(crate) fn evicting_an_arrived_thread_is_refused<K: Climb>(
-        make: impl Fn(u32) -> CounterBarrier<K>,
+    pub(crate) fn evicting_an_arrived_thread_is_refused<K: Climb, N: Notify>(
+        make: impl Fn(u32) -> CounterBarrier<K, N>,
     ) {
         let b = make(2);
         let mut w = b.waiter_for(0);
@@ -681,8 +750,8 @@ pub(crate) mod lifecycle {
         w.wait_timeout(LONG).unwrap();
     }
 
-    pub(crate) fn detach_refuses_last_live_participant<K: Climb>(
-        make: impl Fn(u32) -> CounterBarrier<K>,
+    pub(crate) fn detach_refuses_last_live_participant<K: Climb, N: Notify>(
+        make: impl Fn(u32) -> CounterBarrier<K, N>,
     ) {
         let b = make(2);
         let mut w0 = b.waiter_for(0);
@@ -698,8 +767,8 @@ pub(crate) mod lifecycle {
     }
 
     /// Single-threaded orchestration of the full degradation cycle.
-    pub(crate) fn eviction_lets_survivors_cross_and_rejoin_resumes<K: Climb>(
-        make: impl Fn(u32) -> CounterBarrier<K>,
+    pub(crate) fn eviction_lets_survivors_cross_and_rejoin_resumes<K: Climb, N: Notify>(
+        make: impl Fn(u32) -> CounterBarrier<K, N>,
     ) {
         let b = make(2);
         let mut alive = b.waiter_for(0);
@@ -749,8 +818,8 @@ pub(crate) mod lifecycle {
     /// Barrier-level evictions are not bound, but stop at the last
     /// active participant: with nobody left to arrive, every proxy
     /// sweep would release an episode and never return.
-    pub(crate) fn evicting_everyone_spares_the_last_active_participant<K: Climb>(
-        make: impl Fn(u32) -> CounterBarrier<K>,
+    pub(crate) fn evicting_everyone_spares_the_last_active_participant<K: Climb, N: Notify>(
+        make: impl Fn(u32) -> CounterBarrier<K, N>,
     ) {
         let b = make(3);
         let mut w0 = b.waiter_for(0);

@@ -7,12 +7,12 @@
 //! arrival order across iterations, making the slow processor
 //! predictable.
 //!
-//! The counter-barrier waiter (central, tree, dynamic — one type) and
-//! the blocking and async waiters expose `arrive`/`depart`; this module
-//! names the split as a trait and adds a convenience wrapper that times
-//! the phases.
+//! The counter-barrier waiter (central, blocking, tree, dynamic,
+//! adaptive — one type) and the async waiter expose `arrive`/`depart`;
+//! this module names the split as a trait and adds a convenience
+//! wrapper that times the phases.
 
-use crate::counter::{Climb, CounterWaiter};
+use crate::counter::{Climb, CounterWaiter, Notify};
 use std::time::{Duration, Instant};
 
 /// A barrier participant that supports the fuzzy split.
@@ -31,7 +31,7 @@ pub trait FuzzyWaiter {
     }
 }
 
-impl<K: Climb> FuzzyWaiter for CounterWaiter<'_, K> {
+impl<K: Climb, N: Notify> FuzzyWaiter for CounterWaiter<'_, K, N> {
     fn arrive(&mut self) {
         CounterWaiter::arrive(self)
     }

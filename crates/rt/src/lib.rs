@@ -8,21 +8,23 @@
 //!
 //! * [`CentralBarrier`] — one counter + sense-reversing epoch; the
 //!   `O(p)` baseline that is nevertheless optimal under extreme
-//!   imbalance — with [`BlockingBarrier`] as the parking (condvar)
-//!   variant for oversubscribed hosts;
+//!   imbalance — with [`BlockingBarrier`] as the sleeping variant for
+//!   oversubscribed hosts (the same climb, waiters parked on a condvar);
 //! * [`TreeBarrier`] — static combining tree of any degree over any
 //!   `combar-topo` topology (combining, MCS, ring);
 //! * [`DynamicBarrier`] — the paper's dynamic placement barrier
 //!   (Section 5.1): victor/victim swaps migrate slow threads to the
 //!   root;
-//! * [`counter`] — what those three and the adaptive barrier share.
-//!   They are one protocol (the last updater of a counter climbs to its
-//!   parent, the root's last updater releases everyone through one
-//!   epoch flag) that differs only in degree and in who sits where, so
-//!   they are one type, [`CounterBarrier`], over four climbs: the epoch
-//!   / poison / evict / rejoin state machine, the waiter life-cycle and
-//!   the release path exist once, and `central`, `tree`, `dynamic` and
-//!   `adaptive` hold only their counters and walks;
+//! * [`counter`] — what those and the adaptive barrier share. They are
+//!   one protocol (the last updater of a counter climbs to its parent,
+//!   the root's last updater releases everyone through one epoch flag)
+//!   that differs only in degree and in who sits where, so they are one
+//!   type, [`CounterBarrier`], over four climbs and two notifies — the
+//!   arrival and notification terms of the paper's delay: the epoch /
+//!   poison / evict / rejoin state machine, the waiter life-cycle and
+//!   the release path exist once, `central`, `tree`, `dynamic` and
+//!   `adaptive` hold only their counters and walks, and `blocking` only
+//!   how a waiter sleeps and is woken;
 //! * [`DisseminationBarrier`] and [`TournamentBarrier`] — the classic
 //!   `⌈log₂ p⌉`-round baselines from the literature the paper builds
 //!   on;
@@ -71,7 +73,8 @@
 //! type-erased matrix every kind is checked against. All hot state is
 //! cache-padded ([`CachePadded`]); waiting is spin-then-yield
 //! ([`spin::Backoff`]) so the crate behaves on machines with fewer
-//! cores than threads.
+//! cores than threads, or a sleep ([`sync::Sleeper`]) on the blocking
+//! barrier.
 //!
 //! # Model checking
 //!
@@ -96,8 +99,8 @@
 //! * **poisoning** — a waiter dropped mid-episode (typically a panic
 //!   unwinding) permanently poisons the barrier, turning a would-be
 //!   deadlock into prompt [`BarrierError::Poisoned`] errors for peers;
-//! * **graceful degradation** — the counter-tree barriers (central,
-//!   tree, dynamic, blocking, adaptive) support *eviction*: a
+//! * **graceful degradation** — the counter barriers (central,
+//!   blocking, tree, dynamic, adaptive) support *eviction*: a
 //!   participant that stops arriving can be removed — by a peer whose
 //!   own wait timed out ([`Waiter::evict_stragglers`], bound to the
 //!   episode that waiter is in, so a rescue that runs late evicts

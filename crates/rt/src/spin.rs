@@ -182,17 +182,32 @@ pub fn wait_for_epoch_fallible(
         None => Backoff::new(),
     };
     loop {
-        if flag.load(Ordering::Acquire).wrapping_sub(target) <= u32::MAX / 2 {
-            return Ok(());
-        }
-        if poison.load(Ordering::Acquire) != 0 {
-            return Err(BarrierError::Poisoned);
+        if let Some(outcome) = epoch_outcome(flag, target, poison) {
+            return outcome;
         }
         if backoff.expired() {
             return Err(BarrierError::Timeout);
         }
         backoff.snooze();
     }
+}
+
+/// The check every epoch wait repeats: `Ok` once `flag` has reached
+/// `target` (wrap-around aware, Acquire), [`BarrierError::Poisoned`]
+/// once `poison` is set, `None` while neither holds.
+#[inline]
+pub(crate) fn epoch_outcome(
+    flag: &AtomicU32,
+    target: u32,
+    poison: &AtomicU32,
+) -> Option<Result<(), BarrierError>> {
+    if flag.load(Ordering::Acquire).wrapping_sub(target) <= u32::MAX / 2 {
+        return Some(Ok(()));
+    }
+    if poison.load(Ordering::Acquire) != 0 {
+        return Some(Err(BarrierError::Poisoned));
+    }
+    None
 }
 
 #[cfg(test)]
