@@ -19,21 +19,23 @@
 //! wire can drop, duplicate, delay, or reorder anything and the episode
 //! counters still advance exactly once.
 //!
-//! A re-send is also evidence of loss, and loss is what arms
-//! redundancy. Every re-send of the in-flight arrival (a
+//! A re-send is also evidence of loss, and the session remembers loss.
+//! Every re-send of the in-flight arrival (a
 //! [`send_arrive`](BarrierClient::send_arrive) while one is pending —
 //! the only re-send site, which [`await_release`](BarrierClient::await_release)
-//! retries through too) arms a countdown: the re-send and the session's
-//! next 64 arrivals are each encoded once and handed to the transport
-//! twice, same bytes, same `seq`. The server arms the same countdown
-//! for the session's releases when it re-acks an already-released
-//! episode. With two independently faulted copies a frame is lost with
-//! probability p² instead of p, so at 5 % loss an episode of 16
-//! sessions crosses without a repair 92 % of the time instead of 19 %.
+//! retries through too) adds one copy, up to three, to every arrival the
+//! session sends: each is encoded once and handed to the transport that
+//! many times, same bytes, same `seq`. The count drops by one copy after
+//! 1 024 fresh arrivals in a row go out without a re-send, so it holds
+//! while loss persists. The server keeps the same rule for the session's
+//! releases, with a re-sent arrival for an already-released episode as
+//! its evidence. With k independently faulted copies a frame is lost
+//! with probability pᵏ instead of p, so at 5 % loss an episode of 16
+//! sessions needs a repair about 1.6 % of the time instead of 81 %.
 //! Only independent loss gets this: a burst (a `disconnect_prob`
-//! window of the fault plan, a flapping link) drops both copies
-//! together. A clean wire never re-sends, so it never arms and its
-//! sequence of operations is exactly one frame per arrival.
+//! window of the fault plan, a flapping link) drops all copies
+//! together. A clean wire never re-sends, so its copy count stays at
+//! one and its sequence of operations is exactly one frame per arrival.
 //!
 //! Errors map onto the runtime's [`BarrierError`]:
 //! [`BarrierError::Timeout`] when attempts are exhausted (the operation
@@ -57,7 +59,7 @@ use std::time::{Duration, Instant};
 use combar_rt::{BarrierError, JitterBackoff};
 use combar_trace::Kind;
 
-use crate::proto::{Request, Response, SessionId, REDUNDANT_EPISODES};
+use crate::proto::{Redundancy, Request, Response, SessionId};
 use crate::transport::{NetError, Transport};
 
 /// Retry tuning for [`BarrierClient`].
@@ -114,9 +116,9 @@ pub struct BarrierClient<T: Transport> {
     /// An `Arrive` for the current episode is in flight (sent but not
     /// yet released) — `await_release` re-sends it on retry.
     arrive_pending: bool,
-    /// Fresh arrivals still to be sent twice: set to
-    /// [`REDUNDANT_EPISODES`] by every re-send, spent one per arrival.
-    redundant: u32,
+    /// How many copies of each arrival to send: raised by every
+    /// re-send, lowered by a calm run of fresh arrivals.
+    redundancy: Redundancy,
     /// Highest server incarnation observed. Frames stamped with a lower
     /// incarnation come from a fenced zombie (a dead server's delayed
     /// or split-brain traffic) and are dropped unconditionally — the
@@ -137,7 +139,7 @@ impl<T: Transport> BarrierClient<T> {
             seq: 0,
             joined: false,
             arrive_pending: false,
-            redundant: 0,
+            redundancy: Redundancy::default(),
             max_inc: 0,
             stats: ClientStats::default(),
         }
@@ -265,23 +267,19 @@ impl<T: Transport> BarrierClient<T> {
     /// sends all arrivals first, then awaits all releases.
     ///
     /// Called again before the release, it re-sends the same arrival
-    /// (idempotent, counted in [`ClientStats::retries`]) and arms the
-    /// loss redundancy described in the module docs.
+    /// (idempotent, counted in [`ClientStats::retries`]) and adds a copy
+    /// to it and to the arrivals after it, as the module docs describe.
     pub fn send_arrive(&mut self) -> Result<(), BarrierError> {
         if !self.joined {
             return Err(BarrierError::Evicted);
         }
         let copies = if self.arrive_pending {
-            // A re-send is evidence of loss: it and the next
-            // REDUNDANT_EPISODES fresh arrivals go out twice.
+            // A re-send is evidence of loss.
             self.stats.retries += 1;
-            self.redundant = REDUNDANT_EPISODES;
-            2
-        } else if self.redundant > 0 {
-            self.redundant -= 1;
-            2
+            self.redundancy.raise();
+            self.redundancy.copies()
         } else {
-            1
+            self.redundancy.fresh()
         };
         let (session, episode) = (self.session, self.episode);
         combar_trace::emit(episode as u32, session as u32, Kind::Arrive);
@@ -473,6 +471,7 @@ impl<T: Transport> BarrierClient<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::HOLD;
     use crate::transport::loopback_pair;
 
     /// A hand-rolled server half for protocol-level unit tests.
@@ -535,6 +534,9 @@ mod tests {
             server_side
                 .send(&Response::Release { episode: 0, inc: 0 }.encode())
                 .unwrap();
+            // Held open until the client is done: the re-send's later
+            // copies would find a closed wire, which is `Poisoned`.
+            server_side
         });
         let mut c = BarrierClient::new(
             client_side,
@@ -551,12 +553,13 @@ mod tests {
         h.join().unwrap();
     }
 
-    /// One re-send arms the redundancy: it and the next
-    /// `REDUNDANT_EPISODES` arrivals reach the transport as two
-    /// byte-identical frames, the one after that as one, and only the
-    /// re-send is a retry. The hand-rolled server answers every arrival
-    /// with two copies of its `Release`, as a loss-armed server does:
-    /// the client crosses each episode once.
+    /// Each re-send adds a copy: the first re-send and the arrivals after
+    /// it reach the transport as two byte-identical frames, a second
+    /// re-send makes it three, and each `HOLD` fresh arrivals without a
+    /// re-send take one copy away again. Only the re-sends are retries.
+    /// The hand-rolled server answers every arrival with two copies of
+    /// its `Release`, as a server that has seen loss does: the client
+    /// crosses each episode once.
     #[test]
     fn a_resend_doubles_the_next_arrivals_and_copies_count_once() {
         fn frames(server: &mut impl Transport) -> Vec<Vec<u8>> {
@@ -567,32 +570,40 @@ mod tests {
             server.send(&release).unwrap();
             server.send(&release).unwrap();
         }
+        /// The arrival for `episode`, sent as `copies` identical frames.
+        fn assert_sent(server: &mut impl Transport, episode: u64, copies: usize) {
+            let sent = frames(server);
+            assert_eq!(sent.len(), copies, "episode {episode}");
+            assert!(sent.iter().all(|f| *f == sent[0]), "copies differ");
+            let req = Request::decode(&sent[0]).unwrap();
+            assert!(matches!(req, Request::Arrive { session: 4, episode: e, .. } if e == episode));
+        }
         let (client_side, mut server_side) = loopback_pair();
         let mut c = BarrierClient::new(client_side, 4, ClientConfig::default());
         c.joined = true;
         c.send_arrive().unwrap();
-        assert_eq!(frames(&mut server_side).len(), 1, "dropped by the wire");
+        assert_sent(&mut server_side, 0, 1); // and dropped by the wire
         c.send_arrive().unwrap();
-        let resent = frames(&mut server_side);
-        assert_eq!(resent.len(), 2, "the re-send is armed itself");
-        assert_eq!(resent[0], resent[1]);
+        assert_sent(&mut server_side, 0, 2); // the re-send has two copies itself
         release_twice(&mut server_side, 0);
         assert_eq!(c.poll_release(Duration::from_secs(1)), Ok(0));
-        let redundant = u64::from(REDUNDANT_EPISODES);
-        for episode in 1..=redundant + 1 {
+        c.send_arrive().unwrap();
+        assert_sent(&mut server_side, 1, 2);
+        c.send_arrive().unwrap();
+        assert_sent(&mut server_side, 1, 3); // a second re-send: three
+        release_twice(&mut server_side, 1);
+        assert_eq!(c.poll_release(Duration::from_secs(1)), Ok(1));
+        let hold = u64::from(HOLD);
+        for episode in 2..=2 * hold + 2 {
             c.send_arrive().unwrap();
-            let sent = frames(&mut server_side);
-            let armed = episode <= redundant;
-            assert_eq!(sent.len(), if armed { 2 } else { 1 }, "episode {episode}");
-            assert!(sent.iter().all(|f| *f == sent[0]), "copies differ");
-            let req = Request::decode(&sent[0]).unwrap();
-            assert!(matches!(req, Request::Arrive { session: 4, episode: e, .. } if e == episode));
+            let calm = episode - 2; // fresh arrivals since the last re-send
+            assert_sent(&mut server_side, episode, 3 - (calm / hold).min(2) as usize);
             release_twice(&mut server_side, episode);
             assert_eq!(c.poll_release(Duration::from_secs(1)), Ok(episode));
         }
         let stats = c.stats();
-        assert_eq!(stats.retries, 1, "only the re-send is a retry");
-        assert_eq!(stats.episodes, redundant + 2);
+        assert_eq!(stats.retries, 2, "only the re-sends are retries");
+        assert_eq!(stats.episodes, 2 * hold + 3);
         assert_eq!(c.episode(), stats.episodes, "each episode crossed once");
     }
 

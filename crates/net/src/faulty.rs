@@ -223,6 +223,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{Redundancy, HOLD, MAX_COPIES};
     use crate::transport::loopback_pair;
     use combar_chaos::NetChaosConfig;
 
@@ -397,15 +398,17 @@ mod tests {
         assert_eq!(got, vec![7]);
     }
 
-    /// The independence the client's and server's loss-armed redundancy
-    /// rests on, checked on the plan the lossy workloads use. Drops on
-    /// one stream are independent, so two copies in a row are both lost
+    /// The independence the client's and server's redundant copies rest
+    /// on, checked on the plan the lossy workloads use. Drops on one
+    /// stream are independent, so two copies in a row are both lost
     /// with probability p², and an episode of 16 sessions — an `Arrive`
     /// out and a `Release` in for each, on the `2·sid` / `2·sid + 1`
     /// streams — needs no repair (1 − p)³² = 19.4 % of the time with one
-    /// copy of each frame and (1 − p²)³² = 92.3 % with two. Burst loss
-    /// gets no such benefit: inside a disconnect window the second copy
-    /// falls with the first.
+    /// copy of each frame and (1 − p²)³² = 92.3 % with two. Those rates
+    /// hold only while every frame is copied; how often it is, is the
+    /// copy rule's business (the next test). Burst loss gets no such
+    /// benefit: inside a disconnect window the second copy falls with
+    /// the first.
     #[test]
     fn independent_drops_lose_both_copies_at_p_squared() {
         let p = 0.05;
@@ -451,6 +454,140 @@ mod tests {
             both / first > 0.5,
             "a burst spared the second copy: {both} of {first}"
         );
+    }
+
+    /// Sixteen sessions' [`Redundancy`] at both ends, over a plan's drops
+    /// (`Drop` is the only fault that loses a frame), crossed the way
+    /// the `served_*` driver crosses: every session sends its arrival,
+    /// and while an episode has not released, every session re-sends in
+    /// one repair round; once it has, every session that missed the
+    /// release does.
+    struct Crossing {
+        plan: NetFaultPlan,
+        clients: Vec<Redundancy>,
+        servers: Vec<Redundancy>,
+        /// The next message index on each of the 32 streams.
+        next: Vec<u64>,
+        /// Episodes that needed a repair round, frames sent, pieces of
+        /// evidence seen, and the most copies of any one frame.
+        repaired: u64,
+        frames: u64,
+        evidence: u64,
+        most: u32,
+    }
+
+    impl Crossing {
+        fn new(plan: NetFaultPlan) -> Self {
+            Self {
+                plan,
+                clients: vec![Redundancy::default(); 16],
+                servers: vec![Redundancy::default(); 16],
+                next: vec![0; 32],
+                repaired: 0,
+                frames: 0,
+                evidence: 0,
+                most: 0,
+            }
+        }
+
+        /// Sends `copies` of one frame on `stream`: whether one got
+        /// through.
+        fn send(&mut self, stream: usize, copies: u32) -> bool {
+            self.frames += u64::from(copies);
+            self.most = self.most.max(copies);
+            let first = self.next[stream];
+            self.next[stream] += u64::from(copies);
+            (first..first + u64::from(copies))
+                .any(|idx| self.plan.fault(stream as u64, idx) != Some(NetFault::Drop))
+        }
+
+        /// A client re-send: evidence at the client, and whether the
+        /// arrival got through.
+        fn resend(&mut self, sid: usize) -> bool {
+            self.evidence += 1;
+            self.clients[sid].raise();
+            self.send(2 * sid, self.clients[sid].copies())
+        }
+
+        fn cross(&mut self, episodes: u64) {
+            for _ in 0..episodes {
+                let mut arrived: Vec<bool> = (0..16)
+                    .map(|sid| {
+                        let copies = self.clients[sid].fresh();
+                        self.send(2 * sid, copies)
+                    })
+                    .collect();
+                let mut repaired = false;
+                while arrived.contains(&false) {
+                    repaired = true;
+                    for (sid, arrived) in arrived.iter_mut().enumerate() {
+                        *arrived |= self.resend(sid);
+                    }
+                }
+                let mut released: Vec<bool> = (0..16)
+                    .map(|sid| {
+                        let copies = self.servers[sid].fresh();
+                        self.send(2 * sid + 1, copies)
+                    })
+                    .collect();
+                while released.contains(&false) {
+                    repaired = true;
+                    for (sid, released) in released.iter_mut().enumerate() {
+                        // A re-send that gets through is the server's
+                        // evidence, and is re-acked with one frame.
+                        if !*released && self.resend(sid) {
+                            self.evidence += 1;
+                            self.servers[sid].raise();
+                            *released = self.send(2 * sid + 1, 1);
+                        }
+                    }
+                }
+                self.repaired += u64::from(repaired);
+            }
+        }
+
+        fn copies(&self) -> impl Iterator<Item = u32> + '_ {
+            self.clients.iter().chain(&self.servers).map(|r| r.copies())
+        }
+    }
+
+    /// The copy rule under the benchmark driver's re-sends. At 5 %
+    /// independent loss on both ways, loss memory leaves about 1.5 % of
+    /// episodes needing a repair (the 64-episode countdown it replaced
+    /// left 22 %: it lapsed between repairs, and the episodes after it
+    /// ran at one copy until the next 10 ms re-send). A quiet wire shows
+    /// no evidence and sends every frame once, bursts never push a frame
+    /// past three copies, and once loss stops both ends are back to one
+    /// copy within 2 · `HOLD` episodes.
+    #[test]
+    fn loss_memory_holds_copies_while_loss_persists_and_only_then() {
+        const EPISODES: u64 = 20_000;
+        // Only the lossy run is long: the test shares the lib's test
+        // threads with wall-clock lease tests, so it keeps its CPU short.
+        let calm = 2 * u64::from(HOLD);
+        let mut lossy = Crossing::new(NetFaultPlan::new(NetChaosConfig::lossy(7, 0.05)));
+        lossy.cross(EPISODES);
+        let repaired = lossy.repaired as f64 / EPISODES as f64;
+        assert!(repaired <= 0.03, "{repaired} of episodes repaired");
+        assert_eq!(lossy.most, MAX_COPIES);
+        lossy.plan = NetFaultPlan::quiet(7);
+        lossy.cross(calm);
+        assert!(lossy.copies().all(|k| k == 1), "loss stopped, copies held");
+
+        let mut quiet = Crossing::new(NetFaultPlan::quiet(7));
+        quiet.cross(calm);
+        assert_eq!(quiet.evidence, 0);
+        assert_eq!((quiet.frames, quiet.most), (32 * calm, 1));
+
+        let mut bursty = Crossing::new(NetFaultPlan::new(NetChaosConfig {
+            seed: 7,
+            disconnect_prob: 0.05 / 8.0,
+            disconnect_len: 8,
+            ..NetChaosConfig::default()
+        }));
+        bursty.cross(500);
+        assert!(bursty.evidence > 0);
+        assert_eq!(bursty.most, MAX_COPIES);
     }
 
     #[test]

@@ -569,7 +569,12 @@ impl Journal {
         let mut framed = frame_entry(&JournalRecord::Incarnation { inc });
         framed.extend_from_slice(&frame_entry(snapshot));
         match &mut inner.backing {
-            Backing::Mem(buf) => *buf = framed,
+            // Keep the buffer's capacity: the next cycle appends into it
+            // instead of regrowing a fresh one by doubling.
+            Backing::Mem(buf) => {
+                buf.clear();
+                buf.extend_from_slice(&framed);
+            }
             Backing::File(path) => {
                 // Write-then-rename would be the production shape; a
                 // truncating rewrite keeps the zero-dep store simple
@@ -993,6 +998,42 @@ mod tests {
             other => panic!("expected snapshot, got {other:?}"),
         }
         assert_eq!(end as u64, j.len().expect("len"));
+    }
+
+    /// Compaction keeps the in-memory buffer: cycles of one size append
+    /// into the capacity the first of them grew, so the journal's memory
+    /// is set by its largest cycle, not by how many cycles a run goes
+    /// through.
+    #[test]
+    fn compaction_at_a_fixed_size_never_reallocates_the_buffer() {
+        let j = Journal::memory();
+        let inc = j.bump_incarnation().expect("inc");
+        let sessions = BTreeMap::from([(1, (true, SessionStats::default()))]);
+        let buffer = || match &j.inner.lock().expect("journal lock").backing {
+            Backing::Mem(buf) => (buf.as_ptr(), buf.capacity()),
+            Backing::File(_) => unreachable!("a memory journal"),
+        };
+        let mut grown = None;
+        for cycle in 0..50_u64 {
+            for epoch in cycle * 64..(cycle + 1) * 64 {
+                let rec = JournalRecord::Episode {
+                    epoch,
+                    inc,
+                    roster_hash: roster_hash([1]),
+                    completers: vec![(1, epoch + 1)],
+                };
+                j.append_batch(inc, &[rec]).expect("append");
+            }
+            let epoch = (cycle + 1) * 64;
+            j.compact(inc, &snapshot_record(epoch, inc, &sessions))
+                .expect("compact");
+            // The first cycle starts from a lone incarnation entry, the
+            // rest from a snapshot: the second one sets the size.
+            if cycle > 0 {
+                let now = buffer();
+                assert_eq!(*grown.get_or_insert(now), now, "cycle {cycle}");
+            }
+        }
     }
 
     /// `len` answers from the backing's own length — the buffer's, the

@@ -11,11 +11,11 @@
 //!   answered with the (re-sent) [`Response::Release`] rather than
 //!   being counted again. Episode counters therefore advance exactly
 //!   once per session per episode no matter how lossy the wire is.
-//!   A *redundant* copy — the second of the two identical frames a
-//!   loss-armed client sends per arrival, or a loss-armed server per
-//!   release (see `REDUNDANT_EPISODES`) — is therefore a duplicate
-//!   by construction: the same bytes, the same `seq`, deduplicated by
-//!   the same episode state as a wire duplicate.
+//!   A *redundant* copy — one of the up to three identical frames a
+//!   client that has seen loss sends per arrival, or a server per
+//!   release (see `Redundancy`) — is therefore a duplicate by
+//!   construction: the same bytes, the same `seq`, deduplicated by the
+//!   same episode state as a wire duplicate.
 //! * [`Request::Hello`] carries the session id chosen by the client;
 //!   re-sending it re-delivers the same [`Response::Welcome`] with the
 //!   session's *current* join epoch.
@@ -24,10 +24,12 @@
 //!   its exact coordinate, re-acks a `Release` it missed, or surfaces
 //!   an explicit [`Response::Diverged`] when the journal lost a suffix
 //!   the client already observed — never a silent epoch skew.
-//! * `seq` is a per-session monotone request counter used only for
-//!   diagnostics/traces — dedup falls out of the episode state, not
-//!   the sequence number, so a reordered retry can never corrupt
-//!   state.
+//! * `seq` is a per-session monotone request counter — dedup falls
+//!   out of the episode state, not the sequence number, so a reordered
+//!   retry can never corrupt state. Its one other reader is the
+//!   server's loss memory: a re-sent arrival carries a higher `seq`
+//!   than every copy of the one it repeats, which is how a re-send is
+//!   told from a copy.
 //!
 //! Every server → client frame carries the server's **incarnation
 //! number** (`inc`): restarts and standby takeovers bump it, and
@@ -43,13 +45,62 @@
 /// A client session identifier (chosen by the client at `Hello`).
 pub type SessionId = u64;
 
-/// How many episodes one piece of evidence of loss keeps a session's
-/// frames doubled. A client arms it on every re-send of an in-flight
-/// `Arrive` and then sends each of its next this-many arrivals twice; a
-/// server arms it when it re-acks an arrival for an already-released
-/// episode and then sends each of that session's next this-many
-/// releases twice. A clean wire never arms either end.
-pub(crate) const REDUNDANT_EPISODES: u32 = 64;
+/// The most copies of one frame [`Redundancy`] sends.
+pub(crate) const MAX_COPIES: u32 = 3;
+
+/// How many fresh frames in a row must go out without evidence of loss
+/// before [`Redundancy`] drops one copy.
+pub(crate) const HOLD: u32 = 1024;
+
+/// One session's memory of loss at one end of the wire: how many
+/// copies of each fresh frame to send.
+///
+/// Each piece of evidence — on the client a re-send of the in-flight
+/// `Arrive`, on the server a re-sent arrival for an episode that has
+/// already released — adds one copy, up to [`MAX_COPIES`], and starts
+/// the calm over. Each fresh frame sent without evidence counts toward
+/// a calm of [`HOLD`]; a full calm drops one copy. So a session that
+/// keeps losing frames keeps its copies, one whose loss has stopped is
+/// back to one copy within `(MAX_COPIES - 1) · HOLD` frames, and a
+/// clean wire, which never shows evidence, sends every frame once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Redundancy {
+    copies: u32,
+    calm: u32,
+}
+
+impl Default for Redundancy {
+    fn default() -> Self {
+        Self { copies: 1, calm: 0 }
+    }
+}
+
+impl Redundancy {
+    /// The current copy count.
+    pub(crate) fn copies(&self) -> u32 {
+        self.copies
+    }
+
+    /// One piece of evidence of loss: one copy more, up to
+    /// [`MAX_COPIES`], and the calm starts over.
+    pub(crate) fn raise(&mut self) {
+        self.copies = (self.copies + 1).min(MAX_COPIES);
+        self.calm = 0;
+    }
+
+    /// The copies of one fresh frame, which counts toward the calm.
+    pub(crate) fn fresh(&mut self) -> u32 {
+        let copies = self.copies;
+        if copies > 1 {
+            self.calm += 1;
+            if self.calm == HOLD {
+                self.copies -= 1;
+                self.calm = 0;
+            }
+        }
+        copies
+    }
+}
 
 /// Why a frame failed to decode. The receiver's policy for every
 /// variant is the same — drop the frame, as on a lossy wire — but the
@@ -101,7 +152,8 @@ pub enum Request {
         session: SessionId,
         /// The episode the client believes is current for it.
         episode: u64,
-        /// Request counter (diagnostics only).
+        /// Request counter: shared by the copies of one send, higher on
+        /// a re-send.
         seq: u64,
     },
     /// Lease renewal without an arrival (a slow client keeping its

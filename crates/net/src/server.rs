@@ -1272,7 +1272,7 @@ impl Drop for EpochServer {
 mod tests {
     use super::*;
     use crate::client::{BarrierClient, ClientConfig};
-    use crate::proto::REDUNDANT_EPISODES;
+    use crate::proto::HOLD;
     use crate::transport::NetError;
 
     /// Fast ticks with a generous session lease: these tests exercise
@@ -1587,11 +1587,11 @@ mod tests {
         std::iter::from_fn(|| w.recv_timeout(Duration::ZERO).ok()).collect()
     }
 
-    fn send_arrive_raw(w: &mut impl Transport, session: SessionId, episode: u64) {
+    fn send_arrive_raw(w: &mut impl Transport, session: SessionId, episode: u64, seq: u64) {
         let arrive = Request::Arrive {
             session,
             episode,
-            seq: 0,
+            seq,
         };
         w.send(&arrive.encode()).unwrap();
     }
@@ -1711,16 +1711,26 @@ mod tests {
     }
 
     /// A re-sent arrival for a released episode is re-acked with one
-    /// frame and arms that session alone: its next `REDUNDANT_EPISODES`
-    /// releases go out as two frames, every other session's as one, each
-    /// fan-out still under one `outbox` lock. The armed session sends
-    /// both copies of each arrival, as an armed client does, and the
-    /// ledger credits every episode exactly once.
+    /// frame and adds a copy to that session's releases alone: its next
+    /// release goes out as two frames, a second re-send makes every one
+    /// after it three, each `HOLD` releases without a re-send take one
+    /// copy away again, and every other session's releases stay at one
+    /// frame, each fan-out still under one `outbox` lock. The session
+    /// sends each arrival as many times as its releases come, as a
+    /// client that has seen loss does, and the ledger credits every
+    /// episode exactly once.
     #[test]
     fn a_reacked_arrive_doubles_that_sessions_next_releases() {
         const SESSIONS: u64 = 3;
         const ARMED: SessionId = 2;
-        let redundant = u64::from(REDUNDANT_EPISODES);
+        let hold = u64::from(HOLD);
+        let last = 2 * hold + 3;
+        // The copies of `Release{episode}` due to `session`.
+        let copies = |session, episode: u64| match (session, episode) {
+            (ARMED, 1 | 2) => episode as usize,
+            (ARMED, _) => 3 - ((episode - 3) / hold).min(2) as usize,
+            _ => 1,
+        };
         let (mut st, inbox) = hand_cranked(quick_cfg(1));
         let mut wires: Vec<_> = (0..SESSIONS).map(|_| st.router.connect()).collect();
         for (session, w) in (0..).zip(&mut wires) {
@@ -1730,12 +1740,11 @@ mod tests {
         assert!(st.turn(&inbox));
         assert_eq!(st.core.frame, 1, "joined in one batch, epoch 0 by proxy");
         let release = |episode| Response::Release { episode, inc: 0 }.encode();
-        for episode in 1..=redundant + 2 {
+        for episode in 1..=last {
             for (session, w) in (0..).zip(&mut wires) {
                 drain_wire(w);
-                send_arrive_raw(w, session, episode);
-                if session == ARMED && episode > 1 {
-                    send_arrive_raw(w, session, episode);
+                for _ in 0..copies(session, episode) {
+                    send_arrive_raw(w, session, episode, 2 * episode);
                 }
             }
             let locks = st.router.outbox_locks.load(Ordering::Relaxed);
@@ -1743,24 +1752,23 @@ mod tests {
             assert_eq!(st.router.outbox_locks.load(Ordering::Relaxed) - locks, 1);
             assert_eq!(st.core.frame, episode + 1);
             for (session, w) in (0..).zip(&mut wires) {
-                let doubled = session == ARMED && (2..2 + redundant).contains(&episode);
-                let copies = if doubled { 2 } else { 1 };
                 assert_eq!(
                     drain_wire(w),
-                    vec![release(episode); copies],
+                    vec![release(episode); copies(session, episode)],
                     "session {session} episode {episode}"
                 );
             }
-            if episode == 1 {
-                // The armed session's `Release{1}` is lost; it re-sends.
-                send_arrive_raw(&mut wires[ARMED as usize], ARMED, 1);
+            if episode <= 2 {
+                // The armed session's `Release` is lost; it re-sends.
+                let w = &mut wires[ARMED as usize];
+                send_arrive_raw(w, ARMED, episode, 2 * episode + 1);
                 assert!(st.turn(&inbox));
-                assert_eq!(drain_wire(&mut wires[ARMED as usize]), vec![release(1)]);
+                assert_eq!(drain_wire(w), vec![release(episode)]);
             }
         }
         let ledger = st.shared.stats.lock().unwrap();
         for session in 0..SESSIONS {
-            assert_eq!(ledger[&session].completed, redundant + 2, "{ledger:?}");
+            assert_eq!(ledger[&session].completed, last, "{ledger:?}");
         }
     }
 

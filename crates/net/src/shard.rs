@@ -2,7 +2,7 @@
 //!
 //! [`ShardCore`] owns everything a shard knows — its session table, slot
 //! allocator and tombstones, the frame it counts arrivals for, each
-//! session's loss-armed countdown and the session-lease supervisor — and
+//! session's memory of loss and the session-lease supervisor — and
 //! [`ShardCore::step`] is the only way to change it: one [`Input`] at a
 //! caller-supplied `now` in, one [`Effects`] value out, holding every
 //! consequence outside the core. The core spawns nothing, locks nothing,
@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use combar_rt::Supervisor;
 use combar_trace::Kind;
 
-use crate::proto::{Request, Response, SessionId, REDUNDANT_EPISODES};
+use crate::proto::{Redundancy, Request, Response, SessionId};
 use crate::server::ServerConfig;
 
 /// A connection, as the driver numbers them.
@@ -105,9 +105,12 @@ pub(crate) struct Sess {
     /// proxy (false). Only explicit arrivals are credited, so the ledger
     /// is an exactly-once oracle for retried arrivals.
     explicit: bool,
-    /// Releases still to be sent twice: set to [`REDUNDANT_EPISODES`]
-    /// when a re-sent arrival shows a `Release` went missing.
-    redundant: u32,
+    /// The highest `seq` seen on the arrival `explicit` counts. Its
+    /// copies share it; only a re-send carries a higher one.
+    seq: u64,
+    /// How many copies of each release to send: raised when a re-sent
+    /// arrival shows a `Release` went missing.
+    redundancy: Redundancy,
 }
 
 /// The protocol state of one shard. See the module docs. The crate
@@ -185,8 +188,10 @@ impl ShardCore {
             Input::Request(conn, req, awaiting) => match req {
                 Request::Hello { session, .. } => self.on_hello(session, conn),
                 Request::Arrive {
-                    session, episode, ..
-                } => self.on_arrive(session, conn, episode, awaiting),
+                    session,
+                    episode,
+                    seq,
+                } => self.on_arrive(session, conn, episode, seq, awaiting),
                 Request::Heartbeat { session, .. } => match self.sessions.get_mut(&session) {
                     Some(s) if s.live => {
                         s.conn = conn;
@@ -257,7 +262,8 @@ impl ShardCore {
             live: true,
             arrived_for: proxy.then_some(self.frame),
             explicit: false,
-            redundant: 0,
+            seq: 0,
+            redundancy: Redundancy::default(),
         };
         self.sessions.insert(session, sess);
         self.owners[slot as usize] = Some(session);
@@ -308,7 +314,14 @@ impl ShardCore {
         self.out.frames.push((conn, welcome));
     }
 
-    fn on_arrive(&mut self, session: SessionId, conn: ConnId, episode: u64, awaiting: bool) {
+    fn on_arrive(
+        &mut self,
+        session: SessionId,
+        conn: ConnId,
+        episode: u64,
+        seq: u64,
+        awaiting: bool,
+    ) {
         let (frame, inc) = (self.frame, self.inc);
         let Some(s) = self.sessions.get_mut(&session).filter(|s| s.live) else {
             return self.challenge(session, conn, awaiting);
@@ -320,11 +333,13 @@ impl ShardCore {
             // Re-acking is the idempotent half of retry safety. An
             // arrival this session already made for that episode, sent
             // again, is the server's one sign that a `Release` went
-            // missing: double the session's next releases. (The catch-up
-            // arrival for a join epoch released by proxy is no such
-            // sign, and must not arm a clean wire.)
-            if s.arrived_for == Some(episode) && s.explicit {
-                s.redundant = REDUNDANT_EPISODES;
+            // missing: one more copy of the session's releases. Sent
+            // again means a higher `seq`: a copy of the counted arrival,
+            // stepped after the release, is no such sign, and neither is
+            // the catch-up arrival for a join epoch released by proxy.
+            if s.arrived_for == Some(episode) && s.explicit && seq > s.seq {
+                s.seq = seq;
+                s.redundancy.raise();
             }
             self.out
                 .frames
@@ -334,12 +349,14 @@ impl ShardCore {
         } else if s.arrived_for != Some(frame) {
             s.arrived_for = Some(frame);
             s.explicit = true;
+            s.seq = seq;
             self.arrived += 1;
             combar_trace::emit(frame as u32, session as u32, Kind::Arrive);
         } else if !s.explicit {
             // The real arrival caught up with its join-side proxy:
             // upgrade so this episode counts.
             s.explicit = true;
+            s.seq = seq;
             combar_trace::emit(frame as u32, session as u32, Kind::Arrive);
             if self.reported {
                 // The report already named its completers; name this
@@ -348,8 +365,11 @@ impl ShardCore {
                 // which makes that merge safe).
                 self.out.completers.push(session);
             }
+        } else {
+            // A duplicate or re-sent arrival, counted exactly once. Its
+            // `seq` is no loss once the episode releases.
+            s.seq = s.seq.max(seq);
         }
-        // else: duplicate arrival — counted exactly once, nothing to do.
     }
 
     /// Orderly departure folds immediately: a step *is* the quiescent
@@ -435,8 +455,8 @@ impl ShardCore {
     }
 
     /// Fans a completed episode out to this shard's arrived sessions —
-    /// crediting the explicit ones, twice to a loss-armed one — and
-    /// opens the next frame.
+    /// crediting the explicit ones, as many copies as each session's
+    /// loss memory asks — and opens the next frame.
     fn on_release(&mut self, ep: u64) {
         self.out.release = Some(ep);
         for (&session, s) in &mut self.sessions {
@@ -444,9 +464,7 @@ impl ShardCore {
                 if s.explicit {
                     self.out.credits.push(session);
                 }
-                let copies = 1 + u32::from(s.redundant > 0);
-                s.redundant = s.redundant.saturating_sub(1);
-                self.out.fanout.push((s.conn, copies));
+                self.out.fanout.push((s.conn, s.redundancy.fresh()));
                 combar_trace::emit(ep as u32, session as u32, Kind::Release);
             }
         }
@@ -640,6 +658,46 @@ mod tests {
             [(1, Response::Welcome { .. })]
         ));
         assert_eq!(core.live, 2);
+    }
+
+    /// Evidence of a lost `Release` is a re-send, never a copy: copies
+    /// of the arrival that completed a frame — the redundant ones a
+    /// client sends, a wire duplicate, the copies of an in-flight
+    /// re-send — stepped after its release are re-acked and leave the
+    /// session at one copy; a re-send with a higher `seq` raises it to
+    /// two, for that session alone.
+    #[test]
+    fn a_copy_of_the_counted_arrival_is_no_evidence_and_a_resend_is() {
+        let t0 = Instant::now();
+        let mut core = ShardCore::new(0, &config(3), 0, 0, None, t0);
+        core.step(t0, hello(1));
+        core.step(t0, hello(2));
+        core.step(t0, Input::Release(0));
+        let arrive = |session, episode, seq| {
+            req(Request::Arrive {
+                session,
+                episode,
+                seq,
+            })
+        };
+        // Each session arrives for `episode` at `seq`; `1` again at
+        // `seq + 1` while the frame is in flight. Returns the fan-out.
+        let cross = |core: &mut ShardCore, episode, seq| {
+            core.step(t0, arrive(1, episode, seq));
+            core.step(t0, arrive(1, episode, seq + 1));
+            core.step(t0, arrive(2, episode, seq));
+            core.step(t0, Input::Release(episode)).fanout
+        };
+        assert_eq!(cross(&mut core, 1, 10), [(1, 1), (2, 1)]);
+        let reack = Response::Release { episode: 1, inc: 0 };
+        for (session, seq) in [(1, 10), (1, 11), (1, 11), (2, 10)] {
+            let fx = core.step(t0, arrive(session, 1, seq));
+            assert_eq!(fx.frames, [(session, reack)], "a copy is re-acked once");
+        }
+        assert_eq!(cross(&mut core, 2, 20), [(1, 1), (2, 1)], "copies");
+        let fx = core.step(t0, arrive(2, 2, 21));
+        assert_eq!(fx.frames, [(2, Response::Release { episode: 2, inc: 0 })]);
+        assert_eq!(cross(&mut core, 3, 30), [(1, 1), (2, 2)], "a re-send");
     }
 
     #[test]
