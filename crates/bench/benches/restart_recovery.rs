@@ -19,8 +19,9 @@ use std::time::{Duration, Instant};
 
 use combar::presets::seeds;
 use combar_chaos::NetChaosConfig;
-use combar_net::{drive_with, FailoverCluster, Journal, ServerConfig, TrafficConfig};
+use combar_net::{ClientConfig, FailoverCluster, Journal, MuxConfig, ServerConfig, SessionMux};
 use combar_rng::stats::nearest_rank;
+use combar_rt::Executor;
 
 const SESSIONS: u64 = 64;
 const SHARDS: usize = 4;
@@ -49,17 +50,20 @@ fn run(name: &'static str, snapshot_every: Option<u64>) -> ScenarioResult {
     let journal = Journal::memory();
     let cluster = FailoverCluster::start(cfg.clone(), journal);
 
-    let mut traffic = TrafficConfig {
+    let sessions = MuxConfig {
         sessions: SESSIONS,
-        drivers: 8,
         episodes: EPISODES,
+        client: ClientConfig {
+            request_timeout: Duration::from_millis(10),
+            ..ClientConfig::default()
+        },
         chaos: Some(NetChaosConfig::lossy(
             seeds::restart(LOSS, KILLS as u32),
             LOSS,
         )),
-        ..TrafficConfig::default()
+        poll: Duration::from_millis(1),
+        ..MuxConfig::default()
     };
-    traffic.client.request_timeout = Duration::from_millis(10);
 
     // Kill epochs evenly spaced through the schedule, away from both
     // ends so every crash interrupts live traffic.
@@ -68,8 +72,16 @@ fn run(name: &'static str, snapshot_every: Option<u64>) -> ScenarioResult {
         .collect();
 
     let mut recoveries: Vec<Duration> = Vec::with_capacity(KILLS);
-    let report = std::thread::scope(|scope| {
-        let driver = scope.spawn(|| drive_with(|_| Box::new(cluster.client_transport()), &traffic));
+    let (report, elapsed) = std::thread::scope(|scope| {
+        let driver = scope.spawn(|| {
+            let t0 = Instant::now();
+            let report = SessionMux::drive(
+                &Executor::new(8),
+                |_| Box::new(cluster.client_transport()),
+                &sessions,
+            );
+            (report, t0.elapsed())
+        });
         for &at in &kill_epochs {
             let deadline = Instant::now() + Duration::from_secs(120);
             while cluster.with_primary(|s| s.episodes_released()).unwrap_or(0) <= at {
@@ -83,21 +95,25 @@ fn run(name: &'static str, snapshot_every: Option<u64>) -> ScenarioResult {
                 .expect("journal replay after crash");
             recoveries.push(t0.elapsed());
         }
-        driver.join().expect("traffic drivers must not panic")
+        driver.join().expect("session drivers must not panic")
     });
-    assert!(report.survivors_done(&traffic), "bench run wedged");
+    assert_eq!(
+        report.totals().episodes,
+        SESSIONS * EPISODES,
+        "bench run wedged"
+    );
     cluster.shutdown();
 
     recoveries.sort();
     let recovery_us = |q| nearest_rank(&recoveries, q).map_or(0, |d| d.as_micros() as u64);
     ScenarioResult {
         name,
-        eps_per_sec: report.total_episodes() as f64 / report.elapsed.as_secs_f64(),
+        eps_per_sec: report.totals().episodes as f64 / elapsed.as_secs_f64(),
         recovery_p50_us: recovery_us(0.50),
         recovery_p99_us: recovery_us(0.99),
         recovery_max_us: recovery_us(1.0),
-        retries: report.retries,
-        resumes: report.resumes,
+        retries: report.totals().retries,
+        resumes: report.totals().resumes,
     }
 }
 

@@ -13,47 +13,61 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-fn check(name: &str, actual: &str) {
+/// Compares `actual` with the snapshot `name` (or re-blesses it) and
+/// describes the difference, if any.
+fn check(name: &str, actual: &str) -> Option<String> {
     let path = golden_dir().join(name);
     if std::env::var_os("COMBAR_BLESS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, actual).unwrap();
-        return;
+        return None;
     }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); generate it with \
-             COMBAR_BLESS=1 cargo test -p combar-bench --test golden",
-            path.display()
-        )
-    });
-    if expected != *actual {
+    let expected = match std::fs::read_to_string(&path) {
+        Ok(expected) => expected,
+        Err(e) => {
+            return Some(format!(
+                "missing golden snapshot {} ({e}); generate it with \
+                 COMBAR_BLESS=1 cargo test -p combar-bench --test golden",
+                path.display()
+            ))
+        }
+    };
+    (expected != *actual).then(|| {
         let first_diff = expected
             .lines()
             .zip(actual.lines())
             .position(|(e, a)| e != a)
             .map(|i| i + 1);
-        panic!(
-            "golden snapshot {name} differs (first differing line: {:?})\n\
-             --- expected ---\n{expected}\n--- actual ---\n{actual}\n\
-             If the change is intended, re-bless with COMBAR_BLESS=1.",
-            first_diff
-        );
-    }
+        format!(
+            "golden snapshot {name} differs (first differing line: {first_diff:?})\n\
+             --- expected ---\n{expected}\n--- actual ---\n{actual}"
+        )
+    })
 }
 
 /// Every snapshot the registry declares matches its file, and the
-/// rendering behind it does not depend on the worker count: 1 and 4
+/// rendering behind it does not depend on the worker count: 1, 2 and 4
 /// workers agree byte for byte (which also guards the snapshots
-/// themselves against flakiness — two in-process runs must agree).
+/// themselves against flakiness — in-process runs must agree). Every
+/// table is checked before the test fails, so the failure names each
+/// one that moved.
 #[test]
 fn renderings_are_deterministic() {
+    let mut failures = Vec::new();
     for Golden { file, render } in goldens() {
         let serial = with_thread_count(1, render);
-        let pooled = with_thread_count(4, render);
-        assert_eq!(serial, pooled, "{file} differs between 1 and 4 workers");
-        check(file, &serial);
+        for threads in [2, 4] {
+            if with_thread_count(threads, render) != serial {
+                failures.push(format!("{file} differs between 1 and {threads} workers"));
+            }
+        }
+        failures.extend(check(file, &serial));
     }
+    assert!(
+        failures.is_empty(),
+        "{}\nIf a snapshot change is intended, re-bless with COMBAR_BLESS=1.",
+        failures.join("\n")
+    );
 }
 
 /// The snapshot directory and the registry name the same files: no
@@ -78,7 +92,9 @@ macro_rules! snapshot_tests {
         #[test]
         fn $name() {
             let golden = goldens().find(|g| g.file == $file).expect($file);
-            check(golden.file, &(golden.render)());
+            if let Some(failure) = check(golden.file, &(golden.render)()) {
+                panic!("{failure}\nIf the change is intended, re-bless with COMBAR_BLESS=1.");
+            }
         }
     )*};
 }

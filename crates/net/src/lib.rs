@@ -32,8 +32,8 @@
 //! Layering (zero dependencies outside the workspace):
 //!
 //! ```text
-//!   traffic   — multiplexed load generator, latency percentiles
-//!   mux       — the same multiplexer as an async task (combar-rt)
+//!   mux       — SessionMux: many sessions per executor task, scripted
+//!               churn, latency percentiles, the ledger oracle
 //!   client    — BarrierClient: join/arrive/heartbeat/leave/rejoin
 //!   faulty    — FaultyTransport: NetFaultPlan interpreter
 //!   recover   — journal replay, warm standby, failover cluster
@@ -56,7 +56,6 @@ pub mod proto;
 pub mod recover;
 pub mod server;
 mod shard;
-pub mod traffic;
 pub mod transport;
 
 pub use client::{BarrierClient, ClientConfig, ClientStats};
@@ -66,7 +65,6 @@ pub use mux::{MuxConfig, MuxReport, SessionMux};
 pub use proto::{FrameError, Request, Response, SessionId};
 pub use recover::{recover, FailoverCluster, RecoveredState, Standby};
 pub use server::{EpochServer, ServerConfig, ServerCrash, SessionStats};
-pub use traffic::{drive, drive_with, TrafficConfig, TrafficReport};
 pub use transport::{loopback_pair, LoopbackTransport, NetError, ReconnectTransport, Transport};
 
 #[cfg(unix)]

@@ -1,62 +1,77 @@
-//! Async session multiplexer: [`crate::traffic`]'s driver loop restated
-//! as a task on the `combar-rt` executor.
+//! Session multiplexer: the one driver of many client sessions against
+//! an epoch server, as tasks on the `combar-rt` executor.
 //!
-//! The threaded traffic generator dedicates one OS thread per driver
-//! and spins its round loop; this module packages the same two-phase
-//! loop — (re)send every owed arrival, then one short bounded poll per
-//! in-flight session — as a single future, so *one process* can stack
-//! many [`SessionMux`] tasks onto a handful of
-//! [`combar_rt::Executor`] drivers next to hundreds of thousands of
-//! in-process [`combar_rt::AsyncBarrier`] participants. That is the
-//! bridge between the async epoch runtime and the networked epoch
-//! server: logical participants and networked sessions are the same
-//! commodity, multiplexed by the same drivers.
+//! Sessions vastly outnumber threads. [`SessionMux::drive`] cuts the
+//! configured sessions into one slice per executor driver, each on its
+//! own connection (decorated with a [`FaultyTransport`] when chaos is
+//! configured), and runs every slice as one task that multiplexes its
+//! sessions in two phases per round — (re)send every owed arrival,
+//! then one bounded poll per in-flight session — which is what the
+//! split [`BarrierClient::send_arrive`] /
+//! [`BarrierClient::poll_release`] API exists for. Because a slice is
+//! a future, the same drivers can carry in-process
+//! [`combar_rt::AsyncBarrier`] participants beside it: logical
+//! participants and networked sessions are the same commodity.
 //!
 //! Two rules keep the cooperative loop honest:
 //!
 //! * **Never park on one session.** [`BarrierClient::poll_release`]
 //!   is called with a small budget (zero is one non-blocking look at
-//!   the wire) so each session costs microseconds per round, and
-//!   the task [`yield_now`]s between rounds — a mux that blocked on
-//!   session B's release while its session A still owed an arrival
-//!   would wedge every driver transitively (the distributed
-//!   self-deadlock [`crate::traffic`] documents).
+//!   the wire) and the task [`yield_now`]s between rounds. A driver
+//!   that blocked on session B's release while its session A still
+//!   owed an arrival would wedge every other driver too (their sessions
+//!   wait on A): a distributed self-deadlock only lease evictions could
+//!   break.
 //! * **Pace, don't sleep.** Arrival re-sends are scheduled with
 //!   [`JitterBackoff::next_deadline`] — the non-blocking form — against
-//!   a clock sampled once per round; only an entirely idle round parks
-//!   the task, on the shared [`Timer`], never on the OS clock.
+//!   a clock sampled once per round; a re-send also renews the session
+//!   lease while the barrier waits on peers. Only an entirely idle
+//!   round parks the task, on the shared [`Timer`], never on the OS
+//!   clock.
 //!
-//! Churn is scripted the same way the threaded generator scripts kills:
-//! sessions in [`MuxConfig::churn`] *cancel mid-epoch* — they leave at
-//! an episode boundary with an arrival possibly still in flight — and
-//! rejoin on the next round, exercising the server's exactly-once
-//! ledger under client-initiated membership churn.
+//! Churn is scripted two ways. Sessions in [`MuxConfig::kill`] *crash*:
+//! they stop after [`MuxConfig::script_after`] episodes and send no
+//! `Leave`, so only the server's lease can fold them out while the
+//! survivors keep completing episodes. Sessions in
+//! [`MuxConfig::cancel`] *cancel mid-epoch*: at the same count they
+//! leave with an arrival possibly still in flight and rejoin on the
+//! next round, exercising the server's exactly-once ledger under
+//! client-initiated churn. Sessions the server evicts (orphans of a
+//! stalled shard, say) rejoin and continue.
 
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use combar_chaos::{NetChaosConfig, NetFaultPlan};
 use combar_rng::stats::nearest_rank;
-use combar_rt::{yield_now, BarrierError, JitterBackoff, Timer};
+use combar_rt::{yield_now, BarrierError, Deadline, Executor, JitterBackoff, Timer};
 
-use crate::client::{BarrierClient, ClientConfig};
+use crate::client::{BarrierClient, ClientConfig, ClientStats};
 use crate::faulty::FaultyTransport;
 use crate::proto::SessionId;
 use crate::server::EpochServer;
 use crate::transport::Transport;
 
-/// Shape of one multiplexed session group.
+/// How long [`SessionMux::drive`] waits for its tasks to drain before
+/// it calls the run wedged.
+const DRAIN: Duration = Duration::from_secs(240);
+
+/// How long an entirely idle round parks its task on the timer.
+const NAP: Duration = Duration::from_micros(200);
+
+/// What to drive against the server: sessions `0 .. sessions`.
 #[derive(Debug, Clone)]
 pub struct MuxConfig {
-    /// Session ids `first_session .. first_session + sessions`.
+    /// Number of sessions; ids `0 .. sessions` double as chaos stream
+    /// seeds.
     pub sessions: u64,
-    /// First session id (ids double as chaos stream seeds).
-    pub first_session: u64,
-    /// Episodes every session must complete.
+    /// Episodes every session must complete (a killed one stops
+    /// earlier).
     pub episodes: u64,
-    /// Per-client retry tuning. Keep `request_timeout` and
-    /// `max_attempts` small: `rejoin` blocks the driver for at most
-    /// roughly their product, so milliseconds-scale settings keep the
-    /// executor cooperative.
+    /// Per-client retry tuning; `request_timeout` also paces arrival
+    /// re-sends (one every one to two timeouts). `rejoin` blocks its
+    /// driver for at most roughly `request_timeout × max_attempts`.
     pub client: ClientConfig,
     /// Wire chaos applied to every connection (client side), or `None`
     /// for a clean wire.
@@ -64,21 +79,22 @@ pub struct MuxConfig {
     /// Per-session budget of one release poll; zero looks at the wire
     /// once without waiting.
     pub poll: Duration,
-    /// How long an entirely idle round parks the task on the timer.
-    pub nap: Duration,
     /// Sessions that cancel mid-run: leave (with an arrival possibly
-    /// in flight) after completing [`MuxConfig::churn_after`] episodes,
-    /// then rejoin and finish their quota.
-    pub churn: Vec<SessionId>,
-    /// Episodes a churning session completes before it cancels.
-    pub churn_after: u64,
+    /// in flight) after [`MuxConfig::script_after`] episodes, then
+    /// rejoin and finish their quota.
+    pub cancel: Vec<SessionId>,
+    /// Sessions that crash mid-run: go silent (no `Leave` — a crash,
+    /// not a goodbye) after [`MuxConfig::script_after`] episodes.
+    pub kill: Vec<SessionId>,
+    /// Episodes a scripted session completes before it cancels or
+    /// crashes.
+    pub script_after: u64,
 }
 
 impl Default for MuxConfig {
     fn default() -> Self {
         Self {
             sessions: 8,
-            first_session: 0,
             episodes: 25,
             client: ClientConfig {
                 request_timeout: Duration::from_millis(2),
@@ -88,51 +104,50 @@ impl Default for MuxConfig {
             },
             chaos: None,
             poll: Duration::from_micros(10),
-            nap: Duration::from_micros(200),
-            churn: Vec::new(),
-            churn_after: 0,
+            cancel: Vec::new(),
+            kill: Vec::new(),
+            script_after: 0,
         }
     }
 }
 
-/// One session's view of its run — the client half of the ledger a
-/// test reconciles against [`EpochServer::session_stats`]. The server
-/// misses *voluntary* churn (an orderly `Leave` removes the session
-/// outright, so the rejoin `Hello` finds no tombstone to count), so
-/// exactly-once accounting needs the client-side rejoin count carried
-/// here.
-#[derive(Debug, Clone, Copy)]
-pub struct SessionOutcome {
-    /// The session id.
-    pub session: SessionId,
-    /// Episodes the client observed released.
-    pub done: u64,
-    /// The client's retry / eviction / rejoin counters.
-    pub stats: crate::client::ClientStats,
-}
-
-/// Outcome of one [`SessionMux::run`].
+/// Outcome of one [`SessionMux::drive`].
 #[derive(Debug, Clone, Default)]
 pub struct MuxReport {
-    /// Per-session completion counts and client-side ledger counters.
-    pub completed: Vec<SessionOutcome>,
+    /// Each session's client counters: episodes observed released,
+    /// re-sends, evictions, rejoins, resumes. This is the client half
+    /// of the ledger [`MuxReport::assert_ledger`] reconciles against
+    /// [`EpochServer::session_stats`]: the server misses *voluntary*
+    /// churn (an orderly `Leave` removes the session outright, so the
+    /// rejoin `Hello` finds no tombstone to count), so exactly-once
+    /// accounting needs the client-side rejoin count.
+    pub sessions: BTreeMap<SessionId, ClientStats>,
     /// Arrive→release latencies in microseconds, sorted ascending.
     pub latencies_us: Vec<u64>,
-    /// Total client-side request re-sends.
-    pub retries: u64,
-    /// Total evictions observed by clients.
-    pub evictions: u64,
-    /// Total successful rejoins (evictions healed plus churn
-    /// re-admissions).
-    pub rejoins: u64,
     /// Scripted cancels actually performed.
     pub cancels: u64,
 }
 
 impl MuxReport {
-    /// Completed episodes summed over all sessions.
-    pub fn total_episodes(&self) -> u64 {
-        self.completed.iter().map(|o| o.done).sum()
+    /// Episodes session `sid` completed (0 for an unknown id).
+    pub fn done(&self, sid: SessionId) -> u64 {
+        self.sessions.get(&sid).map_or(0, |st| st.episodes)
+    }
+
+    /// The client counters summed over all sessions: completed
+    /// episodes, request re-sends, evictions observed, rejoins
+    /// (evictions healed plus cancel re-admissions) and `Resume`
+    /// handshakes (server restarts ridden through).
+    pub fn totals(&self) -> ClientStats {
+        let mut t = ClientStats::default();
+        for st in self.sessions.values() {
+            t.episodes += st.episodes;
+            t.retries += st.retries;
+            t.evictions += st.evictions;
+            t.rejoins += st.rejoins;
+            t.resumes += st.resumes;
+        }
+        t
     }
 
     /// The `p`-th percentile latency (0 ≤ p ≤ 100), or 0 if empty.
@@ -140,60 +155,126 @@ impl MuxReport {
         nearest_rank(&self.latencies_us, p / 100.0).unwrap_or(0)
     }
 
-    /// Folds another report (e.g. a peer mux task's) into this one.
-    pub fn merge(&mut self, other: &MuxReport) {
-        self.completed.extend(other.completed.iter().copied());
-        self.latencies_us.extend(other.latencies_us.iter().copied());
-        self.latencies_us.sort_unstable();
-        self.retries += other.retries;
-        self.evictions += other.evictions;
-        self.rejoins += other.rejoins;
-        self.cancels += other.cancels;
+    /// Asserts that every session's server-side ledger is exactly-once,
+    /// reconciled against the client's view:
+    ///
+    /// * the server never credits more episodes than the client saw
+    ///   released, except the one a scripted cancel abandoned in flight
+    ///   (arrival released, client gone before the ack);
+    /// * the server is never behind by more than one proxy-credited
+    ///   episode per service interruption — the initial join plus each
+    ///   rejoin (client-counted: the server cannot see voluntary churn).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the session, when either bound breaks.
+    pub fn assert_ledger(&self, server: &EpochServer, cfg: &MuxConfig) {
+        let stats = server.session_stats();
+        for (&sid, client) in &self.sessions {
+            let st = stats.get(&sid).copied().unwrap_or_default();
+            let done = client.episodes;
+            let abandoned = u64::from(cfg.cancel.contains(&sid));
+            assert!(
+                st.completed <= done + abandoned,
+                "session {sid}: server credited {} > client {done} (+{abandoned})",
+                st.completed
+            );
+            assert!(
+                st.completed + 1 + st.evictions + client.rejoins >= done,
+                "session {sid}: ledger {st:?} + client {client:?} cannot explain {done} completions"
+            );
+        }
     }
 }
 
 struct MuxSession {
     client: BarrierClient<Box<dyn Transport>>,
     done: u64,
+    /// Episodes this session runs: the quota, or its crash point.
+    target: u64,
+    /// Scripted to crash: reaching `target` sends no `Leave`.
+    killed: bool,
     in_flight: Option<Instant>,
-    /// When the in-flight arrival is next re-sent (idempotently) —
-    /// jitter-paced so a thundering herd of re-sends decorrelates.
+    /// When the in-flight arrival is next re-sent (idempotently).
     resend_at: Instant,
-    backoff: JitterBackoff,
+    /// Re-send pacing: a delay drawn from `[t, 2t)` for
+    /// `t = request_timeout` — never sooner than an attempt's timeout,
+    /// jittered so a thundering herd of re-sends decorrelates, and not
+    /// growing: a re-send renews the session lease, so it must keep
+    /// coming however long the peers take.
+    pacer: JitterBackoff,
     /// Scripted cancel still owed (None once performed or never due).
     cancel_at: Option<u64>,
 }
 
-impl MuxSession {
-    fn fresh_backoff(sid: SessionId, cfg: &MuxConfig) -> JitterBackoff {
-        JitterBackoff::new(
-            sid ^ 0x6d75_785f,
-            cfg.client.request_timeout,
-            cfg.client.request_timeout * 8,
-        )
-    }
-}
-
 /// A group of client sessions driven by one async task.
 pub struct SessionMux {
-    cfg: MuxConfig,
+    /// Budget of one release poll ([`MuxConfig::poll`]).
+    poll: Duration,
     sessions: Vec<MuxSession>,
     cancels: u64,
 }
 
 impl SessionMux {
-    /// Connects the `part`-th of `parts` equal slices of
-    /// [`MuxConfig::sessions`] (session id modulo `parts`), each on its
-    /// own loopback connection, decorated with a [`FaultyTransport`]
-    /// when chaos is configured. The chaos stream seeds (`2·sid`,
-    /// `2·sid + 1`) match [`crate::traffic`], so a mux run replays the
-    /// same wire schedule as a threaded run of the same config.
-    pub fn connect(server: &EpochServer, cfg: &MuxConfig, part: usize, parts: usize) -> Self {
-        assert!(parts >= 1 && part < parts);
-        let sessions = (cfg.first_session..cfg.first_session + cfg.sessions)
-            .filter(|sid| (sid - cfg.first_session) as usize % parts == part)
+    /// Drives every session of `cfg` to its target on `exec` and
+    /// reports. `connect` mints each session's base transport — a
+    /// loopback into an [`EpochServer`], a
+    /// [`ReconnectTransport`](crate::ReconnectTransport) into a failover
+    /// cluster, anything — and wire chaos is layered on top. The
+    /// sessions are cut into one slice per live driver of `exec`, each
+    /// joined here and then run as one task; the call returns once
+    /// `exec` has drained (its other tasks included).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a session cannot join, if a task panicked (a
+    /// non-recoverable session error: `Poisoned`, or a rejoin rejected
+    /// outright), or if the tasks have not drained after four minutes —
+    /// a wedged epoch is a test failure, not a hang.
+    pub fn drive(
+        exec: &Executor,
+        connect: impl Fn(SessionId) -> Box<dyn Transport>,
+        cfg: &MuxConfig,
+    ) -> MuxReport {
+        let parts = exec.live_drivers();
+        let timer = Timer::new();
+        let report = Arc::new(Mutex::new(MuxReport::default()));
+        for part in 0..parts {
+            let mux = Self::join(&connect, cfg, part, parts);
+            let (timer, report) = (timer.clone(), Arc::clone(&report));
+            exec.spawn(async move {
+                let r = mux.run(timer).await;
+                let mut report = report.lock().unwrap();
+                report.sessions.extend(r.sessions);
+                report.latencies_us.extend(r.latencies_us);
+                report.cancels += r.cancels;
+            });
+        }
+        assert!(
+            exec.wait_idle(Deadline::after(DRAIN)),
+            "mux tasks failed to drain: {} live",
+            exec.active()
+        );
+        assert_eq!(exec.panics(), 0, "mux task panicked");
+        let mut report = std::mem::take(&mut *report.lock().unwrap());
+        report.latencies_us.sort_unstable();
+        report
+    }
+
+    /// Connects and joins the `part`-th of `parts` slices of the
+    /// sessions (session id modulo `parts`). The chaos stream seeds are
+    /// `2·sid` and `2·sid + 1`, so a session replays the same wire
+    /// schedule however the sessions are sliced.
+    fn join(
+        connect: &impl Fn(SessionId) -> Box<dyn Transport>,
+        cfg: &MuxConfig,
+        part: usize,
+        parts: usize,
+    ) -> Self {
+        let sessions = (0..cfg.sessions)
+            .filter(|sid| *sid as usize % parts == part)
             .map(|sid| {
-                let base = server.connect();
+                let base = connect(sid);
                 let transport: Box<dyn Transport> = match &cfg.chaos {
                     Some(chaos) => Box::new(FaultyTransport::new(
                         base,
@@ -201,58 +282,57 @@ impl SessionMux {
                         2 * sid,
                         2 * sid + 1,
                     )),
-                    None => Box::new(base),
+                    None => base,
                 };
+                let mut client = BarrierClient::new(transport, sid, cfg.client);
+                client
+                    .join()
+                    .unwrap_or_else(|e| panic!("session {sid} failed to join: {e:?}"));
+                let killed = cfg.kill.contains(&sid);
                 MuxSession {
-                    client: BarrierClient::new(transport, sid, cfg.client),
+                    client,
                     done: 0,
+                    target: if killed {
+                        cfg.script_after.min(cfg.episodes)
+                    } else {
+                        cfg.episodes
+                    },
+                    killed,
                     in_flight: None,
                     resend_at: Instant::now(),
-                    backoff: MuxSession::fresh_backoff(sid, cfg),
+                    pacer: JitterBackoff::new(
+                        sid ^ 0x6d75_785f,
+                        cfg.client.request_timeout * 2,
+                        cfg.client.request_timeout * 2,
+                    ),
                     cancel_at: cfg
-                        .churn
+                        .cancel
                         .contains(&sid)
-                        .then_some(cfg.churn_after.min(cfg.episodes.saturating_sub(1))),
+                        .then_some(cfg.script_after.min(cfg.episodes.saturating_sub(1))),
                 }
             })
             .collect();
         Self {
-            cfg: cfg.clone(),
+            poll: cfg.poll,
             sessions,
             cancels: 0,
         }
     }
 
-    /// Joins every session (blocking; call before spawning the future
-    /// onto an executor so admission retries never stall a driver).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a session exhausts its attempt budget.
-    pub fn join_all(&mut self) {
-        for s in &mut self.sessions {
-            s.client
-                .join()
-                .unwrap_or_else(|e| panic!("session {} failed to join: {e:?}", s.client.session()));
-        }
-    }
-
-    /// Drives every session to its episode quota and reports.
+    /// Drives every session of the slice to its target and reports.
     ///
     /// # Panics
     ///
     /// Panics on a non-recoverable error (`Poisoned`, or a rejoin
-    /// rejected outright) — a wedged epoch is a test failure, not a
-    /// hang.
-    pub async fn run(mut self, timer: Timer) -> MuxReport {
+    /// rejected outright).
+    async fn run(mut self, timer: Timer) -> MuxReport {
         let mut latencies = Vec::new();
-        while self.sessions.iter().any(|s| s.done < self.cfg.episodes) {
+        while self.sessions.iter().any(|s| s.done < s.target) {
             let mut progress = false;
             // Phase 1: cancel the scripted, rejoin the evicted, (re)send
             // every owed arrival. One clock sample paces the round.
             let now = Instant::now();
-            let episodes = self.cfg.episodes;
-            for s in self.sessions.iter_mut().filter(|s| s.done < episodes) {
+            for s in self.sessions.iter_mut().filter(|s| s.done < s.target) {
                 if s.cancel_at == Some(s.done) {
                     // Cancel mid-epoch: the arrival (if any) stays on
                     // the server's books; Leave folds it out at the
@@ -278,7 +358,7 @@ impl SessionMux {
                 if s.in_flight.is_none() || now >= s.resend_at {
                     match s.client.send_arrive() {
                         Ok(()) => {
-                            s.resend_at = s.backoff.next_deadline(now);
+                            s.resend_at = s.pacer.next_deadline(now);
                             if s.in_flight.is_none() {
                                 s.in_flight = Some(now);
                                 progress = true;
@@ -290,18 +370,18 @@ impl SessionMux {
                 }
             }
             // Phase 2: one bounded poll per in-flight session.
-            for s in self.sessions.iter_mut().filter(|s| s.done < episodes) {
+            for s in self.sessions.iter_mut().filter(|s| s.done < s.target) {
                 let Some(t0) = s.in_flight else { continue };
-                match s.client.poll_release(self.cfg.poll) {
+                match s.client.poll_release(self.poll) {
                     Ok(_) => {
                         latencies.push(t0.elapsed().as_micros() as u64);
                         s.done += 1;
                         s.in_flight = None;
-                        s.backoff = MuxSession::fresh_backoff(s.client.session(), &self.cfg);
                         progress = true;
-                        if s.done >= episodes {
+                        if s.done >= s.target && !s.killed {
                             // Orderly departure so peers never wait on a
-                            // finished session.
+                            // finished session. A killed one goes silent
+                            // instead and lets the lease evict it.
                             let _ = s.client.leave();
                         }
                     }
@@ -318,27 +398,18 @@ impl SessionMux {
                 yield_now().await;
             } else {
                 // Nothing moved: park on the timer, not the OS clock.
-                timer.sleep(self.cfg.nap).await;
+                timer.sleep(NAP).await;
             }
         }
-        latencies.sort_unstable();
-        let mut report = MuxReport {
+        MuxReport {
+            sessions: self
+                .sessions
+                .iter()
+                .map(|s| (s.client.session(), s.client.stats()))
+                .collect(),
             latencies_us: latencies,
             cancels: self.cancels,
-            ..MuxReport::default()
-        };
-        for s in &self.sessions {
-            let st = s.client.stats();
-            report.completed.push(SessionOutcome {
-                session: s.client.session(),
-                done: s.done,
-                stats: st,
-            });
-            report.retries += st.retries;
-            report.evictions += st.evictions;
-            report.rejoins += st.rejoins;
         }
-        report
     }
 }
 
@@ -346,64 +417,12 @@ impl SessionMux {
 mod tests {
     use super::*;
     use crate::server::ServerConfig;
-    use combar_rt::{Deadline, Executor};
-    use std::sync::{Arc, Mutex};
 
-    /// Spawns `parts` mux tasks over `exec` and merges their reports.
-    fn run_mux(server: &EpochServer, cfg: &MuxConfig, exec: &Executor, parts: usize) -> MuxReport {
-        let timer = Timer::new();
-        let reports = Arc::new(Mutex::new(MuxReport::default()));
-        for part in 0..parts {
-            let mut mux = SessionMux::connect(server, cfg, part, parts);
-            mux.join_all();
-            let timer = timer.clone();
-            let reports = Arc::clone(&reports);
-            exec.spawn(async move {
-                let r = mux.run(timer).await;
-                reports.lock().unwrap().merge(&r);
-            });
-        }
-        assert!(
-            exec.wait_idle(Deadline::after(Duration::from_secs(240))),
-            "mux tasks failed to drain"
-        );
-        assert_eq!(exec.panics(), 0, "mux task panicked");
-        let r = reports.lock().unwrap().clone();
-        r
+    fn loopback(server: &EpochServer) -> impl Fn(SessionId) -> Box<dyn Transport> + '_ {
+        |_| Box::new(server.connect())
     }
 
-    /// Every session's server-side ledger is exactly-once, reconciled
-    /// against the client's view:
-    ///
-    /// * the server never credits more episodes than the client saw
-    ///   released, except the one a scripted cancel abandoned in flight
-    ///   (arrival released, client gone before the ack);
-    /// * the server is never behind by more than one proxy-credited
-    ///   episode per service interruption — the initial join plus each
-    ///   rejoin (client-counted: the server cannot see voluntary churn).
-    fn assert_ledger(server: &EpochServer, cfg: &MuxConfig, report: &MuxReport) {
-        let stats = server.session_stats();
-        for o in &report.completed {
-            let st = stats.get(&o.session).copied().unwrap_or_default();
-            let abandoned = u64::from(cfg.churn.contains(&o.session));
-            assert!(
-                st.completed <= o.done + abandoned,
-                "session {}: server credited {} > client {} (+{abandoned})",
-                o.session,
-                st.completed,
-                o.done
-            );
-            assert!(
-                st.completed + 1 + st.evictions + o.stats.rejoins >= o.done,
-                "session {}: ledger {st:?} + client {:?} cannot explain {} completions",
-                o.session,
-                o.stats,
-                o.done
-            );
-        }
-    }
-
-    /// Pins the first `assert_ledger` slack term — the `+ 1` in the
+    /// Pins the first [`MuxReport::assert_ledger`] slack term — the `+ 1` in the
     /// lower bound — at exact equality: a session's *joining* epoch is
     /// completed by its join-side proxy arrival, which deliberately
     /// does not tick the server's `completed` counter, while the client
@@ -429,43 +448,32 @@ mod tests {
             episodes: 10,
             ..MuxConfig::default()
         };
-        let timer = Timer::new();
-        let exec = Executor::new(1);
-        let mut mux = SessionMux::connect(&server, &cfg, 0, 1);
-        mux.join_all();
+        let mux = SessionMux::join(&loopback(&server), &cfg, 0, 1);
         // A solo session's admission completes its joining epoch by
         // proxy at once; waiting here guarantees that release happened
         // before the mux sends the first explicit arrival, so the
         // explicit arrive is answered by a `Release` re-ack instead of
         // upgrading the proxy.
         std::thread::sleep(Duration::from_millis(10));
-        let reports = Arc::new(Mutex::new(MuxReport::default()));
-        {
-            let timer = timer.clone();
-            let reports = Arc::clone(&reports);
-            exec.spawn(async move {
-                let r = mux.run(timer).await;
-                reports.lock().unwrap().merge(&r);
-            });
-        }
-        assert!(exec.wait_idle(Deadline::after(Duration::from_secs(60))));
-        assert_eq!(exec.panics(), 0);
-        let report = reports.lock().unwrap().clone();
-        let o = report.completed[0];
-        assert_eq!(o.done, 10);
-        let st = server.session_stats()[&o.session];
+        let report = combar_rt::asyncb::block_on(
+            mux.run(Timer::new()),
+            Deadline::after(Duration::from_secs(60)),
+        );
+        let o = report.sessions[&0];
+        assert_eq!(o.episodes, 10);
+        let st = server.session_stats()[&0];
         assert_eq!(st.evictions, 0, "no lease noise may pollute the term");
-        assert_eq!(o.stats.rejoins, 0);
+        assert_eq!(o.rejoins, 0);
         assert_eq!(
             st.completed + 1,
-            o.done,
+            o.episodes,
             "the join-proxy epoch must be exactly the one uncredited episode"
         );
-        assert_ledger(&server, &cfg, &report);
+        report.assert_ledger(&server, &cfg);
         server.shutdown();
     }
 
-    /// Pins the second `assert_ledger` slack term — `abandoned` in the
+    /// Pins the second [`MuxReport::assert_ledger`] slack term — `abandoned` in the
     /// upper bound — at exact equality: a scripted cancel whose
     /// in-flight arrival *releases* the epoch before the `Leave` frame
     /// is processed leaves the server crediting exactly one episode the
@@ -559,25 +567,44 @@ mod tests {
         server.shutdown();
     }
 
+    /// The mux defaults on two drivers.
     #[test]
     fn clean_wire_mux_completes() {
+        clean_wire_completes(2, &clean_wire_config());
+    }
+
+    /// A blocking 1 ms poll with default client tuning on four drivers —
+    /// the settings the acceptance soaks use.
+    #[test]
+    fn clean_wire_blocking_poll_completes() {
+        let cfg = MuxConfig {
+            client: ClientConfig::default(),
+            poll: Duration::from_millis(1),
+            ..clean_wire_config()
+        };
+        clean_wire_completes(4, &cfg);
+    }
+
+    fn clean_wire_config() -> MuxConfig {
+        MuxConfig {
+            sessions: 16,
+            episodes: 25,
+            ..MuxConfig::default()
+        }
+    }
+
+    fn clean_wire_completes(drivers: usize, cfg: &MuxConfig) {
         let server = EpochServer::start(ServerConfig {
             shards: 2,
             tick: Duration::from_micros(200),
             ..ServerConfig::default()
         });
-        let cfg = MuxConfig {
-            sessions: 16,
-            episodes: 25,
-            ..MuxConfig::default()
-        };
-        let exec = Executor::new(2);
-        let report = run_mux(&server, &cfg, &exec, 4);
-        assert_eq!(report.total_episodes(), 16 * 25);
-        assert_eq!(report.completed.len(), 16);
+        let report = SessionMux::drive(&Executor::new(drivers), loopback(&server), cfg);
+        assert_eq!(report.totals().episodes, 16 * 25);
+        assert_eq!(report.sessions.len(), 16);
         assert!(report.latencies_us.len() as u64 >= 16 * 25);
         assert!(report.percentile_us(99.0) >= report.percentile_us(50.0));
-        assert_ledger(&server, &cfg, &report);
+        report.assert_ledger(&server, cfg);
         server.shutdown();
     }
 
@@ -598,10 +625,9 @@ mod tests {
             chaos: Some(NetChaosConfig::lossy(1, 0.0)),
             ..MuxConfig::default()
         };
-        let exec = Executor::new(2);
-        let report = run_mux(&server, &cfg, &exec, 2);
-        assert_eq!(report.total_episodes(), 8 * 10);
-        assert_ledger(&server, &cfg, &report);
+        let report = SessionMux::drive(&Executor::new(2), loopback(&server), &cfg);
+        assert_eq!(report.totals().episodes, 8 * 10);
+        report.assert_ledger(&server, &cfg);
         server.shutdown();
     }
 
@@ -615,16 +641,83 @@ mod tests {
         let cfg = MuxConfig {
             sessions: 8,
             episodes: 20,
-            churn: vec![1, 4, 6],
-            churn_after: 7,
+            cancel: vec![1, 4, 6],
+            script_after: 7,
             ..MuxConfig::default()
         };
-        let exec = Executor::new(2);
-        let report = run_mux(&server, &cfg, &exec, 2);
+        let report = SessionMux::drive(&Executor::new(2), loopback(&server), &cfg);
         assert_eq!(report.cancels, 3, "every scripted cancel performed");
-        assert!(report.rejoins >= 3, "every cancel rejoined");
-        assert_eq!(report.total_episodes(), 8 * 20, "cancellers finish too");
-        assert_ledger(&server, &cfg, &report);
+        assert!(report.totals().rejoins >= 3, "every cancel rejoined");
+        assert_eq!(report.totals().episodes, 8 * 20, "cancellers finish too");
+        report.assert_ledger(&server, &cfg);
+        server.shutdown();
+    }
+
+    /// The crash script: a killed session stops exactly at its
+    /// `script_after`, never puts a `Leave` on the wire, and is folded
+    /// out by the server's lease; the survivors finish their quota.
+    #[test]
+    fn killed_sessions_do_not_wedge_survivors() {
+        use crate::proto::Request;
+        use crate::transport::NetError;
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        /// Counts the `Leave` frames its session sends.
+        struct LeaveSpy(Box<dyn Transport>, Arc<AtomicU64>);
+        impl Transport for LeaveSpy {
+            fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
+                if let Ok(Request::Leave { .. }) = Request::decode(frame) {
+                    self.1.fetch_add(1, Ordering::Relaxed);
+                }
+                self.0.send(frame)
+            }
+            fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, NetError> {
+                self.0.recv_timeout(timeout)
+            }
+        }
+
+        let server = EpochServer::start(ServerConfig {
+            shards: 2,
+            tick: Duration::from_micros(200),
+            lease: combar_rt::SupervisorConfig {
+                min_grace: Duration::from_millis(2),
+                sigma_mult: 4.0,
+                max_misses: 2,
+            },
+            ..ServerConfig::default()
+        });
+        let cfg = MuxConfig {
+            sessions: 8,
+            episodes: 30,
+            client: ClientConfig::default(),
+            poll: Duration::from_millis(1),
+            kill: vec![3, 5],
+            script_after: 5,
+            ..MuxConfig::default()
+        };
+        let leaves: Vec<Arc<AtomicU64>> = (0..cfg.sessions).map(|_| Arc::default()).collect();
+        let connect = |sid: SessionId| -> Box<dyn Transport> {
+            let spy = Arc::clone(&leaves[sid as usize]);
+            Box::new(LeaveSpy(Box::new(server.connect()), spy))
+        };
+        let report = SessionMux::drive(&Executor::new(2), connect, &cfg);
+        let stats = server.session_stats();
+        for sid in 0..cfg.sessions {
+            let sent = leaves[sid as usize].load(Ordering::Relaxed);
+            if cfg.kill.contains(&sid) {
+                assert_eq!(report.done(sid), 5, "killed session {sid} overran");
+                assert_eq!(sent, 0, "killed session {sid} said goodbye");
+                assert!(
+                    stats[&sid].evictions >= 1,
+                    "killed session {sid} was never lease-evicted: {:?}",
+                    stats[&sid]
+                );
+            } else {
+                assert_eq!(report.done(sid), 30, "survivor {sid}");
+                assert!(sent >= 1, "survivor {sid} never left");
+            }
+        }
+        report.assert_ledger(&server, &cfg);
         server.shutdown();
     }
 
@@ -641,10 +734,9 @@ mod tests {
             chaos: Some(NetChaosConfig::lossy(0x6d75785f, 0.05)),
             ..MuxConfig::default()
         };
-        let exec = Executor::new(2);
-        let report = run_mux(&server, &cfg, &exec, 2);
-        assert_eq!(report.total_episodes(), 8 * 15);
-        assert_ledger(&server, &cfg, &report);
+        let report = SessionMux::drive(&Executor::new(2), loopback(&server), &cfg);
+        assert_eq!(report.totals().episodes, 8 * 15);
+        report.assert_ledger(&server, &cfg);
         server.shutdown();
     }
 }

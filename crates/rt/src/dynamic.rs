@@ -368,31 +368,46 @@ mod tests {
         lockstep_check(&b, 150, true);
     }
 
+    /// Runs `episodes` concurrent episodes on all `p` threads with
+    /// `slow` the last arriver of every one, and returns `slow`'s final
+    /// depth. Its arrival is gated on the other threads' arrivals, not
+    /// delayed by a sleep that a loaded host's scheduler can outlast.
+    fn last_arriver_depth(b: &DynamicBarrier, p: u32, slow: u32, episodes: u32) -> u32 {
+        let arrived = AtomicU32::new(0);
+        let depth = AtomicU32::new(0);
+        std::thread::scope(|s| {
+            for tid in 0..p {
+                let (arrived, depth) = (&arrived, &depth);
+                s.spawn(move || {
+                    let mut w = b.waiter(tid);
+                    for episode in 1..=episodes {
+                        if tid == slow {
+                            while arrived.load(Ordering::Acquire) < (p - 1) * episode {
+                                std::thread::yield_now();
+                            }
+                            w.wait();
+                        } else {
+                            w.try_arrive().unwrap();
+                            arrived.fetch_add(1, Ordering::Release);
+                            w.try_depart().unwrap();
+                        }
+                    }
+                    if tid == slow {
+                        depth.store(w.depth(), Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+        depth.into_inner()
+    }
+
     /// The paper's headline behaviour: a systematically slow thread
     /// migrates to the root and sees depth 1.
     #[test]
     fn slow_thread_migrates_to_root() {
-        const P: u32 = 8;
-        let b = DynamicBarrier::mcs(P, 2);
-        let slow_tid = 7u32; // starts on a deep leaf
-        let final_depths: Vec<AtomicU32> = (0..P).map(|_| AtomicU32::new(0)).collect();
-        std::thread::scope(|s| {
-            for tid in 0..P {
-                let b = &b;
-                let final_depths = &final_depths;
-                s.spawn(move || {
-                    let mut w = b.waiter(tid);
-                    for _ in 0..30 {
-                        if tid == slow_tid {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        w.wait();
-                    }
-                    final_depths[tid as usize].store(w.depth(), Ordering::Relaxed);
-                });
-            }
-        });
-        let slow_depth = final_depths[slow_tid as usize].load(Ordering::Relaxed);
+        let b = DynamicBarrier::mcs(8, 2);
+        // Thread 7 starts on a deep leaf.
+        let slow_depth = last_arriver_depth(&b, 8, 7, 30);
         assert_eq!(slow_depth, 1, "slow thread should own the root");
         assert!(b.swap_count() > 0);
     }
@@ -587,22 +602,10 @@ mod tests {
         }
         // Dynamic behaviour survives the churn: a slow thread still
         // migrates to the root afterwards.
-        std::thread::scope(|s| {
-            for tid in 0..8u32 {
-                let b = &b;
-                s.spawn(move || {
-                    let mut w = b.waiter(tid);
-                    for _ in 0..25 {
-                        if tid == 0 {
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        w.wait();
-                    }
-                    if tid == 0 {
-                        assert_eq!(w.depth(), 1, "placement re-learns after churn");
-                    }
-                });
-            }
-        });
+        assert_eq!(
+            last_arriver_depth(&b, 8, 0, 25),
+            1,
+            "placement re-learns after churn"
+        );
     }
 }

@@ -484,17 +484,24 @@ pub fn render(events: &[Event]) -> String {
 mod tests {
     use super::*;
 
+    /// Whether the calling thread has a writer attached. Tests assert
+    /// on this rather than on [`enabled`]: `ACTIVE` is process-wide, so
+    /// a sibling test tracing in parallel raises it under our feet.
+    fn attached() -> bool {
+        WRITER.with(|w| w.borrow().is_some())
+    }
+
     #[test]
     fn disabled_emission_is_dropped() {
-        assert!(!enabled());
+        assert!(!attached());
         emit(0, 0, Kind::Arrive);
         let book = TraceBook::new();
         {
             let _g = book.attach(0);
-            assert!(enabled());
+            assert!(enabled() && attached());
             emit(0, 0, Kind::Arrive);
         }
-        assert!(!enabled());
+        assert!(!attached());
         emit(1, 0, Kind::Arrive); // after detach: dropped again
         assert_eq!(book.drain().len(), 1);
     }
@@ -654,7 +661,7 @@ mod tests {
         emit(0, 1, Kind::Arrive);
         drop(g2);
         drop(g1);
-        assert!(!enabled());
+        assert!(!attached());
         assert_eq!(book.drain().len(), 2);
     }
 

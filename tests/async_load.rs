@@ -13,8 +13,8 @@
 //!   must never hang — every failure surfaces as a `BarrierError` and
 //!   every wait is bounded by its own per-logical deadline.
 //!
-//! Plus the networked soak: many [`SessionMux`] groups multiplexed on
-//! the same executor against a real `EpochServer`, with scripted
+//! Plus the networked soak: [`SessionMux`] tasks on an executor
+//! against a real `EpochServer`, with scripted
 //! cancel-and-rejoin churn, a lossy wire and a killed driver, asserting
 //! the server's exactly-once episode ledger. `COMBAR_SOAK=1` runs the
 //! full soak; unset runs a bounded smoke of the same scenario.
@@ -208,33 +208,7 @@ fn chaos_kill_during_release_storm_strands_nothing() {
 
 mod mux_soak {
     use super::*;
-    use combar_net::{EpochServer, MuxConfig, MuxReport, ServerConfig, SessionMux};
-
-    /// Mirrors `tests/net_server.rs`: the server-side ledger is
-    /// exactly-once, reconciled with the client-side view ([`MuxReport`]
-    /// carries per-session client stats because the server cannot see
-    /// voluntary leave-and-rejoin churn).
-    fn assert_ledger(server: &EpochServer, cfg: &MuxConfig, report: &MuxReport) {
-        let stats = server.session_stats();
-        for o in &report.completed {
-            let st = stats.get(&o.session).copied().unwrap_or_default();
-            let abandoned = u64::from(cfg.churn.contains(&o.session));
-            assert!(
-                st.completed <= o.done + abandoned,
-                "session {}: server credited {} > client {} (+{abandoned})",
-                o.session,
-                st.completed,
-                o.done
-            );
-            assert!(
-                st.completed + 1 + st.evictions + o.stats.rejoins >= o.done,
-                "session {}: ledger {st:?} + client {:?} cannot explain {} completions",
-                o.session,
-                o.stats,
-                o.done
-            );
-        }
-    }
+    use combar_net::{EpochServer, MuxConfig, ServerConfig, SessionMux};
 
     /// Churn soak over the network bridge: mux tasks multiplex client
     /// sessions on the shared executor, scripted sessions cancel
@@ -260,52 +234,41 @@ mod mux_soak {
             sessions,
             episodes,
             chaos: Some(combar_chaos::NetChaosConfig::lossy(0xa57c, loss)),
-            churn: (0..sessions).filter(|s| s % 5 == 2).collect(),
-            churn_after: episodes / 3,
+            cancel: (0..sessions).filter(|s| s % 5 == 2).collect(),
+            script_after: episodes / 3,
             ..MuxConfig::default()
         };
         let exec = Executor::new(3);
-        let timer = Timer::new();
-        let parts = 4;
-        let reports = std::sync::Arc::new(std::sync::Mutex::new(MuxReport::default()));
-        for part in 0..parts {
-            let mut mux = SessionMux::connect(&server, &cfg, part, parts);
-            mux.join_all();
-            let timer = timer.clone();
-            let reports = std::sync::Arc::clone(&reports);
-            exec.spawn(async move {
-                let r = mux.run(timer).await;
-                reports.lock().unwrap().merge(&r);
+        let report = std::thread::scope(|scope| {
+            // One driver dies while traffic is in flight; the surviving
+            // two keep every session's state machine moving.
+            scope.spawn(|| {
+                let deadline = Instant::now() + Duration::from_secs(60);
+                while server.episodes_released() < episodes / 4 {
+                    assert!(Instant::now() < deadline, "server made no progress");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                assert!(exec.kill_driver(0));
             });
-        }
-        // One driver dies while traffic is in flight; the surviving two
-        // keep every session's state machine moving.
-        std::thread::sleep(Duration::from_millis(if soak { 200 } else { 30 }));
-        assert!(exec.kill_driver(0));
-        assert!(
-            exec.wait_idle(Deadline::after(Duration::from_secs(240))),
-            "mux soak failed to drain: {} tasks live",
-            exec.active()
-        );
-        assert_eq!(exec.panics(), 0, "mux task panicked");
-        let report = reports.lock().unwrap().clone();
+            SessionMux::drive(&exec, |_| Box::new(server.connect()), &cfg)
+        });
         assert_eq!(
-            report.total_episodes(),
+            report.totals().episodes,
             cfg.sessions * cfg.episodes,
             "every session finished its quota"
         );
         assert_eq!(
             report.cancels,
-            cfg.churn.len() as u64,
+            cfg.cancel.len() as u64,
             "every scripted cancel performed"
         );
+        let rejoins = report.totals().rejoins;
         assert!(
-            report.rejoins >= report.cancels,
-            "every cancel rejoined ({} rejoins, {} cancels)",
-            report.rejoins,
+            rejoins >= report.cancels,
+            "every cancel rejoined ({rejoins} rejoins, {} cancels)",
             report.cancels
         );
-        assert_ledger(&server, &cfg, &report);
+        report.assert_ledger(&server, &cfg);
         assert!(server.episodes_released() >= cfg.episodes);
         server.shutdown();
     }

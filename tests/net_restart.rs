@@ -37,9 +37,10 @@ use std::time::{Duration, Instant};
 use combar::presets::seeds;
 use combar_chaos::{NetChaosConfig, ServerFault, ServerFaultEvent, ServerFaultPlan};
 use combar_net::{
-    drive_with, recover, BarrierClient, ClientConfig, FailoverCluster, Journal, ServerConfig,
-    ServerCrash, TrafficConfig, Transport,
+    recover, BarrierClient, ClientConfig, FailoverCluster, Journal, MuxConfig, MuxReport,
+    ServerConfig, ServerCrash, SessionMux, Transport,
 };
+use combar_rt::Executor;
 
 const SESSIONS: u64 = 64;
 const EPISODES: u64 = 200;
@@ -84,6 +85,32 @@ fn cfg_for(next: Option<&ServerFaultEvent>) -> ServerConfig {
     cfg
 }
 
+/// The client side of both scripts: `cfg` driven on `drivers` executor
+/// threads, every session dialing whichever primary the cluster has.
+fn drive(cluster: &FailoverCluster, cfg: &MuxConfig, drivers: usize) -> MuxReport {
+    SessionMux::drive(
+        &Executor::new(drivers),
+        |_| Box::new(cluster.client_transport()),
+        cfg,
+    )
+}
+
+/// Client tuning for both scripts: a 10 ms re-send, and the blocking
+/// 1 ms release poll.
+fn mux_cfg(sessions: u64, episodes: u64, chaos: Option<NetChaosConfig>) -> MuxConfig {
+    MuxConfig {
+        sessions,
+        episodes,
+        client: ClientConfig {
+            request_timeout: Duration::from_millis(10),
+            ..ClientConfig::default()
+        },
+        chaos,
+        poll: Duration::from_millis(1),
+        ..MuxConfig::default()
+    }
+}
+
 fn wait_until(deadline: Instant, what: &str, mut done: impl FnMut() -> bool) {
     while !done() {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
@@ -104,14 +131,7 @@ fn restart_soak_acceptance() {
     let journal = Journal::memory();
     let cluster = FailoverCluster::start(cfg_for(script.first()), journal.clone());
 
-    let mut cfg = TrafficConfig {
-        sessions: SESSIONS,
-        drivers: 8,
-        episodes: EPISODES,
-        chaos: Some(NetChaosConfig::lossy(seed, 0.05)),
-        ..TrafficConfig::default()
-    };
-    cfg.client.request_timeout = Duration::from_millis(10);
+    let cfg = mux_cfg(SESSIONS, EPISODES, Some(NetChaosConfig::lossy(seed, 0.05)));
 
     // Wall-clock recovery cost per crash (detection excluded: the soak
     // restarts eagerly; detection latency is the standby grace, asserted
@@ -119,7 +139,7 @@ fn restart_soak_acceptance() {
     let recovery_ns: Vec<AtomicU64> = (0..KILLS).map(|_| AtomicU64::new(0)).collect();
 
     let report = std::thread::scope(|scope| {
-        let driver = scope.spawn(|| drive_with(|_| Box::new(cluster.client_transport()), &cfg));
+        let driver = scope.spawn(|| drive(&cluster, &cfg, 8));
         let mut standby = cluster.attach_standby().expect("initial standby");
         for (i, ev) in script.iter().enumerate() {
             let deadline = Instant::now() + Duration::from_secs(120);
@@ -164,20 +184,20 @@ fn restart_soak_acceptance() {
             standby = cluster.attach_standby().expect("standby after restart");
         }
         standby.stop();
-        driver.join().expect("traffic drivers must not panic")
+        driver.join().expect("session drivers must not panic")
     });
 
     // Degradation, never a wedge: every session ran the full schedule
     // across three authority crashes.
-    assert!(report.survivors_done(&cfg), "{:?}", report.completed);
     for sid in 0..SESSIONS {
-        assert_eq!(report.completed[&sid], EPISODES, "session {sid}");
+        assert_eq!(report.done(sid), EPISODES, "session {sid}");
     }
     // The crashes were actually ridden through, not dodged: clients
     // proved their position via the Resume challenge, and the lossy
     // wire forced retransmissions.
-    assert!(report.resumes > 0, "no client exercised the resume path");
-    assert!(report.retries > 0, "lossy wire produced no retries");
+    let totals = report.totals();
+    assert!(totals.resumes > 0, "no client exercised the resume path");
+    assert!(totals.retries > 0, "lossy wire produced no retries");
     for (i, ns) in recovery_ns.iter().enumerate() {
         assert!(
             ns.load(Ordering::Acquire) > 0,
@@ -206,7 +226,7 @@ fn restart_soak_acceptance() {
             let js = state.sessions[&sid].stats;
             eprintln!(
                 "sid {sid}: done {} mem {} (ev {} rj {}) journal {} (ev {} rj {})",
-                report.completed[&sid],
+                report.done(sid),
                 st.completed,
                 st.evictions,
                 st.rejoins,
@@ -231,7 +251,7 @@ fn restart_soak_acceptance() {
     }
     for sid in 0..SESSIONS {
         let st = stats[&sid];
-        let done = report.completed[&sid];
+        let done = report.done(sid);
         assert!(
             st.completed <= done + st.evictions + kills,
             "session {sid}: server credited {} > {done} client completions \
@@ -262,7 +282,7 @@ fn restart_soak_acceptance() {
     );
     for sid in 0..SESSIONS {
         let js = state.sessions[&sid].stats;
-        let done = report.completed[&sid];
+        let done = report.done(sid);
         assert!(
             js.completed <= done + js.evictions + kills,
             "session {sid}: journal credits {} > {done} completions",
@@ -289,16 +309,10 @@ fn split_brain_zombie_is_fenced_while_traffic_survives() {
 
     let journal = Journal::memory();
     let cluster = FailoverCluster::start(base_cfg(), journal.clone());
-    let mut cfg = TrafficConfig {
-        sessions: SB_SESSIONS,
-        drivers: 4,
-        episodes: SB_EPISODES,
-        ..TrafficConfig::default()
-    };
-    cfg.client.request_timeout = Duration::from_millis(10);
+    let cfg = mux_cfg(SB_SESSIONS, SB_EPISODES, None);
 
     let report = std::thread::scope(|scope| {
-        let driver = scope.spawn(|| drive_with(|_| Box::new(cluster.client_transport()), &cfg));
+        let driver = scope.spawn(|| drive(&cluster, &cfg, 4));
         let deadline = Instant::now() + Duration::from_secs(60);
         wait_until(deadline, "traffic reaching the split-brain epoch", || {
             cluster.with_primary(|s| s.episodes_released()).unwrap_or(0) > ev.epoch
@@ -345,13 +359,16 @@ fn split_brain_zombie_is_fenced_while_traffic_survives() {
             "fenced zombie released an epoch"
         );
         zombie.shutdown();
-        driver.join().expect("traffic drivers must not panic")
+        driver.join().expect("session drivers must not panic")
     });
 
     for sid in 0..SB_SESSIONS {
-        assert_eq!(report.completed[&sid], SB_EPISODES, "session {sid}");
+        assert_eq!(report.done(sid), SB_EPISODES, "session {sid}");
     }
-    assert!(report.resumes > 0, "no client resumed onto the successor");
+    assert!(
+        report.totals().resumes > 0,
+        "no client resumed onto the successor"
+    );
     // The fence is visible in the durable record too: the journal's
     // replayed epoch reflects only un-fenced appends.
     let state = recover(&journal).expect("journal replay");
