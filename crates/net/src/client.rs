@@ -10,68 +10,34 @@
 //! ```
 //!
 //! Every request names its `(session, episode)` coordinate, so the
-//! client retries freely: each attempt waits up to
-//! [`ClientConfig::request_timeout`] for the matching response, then
-//! re-sends after a [`JitterBackoff`] delay (PR 4's jittered
-//! exponential backoff, so a herd of retrying clients desynchronizes).
-//! A retried `Arrive` the server already counted is a no-op; one whose
-//! episode already released is answered with a re-sent `Release` — the
-//! wire can drop, duplicate, delay, or reorder anything and the episode
-//! counters still advance exactly once.
+//! client retries freely: the wire can drop, duplicate, delay or reorder
+//! anything and the episode counters still advance exactly once. What
+//! the session knows is the crate's sans-IO `client_core::ClientCore`,
+//! whose docs state the one re-send rule and the copy rule; a
+//! `BarrierClient` is that core under one drive loop, the only place
+//! the client reads the clock or the transport.
 //!
-//! A re-send is also evidence of loss, and the session remembers loss.
-//! Every re-send of the in-flight arrival (a
-//! [`send_arrive`](BarrierClient::send_arrive) while one is pending —
-//! the only re-send site, which [`await_release`](BarrierClient::await_release)
-//! retries through too) adds one copy, up to three, to every arrival the
-//! session sends: each is encoded once and handed to the transport that
-//! many times, same bytes, same `seq`. The count drops by one copy after
-//! 1 024 fresh arrivals in a row go out without a re-send, so it holds
-//! while loss persists. The server keeps the same rule for the session's
-//! releases, with a re-sent arrival for an already-released episode as
-//! its evidence. With k independently faulted copies a frame is lost
-//! with probability pᵏ instead of p, so at 5 % loss an episode of 16
-//! sessions needs a repair about 1.6 % of the time instead of 81 %.
-//! Only independent loss gets this: a burst (a `disconnect_prob`
-//! window of the fault plan, a flapping link) drops all copies
-//! together. A clean wire never re-sends, so its copy count stays at
-//! one and its sequence of operations is exactly one frame per arrival.
-//!
-//! Errors map onto the runtime's [`BarrierError`]:
-//! [`BarrierError::Timeout`] when attempts are exhausted (the operation
-//! may simply be retried — state is unharmed),
-//! [`BarrierError::Evicted`] when the server folded the session out
-//! (call [`BarrierClient::rejoin`]), and [`BarrierError::Poisoned`]
-//! when the transport is closed for good.
-//!
-//! A *restarted* server (recovered from its write-ahead journal)
-//! challenges journaled-live sessions with `ResumeRequired`; the client
-//! answers `Resume{next_episode}` proving its position, and either
-//! continues seamlessly (`Resumed`), catches up from an idempotent
-//! `Release` re-ack, or learns the recovered authority lost a journal
-//! suffix it already observed — [`BarrierError::Diverged`], the one
-//! error that means the epoch stream itself broke. Every response frame
-//! carries the server's incarnation; frames from superseded
-//! incarnations (a fenced zombie primary) are silently dropped.
+//! Errors are [`BarrierError`]s: `Timeout` (attempts exhausted; retry),
+//! `Evicted` ([`rejoin`](BarrierClient::rejoin)), `Poisoned` (transport
+//! closed), and `Diverged`: a server recovered from its journal, which
+//! challenged the session to `Resume` its position, lost a suffix of the
+//! epoch stream the session observed.
 
 use std::time::{Duration, Instant};
 
-use combar_rt::{BarrierError, JitterBackoff};
-use combar_trace::Kind;
+use combar_rt::BarrierError;
 
-use crate::proto::{Redundancy, Request, Response, SessionId};
+use crate::client_core::{ClientCore, Input, Outcome, Pending};
+use crate::proto::{Response, SessionId};
 use crate::transport::{NetError, Transport};
 
 /// Retry tuning for [`BarrierClient`].
 #[derive(Debug, Clone, Copy)]
 pub struct ClientConfig {
-    /// How long one attempt waits for its response before re-sending.
+    /// How long a request waits for its response before it is re-sent
+    /// (plus a jitter of a sixteenth to an eighth of it).
     pub request_timeout: Duration,
-    /// Initial retry backoff (doubles per retry, jittered).
-    pub backoff_base: Duration,
-    /// Retry backoff cap.
-    pub backoff_max: Duration,
-    /// Attempts per operation before giving up with `Timeout`.
+    /// Sends per blocking operation before giving up with `Timeout`.
     pub max_attempts: u32,
 }
 
@@ -79,8 +45,6 @@ impl Default for ClientConfig {
     fn default() -> Self {
         Self {
             request_timeout: Duration::from_millis(25),
-            backoff_base: Duration::from_millis(1),
-            backoff_max: Duration::from_millis(20),
             max_attempts: 40,
         }
     }
@@ -97,34 +61,27 @@ pub struct ClientStats {
     pub evictions: u64,
     /// Successful rejoins after eviction.
     pub rejoins: u64,
-    /// Successful `Resume` handshakes after a server restart proved the
-    /// session's epoch position to the new incarnation.
+    /// `Resume` handshakes that proved the session to a restarted server.
     pub resumes: u64,
+}
+
+/// How long [`BarrierClient::drive`] reads the wire after its intent.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Until {
+    /// Not at all: the intent is sent and the call returns.
+    Sent,
+    /// For at most this long; with `true` re-sending what falls due.
+    Wait(Duration, bool),
+    /// Until an outcome, re-sending up to `max_attempts - 1` times.
+    Outcome,
 }
 
 /// One client session of the epoch server. See the module docs.
 #[derive(Debug)]
 pub struct BarrierClient<T: Transport> {
     transport: T,
-    session: SessionId,
-    cfg: ClientConfig,
-    /// The next episode to arrive for (set by `Welcome`, advanced by
-    /// `Release`).
-    episode: u64,
-    seq: u64,
-    joined: bool,
-    /// An `Arrive` for the current episode is in flight (sent but not
-    /// yet released) — `await_release` re-sends it on retry.
-    arrive_pending: bool,
-    /// How many copies of each arrival to send: raised by every
-    /// re-send, lowered by a calm run of fresh arrivals.
-    redundancy: Redundancy,
-    /// Highest server incarnation observed. Frames stamped with a lower
-    /// incarnation come from a fenced zombie (a dead server's delayed
-    /// or split-brain traffic) and are dropped unconditionally — the
-    /// client-side half of the fencing invariant.
-    max_inc: u64,
-    stats: ClientStats,
+    max_attempts: u32,
+    pub(crate) core: ClientCore,
 }
 
 impl<T: Transport> BarrierClient<T> {
@@ -133,310 +90,153 @@ impl<T: Transport> BarrierClient<T> {
     pub fn new(transport: T, session: SessionId, cfg: ClientConfig) -> Self {
         Self {
             transport,
-            session,
-            cfg,
-            episode: 0,
-            seq: 0,
-            joined: false,
-            arrive_pending: false,
-            redundancy: Redundancy::default(),
-            max_inc: 0,
-            stats: ClientStats::default(),
+            max_attempts: cfg.max_attempts,
+            core: ClientCore::new(session, cfg.request_timeout),
         }
     }
 
     /// The session id.
     pub fn session(&self) -> SessionId {
-        self.session
+        self.core.session
     }
 
     /// The next episode this client will arrive for.
     pub fn episode(&self) -> u64 {
-        self.episode
+        self.core.episode
     }
 
     /// Whether the client currently holds a membership.
     pub fn is_joined(&self) -> bool {
-        self.joined
+        self.core.joined
     }
 
     /// Client-side counters.
     pub fn stats(&self) -> ClientStats {
-        self.stats
+        self.core.stats
     }
 
-    fn backoff(&self) -> JitterBackoff {
-        // Seeded by session so concurrent clients desynchronize
-        // deterministically.
-        JitterBackoff::new(
-            self.session.wrapping_add(1),
-            self.cfg.backoff_base,
-            self.cfg.backoff_max,
-        )
-    }
-
-    fn send(&mut self, req: Request) -> Result<(), BarrierError> {
-        self.send_copies(req, 1)
-    }
-
-    /// Encodes `req` once and hands the transport `copies` of it, all
-    /// under one `seq`.
-    fn send_copies(&mut self, req: Request, copies: u32) -> Result<(), BarrierError> {
-        self.seq += 1;
-        let frame = req.encode();
-        for _ in 0..copies {
-            match self.transport.send(&frame) {
-                Ok(()) | Err(NetError::Timeout) => {} // best effort, like loss
-                Err(NetError::Closed) => return Err(BarrierError::Poisoned),
-            }
+    /// The drive loop: steps `intent` into the core, then hands it every
+    /// response the wire delivers — and, where `until` allows, a `Tick`
+    /// at each re-send deadline — until it reports an outcome. `Ok` is a
+    /// join's or a release's episode.
+    pub(crate) fn drive(
+        &mut self,
+        intent: Option<Input>,
+        until: Until,
+    ) -> Result<u64, BarrierError> {
+        let mut now = Instant::now();
+        if let Some(intent) = intent {
+            self.apply(now, intent)?;
         }
-        Ok(())
-    }
-
-    /// Decodes a frame and applies the fencing filter: malformed frames
-    /// and frames from superseded incarnations are dropped (returning
-    /// `None`), exactly as if the wire had lost them.
-    fn accept(&mut self, frame: &[u8]) -> Option<Response> {
-        let resp = Response::decode(frame).ok()?;
-        let inc = resp.incarnation();
-        if inc < self.max_inc {
-            return None; // a fenced zombie's frame
-        }
-        self.max_inc = inc;
-        Some(resp)
-    }
-
-    /// Joins (Hello → Welcome), retrying with backoff. On success the
-    /// client is positioned at the server's current episode — the join
-    /// lands as a proxy arrival there, so joining can never wedge an
-    /// in-flight episode.
-    pub fn join(&mut self) -> Result<u64, BarrierError> {
-        let mut backoff = self.backoff();
-        for attempt in 0..self.cfg.max_attempts {
-            if attempt > 0 {
-                self.stats.retries += 1;
-                std::thread::sleep(backoff.next_delay());
-            }
-            self.send(Request::Hello {
-                session: self.session,
-                seq: self.seq,
-            })?;
-            let deadline = Instant::now() + self.cfg.request_timeout;
-            loop {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    break;
-                }
-                match self.transport.recv_timeout(remaining) {
-                    Ok(frame) => match self.accept(&frame) {
-                        Some(Response::Welcome {
-                            session, episode, ..
-                        }) if session == self.session => {
-                            self.episode = episode;
-                            self.joined = true;
-                            self.arrive_pending = false;
-                            // A fresh membership: anything the wire
-                            // still holds for the old one is stale.
-                            self.transport.flush_stale();
-                            return Ok(episode);
-                        }
-                        // Stale releases/evictions from a previous
-                        // membership: superseded by the Hello in flight.
-                        _ => continue,
-                    },
-                    Err(NetError::Timeout) => break,
-                    Err(NetError::Closed) => return Err(BarrierError::Poisoned),
-                }
-            }
-        }
-        Err(BarrierError::Timeout)
-    }
-
-    /// Rejoins after an eviction. Identical to [`join`](Self::join) but
-    /// counted (and traced) as a rejoin.
-    pub fn rejoin(&mut self) -> Result<u64, BarrierError> {
-        let ep = self.join()?;
-        self.stats.rejoins += 1;
-        combar_trace::emit(ep as u32, self.session as u32, Kind::Rejoin);
-        Ok(ep)
-    }
-
-    /// Sends the arrival for the current episode without waiting for
-    /// the release. Pair with [`await_release`](Self::await_release);
-    /// a traffic generator multiplexing many sessions on one thread
-    /// sends all arrivals first, then awaits all releases.
-    ///
-    /// Called again before the release, it re-sends the same arrival
-    /// (idempotent, counted in [`ClientStats::retries`]) and adds a copy
-    /// to it and to the arrivals after it, as the module docs describe.
-    pub fn send_arrive(&mut self) -> Result<(), BarrierError> {
-        if !self.joined {
-            return Err(BarrierError::Evicted);
-        }
-        let copies = if self.arrive_pending {
-            // A re-send is evidence of loss.
-            self.stats.retries += 1;
-            self.redundancy.raise();
-            self.redundancy.copies()
-        } else {
-            self.redundancy.fresh()
+        let (end, mut resends) = match until {
+            Until::Sent => return Ok(self.core.episode),
+            Until::Wait(wait, resend) => (Some(now + wait), if resend { u32::MAX } else { 0 }),
+            Until::Outcome => (None, self.max_attempts.saturating_sub(1)),
         };
-        let (session, episode) = (self.session, self.episode);
-        combar_trace::emit(episode as u32, session as u32, Kind::Arrive);
-        self.send_copies(
-            Request::Arrive {
-                session,
-                episode,
-                seq: self.seq,
-            },
-            copies,
-        )?;
-        self.arrive_pending = true;
-        Ok(())
-    }
-
-    /// One bounded check for the release of the in-flight arrival: reads
-    /// responses for at most `wait` and never sleeps. It never re-sends
-    /// the in-flight arrival either; what it does send are the protocol's
-    /// answers to what it reads — a fresh `Arrive` when a late `Welcome`
-    /// re-admitted the session at a later episode or a `Resumed` restored
-    /// it under a new server incarnation, and `Resume` to a
-    /// `ResumeRequired` challenge.
-    ///
-    /// This is the non-blocking half a multiplexing driver needs: a
-    /// thread juggling many sessions must never park on one session's
-    /// release while its *other* sessions still owe the server arrivals
-    /// — that is a distributed self-deadlock (every driver waits on a
-    /// release only another driver's unsent arrival can unblock).
-    /// `Err(Timeout)` just means "not yet"; re-send the arrival on your
-    /// own schedule ([`send_arrive`](Self::send_arrive) re-sends are
-    /// idempotent and renew the session lease) and poll again.
-    ///
-    /// The wire is looked at before the clock: a zero `wait` is one
-    /// non-blocking receive, not a no-op.
-    pub fn poll_release(&mut self, wait: Duration) -> Result<u64, BarrierError> {
-        if !self.joined {
-            return Err(BarrierError::Evicted);
-        }
-        if !self.arrive_pending {
-            return Err(BarrierError::Timeout);
-        }
-        let deadline = Instant::now() + wait;
-        let mut remaining = wait;
         loop {
-            match self.transport.recv_timeout(remaining) {
-                Ok(frame) => match self.accept(&frame) {
-                    Some(Response::Release { episode, .. }) if episode >= self.episode => {
-                        // episode > self.episode means the server
-                        // provably released ours too (episodes are
-                        // sequential); catch up either way.
-                        let done = self.episode;
-                        self.episode = episode + 1;
-                        self.arrive_pending = false;
-                        self.stats.episodes += 1;
-                        combar_trace::emit(done as u32, self.session as u32, Kind::Release);
-                        return Ok(done);
-                    }
-                    Some(Response::Evicted { session, .. }) if session == self.session => {
-                        self.joined = false;
-                        self.arrive_pending = false;
-                        self.stats.evictions += 1;
-                        combar_trace::emit(
-                            self.episode as u32,
-                            self.session as u32,
-                            Kind::Evict(self.session as u32),
-                        );
-                        return Err(BarrierError::Evicted);
-                    }
-                    Some(Response::Welcome {
-                        session, episode, ..
-                    }) if session == self.session && episode > self.episode => {
-                        // A duplicate Hello was re-processed at a
-                        // later frame: the server re-admitted us
-                        // there; move up and re-arrive.
-                        self.episode = episode;
-                        self.send(Request::Arrive {
-                            session,
-                            episode,
-                            seq: self.seq,
-                        })?;
-                    }
-                    Some(Response::ResumeRequired { session, .. }) if session == self.session => {
-                        // A restarted server recovered us from its
-                        // journal and challenges us to prove our epoch
-                        // position before it counts anything.
-                        self.send(Request::Resume {
-                            session,
-                            next_episode: self.episode,
-                            seq: self.seq,
-                        })?;
-                    }
-                    Some(Response::Resumed {
-                        session, episode, ..
-                    }) if session == self.session && episode == self.episode => {
-                        // Position proven: membership restored at the
-                        // same epoch. Drop anything the wire still
-                        // holds from the dead incarnation, then
-                        // re-arrive under the new one.
-                        self.stats.resumes += 1;
-                        self.transport.flush_stale();
-                        self.send(Request::Arrive {
-                            session,
-                            episode: self.episode,
-                            seq: self.seq,
-                        })?;
-                    }
-                    Some(Response::Diverged { session, .. }) if session == self.session => {
-                        // The recovered authority is *behind* us: it
-                        // lost a journal suffix we observed. Surfacing
-                        // is the only honest move — silently rewinding
-                        // would double-count episodes.
-                        self.joined = false;
-                        self.arrive_pending = false;
-                        return Err(BarrierError::Diverged);
-                    }
-                    // Stale releases for earlier episodes,
-                    // duplicate welcomes, cross-session noise:
-                    // drop, exactly like the wire would.
-                    _ => {}
-                },
-                Err(NetError::Timeout) => return Err(BarrierError::Timeout),
-                Err(NetError::Closed) => return Err(BarrierError::Poisoned),
+            let due = self.core.pending.map(|(_, due)| due);
+            let due = due.filter(|_| resends > 0 || end.is_none());
+            if due.is_some_and(|due| due <= now) {
+                if resends == 0 {
+                    return Err(BarrierError::Timeout);
+                }
+                resends -= 1;
+                self.apply(now, Input::Tick)?;
+                continue;
             }
-            remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
+            let Some(wake) = due.into_iter().chain(end).min() else {
+                return Err(BarrierError::Timeout);
+            };
+            let wait = wake.saturating_duration_since(now);
+            let frame = match self.transport.recv_timeout(wait) {
+                Ok(frame) => frame,
+                Err(NetError::Timeout) => Vec::new(), // decodes to nothing
+                Err(NetError::Closed) => return Err(BarrierError::Poisoned),
+            };
+            // A response's step reads no time; the clock is read to go on.
+            if let Ok(resp) = Response::decode(&frame) {
+                match self.apply(now, Input::Response(resp))? {
+                    Some(Outcome::Joined(ep) | Outcome::Released(ep)) => return Ok(ep),
+                    Some(Outcome::Evicted) => return Err(BarrierError::Evicted),
+                    Some(Outcome::Diverged) => return Err(BarrierError::Diverged),
+                    None => {}
+                }
+            }
+            now = Instant::now();
+            if end.is_some_and(|end| now >= end) {
                 return Err(BarrierError::Timeout);
             }
         }
     }
 
-    /// Waits for the release of the episode whose arrival is in flight,
-    /// re-sending the (idempotent) `Arrive` through
-    /// [`send_arrive`](Self::send_arrive) on each attempt timeout.
-    ///
-    /// `Ok(ep)` — episode `ep` completed; the client advances to
-    /// `ep + 1`. `Err(Evicted)` — the server folded this session out;
-    /// [`rejoin`](Self::rejoin) to continue. `Err(Timeout)` — attempts
-    /// exhausted; calling again resumes safely.
-    pub fn await_release(&mut self) -> Result<u64, BarrierError> {
-        if !self.joined {
+    /// Steps one input and carries out its effects.
+    fn apply(&mut self, now: Instant, input: Input) -> Result<Option<Outcome>, BarrierError> {
+        let fx = self.core.step(now, input);
+        if fx.flush_stale {
+            self.transport.flush_stale();
+        }
+        if let Some((req, copies)) = fx.send {
+            let frame = req.encode();
+            for _ in 0..copies {
+                match self.transport.send(&frame) {
+                    Ok(()) | Err(NetError::Timeout) => {} // best effort, like loss
+                    Err(NetError::Closed) => return Err(BarrierError::Poisoned),
+                }
+            }
+        }
+        Ok(fx.outcome)
+    }
+
+    /// Drives the arrival in flight: `Evicted` if the session is no
+    /// member, `Timeout` if it has nothing to wait for.
+    fn await_arrival(&mut self, until: Until) -> Result<u64, BarrierError> {
+        match (self.core.joined, self.core.pending) {
+            (false, _) => Err(BarrierError::Evicted),
+            (true, Some((Pending::Arrive, _))) => self.drive(None, until),
+            (true, _) => Err(BarrierError::Timeout),
+        }
+    }
+
+    /// Joins (Hello → Welcome), re-sending until welcomed. On success
+    /// the client is positioned at the server's current episode — the
+    /// join lands as a proxy arrival there, so joining can never wedge
+    /// an in-flight episode.
+    pub fn join(&mut self) -> Result<u64, BarrierError> {
+        self.drive(Some(Input::Join { rejoin: false }), Until::Outcome)
+    }
+
+    /// Rejoins after an eviction. Identical to [`join`](Self::join) but
+    /// counted (and traced) as a rejoin.
+    pub fn rejoin(&mut self) -> Result<u64, BarrierError> {
+        self.drive(Some(Input::Join { rejoin: true }), Until::Outcome)
+    }
+
+    /// Sends the arrival for the current episode without waiting for its
+    /// release. Called again before the release, it re-sends the arrival
+    /// (idempotent, a [`ClientStats::retries`]) with one more copy.
+    pub fn send_arrive(&mut self) -> Result<(), BarrierError> {
+        if !self.core.joined {
             return Err(BarrierError::Evicted);
         }
-        if !self.arrive_pending {
-            return Err(BarrierError::Timeout);
-        }
-        let mut backoff = self.backoff();
-        for attempt in 0..self.cfg.max_attempts {
-            if attempt > 0 {
-                std::thread::sleep(backoff.next_delay());
-                self.send_arrive()?;
-            }
-            match self.poll_release(self.cfg.request_timeout) {
-                Err(BarrierError::Timeout) => continue,
-                other => return other,
-            }
-        }
-        Err(BarrierError::Timeout)
+        self.drive(Some(Input::Arrive), Until::Sent).map(drop)
+    }
+
+    /// One bounded check for the release of the in-flight arrival, the
+    /// non-blocking half a multiplexing driver needs: reads responses for
+    /// at most `wait` (zero is one look) and never re-sends the arrival,
+    /// though it answers what it reads (`Resume`, a re-arrival).
+    /// `Err(Timeout)` means "not yet": re-send with
+    /// [`send_arrive`](Self::send_arrive) on your own schedule.
+    pub fn poll_release(&mut self, wait: Duration) -> Result<u64, BarrierError> {
+        self.await_arrival(Until::Wait(wait, false))
+    }
+
+    /// Waits for the release of the episode whose arrival is in flight,
+    /// re-sending the (idempotent) `Arrive` at each deadline. `Ok(ep)`:
+    /// episode `ep` completed. `Err(Evicted)`: [`rejoin`](Self::rejoin).
+    /// `Err(Timeout)`: attempts exhausted; calling again resumes safely.
+    pub fn await_release(&mut self) -> Result<u64, BarrierError> {
+        self.await_arrival(Until::Outcome)
     }
 
     /// One full barrier crossing: arrive at the current episode and
@@ -449,29 +249,20 @@ impl<T: Transport> BarrierClient<T> {
     /// Renews the session lease without arriving — for clients whose
     /// inter-arrival work outlasts the server's grace window.
     pub fn heartbeat(&mut self) -> Result<(), BarrierError> {
-        self.send(Request::Heartbeat {
-            session: self.session,
-            seq: self.seq,
-        })
+        self.drive(Some(Input::Heartbeat), Until::Sent).map(drop)
     }
 
     /// Leaves the membership at the next boundary (best effort; loss of
     /// the frame degenerates to a lease eviction, which is equivalent).
     pub fn leave(&mut self) -> Result<(), BarrierError> {
-        let r = self.send(Request::Leave {
-            session: self.session,
-            seq: self.seq,
-        });
-        self.joined = false;
-        self.arrive_pending = false;
-        r
+        self.drive(Some(Input::Leave), Until::Sent).map(drop)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::HOLD;
+    use crate::proto::{Request, HOLD};
     use crate::transport::loopback_pair;
 
     /// A hand-rolled server half for protocol-level unit tests.
@@ -546,7 +337,7 @@ mod tests {
                 ..ClientConfig::default()
             },
         );
-        c.joined = true; // skip Hello for this wire-level test
+        c.core.joined = true; // skip Hello for this wire-level test
         assert_eq!(c.arrive().unwrap(), 0);
         assert_eq!(c.episode(), 1);
         assert!(c.stats().retries >= 1);
@@ -580,7 +371,7 @@ mod tests {
         }
         let (client_side, mut server_side) = loopback_pair();
         let mut c = BarrierClient::new(client_side, 4, ClientConfig::default());
-        c.joined = true;
+        c.core.joined = true;
         c.send_arrive().unwrap();
         assert_sent(&mut server_side, 0, 1); // and dropped by the wire
         c.send_arrive().unwrap();
@@ -607,6 +398,60 @@ mod tests {
         assert_eq!(c.episode(), stats.episodes, "each episode crossed once");
     }
 
+    /// The protocol's own re-arrival carries the session's copy count:
+    /// raised to three copies by two re-sends, the arrival sent again
+    /// after a restarted server's `Resumed` goes out as three frames.
+    #[test]
+    fn a_resumed_rearrival_carries_the_sessions_copies() {
+        fn frames(server: &mut impl Transport) -> Vec<Vec<u8>> {
+            std::iter::from_fn(|| server.recv_timeout(Duration::ZERO).ok()).collect()
+        }
+        let (client_side, mut server_side) = loopback_pair();
+        let mut c = BarrierClient::new(client_side, 4, ClientConfig::default());
+        c.core.joined = true;
+        for copies in [1, 2, 3] {
+            c.send_arrive().unwrap();
+            assert_eq!(frames(&mut server_side).len(), copies);
+        }
+        let challenge = Response::ResumeRequired {
+            session: 4,
+            episode: 0,
+            inc: 1,
+        };
+        server_side.send(&challenge.encode()).unwrap();
+        assert_eq!(c.poll_release(Duration::ZERO), Err(BarrierError::Timeout));
+        let resume = frames(&mut server_side);
+        assert_eq!(resume.len(), 1);
+        assert!(matches!(
+            Request::decode(&resume[0]).unwrap(),
+            Request::Resume {
+                session: 4,
+                next_episode: 0,
+                ..
+            }
+        ));
+        let resumed = Response::Resumed {
+            session: 4,
+            episode: 0,
+            inc: 1,
+        };
+        server_side.send(&resumed.encode()).unwrap();
+        assert_eq!(c.poll_release(Duration::ZERO), Err(BarrierError::Timeout));
+        let sent = frames(&mut server_side);
+        assert_eq!(sent.len(), 3, "the re-arrival ignored the copy count");
+        assert!(sent.iter().all(|f| *f == sent[0]), "copies differ");
+        let req = Request::decode(&sent[0]).unwrap();
+        assert!(matches!(
+            req,
+            Request::Arrive {
+                session: 4,
+                episode: 0,
+                ..
+            }
+        ));
+        assert_eq!(c.stats().resumes, 1);
+    }
+
     #[test]
     fn eviction_surfaces_and_blocks_until_rejoin() {
         let (client_side, mut server_side) = loopback_pair();
@@ -624,7 +469,7 @@ mod tests {
                 .unwrap();
         });
         let mut c = BarrierClient::new(client_side, 5, ClientConfig::default());
-        c.joined = true;
+        c.core.joined = true;
         assert_eq!(c.arrive(), Err(BarrierError::Evicted));
         assert!(!c.is_joined());
         assert_eq!(
@@ -684,8 +529,8 @@ mod tests {
                 .unwrap();
         });
         let mut c = BarrierClient::new(client_side, 8, ClientConfig::default());
-        c.joined = true;
-        c.episode = 5;
+        c.core.joined = true;
+        c.core.episode = 5;
         assert_eq!(c.arrive().unwrap(), 5);
         assert_eq!(c.stats().resumes, 1);
         assert_eq!(c.stats().evictions, 0, "a resume is not an eviction");
@@ -741,8 +586,8 @@ mod tests {
                 .unwrap();
         });
         let mut c = BarrierClient::new(client_side, 3, ClientConfig::default());
-        c.joined = true;
-        c.episode = 7;
+        c.core.joined = true;
+        c.core.episode = 7;
         assert_eq!(c.arrive().unwrap(), 7);
         assert_eq!(c.stats().evictions, 0, "zombie eviction must not land");
         assert_eq!(c.episode(), 8, "zombie Release{{9}} must not skip epochs");
@@ -779,8 +624,8 @@ mod tests {
                 .unwrap();
         });
         let mut c = BarrierClient::new(client_side, 6, ClientConfig::default());
-        c.joined = true;
-        c.episode = 4;
+        c.core.joined = true;
+        c.core.episode = 4;
         assert_eq!(c.arrive(), Err(BarrierError::Diverged));
         assert!(!c.is_joined());
         h.join().unwrap();
@@ -790,8 +635,8 @@ mod tests {
     fn zero_wait_poll_looks_at_the_wire_once() {
         let (client_side, mut server_side) = loopback_pair();
         let mut c = BarrierClient::new(client_side, 2, ClientConfig::default());
-        c.joined = true;
-        c.episode = 1;
+        c.core.joined = true;
+        c.core.episode = 1;
         c.send_arrive().unwrap();
         let mut look = || c.poll_release(Duration::ZERO);
         assert_eq!(look(), Err(BarrierError::Timeout), "nothing there yet");
@@ -842,7 +687,7 @@ mod tests {
                 .unwrap();
         });
         let mut c = BarrierClient::new(client_side, 7, ClientConfig::default());
-        c.joined = true;
+        c.core.joined = true;
         assert_eq!(c.arrive().unwrap(), 0);
         // The two duplicate Release{0} frames must not complete ep 1.
         assert_eq!(c.arrive().unwrap(), 1);

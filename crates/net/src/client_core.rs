@@ -1,0 +1,507 @@
+//! One client session as a pure protocol core.
+//!
+//! [`ClientCore`] owns all a [`BarrierClient`](crate::BarrierClient)
+//! knows, and [`ClientCore::step`] is the only way to change it: one
+//! [`Input`] at a caller-supplied `now` in, one [`Effects`] value out.
+//! The core reads no clock, never blocks and holds no wire; the drive
+//! loop in [`crate::client`] does. So, like [`crate::shard`]'s core, a
+//! session steps in virtual time.
+//!
+//! **One re-send rule.** The request in flight — a `Hello` or an
+//! `Arrive` — is re-sent by the first [`Input::Tick`] at or after its
+//! deadline: `t = request_timeout` after it was sent or last re-sent,
+//! plus a jitter in `[t/16, t/8)` from a session-seeded [`JitterBackoff`]
+//! whose base and cap are both `t/8`, drawn anew at each re-send. The
+//! jitter spreads a herd of re-senders; the pace never grows, because a
+//! re-send also renews the session lease.
+//!
+//! **Loss memory.** A re-send of the arrival in flight adds a copy, up to
+//! three, to every arrival the session sends ([`Redundancy`]) — fresh,
+//! re-sent, or asked for again by a late `Welcome` or a `Resumed`.
+
+use std::time::{Duration, Instant};
+
+use combar_rt::JitterBackoff;
+use combar_trace::Kind;
+
+use crate::client::ClientStats;
+use crate::proto::{Redundancy, Request, Response, SessionId};
+
+/// One input to [`ClientCore::step`]: an intent, a response or a tick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Input {
+    /// Send a `Hello`: a join, or with `rejoin` a return after eviction.
+    Join {
+        rejoin: bool,
+    },
+    /// Arrive for the current episode, or re-send the arrival in flight.
+    Arrive,
+    Heartbeat,
+    Leave,
+    Response(Response),
+    /// Re-send the request in flight if it is due.
+    Tick,
+}
+
+/// What a step completed: a join, a release, or the membership.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Outcome {
+    Joined(u64),
+    Released(u64),
+    Evicted,
+    Diverged,
+}
+
+/// Everything one step changes outside the core.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Effects {
+    /// A request to send as this many identical frames.
+    pub(crate) send: Option<(Request, u32)>,
+    pub(crate) outcome: Option<Outcome>,
+    /// Drop what the wire holds for an earlier membership, before `send`.
+    pub(crate) flush_stale: bool,
+    /// When the request in flight is re-sent, if one is.
+    pub(crate) deadline: Option<Instant>,
+}
+
+/// The request in flight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pending {
+    Hello { rejoin: bool },
+    Arrive,
+}
+
+/// The protocol state of one client session. See the module docs.
+#[derive(Debug)]
+pub(crate) struct ClientCore {
+    pub(crate) session: SessionId,
+    timeout: Duration,
+    /// `timeout` plus the jitter drawn at the last re-send.
+    wait: Duration,
+    /// The next episode to arrive for.
+    pub(crate) episode: u64,
+    seq: u64,
+    pub(crate) joined: bool,
+    /// The request in flight and when it is re-sent.
+    pub(crate) pending: Option<(Pending, Instant)>,
+    jitter: JitterBackoff,
+    redundancy: Redundancy,
+    /// Highest server incarnation seen: a frame stamped lower comes from
+    /// a fenced zombie and is dropped unread.
+    max_inc: u64,
+    pub(crate) stats: ClientStats,
+    out: Effects,
+}
+
+impl ClientCore {
+    pub(crate) fn new(session: SessionId, timeout: Duration) -> Self {
+        let mut jitter = JitterBackoff::new(session.wrapping_add(1), timeout / 8, timeout / 8);
+        Self {
+            session,
+            timeout,
+            wait: timeout + jitter.next_delay(),
+            jitter,
+            episode: 0,
+            seq: 0,
+            joined: false,
+            pending: None,
+            redundancy: Redundancy::default(),
+            max_inc: 0,
+            stats: ClientStats::default(),
+            out: Effects::default(),
+        }
+    }
+
+    /// Handles one input at `now` and returns what it changed outside
+    /// the core.
+    pub(crate) fn step(&mut self, now: Instant, input: Input) -> Effects {
+        let session = self.session;
+        match input {
+            Input::Join { rejoin } => self.hello(now, rejoin),
+            Input::Arrive => match self.pending {
+                Some((Pending::Arrive, _)) => self.resend(now),
+                _ => self.arrive(false, Some(now)),
+            },
+            Input::Heartbeat => {
+                let seq = self.seq();
+                self.out.send = Some((Request::Heartbeat { session, seq }, 1));
+            }
+            Input::Leave => {
+                let seq = self.seq();
+                self.out.send = Some((Request::Leave { session, seq }, 1));
+                self.joined = false;
+                self.pending = None;
+            }
+            Input::Response(resp) => self.on_response(resp),
+            Input::Tick => match self.pending {
+                Some((_, due)) if now >= due => self.resend(now),
+                _ => {}
+            },
+        }
+        self.out.deadline = self.pending.map(|(_, due)| due);
+        std::mem::take(&mut self.out)
+    }
+
+    /// The `seq` of the next request sent.
+    fn seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
+    }
+
+    /// Re-sends the request in flight at `now`, under a new jitter.
+    fn resend(&mut self, now: Instant) {
+        self.stats.retries += 1;
+        self.wait = self.timeout + self.jitter.next_delay();
+        match self.pending {
+            Some((Pending::Hello { rejoin }, _)) => self.hello(now, rejoin),
+            _ => self.arrive(true, Some(now)),
+        }
+    }
+
+    fn hello(&mut self, now: Instant, rejoin: bool) {
+        let (session, seq) = (self.session, self.seq());
+        self.out.send = Some((Request::Hello { session, seq }, 1));
+        self.pending = Some((Pending::Hello { rejoin }, now + self.wait));
+    }
+
+    /// Sends the arrival for the current episode — a re-send of the one
+    /// in flight is evidence of loss and adds a copy, any other takes the
+    /// session's count — and, sent at `now`, restarts its deadline.
+    fn arrive(&mut self, resend: bool, now: Option<Instant>) {
+        let copies = if resend {
+            self.redundancy.raise();
+            self.redundancy.copies()
+        } else {
+            self.redundancy.fresh()
+        };
+        let (session, episode, seq) = (self.session, self.episode, self.seq());
+        combar_trace::emit(episode as u32, session as u32, Kind::Arrive);
+        let arrive = Request::Arrive {
+            session,
+            episode,
+            seq,
+        };
+        self.out.send = Some((arrive, copies));
+        if let Some(now) = now {
+            self.pending = Some((Pending::Arrive, now + self.wait));
+        }
+    }
+
+    /// Reads no time: the protocol's re-arrivals keep the deadline of
+    /// the arrival in flight.
+    fn on_response(&mut self, resp: Response) {
+        if resp.incarnation() < self.max_inc {
+            return; // a fenced zombie's frame
+        }
+        self.max_inc = resp.incarnation();
+        let me = self.session;
+        let arriving = matches!(self.pending, Some((Pending::Arrive, _)));
+        self.out.outcome = Some(match resp {
+            Response::Welcome {
+                session, episode, ..
+            } if session == me && !arriving => {
+                let Some((Pending::Hello { rejoin }, _)) = self.pending else {
+                    return;
+                };
+                self.episode = episode;
+                self.joined = true;
+                self.pending = None;
+                self.out.flush_stale = true; // the old membership's frames
+                if rejoin {
+                    self.stats.rejoins += 1;
+                    combar_trace::emit(episode as u32, me as u32, Kind::Rejoin);
+                }
+                Outcome::Joined(episode)
+            }
+            // A `Hello` in flight supersedes the rest: it is stale.
+            _ if !arriving => return,
+            Response::Release { episode, .. } if episode >= self.episode => {
+                // A later episode means the server provably released ours
+                // too (episodes are sequential); catch up either way.
+                let done = self.episode;
+                self.episode = episode + 1;
+                self.pending = None;
+                self.stats.episodes += 1;
+                combar_trace::emit(done as u32, me as u32, Kind::Release);
+                Outcome::Released(done)
+            }
+            Response::Evicted { session, .. } if session == me => {
+                self.joined = false;
+                self.pending = None;
+                self.stats.evictions += 1;
+                combar_trace::emit(self.episode as u32, me as u32, Kind::Evict(me as u32));
+                Outcome::Evicted
+            }
+            Response::Welcome {
+                session, episode, ..
+            } if session == me && episode > self.episode => {
+                // A duplicate `Hello` was re-processed at a later frame:
+                // the server re-admitted us there; move up and re-arrive.
+                self.episode = episode;
+                return self.arrive(false, None);
+            }
+            Response::ResumeRequired { session, .. } if session == me => {
+                // A restarted server asks us to prove our position.
+                let next_episode = self.episode;
+                let resume = Request::Resume {
+                    session,
+                    next_episode,
+                    seq: self.seq(),
+                };
+                self.out.send = Some((resume, 1));
+                return;
+            }
+            Response::Resumed {
+                session, episode, ..
+            } if session == me && episode == self.episode => {
+                // Restored at the same epoch: drop what the wire holds
+                // from the dead incarnation and re-arrive under the new.
+                self.stats.resumes += 1;
+                self.out.flush_stale = true;
+                return self.arrive(false, None);
+            }
+            Response::Diverged { session, .. } if session == me => {
+                // The recovered server is behind us: rewinding would
+                // double-count episodes, so the session ends here.
+                self.joined = false;
+                self.pending = None;
+                Outcome::Diverged
+            }
+            // Stale or duplicate releases, duplicate welcomes and
+            // cross-session noise are dropped like loss.
+            _ => return,
+        });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::ServerConfig;
+    use crate::shard::{self, ShardCore};
+
+    const T: Duration = Duration::from_millis(10);
+
+    /// A joined session at episode 0, and the time it joined.
+    fn joined(session: SessionId, timeout: Duration) -> (ClientCore, Instant) {
+        let t0 = Instant::now();
+        let mut core = ClientCore::new(session, timeout);
+        core.step(t0, Input::Join { rejoin: false });
+        let welcome = Response::Welcome {
+            session,
+            episode: 0,
+            inc: 0,
+        };
+        let fx = core.step(t0, Input::Response(welcome));
+        assert_eq!(fx.outcome, Some(Outcome::Joined(0)));
+        (core, t0)
+    }
+
+    #[test]
+    fn the_core_is_sans_io() {
+        let banned = [
+            "Instant::",
+            ".elapsed()",
+            "SystemTime",
+            "std::thread",
+            "sleep",
+            "Transport",
+            "Mutex",
+            "Atomic",
+        ];
+        crate::shard::tests::assert_sans_io(include_str!("client_core.rs"), &banned);
+    }
+
+    /// The first re-send falls in `[t + t/16, t + t/8)` after the send,
+    /// every later one too (no growth), a `Tick` before the deadline
+    /// sends nothing, and a `Release` clears the deadline.
+    #[test]
+    fn the_resend_deadline_is_one_jittered_timeout_that_never_grows() {
+        for timeout in [Duration::from_millis(1), T, Duration::from_millis(25)] {
+            for session in 0..8 {
+                let (mut core, mut now) = joined(session, timeout);
+                let mut fx = core.step(now, Input::Arrive);
+                for resend in 0..12 {
+                    let due = fx.deadline.expect("an arrival in flight has a deadline");
+                    let wait = due - now;
+                    let (lo, hi) = (timeout + timeout / 16, timeout + timeout / 8);
+                    assert!(lo <= wait && wait < hi, "{timeout:?} #{resend}: {wait:?}");
+                    let early = core.step(due - Duration::from_nanos(1), Input::Tick);
+                    assert_eq!(early.send, None, "re-sent before the deadline");
+                    now = due;
+                    fx = core.step(now, Input::Tick);
+                    assert!(matches!(fx.send, Some((Request::Arrive { .. }, _))));
+                }
+                assert_eq!(core.stats.retries, 12);
+                let release = Response::Release { episode: 0, inc: 0 };
+                let fx = core.step(now, Input::Response(release));
+                assert_eq!(fx.outcome, Some(Outcome::Released(0)));
+                assert_eq!((fx.deadline, core.pending), (None, None));
+                assert_eq!(
+                    core.step(now + timeout * 9, Input::Tick),
+                    Effects::default()
+                );
+            }
+        }
+    }
+
+    /// A `Release` read while a re-send is overdue completes at once: no
+    /// re-send, no nap first.
+    #[test]
+    fn a_release_read_while_a_resend_is_due_completes_at_once() {
+        let (mut core, t0) = joined(3, T);
+        core.step(t0, Input::Arrive);
+        let late = t0 + T * 5;
+        let release = Response::Release { episode: 0, inc: 0 };
+        let fx = core.step(late, Input::Response(release));
+        assert_eq!(fx.outcome, Some(Outcome::Released(0)));
+        assert_eq!(fx.send, None);
+        assert_eq!(core.stats.retries, 0);
+    }
+
+    /// A splitmix64 stream: the wire's only source of choices.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Puts each of `copies` frames on `queue`, each dropped with
+    /// probability 5 % and duplicated with probability 5 %.
+    fn lossy<F: Copy>(rng: &mut u64, queue: &mut Vec<F>, frame: F, copies: u32) {
+        for _ in 0..copies {
+            match next(rng) % 20 {
+                0 => {}
+                1 => queue.extend([frame, frame]),
+                _ => queue.push(frame),
+            }
+        }
+    }
+
+    /// Steps `input` into `core` (session `i`), puts what it sends on
+    /// the wire and arrives again after each join and release, until
+    /// `released[i]` passes `quota`.
+    fn feed(core: &mut ClientCore, input: Input, at: Instant, wire: &mut Wire, quota: u64) {
+        let i = core.session as usize;
+        let mut fx = core.step(at, input);
+        loop {
+            if let Some((req, copies)) = fx.send {
+                lossy(&mut wire.rng, &mut wire.up, req, copies);
+            }
+            match fx.outcome {
+                Some(Outcome::Released(ep)) => {
+                    assert_eq!(ep, wire.released[i], "session {i} crossed out of order");
+                    wire.released[i] += 1;
+                }
+                Some(Outcome::Joined(_)) => {}
+                None => return,
+                Some(other) => panic!("session {i}: {other:?}"),
+            }
+            if wire.released[i] > quota {
+                return;
+            }
+            fx = core.step(at, Input::Arrive);
+        }
+    }
+
+    /// The in-memory wire between two clients and one shard.
+    struct Wire {
+        rng: u64,
+        up: Vec<Request>,
+        down: [Vec<Response>; 2],
+        /// Episodes each client saw released.
+        released: [u64; 2],
+    }
+
+    /// Two client cores and one shard core cross 1 000 episodes in
+    /// virtual time over a seeded wire with 5 % drop and 5 % duplicate:
+    /// the shard credits each session exactly the episodes its client saw
+    /// released. The root releases by `release_ready` once both sessions
+    /// are live, so episode 0 is both sessions' join-proxy episode, which
+    /// credits nobody, and every later one is crossed by explicit
+    /// arrivals.
+    #[test]
+    fn two_clients_and_a_shard_cross_exactly_once_over_a_lossy_wire() {
+        const EPISODES: u64 = 1_000;
+        let cfg = ServerConfig {
+            shards: 1,
+            lease: combar_rt::SupervisorConfig {
+                min_grace: Duration::from_secs(3_600),
+                ..ServerConfig::default().lease
+            },
+            ..ServerConfig::default()
+        };
+        let (t0, tick) = (Instant::now(), Duration::from_micros(50));
+        let mut shard = ShardCore::new(0, &cfg, 0, 0, None, t0);
+        let mut clients = [0, 1].map(|s| ClientCore::new(s, Duration::from_millis(1)));
+        let mut wire = Wire {
+            rng: 0x5eed,
+            up: Vec::new(),
+            down: [Vec::new(), Vec::new()],
+            released: [0; 2],
+        };
+        let (mut credits, mut now, mut report) = ([0u64; 2], t0, None);
+        for core in &mut clients {
+            feed(
+                core,
+                Input::Join { rejoin: false },
+                now,
+                &mut wire,
+                EPISODES,
+            );
+        }
+        while wire.released.iter().any(|&r| r <= EPISODES) {
+            now += tick;
+            assert!(
+                now - t0 < Duration::from_secs(600),
+                "wedged: {:?}",
+                wire.released
+            );
+            let mut effects: Vec<shard::Effects> = std::mem::take(&mut wire.up)
+                .into_iter()
+                .map(|req| shard.step(now, shard::Input::Request(req.session(), req, false)))
+                .collect();
+            let frame = shard.frame;
+            let reports = [(true, report.map_or(0, |r: u64| r + 1), shard.live)];
+            if shard.live == 2 && shard::release_ready(frame, reports, false, false, false) {
+                effects.push(shard.step(now, shard::Input::Release(frame)));
+            }
+            for fx in effects {
+                report = fx.report.or(report);
+                for (conn, resp) in fx.frames {
+                    lossy(&mut wire.rng, &mut wire.down[conn as usize], resp, 1);
+                }
+                if let Some(episode) = fx.release {
+                    for (conn, copies) in fx.fanout {
+                        let release = Response::Release { episode, inc: 0 };
+                        lossy(
+                            &mut wire.rng,
+                            &mut wire.down[conn as usize],
+                            release,
+                            copies,
+                        );
+                    }
+                }
+                if fx.release.is_some_and(|episode| episode > 0) {
+                    for s in fx.credits {
+                        credits[s as usize] += 1;
+                    }
+                }
+            }
+            for core in &mut clients {
+                let inbox = std::mem::take(&mut wire.down[core.session as usize]);
+                for resp in inbox {
+                    feed(core, Input::Response(resp), now, &mut wire, EPISODES);
+                }
+                feed(core, Input::Tick, now, &mut wire, EPISODES);
+            }
+        }
+        let crossed = wire.released.map(|r| r - 1);
+        assert_eq!(crossed, [EPISODES; 2]);
+        assert_eq!(credits, crossed, "the ledger is exactly-once");
+        let retries: u64 = clients.iter().map(|c| c.stats.retries).sum();
+        assert!(retries > 0, "the wire lost nothing");
+    }
+}

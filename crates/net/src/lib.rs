@@ -17,8 +17,8 @@
 //!   points so an epoch can never wedge on a crashed participant, and
 //!   evicted clients rejoin at an episode boundary.
 //! * **The wire is hostile** — every request is idempotent
-//!   ([`proto`]), the client retries with jittered exponential backoff
-//!   ([`client::BarrierClient`]), and [`FaultyTransport`] replays
+//!   ([`proto`]), the client re-sends on one jittered, non-growing
+//!   deadline ([`client::BarrierClient`]), and [`FaultyTransport`] replays
 //!   deterministic drop/duplicate/delay/reorder/disconnect schedules
 //!   from `combar-chaos` so the hostility is reproducible in tests.
 //!
@@ -34,7 +34,7 @@
 //! ```text
 //!   mux       — SessionMux: many sessions per executor task, scripted
 //!               churn, latency percentiles, the ledger oracle
-//!   client    — BarrierClient: join/arrive/heartbeat/leave/rejoin
+//!   client    — BarrierClient: one drive loop over client_core's step
 //!   faulty    — FaultyTransport: NetFaultPlan interpreter
 //!   recover   — journal replay, warm standby, failover cluster
 //!   journal   — write-ahead epoch journal (length-delimited, fenced)
@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod client_core;
 pub mod faulty;
 pub mod journal;
 pub mod mux;

@@ -1,43 +1,25 @@
 //! Session multiplexer: the one driver of many client sessions against
 //! an epoch server, as tasks on the `combar-rt` executor.
 //!
-//! Sessions vastly outnumber threads. [`SessionMux::drive`] cuts the
-//! configured sessions into one slice per executor driver, each on its
-//! own connection (decorated with a [`FaultyTransport`] when chaos is
-//! configured), and runs every slice as one task that multiplexes its
-//! sessions in two phases per round — (re)send every owed arrival,
-//! then one bounded poll per in-flight session — which is what the
-//! split [`BarrierClient::send_arrive`] /
-//! [`BarrierClient::poll_release`] API exists for. Because a slice is
-//! a future, the same drivers can carry in-process
-//! [`combar_rt::AsyncBarrier`] participants beside it: logical
-//! participants and networked sessions are the same commodity.
+//! [`SessionMux::drive`] cuts the sessions into one slice per executor
+//! driver, each on its own connection (under a [`FaultyTransport`] when
+//! chaos is configured), and runs each slice as one task. A round sends
+//! every owed arrival or rejoin `Hello`, then gives each session with a
+//! request in flight one bounded drive, which re-sends the request when
+//! its deadline is due. Logical [`combar_rt::AsyncBarrier`] participants
+//! can share the drivers.
 //!
-//! Two rules keep the cooperative loop honest:
+//! **Never park on one session.** A drive reads the wire for a small
+//! budget and a rejoin is a `Hello` held in flight, not waited for: a
+//! driver blocked on one session while another owes an arrival wedges
+//! every driver whose sessions wait on it. Between rounds the task
+//! [`yield_now`]s; only an idle round parks it, on the shared [`Timer`].
 //!
-//! * **Never park on one session.** [`BarrierClient::poll_release`]
-//!   is called with a small budget (zero is one non-blocking look at
-//!   the wire) and the task [`yield_now`]s between rounds. A driver
-//!   that blocked on session B's release while its session A still
-//!   owed an arrival would wedge every other driver too (their sessions
-//!   wait on A): a distributed self-deadlock only lease evictions could
-//!   break.
-//! * **Pace, don't sleep.** Arrival re-sends are scheduled with
-//!   [`JitterBackoff::next_deadline`] — the non-blocking form — against
-//!   a clock sampled once per round; a re-send also renews the session
-//!   lease while the barrier waits on peers. Only an entirely idle
-//!   round parks the task, on the shared [`Timer`], never on the OS
-//!   clock.
-//!
-//! Churn is scripted two ways. Sessions in [`MuxConfig::kill`] *crash*:
-//! they stop after [`MuxConfig::script_after`] episodes and send no
-//! `Leave`, so only the server's lease can fold them out while the
-//! survivors keep completing episodes. Sessions in
-//! [`MuxConfig::cancel`] *cancel mid-epoch*: at the same count they
-//! leave with an arrival possibly still in flight and rejoin on the
-//! next round, exercising the server's exactly-once ledger under
-//! client-initiated churn. Sessions the server evicts (orphans of a
-//! stalled shard, say) rejoin and continue.
+//! Churn is scripted two ways. Sessions in [`MuxConfig::kill`] *crash*
+//! after [`MuxConfig::script_after`] episodes: no `Leave`, so only the
+//! server's lease folds them out. Sessions in [`MuxConfig::cancel`]
+//! leave mid-epoch at the same count and rejoin, exercising the
+//! exactly-once ledger under client churn. Evicted sessions rejoin.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -45,16 +27,16 @@ use std::time::{Duration, Instant};
 
 use combar_chaos::{NetChaosConfig, NetFaultPlan};
 use combar_rng::stats::nearest_rank;
-use combar_rt::{yield_now, BarrierError, Deadline, Executor, JitterBackoff, Timer};
+use combar_rt::{yield_now, BarrierError, Deadline, Executor, Timer};
 
-use crate::client::{BarrierClient, ClientConfig, ClientStats};
+use crate::client::{BarrierClient, ClientConfig, ClientStats, Until};
+use crate::client_core::Input;
 use crate::faulty::FaultyTransport;
 use crate::proto::SessionId;
 use crate::server::EpochServer;
 use crate::transport::Transport;
 
-/// How long [`SessionMux::drive`] waits for its tasks to drain before
-/// it calls the run wedged.
+/// How long [`SessionMux::drive`] waits for its tasks to drain.
 const DRAIN: Duration = Duration::from_secs(240);
 
 /// How long an entirely idle round parks its task on the timer.
@@ -63,25 +45,20 @@ const NAP: Duration = Duration::from_micros(200);
 /// What to drive against the server: sessions `0 .. sessions`.
 #[derive(Debug, Clone)]
 pub struct MuxConfig {
-    /// Number of sessions; ids `0 .. sessions` double as chaos stream
-    /// seeds.
+    /// Number of sessions; ids `0 .. sessions` double as chaos seeds.
     pub sessions: u64,
-    /// Episodes every session must complete (a killed one stops
-    /// earlier).
+    /// Episodes every session completes (a killed one stops earlier).
     pub episodes: u64,
-    /// Per-client retry tuning; `request_timeout` also paces arrival
-    /// re-sends (one every one to two timeouts). `rejoin` blocks its
-    /// driver for at most roughly `request_timeout × max_attempts`.
+    /// Per-client retry tuning: `request_timeout` paces every re-send;
+    /// `max_attempts` bounds only the initial join.
     pub client: ClientConfig,
     /// Wire chaos applied to every connection (client side), or `None`
     /// for a clean wire.
     pub chaos: Option<NetChaosConfig>,
-    /// Per-session budget of one release poll; zero looks at the wire
-    /// once without waiting.
+    /// Per-session budget of one drive; zero is one look at the wire.
     pub poll: Duration,
-    /// Sessions that cancel mid-run: leave (with an arrival possibly
-    /// in flight) after [`MuxConfig::script_after`] episodes, then
-    /// rejoin and finish their quota.
+    /// Sessions that leave mid-epoch after [`MuxConfig::script_after`]
+    /// episodes, then rejoin and finish their quota.
     pub cancel: Vec<SessionId>,
     /// Sessions that crash mid-run: go silent (no `Leave` — a crash,
     /// not a goodbye) after [`MuxConfig::script_after`] episodes.
@@ -98,8 +75,6 @@ impl Default for MuxConfig {
             episodes: 25,
             client: ClientConfig {
                 request_timeout: Duration::from_millis(2),
-                backoff_base: Duration::from_micros(500),
-                backoff_max: Duration::from_millis(2),
                 max_attempts: 10,
             },
             chaos: None,
@@ -114,13 +89,9 @@ impl Default for MuxConfig {
 /// Outcome of one [`SessionMux::drive`].
 #[derive(Debug, Clone, Default)]
 pub struct MuxReport {
-    /// Each session's client counters: episodes observed released,
-    /// re-sends, evictions, rejoins, resumes. This is the client half
-    /// of the ledger [`MuxReport::assert_ledger`] reconciles against
-    /// [`EpochServer::session_stats`]: the server misses *voluntary*
-    /// churn (an orderly `Leave` removes the session outright, so the
-    /// rejoin `Hello` finds no tombstone to count), so exactly-once
-    /// accounting needs the client-side rejoin count.
+    /// Each session's client counters: the client half of the ledger
+    /// [`MuxReport::assert_ledger`] reconciles, which needs the rejoins
+    /// the server cannot see (a `Leave` leaves no tombstone to count).
     pub sessions: BTreeMap<SessionId, ClientStats>,
     /// Arrive→release latencies in microseconds, sorted ascending.
     pub latencies_us: Vec<u64>,
@@ -134,10 +105,7 @@ impl MuxReport {
         self.sessions.get(&sid).map_or(0, |st| st.episodes)
     }
 
-    /// The client counters summed over all sessions: completed
-    /// episodes, request re-sends, evictions observed, rejoins
-    /// (evictions healed plus cancel re-admissions) and `Resume`
-    /// handshakes (server restarts ridden through).
+    /// The client counters summed over all sessions.
     pub fn totals(&self) -> ClientStats {
         let mut t = ClientStats::default();
         for st in self.sessions.values() {
@@ -194,15 +162,8 @@ struct MuxSession {
     target: u64,
     /// Scripted to crash: reaching `target` sends no `Leave`.
     killed: bool,
+    /// When the arrival in flight was first sent.
     in_flight: Option<Instant>,
-    /// When the in-flight arrival is next re-sent (idempotently).
-    resend_at: Instant,
-    /// Re-send pacing: a delay drawn from `[t, 2t)` for
-    /// `t = request_timeout` — never sooner than an attempt's timeout,
-    /// jittered so a thundering herd of re-sends decorrelates, and not
-    /// growing: a re-send renews the session lease, so it must keep
-    /// coming however long the peers take.
-    pacer: JitterBackoff,
     /// Scripted cancel still owed (None once performed or never due).
     cancel_at: Option<u64>,
 }
@@ -217,20 +178,15 @@ pub struct SessionMux {
 
 impl SessionMux {
     /// Drives every session of `cfg` to its target on `exec` and
-    /// reports. `connect` mints each session's base transport — a
-    /// loopback into an [`EpochServer`], a
-    /// [`ReconnectTransport`](crate::ReconnectTransport) into a failover
-    /// cluster, anything — and wire chaos is layered on top. The
-    /// sessions are cut into one slice per live driver of `exec`, each
-    /// joined here and then run as one task; the call returns once
-    /// `exec` has drained (its other tasks included).
+    /// reports. `connect` mints each session's base transport (a
+    /// loopback, a [`ReconnectTransport`](crate::ReconnectTransport),
+    /// anything); chaos is layered on top. Each slice is joined here,
+    /// then run as a task; the call returns once `exec` has drained.
     ///
     /// # Panics
     ///
-    /// Panics if a session cannot join, if a task panicked (a
-    /// non-recoverable session error: `Poisoned`, or a rejoin rejected
-    /// outright), or if the tasks have not drained after four minutes —
-    /// a wedged epoch is a test failure, not a hang.
+    /// If a session cannot join, a task panicked (`Poisoned`, say), or
+    /// the tasks have not drained after four minutes.
     pub fn drive(
         exec: &Executor,
         connect: impl Fn(SessionId) -> Box<dyn Transport>,
@@ -292,19 +248,11 @@ impl SessionMux {
                 MuxSession {
                     client,
                     done: 0,
-                    target: if killed {
-                        cfg.script_after.min(cfg.episodes)
-                    } else {
-                        cfg.episodes
-                    },
+                    target: cfg
+                        .episodes
+                        .min(if killed { cfg.script_after } else { u64::MAX }),
                     killed,
                     in_flight: None,
-                    resend_at: Instant::now(),
-                    pacer: JitterBackoff::new(
-                        sid ^ 0x6d75_785f,
-                        cfg.client.request_timeout * 2,
-                        cfg.client.request_timeout * 2,
-                    ),
                     cancel_at: cfg
                         .cancel
                         .contains(&sid)
@@ -319,65 +267,46 @@ impl SessionMux {
         }
     }
 
-    /// Drives every session of the slice to its target and reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-recoverable error (`Poisoned`, or a rejoin
-    /// rejected outright).
+    /// Drives every session of the slice to its target and reports;
+    /// panics on a non-recoverable error (`Poisoned`).
     async fn run(mut self, timer: Timer) -> MuxReport {
         let mut latencies = Vec::new();
         while self.sessions.iter().any(|s| s.done < s.target) {
             let mut progress = false;
-            // Phase 1: cancel the scripted, rejoin the evicted, (re)send
-            // every owed arrival. One clock sample paces the round.
-            let now = Instant::now();
+            // Phase 1: cancel the scripted, send owed `Hello`s and arrivals.
             for s in self.sessions.iter_mut().filter(|s| s.done < s.target) {
-                if s.cancel_at == Some(s.done) {
-                    // Cancel mid-epoch: the arrival (if any) stays on
-                    // the server's books; Leave folds it out at the
-                    // boundary. Rejoin next round.
+                let intent = if s.cancel_at == Some(s.done) {
+                    // Cancel mid-epoch: `Leave` folds out the arrival in
+                    // flight at the boundary. Rejoin next round.
                     s.cancel_at = None;
                     s.in_flight = None;
                     self.cancels += 1;
-                    let _ = s.client.leave();
-                    progress = true;
+                    Input::Leave
+                } else if s.client.core.pending.is_some() {
                     continue;
+                } else if !s.client.is_joined() {
+                    Input::Join { rejoin: true }
+                } else {
+                    s.in_flight = Some(Instant::now());
+                    Input::Arrive
+                };
+                if let Err(e) = s.client.drive(Some(intent), Until::Sent) {
+                    panic!("session {}: {e:?}", s.client.session());
                 }
-                if !s.client.is_joined() {
-                    match s.client.rejoin() {
-                        Ok(_) => {
-                            s.in_flight = None;
-                            progress = true;
-                        }
-                        Err(BarrierError::Timeout) => {} // next round
-                        Err(e) => panic!("session {} rejoin: {e:?}", s.client.session()),
-                    }
-                    continue;
-                }
-                if s.in_flight.is_none() || now >= s.resend_at {
-                    match s.client.send_arrive() {
-                        Ok(()) => {
-                            s.resend_at = s.pacer.next_deadline(now);
-                            if s.in_flight.is_none() {
-                                s.in_flight = Some(now);
-                                progress = true;
-                            }
-                        }
-                        Err(BarrierError::Evicted) => {} // rejoin next round
-                        Err(e) => panic!("session {}: {e:?}", s.client.session()),
-                    }
-                }
+                progress = true;
             }
-            // Phase 2: one bounded poll per in-flight session.
-            for s in self.sessions.iter_mut().filter(|s| s.done < s.target) {
-                let Some(t0) = s.in_flight else { continue };
-                match s.client.poll_release(self.poll) {
+            // Phase 2: one bounded drive per session with a request in
+            // flight; it re-sends the request if it is due.
+            let owed = |s: &&mut MuxSession| s.done < s.target && s.client.core.pending.is_some();
+            for s in self.sessions.iter_mut().filter(owed) {
+                match s.client.drive(None, Until::Wait(self.poll, true)) {
                     Ok(_) => {
+                        progress = true;
+                        let Some(t0) = s.in_flight.take() else {
+                            continue; // rejoined
+                        };
                         latencies.push(t0.elapsed().as_micros() as u64);
                         s.done += 1;
-                        s.in_flight = None;
-                        progress = true;
                         if s.done >= s.target && !s.killed {
                             // Orderly departure so peers never wait on a
                             // finished session. A killed one goes silent
@@ -718,6 +647,76 @@ mod tests {
             }
         }
         report.assert_ledger(&server, &cfg);
+        server.shutdown();
+    }
+
+    /// A rejoin in flight holds its `Hello` and re-sends it on the
+    /// client's deadline; it does not block the driver. Session 0 cancels
+    /// and then its wire swallows every `Hello` until session 1 — alone
+    /// on the slice's one driver — has crossed its quota and left. Every
+    /// frame session 1 sends is logged as `1`, every swallowed `Hello` as
+    /// `0`: between two frames of session 1 there are at most two.
+    #[test]
+    fn a_rejoin_in_flight_does_not_stall_its_slice() {
+        use crate::proto::Request;
+        use crate::transport::NetError;
+
+        /// Logs its session's frames while the swallow is on, and
+        /// swallows session 0's `Hello`s; session 0's `Leave` turns the
+        /// swallow on and session 1's turns it off.
+        struct HelloSpy(Box<dyn Transport>, SessionId, Arc<Mutex<(bool, Vec<u8>)>>);
+        impl Transport for HelloSpy {
+            fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
+                let req = Request::decode(frame).expect("a request");
+                let mut spy = self.2.lock().unwrap();
+                let hello = matches!(req, Request::Hello { .. });
+                if spy.0 {
+                    if self.1 == 1 || hello {
+                        spy.1.push(self.1 as u8);
+                    }
+                    if self.1 == 0 && hello {
+                        return Ok(());
+                    }
+                }
+                if let Request::Leave { .. } = req {
+                    spy.0 = self.1 == 0;
+                }
+                self.0.send(frame)
+            }
+            fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, NetError> {
+                self.0.recv_timeout(timeout)
+            }
+        }
+
+        let server = EpochServer::start(ServerConfig {
+            shards: 1,
+            tick: Duration::from_micros(200),
+            ..ServerConfig::default()
+        });
+        let cfg = MuxConfig {
+            sessions: 2,
+            episodes: 300,
+            cancel: vec![0],
+            script_after: 5,
+            ..MuxConfig::default()
+        };
+        let spy = Arc::new(Mutex::new((false, Vec::new())));
+        let connect = |sid| -> Box<dyn Transport> {
+            Box::new(HelloSpy(Box::new(server.connect()), sid, Arc::clone(&spy)))
+        };
+        let report = SessionMux::drive(&Executor::new(1), connect, &cfg);
+        let log = std::mem::take(&mut spy.lock().unwrap().1);
+        let hellos = log.iter().filter(|&&s| s == 0).count();
+        assert!(hellos >= 1, "the rejoin never started while 1 crossed");
+        for between in log.split(|&s| s == 1) {
+            assert!(
+                between.len() <= 2,
+                "{} Hellos between two frames of 1",
+                between.len()
+            );
+        }
+        assert_eq!(report.done(1), 300, "session 1 crossed its quota");
+        assert_eq!(report.done(0), 300, "session 0 rejoined and finished");
         server.shutdown();
     }
 

@@ -665,7 +665,6 @@ mod tests {
                 ClientConfig {
                     request_timeout: Duration::from_millis(5),
                     max_attempts: 400,
-                    ..ClientConfig::default()
                 },
             )
         };
@@ -758,7 +757,6 @@ mod tests {
             ClientConfig {
                 request_timeout: Duration::from_millis(5),
                 max_attempts: 40,
-                ..ClientConfig::default()
             },
         );
         stale.join().unwrap();
@@ -817,7 +815,6 @@ mod tests {
             ClientConfig {
                 request_timeout: Duration::from_millis(5),
                 max_attempts: 400,
-                ..ClientConfig::default()
             },
         );
         c.join().unwrap();

@@ -556,7 +556,7 @@ pub(crate) fn release_ready(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use combar_rt::SupervisorConfig;
     use std::fmt::Write;
@@ -799,11 +799,18 @@ mod tests {
         }
     }
 
+    /// Asserts that the non-test part of a module's source `src` names
+    /// none of `banned`: the guard of a sans-IO core.
+    pub(crate) fn assert_sans_io(src: &str, banned: &[&str]) {
+        let core = src.split("#[cfg(test)]").next().unwrap();
+        for banned in banned {
+            assert!(!core.contains(banned), "the core names {banned}");
+        }
+    }
+
     #[test]
     fn the_core_is_sans_io() {
-        let src = include_str!("shard.rs");
-        let core = src.split("#[cfg(test)]\nmod tests").next().unwrap();
-        for banned in [
+        let banned = [
             "Instant::",
             ".elapsed()",
             "SystemTime",
@@ -815,8 +822,7 @@ mod tests {
             "Router",
             "OutSink",
             "Arc<Journal>",
-        ] {
-            assert!(!core.contains(banned), "the core names {banned}");
-        }
+        ];
+        assert_sans_io(include_str!("shard.rs"), &banned);
     }
 }

@@ -284,18 +284,6 @@ impl JitterBackoff {
         jittered
     }
 
-    /// The instant the next re-poll is due, measured from `now` — the
-    /// non-blocking form of [`JitterBackoff::sleep`]. Advances the
-    /// backoff schedule without sleeping, so an async caller can park
-    /// on the returned instant (e.g. a timer re-poll of a
-    /// `wait_deadline`) instead of stalling an executor driver. The
-    /// pacing stays per logical participant: each session owns its own
-    /// `JitterBackoff` and deadline, however many of them share a
-    /// driver thread.
-    pub fn next_deadline(&mut self, now: Instant) -> Instant {
-        now + self.next_delay()
-    }
-
     /// Sleeps for the next delay, clamped so it never overshoots
     /// `deadline`. Returns `false` once the deadline has expired.
     ///
@@ -304,7 +292,8 @@ impl JitterBackoff {
     /// thread-per-participant barriers). Never call it from an executor
     /// driver: one session's backoff nap would stall every other
     /// logical participant multiplexed onto that driver. Async code
-    /// paces with [`JitterBackoff::next_deadline`] and a timer instead.
+    /// adds [`JitterBackoff::next_delay`] to its clock and parks on a
+    /// timer instead.
     pub fn sleep(&mut self, deadline: Deadline) -> bool {
         let now = Instant::now();
         let mut d = self.next_delay();
@@ -671,27 +660,6 @@ mod tests {
         let mut c = JitterBackoff::new(43, base, max);
         let sc: Vec<_> = (0..12).map(|_| c.next_delay()).collect();
         assert_ne!(sa, sc, "different seeds must diverge");
-    }
-
-    #[test]
-    fn jitter_backoff_next_deadline_paces_without_sleeping() {
-        let (base, max) = (Duration::from_millis(1), Duration::from_millis(16));
-        let mut paced = JitterBackoff::new(42, base, max);
-        let mut slept = JitterBackoff::new(42, base, max);
-        let now = Instant::now();
-        let t0 = Instant::now();
-        for _ in 0..8 {
-            // Same schedule as the blocking form, but the driver-thread
-            // clock does not advance: the due instant is a value the
-            // caller parks on, not time already spent.
-            let due = paced.next_deadline(now);
-            assert_eq!(due, now + slept.next_delay());
-            assert!(due > now);
-        }
-        assert!(
-            t0.elapsed() < base * 8,
-            "next_deadline must not block the calling thread"
-        );
     }
 
     #[test]
