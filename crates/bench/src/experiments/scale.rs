@@ -27,7 +27,7 @@
 //!   biased straggler toward the root and dynamic placement beats
 //!   static — at 256× the paper's processor count.
 //!
-//! Every episode runs on the timing-wheel engine
+//! Every episode keeps its pending propagations on the timing wheel
 //! ([`combar_des::QueueKind::Wheel`]); a mirror table re-runs one cell
 //! on the default binary heap and checks bit-equality of release time,
 //! sync delay, releaser, and update count — the `(time, seq)`

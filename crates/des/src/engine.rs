@@ -96,13 +96,18 @@ impl EngineConfig {
 
     /// Builds an engine at time zero over `state`.
     pub fn build<S: 'static>(&self, state: S) -> Engine<S> {
+        Engine::with_boxed_queue(state, self.build_queue())
+    }
+
+    /// Builds the configured pending-event structure on its own, typed
+    /// over a plain payload — for event loops that pop `(time, seq, T)`
+    /// themselves instead of running closures on an [`Engine`]. The
+    /// caller numbers the events; the `(time, seq)` contract of
+    /// [`EventQueue`] is unchanged.
+    pub fn build_queue<T: 'static>(&self) -> Box<dyn EventQueue<T>> {
         match self.queue {
-            QueueKind::Heap => {
-                Engine::with_queue(state, HeapQueue::with_capacity(self.events_hint))
-            }
-            QueueKind::Wheel => {
-                Engine::with_queue(state, WheelQueue::with_resolution(self.wheel_resolution_us))
-            }
+            QueueKind::Heap => Box::new(HeapQueue::with_capacity(self.events_hint)),
+            QueueKind::Wheel => Box::new(WheelQueue::with_resolution(self.wheel_resolution_us)),
         }
     }
 }
@@ -138,10 +143,14 @@ impl<S> Engine<S> {
         S: 'static,
         Q: EventQueue<Action<S>> + 'static,
     {
+        Self::with_boxed_queue(state, Box::new(queue))
+    }
+
+    fn with_boxed_queue(state: S, queue: Box<dyn EventQueue<Action<S>>>) -> Self {
         Self {
             now: SimTime::ZERO,
             seq: 0,
-            queue: Box::new(queue),
+            queue,
             ledger: Rc::new(Cell::new(0)),
             events_executed: 0,
             state,

@@ -156,8 +156,13 @@ pub fn run_balance<S: WorkSource + ?Sized>(
             arrivals[i] = begin[i] + works[i] * diffuser.factor(i as u32);
         }
 
-        let homes = placement.homes().to_vec();
-        let (r, trace) = run_episode_traced(topo, &homes, &arrivals, cfg.tc, cfg.trace_capacity);
+        let (r, trace) = run_episode_traced(
+            topo,
+            placement.homes(),
+            &arrivals,
+            cfg.tc,
+            cfg.trace_capacity,
+        );
         let events = trace.to_unified();
         let paths = critical_paths(&events);
 

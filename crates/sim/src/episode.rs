@@ -11,8 +11,20 @@
 //! `release time − arrival time of the last processor` (Section 1),
 //! decomposed into *update delay* (tree depth × `t_c` along the
 //! releasing chain) and *contention delay* (everything else).
+//!
+//! The episode is a typed event loop with two event sources. The
+//! arrivals are known up front, so they are sorted once by
+//! `(time, proc)`; the propagations (a counter's last updater climbing
+//! to the parent) go into a `combar_des` [`EventQueue`] of
+//! `(proc, counter)` pairs, numbered from `p` upward as they are
+//! created. Merging the two pops events in exactly the
+//! `(time, seq)` order a `combar_des::Engine` would pop them if every
+//! arrival were scheduled in processor order before the run, without a
+//! closure or an allocation per event.
 
-use combar_des::{Duration, Engine, EngineConfig, FifoServer, SimTime, Trace, TraceKind};
+use combar_des::{
+    Duration, EngineConfig, Event, EventQueue, FifoServer, SimTime, Trace, TraceKind,
+};
 use combar_topo::{CounterId, ProcId, Topology};
 
 /// How the barrier release reaches the waiting processors.
@@ -122,52 +134,6 @@ struct CounterState {
     parent: Option<CounterId>,
 }
 
-struct EpisodeState {
-    counters: Vec<CounterState>,
-    winners: Vec<Option<ProcId>>,
-    signal_done: Vec<f64>,
-    release: SimTime,
-    releasing_proc: ProcId,
-    total_updates: u64,
-    tc: Duration,
-    trace: Option<Trace>,
-}
-
-fn request(e: &mut Engine<EpisodeState>, proc: ProcId, counter: CounterId) {
-    let now = e.now();
-    let tc = e.state.tc;
-    let c = &mut e.state.counters[counter as usize];
-    let svc = c.server.serve(now, tc);
-    c.count += 1;
-    e.state.total_updates += 1;
-    let is_last = c.count == c.fan_in;
-    debug_assert!(c.count <= c.fan_in, "counter over-updated");
-    if let Some(trace) = &mut e.state.trace {
-        trace.record(svc.start, proc, TraceKind::UpdateStart(counter));
-        trace.record(svc.finish, proc, TraceKind::UpdateEnd(counter));
-    }
-    if is_last {
-        e.state.winners[counter as usize] = Some(proc);
-        match c.parent {
-            Some(parent) => {
-                e.schedule_at(svc.finish, move |e2| request(e2, proc, parent));
-            }
-            None => {
-                e.state.release = svc.finish;
-                e.state.releasing_proc = proc;
-                e.state.signal_done[proc as usize] = svc.finish.as_us();
-                if let Some(trace) = &mut e.state.trace {
-                    trace.record(svc.finish, proc, TraceKind::Release);
-                }
-            }
-        }
-    } else {
-        // This processor's signalling work is over; it may start slack
-        // work once its update completes.
-        e.state.signal_done[proc as usize] = svc.finish.as_us();
-    }
-}
-
 /// Runs one barrier episode with the paper's idealized central-flag
 /// release (see [`run_episode_with`] for the wakeup-tree variant).
 ///
@@ -182,7 +148,7 @@ fn request(e: &mut Engine<EpisodeState>, proc: ProcId, counter: CounterId) {
 /// # Panics
 ///
 /// Panics if `homes`/`arrivals_us` lengths disagree with the topology,
-/// or an arrival is negative or NaN.
+/// or an arrival is negative (`-0.0` included), infinite or NaN.
 pub fn run_episode(
     topo: &Topology,
     homes: &[CounterId],
@@ -202,13 +168,14 @@ pub fn run_episode_traced(
     tc: Duration,
     capacity: usize,
 ) -> (EpisodeResult, Trace) {
-    let (result, trace) = run_episode_inner(
+    let (result, trace) = run_episode_inner_cfg(
         topo,
         homes,
         arrivals_us,
         tc,
         ReleaseModel::CentralFlag,
         Some(Trace::new(capacity)),
+        &EngineConfig::new(),
     );
     (result, trace.expect("trace requested"))
 }
@@ -221,15 +188,25 @@ pub fn run_episode_with(
     tc: Duration,
     release_model: ReleaseModel,
 ) -> EpisodeResult {
-    run_episode_inner(topo, homes, arrivals_us, tc, release_model, None).0
+    run_episode_inner_cfg(
+        topo,
+        homes,
+        arrivals_us,
+        tc,
+        release_model,
+        None,
+        &EngineConfig::new(),
+    )
+    .0
 }
 
-/// [`run_episode`] with an explicit [`EngineConfig`] — the entry point
-/// for large-`p` episodes, where
-/// `EngineConfig::new().queue(QueueKind::Wheel)` swaps the engine's
-/// binary heap for the hierarchical timing wheel. The result is
-/// bit-identical to [`run_episode`] (the `(time, seq)` ordering
-/// contract); only the wall-clock cost changes.
+/// [`run_episode`] with an explicit [`EngineConfig`]: the config builds
+/// the queue that holds the episode's pending propagations, so
+/// `EngineConfig::new().queue(QueueKind::Wheel)` swaps its binary heap
+/// for the hierarchical timing wheel. The arrivals never enter that
+/// queue (they are sorted once), so the choice governs only the
+/// propagations. The result is bit-identical to [`run_episode`] (the
+/// `(time, seq)` ordering contract); only the wall-clock cost changes.
 pub fn run_episode_cfg(
     topo: &Topology,
     homes: &[CounterId],
@@ -249,39 +226,38 @@ pub fn run_episode_cfg(
     .0
 }
 
-fn run_episode_inner(
-    topo: &Topology,
-    homes: &[CounterId],
-    arrivals_us: &[f64],
-    tc: Duration,
-    release_model: ReleaseModel,
-    trace: Option<Trace>,
-) -> (EpisodeResult, Option<Trace>) {
-    run_episode_inner_cfg(
-        topo,
-        homes,
-        arrivals_us,
-        tc,
-        release_model,
-        trace,
-        &EngineConfig::new(),
-    )
-}
-
 fn run_episode_inner_cfg(
     topo: &Topology,
     homes: &[CounterId],
     arrivals_us: &[f64],
     tc: Duration,
     release_model: ReleaseModel,
-    trace: Option<Trace>,
+    mut trace: Option<Trace>,
     cfg: &EngineConfig,
 ) -> (EpisodeResult, Option<Trace>) {
     let p = topo.num_procs() as usize;
     assert_eq!(homes.len(), p, "homes length mismatch");
     assert_eq!(arrivals_us.len(), p, "arrivals length mismatch");
 
-    let counters: Vec<CounterState> = topo
+    // Validate in processor order, then order the arrivals once by
+    // (time, proc): the engine's pop order, which numbers arrival i with
+    // seq i. A -0.0 lies before time zero in `SimTime`'s total order and
+    // is rejected, so every key is a non-negative f64, whose bits are
+    // `f64::total_cmp`'s integer key.
+    let (mut last_arrival, mut last_arriver) = (f64::NEG_INFINITY, 0);
+    let mut arrivals: Vec<(u64, ProcId)> = Vec::with_capacity(p);
+    for (i, &a) in arrivals_us.iter().enumerate() {
+        let valid = a.is_finite() && a.is_sign_positive();
+        assert!(valid, "arrival {i} invalid: {a}");
+        if a >= last_arrival {
+            last_arrival = a;
+            last_arriver = i as ProcId;
+        }
+        arrivals.push((a.to_bits(), i as ProcId));
+    }
+    arrivals.sort_unstable();
+
+    let mut counters: Vec<CounterState> = topo
         .nodes()
         .iter()
         .map(|n| CounterState {
@@ -291,55 +267,75 @@ fn run_episode_inner_cfg(
             parent: n.parent,
         })
         .collect();
+    let mut winners = vec![None; topo.num_counters()];
+    let mut signal_done = vec![0.0; p];
+    let mut release = SimTime::ZERO;
+    let mut releasing_proc: ProcId = 0;
 
-    // Pre-size for the known event shape: p arrivals plus one
-    // propagation per internal counter, minus reuse.
-    let cfg = cfg.clone().events_hint(p + topo.num_counters());
-    let mut eng = cfg.build(EpisodeState {
-        counters,
-        winners: vec![None; topo.num_counters()],
-        signal_done: vec![0.0; p],
-        release: SimTime::ZERO,
-        releasing_proc: 0,
-        total_updates: 0,
-        tc,
-        trace,
-    });
-
-    // Schedule arrivals in processor order; the engine's stable ordering
-    // makes simultaneous arrivals deterministic.
-    let mut last_arrival = f64::NEG_INFINITY;
-    let mut last_arriver: ProcId = 0;
-    for (i, &a) in arrivals_us.iter().enumerate() {
-        assert!(a.is_finite() && a >= 0.0, "arrival {i} invalid: {a}");
-        if a >= last_arrival {
-            last_arrival = a;
-            last_arriver = i as ProcId;
-        }
-        let home = homes[i];
-        let proc = i as ProcId;
-        eng.schedule_at(SimTime::from_us(a), move |e| {
-            let now = e.now();
-            if let Some(trace) = &mut e.state.trace {
-                trace.record(now, proc, TraceKind::Arrive);
+    // At most one propagation per non-root counter. Their seqs start at
+    // p, above every arrival's, so an arrival goes first unless the
+    // queue's head is strictly earlier. Every update is an arrival's or
+    // a propagation's, so the last seq is the episode's update count.
+    let mut climbs: Box<dyn EventQueue<(ProcId, CounterId)>> =
+        cfg.clone().events_hint(topo.num_counters()).build_queue();
+    let mut seq = p as u64;
+    let mut next = arrivals.iter().map(|&(_, proc)| proc).peekable();
+    loop {
+        let arrival = next
+            .peek()
+            .map(|&proc| SimTime::from_us(arrivals_us[proc as usize]));
+        let (now, proc, counter) = match arrival {
+            Some(a) if climbs.next_time().is_none_or(|h| a <= h) => {
+                let proc = next.next().expect("peeked");
+                if let Some(trace) = &mut trace {
+                    trace.record(a, proc, TraceKind::Arrive);
+                }
+                (a, proc, homes[proc as usize])
             }
-            request(e, proc, home)
-        });
+            _ => match climbs.pop_next() {
+                Some((t, _, (proc, counter))) => (t, proc, counter),
+                None => break,
+            },
+        };
+        let c = &mut counters[counter as usize];
+        let svc = c.server.serve(now, tc);
+        c.count += 1;
+        debug_assert!(c.count <= c.fan_in, "counter over-updated");
+        if let Some(trace) = &mut trace {
+            trace.record(svc.start, proc, TraceKind::UpdateStart(counter));
+            trace.record(svc.finish, proc, TraceKind::UpdateEnd(counter));
+        }
+        // A processor's signalling work ends with its last update; a
+        // climbing winner overwrites this at its parent.
+        signal_done[proc as usize] = svc.finish.as_us();
+        if c.count == c.fan_in {
+            winners[counter as usize] = Some(proc);
+            match c.parent {
+                Some(parent) => {
+                    climbs.schedule(svc.finish, seq, Event::new((proc, parent)));
+                    seq += 1;
+                }
+                None => {
+                    release = svc.finish;
+                    releasing_proc = proc;
+                    if let Some(trace) = &mut trace {
+                        trace.record(svc.finish, proc, TraceKind::Release);
+                    }
+                }
+            }
+        }
     }
-    eng.run();
 
-    let mut st = eng.into_state();
-    let trace_out = st.trace.take();
     debug_assert!(
-        st.counters.iter().all(|c| c.count == c.fan_in),
+        counters.iter().all(|c| c.count == c.fan_in),
         "every counter must be fully updated"
     );
     let mut level_wait_us = vec![0.0f64; topo.depth() as usize];
-    for (c, cs) in st.counters.iter().enumerate() {
+    for (c, cs) in counters.iter().enumerate() {
         let level = topo.path_len(c as CounterId) as usize - 1;
         level_wait_us[level] += cs.server.total_wait().as_us();
     }
-    let release_us = st.release.as_us();
+    let release_us = release.as_us();
     let release_per_proc_us = match release_model {
         ReleaseModel::CentralFlag => vec![release_us; p],
         ReleaseModel::WakeupTree { notify_us } => {
@@ -372,7 +368,7 @@ fn run_episode_inner_cfg(
         }
     };
     let sync_delay_us = release_us - last_arrival;
-    let releasing_depth = topo.path_len(homes[st.releasing_proc as usize]);
+    let releasing_depth = topo.path_len(homes[releasing_proc as usize]);
     let update_delay_us = releasing_depth as f64 * tc.as_us();
     let result = EpisodeResult {
         release_us,
@@ -380,16 +376,16 @@ fn run_episode_inner_cfg(
         sync_delay_us,
         update_delay_us,
         contention_delay_us: sync_delay_us - update_delay_us,
-        releasing_proc: st.releasing_proc,
+        releasing_proc,
         releasing_depth,
         last_arriver,
-        winners: st.winners,
-        signal_done_us: st.signal_done,
-        total_updates: st.total_updates,
+        winners,
+        signal_done_us: signal_done,
+        total_updates: seq,
         level_wait_us,
         release_per_proc_us,
     };
-    (result, trace_out)
+    (result, trace)
 }
 
 #[cfg(test)]

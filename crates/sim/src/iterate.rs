@@ -172,8 +172,13 @@ pub fn run_iterations<S: WorkSource + ?Sized>(
         for i in 0..p {
             arrivals[i] = begin[i] + works[i];
         }
-        let homes = placement.homes().to_vec();
-        let r = run_episode_with(topo, &homes, &arrivals, cfg.tc, cfg.release_model);
+        let r = run_episode_with(
+            topo,
+            placement.homes(),
+            &arrivals,
+            cfg.tc,
+            cfg.release_model,
+        );
 
         let measured = iter >= cfg.warmup;
         if measured {

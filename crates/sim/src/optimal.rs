@@ -90,26 +90,38 @@ impl Default for SweepConfig {
 /// folded serially in rep order afterwards, so the accumulated means
 /// are bit-identical to the historical serial loop for any thread
 /// count.
+///
+/// # Panics
+///
+/// Panics if `cfg.reps` is zero while `cfg.sigma_us > 0` (σ = 0 runs
+/// its single deterministic replication regardless).
 pub fn sweep_degrees(p: u32, degrees: &[u32], cfg: &SweepConfig) -> Vec<DegreeResult> {
-    let mut out: Vec<DegreeResult> = degrees
-        .iter()
-        .map(|&d| {
-            let topo = build_tree(cfg.style, p, d);
-            DegreeResult {
-                degree: d,
-                depth: topo.depth(),
-                sync_delay: OnlineStats::new(),
-                update_delay: OnlineStats::new(),
-                contention_delay: OnlineStats::new(),
-            }
-        })
-        .collect();
     let topos: Vec<Topology> = degrees
         .iter()
         .map(|&d| build_tree(cfg.style, p, d))
         .collect();
+    let mut out: Vec<DegreeResult> = degrees
+        .iter()
+        .zip(&topos)
+        .map(|(&degree, topo)| DegreeResult {
+            degree,
+            depth: topo.depth(),
+            sync_delay: OnlineStats::new(),
+            update_delay: OnlineStats::new(),
+            contention_delay: OnlineStats::new(),
+        })
+        .collect();
 
-    let reps = if cfg.sigma_us == 0.0 { 1 } else { cfg.reps };
+    let reps = if cfg.sigma_us == 0.0 {
+        1
+    } else {
+        // Zero-sample means read 0.0, which would crown the widest degree.
+        assert!(
+            cfg.reps > 0,
+            "a sweep at σ > 0 needs at least one replication"
+        );
+        cfg.reps
+    };
     let per_rep: Vec<Vec<(f64, f64, f64)>> = par_map_indexed(reps, |rep| {
         let mut rng = Xoshiro256pp::split(cfg.seed, rep as u64);
         let arrivals = normal_arrivals(p as usize, cfg.sigma_us, &mut rng);
@@ -186,6 +198,12 @@ mod tests {
             "optimal degree under zero imbalance = {}",
             best.degree
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one replication")]
+    fn zero_reps_at_positive_sigma_is_rejected() {
+        sweep_degrees(16, &[2, 4, 16], &cfg(6.2, 0));
     }
 
     /// The paper's Figure 3 anchor: at σ = 25·t_c with 64 processors, a

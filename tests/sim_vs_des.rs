@@ -1,27 +1,35 @@
-//! Cross-validation: `combar-sim`'s event-driven barrier episode
-//! against an independent fault-free queueing model over a
-//! (p, degree, σ/t_c) grid.
+//! Cross-validation of `combar-sim`'s barrier episode, against two
+//! independent models.
 //!
-//! `combar_sim::run_episode` simulates an episode by scheduling
-//! arrival events through the `combar-des` engine and serializing
-//! counter updates through per-counter FIFO servers. This file
-//! recomputes the same episode with *none* of that machinery — a
-//! direct bottom-up recurrence over the counter tree using only the
-//! FIFO service law (`finish = max(request, server_free) + t_c`) — and
-//! demands the two agree on every release time and synchronization
-//! delay across the grid. A regression in the engine's event ordering,
-//! the server's bookkeeping, or the episode wiring shows up as a
-//! disagreement here, without trusting either implementation to test
-//! itself.
+//! `combar_sim::run_episode` is a typed event loop: it sorts the
+//! arrivals once, keeps the propagations in a `combar_des` event queue,
+//! and merges the two in `(time, seq)` order, serializing counter
+//! updates through per-counter FIFO servers.
 //!
-//! A second anchor ties the flat topology straight to a raw
-//! `combar_des::FifoServer` timeline, and a third to the paper's
-//! Equation (1) closed form at zero spread.
+//! The first model recomputes the release with *none* of that
+//! machinery: a direct bottom-up recurrence over the counter tree using
+//! only the FIFO service law (`finish = max(request, server_free) +
+//! t_c`). The grid tests demand the two agree on every release time and
+//! synchronization delay. A second anchor ties the flat topology
+//! straight to a raw `combar_des::FifoServer` timeline, and a third to
+//! the paper's Equation (1) closed form at zero spread.
+//!
+//! The second model is the closure episode on `combar_des::Engine`
+//! that the event loop replaced, kept here as an oracle: every arrival
+//! and every propagation is a boxed closure on the engine's queue. The
+//! differential tests demand bit-for-bit equality with it on every
+//! `EpisodeResult` field and on the traced event stream, so a change
+//! of event order anywhere in the loop shows up here.
 
-use combar_des::{Duration, FifoServer, SimTime};
+use combar_des::{
+    Duration, Engine, EngineConfig, FifoServer, QueueKind, SimTime, Trace, TraceKind,
+};
 use combar_rng::{Distribution, Normal, Rng, SeedableRng, Xoshiro256pp};
-use combar_sim::run_episode;
-use combar_topo::{CounterId, Topology};
+use combar_sim::{
+    run_episode, run_episode_cfg, run_episode_traced, run_episode_with, EpisodeResult, ReleaseModel,
+};
+use combar_topo::{CounterId, ProcId, Topology};
+use std::panic::AssertUnwindSafe;
 
 const TC_US: f64 = 20.0;
 /// Agreement bound (µs). Both sides do the same f64 arithmetic in
@@ -185,4 +193,310 @@ fn zero_spread_full_trees_match_equation_1() {
         assert!((sim.sync_delay_us - eq1).abs() < TOL_US, "sim vs Eq.1");
         assert!((reference - eq1).abs() < TOL_US, "reference vs Eq.1");
     }
+}
+
+struct OracleCounter {
+    server: FifoServer,
+    count: u32,
+    fan_in: u32,
+    parent: Option<CounterId>,
+}
+
+struct Oracle {
+    counters: Vec<OracleCounter>,
+    winners: Vec<Option<ProcId>>,
+    signal_done: Vec<f64>,
+    release: SimTime,
+    releasing_proc: ProcId,
+    updates: u64,
+    trace: Trace,
+}
+
+/// One update of `counter` by `proc` at the engine's current time; the
+/// counter's last updater schedules its climb to the parent as a new
+/// closure.
+fn oracle_request(e: &mut Engine<Oracle>, proc: ProcId, counter: CounterId) {
+    let now = e.now();
+    let st = &mut e.state;
+    let c = &mut st.counters[counter as usize];
+    let svc = c.server.serve(now, Duration::from_us(TC_US));
+    c.count += 1;
+    st.updates += 1;
+    st.trace
+        .record(svc.start, proc, TraceKind::UpdateStart(counter));
+    st.trace
+        .record(svc.finish, proc, TraceKind::UpdateEnd(counter));
+    if c.count < c.fan_in {
+        st.signal_done[proc as usize] = svc.finish.as_us();
+        return;
+    }
+    st.winners[counter as usize] = Some(proc);
+    match c.parent {
+        Some(parent) => e.schedule_at(svc.finish, move |e| oracle_request(e, proc, parent)),
+        None => {
+            st.release = svc.finish;
+            st.releasing_proc = proc;
+            st.signal_done[proc as usize] = svc.finish.as_us();
+            st.trace.record(svc.finish, proc, TraceKind::Release);
+        }
+    }
+}
+
+/// The closure-engine episode under the central-flag release: every
+/// arrival is scheduled in processor order before the run.
+fn oracle_episode(
+    topo: &Topology,
+    homes: &[CounterId],
+    arrivals_us: &[f64],
+    cfg: &EngineConfig,
+    trace_capacity: usize,
+) -> (EpisodeResult, Trace) {
+    let p = arrivals_us.len();
+    let counters = topo.nodes().iter().map(|n| OracleCounter {
+        server: FifoServer::new(),
+        count: 0,
+        fan_in: n.fan_in(),
+        parent: n.parent,
+    });
+    let mut eng = cfg.build(Oracle {
+        counters: counters.collect(),
+        winners: vec![None; topo.num_counters()],
+        signal_done: vec![0.0; p],
+        release: SimTime::ZERO,
+        releasing_proc: 0,
+        updates: 0,
+        trace: Trace::new(trace_capacity),
+    });
+    let (mut last_arrival, mut last_arriver) = (f64::NEG_INFINITY, 0);
+    for (i, &a) in arrivals_us.iter().enumerate() {
+        if a >= last_arrival {
+            (last_arrival, last_arriver) = (a, i as ProcId);
+        }
+        let (proc, home) = (i as ProcId, homes[i]);
+        eng.schedule_at(SimTime::from_us(a), move |e| {
+            let now = e.now();
+            e.state.trace.record(now, proc, TraceKind::Arrive);
+            oracle_request(e, proc, home)
+        });
+    }
+    eng.run();
+    let st = eng.state;
+    let mut level_wait_us = vec![0.0; topo.depth() as usize];
+    for (c, counter) in st.counters.iter().enumerate() {
+        level_wait_us[topo.path_len(c as CounterId) as usize - 1] +=
+            counter.server.total_wait().as_us();
+    }
+    let release_us = st.release.as_us();
+    let releasing_depth = topo.path_len(homes[st.releasing_proc as usize]);
+    let sync_delay_us = release_us - last_arrival;
+    let update_delay_us = releasing_depth as f64 * TC_US;
+    let result = EpisodeResult {
+        release_us,
+        last_arrival_us: last_arrival,
+        sync_delay_us,
+        update_delay_us,
+        contention_delay_us: sync_delay_us - update_delay_us,
+        releasing_proc: st.releasing_proc,
+        releasing_depth,
+        last_arriver,
+        winners: st.winners,
+        signal_done_us: st.signal_done,
+        total_updates: st.updates,
+        level_wait_us,
+        release_per_proc_us: vec![release_us; p],
+    };
+    (result, st.trace)
+}
+
+/// The wakeup-tree release from the root down: each counter notifies
+/// its child counters, then its occupants, one `notify_us` apart.
+fn oracle_wakeup(
+    topo: &Topology,
+    homes: &[CounterId],
+    release_us: f64,
+    notify_us: f64,
+) -> Vec<f64> {
+    let mut occupants = vec![Vec::new(); topo.num_counters()];
+    for (proc, &home) in homes.iter().enumerate() {
+        occupants[home as usize].push(proc);
+    }
+    let mut out = vec![0.0; homes.len()];
+    let mut pending = vec![(topo.root(), release_us)];
+    while let Some((c, mut t)) = pending.pop() {
+        for &child in &topo.node(c).children {
+            t += notify_us;
+            pending.push((child, t));
+        }
+        for &proc in &occupants[c as usize] {
+            t += notify_us;
+            out[proc] = t;
+        }
+    }
+    out
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Every field equal, f64s by their bits.
+fn assert_same(got: &EpisodeResult, want: &EpisodeResult, cell: &str) {
+    let scalars = |r: &EpisodeResult| {
+        [
+            r.release_us,
+            r.last_arrival_us,
+            r.sync_delay_us,
+            r.update_delay_us,
+            r.contention_delay_us,
+        ]
+    };
+    assert_eq!(bits(&scalars(got)), bits(&scalars(want)), "{cell}: times");
+    assert_eq!(got.releasing_proc, want.releasing_proc, "{cell}: releaser");
+    assert_eq!(got.releasing_depth, want.releasing_depth, "{cell}: depth");
+    assert_eq!(got.last_arriver, want.last_arriver, "{cell}: last arriver");
+    assert_eq!(got.winners, want.winners, "{cell}: winners");
+    assert_eq!(
+        bits(&got.signal_done_us),
+        bits(&want.signal_done_us),
+        "{cell}: signal done"
+    );
+    assert_eq!(got.total_updates, want.total_updates, "{cell}: updates");
+    assert_eq!(
+        bits(&got.level_wait_us),
+        bits(&want.level_wait_us),
+        "{cell}: level waits"
+    );
+    assert_eq!(
+        bits(&got.release_per_proc_us),
+        bits(&want.release_per_proc_us),
+        "{cell}: per-proc release"
+    );
+}
+
+fn trace_bits(t: &Trace) -> (Vec<(u64, u32, TraceKind)>, u64) {
+    let events = t.events().iter();
+    let events = events.map(|e| (e.time.as_us().to_bits(), e.subject, e.kind));
+    (events.collect(), t.dropped())
+}
+
+/// Runs every public entry point on one episode and compares each with
+/// the oracle: the plain, traced, wakeup-tree and both queue kinds.
+fn assert_matches_oracle(topo: &Topology, homes: &[CounterId], arrivals: &[f64], cell: &str) {
+    let tc = Duration::from_us(TC_US);
+    let capacity = 3 * (arrivals.len() + topo.num_counters());
+    let heap = EngineConfig::new();
+    let (want, want_trace) = oracle_episode(topo, homes, arrivals, &heap, capacity);
+
+    let (got, got_trace) = run_episode_traced(topo, homes, arrivals, tc, capacity);
+    assert_same(&got, &want, cell);
+    assert_eq!(
+        trace_bits(&got_trace),
+        trace_bits(&want_trace),
+        "{cell}: trace"
+    );
+    assert_same(&run_episode(topo, homes, arrivals, tc), &want, cell);
+    for kind in [QueueKind::Heap, QueueKind::Wheel] {
+        let cfg = EngineConfig::new().queue(kind);
+        let got = run_episode_cfg(topo, homes, arrivals, tc, &cfg);
+        assert_same(&got, &want, &format!("{cell} {kind:?}"));
+    }
+
+    let notify_us = 1.5;
+    let wakeup = ReleaseModel::WakeupTree { notify_us };
+    let got = run_episode_with(topo, homes, arrivals, tc, wakeup);
+    let want = EpisodeResult {
+        release_per_proc_us: oracle_wakeup(topo, homes, want.release_us, notify_us),
+        ..want
+    };
+    assert_same(&got, &want, &format!("{cell} wakeup"));
+}
+
+/// Every topology family at d ∈ {2, 3, 4, 8, p}.
+fn differential_topologies(p: u32) -> Vec<Topology> {
+    let mut topos = vec![Topology::flat(p)];
+    let ring = (p / 4).max(1);
+    for d in [2, 3, 4, 8, p] {
+        topos.push(Topology::combining(p, d.max(2)));
+        topos.push(Topology::mcs(p, d));
+        topos.push(Topology::ring_mcs(p, d, ring));
+    }
+    topos
+}
+
+/// The event loop against the closure engine over p × topology × σ/t_c,
+/// bit for bit.
+#[test]
+fn kernel_matches_engine_oracle_on_grid() {
+    let mut rng = Xoshiro256pp::seed_from_u64(0xd1ff_0001);
+    for p in [1u32, 7, 64, 4096] {
+        for topo in differential_topologies(p) {
+            for sigma_tc in [0.0f64, 1.0, 6.2, 25.0] {
+                let arrivals = grid_arrivals(p, sigma_tc * TC_US, &mut rng);
+                let cell = format!(
+                    "{:?} d={} p={p} σ/t_c={sigma_tc}",
+                    topo.kind(),
+                    topo.degree()
+                );
+                assert_matches_oracle(&topo, topo.homes(), &arrivals, &cell);
+            }
+        }
+    }
+}
+
+/// The corner cases of the arrival order: migrated homes, all-equal
+/// ties, arrivals clamped to zero, and arrivals on whole multiples of
+/// `t_c`, which tie with propagations (an arrival must go first).
+#[test]
+fn kernel_matches_engine_oracle_on_edge_cases() {
+    let mut rng = Xoshiro256pp::seed_from_u64(0xd1ff_0002);
+    for topo in [
+        Topology::combining(64, 4),
+        Topology::mcs(64, 3),
+        Topology::ring_mcs(64, 2, 16),
+    ] {
+        let kind = topo.kind();
+        let mut homes = topo.homes().to_vec();
+        for _ in 0..8 {
+            let a = (rng.next_u64() % 64) as usize;
+            let b = (rng.next_u64() % 64) as usize;
+            homes.swap(a, b);
+        }
+        let arrivals = grid_arrivals(64, 6.2 * TC_US, &mut rng);
+        assert_matches_oracle(&topo, &homes, &arrivals, &format!("{kind:?} migrated"));
+
+        assert_matches_oracle(&topo, topo.homes(), &[3.0; 64], &format!("{kind:?} ties"));
+
+        let dist = Normal::new(0.0, 25.0 * TC_US).expect("valid sigma");
+        let clamped: Vec<f64> = (0..64).map(|_| dist.sample(&mut rng).max(0.0)).collect();
+        assert!(clamped.iter().filter(|&&a| a == 0.0).count() > 8);
+        assert_matches_oracle(&topo, topo.homes(), &clamped, &format!("{kind:?} zeros"));
+
+        let lattice: Vec<f64> = (0..64)
+            .map(|_| (rng.next_u64() % 8) as f64 * TC_US)
+            .collect();
+        assert_matches_oracle(&topo, topo.homes(), &lattice, &format!("{kind:?} lattice"));
+    }
+}
+
+/// One `-0.0` beside `+0.0`s: the engine refuses to schedule it (in its
+/// total order it lies before time zero), and the event loop rejects
+/// the same processor's arrival.
+#[test]
+fn negative_zero_arrival_is_rejected_like_the_engine() {
+    let topo = Topology::combining(64, 4);
+    let mut arrivals = vec![0.0; 64];
+    arrivals[5] = -0.0;
+    arrivals[40] = 7.0;
+    let panic_of = |run: &dyn Fn()| {
+        let err = std::panic::catch_unwind(AssertUnwindSafe(run)).expect_err("must panic");
+        err.downcast::<String>().map(|s| *s).unwrap_or_default()
+    };
+    let engine = panic_of(&|| {
+        oracle_episode(&topo, topo.homes(), &arrivals, &EngineConfig::new(), 0);
+    });
+    assert!(engine.contains("cannot schedule into the past"), "{engine}");
+    let kernel = panic_of(&|| {
+        run_episode(&topo, topo.homes(), &arrivals, Duration::from_us(TC_US));
+    });
+    assert!(kernel.contains("arrival 5 invalid"), "{kernel}");
 }
