@@ -10,9 +10,13 @@
 //! the hybrid-barrier literature converges on:
 //!
 //! * **Arrival**: each logical participant is statically mapped to one
-//!   of ~driver-core many shards (`tid % shards`); arriving increments
-//!   the shard's count under a cache-line-padded per-shard lock whose
-//!   critical section is a handful of plain-integer ops. The last
+//!   of ~driver-core many shards, in contiguous balanced seat blocks
+//!   (seat `tid` of `p` goes to shard `⌊tid·shards / p⌋ mod shards`),
+//!   the way the paper's combining tree gives each leaf counter a
+//!   contiguous group. Arriving increments the shard's count under a
+//!   cache-line-padded per-shard lock whose critical section is a
+//!   handful of plain-integer ops; an arrival that leaves its shard
+//!   incomplete parks its waker in that same section. The last
 //!   arrival of a shard combines into the **root** (one counter for
 //!   the whole barrier), so an epoch costs one root transition per
 //!   *shard*, not per participant.
@@ -25,12 +29,14 @@
 //!   releaser never walks one million-entry list under a single lock,
 //!   and on an [`Executor`] driver each shard's batch lands on one
 //!   driver's run queue in one transaction.
-//! * **No lost wakeups**: parking is `push waker; re-check epoch`.
-//!   Because the epoch bump happens before any wait list is taken, a
-//!   waker pushed after its list was swept is guaranteed to observe
-//!   the bumped epoch on the re-check and completes immediately;
-//!   spurious wakes (a stale waker swept into the next epoch's batch)
-//!   are benign under the polling contract.
+//! * **No lost wakeups**: an arrival that leaves its shard incomplete
+//!   parks under the lock that counted it, before the shard (and so
+//!   the epoch) can complete. Any other park is `push waker; re-check
+//!   epoch`: because the epoch bump happens before any wait list is
+//!   taken, a waker pushed after its list was swept is guaranteed to
+//!   observe the bumped epoch on the re-check and completes
+//!   immediately. Spurious wakes (a stale waker swept into the next
+//!   epoch's batch) are benign under the polling contract.
 //! * **Cancellation safety**: dropping a parked [`WaitFuture`] leaves
 //!   the arrival registered (the `wait_timeout` resume contract);
 //!   dropping the *waiter* mid-episode leaves gracefully — the shard's
@@ -183,6 +189,16 @@ struct Inner {
     lat: WakeLatency,
 }
 
+impl Inner {
+    /// Seat `tid`'s shard: `⌊tid·shards / p⌋ mod shards`, so seats
+    /// `0..p` fill the shards in contiguous balanced blocks and later
+    /// seats (`admit`) wrap into blocks the same way.
+    fn shard_of(&self, tid: u32) -> u32 {
+        let n = self.shards.len() as u64;
+        (u64::from(tid) * n / u64::from(self.threads) % n) as u32
+    }
+}
+
 /// The async-capable barrier: sharded arrival counters, one root
 /// combine per epoch, batched wakeups per shard.
 ///
@@ -197,19 +213,22 @@ pub struct AsyncBarrier {
 
 impl AsyncBarrier {
     /// A barrier for `participants` logical seats over `shards`
-    /// arrival shards (clamped to ≥ 1; size it ~ driver cores).
+    /// arrival shards (clamped to ≥ 1; size it ~ driver cores). Seats
+    /// are dealt in contiguous blocks whose sizes differ by at most
+    /// one; see [`AsyncWaiter::shard`].
     ///
     /// # Panics
     ///
     /// Panics if `participants == 0`.
     pub fn new(participants: u32, shards: u32) -> Self {
         assert!(participants > 0, "a barrier needs at least one seat");
-        let shards = shards.max(1) as usize;
-        // Seats are dealt round-robin (`tid % shards`): shard s holds
-        // seats s, s+shards, s+2·shards, … below p.
-        let shard_vec: Box<[CachePadded<Mutex<ShardState>>]> = (0..shards)
+        let (p, n) = (u64::from(participants), u64::from(shards.max(1)));
+        // Shard s holds the seats t with ⌊t·n / p⌋ = s, the block
+        // ⌈s·p / n⌉ .. ⌈(s+1)·p / n⌉ (empty for some s when p < n).
+        let first_seat = |s: u64| (s * p).div_ceil(n);
+        let shard_vec: Box<[CachePadded<Mutex<ShardState>>]> = (0..n)
             .map(|s| {
-                let expected = ((participants as usize + shards - 1 - s) / shards) as u32;
+                let expected = (first_seat(s + 1) - first_seat(s)) as u32;
                 CachePadded::new(Mutex::new(ShardState {
                     expected,
                     ..ShardState::default()
@@ -342,7 +361,7 @@ impl AsyncBarrier {
     pub fn waiter_for(&self, tid: u32) -> AsyncWaiter {
         let known = self.inner.root.lock().unwrap().next_id;
         assert!(tid < known, "tid {tid} out of range (seats 0..{known})");
-        let shard = tid % self.shards();
+        let shard = self.inner.shard_of(tid);
         let epoch = self.inner.shards[shard as usize].lock().unwrap().fold_epoch;
         AsyncWaiter {
             inner: Arc::clone(&self.inner),
@@ -363,7 +382,7 @@ impl AsyncBarrier {
         let mut r = inner.root.lock().unwrap();
         let tid = r.next_id;
         r.next_id += 1;
-        let shard = tid % self.shards();
+        let shard = inner.shard_of(tid);
         // Root is held across the shard update (root → shard is the
         // one permitted nesting order), serializing against the
         // releaser's fold sweep.
@@ -384,10 +403,9 @@ impl AsyncBarrier {
                 tid,
                 shard,
                 epoch,
-                pending: true,
+                pending: false,
                 left: false,
-            }
-            .with_pending(false);
+            };
         }
         r.live += 1;
         st.attach_q += 1;
@@ -407,10 +425,14 @@ impl AsyncBarrier {
     }
 
     /// Registers an arrival on `shard` and runs the release protocol
-    /// if it completed the epoch. Called by waiters; exposed to the
-    /// crate's model-check fixtures via the waiter API only.
-    fn arrive(inner: &Arc<Inner>, shard: u32, by: u32) {
-        let complete = {
+    /// if it completed the epoch. An arrival that leaves its shard
+    /// incomplete parks `park` (if given) in the same lock section and
+    /// returns `true`: neither the shard nor the epoch can complete
+    /// before that section ends, so the release's sweep finds the
+    /// waker. Called by waiters; exposed to the crate's model-check
+    /// fixtures via the waiter API only.
+    fn arrive(inner: &Arc<Inner>, shard: u32, by: u32, park: Option<Waker>) -> bool {
+        {
             let mut st = inner.shards[shard as usize].lock().unwrap();
             st.count += 1;
             debug_assert!(
@@ -419,11 +441,16 @@ impl AsyncBarrier {
                 st.count,
                 st.expected
             );
-            st.expected > 0 && st.count == st.expected
-        };
-        if complete {
-            Self::shard_complete(inner, by);
+            if st.expected == 0 || st.count < st.expected {
+                if let Some(waker) = park {
+                    st.wakers.push(waker);
+                    return true;
+                }
+                return false;
+            }
         }
+        Self::shard_complete(inner, by);
+        false
     }
 
     /// One shard finished its epoch: combine into the root; the
@@ -574,17 +601,16 @@ impl std::fmt::Debug for AsyncWaiter {
 }
 
 impl AsyncWaiter {
-    fn with_pending(mut self, pending: bool) -> Self {
-        self.pending = pending;
-        self
-    }
-
     /// This seat's id.
     pub fn tid(&self) -> u32 {
         self.tid
     }
 
-    /// The shard this seat arrives on.
+    /// The shard this seat arrives on: `⌊tid·shards / p⌋ mod shards`
+    /// for a barrier built with `p` seats. Seats `0..p` fill the
+    /// shards in contiguous blocks (never decreasing with `tid`, sizes
+    /// differing by at most one); admitted seats wrap into blocks the
+    /// same way.
     pub fn shard(&self) -> u32 {
         self.shard
     }
@@ -608,7 +634,18 @@ impl AsyncWaiter {
         if !self.pending {
             trace::emit(self.epoch, self.tid, trace::Kind::Arrive);
             self.pending = true;
-            AsyncBarrier::arrive(&self.inner, self.shard, self.tid);
+            // Wakers are cloned outside the shard lock: a clone may be
+            // an atomic RMW on the task's header, and in a model-check
+            // fixture it is a schedule point, which must not fall
+            // inside a lock section.
+            if AsyncBarrier::arrive(&self.inner, self.shard, self.tid, Some(waker.clone())) {
+                trace::emit(self.epoch, self.tid, trace::Kind::Park(self.shard));
+                if deadline.expired() {
+                    // The arrival stands; the parked waker goes stale.
+                    return Poll::Ready(Err(BarrierError::Timeout));
+                }
+                return self.parked(waker, deadline, timer);
+            }
         }
         let released = self.epoch.wrapping_add(1);
         if self.reached(released) {
@@ -623,17 +660,29 @@ impl AsyncWaiter {
         // Park, then re-check: the releaser bumps the epoch before
         // taking wait lists, so missing the sweep implies seeing the
         // bump here.
+        let copy = waker.clone();
         self.inner.shards[self.shard as usize]
             .lock()
             .unwrap()
             .wakers
-            .push(waker.clone());
+            .push(copy);
         trace::emit(self.epoch, self.tid, trace::Kind::Park(self.shard));
         if self.reached(released) {
             self.epoch = released;
             self.pending = false;
             return Poll::Ready(Ok(()));
         }
+        self.parked(waker, deadline, timer)
+    }
+
+    /// The tail of every park: a poison that swept the lists before the
+    /// push is caught here, and a bounded wait schedules its re-poll.
+    fn parked(
+        &self,
+        waker: &Waker,
+        deadline: Deadline,
+        timer: Option<&Timer>,
+    ) -> Poll<Result<(), BarrierError>> {
         if self.inner.poison.load(Ordering::Acquire) != 0 {
             return Poll::Ready(Err(BarrierError::Poisoned));
         }
@@ -687,7 +736,7 @@ impl AsyncWaiter {
         }
         trace::emit(self.epoch, self.tid, trace::Kind::Arrive);
         self.pending = true;
-        AsyncBarrier::arrive(&self.inner, self.shard, self.tid);
+        AsyncBarrier::arrive(&self.inner, self.shard, self.tid, None);
     }
 
     /// Synchronous unbounded crossing (the sync-bridge path).
@@ -884,6 +933,109 @@ mod tests {
         crossings(2, 1, 20);
         crossings(5, 4, 20);
         crossings(8, 16, 10); // more shards than seats: some stay empty
+    }
+
+    /// `new`'s per-shard quotas and `shard()` follow one rule: seats
+    /// `0..p` fill the shards in contiguous blocks whose sizes differ
+    /// by at most one.
+    #[test]
+    fn seats_fill_shards_in_contiguous_balanced_blocks() {
+        for p in 1..=257u32 {
+            for shards in 1..=17u32 {
+                let b = AsyncBarrier::new(p, shards);
+                let mut sizes = vec![0u32; shards as usize];
+                let mut prev = 0;
+                for t in 0..p {
+                    let s = b.waiter_for(t).shard();
+                    assert!(
+                        s >= prev,
+                        "p={p} shards={shards}: seat {t} on {s} after {prev}"
+                    );
+                    prev = s;
+                    sizes[s as usize] += 1;
+                }
+                for (s, &n) in sizes.iter().enumerate() {
+                    let expected = b.inner.shards[s].lock().unwrap().expected;
+                    assert_eq!(expected, n, "p={p} shards={shards}: shard {s}");
+                }
+                if p >= shards {
+                    let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                    assert!(*lo > 0 && hi - lo <= 1, "p={p} shards={shards}: {sizes:?}");
+                }
+            }
+        }
+    }
+
+    /// Seats admitted beyond `p` wrap into the blocks and cross with
+    /// the built ones.
+    #[test]
+    fn admitted_seats_wrap_into_blocks_and_cross() {
+        const EPISODES: u32 = 10;
+        for (p, shards, admits) in [(5, 4, 3), (7, 3, 4)] {
+            let b = AsyncBarrier::new(p, shards);
+            let admitted: Vec<AsyncWaiter> = (0..admits).map(|_| b.admit()).collect();
+            std::thread::scope(|s| {
+                let built = (0..p).map(|tid| b.waiter_for(tid));
+                for mut w in built.chain(admitted) {
+                    // An admitted seat's first wait is the boundary
+                    // that folds it in; every seat ends at EPISODES.
+                    s.spawn(move || {
+                        for _ in 0..EPISODES {
+                            w.try_wait().unwrap();
+                        }
+                    });
+                }
+            });
+            assert_eq!(b.epoch(), EPISODES, "p={p} shards={shards}");
+            assert_eq!(b.live_count(), p + admits);
+        }
+    }
+
+    /// Counts its wakes.
+    struct CountWake(std::sync::atomic::AtomicU32);
+
+    impl std::task::Wake for CountWake {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    fn count_waker() -> (Arc<CountWake>, Waker) {
+        let count = Arc::new(CountWake(std::sync::atomic::AtomicU32::new(0)));
+        (Arc::clone(&count), Waker::from(count))
+    }
+
+    #[test]
+    fn first_poll_short_of_its_shard_counts_and_parks_at_once() {
+        let b = AsyncBarrier::new(2, 1);
+        let mut w0 = b.waiter_for(0);
+        let (woken, waker) = count_waker();
+        assert!(w0.poll_wait(&mut Context::from_waker(&waker)).is_pending());
+        assert!(
+            b.debug_state().ends_with(" s0{c=1 e=2 +0 -0 f=0 w=1}"),
+            "{}",
+            b.debug_state()
+        );
+        b.waiter_for(1).try_wait().unwrap();
+        assert_eq!(woken.0.load(std::sync::atomic::Ordering::SeqCst), 1);
+        assert!(w0.poll_wait(&mut Context::from_waker(&waker)).is_ready());
+    }
+
+    #[test]
+    fn shard_completing_arrival_parks_exactly_once() {
+        let b = AsyncBarrier::new(2, 2);
+        let mut w0 = b.waiter_for(0);
+        let (woken, waker) = count_waker();
+        assert!(w0.poll_wait(&mut Context::from_waker(&waker)).is_pending());
+        assert!(
+            b.debug_state().contains(" s0{c=1 e=1 +0 -0 f=0 w=1}"),
+            "{}",
+            b.debug_state()
+        );
+        b.waiter_for(1).try_wait().unwrap();
+        assert_eq!(woken.0.load(std::sync::atomic::Ordering::SeqCst), 1);
+        assert!(w0.poll_wait(&mut Context::from_waker(&waker)).is_ready());
+        assert!(b.debug_state().ends_with(" s1{c=0 e=1 +0 -0 f=1 w=0}"));
     }
 
     #[test]

@@ -33,7 +33,7 @@ use combar_rt::{
     DynamicBarrier, RejoinStatus, TournamentBarrier, TreeBarrier,
 };
 use std::sync::atomic::Ordering;
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
 /// Seeded PCT schedules per barrier kind (`COMBAR_CHECK_PCT`, CI: 10000).
 fn pct_schedules() -> u64 {
@@ -759,28 +759,69 @@ fn pct_tree_rejoin_race_with_survivor_episodes() {
 /// wakeup as a schedule point and a vthread can block on it with the
 /// watched-location spin. A lost wakeup (parked waker never woken while
 /// the epoch never advances for it) is then a detected deadlock.
-struct ShadowWake(AtomicU32);
+///
+/// Its clone is a shadowed RMW too. A parker clones its waker just
+/// before pushing it onto the shard list (outside the lock), so the
+/// checker can preempt it between its last epoch check and the push —
+/// the window the re-check after the push exists to close, and one a
+/// real executor's clone (an atomic refcount bump) also opens.
+struct ShadowWake {
+    woken: AtomicU32,
+    clones: AtomicU32,
+}
 
 impl ShadowWake {
     fn waker() -> (Arc<Self>, Waker) {
-        let flag = Arc::new(Self(AtomicU32::new(0)));
-        let waker = Waker::from(Arc::clone(&flag));
+        let flag = Arc::new(Self {
+            woken: AtomicU32::new(0),
+            clones: AtomicU32::new(0),
+        });
+        let data = Arc::into_raw(Arc::clone(&flag)).cast::<()>();
+        // SAFETY: `data` is an `Arc<ShadowWake>` reference turned raw,
+        // which is what every `SHADOW_WAKE` entry expects.
+        let waker = unsafe { Waker::from_raw(RawWaker::new(data, &SHADOW_WAKE)) };
         (flag, waker)
     }
 
     fn woken(&self) -> bool {
-        self.0.load(Ordering::SeqCst) != 0
+        self.woken.load(Ordering::SeqCst) != 0
     }
 }
 
-impl Wake for ShadowWake {
-    fn wake(self: Arc<Self>) {
-        self.0.store(1, Ordering::SeqCst);
-    }
+static SHADOW_WAKE: RawWakerVTable =
+    RawWakerVTable::new(shadow_clone, shadow_wake, shadow_wake_by_ref, shadow_drop);
 
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.0.store(1, Ordering::SeqCst);
+// Each `Waker` built on `SHADOW_WAKE` owns one strong reference of an
+// `Arc<ShadowWake>`, passed as `data`; `shadow_wake` and `shadow_drop`
+// give it back.
+unsafe fn shadow_clone(data: *const ()) -> RawWaker {
+    let flag = data.cast::<ShadowWake>();
+    // SAFETY: `data` is a live `Arc<ShadowWake>` reference (above); the
+    // new waker owns the strong count added here.
+    unsafe {
+        (*flag).clones.fetch_add(1, Ordering::SeqCst);
+        Arc::increment_strong_count(flag);
     }
+    RawWaker::new(data, &SHADOW_WAKE)
+}
+
+unsafe fn shadow_wake(data: *const ()) {
+    // SAFETY: the consumed waker's reference is live until the drop.
+    unsafe {
+        shadow_wake_by_ref(data);
+        shadow_drop(data);
+    }
+}
+
+unsafe fn shadow_wake_by_ref(data: *const ()) {
+    // SAFETY: the borrowed waker keeps its reference alive.
+    let flag = unsafe { &*data.cast::<ShadowWake>() };
+    flag.woken.store(1, Ordering::SeqCst);
+}
+
+unsafe fn shadow_drop(data: *const ()) {
+    // SAFETY: the dropped waker gives back the reference it owned.
+    drop(unsafe { Arc::from_raw(data.cast::<ShadowWake>()) });
 }
 
 /// One full crossing the way an executor drives it: poll, and on
@@ -807,11 +848,10 @@ fn checked_async_wait(w: &mut AsyncWaiter) -> Result<(), BarrierError> {
 /// wait lists are taken, parker re-checks after pushing) is exactly
 /// what this explores — a lost wakeup deadlocks, a premature release
 /// trips the phase bound, a doubled release overshoots the final epoch.
-#[test]
-fn exhaustive_async_park_vs_release_race() {
+fn async_park_vs_release(lane: &str, shards: u32) {
     const EPISODES: u32 = 2;
     let fx = || {
-        let b = AsyncBarrier::new(2, 1);
+        let b = AsyncBarrier::new(2, shards);
         let phases: Arc<Vec<AtomicU32>> = Arc::new((0..2).map(|_| AtomicU32::new(0)).collect());
         let handles: Vec<_> = (0..2u32)
             .map(|tid| {
@@ -838,8 +878,24 @@ fn exhaustive_async_park_vs_release_race() {
         assert_eq!(b.epoch(), EPISODES, "exactly one release per episode");
         assert!(!b.is_poisoned());
     };
-    let schedules = expect_full_space("async p=2 park vs release", fx);
+    let schedules = expect_full_space(lane, fx);
     assert!(schedules > 10, "suspiciously few schedules: {schedules}");
+}
+
+/// One shard: the first arrival counts and parks in one lock section,
+/// before the second can complete the shard and release, so no push
+/// races the sweep here; the two-shard lane below keeps that race.
+#[test]
+fn exhaustive_async_park_vs_release_race() {
+    async_park_vs_release("async p=2 park vs release", 1);
+}
+
+/// Two shards of one seat each: every arrival completes its shard, so
+/// the one that does not release parks by push-then-re-check against
+/// the other's sweep — the lane that fails if the re-check goes.
+#[test]
+fn exhaustive_async_two_shard_park_vs_release_race() {
+    async_park_vs_release("async p=2 shards=2 park vs release", 2);
 }
 
 /// Cancel-while-parked under seeded PCT schedules (CI drives this at
