@@ -18,8 +18,8 @@ use combar_des::Duration;
 use combar_exec::Sweep;
 use combar_rng::{SeedableRng, Xoshiro256pp};
 use combar_sim::{
-    default_degree_sweep, optimal_degree, run_episode, sweep_degrees, Sampler, SweepConfig,
-    Topology, TreeStyle, Workload,
+    build_tree, default_degree_sweep, optimal_degree, run_episode, run_episode_sorted,
+    sweep_degrees, Arrivals, Sampler, SweepConfig, Topology, TreeStyle, Workload,
 };
 
 /// Optimal degree under each arrival-time distribution shape.
@@ -41,6 +41,10 @@ pub struct ShapeRow {
 /// evaluates as one parallel [`Sweep`].
 pub fn run_shapes(p: u32, sigma_tcs: &[f64], reps: usize) -> Vec<ShapeRow> {
     let degrees = default_degree_sweep(p);
+    let topos: Vec<Topology> = degrees
+        .iter()
+        .map(|&d| build_tree(TreeStyle::Combining, p, d))
+        .collect();
     let shapes = ["normal", "exponential", "pareto"];
     Sweep::grid2(seeds::BASE, sigma_tcs, &shapes).run(|cell| {
         let &(sigma_tc, shape) = cell.param;
@@ -55,7 +59,8 @@ pub fn run_shapes(p: u32, sigma_tcs: &[f64], reps: usize) -> Vec<ShapeRow> {
             _ => unreachable!(),
         };
         // build per-rep arrival sets from the workload and sweep
-        // degrees with common random numbers
+        // degrees with common random numbers: one sorted arrival order
+        // per rep, shared by every degree
         let mut rng = Xoshiro256pp::seed_from_u64(seeds::ablate_shape(sigma_tc));
         let mut per_degree: Vec<(u32, f64)> = degrees.iter().map(|&d| (d, 0.0)).collect();
         let mut buf = vec![0.0f64; p as usize];
@@ -63,13 +68,9 @@ pub fn run_shapes(p: u32, sigma_tcs: &[f64], reps: usize) -> Vec<ShapeRow> {
             w.sample_into(&mut rng, &mut buf);
             let min = buf.iter().copied().fold(f64::INFINITY, f64::min);
             let arrivals: Vec<f64> = buf.iter().map(|&x| x - min).collect();
-            for (d, acc) in per_degree.iter_mut() {
-                let topo = if *d >= p {
-                    Topology::flat(p)
-                } else {
-                    Topology::combining(p, *d)
-                };
-                let r = run_episode(&topo, topo.homes(), &arrivals, Duration::from_us(TC_US));
+            let arrivals = Arrivals::new(&arrivals);
+            for ((_, acc), topo) in per_degree.iter_mut().zip(&topos) {
+                let r = run_episode_sorted(topo, topo.homes(), &arrivals, Duration::from_us(TC_US));
                 *acc += r.sync_delay_us;
             }
         }
@@ -219,11 +220,7 @@ pub fn run_level_profile(
 ) -> Vec<(u32, Vec<f64>)> {
     Sweep::new(seeds::BASE, degrees.to_vec()).run(|cell| {
         let &d = cell.param;
-        let topo = if d >= p {
-            Topology::flat(p)
-        } else {
-            Topology::combining(p, d)
-        };
+        let topo = build_tree(TreeStyle::Combining, p, d);
         let mut acc: Vec<f64> = vec![0.0; topo.depth() as usize];
         let mut rng = Xoshiro256pp::seed_from_u64(seeds::level_profile(d));
         for _ in 0..reps {

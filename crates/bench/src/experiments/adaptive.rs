@@ -22,8 +22,8 @@ use combar_exec::Sweep;
 use combar_rng::stats::{std_dev, OnlineStats};
 use combar_rng::{SeedableRng, Xoshiro256pp};
 use combar_sim::{
-    build_tree, default_degree_sweep, normal_arrivals, optimal_degree, run_episode, sweep_degrees,
-    SweepConfig, TreeStyle,
+    build_tree, default_degree_sweep, normal_arrivals, optimal_degree, run_episode_sorted,
+    sweep_degrees, Arrivals, SweepConfig, TreeStyle,
 };
 
 /// One imbalance phase.
@@ -100,12 +100,13 @@ pub fn run(p: u32, phases: &[Phase], window: usize) -> AdaptiveResult {
 
         for _ in 0..phase.iterations {
             let arrivals = normal_arrivals(p as usize, sigma_us, &mut rng);
+            let sorted = Arrivals::new(&arrivals);
             // fixed-4
-            let rf = run_episode(&fixed_topo, fixed_topo.homes(), &arrivals, tc);
+            let rf = run_episode_sorted(&fixed_topo, fixed_topo.homes(), &sorted, tc);
             fixed.push(rf.sync_delay_us);
             // adaptive: current degree, plus measurement
             let topo = build_tree(TreeStyle::Combining, p, current_degree);
-            let ra = run_episode(&topo, topo.homes(), &arrivals, tc);
+            let ra = run_episode_sorted(&topo, topo.homes(), &sorted, tc);
             adaptive.push(ra.sync_delay_us);
             *degree_use.entry(current_degree).or_default() += 1;
             window_spreads.push(std_dev(&arrivals));

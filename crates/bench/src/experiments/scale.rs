@@ -27,12 +27,8 @@
 //!   biased straggler toward the root and dynamic placement beats
 //!   static — at 256× the paper's processor count.
 //!
-//! Every episode keeps its pending propagations on the timing wheel
-//! ([`combar_des::QueueKind::Wheel`]); a mirror table re-runs one cell
-//! on the default binary heap and checks bit-equality of release time,
-//! sync delay, releaser, and update count — the `(time, seq)`
-//! [`combar_des::EventQueue`] contract made visible in the golden
-//! snapshot.
+//! Each degree-sweep rep validates and sorts its arrival vector once,
+//! as one [`combar_sim::Arrivals`] shared by every candidate degree.
 //!
 //! Determinism: each (p, k) cell derives everything from
 //! `seeds::scale(p, k)`; cells run as one `combar-exec` sweep and the
@@ -42,11 +38,11 @@
 use crate::experiments::seeds;
 use crate::table::{fmt_ratio, fmt_us, Table};
 use combar::presets::{Scale, TC_US};
-use combar_des::{Duration, EngineConfig, QueueKind};
+use combar_des::Duration;
 use combar_exec::Sweep;
 use combar_sim::{
-    apply_dynamic_swaps, build_tree, run_episode, run_episode_cfg, Placement, Redundant, Topology,
-    TreeStyle, WorkModel, WorkSource,
+    apply_dynamic_swaps, build_tree, run_episode, run_episode_sorted, Arrivals, Placement,
+    Redundant, Topology, TreeStyle, WorkModel, WorkSource,
 };
 
 /// Mean synchronization delay of one candidate degree in a cell.
@@ -89,40 +85,6 @@ pub struct Cell {
     pub swaps: u64,
 }
 
-/// The heap-vs-wheel mirror: one episode of the smallest cell run on
-/// both [`combar_des::EventQueue`] implementations.
-#[derive(Debug, Clone)]
-pub struct MirrorCheck {
-    /// Processor count of the mirrored cell (smallest in the preset).
-    pub p: u32,
-    /// Release time on the heap engine (µs).
-    pub heap_release_us: f64,
-    /// Release time on the wheel engine (µs).
-    pub wheel_release_us: f64,
-    /// Sync delay on the heap engine (µs).
-    pub heap_sync_us: f64,
-    /// Sync delay on the wheel engine (µs).
-    pub wheel_sync_us: f64,
-    /// Releasing processor on the heap engine.
-    pub heap_releaser: u32,
-    /// Releasing processor on the wheel engine.
-    pub wheel_releaser: u32,
-    /// Counter updates on the heap engine.
-    pub heap_updates: u64,
-    /// Counter updates on the wheel engine.
-    pub wheel_updates: u64,
-}
-
-impl MirrorCheck {
-    /// Whether heap and wheel agree bit-for-bit.
-    pub fn agrees(&self) -> bool {
-        self.heap_release_us == self.wheel_release_us
-            && self.heap_sync_us == self.wheel_sync_us
-            && self.heap_releaser == self.wheel_releaser
-            && self.heap_updates == self.wheel_updates
-    }
-}
-
 /// Everything the scale experiment produces.
 #[derive(Debug, Clone)]
 pub struct ScaleResult {
@@ -130,8 +92,6 @@ pub struct ScaleResult {
     pub preset: Scale,
     /// All cells, (p, k) row-major in preset order.
     pub cells: Vec<Cell>,
-    /// The heap-vs-wheel engine mirror.
-    pub mirror: MirrorCheck,
 }
 
 /// Builds the redundant-Pareto work source for one (p, k) cell:
@@ -154,13 +114,6 @@ pub fn source(preset: &Scale, p: u32, k: u32) -> Redundant<WorkModel> {
     )
 }
 
-/// The wheel engine configuration every scale episode runs under.
-pub fn engine_cfg(preset: &Scale) -> EngineConfig {
-    EngineConfig::new()
-        .queue(QueueKind::Wheel)
-        .wheel_resolution_us(preset.wheel_resolution_us)
-}
-
 /// Candidate degrees for `p`, capped at `p` and deduplicated (a cap
 /// can collide with an existing candidate at small `p`).
 fn degrees_for(preset: &Scale, p: u32) -> Vec<u32> {
@@ -176,7 +129,6 @@ fn degrees_for(preset: &Scale, p: u32) -> Vec<u32> {
 
 fn run_cell(preset: &Scale, p: u32, k: u32) -> Cell {
     let tc = Duration::from_us(TC_US);
-    let cfg = engine_cfg(preset);
     let mut src = source(preset, p, k);
     let mut works = vec![0.0f64; p as usize];
 
@@ -198,8 +150,9 @@ fn run_cell(preset: &Scale, p: u32, k: u32) -> Cell {
     for rep in 0..preset.reps {
         src.sample_episode(rep as u32, &mut works);
         realized_sum += works.iter().sum::<f64>() / p as f64;
+        let arrivals = Arrivals::new(&works);
         for (i, topo) in topos.iter().enumerate() {
-            let r = run_episode_cfg(topo, topo.homes(), &works, tc, &cfg);
+            let r = run_episode_sorted(topo, topo.homes(), &arrivals, tc);
             sums[i] += r.sync_delay_us;
             if i == d4 {
                 release_at4_sum += r.release_us;
@@ -269,12 +222,12 @@ fn run_cell(preset: &Scale, p: u32, k: u32) -> Cell {
             works[i] = (works[i] + bias[i]).max(0.0);
             arr[i] = begin_s[i] + works[i];
         }
-        let rs = run_episode_cfg(&topo4, &static_homes, &arr, tc, &cfg);
+        let rs = run_episode(&topo4, &static_homes, &arr, tc);
         for i in 0..p as usize {
             begin_s[i] = (rs.signal_done_us[i] + slack).max(rs.release_us);
             arr[i] = begin_d[i] + works[i];
         }
-        let rd = run_episode_cfg(&topo4, place.homes(), &arr, tc, &cfg);
+        let rd = run_episode(&topo4, place.homes(), &arr, tc);
         swaps += apply_dynamic_swaps(&topo4, &mut place, &rd.winners);
         for (b, &done) in begin_d.iter_mut().zip(&rd.signal_done_us) {
             *b = (done + slack).max(rd.release_us);
@@ -302,8 +255,7 @@ fn run_cell(preset: &Scale, p: u32, k: u32) -> Cell {
 }
 
 /// Runs the full (p, k) grid as one parallel
-/// [`Sweep`](combar_exec::Sweep), then the heap-vs-wheel mirror on the
-/// smallest cell.
+/// [`Sweep`](combar_exec::Sweep).
 pub fn run(preset: &Scale) -> ScaleResult {
     let grid: Vec<(u32, u32)> = preset
         .procs
@@ -314,38 +266,9 @@ pub fn run(preset: &Scale) -> ScaleResult {
         let &(p, k) = cell.param;
         run_cell(preset, p, k)
     });
-
-    // Mirror: episode 0 of the smallest (p, k=min) cell on both queue
-    // implementations — same arrivals, same tree, the EventQueue
-    // ordering contract checked end to end.
-    let p0 = *preset.procs.iter().min().expect("non-empty procs");
-    let k0 = *preset
-        .redundancy
-        .iter()
-        .min()
-        .expect("non-empty redundancy");
-    let tc = Duration::from_us(TC_US);
-    let mut works = vec![0.0f64; p0 as usize];
-    source(preset, p0, k0).sample_episode(0, &mut works);
-    let topo = build_tree(TreeStyle::Combining, p0, 4.min(p0));
-    let heap = run_episode(&topo, topo.homes(), &works, tc);
-    let wheel = run_episode_cfg(&topo, topo.homes(), &works, tc, &engine_cfg(preset));
-    let mirror = MirrorCheck {
-        p: p0,
-        heap_release_us: heap.release_us,
-        wheel_release_us: wheel.release_us,
-        heap_sync_us: heap.sync_delay_us,
-        wheel_sync_us: wheel.sync_delay_us,
-        heap_releaser: heap.releasing_proc,
-        wheel_releaser: wheel.releasing_proc,
-        heap_updates: heap.total_updates,
-        wheel_updates: wheel.total_updates,
-    };
-
     ScaleResult {
         preset: preset.clone(),
         cells,
-        mirror,
     }
 }
 
@@ -366,10 +289,11 @@ impl ScaleResult {
             .expect("grid covers every (p, k)")
     }
 
-    /// Renders the optimal-degree table, the placement table, and the
-    /// queue-mirror table.
+    /// Renders the optimal-degree table and the placement table.
     pub fn render(&self) -> String {
         let pr = &self.preset;
+        // "wheel engine" names the queue the episodes once ran on; the
+        // title keeps it so the golden snapshot stays byte-identical.
         let mut t = Table::new(
             format!(
                 "scale: optimal degree under redundant Pareto stragglers \
@@ -417,40 +341,7 @@ impl ScaleResult {
                 c.swaps.to_string(),
             ]);
         }
-        let mut m = Table::new(
-            format!(
-                "scale: queue mirror — heap vs wheel on one episode at p = {}",
-                fmt_p(self.mirror.p)
-            ),
-            &["quantity", "heap", "wheel", "agree"],
-        );
-        let mc = &self.mirror;
-        let tick = |ok: bool| if ok { "✓" } else { "✗" }.to_string();
-        m.row(vec![
-            "release".into(),
-            fmt_us(mc.heap_release_us),
-            fmt_us(mc.wheel_release_us),
-            tick(mc.heap_release_us == mc.wheel_release_us),
-        ]);
-        m.row(vec![
-            "sync delay".into(),
-            fmt_us(mc.heap_sync_us),
-            fmt_us(mc.wheel_sync_us),
-            tick(mc.heap_sync_us == mc.wheel_sync_us),
-        ]);
-        m.row(vec![
-            "releaser".into(),
-            format!("p{}", mc.heap_releaser),
-            format!("p{}", mc.wheel_releaser),
-            tick(mc.heap_releaser == mc.wheel_releaser),
-        ]);
-        m.row(vec![
-            "updates".into(),
-            mc.heap_updates.to_string(),
-            mc.wheel_updates.to_string(),
-            tick(mc.heap_updates == mc.wheel_updates),
-        ]);
-        format!("{}\n{}\n{}", t.render(), d.render(), m.render())
+        format!("{}\n{}", t.render(), d.render())
     }
 }
 
@@ -460,25 +351,6 @@ mod tests {
 
     fn result() -> ScaleResult {
         run(&Scale::quick())
-    }
-
-    /// The engine-swap acceptance bar: heap and wheel agree
-    /// bit-for-bit on a full episode.
-    #[test]
-    fn queue_mirror_agrees_exactly() {
-        let m = result().mirror;
-        assert!(
-            m.agrees(),
-            "heap ({}, {}, p{}, {}) vs wheel ({}, {}, p{}, {})",
-            m.heap_release_us,
-            m.heap_sync_us,
-            m.heap_releaser,
-            m.heap_updates,
-            m.wheel_release_us,
-            m.wheel_sync_us,
-            m.wheel_releaser,
-            m.wheel_updates
-        );
     }
 
     /// Redundancy lightens the straggler tail: the realized mean falls

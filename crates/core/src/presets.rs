@@ -759,8 +759,7 @@ impl Default for Balance {
 
 /// The `scale` experiment: optimal degree and dynamic placement at
 /// p ∈ {2¹⁴ … 2²⁰} under heavy-tailed (Pareto) stragglers with
-/// first-completion redundancy k ∈ {1, 2, 3} — ROADMAP item 3, run on
-/// the timing-wheel engine.
+/// first-completion redundancy k ∈ {1, 2, 3} — ROADMAP item 3.
 #[derive(Debug, Clone)]
 pub struct Scale {
     /// Processor counts (powers of two up to 2²⁰).
@@ -789,8 +788,6 @@ pub struct Scale {
     pub noise_sigma_us: f64,
     /// Fuzzy-barrier slack between signal and enforce (µs).
     pub slack_us: f64,
-    /// Timing-wheel tick size for the episode engines (µs).
-    pub wheel_resolution_us: f64,
 }
 
 impl Scale {
@@ -809,7 +806,6 @@ impl Scale {
             bias_sigma_us: 1_000.0,
             noise_sigma_us: 250.0,
             slack_us: 2_000.0,
-            wheel_resolution_us: 1.0,
         }
     }
 

@@ -12,20 +12,23 @@
 //! decomposed into *update delay* (tree depth × `t_c` along the
 //! releasing chain) and *contention delay* (everything else).
 //!
-//! The episode is a typed event loop with two event sources. The
-//! arrivals are known up front, so they are sorted once by
-//! `(time, proc)`; the propagations (a counter's last updater climbing
-//! to the parent) go into a `combar_des` [`EventQueue`] of
-//! `(proc, counter)` pairs, numbered from `p` upward as they are
-//! created. Merging the two pops events in exactly the
-//! `(time, seq)` order a `combar_des::Engine` would pop them if every
-//! arrival were scheduled in processor order before the run, without a
-//! closure or an allocation per event.
+//! The episode has no event queue. A counter's FIFO law only needs
+//! that counter's own requests in the order an event engine would pop
+//! them, so one bottom-up pass computes it: the arrivals are validated
+//! and sorted once by `(time, proc)` into an [`Arrivals`] (which a
+//! degree sweep shares across every tree), bucketed by home counter,
+//! and each counter, deepest first, merges its homed arrivals with its
+//! completed children and serves them through one [`FifoServer`]. The
+//! fan-in-th request wins and climbs to the parent, or releases the
+//! barrier at the root. The order used for each merge (and for the
+//! trace) is exactly the `(time, seq)` pop order of a
+//! `combar_des::Engine` that scheduled every arrival in processor order
+//! before the run, so every result field and trace event is
+//! bit-identical to that engine's episode.
 
-use combar_des::{
-    Duration, EngineConfig, Event, EventQueue, FifoServer, SimTime, Trace, TraceKind,
-};
+use combar_des::{Duration, FifoServer, Service, SimTime, Trace, TraceKind};
 use combar_topo::{CounterId, ProcId, Topology};
+use std::cmp::Ordering;
 
 /// How the barrier release reaches the waiting processors.
 ///
@@ -127,11 +130,103 @@ impl EpisodeResult {
     }
 }
 
-struct CounterState {
-    server: FifoServer,
-    count: u32,
-    fan_in: u32,
-    parent: Option<CounterId>,
+/// One episode's arrival times, validated and put in the order an event
+/// engine pops them: by `(time, proc)`. Build it once per arrival
+/// vector and share it across every tree run on those arrivals (the
+/// common-random-numbers degree sweep); [`run_episode_sorted`] then
+/// sorts nothing.
+#[derive(Debug, Clone)]
+pub struct Arrivals {
+    times: Vec<SimTime>,
+    order: Vec<ProcId>,
+    last_arrival_us: f64,
+    last_arriver: ProcId,
+}
+
+impl Arrivals {
+    /// Validates one arrival time per processor (µs) and sorts them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an arrival is negative (`-0.0` included), infinite or
+    /// NaN.
+    pub fn new(arrivals_us: &[f64]) -> Self {
+        // Validate in processor order. A -0.0 lies before time zero in
+        // `SimTime`'s total order and is rejected, so every key is a
+        // non-negative f64, whose bits are `f64::total_cmp`'s integer
+        // key.
+        let (mut last_arrival_us, mut last_arriver) = (f64::NEG_INFINITY, 0);
+        let mut keyed: Vec<(u64, ProcId)> = Vec::with_capacity(arrivals_us.len());
+        for (i, &a) in arrivals_us.iter().enumerate() {
+            let valid = a.is_finite() && a.is_sign_positive();
+            assert!(valid, "arrival {i} invalid: {a}");
+            if a >= last_arrival_us {
+                last_arrival_us = a;
+                last_arriver = i as ProcId;
+            }
+            keyed.push((a.to_bits(), i as ProcId));
+        }
+        keyed.sort_unstable();
+        Self {
+            times: arrivals_us.iter().map(|&a| SimTime::from_us(a)).collect(),
+            order: keyed.into_iter().map(|(_, proc)| proc).collect(),
+            last_arrival_us,
+            last_arriver,
+        }
+    }
+}
+
+/// A request at a counter: a processor's arrival at its home, or the
+/// climb of a completed child counter's winner.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Request {
+    Arrive(ProcId),
+    Climb(CounterId),
+}
+
+/// What the bottom-up pass knows of the counters completed so far.
+struct Pass<'a> {
+    times: &'a [SimTime],
+    /// When each counter's completing update finished.
+    done: Vec<SimTime>,
+    /// Each counter's completing request.
+    cause: Vec<Request>,
+    winners: Vec<Option<ProcId>>,
+}
+
+impl Pass<'_> {
+    fn time(&self, r: Request) -> SimTime {
+        match r {
+            Request::Arrive(proc) => self.times[proc as usize],
+            Request::Climb(c) => self.done[c as usize],
+        }
+    }
+
+    fn proc(&self, r: Request) -> ProcId {
+        match r {
+            Request::Arrive(proc) => proc,
+            Request::Climb(c) => self.winners[c as usize].expect("children complete first"),
+        }
+    }
+
+    /// The engine's `(time, seq)` pop order. Arrival `i` has seq `i`; a
+    /// climb has seq `p` + its creation rank, and it is created when its
+    /// counter's completing request pops. So on a time tie an arrival
+    /// goes first, two arrivals go by proc, and two climbs go by the pop
+    /// order of their causes. Each request completes at most one
+    /// counter, so distinct climbs have distinct causes one level
+    /// further down, and the recursion ends.
+    fn pop_order(&self, a: Request, b: Request) -> Ordering {
+        self.time(a).cmp(&self.time(b)).then_with(|| match (a, b) {
+            (Request::Arrive(x), Request::Arrive(y)) => x.cmp(&y),
+            (Request::Arrive(_), Request::Climb(_)) => Ordering::Less,
+            (Request::Climb(_), Request::Arrive(_)) => Ordering::Greater,
+            (Request::Climb(y), Request::Climb(z)) if y == z => Ordering::Equal,
+            (Request::Climb(y), Request::Climb(z)) => {
+                self.pop_order(self.cause[y as usize], self.cause[z as usize])
+            }
+        })
+    }
 }
 
 /// Runs one barrier episode with the paper's idealized central-flag
@@ -148,7 +243,9 @@ struct CounterState {
 /// # Panics
 ///
 /// Panics if `homes`/`arrivals_us` lengths disagree with the topology,
-/// or an arrival is negative (`-0.0` included), infinite or NaN.
+/// an arrival is negative (`-0.0` included), infinite or NaN, a home is
+/// out of range, or a counter is home to a different number of
+/// processors than its node holds.
 pub fn run_episode(
     topo: &Topology,
     homes: &[CounterId],
@@ -156,6 +253,17 @@ pub fn run_episode(
     tc: Duration,
 ) -> EpisodeResult {
     run_episode_with(topo, homes, arrivals_us, tc, ReleaseModel::CentralFlag)
+}
+
+/// [`run_episode`] on arrivals validated and sorted beforehand, so a
+/// sweep over many trees on the same arrivals sorts them once.
+pub fn run_episode_sorted(
+    topo: &Topology,
+    homes: &[CounterId],
+    arrivals: &Arrivals,
+    tc: Duration,
+) -> EpisodeResult {
+    run_kernel(topo, homes, arrivals, tc, ReleaseModel::CentralFlag, None).0
 }
 
 /// [`run_episode`] that also records a bounded event trace (arrivals,
@@ -168,14 +276,13 @@ pub fn run_episode_traced(
     tc: Duration,
     capacity: usize,
 ) -> (EpisodeResult, Trace) {
-    let (result, trace) = run_episode_inner_cfg(
+    let (result, trace) = run_kernel(
         topo,
         homes,
-        arrivals_us,
+        &Arrivals::new(arrivals_us),
         tc,
         ReleaseModel::CentralFlag,
         Some(Trace::new(capacity)),
-        &EngineConfig::new(),
     );
     (result, trace.expect("trace requested"))
 }
@@ -188,152 +295,143 @@ pub fn run_episode_with(
     tc: Duration,
     release_model: ReleaseModel,
 ) -> EpisodeResult {
-    run_episode_inner_cfg(
-        topo,
-        homes,
-        arrivals_us,
-        tc,
-        release_model,
-        None,
-        &EngineConfig::new(),
-    )
-    .0
+    let arrivals = Arrivals::new(arrivals_us);
+    run_kernel(topo, homes, &arrivals, tc, release_model, None).0
 }
 
-/// [`run_episode`] with an explicit [`EngineConfig`]: the config builds
-/// the queue that holds the episode's pending propagations, so
-/// `EngineConfig::new().queue(QueueKind::Wheel)` swaps its binary heap
-/// for the hierarchical timing wheel. The arrivals never enter that
-/// queue (they are sorted once), so the choice governs only the
-/// propagations. The result is bit-identical to [`run_episode`] (the
-/// `(time, seq)` ordering contract); only the wall-clock cost changes.
-pub fn run_episode_cfg(
+fn run_kernel(
     topo: &Topology,
     homes: &[CounterId],
-    arrivals_us: &[f64],
-    tc: Duration,
-    cfg: &EngineConfig,
-) -> EpisodeResult {
-    run_episode_inner_cfg(
-        topo,
-        homes,
-        arrivals_us,
-        tc,
-        ReleaseModel::CentralFlag,
-        None,
-        cfg,
-    )
-    .0
-}
-
-fn run_episode_inner_cfg(
-    topo: &Topology,
-    homes: &[CounterId],
-    arrivals_us: &[f64],
+    arrivals: &Arrivals,
     tc: Duration,
     release_model: ReleaseModel,
     mut trace: Option<Trace>,
-    cfg: &EngineConfig,
 ) -> (EpisodeResult, Option<Trace>) {
     let p = topo.num_procs() as usize;
+    let nodes = topo.nodes();
+    let n = nodes.len();
     assert_eq!(homes.len(), p, "homes length mismatch");
-    assert_eq!(arrivals_us.len(), p, "arrivals length mismatch");
+    assert_eq!(arrivals.times.len(), p, "arrivals length mismatch");
 
-    // Validate in processor order, then order the arrivals once by
-    // (time, proc): the engine's pop order, which numbers arrival i with
-    // seq i. A -0.0 lies before time zero in `SimTime`'s total order and
-    // is rejected, so every key is a non-negative f64, whose bits are
-    // `f64::total_cmp`'s integer key.
-    let (mut last_arrival, mut last_arriver) = (f64::NEG_INFINITY, 0);
-    let mut arrivals: Vec<(u64, ProcId)> = Vec::with_capacity(p);
-    for (i, &a) in arrivals_us.iter().enumerate() {
-        let valid = a.is_finite() && a.is_sign_positive();
-        assert!(valid, "arrival {i} invalid: {a}");
-        if a >= last_arrival {
-            last_arrival = a;
-            last_arriver = i as ProcId;
-        }
-        arrivals.push((a.to_bits(), i as ProcId));
+    // Bucket the (time, proc) order by home with one counting pass. It
+    // is stable, so counter c's bucket `homed[first[c]..first[c + 1]]`
+    // is in (time, proc) order too.
+    let mut first = vec![0usize; n + 1];
+    for &h in homes {
+        assert!((h as usize) < n, "home {h} out of range for {n} counters");
+        first[h as usize + 1] += 1;
     }
-    arrivals.sort_unstable();
+    for (c, node) in nodes.iter().enumerate() {
+        let (got, want) = (first[c + 1], node.procs.len());
+        assert_eq!(
+            got, want,
+            "counter {c} is home to {got} processors, not {want}"
+        );
+        first[c + 1] += first[c];
+    }
+    let mut fill = first.clone();
+    let mut homed = vec![0 as ProcId; p];
+    for &proc in &arrivals.order {
+        let h = homes[proc as usize] as usize;
+        homed[fill[h]] = proc;
+        fill[h] += 1;
+    }
 
-    let mut counters: Vec<CounterState> = topo
-        .nodes()
-        .iter()
-        .map(|n| CounterState {
-            server: FifoServer::new(),
-            count: 0,
-            fan_in: n.fan_in(),
-            parent: n.parent,
-        })
-        .collect();
-    let mut winners = vec![None; topo.num_counters()];
+    // Children before parents: deepest `path_len` first, by a second
+    // counting pass (MCS trees number parents before children, so index
+    // order is not bottom-up).
+    let depth = topo.depth() as usize;
+    let mut next = vec![0usize; depth + 1];
+    for node in nodes {
+        next[depth + 1 - node.path_len as usize] += 1;
+    }
+    for level in 1..=depth {
+        next[level] += next[level - 1];
+    }
+    let mut bottom_up = vec![0 as CounterId; n];
+    for node in nodes {
+        let slot = &mut next[depth - node.path_len as usize];
+        bottom_up[*slot] = node.id;
+        *slot += 1;
+    }
+
+    let mut pass = Pass {
+        times: &arrivals.times,
+        done: vec![SimTime::ZERO; n],
+        cause: vec![Request::Arrive(0); n],
+        winners: vec![None; n],
+    };
     let mut signal_done = vec![0.0; p];
-    let mut release = SimTime::ZERO;
-    let mut releasing_proc: ProcId = 0;
-
-    // At most one propagation per non-root counter. Their seqs start at
-    // p, above every arrival's, so an arrival goes first unless the
-    // queue's head is strictly earlier. Every update is an arrival's or
-    // a propagation's, so the last seq is the episode's update count.
-    let mut climbs: Box<dyn EventQueue<(ProcId, CounterId)>> =
-        cfg.clone().events_hint(topo.num_counters()).build_queue();
-    let mut seq = p as u64;
-    let mut next = arrivals.iter().map(|&(_, proc)| proc).peekable();
-    loop {
-        let arrival = next
-            .peek()
-            .map(|&proc| SimTime::from_us(arrivals_us[proc as usize]));
-        let (now, proc, counter) = match arrival {
-            Some(a) if climbs.next_time().is_none_or(|h| a <= h) => {
-                let proc = next.next().expect("peeked");
-                if let Some(trace) = &mut trace {
-                    trace.record(a, proc, TraceKind::Arrive);
-                }
-                (a, proc, homes[proc as usize])
+    let mut wait_us = vec![0.0f64; n];
+    let mut updates = 0u64;
+    let mut served: Vec<(Request, CounterId, Service)> = Vec::new();
+    let mut climbs: Vec<Request> = Vec::new();
+    for &c in &bottom_up {
+        let arrives = &homed[first[c as usize]..first[c as usize + 1]];
+        climbs.clear();
+        climbs.extend(
+            nodes[c as usize]
+                .children
+                .iter()
+                .map(|&y| Request::Climb(y)),
+        );
+        climbs.sort_unstable_by(|&a, &b| pass.pop_order(a, b));
+        let mut server = FifoServer::new();
+        let mut last = None;
+        let (mut i, mut j) = (0, 0);
+        while i + j < arrives.len() + climbs.len() {
+            let arrive_first = match (arrives.get(i), climbs.get(j)) {
+                (Some(&proc), Some(&climb)) => pass.pop_order(Request::Arrive(proc), climb).is_lt(),
+                (next_arrival, _) => next_arrival.is_some(),
+            };
+            let req = if arrive_first {
+                i += 1;
+                Request::Arrive(arrives[i - 1])
+            } else {
+                j += 1;
+                climbs[j - 1]
+            };
+            let proc = pass.proc(req);
+            let svc = server.serve(pass.time(req), tc);
+            // A processor's signalling work ends with its last update; a
+            // climbing winner overwrites this at its parent.
+            signal_done[proc as usize] = svc.finish.as_us();
+            updates += 1;
+            if trace.is_some() {
+                served.push((req, c, svc));
             }
-            _ => match climbs.pop_next() {
-                Some((t, _, (proc, counter))) => (t, proc, counter),
-                None => break,
-            },
-        };
-        let c = &mut counters[counter as usize];
-        let svc = c.server.serve(now, tc);
-        c.count += 1;
-        debug_assert!(c.count <= c.fan_in, "counter over-updated");
-        if let Some(trace) = &mut trace {
-            trace.record(svc.start, proc, TraceKind::UpdateStart(counter));
-            trace.record(svc.finish, proc, TraceKind::UpdateEnd(counter));
+            last = Some((req, proc, svc.finish));
         }
-        // A processor's signalling work ends with its last update; a
-        // climbing winner overwrites this at its parent.
-        signal_done[proc as usize] = svc.finish.as_us();
-        if c.count == c.fan_in {
-            winners[counter as usize] = Some(proc);
-            match c.parent {
-                Some(parent) => {
-                    climbs.schedule(svc.finish, seq, Event::new((proc, parent)));
-                    seq += 1;
-                }
-                None => {
-                    release = svc.finish;
-                    releasing_proc = proc;
-                    if let Some(trace) = &mut trace {
-                        trace.record(svc.finish, proc, TraceKind::Release);
-                    }
-                }
+        // The fan-in-th request completes the counter.
+        let (req, proc, finish) = last.expect("every counter has a fan-in");
+        pass.done[c as usize] = finish;
+        pass.cause[c as usize] = req;
+        pass.winners[c as usize] = Some(proc);
+        wait_us[c as usize] = server.total_wait().as_us();
+    }
+    let root = topo.root();
+    let release = pass.done[root as usize];
+    let releasing_proc = pass.winners[root as usize].expect("the root completes");
+
+    if let Some(trace) = &mut trace {
+        // The engine records a request's events when it pops it.
+        served.sort_unstable_by(|a, b| pass.pop_order(a.0, b.0));
+        for &(req, c, svc) in &served {
+            let proc = pass.proc(req);
+            if let Request::Arrive(_) = req {
+                trace.record(svc.arrival, proc, TraceKind::Arrive);
+            }
+            trace.record(svc.start, proc, TraceKind::UpdateStart(c));
+            trace.record(svc.finish, proc, TraceKind::UpdateEnd(c));
+            if c == root && req == pass.cause[root as usize] {
+                trace.record(svc.finish, proc, TraceKind::Release);
             }
         }
     }
 
-    debug_assert!(
-        counters.iter().all(|c| c.count == c.fan_in),
-        "every counter must be fully updated"
-    );
-    let mut level_wait_us = vec![0.0f64; topo.depth() as usize];
-    for (c, cs) in counters.iter().enumerate() {
-        let level = topo.path_len(c as CounterId) as usize - 1;
-        level_wait_us[level] += cs.server.total_wait().as_us();
+    let mut level_wait_us = vec![0.0f64; depth];
+    for (node, wait) in nodes.iter().zip(&wait_us) {
+        level_wait_us[node.path_len as usize - 1] += wait;
     }
     let release_us = release.as_us();
     let release_per_proc_us = match release_model {
@@ -367,21 +465,21 @@ fn run_episode_inner_cfg(
             per_proc
         }
     };
-    let sync_delay_us = release_us - last_arrival;
+    let sync_delay_us = release_us - arrivals.last_arrival_us;
     let releasing_depth = topo.path_len(homes[releasing_proc as usize]);
     let update_delay_us = releasing_depth as f64 * tc.as_us();
     let result = EpisodeResult {
         release_us,
-        last_arrival_us: last_arrival,
+        last_arrival_us: arrivals.last_arrival_us,
         sync_delay_us,
         update_delay_us,
         contention_delay_us: sync_delay_us - update_delay_us,
         releasing_proc,
         releasing_depth,
-        last_arriver,
-        winners,
+        last_arriver: arrivals.last_arriver,
+        winners: pass.winners,
         signal_done_us: signal_done,
-        total_updates: seq,
+        total_updates: updates,
         level_wait_us,
         release_per_proc_us,
     };
@@ -565,6 +663,16 @@ mod tests {
     fn negative_arrival_rejected() {
         let topo = Topology::flat(2);
         let _ = run_episode(&topo, topo.homes(), &[0.0, -1.0], tc());
+    }
+
+    /// Homes that give a counter more processors than its node holds
+    /// would leave another counter short of its fan-in; they are
+    /// refused instead of producing a release before the last arrival.
+    #[test]
+    #[should_panic(expected = "counter 0 is home to 3 processors, not 2")]
+    fn homes_off_the_node_counts_rejected() {
+        let topo = Topology::combining(4, 2);
+        let _ = run_episode(&topo, &[0, 0, 0, 1], &[0.0, 1.0, 2.0, 3.0], tc());
     }
 
     /// With simultaneous arrivals on a full tree, queueing concentrates

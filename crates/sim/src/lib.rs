@@ -1,17 +1,20 @@
-//! Event-driven barrier simulator for the `combar` study.
+//! Barrier simulator for the `combar` study.
 //!
 //! Reimplements the paper's "conventional event driven simulator":
 //!
 //! * [`episode`] — one pass of all processors through a barrier tree,
 //!   with FIFO lock contention at every counter (`t_c` per update) and
-//!   the paper's synchronization-delay decomposition;
+//!   the paper's synchronization-delay decomposition. It needs no event
+//!   queue: one bottom-up pass over the tree serves each counter's
+//!   requests in exactly the order an event engine would pop them;
 //! * [`workload`] — arrival/work-time models (i.i.d. normal — the
 //!   paper's assumption — plus systemic, evolving, exponential and
 //!   Pareto variants);
 //! * [`iterate`] — chained iterations under fuzzy-barrier slack with
 //!   optional dynamic placement (victor/victim swaps);
 //! * [`optimal`] — exhaustive optimal-degree search with common random
-//!   numbers (Figures 3/4 methodology).
+//!   numbers (Figures 3/4 methodology), sorting each replication's
+//!   arrivals once for every degree ([`Arrivals`]).
 //!
 //! # Example: one episode
 //!
@@ -43,7 +46,8 @@ pub use combar_topo::{
 pub use combar_work::{Diffuser, Redundant, WorkModel, WorkSource, UNIT_SCALE};
 pub use dissemination::{mean_dissemination_delay, run_dissemination, DisseminationResult};
 pub use episode::{
-    run_episode, run_episode_cfg, run_episode_traced, run_episode_with, EpisodeResult, ReleaseModel,
+    run_episode, run_episode_sorted, run_episode_traced, run_episode_with, Arrivals, EpisodeResult,
+    ReleaseModel,
 };
 pub use iterate::{
     apply_dynamic_swaps, run_iterations, run_modes, run_replicas, IterateConfig, IterateReport,

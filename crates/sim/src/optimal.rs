@@ -6,7 +6,7 @@
 //! degrees, so the comparison is paired) and pick the degree with the
 //! smallest mean synchronization delay.
 
-use crate::episode::run_episode;
+use crate::episode::{run_episode_sorted, Arrivals};
 use crate::workload::normal_arrivals;
 use combar_des::Duration;
 use combar_exec::par_map_indexed;
@@ -82,7 +82,8 @@ impl Default for SweepConfig {
 ///
 /// Replication `r` uses the same arrival vector for every degree
 /// (common random numbers), which sharpens the degree comparison the
-/// paper makes.
+/// paper makes; it is validated and sorted once, as one [`Arrivals`],
+/// and shared by every degree.
 ///
 /// Replications run in parallel on the `combar-exec` pool. Each rep's
 /// RNG stream is `split(cfg.seed, rep)` — keyed by the replication
@@ -124,11 +125,11 @@ pub fn sweep_degrees(p: u32, degrees: &[u32], cfg: &SweepConfig) -> Vec<DegreeRe
     };
     let per_rep: Vec<Vec<(f64, f64, f64)>> = par_map_indexed(reps, |rep| {
         let mut rng = Xoshiro256pp::split(cfg.seed, rep as u64);
-        let arrivals = normal_arrivals(p as usize, cfg.sigma_us, &mut rng);
+        let arrivals = Arrivals::new(&normal_arrivals(p as usize, cfg.sigma_us, &mut rng));
         topos
             .iter()
             .map(|topo| {
-                let r = run_episode(topo, topo.homes(), &arrivals, cfg.tc);
+                let r = run_episode_sorted(topo, topo.homes(), &arrivals, cfg.tc);
                 (r.sync_delay_us, r.update_delay_us, r.contention_delay_us)
             })
             .collect()

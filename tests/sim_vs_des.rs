@@ -1,32 +1,39 @@
 //! Cross-validation of `combar-sim`'s barrier episode, against two
 //! independent models.
 //!
-//! `combar_sim::run_episode` is a typed event loop: it sorts the
-//! arrivals once, keeps the propagations in a `combar_des` event queue,
-//! and merges the two in `(time, seq)` order, serializing counter
-//! updates through per-counter FIFO servers.
+//! `combar_sim::run_episode` is one bottom-up pass over the counter
+//! tree: the arrivals are sorted once by `(time, proc)` and bucketed by
+//! home, and each counter, deepest first, merges its homed arrivals
+//! with its completed children and serves them through one FIFO server.
+//! Its merge order claims to be the `(time, seq)` pop order of an event
+//! engine: an arrival before a propagation on a time tie, arrivals by
+//! proc, propagations by creation order, which is the pop order of the
+//! requests that completed their counters, recursively.
 //!
-//! The first model recomputes the release with *none* of that
-//! machinery: a direct bottom-up recurrence over the counter tree using
-//! only the FIFO service law (`finish = max(request, server_free) +
-//! t_c`). The grid tests demand the two agree on every release time and
-//! synchronization delay. A second anchor ties the flat topology
-//! straight to a raw `combar_des::FifoServer` timeline, and a third to
-//! the paper's Equation (1) closed form at zero spread.
+//! The first model recomputes the release with only the FIFO service
+//! law (`finish = max(request, server_free) + t_c`) and a plain sort of
+//! each counter's request times. The grid tests demand the two agree on
+//! every release time and synchronization delay. A second anchor ties
+//! the flat topology straight to a raw `combar_des::FifoServer`
+//! timeline, and a third to the paper's Equation (1) closed form at
+//! zero spread.
 //!
-//! The second model is the closure episode on `combar_des::Engine`
-//! that the event loop replaced, kept here as an oracle: every arrival
-//! and every propagation is a boxed closure on the engine's queue. The
-//! differential tests demand bit-for-bit equality with it on every
-//! `EpisodeResult` field and on the traced event stream, so a change
-//! of event order anywhere in the loop shows up here.
+//! The second model is a closure episode on `combar_des::Engine`, kept
+//! here as an oracle: every arrival and every propagation is a boxed
+//! closure on the engine's queue, and it runs on both queue kinds (the
+//! binary heap and the timing wheel). The differential tests demand
+//! bit-for-bit equality with each on every `EpisodeResult` field and on
+//! the traced event stream, over ties, `t_c`-lattice arrivals and
+//! migrated homes, so the kernel's tie rules and the queues' `(time,
+//! seq)` contract are both checked end to end.
 
 use combar_des::{
     Duration, Engine, EngineConfig, FifoServer, QueueKind, SimTime, Trace, TraceKind,
 };
 use combar_rng::{Distribution, Normal, Rng, SeedableRng, Xoshiro256pp};
 use combar_sim::{
-    run_episode, run_episode_cfg, run_episode_traced, run_episode_with, EpisodeResult, ReleaseModel,
+    run_episode, run_episode_sorted, run_episode_traced, run_episode_with, Arrivals, EpisodeResult,
+    ReleaseModel,
 };
 use combar_topo::{CounterId, ProcId, Topology};
 use std::panic::AssertUnwindSafe;
@@ -380,35 +387,35 @@ fn trace_bits(t: &Trace) -> (Vec<(u64, u32, TraceKind)>, u64) {
 }
 
 /// Runs every public entry point on one episode and compares each with
-/// the oracle: the plain, traced, wakeup-tree and both queue kinds.
+/// the oracle on both queue kinds: the plain, sorted, traced and
+/// wakeup-tree entry points.
 fn assert_matches_oracle(topo: &Topology, homes: &[CounterId], arrivals: &[f64], cell: &str) {
     let tc = Duration::from_us(TC_US);
     let capacity = 3 * (arrivals.len() + topo.num_counters());
-    let heap = EngineConfig::new();
-    let (want, want_trace) = oracle_episode(topo, homes, arrivals, &heap, capacity);
-
     let (got, got_trace) = run_episode_traced(topo, homes, arrivals, tc, capacity);
-    assert_same(&got, &want, cell);
-    assert_eq!(
-        trace_bits(&got_trace),
-        trace_bits(&want_trace),
-        "{cell}: trace"
-    );
-    assert_same(&run_episode(topo, homes, arrivals, tc), &want, cell);
-    for kind in [QueueKind::Heap, QueueKind::Wheel] {
-        let cfg = EngineConfig::new().queue(kind);
-        let got = run_episode_cfg(topo, homes, arrivals, tc, &cfg);
-        assert_same(&got, &want, &format!("{cell} {kind:?}"));
-    }
-
+    let plain = run_episode(topo, homes, arrivals, tc);
+    let sorted = run_episode_sorted(topo, homes, &Arrivals::new(arrivals), tc);
     let notify_us = 1.5;
     let wakeup = ReleaseModel::WakeupTree { notify_us };
-    let got = run_episode_with(topo, homes, arrivals, tc, wakeup);
-    let want = EpisodeResult {
-        release_per_proc_us: oracle_wakeup(topo, homes, want.release_us, notify_us),
-        ..want
-    };
-    assert_same(&got, &want, &format!("{cell} wakeup"));
+    let woken = run_episode_with(topo, homes, arrivals, tc, wakeup);
+    for kind in [QueueKind::Heap, QueueKind::Wheel] {
+        let cell = format!("{cell} {kind:?}");
+        let cfg = EngineConfig::new().queue(kind);
+        let (want, want_trace) = oracle_episode(topo, homes, arrivals, &cfg, capacity);
+        assert_same(&got, &want, &cell);
+        assert_eq!(
+            trace_bits(&got_trace),
+            trace_bits(&want_trace),
+            "{cell}: trace"
+        );
+        assert_same(&plain, &want, &cell);
+        assert_same(&sorted, &want, &format!("{cell} sorted"));
+        let want = EpisodeResult {
+            release_per_proc_us: oracle_wakeup(topo, homes, want.release_us, notify_us),
+            ..want
+        };
+        assert_same(&woken, &want, &format!("{cell} wakeup"));
+    }
 }
 
 /// Every topology family at d ∈ {2, 3, 4, 8, p}.
@@ -423,7 +430,7 @@ fn differential_topologies(p: u32) -> Vec<Topology> {
     topos
 }
 
-/// The event loop against the closure engine over p × topology × σ/t_c,
+/// The kernel against the closure engine over p × topology × σ/t_c,
 /// bit for bit.
 #[test]
 fn kernel_matches_engine_oracle_on_grid() {
@@ -479,8 +486,8 @@ fn kernel_matches_engine_oracle_on_edge_cases() {
 }
 
 /// One `-0.0` beside `+0.0`s: the engine refuses to schedule it (in its
-/// total order it lies before time zero), and the event loop rejects
-/// the same processor's arrival.
+/// total order it lies before time zero), and the kernel rejects the
+/// same processor's arrival.
 #[test]
 fn negative_zero_arrival_is_rejected_like_the_engine() {
     let topo = Topology::combining(64, 4);
