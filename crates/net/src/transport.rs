@@ -41,9 +41,11 @@
 //!   a cold endpoint parks at once, so an idle server, a silent session
 //!   and a lossy wire's timed-out polls never spin at all.
 //! * **How.** `try_recv` under [`combar_rt::spin::Backoff`], the
-//!   repository's one spin→yield policy: a few dozen `spin_loop` hints,
-//!   then `yield_now` between looks, so on an oversubscribed host the
-//!   spinner hands its core to the thread it is waiting for.
+//!   repository's one spin policy: 63 `spin_loop` hints in six
+//!   exponential steps, then one hint per look with one `yield_now` per
+//!   20 µs, and a yield on every look once a yield comes back late, so
+//!   on an oversubscribed host the spinner hands its core to the thread
+//!   it is waiting for.
 //! * **For how long.** At most `SPIN_BUDGET` (50 µs), then
 //!   `recv_timeout` for what is left of the caller's timeout. The bound
 //!   is the classic one — spin for as long as a park would cost — taken

@@ -327,9 +327,10 @@ impl<K: Climb, N: Notify> CounterBarrier<K, N> {
     }
 
     /// Episode tag for barrier-side (proxy) emission: the in-flight
-    /// epoch, read only while a trace sink is attached.
+    /// epoch, read only while the calling thread has a trace sink
+    /// attached.
     fn trace_epoch(&self) -> u32 {
-        if trace::enabled() {
+        if trace::attached() {
             self.epoch.load(Ordering::Relaxed)
         } else {
             0

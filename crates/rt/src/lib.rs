@@ -71,10 +71,11 @@
 //! identically, and [`conformance`] turns the shared barrier contract
 //! (lockstep, reuse, arrival/release ordering, fuzzy slack) into a
 //! type-erased matrix every kind is checked against. All hot state is
-//! cache-padded ([`CachePadded`]); waiting is spin-then-yield
-//! ([`spin::Backoff`]) so the crate behaves on machines with fewer
-//! cores than threads, or a sleep ([`sync::Sleeper`]) on the blocking
-//! barrier.
+//! cache-padded ([`CachePadded`]); waiting is a spin that looks after
+//! every hint and yields once per 20 µs ([`spin::Backoff`]), and on
+//! every look once a yield comes back late, so the crate behaves on
+//! machines with fewer cores than threads, or a sleep
+//! ([`sync::Sleeper`]) on the blocking barrier.
 //!
 //! # Model checking
 //!

@@ -1,10 +1,13 @@
 //! Busy-wait strategy.
 //!
-//! The paper's barriers busy-wait on shared flags. On a machine with
-//! fewer cores than threads (including this repository's CI), pure
-//! spinning livelocks the releaser off the CPU, so the waiter spins
-//! briefly and then yields to the scheduler with exponential backoff —
-//! the standard adaptive strategy.
+//! The paper's barriers busy-wait on shared flags. A waiter here looks
+//! at its flag once per [`Backoff::snooze`]: six exponential snoozes of
+//! 1, 2, 4 … 32 `spin_loop` hints, then a *linger* of one hint per
+//! look. Pure spinning would livelock the releaser off the CPU on a
+//! machine with fewer cores than threads (including this repository's
+//! CI), so a lingering waiter yields once per 20 µs quantum, and once a
+//! yield comes back late (another thread needed the core) it yields on
+//! every snooze until the wait ends.
 
 use crate::error::BarrierError;
 use crate::sync::{AtomicU32, Ordering};
@@ -92,28 +95,71 @@ impl Deadline {
     }
 }
 
-/// Exponential spin-then-yield backoff, optionally bounded by a
-/// deadline.
+/// Snoozes in the exponential phase: 1, 2, 4 … 32 `spin_loop` hints,
+/// 63 in all.
+const SPIN_STEPS: u32 = 6;
+/// How long a lingering wait spins between two yields.
+const QUANTUM: Duration = Duration::from_micros(20);
+/// A yield that took longer than this came back late: another thread
+/// needed the core.
+const LATE_YIELD: Duration = Duration::from_micros(2);
+/// Linger snoozes per clock read.
+const LOOKS_PER_CLOCK: u32 = 16;
+
+/// What one linger snooze does before its caller looks again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Look {
+    /// One `spin_loop` hint.
+    Spin,
+    /// One `yield_now`.
+    Yield,
+}
+
+/// Spin-then-linger backoff, optionally bounded by a deadline.
+///
+/// A wait looks once per [`Backoff::snooze`], in two phases and a
+/// fallback:
+///
+/// * **Exponential.** The first six snoozes spin 1, 2, 4 … 32
+///   `spin_loop` hints, 63 in all.
+/// * **Linger.** Each later snooze is one hint. The clock is read once
+///   every 16 snoozes, and one `yield_now` is taken per quantum (20 µs)
+///   of lingering, so a spinner that shares its core with the thread it
+///   waits for still hands the core over. A look after every hint sees
+///   a release within one pause, where a look per yield sees it up to a
+///   `sched_yield` (≈ 350 ns on a 2-vCPU Xeon) late.
+/// * **Late-yield fallback.** A yield that took longer than 2 µs came
+///   back late: another thread ran on the core, so the host is
+///   oversubscribed. From then on every snooze of the wait yields,
+///   until [`Backoff::reset`].
+///
+/// Inside a checker session the linger phase is plain `spin_hint`s:
+/// there a hint and a yield are the same schedule point, and a replay
+/// must read no wall clock.
 #[derive(Debug, Default)]
 pub struct Backoff {
     step: u32,
     deadline: Deadline,
+    /// Linger snoozes taken since the exponential phase ended.
+    lingers: u32,
+    /// Start of the current quantum of lingering (the first clock read,
+    /// then each yield).
+    quantum_start: Option<Instant>,
+    /// A yield came back late: every later snooze yields.
+    late: bool,
 }
 
 impl Backoff {
     /// Fresh backoff state with no deadline.
     pub fn new() -> Self {
-        Self {
-            step: 0,
-            deadline: Deadline::never(),
-        }
+        Self::default()
     }
 
     /// Fresh backoff state that expires at `deadline`.
     pub fn with_deadline(deadline: Instant) -> Self {
         Self {
-            step: 0,
             deadline: Deadline::at(deadline),
+            ..Self::default()
         }
     }
 
@@ -136,31 +182,91 @@ impl Backoff {
         self.expired()
     }
 
-    /// One wait quantum: a handful of `spin_loop` hints while the wait
-    /// is young, escalating to `yield_now` once it is clear the awaited
-    /// thread is not about to act.
+    /// One wait between two looks: `1 << step` `spin_loop` hints in the
+    /// exponential phase, then one linger step (see the type docs).
     #[inline]
     pub fn snooze(&mut self) {
-        if self.step < 6 {
+        if self.step < SPIN_STEPS {
             for _ in 0..(1u32 << self.step) {
                 crate::sync::spin_hint();
             }
             combar_trace::count_spins(1u64 << self.step);
             self.step += 1;
         } else {
-            crate::sync::yield_now();
-            combar_trace::count_yield();
+            self.linger();
         }
     }
 
-    /// Resets to the spinning phase.
-    pub fn reset(&mut self) {
-        self.step = 0;
+    /// One snooze past the exponential phase. Cold and out of line, so
+    /// the exponential phase that `snooze` inlines into every wait loop
+    /// stays the code it was.
+    #[cold]
+    #[inline(never)]
+    fn linger(&mut self) {
+        // To the checker a hint and a yield are the same schedule
+        // point, and a replay must read no wall clock.
+        if crate::sync::is_checked() {
+            crate::sync::spin_hint();
+            return;
+        }
+        if self.late {
+            crate::sync::yield_now();
+            combar_trace::count_yield();
+            return;
+        }
+        let due = self.lingers % LOOKS_PER_CLOCK == 0;
+        self.lingers = self.lingers.wrapping_add(1);
+        if due {
+            let now = Instant::now();
+            if self.linger_at(now) == Look::Yield {
+                crate::sync::yield_now();
+                combar_trace::count_yield();
+                self.yielded(now.elapsed());
+                return;
+            }
+        }
+        crate::sync::spin_hint();
+        combar_trace::count_spins(1);
     }
 
-    /// Whether the backoff has escalated to yielding.
+    /// The linger decision at a clock read taken at `now`: spin while
+    /// the current quantum lasts, yield once it is over and start the
+    /// next. The first read starts the first quantum.
+    fn linger_at(&mut self, now: Instant) -> Look {
+        match self.quantum_start {
+            Some(start) if now.saturating_duration_since(start) < QUANTUM => Look::Spin,
+            Some(_) => {
+                self.quantum_start = Some(now);
+                Look::Yield
+            }
+            None => {
+                self.quantum_start = Some(now);
+                Look::Spin
+            }
+        }
+    }
+
+    /// Notes that a linger yield took `took`; a late one switches the
+    /// rest of the wait to the yield-every-snooze fallback.
+    fn yielded(&mut self, took: Duration) {
+        if took > LATE_YIELD {
+            self.late = true;
+        }
+    }
+
+    /// Resets to the start of the exponential phase, forgetting any
+    /// lingering and the late-yield fallback.
+    pub fn reset(&mut self) {
+        *self = Self {
+            deadline: self.deadline,
+            ..Self::default()
+        };
+    }
+
+    /// Whether the wait is past the exponential phase (lingering or
+    /// yielding).
     pub fn is_yielding(&self) -> bool {
-        self.step >= 6
+        self.step >= SPIN_STEPS
     }
 }
 
@@ -225,6 +331,88 @@ mod tests {
         assert!(b.is_yielding());
         b.reset();
         assert!(!b.is_yielding());
+    }
+
+    /// A backoff past its exponential phase, as six snoozes leave it.
+    fn lingering() -> Backoff {
+        Backoff {
+            step: SPIN_STEPS,
+            ..Backoff::new()
+        }
+    }
+
+    /// The trace counters `snoozes` snoozes of `b` add.
+    fn counted(b: &mut Backoff, snoozes: u32) -> combar_trace::Counters {
+        let book = combar_trace::TraceBook::new();
+        let sink = book.attach(0);
+        for _ in 0..snoozes {
+            b.snooze();
+        }
+        drop(sink);
+        book.counters()
+    }
+
+    #[test]
+    fn exponential_phase_is_63_hints_and_no_clock() {
+        let mut b = Backoff::new();
+        let c = counted(&mut b, SPIN_STEPS);
+        assert_eq!((c.spins, c.yields), (63, 0));
+        assert!(b.is_yielding());
+        assert_eq!((b.lingers, b.quantum_start), (0, None));
+    }
+
+    #[test]
+    fn lingering_yields_at_most_once_per_quantum() {
+        let t0 = Instant::now();
+        let us = |n: u64| t0 + Duration::from_micros(n);
+        let mut b = lingering();
+        // One read per µs: the first read starts the quantum, and a
+        // yield closes each 20 µs of lingering and starts the next.
+        let yields: Vec<u64> = (0..=100)
+            .filter(|&n| b.linger_at(us(n)) == Look::Yield)
+            .collect();
+        assert_eq!(yields, [20, 40, 60, 80, 100]);
+        // Sparse reads: three quanta between two reads still yield once.
+        let mut b = lingering();
+        let looks: Vec<Look> = [0, 70, 75, 89, 90]
+            .into_iter()
+            .map(|n| b.linger_at(us(n)))
+            .collect();
+        use Look::{Spin, Yield};
+        assert_eq!(looks, [Spin, Yield, Spin, Spin, Yield]);
+    }
+
+    #[test]
+    fn a_late_yield_makes_every_later_snooze_yield() {
+        let mut b = lingering();
+        b.snooze();
+        assert_eq!(b.lingers, 1);
+        assert!(
+            b.quantum_start.is_some(),
+            "the first linger reads the clock"
+        );
+        b.yielded(LATE_YIELD);
+        assert!(!b.late, "a yield of exactly the threshold is on time");
+        b.yielded(LATE_YIELD + Duration::from_nanos(1));
+        assert!(b.late);
+        let c = counted(&mut b, 40);
+        assert_eq!((c.spins, c.yields), (0, 40));
+        assert_eq!(b.lingers, 1, "the fallback reads no clock");
+    }
+
+    #[test]
+    fn reset_restores_the_exponential_phase() {
+        let deadline = Instant::now() + Duration::from_secs(3600);
+        let mut b = Backoff::with_deadline(deadline);
+        counted(&mut b, SPIN_STEPS + 3);
+        b.yielded(Duration::from_millis(1));
+        b.reset();
+        assert!(!b.is_yielding());
+        assert!(!b.late);
+        assert_eq!((b.lingers, b.quantum_start), (0, None));
+        assert_eq!(b.deadline(), Some(deadline));
+        let c = counted(&mut b, SPIN_STEPS);
+        assert_eq!((c.spins, c.yields), (63, 0));
     }
 
     #[test]

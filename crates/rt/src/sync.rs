@@ -26,7 +26,7 @@ use std::time::Instant;
 pub use combar_check::shadow::{spin_hint, yield_now, AtomicU32, AtomicU64};
 
 #[cfg(not(combar_sync_raw))]
-use combar_check::shadow::is_checked;
+pub(crate) use combar_check::shadow::is_checked;
 
 #[cfg(combar_sync_raw)]
 pub use std::sync::atomic::{AtomicU32, AtomicU64};
@@ -48,7 +48,7 @@ pub fn spin_hint() {
 /// No checker session exists in the raw build.
 #[cfg(combar_sync_raw)]
 #[inline]
-fn is_checked() -> bool {
+pub(crate) fn is_checked() -> bool {
     false
 }
 

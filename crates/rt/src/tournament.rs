@@ -216,7 +216,7 @@ impl TournamentBarrier {
     fn evict_in(&self, tid: u32, episode: Option<u32>) -> bool {
         assert!(tid < self.p, "thread id out of range");
         let ok = self.roster.evict(tid, &self.epoch, episode);
-        if ok && trace::enabled() {
+        if ok && trace::attached() {
             trace::emit(
                 self.epoch.load(Ordering::Relaxed),
                 tid,

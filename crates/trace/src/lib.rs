@@ -160,6 +160,17 @@ pub fn enabled() -> bool {
     ACTIVE.load(Ordering::Relaxed) > 0
 }
 
+/// Whether the calling thread has a sink attached, i.e. whether its
+/// [`emit`] calls are recorded. Guard an event tag that costs a shared
+/// read with this rather than [`enabled`]: another thread's sink turns
+/// `enabled` on, so a read behind it comes and goes with work the
+/// caller never sees — under the model checker, a schedule point that
+/// exists only while some other test traces.
+#[inline]
+pub fn attached() -> bool {
+    enabled() && WRITER.with(|w| w.borrow().is_some())
+}
+
 struct Writer {
     book: Arc<TraceBook>,
     writer: u32,
@@ -484,13 +495,9 @@ pub fn render(events: &[Event]) -> String {
 mod tests {
     use super::*;
 
-    /// Whether the calling thread has a writer attached. Tests assert
-    /// on this rather than on [`enabled`]: `ACTIVE` is process-wide, so
-    /// a sibling test tracing in parallel raises it under our feet.
-    fn attached() -> bool {
-        WRITER.with(|w| w.borrow().is_some())
-    }
-
+    /// Tests assert on [`attached`] rather than on [`enabled`]: `ACTIVE`
+    /// is process-wide, so a sibling test tracing in parallel raises it
+    /// under our feet.
     #[test]
     fn disabled_emission_is_dropped() {
         assert!(!attached());

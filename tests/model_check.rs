@@ -499,33 +499,57 @@ fn exhaustive_evict_rejoin_converges_on_the_adaptive_barrier() {
 /// the spared thread cross alone until the loser rejoins.
 #[test]
 fn exhaustive_racing_evictors_spare_the_last_active() {
-    let fx = || {
-        let b = Arc::new(CentralBarrier::new(2));
-        let evictors: Vec<_> = [1u32, 0]
-            .into_iter()
-            .map(|victim| {
-                let b = Arc::clone(&b);
-                vthread::spawn(move || b.evict(victim))
-            })
-            .collect();
-        let won: Vec<bool> = evictors.into_iter().map(|t| t.join()).collect();
-        assert_eq!(won.iter().filter(|&&w| w).count(), 1, "evictions: {won:?}");
-        let (spared, evicted) = if won[0] { (0, 1) } else { (1, 0) };
-        assert!(b.is_evicted(evicted) && !b.is_evicted(spared));
-        assert_eq!(b.evicted_count(), 1);
-        let mut ws = b.waiter_for(spared);
-        ws.try_wait().unwrap();
-        ws.try_wait().unwrap();
-        let mut we = b.waiter_for(evicted);
-        assert_eq!(we.try_arrive(), Err(BarrierError::Evicted));
-        assert!(we.rejoin().unwrap());
-        ws.try_arrive().unwrap();
-        we.try_depart().unwrap();
-        ws.try_depart().unwrap();
-        assert_eq!((ws.episodes(), we.episodes()), (3, 3));
-        assert_eq!(b.evicted_count(), 0);
-    };
-    expect_full_space("central p=2 racing evictors", fx);
+    expect_full_space("central p=2 racing evictors", racing_evictors);
+}
+
+/// A sink attached on another OS thread (another test tracing in the
+/// same process) leaves a lane's schedule space as it is: an event tag
+/// that costs a shadowed read is guarded by the calling thread's own
+/// sink (`combar_trace::attached`), not by the process-wide
+/// `combar_trace::enabled`. An eviction's event reads such a tag.
+#[test]
+fn exhaustive_space_ignores_a_trace_sink_on_another_thread() {
+    let (attached_tx, attached) = std::sync::mpsc::channel();
+    let (done, done_rx) = std::sync::mpsc::channel::<()>();
+    let tracer = std::thread::spawn(move || {
+        let book = combar_trace::TraceBook::new();
+        let _sink = book.attach(0);
+        attached_tx.send(()).unwrap();
+        let _ = done_rx.recv();
+    });
+    attached.recv().unwrap();
+    let beside = expect_full_space("central p=2 racing evictors beside a sink", racing_evictors);
+    drop(done);
+    tracer.join().unwrap();
+    let alone = expect_full_space("central p=2 racing evictors", racing_evictors);
+    assert_eq!(beside, alone, "another thread's sink changed the space");
+}
+
+fn racing_evictors() {
+    let b = Arc::new(CentralBarrier::new(2));
+    let evictors: Vec<_> = [1u32, 0]
+        .into_iter()
+        .map(|victim| {
+            let b = Arc::clone(&b);
+            vthread::spawn(move || b.evict(victim))
+        })
+        .collect();
+    let won: Vec<bool> = evictors.into_iter().map(|t| t.join()).collect();
+    assert_eq!(won.iter().filter(|&&w| w).count(), 1, "evictions: {won:?}");
+    let (spared, evicted) = if won[0] { (0, 1) } else { (1, 0) };
+    assert!(b.is_evicted(evicted) && !b.is_evicted(spared));
+    assert_eq!(b.evicted_count(), 1);
+    let mut ws = b.waiter_for(spared);
+    ws.try_wait().unwrap();
+    ws.try_wait().unwrap();
+    let mut we = b.waiter_for(evicted);
+    assert_eq!(we.try_arrive(), Err(BarrierError::Evicted));
+    assert!(we.rejoin().unwrap());
+    ws.try_arrive().unwrap();
+    we.try_depart().unwrap();
+    ws.try_depart().unwrap();
+    assert_eq!((ws.episodes(), we.episodes()), (3, 3));
+    assert_eq!(b.evicted_count(), 0);
 }
 
 /// `C(a + b, a)`: the interleavings of two straight-line threads of
@@ -1031,7 +1055,7 @@ fn broken_release_flag_caught_and_token_replays() {
 /// byte-identical merged event streams across every explored schedule.
 /// Trace positions are per-writer logical ticks and every emission
 /// site either reads no shadowed atomic or guards the read behind
-/// `combar_trace::enabled()`, so the recorded timeline is a pure
+/// `combar_trace::attached()`, so the recorded timeline is a pure
 /// function of the schedule.
 #[test]
 fn traced_schedules_produce_identical_event_streams() {
