@@ -18,8 +18,8 @@ use combar_des::Duration;
 use combar_exec::Sweep;
 use combar_rng::{SeedableRng, Xoshiro256pp};
 use combar_sim::{
-    build_tree, default_degree_sweep, optimal_degree, run_episode, run_episode_sorted,
-    sweep_degrees, Arrivals, Sampler, SweepConfig, Topology, TreeStyle, Workload,
+    build_tree, default_degree_sweep, optimal_degree, run_episode, sweep_degrees, Arrivals,
+    EpisodePlan, EpisodeScratch, Sampler, SweepConfig, Topology, TreeStyle, Workload,
 };
 
 /// Optimal degree under each arrival-time distribution shape.
@@ -45,6 +45,10 @@ pub fn run_shapes(p: u32, sigma_tcs: &[f64], reps: usize) -> Vec<ShapeRow> {
         .iter()
         .map(|&d| build_tree(TreeStyle::Combining, p, d))
         .collect();
+    let plans: Vec<EpisodePlan> = topos
+        .iter()
+        .map(|topo| EpisodePlan::new(topo, topo.homes()))
+        .collect();
     let shapes = ["normal", "exponential", "pareto"];
     Sweep::grid2(seeds::BASE, sigma_tcs, &shapes).run(|cell| {
         let &(sigma_tc, shape) = cell.param;
@@ -64,13 +68,14 @@ pub fn run_shapes(p: u32, sigma_tcs: &[f64], reps: usize) -> Vec<ShapeRow> {
         let mut rng = Xoshiro256pp::seed_from_u64(seeds::ablate_shape(sigma_tc));
         let mut per_degree: Vec<(u32, f64)> = degrees.iter().map(|&d| (d, 0.0)).collect();
         let mut buf = vec![0.0f64; p as usize];
+        let mut scratch = EpisodeScratch::default();
         for _ in 0..reps {
             w.sample_into(&mut rng, &mut buf);
             let min = buf.iter().copied().fold(f64::INFINITY, f64::min);
             let arrivals: Vec<f64> = buf.iter().map(|&x| x - min).collect();
             let arrivals = Arrivals::new(&arrivals);
-            for ((_, acc), topo) in per_degree.iter_mut().zip(&topos) {
-                let r = run_episode_sorted(topo, topo.homes(), &arrivals, Duration::from_us(TC_US));
+            for ((_, acc), plan) in per_degree.iter_mut().zip(&plans) {
+                let r = plan.run(&arrivals, Duration::from_us(TC_US), &mut scratch);
                 *acc += r.sync_delay_us;
             }
         }

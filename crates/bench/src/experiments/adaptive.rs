@@ -22,8 +22,8 @@ use combar_exec::Sweep;
 use combar_rng::stats::{std_dev, OnlineStats};
 use combar_rng::{SeedableRng, Xoshiro256pp};
 use combar_sim::{
-    build_tree, default_degree_sweep, normal_arrivals, optimal_degree, run_episode_sorted,
-    sweep_degrees, Arrivals, SweepConfig, TreeStyle,
+    build_tree, default_degree_sweep, normal_arrivals, optimal_degree, sweep_degrees, Arrivals,
+    EpisodePlan, EpisodeScratch, SweepConfig, TreeStyle,
 };
 
 /// One imbalance phase.
@@ -94,6 +94,8 @@ pub fn run(p: u32, phases: &[Phase], window: usize) -> AdaptiveResult {
     for (&phase, oracle) in phases.iter().zip(&oracles) {
         let sigma_us = phase.sigma_tc * TC_US;
         let fixed_topo = build_tree(TreeStyle::Combining, p, 4);
+        let fixed_plan = EpisodePlan::new(&fixed_topo, fixed_topo.homes());
+        let mut scratch = EpisodeScratch::default();
         let mut fixed = OnlineStats::new();
         let mut adaptive = OnlineStats::new();
         let mut degree_use: std::collections::BTreeMap<u32, usize> = Default::default();
@@ -102,11 +104,11 @@ pub fn run(p: u32, phases: &[Phase], window: usize) -> AdaptiveResult {
             let arrivals = normal_arrivals(p as usize, sigma_us, &mut rng);
             let sorted = Arrivals::new(&arrivals);
             // fixed-4
-            let rf = run_episode_sorted(&fixed_topo, fixed_topo.homes(), &sorted, tc);
+            let rf = fixed_plan.run(&sorted, tc, &mut scratch);
             fixed.push(rf.sync_delay_us);
             // adaptive: current degree, plus measurement
             let topo = build_tree(TreeStyle::Combining, p, current_degree);
-            let ra = run_episode_sorted(&topo, topo.homes(), &sorted, tc);
+            let ra = EpisodePlan::new(&topo, topo.homes()).run(&sorted, tc, &mut scratch);
             adaptive.push(ra.sync_delay_us);
             *degree_use.entry(current_degree).or_default() += 1;
             window_spreads.push(std_dev(&arrivals));

@@ -1,5 +1,5 @@
 //! The `scale` experiment: the paper's production questions at
-//! p ∈ {2¹⁴ … 2²⁰} — ROADMAP item 3.
+//! p ∈ {2¹⁴ … 2²⁰}.
 //!
 //! The paper's grids stop at 4096 processors. This experiment re-asks
 //! its two central questions — *what is the optimal tree degree?* and
@@ -28,7 +28,9 @@
 //!   static — at 256× the paper's processor count.
 //!
 //! Each degree-sweep rep validates and sorts its arrival vector once,
-//! as one [`combar_sim::Arrivals`] shared by every candidate degree.
+//! as one [`combar_sim::Arrivals`] shared by every candidate degree,
+//! and each candidate tree is planned once per cell, as one
+//! [`combar_sim::EpisodePlan`] shared by every rep.
 //!
 //! Determinism: each (p, k) cell derives everything from
 //! `seeds::scale(p, k)`; cells run as one `combar-exec` sweep and the
@@ -41,7 +43,7 @@ use combar::presets::{Scale, TC_US};
 use combar_des::Duration;
 use combar_exec::Sweep;
 use combar_sim::{
-    apply_dynamic_swaps, build_tree, run_episode, run_episode_sorted, Arrivals, Placement,
+    apply_dynamic_swaps, build_tree, run_episode, Arrivals, EpisodePlan, EpisodeScratch, Placement,
     Redundant, Topology, TreeStyle, WorkModel, WorkSource,
 };
 
@@ -140,6 +142,11 @@ fn run_cell(preset: &Scale, p: u32, k: u32) -> Cell {
         .iter()
         .map(|&d| build_tree(TreeStyle::Combining, p, d))
         .collect();
+    let plans: Vec<EpisodePlan> = topos
+        .iter()
+        .map(|topo| EpisodePlan::new(topo, topo.homes()))
+        .collect();
+    let mut scratch = EpisodeScratch::default();
     let d4 = degrees
         .iter()
         .position(|&d| d == 4.min(p))
@@ -151,8 +158,8 @@ fn run_cell(preset: &Scale, p: u32, k: u32) -> Cell {
         src.sample_episode(rep as u32, &mut works);
         realized_sum += works.iter().sum::<f64>() / p as f64;
         let arrivals = Arrivals::new(&works);
-        for (i, topo) in topos.iter().enumerate() {
-            let r = run_episode_sorted(topo, topo.homes(), &arrivals, tc);
+        for (i, plan) in plans.iter().enumerate() {
+            let r = plan.run(&arrivals, tc, &mut scratch);
             sums[i] += r.sync_delay_us;
             if i == d4 {
                 release_at4_sum += r.release_us;

@@ -759,7 +759,7 @@ impl Default for Balance {
 
 /// The `scale` experiment: optimal degree and dynamic placement at
 /// p ∈ {2¹⁴ … 2²⁰} under heavy-tailed (Pareto) stragglers with
-/// first-completion redundancy k ∈ {1, 2, 3} — ROADMAP item 3.
+/// first-completion redundancy k ∈ {1, 2, 3}.
 #[derive(Debug, Clone)]
 pub struct Scale {
     /// Processor counts (powers of two up to 2²⁰).

@@ -25,8 +25,16 @@
 //! `combar_des::Engine` that scheduled every arrival in processor order
 //! before the run, so every result field and trace event is
 //! bit-identical to that engine's episode.
+//!
+//! What depends only on the tree and the homes — their checks, the
+//! bucket bounds, the bottom-up order and a flat child list — is an
+//! [`EpisodePlan`], built once per tree; the buffers one run fills are
+//! an [`EpisodeScratch`], reused run after run. [`EpisodePlan::run`]
+//! returns the [`EpisodeDelays`] a sweep folds and builds nothing per
+//! processor. Each public `run_episode*` is a plan, one run, and then
+//! the [`EpisodeResult`] (and trace) built from the scratch.
 
-use combar_des::{Duration, FifoServer, Service, SimTime, Trace, TraceKind};
+use combar_des::{Duration, SimTime, Trace, TraceKind};
 use combar_topo::{CounterId, ProcId, Topology};
 use std::cmp::Ordering;
 
@@ -133,12 +141,13 @@ impl EpisodeResult {
 /// One episode's arrival times, validated and put in the order an event
 /// engine pops them: by `(time, proc)`. Build it once per arrival
 /// vector and share it across every tree run on those arrivals (the
-/// common-random-numbers degree sweep); [`run_episode_sorted`] then
+/// common-random-numbers degree sweep); [`EpisodePlan::run`] then
 /// sorts nothing.
 #[derive(Debug, Clone)]
 pub struct Arrivals {
     times: Vec<SimTime>,
-    order: Vec<ProcId>,
+    /// `(time, proc)` in pop order.
+    sorted: Vec<(SimTime, ProcId)>,
     last_arrival_us: f64,
     last_arriver: ProcId,
 }
@@ -152,28 +161,133 @@ impl Arrivals {
     /// NaN.
     pub fn new(arrivals_us: &[f64]) -> Self {
         // Validate in processor order. A -0.0 lies before time zero in
-        // `SimTime`'s total order and is rejected, so every key is a
-        // non-negative f64, whose bits are `f64::total_cmp`'s integer
-        // key.
+        // `SimTime`'s total order and is rejected.
         let (mut last_arrival_us, mut last_arriver) = (f64::NEG_INFINITY, 0);
-        let mut keyed: Vec<(u64, ProcId)> = Vec::with_capacity(arrivals_us.len());
-        for (i, &a) in arrivals_us.iter().enumerate() {
-            let valid = a.is_finite() && a.is_sign_positive();
-            assert!(valid, "arrival {i} invalid: {a}");
-            if a >= last_arrival_us {
-                last_arrival_us = a;
-                last_arriver = i as ProcId;
-            }
-            keyed.push((a.to_bits(), i as ProcId));
-        }
-        keyed.sort_unstable();
+        let times: Vec<SimTime> = arrivals_us
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| {
+                let valid = a.is_finite() && a.is_sign_positive();
+                assert!(valid, "arrival {i} invalid: {a}");
+                if a >= last_arrival_us {
+                    last_arrival_us = a;
+                    last_arriver = i as ProcId;
+                }
+                SimTime::from_us(a)
+            })
+            .collect();
         Self {
-            times: arrivals_us.iter().map(|&a| SimTime::from_us(a)).collect(),
-            order: keyed.into_iter().map(|(_, proc)| proc).collect(),
+            sorted: sorted_by_time(&times),
+            times,
             last_arrival_us,
             last_arriver,
         }
     }
+}
+
+/// Above this many arrivals the radix passes' arrays no longer fit a
+/// 2 MiB L2 and a comparison sort wins. On a 2-vCPU Xeon, radix vs
+/// comparison: 4.9 vs 7.6 ms at 2¹⁷ arrivals, 12.7 vs 12.6 ms at 2¹⁸,
+/// 115 vs 60 ms at 2²⁰.
+const RADIX_MAX_ARRIVALS: usize = 1 << 17;
+
+/// `(time, proc)` sorted by time, then proc. Every time is a
+/// non-negative f64, whose bits are `f64::total_cmp`'s integer key, so up
+/// to [`RADIX_MAX_ARRIVALS`] this is a stable LSD radix sort of the
+/// processor indices by those bits, one byte per pass, starting from
+/// processor order; a pass whose byte is the same in every key would
+/// move nothing and is skipped.
+fn sorted_by_time(times: &[SimTime]) -> Vec<(SimTime, ProcId)> {
+    let n = times.len();
+    if n > RADIX_MAX_ARRIVALS {
+        let mut sorted: Vec<(SimTime, ProcId)> = times.iter().copied().zip(0..).collect();
+        sorted.sort_unstable();
+        return sorted;
+    }
+    let key = |proc: ProcId| times[proc as usize].as_us().to_bits();
+    let mut counts = [[0u32; 256]; 8];
+    for proc in 0..n as ProcId {
+        let key = key(proc);
+        for (byte, count) in counts.iter_mut().enumerate() {
+            count[(key >> (8 * byte)) as usize & 0xff] += 1;
+        }
+    }
+    let mut order: Vec<ProcId> = (0..n as ProcId).collect();
+    let mut next = vec![0 as ProcId; n];
+    for (byte, count) in counts.iter_mut().enumerate() {
+        if count.contains(&(n as u32)) {
+            continue;
+        }
+        let mut slot = 0;
+        for c in count.iter_mut() {
+            (*c, slot) = (slot, slot + *c);
+        }
+        for &proc in &order {
+            let digit = (key(proc) >> (8 * byte)) as usize & 0xff;
+            next[count[digit] as usize] = proc;
+            count[digit] += 1;
+        }
+        std::mem::swap(&mut order, &mut next);
+    }
+    order
+        .into_iter()
+        .map(|proc| (times[proc as usize], proc))
+        .collect()
+}
+
+/// What an episode on one `(topology, homes)` pair needs that no
+/// arrival time changes, checked and derived once: each counter's slots
+/// for its homed processors, the counters deepest first, and the child
+/// lists in one flat array. A degree sweep builds one plan per tree and
+/// runs every replication's [`Arrivals`] through it; the plan is
+/// immutable, so the replications can share it across threads.
+#[derive(Debug, Clone)]
+pub struct EpisodePlan<'a> {
+    topo: &'a Topology,
+    homes: &'a [CounterId],
+    /// Counter `c`'s homed processors fill slots `first[c]..first[c + 1]`.
+    /// (The offsets here and in the scratch are `u32`, like the ids, to
+    /// keep a large tree's plan and scratch small.)
+    first: Vec<u32>,
+    /// Children before parents: deepest `path_len` first.
+    bottom_up: Vec<CounterId>,
+    /// Counter `c`'s children are `children[child_first[c]..child_first[c + 1]]`.
+    child_first: Vec<u32>,
+    children: Vec<CounterId>,
+}
+
+/// The buffers [`EpisodePlan::run`] fills: one scratch serves any
+/// number of runs, on plans of any size, one run at a time, and stops
+/// allocating once it has met the largest. After a run it holds that
+/// episode's state, from which the public `run_episode*` functions
+/// build their per-processor outputs.
+#[derive(Debug, Clone, Default)]
+pub struct EpisodeScratch {
+    /// The arrivals as `(time, proc)`, bucketed by home counter, each
+    /// bucket in pop order; once an arrival is served, its `time` is
+    /// the start of its update.
+    homed: Vec<(SimTime, ProcId)>,
+    /// Each bucket's next free slot while bucketing.
+    fill: Vec<u32>,
+    /// What the pass knows of each completed counter.
+    counters: Vec<Completed>,
+    /// One counter's completed children as `(done, child)`, in pop
+    /// order.
+    climbs: Vec<(SimTime, CounterId)>,
+}
+
+/// The delays one planned episode produces: the fields of
+/// [`EpisodeResult`] a degree sweep folds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EpisodeDelays {
+    /// Barrier release time (completion of the root's final update).
+    pub release_us: f64,
+    /// `release − last arrival` (the paper's synchronization delay).
+    pub sync_delay_us: f64,
+    /// The releasing processor's path length times `t_c`.
+    pub update_delay_us: f64,
+    /// `sync_delay − update_delay`; queueing behind other updaters.
+    pub contention_delay_us: f64,
 }
 
 /// A request at a counter: a processor's arrival at its home, or the
@@ -184,48 +298,408 @@ enum Request {
     Climb(CounterId),
 }
 
-/// What the bottom-up pass knows of the counters completed so far.
-struct Pass<'a> {
-    times: &'a [SimTime],
-    /// When each counter's completing update finished.
-    done: Vec<SimTime>,
-    /// Each counter's completing request.
-    cause: Vec<Request>,
-    winners: Vec<Option<ProcId>>,
+/// One counter after its fan-in-th update.
+#[derive(Debug, Clone, Copy)]
+struct Completed {
+    /// When the completing update finished.
+    done: SimTime,
+    /// The completing request.
+    cause: Request,
+    /// Queueing summed over the counter's requests.
+    wait: Duration,
+    /// When the winner's update at the parent started (written by the
+    /// parent's turn; unused at the root).
+    climb_start: SimTime,
 }
 
-impl Pass<'_> {
+/// The engine's `(time, seq)` pop order over the requests of one run.
+struct PopOrder<'s> {
+    times: &'s [SimTime],
+    counters: &'s [Completed],
+}
+
+impl PopOrder<'_> {
     fn time(&self, r: Request) -> SimTime {
         match r {
             Request::Arrive(proc) => self.times[proc as usize],
-            Request::Climb(c) => self.done[c as usize],
+            Request::Climb(c) => self.counters[c as usize].done,
         }
     }
 
-    fn proc(&self, r: Request) -> ProcId {
-        match r {
-            Request::Arrive(proc) => proc,
-            Request::Climb(c) => self.winners[c as usize].expect("children complete first"),
-        }
-    }
-
-    /// The engine's `(time, seq)` pop order. Arrival `i` has seq `i`; a
-    /// climb has seq `p` + its creation rank, and it is created when its
-    /// counter's completing request pops. So on a time tie an arrival
-    /// goes first, two arrivals go by proc, and two climbs go by the pop
-    /// order of their causes. Each request completes at most one
-    /// counter, so distinct climbs have distinct causes one level
-    /// further down, and the recursion ends.
-    fn pop_order(&self, a: Request, b: Request) -> Ordering {
+    /// Arrival `i` has seq `i`; a climb has seq `p` + its creation rank,
+    /// and it is created when its counter's completing request pops. So
+    /// on a time tie an arrival goes first, two arrivals go by proc, and
+    /// two climbs go by the pop order of their causes. Each request
+    /// completes at most one counter, so distinct climbs have distinct
+    /// causes one level further down, and the recursion ends.
+    fn cmp(&self, a: Request, b: Request) -> Ordering {
         self.time(a).cmp(&self.time(b)).then_with(|| match (a, b) {
             (Request::Arrive(x), Request::Arrive(y)) => x.cmp(&y),
             (Request::Arrive(_), Request::Climb(_)) => Ordering::Less,
             (Request::Climb(_), Request::Arrive(_)) => Ordering::Greater,
             (Request::Climb(y), Request::Climb(z)) if y == z => Ordering::Equal,
-            (Request::Climb(y), Request::Climb(z)) => {
-                self.pop_order(self.cause[y as usize], self.cause[z as usize])
-            }
+            (Request::Climb(y), Request::Climb(z)) => self.cmp(
+                self.counters[y as usize].cause,
+                self.counters[z as usize].cause,
+            ),
         })
+    }
+}
+
+impl<'a> EpisodePlan<'a> {
+    /// Checks `homes` against `topo` and derives the plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `homes`' length is not the topology's processor count,
+    /// a home is out of range, or a counter is home to a different
+    /// number of processors than its node holds.
+    pub fn new(topo: &'a Topology, homes: &'a [CounterId]) -> Self {
+        let nodes = topo.nodes();
+        let n = nodes.len();
+        assert_eq!(
+            homes.len(),
+            topo.num_procs() as usize,
+            "homes length mismatch"
+        );
+
+        // Slots by home with one counting pass.
+        let mut first = vec![0u32; n + 1];
+        for &h in homes {
+            assert!((h as usize) < n, "home {h} out of range for {n} counters");
+            first[h as usize + 1] += 1;
+        }
+        for (c, node) in nodes.iter().enumerate() {
+            let (got, want) = (first[c + 1] as usize, node.procs.len());
+            assert_eq!(
+                got, want,
+                "counter {c} is home to {got} processors, not {want}"
+            );
+            assert!(node.fan_in() > 0, "every counter has a fan-in");
+            first[c + 1] += first[c];
+        }
+
+        // Children before parents by a second counting pass (MCS trees
+        // number parents before children, so index order is not
+        // bottom-up).
+        let depth = topo.depth() as usize;
+        let mut next = vec![0usize; depth + 1];
+        for node in nodes {
+            next[depth + 1 - node.path_len as usize] += 1;
+        }
+        for level in 1..=depth {
+            next[level] += next[level - 1];
+        }
+        let mut bottom_up = vec![0 as CounterId; n];
+        for node in nodes {
+            let slot = &mut next[depth - node.path_len as usize];
+            bottom_up[*slot] = node.id;
+            *slot += 1;
+        }
+
+        let mut child_first = Vec::with_capacity(n + 1);
+        let mut children = Vec::with_capacity(n.saturating_sub(1));
+        child_first.push(0);
+        for node in nodes {
+            children.extend_from_slice(&node.children);
+            child_first.push(children.len() as u32);
+        }
+        Self {
+            topo,
+            homes,
+            first,
+            bottom_up,
+            child_first,
+            children,
+        }
+    }
+
+    /// Runs one episode on `arrivals` with the paper's central-flag
+    /// release, leaving its state in `scratch`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arrivals` holds a different number of processors than
+    /// the plan's topology.
+    pub fn run(
+        &self,
+        arrivals: &Arrivals,
+        tc: Duration,
+        scratch: &mut EpisodeScratch,
+    ) -> EpisodeDelays {
+        let p = self.homes.len();
+        assert_eq!(arrivals.times.len(), p, "arrivals length mismatch");
+        let EpisodeScratch {
+            homed,
+            fill,
+            counters,
+            climbs,
+        } = scratch;
+
+        // Bucket the (time, proc) order by home. It is stable, so each
+        // bucket is in (time, proc) order too.
+        homed.resize(p, (SimTime::ZERO, 0));
+        fill.clear();
+        fill.extend_from_slice(&self.first);
+        for &(time, proc) in &arrivals.sorted {
+            let slot = &mut fill[self.homes[proc as usize] as usize];
+            homed[*slot as usize] = (time, proc);
+            *slot += 1;
+        }
+
+        // Every counter is written on its turn, after its children's and
+        // before its parent's, so no state of an earlier run is read.
+        counters.resize(
+            self.bottom_up.len(),
+            Completed {
+                done: SimTime::ZERO,
+                cause: Request::Arrive(0),
+                wait: Duration::ZERO,
+                climb_start: SimTime::ZERO,
+            },
+        );
+        for &c in &self.bottom_up {
+            let c = c as usize;
+            climbs.clear();
+            let children =
+                &self.children[self.child_first[c] as usize..self.child_first[c + 1] as usize];
+            climbs.extend(children.iter().map(|&y| (counters[y as usize].done, y)));
+            let order = PopOrder {
+                times: &arrivals.times,
+                counters,
+            };
+            climbs.sort_unstable_by(|&(ta, a), &(tb, b)| {
+                ta.cmp(&tb)
+                    .then_with(|| order.cmp(Request::Climb(a), Request::Climb(b)))
+            });
+
+            // Merge the homed arrivals with the climbs (an arrival pops
+            // before a climb at the same time) under `FifoServer`'s law
+            // and its debug order check, inline: a server struct per
+            // counter made the degree sweep about 15 % slower.
+            let (mut free, mut wait, mut last) = (SimTime::ZERO, Duration::ZERO, SimTime::ZERO);
+            let mut serve = |time: SimTime| {
+                debug_assert!(time >= last, "merge out of order: {time} after {last}");
+                last = time;
+                let start = time.max(free);
+                free = start + tc;
+                wait += start - time;
+                start
+            };
+            let (mut i, end, mut j) = (self.first[c] as usize, self.first[c + 1] as usize, 0);
+            let mut arrive_last = false;
+            while i < end || j < climbs.len() {
+                arrive_last = j == climbs.len() || (i < end && homed[i].0 <= climbs[j].0);
+                if arrive_last {
+                    homed[i].0 = serve(homed[i].0);
+                    i += 1;
+                } else {
+                    counters[climbs[j].1 as usize].climb_start = serve(climbs[j].0);
+                    j += 1;
+                }
+            }
+            // The fan-in-th request completes the counter.
+            let cause = if arrive_last {
+                Request::Arrive(homed[i - 1].1)
+            } else {
+                Request::Climb(climbs[j - 1].1)
+            };
+            counters[c] = Completed {
+                done: free,
+                cause,
+                wait,
+                climb_start: SimTime::ZERO,
+            };
+        }
+
+        // The releasing processor is the arrival at the bottom of the
+        // root's chain of completing climbs.
+        let root = &counters[self.topo.root() as usize];
+        let mut cause = root.cause;
+        let releasing_proc = loop {
+            match cause {
+                Request::Arrive(proc) => break proc,
+                Request::Climb(y) => cause = counters[y as usize].cause,
+            }
+        };
+        let release_us = root.done.as_us();
+        let releasing_depth = self.topo.path_len(self.homes[releasing_proc as usize]);
+        let sync_delay_us = release_us - arrivals.last_arrival_us;
+        let update_delay_us = releasing_depth as f64 * tc.as_us();
+        EpisodeDelays {
+            release_us,
+            sync_delay_us,
+            update_delay_us,
+            contention_delay_us: sync_delay_us - update_delay_us,
+        }
+    }
+}
+
+/// One episode run through a fresh plan and scratch, kept for building
+/// the public outputs from.
+struct Episode<'a> {
+    plan: EpisodePlan<'a>,
+    arrivals: Arrivals,
+    tc: Duration,
+    scratch: EpisodeScratch,
+    delays: EpisodeDelays,
+    /// Each counter's winner: the processor of its completing request.
+    winners: Vec<ProcId>,
+}
+
+impl<'a> Episode<'a> {
+    fn run(topo: &'a Topology, homes: &'a [CounterId], arrivals_us: &[f64], tc: Duration) -> Self {
+        let arrivals = Arrivals::new(arrivals_us);
+        let plan = EpisodePlan::new(topo, homes);
+        let mut scratch = EpisodeScratch::default();
+        let delays = plan.run(&arrivals, tc, &mut scratch);
+        // A climb's processor is its child's winner: children first.
+        let mut winners = vec![0 as ProcId; plan.bottom_up.len()];
+        for &c in &plan.bottom_up {
+            winners[c as usize] = match scratch.counters[c as usize].cause {
+                Request::Arrive(proc) => proc,
+                Request::Climb(y) => winners[y as usize],
+            };
+        }
+        Self {
+            plan,
+            arrivals,
+            tc,
+            scratch,
+            delays,
+            winners,
+        }
+    }
+
+    fn result(&self, release_model: ReleaseModel) -> EpisodeResult {
+        let Self {
+            plan,
+            arrivals,
+            tc,
+            scratch,
+            delays,
+            winners,
+        } = self;
+        let (topo, homes) = (plan.topo, plan.homes);
+        let p = homes.len();
+        let nodes = topo.nodes();
+        let counters = &scratch.counters;
+        let root = topo.root();
+
+        // A processor's signalling work ends with its last update: its
+        // arrival's at home, overwritten by each climb it wins, children
+        // before parents.
+        let mut signal_done_us = vec![0.0; p];
+        for &(start, proc) in &scratch.homed {
+            signal_done_us[proc as usize] = (start + *tc).as_us();
+        }
+        for &y in plan.bottom_up.iter().filter(|&&y| y != root) {
+            let start = counters[y as usize].climb_start;
+            signal_done_us[winners[y as usize] as usize] = (start + *tc).as_us();
+        }
+
+        let mut level_wait_us = vec![0.0f64; topo.depth() as usize];
+        for (node, counter) in nodes.iter().zip(counters) {
+            level_wait_us[node.path_len as usize - 1] += counter.wait.as_us();
+        }
+        let release_us = delays.release_us;
+        let release_per_proc_us = match release_model {
+            ReleaseModel::CentralFlag => vec![release_us; p],
+            ReleaseModel::WakeupTree { notify_us } => {
+                // Walk the tree top-down: each node notifies child counters
+                // first (waking whole subtrees early), then its attached
+                // processors, one notification at a time. Current homes
+                // (which may have migrated) determine who is woken where.
+                let mut node_release = vec![0.0f64; topo.num_counters()];
+                let mut per_proc = vec![0.0f64; p];
+                // occupants per counter under the provided homes
+                let mut occupants: Vec<Vec<ProcId>> = vec![Vec::new(); topo.num_counters()];
+                for (proc, &h) in homes.iter().enumerate() {
+                    occupants[h as usize].push(proc as ProcId);
+                }
+                node_release[root as usize] = release_us;
+                let mut stack = vec![root];
+                while let Some(c) = stack.pop() {
+                    let mut t = node_release[c as usize];
+                    for &child in &topo.node(c).children {
+                        t += notify_us;
+                        node_release[child as usize] = t;
+                        stack.push(child);
+                    }
+                    for &proc in &occupants[c as usize] {
+                        t += notify_us;
+                        per_proc[proc as usize] = t;
+                    }
+                }
+                per_proc
+            }
+        };
+        let releasing_proc = winners[root as usize];
+        let releasing_depth = topo.path_len(homes[releasing_proc as usize]);
+        EpisodeResult {
+            release_us,
+            last_arrival_us: arrivals.last_arrival_us,
+            sync_delay_us: delays.sync_delay_us,
+            update_delay_us: delays.update_delay_us,
+            contention_delay_us: delays.contention_delay_us,
+            releasing_proc,
+            releasing_depth,
+            last_arriver: arrivals.last_arriver,
+            winners: winners.iter().map(|&w| Some(w)).collect(),
+            signal_done_us,
+            // Every processor updates its home and every non-root
+            // counter's winner updates the parent.
+            total_updates: (p + nodes.len() - 1) as u64,
+            level_wait_us,
+            release_per_proc_us,
+        }
+    }
+
+    /// The bounded event trace: every served request's events, recorded
+    /// in the order the engine pops them.
+    fn trace(&self, capacity: usize) -> Trace {
+        let (plan, scratch) = (&self.plan, &self.scratch);
+        let counters = &scratch.counters;
+        let root = plan.topo.root();
+        // (request, counter, arrival at it, start of its update)
+        let mut served: Vec<(Request, CounterId, SimTime, SimTime)> =
+            Vec::with_capacity(scratch.homed.len() + counters.len());
+        for c in 0..counters.len() {
+            let slots = plan.first[c] as usize..plan.first[c + 1] as usize;
+            for &(start, proc) in &scratch.homed[slots] {
+                let arrival = self.arrivals.times[proc as usize];
+                served.push((Request::Arrive(proc), c as CounterId, arrival, start));
+            }
+        }
+        for (y, climbed) in counters.iter().enumerate() {
+            if let Some(parent) = plan.topo.node(y as CounterId).parent {
+                let req = Request::Climb(y as CounterId);
+                served.push((req, parent, climbed.done, climbed.climb_start));
+            }
+        }
+        let order = PopOrder {
+            times: &self.arrivals.times,
+            counters,
+        };
+        served.sort_unstable_by(|a, b| order.cmp(a.0, b.0));
+
+        let mut trace = Trace::new(capacity);
+        for (req, c, arrival, start) in served {
+            let finish = start + self.tc;
+            let proc = match req {
+                Request::Arrive(proc) => {
+                    trace.record(arrival, proc, TraceKind::Arrive);
+                    proc
+                }
+                Request::Climb(y) => self.winners[y as usize],
+            };
+            trace.record(start, proc, TraceKind::UpdateStart(c));
+            trace.record(finish, proc, TraceKind::UpdateEnd(c));
+            if c == root && req == counters[root as usize].cause {
+                trace.record(finish, proc, TraceKind::Release);
+            }
+        }
+        trace
     }
 }
 
@@ -255,17 +729,6 @@ pub fn run_episode(
     run_episode_with(topo, homes, arrivals_us, tc, ReleaseModel::CentralFlag)
 }
 
-/// [`run_episode`] on arrivals validated and sorted beforehand, so a
-/// sweep over many trees on the same arrivals sorts them once.
-pub fn run_episode_sorted(
-    topo: &Topology,
-    homes: &[CounterId],
-    arrivals: &Arrivals,
-    tc: Duration,
-) -> EpisodeResult {
-    run_kernel(topo, homes, arrivals, tc, ReleaseModel::CentralFlag, None).0
-}
-
 /// [`run_episode`] that also records a bounded event trace (arrivals,
 /// per-counter update start/end, the release) — for debugging and for
 /// rendering episode timelines.
@@ -276,15 +739,11 @@ pub fn run_episode_traced(
     tc: Duration,
     capacity: usize,
 ) -> (EpisodeResult, Trace) {
-    let (result, trace) = run_kernel(
-        topo,
-        homes,
-        &Arrivals::new(arrivals_us),
-        tc,
-        ReleaseModel::CentralFlag,
-        Some(Trace::new(capacity)),
-    );
-    (result, trace.expect("trace requested"))
+    let episode = Episode::run(topo, homes, arrivals_us, tc);
+    (
+        episode.result(ReleaseModel::CentralFlag),
+        episode.trace(capacity),
+    )
 }
 
 /// [`run_episode`] with an explicit [`ReleaseModel`].
@@ -295,195 +754,7 @@ pub fn run_episode_with(
     tc: Duration,
     release_model: ReleaseModel,
 ) -> EpisodeResult {
-    let arrivals = Arrivals::new(arrivals_us);
-    run_kernel(topo, homes, &arrivals, tc, release_model, None).0
-}
-
-fn run_kernel(
-    topo: &Topology,
-    homes: &[CounterId],
-    arrivals: &Arrivals,
-    tc: Duration,
-    release_model: ReleaseModel,
-    mut trace: Option<Trace>,
-) -> (EpisodeResult, Option<Trace>) {
-    let p = topo.num_procs() as usize;
-    let nodes = topo.nodes();
-    let n = nodes.len();
-    assert_eq!(homes.len(), p, "homes length mismatch");
-    assert_eq!(arrivals.times.len(), p, "arrivals length mismatch");
-
-    // Bucket the (time, proc) order by home with one counting pass. It
-    // is stable, so counter c's bucket `homed[first[c]..first[c + 1]]`
-    // is in (time, proc) order too.
-    let mut first = vec![0usize; n + 1];
-    for &h in homes {
-        assert!((h as usize) < n, "home {h} out of range for {n} counters");
-        first[h as usize + 1] += 1;
-    }
-    for (c, node) in nodes.iter().enumerate() {
-        let (got, want) = (first[c + 1], node.procs.len());
-        assert_eq!(
-            got, want,
-            "counter {c} is home to {got} processors, not {want}"
-        );
-        first[c + 1] += first[c];
-    }
-    let mut fill = first.clone();
-    let mut homed = vec![0 as ProcId; p];
-    for &proc in &arrivals.order {
-        let h = homes[proc as usize] as usize;
-        homed[fill[h]] = proc;
-        fill[h] += 1;
-    }
-
-    // Children before parents: deepest `path_len` first, by a second
-    // counting pass (MCS trees number parents before children, so index
-    // order is not bottom-up).
-    let depth = topo.depth() as usize;
-    let mut next = vec![0usize; depth + 1];
-    for node in nodes {
-        next[depth + 1 - node.path_len as usize] += 1;
-    }
-    for level in 1..=depth {
-        next[level] += next[level - 1];
-    }
-    let mut bottom_up = vec![0 as CounterId; n];
-    for node in nodes {
-        let slot = &mut next[depth - node.path_len as usize];
-        bottom_up[*slot] = node.id;
-        *slot += 1;
-    }
-
-    let mut pass = Pass {
-        times: &arrivals.times,
-        done: vec![SimTime::ZERO; n],
-        cause: vec![Request::Arrive(0); n],
-        winners: vec![None; n],
-    };
-    let mut signal_done = vec![0.0; p];
-    let mut wait_us = vec![0.0f64; n];
-    let mut updates = 0u64;
-    let mut served: Vec<(Request, CounterId, Service)> = Vec::new();
-    let mut climbs: Vec<Request> = Vec::new();
-    for &c in &bottom_up {
-        let arrives = &homed[first[c as usize]..first[c as usize + 1]];
-        climbs.clear();
-        climbs.extend(
-            nodes[c as usize]
-                .children
-                .iter()
-                .map(|&y| Request::Climb(y)),
-        );
-        climbs.sort_unstable_by(|&a, &b| pass.pop_order(a, b));
-        let mut server = FifoServer::new();
-        let mut last = None;
-        let (mut i, mut j) = (0, 0);
-        while i + j < arrives.len() + climbs.len() {
-            let arrive_first = match (arrives.get(i), climbs.get(j)) {
-                (Some(&proc), Some(&climb)) => pass.pop_order(Request::Arrive(proc), climb).is_lt(),
-                (next_arrival, _) => next_arrival.is_some(),
-            };
-            let req = if arrive_first {
-                i += 1;
-                Request::Arrive(arrives[i - 1])
-            } else {
-                j += 1;
-                climbs[j - 1]
-            };
-            let proc = pass.proc(req);
-            let svc = server.serve(pass.time(req), tc);
-            // A processor's signalling work ends with its last update; a
-            // climbing winner overwrites this at its parent.
-            signal_done[proc as usize] = svc.finish.as_us();
-            updates += 1;
-            if trace.is_some() {
-                served.push((req, c, svc));
-            }
-            last = Some((req, proc, svc.finish));
-        }
-        // The fan-in-th request completes the counter.
-        let (req, proc, finish) = last.expect("every counter has a fan-in");
-        pass.done[c as usize] = finish;
-        pass.cause[c as usize] = req;
-        pass.winners[c as usize] = Some(proc);
-        wait_us[c as usize] = server.total_wait().as_us();
-    }
-    let root = topo.root();
-    let release = pass.done[root as usize];
-    let releasing_proc = pass.winners[root as usize].expect("the root completes");
-
-    if let Some(trace) = &mut trace {
-        // The engine records a request's events when it pops it.
-        served.sort_unstable_by(|a, b| pass.pop_order(a.0, b.0));
-        for &(req, c, svc) in &served {
-            let proc = pass.proc(req);
-            if let Request::Arrive(_) = req {
-                trace.record(svc.arrival, proc, TraceKind::Arrive);
-            }
-            trace.record(svc.start, proc, TraceKind::UpdateStart(c));
-            trace.record(svc.finish, proc, TraceKind::UpdateEnd(c));
-            if c == root && req == pass.cause[root as usize] {
-                trace.record(svc.finish, proc, TraceKind::Release);
-            }
-        }
-    }
-
-    let mut level_wait_us = vec![0.0f64; depth];
-    for (node, wait) in nodes.iter().zip(&wait_us) {
-        level_wait_us[node.path_len as usize - 1] += wait;
-    }
-    let release_us = release.as_us();
-    let release_per_proc_us = match release_model {
-        ReleaseModel::CentralFlag => vec![release_us; p],
-        ReleaseModel::WakeupTree { notify_us } => {
-            // Walk the tree top-down: each node notifies child counters
-            // first (waking whole subtrees early), then its attached
-            // processors, one notification at a time. Current homes
-            // (which may have migrated) determine who is woken where.
-            let mut node_release = vec![0.0f64; topo.num_counters()];
-            let mut per_proc = vec![0.0f64; p];
-            // occupants per counter under the provided homes
-            let mut occupants: Vec<Vec<ProcId>> = vec![Vec::new(); topo.num_counters()];
-            for (proc, &h) in homes.iter().enumerate() {
-                occupants[h as usize].push(proc as ProcId);
-            }
-            node_release[topo.root() as usize] = release_us;
-            let mut stack = vec![topo.root()];
-            while let Some(c) = stack.pop() {
-                let mut t = node_release[c as usize];
-                for &child in &topo.node(c).children {
-                    t += notify_us;
-                    node_release[child as usize] = t;
-                    stack.push(child);
-                }
-                for &proc in &occupants[c as usize] {
-                    t += notify_us;
-                    per_proc[proc as usize] = t;
-                }
-            }
-            per_proc
-        }
-    };
-    let sync_delay_us = release_us - arrivals.last_arrival_us;
-    let releasing_depth = topo.path_len(homes[releasing_proc as usize]);
-    let update_delay_us = releasing_depth as f64 * tc.as_us();
-    let result = EpisodeResult {
-        release_us,
-        last_arrival_us: arrivals.last_arrival_us,
-        sync_delay_us,
-        update_delay_us,
-        contention_delay_us: sync_delay_us - update_delay_us,
-        releasing_proc,
-        releasing_depth,
-        last_arriver: arrivals.last_arriver,
-        winners: pass.winners,
-        signal_done_us: signal_done,
-        total_updates: updates,
-        level_wait_us,
-        release_per_proc_us,
-    };
-    (result, trace)
+    Episode::run(topo, homes, arrivals_us, tc).result(release_model)
 }
 
 #[cfg(test)]
@@ -818,6 +1089,85 @@ mod tests {
         let (_, trace) = run_episode_traced(&topo, topo.homes(), &arrivals, tc(), 8);
         assert_eq!(trace.events().len(), 8);
         assert!(trace.dropped() > 0);
+    }
+
+    /// The radix order is the `(bits, proc)` comparison sort's on
+    /// vectors built to trip it: zeros, heavy duplicates, subnormals,
+    /// `0.0` beside the largest values, keys differing in one byte only.
+    /// The comparison path past the radix bound is held to it too.
+    #[test]
+    fn radix_order_equals_a_bits_then_proc_sort() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut pick = |values: &[f64]| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            values[(state % values.len() as u64) as usize]
+        };
+        let sub = f64::from_bits;
+        let low = |b: u64| f64::from_bits(100.0f64.to_bits() + b);
+        let high = |b: u64| f64::from_bits(b << 56 | 0x00ff_ffff);
+        let vectors: Vec<Vec<f64>> = vec![
+            vec![],
+            vec![5.0],
+            vec![0.0; 300],
+            (0..300).map(|_| pick(&[0.0, 1.0, 20.0, 40.5])).collect(),
+            (0..300)
+                .map(|_| pick(&[0.0, sub(1), sub(2), sub(0x100), f64::MIN_POSITIVE]))
+                .collect(),
+            (0..300)
+                .map(|_| pick(&[0.0, 1e300, f64::MAX, 2f64.powi(60)]))
+                .collect(),
+            (0..300)
+                .map(|_| pick(&[low(0), low(1), low(255), low(256)]))
+                .collect(),
+            (0..300)
+                .map(|_| pick(&[high(0), high(1), high(0x3f), high(0x7f)]))
+                .collect(),
+            (0..4096)
+                .map(|i| ((i * 7919) % 4099) as f64 * 0.37)
+                .collect(),
+            // Past the radix bound: the comparison sort's order.
+            (0..RADIX_MAX_ARRIVALS + 1)
+                .map(|_| pick(&[0.0, sub(1), 3.5, 1e300]))
+                .collect(),
+        ];
+        for arrivals in vectors {
+            let mut want: Vec<(u64, ProcId)> = arrivals
+                .iter()
+                .enumerate()
+                .map(|(i, a)| (a.to_bits(), i as ProcId))
+                .collect();
+            want.sort();
+            let want: Vec<ProcId> = want.into_iter().map(|(_, proc)| proc).collect();
+            let sorted = Arrivals::new(&arrivals).sorted;
+            let got: Vec<ProcId> = sorted.into_iter().map(|(_, proc)| proc).collect();
+            assert_eq!(got, want, "{arrivals:?}");
+        }
+    }
+
+    /// One scratch run on plans that grow, shrink and change shape
+    /// gives what a fresh `run_episode` gives.
+    #[test]
+    fn one_scratch_serves_plans_of_any_size() {
+        let mut scratch = EpisodeScratch::default();
+        for topo in [
+            Topology::mcs(256, 2),
+            Topology::combining(16, 4),
+            Topology::ring_mcs(56, 4, 32),
+            Topology::flat(256),
+            Topology::combining(64, 3),
+        ] {
+            let p = topo.num_procs() as usize;
+            let arrivals: Vec<f64> = (0..p).map(|i| ((i * 37) % 11) as f64 * 7.0).collect();
+            let plan = EpisodePlan::new(&topo, topo.homes());
+            let got = plan.run(&Arrivals::new(&arrivals), tc(), &mut scratch);
+            let want = run_episode(&topo, topo.homes(), &arrivals, tc());
+            assert_eq!(got.release_us, want.release_us);
+            assert_eq!(got.sync_delay_us, want.sync_delay_us);
+            assert_eq!(got.update_delay_us, want.update_delay_us);
+            assert_eq!(got.contention_delay_us, want.contention_delay_us);
+        }
     }
 
     #[test]

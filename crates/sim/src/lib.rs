@@ -14,7 +14,8 @@
 //!   optional dynamic placement (victor/victim swaps);
 //! * [`optimal`] — exhaustive optimal-degree search with common random
 //!   numbers (Figures 3/4 methodology), sorting each replication's
-//!   arrivals once for every degree ([`Arrivals`]).
+//!   arrivals once for every degree ([`Arrivals`]) and planning each
+//!   tree once for every replication ([`EpisodePlan`]).
 //!
 //! # Example: one episode
 //!
@@ -46,8 +47,8 @@ pub use combar_topo::{
 pub use combar_work::{Diffuser, Redundant, WorkModel, WorkSource, UNIT_SCALE};
 pub use dissemination::{mean_dissemination_delay, run_dissemination, DisseminationResult};
 pub use episode::{
-    run_episode, run_episode_sorted, run_episode_traced, run_episode_with, Arrivals, EpisodeResult,
-    ReleaseModel,
+    run_episode, run_episode_traced, run_episode_with, Arrivals, EpisodeDelays, EpisodePlan,
+    EpisodeResult, EpisodeScratch, ReleaseModel,
 };
 pub use iterate::{
     apply_dynamic_swaps, run_iterations, run_modes, run_replicas, IterateConfig, IterateReport,

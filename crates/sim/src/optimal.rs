@@ -6,7 +6,7 @@
 //! degrees, so the comparison is paired) and pick the degree with the
 //! smallest mean synchronization delay.
 
-use crate::episode::{run_episode_sorted, Arrivals};
+use crate::episode::{Arrivals, EpisodeDelays, EpisodePlan, EpisodeScratch};
 use crate::workload::normal_arrivals;
 use combar_des::Duration;
 use combar_exec::par_map_indexed;
@@ -83,24 +83,26 @@ impl Default for SweepConfig {
 /// Replication `r` uses the same arrival vector for every degree
 /// (common random numbers), which sharpens the degree comparison the
 /// paper makes; it is validated and sorted once, as one [`Arrivals`],
-/// and shared by every degree.
+/// and shared by every degree. Each tree is checked and planned once,
+/// as one [`EpisodePlan`] shared by every replication, and each
+/// replication runs every plan through one [`EpisodeScratch`].
 ///
-/// Replications run in parallel on the `combar-exec` pool. Each rep's
-/// RNG stream is `split(cfg.seed, rep)` — keyed by the replication
-/// index, never by the worker — and the per-degree statistics are
-/// folded serially in rep order afterwards, so the accumulated means
-/// are bit-identical to the historical serial loop for any thread
-/// count.
+/// The trees and plans are built, and the replications run, in
+/// parallel on the `combar-exec` pool. Each rep's RNG stream is
+/// `split(cfg.seed, rep)` — keyed by the replication index, never by
+/// the worker — and the per-degree statistics are folded serially in
+/// rep order afterwards, so the accumulated means are bit-identical to
+/// the historical serial loop for any thread count.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.reps` is zero while `cfg.sigma_us > 0` (σ = 0 runs
 /// its single deterministic replication regardless).
 pub fn sweep_degrees(p: u32, degrees: &[u32], cfg: &SweepConfig) -> Vec<DegreeResult> {
-    let topos: Vec<Topology> = degrees
-        .iter()
-        .map(|&d| build_tree(cfg.style, p, d))
-        .collect();
+    let topos = par_map_indexed(degrees.len(), |i| build_tree(cfg.style, p, degrees[i]));
+    let plans = par_map_indexed(topos.len(), |i| {
+        EpisodePlan::new(&topos[i], topos[i].homes())
+    });
     let mut out: Vec<DegreeResult> = degrees
         .iter()
         .zip(&topos)
@@ -123,22 +125,20 @@ pub fn sweep_degrees(p: u32, degrees: &[u32], cfg: &SweepConfig) -> Vec<DegreeRe
         );
         cfg.reps
     };
-    let per_rep: Vec<Vec<(f64, f64, f64)>> = par_map_indexed(reps, |rep| {
+    let per_rep: Vec<Vec<EpisodeDelays>> = par_map_indexed(reps, |rep| {
         let mut rng = Xoshiro256pp::split(cfg.seed, rep as u64);
         let arrivals = Arrivals::new(&normal_arrivals(p as usize, cfg.sigma_us, &mut rng));
-        topos
+        let mut scratch = EpisodeScratch::default();
+        plans
             .iter()
-            .map(|topo| {
-                let r = run_episode_sorted(topo, topo.homes(), &arrivals, cfg.tc);
-                (r.sync_delay_us, r.update_delay_us, r.contention_delay_us)
-            })
+            .map(|plan| plan.run(&arrivals, cfg.tc, &mut scratch))
             .collect()
     });
     for delays in per_rep {
-        for (res, (sync, update, contention)) in out.iter_mut().zip(delays) {
-            res.sync_delay.push(sync);
-            res.update_delay.push(update);
-            res.contention_delay.push(contention);
+        for (res, d) in out.iter_mut().zip(delays) {
+            res.sync_delay.push(d.sync_delay_us);
+            res.update_delay.push(d.update_delay_us);
+            res.contention_delay.push(d.contention_delay_us);
         }
     }
     out

@@ -19,7 +19,7 @@
 //! * [`work_iters`]/[`busy_work`] — the async runtime's busy-work
 //!   schedule (moved here verbatim from the async load harness, now
 //!   `combar_rt::load`; a frozen-seed test there pins the numbers).
-//! * [`Diffuser`] — the feedback half of ROADMAP item 4: integer work
+//! * [`Diffuser`] — the feedback half of diffusion balancing: integer work
 //!   units redistributed along a neighbour graph (the barrier tree's
 //!   own edges) by a damped diffusion step, conserving the total unit
 //!   count exactly.

@@ -30,10 +30,11 @@
 use combar_des::{
     Duration, Engine, EngineConfig, FifoServer, QueueKind, SimTime, Trace, TraceKind,
 };
+use combar_rng::stats::OnlineStats;
 use combar_rng::{Distribution, Normal, Rng, SeedableRng, Xoshiro256pp};
 use combar_sim::{
-    run_episode, run_episode_sorted, run_episode_traced, run_episode_with, Arrivals, EpisodeResult,
-    ReleaseModel,
+    build_tree, normal_arrivals, run_episode, run_episode_traced, run_episode_with, sweep_degrees,
+    Arrivals, EpisodePlan, EpisodeResult, EpisodeScratch, ReleaseModel, SweepConfig, TreeStyle,
 };
 use combar_topo::{CounterId, ProcId, Topology};
 use std::panic::AssertUnwindSafe;
@@ -387,14 +388,24 @@ fn trace_bits(t: &Trace) -> (Vec<(u64, u32, TraceKind)>, u64) {
 }
 
 /// Runs every public entry point on one episode and compares each with
-/// the oracle on both queue kinds: the plain, sorted, traced and
+/// the oracle on both queue kinds: the plain, planned, traced and
 /// wakeup-tree entry points.
 fn assert_matches_oracle(topo: &Topology, homes: &[CounterId], arrivals: &[f64], cell: &str) {
     let tc = Duration::from_us(TC_US);
     let capacity = 3 * (arrivals.len() + topo.num_counters());
     let (got, got_trace) = run_episode_traced(topo, homes, arrivals, tc, capacity);
     let plain = run_episode(topo, homes, arrivals, tc);
-    let sorted = run_episode_sorted(topo, homes, &Arrivals::new(arrivals), tc);
+    let planned = EpisodePlan::new(topo, homes).run(
+        &Arrivals::new(arrivals),
+        tc,
+        &mut EpisodeScratch::default(),
+    );
+    let planned = [
+        planned.release_us,
+        planned.sync_delay_us,
+        planned.update_delay_us,
+        planned.contention_delay_us,
+    ];
     let notify_us = 1.5;
     let wakeup = ReleaseModel::WakeupTree { notify_us };
     let woken = run_episode_with(topo, homes, arrivals, tc, wakeup);
@@ -409,7 +420,13 @@ fn assert_matches_oracle(topo: &Topology, homes: &[CounterId], arrivals: &[f64],
             "{cell}: trace"
         );
         assert_same(&plain, &want, &cell);
-        assert_same(&sorted, &want, &format!("{cell} sorted"));
+        let want_delays = [
+            want.release_us,
+            want.sync_delay_us,
+            want.update_delay_us,
+            want.contention_delay_us,
+        ];
+        assert_eq!(bits(&planned), bits(&want_delays), "{cell} planned");
         let want = EpisodeResult {
             release_per_proc_us: oracle_wakeup(topo, homes, want.release_us, notify_us),
             ..want
@@ -485,6 +502,148 @@ fn kernel_matches_engine_oracle_on_edge_cases() {
     }
 }
 
+/// Arrival vectors built to trip a byte-wise radix sort: all zeros, a
+/// few values repeated many times, subnormals, `0.0` beside values
+/// whose high bytes differ, and values that differ in their lowest byte
+/// only. On the flat tree every arrival pops at the one counter, so the
+/// traced `Arrive` events list the kernel's arrival order, which must
+/// be the engine's `(time, proc)` order; the trees check the merges.
+#[test]
+fn adversarial_arrival_vectors_pop_in_engine_order() {
+    let mut rng = Xoshiro256pp::seed_from_u64(0xd1ff_0003);
+    let mut pick = |values: &[f64]| values[(rng.next_u64() % values.len() as u64) as usize];
+    let subnormal = |bits: u64| f64::from_bits(bits);
+    let hundred = 100.0f64.to_bits();
+    let vectors: [(&str, Vec<f64>); 5] = [
+        ("zeros", vec![0.0; 64]),
+        (
+            "duplicates",
+            (0..64).map(|_| pick(&[0.0, 1.0, 20.0, 40.5])).collect(),
+        ),
+        (
+            "subnormals",
+            (0..64)
+                .map(|_| {
+                    pick(&[
+                        0.0,
+                        subnormal(1),
+                        subnormal(2),
+                        subnormal(0xff),
+                        f64::MIN_POSITIVE,
+                    ])
+                })
+                .collect(),
+        ),
+        (
+            "zero beside large",
+            (0..64)
+                .map(|_| pick(&[0.0, 1e6, 2f64.powi(40), 1e15]))
+                .collect(),
+        ),
+        (
+            "lowest byte",
+            (0..64)
+                .map(|_| f64::from_bits(hundred + pick(&[0.0, 1.0, 2.0, 255.0]) as u64))
+                .collect(),
+        ),
+    ];
+    for (name, arrivals) in &vectors {
+        for topo in [
+            Topology::flat(64),
+            Topology::combining(64, 4),
+            Topology::mcs(64, 3),
+        ] {
+            let cell = format!("{name} {:?}", topo.kind());
+            assert_matches_oracle(&topo, topo.homes(), arrivals, &cell);
+        }
+    }
+}
+
+/// `sweep_degrees` against a serial loop of public `run_episode` calls
+/// on the same seeded arrivals: every statistic of every degree, bit
+/// for bit, over both tree styles, degrees that fill no full tree, and
+/// degrees at or past `p` (the flat tree).
+#[test]
+fn sweep_matches_public_run_episode_bit_for_bit() {
+    let tc = Duration::from_us(TC_US);
+    for style in [TreeStyle::Combining, TreeStyle::Mcs] {
+        for p in [7u32, 64, 1000, 4096] {
+            let degrees = [2, 3, 4, 5, 16, p, p + 1];
+            let topos: Vec<Topology> = degrees.iter().map(|&d| build_tree(style, p, d)).collect();
+            for sigma_tc in [0.0, 6.2, 25.0] {
+                let cfg = SweepConfig {
+                    tc,
+                    sigma_us: sigma_tc * TC_US,
+                    reps: 3,
+                    seed: 0x5eed_0036 ^ u64::from(p),
+                    style,
+                };
+                let mut want =
+                    vec![[OnlineStats::new(), OnlineStats::new(), OnlineStats::new()]; 7];
+                let reps = if sigma_tc == 0.0 { 1 } else { cfg.reps };
+                for rep in 0..reps {
+                    let mut rng = Xoshiro256pp::split(cfg.seed, rep as u64);
+                    let arrivals = normal_arrivals(p as usize, cfg.sigma_us, &mut rng);
+                    for (topo, [sync, update, contention]) in topos.iter().zip(&mut want) {
+                        let r = run_episode(topo, topo.homes(), &arrivals, tc);
+                        sync.push(r.sync_delay_us);
+                        update.push(r.update_delay_us);
+                        contention.push(r.contention_delay_us);
+                    }
+                }
+                let swept = sweep_degrees(p, &degrees, &cfg);
+                for ((got, want), topo) in swept.iter().zip(&want).zip(&topos) {
+                    let cell = format!("{style:?} p={p} d={} σ/t_c={sigma_tc}", got.degree);
+                    assert_eq!(got.depth, topo.depth(), "{cell}: depth");
+                    let got = [&got.sync_delay, &got.update_delay, &got.contention_delay];
+                    let fold =
+                        |s: &OnlineStats| (s.mean().to_bits(), s.variance().to_bits(), s.count());
+                    assert_eq!(got.map(fold), want.each_ref().map(fold), "{cell}");
+                }
+            }
+        }
+    }
+}
+
+fn panic_of(run: &dyn Fn()) -> String {
+    let err = std::panic::catch_unwind(AssertUnwindSafe(run)).expect_err("must panic");
+    err.downcast::<String>()
+        .map(|s| *s)
+        .or_else(|err| err.downcast::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+/// The tree's checks run when a plan is built, with the messages the
+/// episode has always given, and the public path still gives them.
+#[test]
+fn plan_rejects_bad_homes_with_the_episode_messages() {
+    let topo = Topology::combining(4, 2);
+    let arrivals = [0.0, 1.0, 2.0, 3.0];
+    let cases: [(&[CounterId], &str); 3] = [
+        (&[0, 1, 2], "homes length mismatch"),
+        (&[0, 1, 9, 1], "home 9 out of range for 3 counters"),
+        (&[0, 0, 0, 1], "counter 0 is home to 3 processors, not 2"),
+    ];
+    for (homes, want) in cases {
+        let planned = panic_of(&|| {
+            EpisodePlan::new(&topo, homes);
+        });
+        assert!(planned.contains(want), "plan: {planned} lacks {want}");
+        let public = panic_of(&|| {
+            run_episode(&topo, homes, &arrivals, Duration::from_us(TC_US));
+        });
+        assert!(public.contains(want), "run_episode: {public} lacks {want}");
+    }
+    let short = panic_of(&|| {
+        EpisodePlan::new(&topo, topo.homes()).run(
+            &Arrivals::new(&arrivals[..3]),
+            Duration::from_us(TC_US),
+            &mut EpisodeScratch::default(),
+        );
+    });
+    assert!(short.contains("arrivals length mismatch"), "{short}");
+}
+
 /// One `-0.0` beside `+0.0`s: the engine refuses to schedule it (in its
 /// total order it lies before time zero), and the kernel rejects the
 /// same processor's arrival.
@@ -494,10 +653,6 @@ fn negative_zero_arrival_is_rejected_like_the_engine() {
     let mut arrivals = vec![0.0; 64];
     arrivals[5] = -0.0;
     arrivals[40] = 7.0;
-    let panic_of = |run: &dyn Fn()| {
-        let err = std::panic::catch_unwind(AssertUnwindSafe(run)).expect_err("must panic");
-        err.downcast::<String>().map(|s| *s).unwrap_or_default()
-    };
     let engine = panic_of(&|| {
         oracle_episode(&topo, topo.homes(), &arrivals, &EngineConfig::new(), 0);
     });
@@ -506,4 +661,8 @@ fn negative_zero_arrival_is_rejected_like_the_engine() {
         run_episode(&topo, topo.homes(), &arrivals, Duration::from_us(TC_US));
     });
     assert!(kernel.contains("arrival 5 invalid"), "{kernel}");
+    let sorted = panic_of(&|| {
+        Arrivals::new(&arrivals);
+    });
+    assert!(sorted.contains("arrival 5 invalid"), "{sorted}");
 }
