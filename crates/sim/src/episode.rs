@@ -145,9 +145,9 @@ impl EpisodeResult {
 /// sorts nothing.
 #[derive(Debug, Clone)]
 pub struct Arrivals {
-    times: Vec<SimTime>,
-    /// `(time, proc)` in pop order.
-    sorted: Vec<(SimTime, ProcId)>,
+    times: Vec<f64>,
+    /// The processors in pop order.
+    order: Vec<ProcId>,
     last_arrival_us: f64,
     last_arriver: ProcId,
 }
@@ -163,7 +163,7 @@ impl Arrivals {
         // Validate in processor order. A -0.0 lies before time zero in
         // `SimTime`'s total order and is rejected.
         let (mut last_arrival_us, mut last_arriver) = (f64::NEG_INFINITY, 0);
-        let times: Vec<SimTime> = arrivals_us
+        let times: Vec<f64> = arrivals_us
             .iter()
             .enumerate()
             .map(|(i, &a)| {
@@ -173,11 +173,11 @@ impl Arrivals {
                     last_arrival_us = a;
                     last_arriver = i as ProcId;
                 }
-                SimTime::from_us(a)
+                a
             })
             .collect();
         Self {
-            sorted: sorted_by_time(&times),
+            order: pop_order(&times),
             times,
             last_arrival_us,
             last_arriver,
@@ -191,20 +191,20 @@ impl Arrivals {
 /// 115 vs 60 ms at 2²⁰.
 const RADIX_MAX_ARRIVALS: usize = 1 << 17;
 
-/// `(time, proc)` sorted by time, then proc. Every time is a
+/// The processors sorted by time, then proc. Every time is a
 /// non-negative f64, whose bits are `f64::total_cmp`'s integer key, so up
 /// to [`RADIX_MAX_ARRIVALS`] this is a stable LSD radix sort of the
 /// processor indices by those bits, one byte per pass, starting from
 /// processor order; a pass whose byte is the same in every key would
 /// move nothing and is skipped.
-fn sorted_by_time(times: &[SimTime]) -> Vec<(SimTime, ProcId)> {
+fn pop_order(times: &[f64]) -> Vec<ProcId> {
     let n = times.len();
     if n > RADIX_MAX_ARRIVALS {
-        let mut sorted: Vec<(SimTime, ProcId)> = times.iter().copied().zip(0..).collect();
-        sorted.sort_unstable();
-        return sorted;
+        let mut sorted: Vec<(f64, ProcId)> = times.iter().copied().zip(0..).collect();
+        sorted.sort_unstable_by(|(ta, a), (tb, b)| ta.total_cmp(tb).then(a.cmp(b)));
+        return sorted.into_iter().map(|(_, proc)| proc).collect();
     }
-    let key = |proc: ProcId| times[proc as usize].as_us().to_bits();
+    let key = |proc: ProcId| times[proc as usize].to_bits();
     let mut counts = [[0u32; 256]; 8];
     for proc in 0..n as ProcId {
         let key = key(proc);
@@ -230,9 +230,6 @@ fn sorted_by_time(times: &[SimTime]) -> Vec<(SimTime, ProcId)> {
         std::mem::swap(&mut order, &mut next);
     }
     order
-        .into_iter()
-        .map(|proc| (times[proc as usize], proc))
-        .collect()
 }
 
 /// What an episode on one `(topology, homes)` pair needs that no
@@ -260,20 +257,29 @@ pub struct EpisodePlan<'a> {
 /// number of runs, on plans of any size, one run at a time, and stops
 /// allocating once it has met the largest. After a run it holds that
 /// episode's state, from which the public `run_episode*` functions
-/// build their per-processor outputs.
+/// build their per-processor outputs. Times are plain `f64` µs, one
+/// vector per field.
 #[derive(Debug, Clone, Default)]
 pub struct EpisodeScratch {
-    /// The arrivals as `(time, proc)`, bucketed by home counter, each
-    /// bucket in pop order; once an arrival is served, its `time` is
-    /// the start of its update.
-    homed: Vec<(SimTime, ProcId)>,
+    /// The processors bucketed by home counter, each bucket in pop
+    /// order, and the start of each one's update there, written as the
+    /// merge serves it.
+    homed_proc: Vec<ProcId>,
+    homed_start: Vec<f64>,
     /// Each bucket's next free slot while bucketing.
     fill: Vec<u32>,
-    /// What the pass knows of each completed counter.
-    counters: Vec<Completed>,
+    /// Per counter, after its fan-in-th update: when that update
+    /// finished, the request that made it, and the queueing summed over
+    /// the counter's requests.
+    done: Vec<f64>,
+    cause: Vec<Request>,
+    wait: Vec<f64>,
+    /// Per counter: when its winner's update at the parent started
+    /// (written on the parent's turn; unused at the root).
+    climb_start: Vec<f64>,
     /// One counter's completed children as `(done, child)`, in pop
     /// order.
-    climbs: Vec<(SimTime, CounterId)>,
+    climbs: Vec<(f64, CounterId)>,
 }
 
 /// The delays one planned episode produces: the fields of
@@ -298,31 +304,18 @@ enum Request {
     Climb(CounterId),
 }
 
-/// One counter after its fan-in-th update.
-#[derive(Debug, Clone, Copy)]
-struct Completed {
-    /// When the completing update finished.
-    done: SimTime,
-    /// The completing request.
-    cause: Request,
-    /// Queueing summed over the counter's requests.
-    wait: Duration,
-    /// When the winner's update at the parent started (written by the
-    /// parent's turn; unused at the root).
-    climb_start: SimTime,
-}
-
 /// The engine's `(time, seq)` pop order over the requests of one run.
 struct PopOrder<'s> {
-    times: &'s [SimTime],
-    counters: &'s [Completed],
+    times: &'s [f64],
+    done: &'s [f64],
+    cause: &'s [Request],
 }
 
 impl PopOrder<'_> {
-    fn time(&self, r: Request) -> SimTime {
+    fn time(&self, r: Request) -> f64 {
         match r {
             Request::Arrive(proc) => self.times[proc as usize],
-            Request::Climb(c) => self.counters[c as usize].done,
+            Request::Climb(c) => self.done[c as usize],
         }
     }
 
@@ -333,15 +326,15 @@ impl PopOrder<'_> {
     /// completes at most one counter, so distinct climbs have distinct
     /// causes one level further down, and the recursion ends.
     fn cmp(&self, a: Request, b: Request) -> Ordering {
-        self.time(a).cmp(&self.time(b)).then_with(|| match (a, b) {
+        let (ta, tb) = (self.time(a), self.time(b));
+        ta.total_cmp(&tb).then_with(|| match (a, b) {
             (Request::Arrive(x), Request::Arrive(y)) => x.cmp(&y),
             (Request::Arrive(_), Request::Climb(_)) => Ordering::Less,
             (Request::Climb(_), Request::Arrive(_)) => Ordering::Greater,
             (Request::Climb(y), Request::Climb(z)) if y == z => Ordering::Equal,
-            (Request::Climb(y), Request::Climb(z)) => self.cmp(
-                self.counters[y as usize].cause,
-                self.counters[z as usize].cause,
-            ),
+            (Request::Climb(y), Request::Climb(z)) => {
+                self.cmp(self.cause[y as usize], self.cause[z as usize])
+            }
         })
     }
 }
@@ -430,102 +423,118 @@ impl<'a> EpisodePlan<'a> {
         let p = self.homes.len();
         assert_eq!(arrivals.times.len(), p, "arrivals length mismatch");
         let EpisodeScratch {
-            homed,
+            homed_proc,
+            homed_start,
             fill,
-            counters,
+            done,
+            cause,
+            wait,
+            climb_start,
             climbs,
         } = scratch;
 
-        // Bucket the (time, proc) order by home. It is stable, so each
-        // bucket is in (time, proc) order too.
-        homed.resize(p, (SimTime::ZERO, 0));
+        // Bucket the pop order by home. It is stable, so each bucket is
+        // in pop order too; the merge reads each arrival's time by proc.
+        homed_proc.resize(p, 0);
+        homed_start.resize(p, 0.0);
         fill.clear();
         fill.extend_from_slice(&self.first);
-        for &(time, proc) in &arrivals.sorted {
+        for &proc in &arrivals.order {
             let slot = &mut fill[self.homes[proc as usize] as usize];
-            homed[*slot as usize] = (time, proc);
+            homed_proc[*slot as usize] = proc;
             *slot += 1;
         }
 
         // Every counter is written on its turn, after its children's and
         // before its parent's, so no state of an earlier run is read.
-        counters.resize(
-            self.bottom_up.len(),
-            Completed {
-                done: SimTime::ZERO,
-                cause: Request::Arrive(0),
-                wait: Duration::ZERO,
-                climb_start: SimTime::ZERO,
-            },
-        );
+        // Times are plain f64: every one is non-negative and not NaN
+        // (the arrivals are checked, and each computed end and wait goes
+        // through `SimTime`'s and `Duration`'s constructors and their
+        // asserts), so plain comparisons order them as `SimTime` does.
+        let n = self.bottom_up.len();
+        done.resize(n, 0.0);
+        cause.resize(n, Request::Arrive(0));
+        wait.resize(n, 0.0);
+        climb_start.resize(n, 0.0);
+        let tc = tc.as_us();
         for &c in &self.bottom_up {
             let c = c as usize;
+            // Insert each completed child by its done time as it is
+            // read; only an exact tie asks the pop order.
+            let order = PopOrder {
+                times: &arrivals.times,
+                done,
+                cause,
+            };
+            let pops_after = |(ta, a): (f64, CounterId), (tb, b): (f64, CounterId)| {
+                ta > tb || (ta == tb && order.cmp(Request::Climb(a), Request::Climb(b)).is_gt())
+            };
             climbs.clear();
             let children =
                 &self.children[self.child_first[c] as usize..self.child_first[c + 1] as usize];
-            climbs.extend(children.iter().map(|&y| (counters[y as usize].done, y)));
-            let order = PopOrder {
-                times: &arrivals.times,
-                counters,
-            };
-            climbs.sort_unstable_by(|&(ta, a), &(tb, b)| {
-                ta.cmp(&tb)
-                    .then_with(|| order.cmp(Request::Climb(a), Request::Climb(b)))
-            });
+            for &y in children {
+                let climb = (done[y as usize], y);
+                let mut k = climbs.len();
+                climbs.push(climb);
+                while k > 0 && pops_after(climbs[k - 1], climb) {
+                    climbs[k] = climbs[k - 1];
+                    k -= 1;
+                }
+                climbs[k] = climb;
+            }
 
             // Merge the homed arrivals with the climbs (an arrival pops
             // before a climb at the same time) under `FifoServer`'s law
             // and its debug order check, inline: a server struct per
             // counter made the degree sweep about 15 % slower.
-            let (mut free, mut wait, mut last) = (SimTime::ZERO, Duration::ZERO, SimTime::ZERO);
-            let mut serve = |time: SimTime| {
+            let (mut free, mut queued, mut last) = (0.0f64, 0.0f64, 0.0f64);
+            let mut serve = |time: f64| {
                 debug_assert!(time >= last, "merge out of order: {time} after {last}");
                 last = time;
-                let start = time.max(free);
-                free = start + tc;
-                wait += start - time;
+                // `SimTime::max`, written the way round that x86-64
+                // compiles to one `maxsd` instead of a masked select.
+                let start = if free > time { free } else { time };
+                free = SimTime::from_us(start + tc).as_us();
+                queued += Duration::from_us(start - time).as_us();
                 start
             };
+            let arrival = |i: usize| arrivals.times[homed_proc[i] as usize];
             let (mut i, end, mut j) = (self.first[c] as usize, self.first[c + 1] as usize, 0);
             let mut arrive_last = false;
             while i < end || j < climbs.len() {
-                arrive_last = j == climbs.len() || (i < end && homed[i].0 <= climbs[j].0);
+                arrive_last = j == climbs.len() || (i < end && arrival(i) <= climbs[j].0);
                 if arrive_last {
-                    homed[i].0 = serve(homed[i].0);
+                    homed_start[i] = serve(arrival(i));
                     i += 1;
                 } else {
-                    counters[climbs[j].1 as usize].climb_start = serve(climbs[j].0);
+                    climb_start[climbs[j].1 as usize] = serve(climbs[j].0);
                     j += 1;
                 }
             }
             // The fan-in-th request completes the counter.
-            let cause = if arrive_last {
-                Request::Arrive(homed[i - 1].1)
+            cause[c] = if arrive_last {
+                Request::Arrive(homed_proc[i - 1])
             } else {
                 Request::Climb(climbs[j - 1].1)
             };
-            counters[c] = Completed {
-                done: free,
-                cause,
-                wait,
-                climb_start: SimTime::ZERO,
-            };
+            done[c] = free;
+            wait[c] = queued;
         }
 
         // The releasing processor is the arrival at the bottom of the
         // root's chain of completing climbs.
-        let root = &counters[self.topo.root() as usize];
-        let mut cause = root.cause;
+        let root = self.topo.root() as usize;
+        let mut last_cause = cause[root];
         let releasing_proc = loop {
-            match cause {
+            match last_cause {
                 Request::Arrive(proc) => break proc,
-                Request::Climb(y) => cause = counters[y as usize].cause,
+                Request::Climb(y) => last_cause = cause[y as usize],
             }
         };
-        let release_us = root.done.as_us();
+        let release_us = done[root];
         let releasing_depth = self.topo.path_len(self.homes[releasing_proc as usize]);
         let sync_delay_us = release_us - arrivals.last_arrival_us;
-        let update_delay_us = releasing_depth as f64 * tc.as_us();
+        let update_delay_us = releasing_depth as f64 * tc;
         EpisodeDelays {
             release_us,
             sync_delay_us,
@@ -556,7 +565,7 @@ impl<'a> Episode<'a> {
         // A climb's processor is its child's winner: children first.
         let mut winners = vec![0 as ProcId; plan.bottom_up.len()];
         for &c in &plan.bottom_up {
-            winners[c as usize] = match scratch.counters[c as usize].cause {
+            winners[c as usize] = match scratch.cause[c as usize] {
                 Request::Arrive(proc) => proc,
                 Request::Climb(y) => winners[y as usize],
             };
@@ -583,24 +592,24 @@ impl<'a> Episode<'a> {
         let (topo, homes) = (plan.topo, plan.homes);
         let p = homes.len();
         let nodes = topo.nodes();
-        let counters = &scratch.counters;
         let root = topo.root();
+        let finish = |start: f64| SimTime::from_us(start + tc.as_us()).as_us();
 
         // A processor's signalling work ends with its last update: its
         // arrival's at home, overwritten by each climb it wins, children
         // before parents.
         let mut signal_done_us = vec![0.0; p];
-        for &(start, proc) in &scratch.homed {
-            signal_done_us[proc as usize] = (start + *tc).as_us();
+        for (&start, &proc) in scratch.homed_start.iter().zip(&scratch.homed_proc) {
+            signal_done_us[proc as usize] = finish(start);
         }
         for &y in plan.bottom_up.iter().filter(|&&y| y != root) {
-            let start = counters[y as usize].climb_start;
-            signal_done_us[winners[y as usize] as usize] = (start + *tc).as_us();
+            let start = scratch.climb_start[y as usize];
+            signal_done_us[winners[y as usize] as usize] = finish(start);
         }
 
         let mut level_wait_us = vec![0.0f64; topo.depth() as usize];
-        for (node, counter) in nodes.iter().zip(counters) {
-            level_wait_us[node.path_len as usize - 1] += counter.wait.as_us();
+        for (node, &wait) in nodes.iter().zip(&scratch.wait) {
+            level_wait_us[node.path_len as usize - 1] += wait;
         }
         let release_us = delays.release_us;
         let release_per_proc_us = match release_model {
@@ -659,43 +668,45 @@ impl<'a> Episode<'a> {
     /// in the order the engine pops them.
     fn trace(&self, capacity: usize) -> Trace {
         let (plan, scratch) = (&self.plan, &self.scratch);
-        let counters = &scratch.counters;
+        let n = scratch.done.len();
         let root = plan.topo.root();
         // (request, counter, arrival at it, start of its update)
-        let mut served: Vec<(Request, CounterId, SimTime, SimTime)> =
-            Vec::with_capacity(scratch.homed.len() + counters.len());
-        for c in 0..counters.len() {
-            let slots = plan.first[c] as usize..plan.first[c + 1] as usize;
-            for &(start, proc) in &scratch.homed[slots] {
-                let arrival = self.arrivals.times[proc as usize];
-                served.push((Request::Arrive(proc), c as CounterId, arrival, start));
-            }
+        let mut served: Vec<(Request, CounterId, f64, f64)> =
+            Vec::with_capacity(scratch.homed_proc.len() + n);
+        for (&start, &proc) in scratch.homed_start.iter().zip(&scratch.homed_proc) {
+            let (home, arrival) = (
+                plan.homes[proc as usize],
+                self.arrivals.times[proc as usize],
+            );
+            served.push((Request::Arrive(proc), home, arrival, start));
         }
-        for (y, climbed) in counters.iter().enumerate() {
+        for y in 0..n {
             if let Some(parent) = plan.topo.node(y as CounterId).parent {
                 let req = Request::Climb(y as CounterId);
-                served.push((req, parent, climbed.done, climbed.climb_start));
+                served.push((req, parent, scratch.done[y], scratch.climb_start[y]));
             }
         }
         let order = PopOrder {
             times: &self.arrivals.times,
-            counters,
+            done: &scratch.done,
+            cause: &scratch.cause,
         };
         served.sort_unstable_by(|a, b| order.cmp(a.0, b.0));
 
         let mut trace = Trace::new(capacity);
         for (req, c, arrival, start) in served {
+            let start = SimTime::from_us(start);
             let finish = start + self.tc;
             let proc = match req {
                 Request::Arrive(proc) => {
-                    trace.record(arrival, proc, TraceKind::Arrive);
+                    trace.record(SimTime::from_us(arrival), proc, TraceKind::Arrive);
                     proc
                 }
                 Request::Climb(y) => self.winners[y as usize],
             };
             trace.record(start, proc, TraceKind::UpdateStart(c));
             trace.record(finish, proc, TraceKind::UpdateEnd(c));
-            if c == root && req == counters[root as usize].cause {
+            if c == root && req == scratch.cause[root as usize] {
                 trace.record(finish, proc, TraceKind::Release);
             }
         }
@@ -1140,9 +1151,7 @@ mod tests {
                 .collect();
             want.sort();
             let want: Vec<ProcId> = want.into_iter().map(|(_, proc)| proc).collect();
-            let sorted = Arrivals::new(&arrivals).sorted;
-            let got: Vec<ProcId> = sorted.into_iter().map(|(_, proc)| proc).collect();
-            assert_eq!(got, want, "{arrivals:?}");
+            assert_eq!(Arrivals::new(&arrivals).order, want, "{arrivals:?}");
         }
     }
 

@@ -63,12 +63,11 @@ fn scale_render_is_thread_count_invariant() {
 /// The optimal-degree search — `sweep_degrees` parallelizes over
 /// replications and folds serially — lands on the same degree and the
 /// same delay statistics bit-for-bit at any thread count.
-#[test]
-fn optimal_degree_search_is_thread_count_invariant() {
+fn sweep_is_thread_count_invariant(sigma_us: f64, reps: usize) {
     let cfg = SweepConfig {
         tc: combar_des::Duration::from_us(20.0),
-        sigma_us: 250.0,
-        reps: 8,
+        sigma_us,
+        reps,
         seed: combar::presets::seeds::BASE,
         style: TreeStyle::Combining,
     };
@@ -89,6 +88,23 @@ fn optimal_degree_search_is_thread_count_invariant() {
     let serial = with_thread_count(1, run);
     let pooled = with_thread_count(4, run);
     assert_eq!(serial, pooled);
+}
+
+#[test]
+fn optimal_degree_search_is_thread_count_invariant() {
+    sweep_is_thread_count_invariant(250.0, 8);
+}
+
+/// σ = 0 runs one replication, so the replication map has one item.
+#[test]
+fn zero_sigma_sweep_is_thread_count_invariant() {
+    sweep_is_thread_count_invariant(0.0, 1);
+}
+
+/// Fewer replications than workers leaves workers without one.
+#[test]
+fn sweep_with_fewer_reps_than_threads_is_thread_count_invariant() {
+    sweep_is_thread_count_invariant(250.0, 3);
 }
 
 /// A sweep's per-cell RNG streams do not depend on how cells are

@@ -218,6 +218,7 @@ struct Oracle {
     releasing_proc: ProcId,
     updates: u64,
     trace: Trace,
+    tc: Duration,
 }
 
 /// One update of `counter` by `proc` at the engine's current time; the
@@ -227,7 +228,7 @@ fn oracle_request(e: &mut Engine<Oracle>, proc: ProcId, counter: CounterId) {
     let now = e.now();
     let st = &mut e.state;
     let c = &mut st.counters[counter as usize];
-    let svc = c.server.serve(now, Duration::from_us(TC_US));
+    let svc = c.server.serve(now, st.tc);
     c.count += 1;
     st.updates += 1;
     st.trace
@@ -256,6 +257,7 @@ fn oracle_episode(
     topo: &Topology,
     homes: &[CounterId],
     arrivals_us: &[f64],
+    tc: Duration,
     cfg: &EngineConfig,
     trace_capacity: usize,
 ) -> (EpisodeResult, Trace) {
@@ -274,6 +276,7 @@ fn oracle_episode(
         releasing_proc: 0,
         updates: 0,
         trace: Trace::new(trace_capacity),
+        tc,
     });
     let (mut last_arrival, mut last_arriver) = (f64::NEG_INFINITY, 0);
     for (i, &a) in arrivals_us.iter().enumerate() {
@@ -297,7 +300,7 @@ fn oracle_episode(
     let release_us = st.release.as_us();
     let releasing_depth = topo.path_len(homes[st.releasing_proc as usize]);
     let sync_delay_us = release_us - last_arrival;
-    let update_delay_us = releasing_depth as f64 * TC_US;
+    let update_delay_us = releasing_depth as f64 * tc.as_us();
     let result = EpisodeResult {
         release_us,
         last_arrival_us: last_arrival,
@@ -391,7 +394,17 @@ fn trace_bits(t: &Trace) -> (Vec<(u64, u32, TraceKind)>, u64) {
 /// the oracle on both queue kinds: the plain, planned, traced and
 /// wakeup-tree entry points.
 fn assert_matches_oracle(topo: &Topology, homes: &[CounterId], arrivals: &[f64], cell: &str) {
-    let tc = Duration::from_us(TC_US);
+    assert_matches_oracle_at(topo, homes, arrivals, Duration::from_us(TC_US), cell);
+}
+
+/// [`assert_matches_oracle`] at an update cost other than `t_c`.
+fn assert_matches_oracle_at(
+    topo: &Topology,
+    homes: &[CounterId],
+    arrivals: &[f64],
+    tc: Duration,
+    cell: &str,
+) {
     let capacity = 3 * (arrivals.len() + topo.num_counters());
     let (got, got_trace) = run_episode_traced(topo, homes, arrivals, tc, capacity);
     let plain = run_episode(topo, homes, arrivals, tc);
@@ -412,7 +425,7 @@ fn assert_matches_oracle(topo: &Topology, homes: &[CounterId], arrivals: &[f64],
     for kind in [QueueKind::Heap, QueueKind::Wheel] {
         let cell = format!("{cell} {kind:?}");
         let cfg = EngineConfig::new().queue(kind);
-        let (want, want_trace) = oracle_episode(topo, homes, arrivals, &cfg, capacity);
+        let (want, want_trace) = oracle_episode(topo, homes, arrivals, tc, &cfg, capacity);
         assert_same(&got, &want, &cell);
         assert_eq!(
             trace_bits(&got_trace),
@@ -469,7 +482,12 @@ fn kernel_matches_engine_oracle_on_grid() {
 
 /// The corner cases of the arrival order: migrated homes, all-equal
 /// ties, arrivals clamped to zero, and arrivals on whole multiples of
-/// `t_c`, which tie with propagations (an arrival must go first).
+/// `t_c`, which tie with propagations (an arrival must go first). Then
+/// the cells where a merge on plain `f64` and `SimTime`'s total order
+/// could part: free updates (`t_c = 0`, every time ties), arrivals of
+/// `1e300` and `f64::MAX` beside `0.0` (an update there adds nothing),
+/// and an episode whose times overflow to infinity, which must still
+/// panic on the `∞ − ∞` wait.
 #[test]
 fn kernel_matches_engine_oracle_on_edge_cases() {
     let mut rng = Xoshiro256pp::seed_from_u64(0xd1ff_0002);
@@ -499,7 +517,43 @@ fn kernel_matches_engine_oracle_on_edge_cases() {
             .map(|_| (rng.next_u64() % 8) as f64 * TC_US)
             .collect();
         assert_matches_oracle(&topo, topo.homes(), &lattice, &format!("{kind:?} lattice"));
+
+        let free = Duration::from_us(0.0);
+        assert_matches_oracle_at(&topo, &homes, &lattice, free, &format!("{kind:?} tc=0"));
+
+        let huge: Vec<f64> = (0..64)
+            .map(|_| [0.0, 1e300, f64::MAX][(rng.next_u64() % 3) as usize])
+            .collect();
+        assert_matches_oracle(&topo, topo.homes(), &huge, &format!("{kind:?} huge"));
     }
+
+    let topo = Topology::combining(4, 2);
+    let overflow = Duration::from_us(1e308);
+    let nan_wait = "Duration must be non-negative, got NaN";
+    let public = panic_of(&|| {
+        run_episode(&topo, topo.homes(), &[0.0; 4], overflow);
+    });
+    assert!(public.contains(nan_wait), "run_episode: {public}");
+    let planned = panic_of(&|| {
+        let plan = EpisodePlan::new(&topo, topo.homes());
+        plan.run(
+            &Arrivals::new(&[0.0; 4]),
+            overflow,
+            &mut EpisodeScratch::default(),
+        );
+    });
+    assert!(planned.contains(nan_wait), "plan: {planned}");
+    let engine = panic_of(&|| {
+        oracle_episode(
+            &topo,
+            topo.homes(),
+            &[0.0; 4],
+            overflow,
+            &EngineConfig::new(),
+            0,
+        );
+    });
+    assert!(engine.contains(nan_wait), "engine: {engine}");
 }
 
 /// Arrival vectors built to trip a byte-wise radix sort: all zeros, a
@@ -654,7 +708,8 @@ fn negative_zero_arrival_is_rejected_like_the_engine() {
     arrivals[5] = -0.0;
     arrivals[40] = 7.0;
     let engine = panic_of(&|| {
-        oracle_episode(&topo, topo.homes(), &arrivals, &EngineConfig::new(), 0);
+        let tc = Duration::from_us(TC_US);
+        oracle_episode(&topo, topo.homes(), &arrivals, tc, &EngineConfig::new(), 0);
     });
     assert!(engine.contains("cannot schedule into the past"), "{engine}");
     let kernel = panic_of(&|| {
