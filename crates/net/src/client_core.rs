@@ -278,7 +278,8 @@ impl ClientCore {
 mod tests {
     use super::*;
     use crate::server::ServerConfig;
-    use crate::shard::{self, ShardCore};
+    use crate::shard::{self, ConnId, ShardCore};
+    use combar_chaos::{NetChaosConfig, NetFault, NetFaultPlan};
 
     const T: Duration = Duration::from_millis(10);
 
@@ -359,24 +360,56 @@ mod tests {
         assert_eq!(core.stats.retries, 0);
     }
 
-    /// A splitmix64 stream: the wire's only source of choices.
-    fn next(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+    /// The in-memory wire between two clients and one shard, under a
+    /// fault plan on the transport's stream convention: session `s`'s
+    /// requests on stream `2·s`, its responses on `2·s + 1`.
+    struct Wire {
+        plan: NetFaultPlan,
+        /// The next message index on each stream.
+        next: [u64; 4],
+        up: Vec<Request>,
+        down: [Vec<Response>; 2],
+        /// Episodes each client saw released.
+        released: [u64; 2],
     }
 
-    /// Puts each of `copies` frames on `queue`, each dropped with
-    /// probability 5 % and duplicated with probability 5 %.
-    fn lossy<F: Copy>(rng: &mut u64, queue: &mut Vec<F>, frame: F, copies: u32) {
-        for _ in 0..copies {
-            match next(rng) % 20 {
-                0 => {}
-                1 => queue.extend([frame, frame]),
-                _ => queue.push(frame),
+    impl Wire {
+        /// Puts `copies` of `frame` on `stream`'s queue as the plan
+        /// decides; how many arrive.
+        fn carry<F: Copy>(
+            &mut self,
+            stream: usize,
+            frame: F,
+            copies: u32,
+            queue: &mut Vec<F>,
+        ) -> u32 {
+            let mut arrived = 0;
+            for _ in 0..copies {
+                let idx = self.next[stream];
+                self.next[stream] += 1;
+                let n = match self.plan.fault(stream as u64, idx) {
+                    Some(NetFault::Drop) => 0,
+                    Some(NetFault::Duplicate) => 2,
+                    _ => 1,
+                };
+                queue.extend(std::iter::repeat_n(frame, n));
+                arrived += n as u32;
             }
+            arrived
+        }
+
+        fn send(&mut self, req: Request, copies: u32) {
+            let mut up = std::mem::take(&mut self.up);
+            self.carry(2 * req.session() as usize, req, copies, &mut up);
+            self.up = up;
+        }
+
+        /// Sends `copies` of `resp` to session `to`; how many arrive.
+        fn reply(&mut self, to: ConnId, resp: Response, copies: u32) -> u32 {
+            let mut down = std::mem::take(&mut self.down[to as usize]);
+            let arrived = self.carry(2 * to as usize + 1, resp, copies, &mut down);
+            self.down[to as usize] = down;
+            arrived
         }
     }
 
@@ -388,7 +421,7 @@ mod tests {
         let mut fx = core.step(at, input);
         loop {
             if let Some((req, copies)) = fx.send {
-                lossy(&mut wire.rng, &mut wire.up, req, copies);
+                wire.send(req, copies);
             }
             match fx.outcome {
                 Some(Outcome::Released(ep)) => {
@@ -406,102 +439,132 @@ mod tests {
         }
     }
 
-    /// The in-memory wire between two clients and one shard.
-    struct Wire {
-        rng: u64,
-        up: Vec<Request>,
-        down: [Vec<Response>; 2],
-        /// Episodes each client saw released.
-        released: [u64; 2],
-    }
-
     /// Two client cores and one shard core cross 1 000 episodes in
-    /// virtual time over a seeded wire with 5 % drop and 5 % duplicate:
-    /// the shard credits each session exactly the episodes its client saw
-    /// released. The root releases by `release_ready` once both sessions
-    /// are live, so episode 0 is both sessions' join-proxy episode, which
-    /// credits nobody, and every later one is crossed by explicit
-    /// arrivals.
+    /// virtual time, the shard ticking as often as the wire delivers,
+    /// over a wire with 5 % independent drop and 5 % duplicate, and over
+    /// one that loses 5 % of frames in windows of eight (where a frame's
+    /// copies are lost together). On both the shard credits each session
+    /// exactly the episodes its client saw released. The root releases
+    /// by `release_ready` once both sessions are live, so episode 0 is
+    /// both sessions' join-proxy episode, which credits nobody, and every
+    /// later one is crossed by explicit arrivals. A release whose every
+    /// copy was lost, and that a re-send from the shard's tick reached
+    /// before its client re-sent, completes with no client re-send: the
+    /// burst ended inside the shard's schedule and did not cost the
+    /// client's timeout.
     #[test]
     fn two_clients_and_a_shard_cross_exactly_once_over_a_lossy_wire() {
         const EPISODES: u64 = 1_000;
-        let cfg = ServerConfig {
-            shards: 1,
-            lease: combar_rt::SupervisorConfig {
-                min_grace: Duration::from_secs(3_600),
-                ..ServerConfig::default().lease
-            },
-            ..ServerConfig::default()
+        let bursty = NetChaosConfig {
+            seed: 7,
+            disconnect_prob: 0.05 / 8.0,
+            disconnect_len: 8,
+            ..NetChaosConfig::default()
         };
-        let (t0, tick) = (Instant::now(), Duration::from_micros(50));
-        let mut shard = ShardCore::new(0, &cfg, 0, 0, None, t0);
-        let mut clients = [0, 1].map(|s| ClientCore::new(s, Duration::from_millis(1)));
-        let mut wire = Wire {
-            rng: 0x5eed,
-            up: Vec::new(),
-            down: [Vec::new(), Vec::new()],
-            released: [0; 2],
-        };
-        let (mut credits, mut now, mut report) = ([0u64; 2], t0, None);
-        for core in &mut clients {
-            feed(
-                core,
-                Input::Join { rejoin: false },
-                now,
-                &mut wire,
-                EPISODES,
-            );
-        }
-        while wire.released.iter().any(|&r| r <= EPISODES) {
-            now += tick;
-            assert!(
-                now - t0 < Duration::from_secs(600),
-                "wedged: {:?}",
-                wire.released
-            );
-            let mut effects: Vec<shard::Effects> = std::mem::take(&mut wire.up)
-                .into_iter()
-                .map(|req| shard.step(now, shard::Input::Request(req.session(), req, false)))
-                .collect();
-            let frame = shard.frame;
-            let reports = [(true, report.map_or(0, |r: u64| r + 1), shard.live)];
-            if shard.live == 2 && shard::release_ready(frame, reports, false, false, false) {
-                effects.push(shard.step(now, shard::Input::Release(frame)));
-            }
-            for fx in effects {
-                report = fx.report.or(report);
-                for (conn, resp) in fx.frames {
-                    lossy(&mut wire.rng, &mut wire.down[conn as usize], resp, 1);
-                }
-                if let Some(episode) = fx.release {
-                    for (conn, copies) in fx.fanout {
-                        let release = Response::Release { episode, inc: 0 };
-                        lossy(
-                            &mut wire.rng,
-                            &mut wire.down[conn as usize],
-                            release,
-                            copies,
-                        );
-                    }
-                }
-                if fx.release.is_some_and(|episode| episode > 0) {
-                    for s in fx.credits {
-                        credits[s as usize] += 1;
-                    }
-                }
-            }
+        for chaos in [NetChaosConfig::lossy(7, 0.05), bursty] {
+            let (t0, tick) = (Instant::now(), Duration::from_micros(50));
+            let cfg = ServerConfig {
+                shards: 1,
+                tick,
+                lease: combar_rt::SupervisorConfig {
+                    min_grace: Duration::from_secs(3_600),
+                    ..ServerConfig::default().lease
+                },
+                ..ServerConfig::default()
+            };
+            let mut shard = ShardCore::new(0, &cfg, 0, 0, None, t0);
+            let mut clients = [0, 1].map(|s| ClientCore::new(s, Duration::from_millis(1)));
+            let mut wire = Wire {
+                plan: NetFaultPlan::new(chaos),
+                next: [0; 4],
+                up: Vec::new(),
+                down: [Vec::new(), Vec::new()],
+                released: [0; 2],
+            };
+            let (mut credits, mut now, mut report) = ([0u64; 2], t0, None);
+            // Per session: the episode whose every release copy was lost
+            // and the client's re-sends then, whether a tick's re-send
+            // reached it before the client re-sent; and how many such
+            // releases the shard repaired.
+            let mut lost: [Option<(u64, u64, bool)>; 2] = [None; 2];
+            let mut by_shard = 0;
             for core in &mut clients {
-                let inbox = std::mem::take(&mut wire.down[core.session as usize]);
-                for resp in inbox {
-                    feed(core, Input::Response(resp), now, &mut wire, EPISODES);
-                }
-                feed(core, Input::Tick, now, &mut wire, EPISODES);
+                feed(
+                    core,
+                    Input::Join { rejoin: false },
+                    now,
+                    &mut wire,
+                    EPISODES,
+                );
             }
+            while wire.released.iter().any(|&r| r <= EPISODES) {
+                now += tick;
+                assert!(
+                    now - t0 < Duration::from_secs(600),
+                    "wedged: {:?}",
+                    wire.released
+                );
+                let mut effects: Vec<shard::Effects> = std::mem::take(&mut wire.up)
+                    .into_iter()
+                    .map(|req| shard.step(now, shard::Input::Request(req.session(), req, false)))
+                    .collect();
+                let frame = shard.frame;
+                let reports = [(true, report.map_or(0, |r: u64| r + 1), shard.live)];
+                if shard.live == 2 && shard::release_ready(frame, reports, false, false, false) {
+                    effects.push(shard.step(now, shard::Input::Release(frame)));
+                }
+                // The tick's frames are the shard's re-sent releases, each
+                // of the last release.
+                let mut tick = shard.step(now, shard::Input::Tick(false));
+                for (conn, resp) in std::mem::take(&mut tick.frames) {
+                    let retries = clients[conn as usize].stats.retries;
+                    let arrived = wire.reply(conn, resp, 1);
+                    if let Some((_, at, reached)) = &mut lost[conn as usize] {
+                        *reached |= arrived > 0 && retries == *at;
+                    }
+                }
+                effects.push(tick);
+                for fx in effects {
+                    report = fx.report.or(report);
+                    for (conn, resp) in fx.frames {
+                        wire.reply(conn, resp, 1);
+                    }
+                    if let Some(episode) = fx.release {
+                        for (conn, copies) in fx.fanout {
+                            let release = Response::Release { episode, inc: 0 };
+                            if wire.reply(conn, release, copies) == 0 {
+                                let retries = clients[conn as usize].stats.retries;
+                                lost[conn as usize] = Some((episode, retries, false));
+                            }
+                        }
+                    }
+                    if fx.release.is_some_and(|episode| episode > 0) {
+                        for s in fx.credits {
+                            credits[s as usize] += 1;
+                        }
+                    }
+                }
+                for core in &mut clients {
+                    let i = core.session as usize;
+                    let inbox = std::mem::take(&mut wire.down[i]);
+                    for resp in inbox {
+                        feed(core, Input::Response(resp), now, &mut wire, EPISODES);
+                    }
+                    feed(core, Input::Tick, now, &mut wire, EPISODES);
+                    if let Some((ep, at, reached)) = lost[i].filter(|l| wire.released[i] > l.0) {
+                        let repaired = core.stats.retries == at;
+                        assert!(repaired || !reached, "{chaos:?}: session {i}, episode {ep}");
+                        by_shard += u64::from(repaired);
+                        lost[i] = None;
+                    }
+                }
+            }
+            let crossed = wire.released.map(|r| r - 1);
+            assert_eq!(crossed, [EPISODES; 2]);
+            assert_eq!(credits, crossed, "the ledger is exactly-once");
+            let retries: u64 = clients.iter().map(|c| c.stats.retries).sum();
+            assert!(retries > 0, "the wire lost nothing");
+            assert!(by_shard > 0, "{chaos:?}: the shard repaired no release");
         }
-        let crossed = wire.released.map(|r| r - 1);
-        assert_eq!(crossed, [EPISODES; 2]);
-        assert_eq!(credits, crossed, "the ledger is exactly-once");
-        let retries: u64 = clients.iter().map(|c| c.stats.retries).sum();
-        assert!(retries > 0, "the wire lost nothing");
     }
 }

@@ -224,6 +224,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 mod tests {
     use super::*;
     use crate::proto::{Redundancy, HOLD, MAX_COPIES};
+    use crate::shard::RESENDS;
     use crate::transport::loopback_pair;
     use combar_chaos::NetChaosConfig;
 
@@ -458,19 +459,23 @@ mod tests {
 
     /// Sixteen sessions' [`Redundancy`] at both ends, over a plan's drops
     /// (`Drop` is the only fault that loses a frame), crossed the way
-    /// the `served_*` driver crosses: every session sends its arrival,
-    /// and while an episode has not released, every session re-sends in
-    /// one repair round; once it has, every session that missed the
-    /// release does.
+    /// the `served_*` driver and the shard cross: every session sends its
+    /// arrival, and while an episode has not released, every session
+    /// re-sends in one repair round. Once it has, while any session has
+    /// missed the release, the shard re-sends it to every session that
+    /// has shown loss, up to `RESENDS` times, and after that every session
+    /// that still has missed it re-sends.
     struct Crossing {
         plan: NetFaultPlan,
         clients: Vec<Redundancy>,
         servers: Vec<Redundancy>,
         /// The next message index on each of the 32 streams.
         next: Vec<u64>,
-        /// Episodes that needed a repair round, frames sent, pieces of
-        /// evidence seen, and the most copies of any one frame.
+        /// Episodes that needed a repair (by either end) and episodes
+        /// that waited a client's re-send, frames sent, pieces of evidence
+        /// seen, and the most copies of any one frame.
         repaired: u64,
+        waited: u64,
         frames: u64,
         evidence: u64,
         most: u32,
@@ -484,6 +489,7 @@ mod tests {
                 servers: vec![Redundancy::default(); 16],
                 next: vec![0; 32],
                 repaired: 0,
+                waited: 0,
                 frames: 0,
                 evidence: 0,
                 most: 0,
@@ -517,9 +523,9 @@ mod tests {
                         self.send(2 * sid, copies)
                     })
                     .collect();
-                let mut repaired = false;
+                let mut waited = false;
                 while arrived.contains(&false) {
-                    repaired = true;
+                    waited = true;
                     for (sid, arrived) in arrived.iter_mut().enumerate() {
                         *arrived |= self.resend(sid);
                     }
@@ -530,8 +536,25 @@ mod tests {
                         self.send(2 * sid + 1, copies)
                     })
                     .collect();
+                let repaired = waited || released.contains(&false);
+                // The shard's tick re-sends, each one evidence there, to
+                // every session with loss memory. A session that has its
+                // release holds its next arrival for the one that lost it,
+                // so to the shard every session's release is overdue.
+                for _ in 0..RESENDS {
+                    if !released.contains(&false) {
+                        break;
+                    }
+                    for (sid, released) in released.iter_mut().enumerate() {
+                        if self.servers[sid].copies() > 1 {
+                            self.evidence += 1;
+                            self.servers[sid].raise();
+                            *released |= self.send(2 * sid + 1, self.servers[sid].copies());
+                        }
+                    }
+                }
                 while released.contains(&false) {
-                    repaired = true;
+                    waited = true;
                     for (sid, released) in released.iter_mut().enumerate() {
                         // A re-send that gets through is the server's
                         // evidence, and is re-acked with one frame.
@@ -543,6 +566,7 @@ mod tests {
                     }
                 }
                 self.repaired += u64::from(repaired);
+                self.waited += u64::from(waited);
             }
         }
 
@@ -551,12 +575,14 @@ mod tests {
         }
     }
 
-    /// The copy rule under the benchmark driver's re-sends. At 5 %
-    /// independent loss on both ways, loss memory leaves about 1.5 % of
-    /// episodes needing a repair (the 64-episode countdown it replaced
-    /// left 22 %: it lapsed between repairs, and the episodes after it
-    /// ran at one copy until the next 10 ms re-send). A quiet wire shows
-    /// no evidence and sends every frame once, bursts never push a frame
+    /// The copy rule under the benchmark driver's and the shard's
+    /// re-sends. At 5 % independent loss on both ways, about 0.6 % of
+    /// episodes need a repair and 0.3 % wait a client's re-send. Without
+    /// the shard's re-sends 1.6 % needed one, all of them a client's
+    /// re-send, and with the 64-episode countdown loss memory replaced
+    /// 22 % did: it lapsed between repairs, and the episodes after it ran
+    /// at one copy until the next 10 ms re-send. A quiet wire shows no
+    /// evidence and sends every frame once, bursts never push a frame
     /// past three copies, and once loss stops both ends are back to one
     /// copy within 2 · `HOLD` episodes.
     #[test]
@@ -568,7 +594,12 @@ mod tests {
         let mut lossy = Crossing::new(NetFaultPlan::new(NetChaosConfig::lossy(7, 0.05)));
         lossy.cross(EPISODES);
         let repaired = lossy.repaired as f64 / EPISODES as f64;
+        let waited = lossy.waited as f64 / EPISODES as f64;
         assert!(repaired <= 0.03, "{repaired} of episodes repaired");
+        assert!(
+            waited <= 0.005,
+            "{waited} of episodes waited a client re-send"
+        );
         assert_eq!(lossy.most, MAX_COPIES);
         lossy.plan = NetFaultPlan::quiet(7);
         lossy.cross(calm);

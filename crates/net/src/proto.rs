@@ -55,10 +55,11 @@ pub(crate) const HOLD: u32 = 1024;
 /// One session's memory of loss at one end of the wire: how many
 /// copies of each fresh frame to send.
 ///
-/// Each piece of evidence — on the client a re-send of the in-flight
-/// `Arrive`, on the server a re-sent arrival for an episode that has
-/// already released — adds one copy, up to [`MAX_COPIES`], and starts
-/// the calm over. Each fresh frame sent without evidence counts toward
+/// Each piece of evidence adds one copy, up to [`MAX_COPIES`], and
+/// starts the calm over. Each end counts its own re-sends: the client a
+/// re-send of the in-flight `Arrive`, the server a re-send of an overdue
+/// `Release` on its tick. The server also counts a re-sent arrival for
+/// an episode that has already released. Each fresh frame sent without evidence counts toward
 /// a calm of [`HOLD`]; a full calm drops one copy. So a session that
 /// keeps losing frames keeps its copies, one whose loss has stopped is
 /// back to one copy within `(MAX_COPIES - 1) · HOLD` frames, and a

@@ -502,6 +502,9 @@ struct ShardDriver {
     /// Whether the last inbox wait ended with a message: the spin-or-park
     /// state of [`recv_handoff`].
     inbox_hot: bool,
+    /// The live shards at the last root-lease pass, kept so the pass
+    /// allocates nothing on a turn.
+    alive: Vec<u32>,
 }
 
 impl ShardDriver {
@@ -519,6 +522,7 @@ impl ShardDriver {
             now,
             last_repl_beat: now,
             inbox_hot: false,
+            alive: Vec::new(),
         }
     }
 
@@ -637,22 +641,22 @@ impl ShardDriver {
     /// the lowest-indexed live shard *other than the target* (the
     /// supervisor's miss counters escalate one miss per poll, so
     /// concurrent pollers of the same target would fast-track a
-    /// declaration). In practice: the lowest live shard polls every
-    /// peer, and the second-lowest polls the lowest — so the poller's
-    /// own death is detected too, instead of silently ending all
-    /// detection.
-    fn poll_shards(&self) {
-        let alive: Vec<usize> = (0..self.shared.shard_alive.len())
-            .filter(|&s| self.shared.shard_alive[s].load(Ordering::Acquire))
-            .collect();
-        let targets: Vec<u32> = alive
-            .iter()
-            .filter(|&&target| {
-                target != self.idx && alive.iter().find(|&&s| s != target) == Some(&self.idx)
-            })
-            .map(|&s| s as u32)
-            .collect();
-        for shard in self.shared.shard_super.lease_pass(self.now, &targets) {
+    /// declaration). That is: the lowest live shard polls every peer,
+    /// and the second-lowest polls the lowest — so the poller's own
+    /// death is detected too, instead of silently ending all detection.
+    /// The targets are a slice of one snapshot of the live flags.
+    fn poll_shards(&mut self) {
+        let flags = &self.shared.shard_alive;
+        let live = (0..flags.len()).filter(|&s| flags[s].load(Ordering::Acquire));
+        self.alive.clear();
+        self.alive.extend(live.map(|s| s as u32));
+        let me = self.idx as u32;
+        let targets = match self.alive[..] {
+            [lowest, ..] if lowest == me => &self.alive[1..],
+            [_, second, ..] if second == me => &self.alive[..1],
+            _ => &[],
+        };
+        for shard in self.shared.shard_super.lease_pass(self.now, targets) {
             declare_shard_dead(&self.shared, &self.router, shard as usize);
         }
     }
