@@ -22,7 +22,7 @@ use crate::table::Table;
 use combar::model_policy;
 use combar_chaos::{DeathMode, FaultKind, FaultPlan};
 use combar_des::fault::{FaultSpec, FaultTimeline, SimFault};
-use combar_des::{Duration as SimDuration, Engine, FifoServer, SimTime};
+use combar_des::{Duration as SimDuration, FifoServer, SimTime};
 use combar_rng::{Distribution, Normal, SeedableRng, Xoshiro256pp};
 use combar_rt::harness::chaos_torture_on;
 use combar_rt::{BarrierBuilder, BarrierKind, ChaosReport};
@@ -261,31 +261,24 @@ pub fn simulate(preset: &ChaosPreset) -> SimDegradation {
 
     let (mut healthy, mut degraded) = ((0.0, 0u32), (0.0, 0u32));
     let mut detect_us = 0.0;
+    let mut arrivals = Vec::with_capacity(preset.p as usize);
     for ep in 0..preset.episodes {
-        struct St {
-            counter: FifoServer,
-            release: SimTime,
-        }
-        let mut eng = Engine::new(St {
-            counter: FifoServer::new(),
-            release: SimTime::ZERO,
-        });
-        let mut last_arrival = SimTime::ZERO;
+        arrivals.clear();
         for q in 0..preset.p {
-            if !timeline.alive(q, ep) {
-                continue;
+            if timeline.alive(q, ep) {
+                let base = spread.sample(&mut rng).max(0.0);
+                arrivals.push(SimTime::from_us(base) + timeline.stall(q, ep));
             }
-            let base = spread.sample(&mut rng).max(0.0);
-            let at = SimTime::from_us(base) + timeline.stall(q, ep);
-            last_arrival = last_arrival.max(at);
-            eng.schedule_at(at, move |e| {
-                let now = e.now();
-                let svc = e.state.counter.serve(now, tc);
-                e.state.release = e.state.release.max(svc.finish);
-            });
         }
-        eng.run();
-        let mut sync = (eng.state.release - last_arrival).as_us();
+        // Every update costs the same `t_c`, so the order of equal
+        // arrival times does not change the last finish.
+        arrivals.sort_unstable();
+        let (mut counter, mut release) = (FifoServer::new(), SimTime::ZERO);
+        for &at in &arrivals {
+            release = counter.serve(at, tc).finish;
+        }
+        let last_arrival = arrivals.last().copied().unwrap_or(SimTime::ZERO);
+        let mut sync = (release - last_arrival).as_us();
         if ep == preset.death_episode {
             // survivors only notice the corpse after a full timeout
             sync += detect;

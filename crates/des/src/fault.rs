@@ -4,15 +4,13 @@
 //! `combar-chaos`; this module is its DES mirror: a passive,
 //! deterministic description of *when* simulated processors stall or
 //! die, consumable by any episode-structured model (the `combar-sim`
-//! episode runner, the bench experiments' degradation tables) plus a
-//! small helper to schedule the timeline as engine events.
+//! episode runner, the bench experiments' degradation tables).
 //!
 //! The types are deliberately independent of `combar-chaos` — the DES
 //! crates stay dependency-light — and a bridge (chaos plan → fault
 //! timeline) lives with the experiments that need both sides.
 
-use crate::engine::Engine;
-use crate::time::{Duration, SimTime};
+use crate::time::Duration;
 
 /// What happens to a simulated processor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,7 +114,7 @@ impl FaultTimeline {
     /// the repository-wide `combar_work::WorkSource` refactor — the
     /// same seeded model that drives the simulator's episode loop and
     /// the runtime torture harness expresses itself here as
-    /// deterministic fault injection, so engine-driven timelines and
+    /// deterministic fault injection, so fault timelines and
     /// episode-driven runs see one consistent notion of "who is slow".
     pub fn from_work_model(
         source: &mut dyn combar_work::WorkSource,
@@ -139,27 +137,6 @@ impl FaultTimeline {
             }
         }
         Self::new(specs)
-    }
-}
-
-/// Schedules every fault of a wall-clock-mapped timeline as an engine
-/// event: at `origin + episode · period`, `handler` runs with the
-/// engine, the processor and the fault. Use this when the simulation
-/// is event-driven rather than episode-looped.
-pub fn inject<S, F>(
-    eng: &mut Engine<S>,
-    timeline: &FaultTimeline,
-    origin: SimTime,
-    period: Duration,
-    handler: F,
-) where
-    F: Fn(&mut Engine<S>, u32, SimFault) + Clone + 'static,
-{
-    for spec in timeline.specs() {
-        let at = origin + period.scale(spec.episode as f64);
-        let h = handler.clone();
-        let (proc, fault) = (spec.proc, spec.fault);
-        eng.schedule_at(at, move |e| h(e, proc, fault));
     }
 }
 
@@ -281,24 +258,5 @@ mod tests {
         }
         // Everyone stays alive: this bridge only slows, never kills.
         assert_eq!(t.survivors(p, 3), p);
-    }
-
-    #[test]
-    fn inject_schedules_at_episode_times() {
-        let t = timeline();
-        let mut eng = Engine::new(Vec::<(f64, u32)>::new());
-        inject(
-            &mut eng,
-            &t,
-            SimTime::from_us(10.0),
-            Duration::from_us(100.0),
-            |e, proc, _| {
-                let now = e.now().as_us();
-                e.state.push((now, proc));
-            },
-        );
-        eng.run();
-        // proc 0 stalls at episode 1 (two specs), proc 2 dies at 3.
-        assert_eq!(eng.state, vec![(110.0, 0), (110.0, 0), (310.0, 2)]);
     }
 }

@@ -1,20 +1,19 @@
-//! Discrete-event simulation engine for the `combar` barrier study.
+//! Discrete-event simulation building blocks for the `combar` barrier
+//! study.
 //!
 //! The paper obtains its optimal-degree tables with "a conventional
 //! event driven simulator" in which "the contention for updating the
-//! counters was accounted for". This crate is that simulator's core,
-//! built from scratch:
+//! counters was accounted for". `combar-sim` computes that simulator's
+//! episodes in one bottom-up pass per tree; this crate holds the parts
+//! it and the experiments share, built from scratch:
 //!
 //! * [`SimTime`] / [`Duration`] — totally ordered `f64` microseconds
 //!   (the study's natural unit; `t_c = 20 µs` on the KSR1);
-//! * [`Engine`] — a deterministic pending-event set with
-//!   `(time, sequence)` ordering and closure handlers over user state,
-//!   behind the [`EventQueue`] seam: the default [`HeapQueue`] or the
-//!   hierarchical timing-wheel [`WheelQueue`] for p ≥ 2¹⁴ episodes
-//!   (pick with [`EngineConfig`]);
 //! * [`FifoServer`] — the contention model for a lock-protected counter
-//!   (serve one update of `t_c` at a time, FIFO), generalized to
-//!   capacity `c` by [`Resource`];
+//!   (serve one update of `t_c` at a time, FIFO);
+//! * [`EventQueue`] — a `(time, seq)`-ordered pending-event set, as a
+//!   binary [`HeapQueue`] or a timing-wheel [`WheelQueue`] over the
+//!   [`TickWheel`] the async runtime's timers also use;
 //! * [`trace`] — bounded tracing for debugging barrier episodes;
 //! * [`fault`] — episode-indexed fault timelines (stalls, deaths) so
 //!   simulated degradation can mirror the runtime chaos harness.
@@ -22,37 +21,29 @@
 //! # Example: three processors hitting one counter
 //!
 //! ```
-//! use combar_des::{Engine, FifoServer, SimTime, Duration};
+//! use combar_des::{FifoServer, SimTime, Duration};
 //!
-//! struct St { counter: FifoServer, releases: Vec<f64> }
-//! let mut eng = Engine::new(St { counter: FifoServer::new(), releases: vec![] });
+//! let mut counter = FifoServer::new();
+//! let mut releases = vec![];
 //! for arrival in [0.0, 0.0, 5.0] {
-//!     eng.schedule_at(SimTime::from_us(arrival), move |e| {
-//!         let now = e.now();
-//!         let svc = e.state.counter.serve(now, Duration::from_us(20.0));
-//!         e.state.releases.push(svc.finish.as_us());
-//!     });
+//!     let svc = counter.serve(SimTime::from_us(arrival), Duration::from_us(20.0));
+//!     releases.push(svc.finish.as_us());
 //! }
-//! eng.run();
-//! assert_eq!(eng.state.releases, vec![20.0, 40.0, 60.0]); // serialized
+//! assert_eq!(releases, vec![20.0, 40.0, 60.0]); // serialized
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod fault;
 pub mod queue;
-pub mod resource;
 pub mod server;
 pub mod time;
 pub mod trace;
 pub mod wheel;
 
-pub use engine::{Cancellation, Engine, EngineConfig, QueueKind};
 pub use fault::{FaultSpec, FaultTimeline, SimFault};
-pub use queue::{Event, EventQueue, HeapQueue, WheelQueue};
-pub use resource::Resource;
+pub use queue::{Cancellation, Event, EventQueue, HeapQueue, WheelQueue};
 pub use server::{FifoServer, Service};
 pub use time::{Duration, SimTime};
 pub use trace::{Trace, TraceEvent, TraceKind};
@@ -69,59 +60,13 @@ mod integration {
     fn flat_barrier_release_time_matches_closed_form() {
         let tc = Duration::from_us(20.0);
         let arrivals = [0.0f64, 3.0, 3.0, 10.0, 100.0];
-
-        struct St {
-            counter: FifoServer,
-            release: SimTime,
-        }
-        let mut eng = Engine::new(St {
-            counter: FifoServer::new(),
-            release: SimTime::ZERO,
-        });
+        let mut counter = FifoServer::new();
+        let mut release = SimTime::ZERO;
         for &a in &arrivals {
-            eng.schedule_at(SimTime::from_us(a), move |e| {
-                let now = e.now();
-                let svc = e.state.counter.serve(now, tc);
-                e.state.release = e.state.release.max(svc.finish);
-            });
+            release = release.max(counter.serve(SimTime::from_us(a), tc).finish);
         }
-        eng.run();
         // Manual FIFO walk: 0→20, 3→40, 3→60, 10→80, 100→120.
-        assert_eq!(eng.state.release.as_us(), 120.0);
-        assert_eq!(eng.state.counter.served(), 5);
-    }
-
-    /// Chained service through two levels: completing the first counter
-    /// triggers a request on the second. Exercises event-from-event
-    /// scheduling with servers.
-    #[test]
-    fn two_level_chain_propagates_completion_times() {
-        let tc = Duration::from_us(20.0);
-        struct St {
-            leaf: FifoServer,
-            root: FifoServer,
-            root_finishes: Vec<f64>,
-        }
-        let mut eng = Engine::new(St {
-            leaf: FifoServer::new(),
-            root: FifoServer::new(),
-            root_finishes: vec![],
-        });
-        // Two processors hit the leaf simultaneously; each completion
-        // propagates to the root.
-        for _ in 0..2 {
-            eng.schedule_at(SimTime::ZERO, move |e| {
-                let now = e.now();
-                let svc = e.state.leaf.serve(now, tc);
-                e.schedule_at(svc.finish, move |e2| {
-                    let n2 = e2.now();
-                    let r = e2.state.root.serve(n2, tc);
-                    e2.state.root_finishes.push(r.finish.as_us());
-                });
-            });
-        }
-        eng.run();
-        // Leaf finishes at 20 and 40; root serves 20→40 and 40→60.
-        assert_eq!(eng.state.root_finishes, vec![40.0, 60.0]);
+        assert_eq!(release.as_us(), 120.0);
+        assert_eq!(counter.served(), 5);
     }
 }

@@ -1,25 +1,21 @@
-//! The engine's pending-event set, abstracted.
+//! A pending-event set, abstracted.
 //!
-//! [`EventQueue`] is the seam between the [`crate::Engine`]'s
-//! scheduling semantics and the data structure holding pending events.
-//! Two implementations ship:
+//! [`EventQueue`] is the seam between an event loop, which numbers its
+//! events, and the data structure holding them pending. Two
+//! implementations ship:
 //!
-//! * [`HeapQueue`] — the original `BinaryHeap`, O(log n) per
-//!   operation, the default so existing call sites and golden
-//!   snapshots are untouched;
+//! * [`HeapQueue`] — a `BinaryHeap`, O(log n) per operation;
 //! * [`WheelQueue`] — a hierarchical timing wheel
-//!   ([`crate::wheel::TickWheel`]) with O(1) near-horizon scheduling,
-//!   the engine for million-participant episodes.
+//!   ([`crate::wheel::TickWheel`]) with O(1) near-horizon scheduling.
 //!
 //! # Ordering contract
 //!
 //! Both implementations observe the same hard contract, stated here
 //! once and tested differentially: events pop in ascending
 //! `(time, seq)` order — **FIFO at equal time** — where `seq` is the
-//! engine's monotone scheduling sequence number. Two events at the
+//! caller's monotone scheduling sequence number. Two events at the
 //! same `SimTime` fire in the order they were scheduled, bit-for-bit
-//! identically across queue implementations, which is what lets the
-//! `scale` experiment swap the wheel in under every golden snapshot.
+//! identically across queue implementations.
 //!
 //! # Cancellation
 //!
@@ -28,12 +24,11 @@
 //! reaped (dropped and subtracted from the shared ledger). The
 //! [`Cancellation`] token carries the accounting: it counts how many
 //! queued events it guards, and `cancel()` moves that count onto a
-//! ledger shared with the engine, so `Engine::events_pending()` can
-//! report live events exactly even while tombstones are physically
-//! present. Both implementations reap tombstones wherever they touch
-//! them — the heap on pop/peek, the wheel additionally on every
-//! cascade — and [`EventQueue::compact`] purges them eagerly when the
-//! engine decides they outnumber live events.
+//! shared ledger, so `queue.len() − ledger` counts live events exactly
+//! even while tombstones are physically present. Both implementations
+//! reap tombstones wherever they touch them — the heap on pop/peek, the
+//! wheel additionally on every cascade — and [`EventQueue::compact`]
+//! purges them eagerly.
 
 use crate::time::SimTime;
 use crate::wheel::TickWheel;
@@ -42,9 +37,9 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 
-/// Shared count of queued-but-cancelled events (tombstones). The
-/// engine owns one ledger and threads it into every token it creates;
-/// `queue.len() - ledger` is then the exact live pending count.
+/// Shared count of queued-but-cancelled events (tombstones). Every
+/// token sharing one ledger charges it; `queue.len() - ledger` is then
+/// the exact live pending count.
 pub(crate) type Ledger = Rc<Cell<u64>>;
 
 #[derive(Debug)]
@@ -55,9 +50,9 @@ struct CancelInner {
     ledger: Ledger,
 }
 
-/// Token disarming a cancellable or periodic event (see
-/// [`crate::Engine::schedule_cancellable`]). Cloneable; any clone
-/// cancels all events scheduled under the token.
+/// Token disarming the events queued under it (see
+/// [`Event::cancellable`]). Cloneable; any clone cancels all events
+/// scheduled under the token.
 #[derive(Debug, Clone)]
 pub struct Cancellation {
     inner: Rc<CancelInner>,
@@ -70,7 +65,7 @@ impl Default for Cancellation {
 }
 
 impl Cancellation {
-    /// A standalone token (not tied to an engine's pending count).
+    /// A standalone token with a ledger of its own.
     pub fn new() -> Self {
         Self::default()
     }
@@ -87,8 +82,8 @@ impl Cancellation {
     }
 
     /// Disarms the associated event(s). Queued events become
-    /// tombstones: invisible to `pop`, excluded from the engine's
-    /// pending count, physically reclaimed when the queue next
+    /// tombstones: invisible to `pop`, excluded from the ledger's
+    /// live count, physically reclaimed when the queue next
     /// touches (or compacts) them.
     pub fn cancel(&self) {
         if !self.inner.cancelled.get() {
@@ -128,8 +123,8 @@ impl Cancellation {
 
 /// A queued event: payload plus optional cancellation token.
 ///
-/// The engine wraps its type-erased actions in this; queues only ever
-/// inspect the token (to reap tombstones) and move the payload.
+/// Queues only ever inspect the token (to reap tombstones) and move
+/// the payload.
 pub struct Event<T> {
     payload: T,
     cancel: Option<Cancellation>,
@@ -175,7 +170,7 @@ impl<T> Event<T> {
     }
 }
 
-/// The pending-event set behind [`crate::Engine`].
+/// A pending-event set.
 ///
 /// # Contract
 ///
@@ -185,11 +180,11 @@ impl<T> Event<T> {
 ///   reaped silently and identically by every implementation, so two
 ///   implementations fed the same schedule/cancel sequence pop the
 ///   same events at the same times in the same order.
-/// * `seq` values are distinct per queue (the engine's monotone
+/// * `seq` values are distinct per queue (the caller's monotone
 ///   counter); implementations may rely on `(time, seq)` being a
 ///   total order.
 /// * `len` counts physical entries **including** unreaped tombstones;
-///   the engine subtracts its tombstone ledger to report live counts.
+///   subtract the tombstone ledger to count live events.
 /// * `next_time` may mutate (reap through) the structure; it returns
 ///   the time `pop_next` would pop next.
 pub trait EventQueue<T> {
@@ -239,8 +234,8 @@ impl<T> Ord for HeapEntry<T> {
     }
 }
 
-/// The original binary-heap pending-event set: O(log n) per
-/// operation, no setup cost, the engine's default.
+/// The binary-heap pending-event set: O(log n) per operation, no
+/// setup cost.
 pub struct HeapQueue<T> {
     heap: BinaryHeap<Reverse<HeapEntry<T>>>,
 }

@@ -4,9 +4,8 @@
 //! counters": a counter guarded by a simple hardware lock serializes its
 //! updaters. A [`FifoServer`] models exactly that — requests are served
 //! one at a time, in arrival order, each occupying the server for its
-//! service time. Because the DES engine delivers requests in
-//! nondecreasing time order, the server only needs to remember when it
-//! becomes free.
+//! service time. Because requests are presented in nondecreasing time
+//! order, the server only needs to remember when it becomes free.
 
 use crate::time::{Duration, SimTime};
 
@@ -63,9 +62,9 @@ impl FifoServer {
 
     /// Serves a request arriving at `arrival` needing `service` time.
     ///
-    /// Requests must be submitted in nondecreasing arrival order (the
-    /// DES engine guarantees this when requests are issued at the
-    /// current simulation time).
+    /// Requests must be submitted in nondecreasing arrival order (an
+    /// event loop guarantees this when requests are issued at its
+    /// current time).
     ///
     /// # Panics
     ///

@@ -1,6 +1,6 @@
 //! A hierarchical timing wheel over integer ticks.
 //!
-//! This is the shared data structure behind both the DES engine's
+//! This is the shared data structure behind both this crate's
 //! [`crate::WheelQueue`] and the async runtime's deadline `Timer`: a
 //! tiered calendar queue in the classic Varghese–Lauck shape. Seven
 //! levels of 64 slots each cover a horizon of `64⁷ = 2⁴²` ticks; an

@@ -4,8 +4,8 @@
 //! The repo's hand-rolled property style: seeded splitmix64 streams
 //! generate randomized schedule / cancel / pop interleavings, and the
 //! two implementations must pop byte-identical `(time, seq, payload)`
-//! sequences — the `(time, seq)` total order the engine's determinism
-//! (and every golden snapshot) rests on. Cancelled events must never
+//! sequences — the `(time, seq)` total order an event loop's
+//! determinism rests on. Cancelled events must never
 //! surface from either.
 
 use combar_des::{Cancellation, Duration, Event, EventQueue, HeapQueue, SimTime, WheelQueue};
@@ -24,14 +24,14 @@ fn run_scenario(seed: u64, ops: usize, resolution_us: f64) {
     let mut heap: HeapQueue<u64> = HeapQueue::with_capacity(ops);
     let mut wheel: WheelQueue<u64> = WheelQueue::with_resolution(resolution_us);
     // Tokens shared between the two queues: cancelling affects both
-    // identically, like the engine hands one token to one queue.
+    // identically, as one token would guard events in one queue.
     let mut tokens_h: Vec<Cancellation> = Vec::new();
     let mut tokens_w: Vec<Cancellation> = Vec::new();
     let mut cancelled: Vec<bool> = Vec::new();
     let mut seq = 0u64;
     let mut live = 0i64;
     // Schedules never go backwards in time relative to the last pop —
-    // the engine's causality assert guarantees this in real use, and
+    // an event loop's causality assert guarantees this in real use, and
     // the wheel clamps past ticks to its current tick while the heap
     // would not, so monotone schedules are part of the contract.
     let mut floor_us = 0.0f64;

@@ -656,7 +656,8 @@ impl ShardDriver {
             [_, second, ..] if second == me => &self.alive[..1],
             _ => &[],
         };
-        for shard in self.shared.shard_super.lease_pass(self.now, targets) {
+        let sup = &self.shared.shard_super;
+        for shard in sup.lease_pass(self.now, targets.iter().copied()) {
             declare_shard_dead(&self.shared, &self.router, shard as usize);
         }
     }

@@ -541,13 +541,10 @@ impl ShardCore {
             return;
         }
         self.last_lease_poll = self.now;
-        let stragglers: Vec<u32> = self
-            .sessions
-            .values()
-            .filter(|s| s.live && s.arrived_for != Some(self.frame))
-            .map(|s| s.slot)
-            .collect();
-        for slot in self.sup.lease_pass(self.now, &stragglers) {
+        let frame = self.frame;
+        let stragglers = self.sessions.values();
+        let stragglers = stragglers.filter(|s| s.live && s.arrived_for != Some(frame));
+        for slot in self.sup.lease_pass(self.now, stragglers.map(|s| s.slot)) {
             if let Some(session) = self.owners[slot as usize] {
                 self.evict(session);
             }

@@ -198,7 +198,7 @@ impl Supervisor {
     /// the widening leases — a slow-but-alive thread that beats in
     /// between resets its count.
     pub fn poll<B: SelfHealing + ?Sized>(&self, barrier: &B) -> Vec<u32> {
-        let mut declared = self.lease_pass(Instant::now(), &barrier.stragglers());
+        let mut declared = self.lease_pass(Instant::now(), barrier.stragglers());
         declared.retain(|&tid| {
             let failed = barrier.fail(tid);
             if failed {
@@ -215,11 +215,11 @@ impl Supervisor {
     /// [`Supervisor::poll`] without a barrier: returns the stragglers
     /// over `max_misses` whose widened lease lapsed again, for the
     /// caller to declare dead.
-    pub fn lease_pass(&self, now: Instant, stragglers: &[u32]) -> Vec<u32> {
+    pub fn lease_pass(&self, now: Instant, stragglers: impl IntoIterator<Item = u32>) -> Vec<u32> {
         let grace = self.grace();
         let now = self.ns_at(now);
         let mut declared = Vec::new();
-        for &tid in stragglers {
+        for tid in stragglers {
             let last = self.beats[tid as usize].load(Ordering::Acquire);
             let silent_ns = now.saturating_sub(last); // beat 0 = never: silent since start
             let misses = self.misses[tid as usize].load(Ordering::Acquire);
@@ -581,7 +581,7 @@ mod tests {
         }
         assert_eq!(s.grace(), Duration::from_millis(1), "σ = 0: the mean");
         let misses = || s.misses[0].load(Ordering::Relaxed);
-        let pass = |us: u64| s.lease_pass(at(us), &[0]);
+        let pass = |us: u64| s.lease_pass(at(us), [0]);
         // Last beat at 4 ms: each lease is the grace times 2^misses.
         assert!(pass(4_999).is_empty() && misses() == 0, "inside the lease");
         assert!(pass(5_000).is_empty() && misses() == 1);

@@ -13,7 +13,7 @@
 //! releasing chain) and *contention delay* (everything else).
 //!
 //! The episode has no event queue. A counter's FIFO law only needs
-//! that counter's own requests in the order an event engine would pop
+//! that counter's own requests in the order an event loop would pop
 //! them, so one bottom-up pass computes it: the arrivals are validated
 //! and sorted once by `(time, proc)` into an [`Arrivals`] (which a
 //! degree sweep shares across every tree), bucketed by home counter,
@@ -21,10 +21,11 @@
 //! completed children and serves them through one [`FifoServer`]. The
 //! fan-in-th request wins and climbs to the parent, or releases the
 //! barrier at the root. The order used for each merge (and for the
-//! trace) is exactly the `(time, seq)` pop order of a
-//! `combar_des::Engine` that scheduled every arrival in processor order
-//! before the run, so every result field and trace event is
-//! bit-identical to that engine's episode.
+//! trace) is exactly the `(time, seq)` pop order of an event loop that
+//! queues every arrival in processor order before it starts (seq
+//! `0..p`) and each climb as its counter completes, so every result
+//! field and trace event is bit-identical to such a loop's episode
+//! (`tests/sim_vs_des.rs` keeps one as its oracle).
 //!
 //! What depends only on the tree and the homes — their checks, the
 //! bucket bounds, the bottom-up order and a flat child list — is an
@@ -139,7 +140,7 @@ impl EpisodeResult {
 }
 
 /// One episode's arrival times, validated and put in the order an event
-/// engine pops them: by `(time, proc)`. Build it once per arrival
+/// loop pops them: by `(time, proc)`. Build it once per arrival
 /// vector and share it across every tree run on those arrivals (the
 /// common-random-numbers degree sweep); [`EpisodePlan::run`] then
 /// sorts nothing.
@@ -304,7 +305,7 @@ enum Request {
     Climb(CounterId),
 }
 
-/// The engine's `(time, seq)` pop order over the requests of one run.
+/// An event loop's `(time, seq)` pop order over the requests of one run.
 struct PopOrder<'s> {
     times: &'s [f64],
     done: &'s [f64],
@@ -665,7 +666,7 @@ impl<'a> Episode<'a> {
     }
 
     /// The bounded event trace: every served request's events, recorded
-    /// in the order the engine pops them.
+    /// in the order an event loop pops them.
     fn trace(&self, capacity: usize) -> Trace {
         let (plan, scratch) = (&self.plan, &self.scratch);
         let n = scratch.done.len();

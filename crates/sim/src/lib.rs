@@ -6,7 +6,7 @@
 //!   with FIFO lock contention at every counter (`t_c` per update) and
 //!   the paper's synchronization-delay decomposition. It needs no event
 //!   queue: one bottom-up pass over the tree serves each counter's
-//!   requests in exactly the order an event engine would pop them;
+//!   requests in exactly the order an event loop would pop them;
 //! * [`workload`] — arrival/work-time models (i.i.d. normal — the
 //!   paper's assumption — plus systemic, evolving, exponential and
 //!   Pareto variants);

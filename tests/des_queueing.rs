@@ -1,10 +1,10 @@
 //! Validation of the DES substrate against closed-form queueing
-//! theory: if the engine + FIFO servers are correct, an M/M/1 queue
-//! simulated through them must reproduce the textbook formulas. This
+//! theory: if the FIFO server is correct, an M/M/1 queue simulated
+//! through it must reproduce the textbook formulas. This
 //! independently validates the machinery that produces every barrier
 //! result in the repository.
 
-use combar_des::{Duration, Engine, FifoServer, Resource, SimTime};
+use combar_des::{Duration, FifoServer, SimTime};
 use combar_rng::{Distribution, Exponential, SeedableRng, Xoshiro256pp};
 
 /// Simulates an M/M/1 queue; returns (mean wait in queue, mean number
@@ -74,70 +74,11 @@ fn md1_wait_is_half_of_mm1() {
     assert!(rel < 0.05, "M/D/1 Wq {measured:.3} vs {theory:.3}");
 }
 
-/// M/M/c via [`Resource`]: compare against the Erlang-C formula.
-#[test]
-fn mmc_wait_matches_erlang_c() {
-    fn erlang_c_wait(lambda: f64, mu: f64, c: usize) -> f64 {
-        let a = lambda / mu; // offered load
-        let rho = a / c as f64;
-        assert!(rho < 1.0);
-        // Erlang C probability of waiting
-        let mut sum = 0.0f64;
-        let mut term = 1.0f64; // a^k / k!
-        for k in 0..c {
-            if k > 0 {
-                term *= a / k as f64;
-            }
-            sum += term;
-        }
-        let term_c = term * a / c as f64; // a^c / c!
-        let pc = term_c / (1.0 - rho) / (sum + term_c / (1.0 - rho));
-        pc / (c as f64 * mu - lambda)
-    }
-
-    for (lambda, mu, c) in [(1.5f64, 1.0f64, 2usize), (2.5, 1.0, 3)] {
-        let theory = erlang_c_wait(lambda, mu, c);
-        let mut rng = Xoshiro256pp::seed_from_u64(11);
-        let inter = Exponential::new(lambda).unwrap();
-        let service = Exponential::new(mu).unwrap();
-        let mut resource = Resource::new(c);
-        let mut t = 0.0f64;
-        let mut total_wait = 0.0f64;
-        let n = 400_000usize;
-        let warmup = n / 10;
-        for i in 0..n {
-            t += inter.sample(&mut rng);
-            let svc = resource.serve(
-                SimTime::from_us(t),
-                Duration::from_us(service.sample(&mut rng)),
-            );
-            if i >= warmup {
-                total_wait += svc.queueing_delay().as_us();
-            }
-        }
-        let measured = total_wait / (n - warmup) as f64;
-        let rel = (measured - theory).abs() / theory;
-        assert!(
-            rel < 0.08,
-            "M/M/{c} λ={lambda}: Wq {measured:.4} vs Erlang-C {theory:.4} ({:.1}%)",
-            rel * 100.0
-        );
-    }
-}
-
-/// Little's law through the engine: run an open queue as real discrete
-/// events (arrival events scheduling service completions) and check
+/// Little's law on a FIFO server: serve an open M/M/1 stream, merge
+/// the arrival and finish times into one timeline of N(t), and check
 /// L = λ·W on the time-average number in system.
 #[test]
-fn littles_law_holds_through_the_engine() {
-    struct St {
-        server: FifoServer,
-        in_system: u32,
-        area: f64, // ∫ N(t) dt
-        last_change: f64,
-        completed: u32,
-        total_sojourn: f64,
-    }
+fn littles_law_holds_on_a_fifo_server() {
     let lambda = 0.5f64;
     let mu = 1.0f64;
     let n = 120_000usize;
@@ -145,41 +86,37 @@ fn littles_law_holds_through_the_engine() {
     let mut rng = Xoshiro256pp::seed_from_u64(3);
     let inter = Exponential::new(lambda).unwrap();
     let service = Exponential::new(mu).unwrap();
-    let mut eng = Engine::new(St {
-        server: FifoServer::new(),
-        in_system: 0,
-        area: 0.0,
-        last_change: 0.0,
-        completed: 0,
-        total_sojourn: 0.0,
-    });
+    let mut server = FifoServer::new();
+    let (mut arrivals, mut finishes) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    let mut total_sojourn = 0.0f64;
     let mut t = 0.0f64;
     for _ in 0..n {
         t += inter.sample(&mut rng);
-        let svc_time = service.sample(&mut rng);
-        eng.schedule_at(SimTime::from_us(t), move |e| {
-            let now = e.now().as_us();
-            e.state.area += e.state.in_system as f64 * (now - e.state.last_change);
-            e.state.last_change = now;
-            e.state.in_system += 1;
-            let svc = e.state.server.serve(e.now(), Duration::from_us(svc_time));
-            let arrived = now;
-            e.schedule_at(svc.finish, move |e2| {
-                let now2 = e2.now().as_us();
-                e2.state.area += e2.state.in_system as f64 * (now2 - e2.state.last_change);
-                e2.state.last_change = now2;
-                e2.state.in_system -= 1;
-                e2.state.completed += 1;
-                e2.state.total_sojourn += now2 - arrived;
-            });
-        });
+        let svc_time = Duration::from_us(service.sample(&mut rng));
+        let svc = server.serve(SimTime::from_us(t), svc_time);
+        arrivals.push(t);
+        finishes.push(svc.finish.as_us());
+        total_sojourn += svc.sojourn().as_us();
     }
-    let end = eng.run().as_us();
-    let st = eng.into_state();
-    assert_eq!(st.completed as usize, n);
-    let l = st.area / end; // time-average number in system
-    let w = st.total_sojourn / st.completed as f64; // mean sojourn
-    let lambda_hat = st.completed as f64 / end;
+    // Both lists are in time order (FIFO finishes never decrease), and
+    // a finish never precedes its own arrival: merge them, an arrival
+    // first on a tie, integrating ∫ N(t) dt.
+    let (mut area, mut in_system, mut end) = (0.0f64, 0u32, 0.0f64);
+    let (mut i, mut j) = (0, 0);
+    while j < n {
+        let arrive = i < n && arrivals[i] <= finishes[j];
+        let now = if arrive { arrivals[i] } else { finishes[j] };
+        area += in_system as f64 * (now - end);
+        end = now;
+        if arrive {
+            (in_system, i) = (in_system + 1, i + 1);
+        } else {
+            (in_system, j) = (in_system - 1, j + 1);
+        }
+    }
+    let l = area / end; // time-average number in system
+    let w = total_sojourn / n as f64; // mean sojourn
+    let lambda_hat = n as f64 / end;
     let little_gap = (l - lambda_hat * w).abs() / l;
     assert!(
         little_gap < 0.02,

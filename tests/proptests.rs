@@ -3,7 +3,7 @@
 //! cases — no external property-testing dependency).
 
 use combar::combar_rng::check::randomized;
-use combar_des::{Duration, FifoServer, Resource, SimTime};
+use combar_des::{Duration, FifoServer, SimTime};
 use combar_rng::special::{normal_cdf, normal_quantile};
 use combar_rng::stats::OnlineStats;
 use combar_sim::{
@@ -230,35 +230,6 @@ fn dissemination_invariants() {
         }
         // upper bound: last + rounds·t_msg (all waiting resolves then)
         assert!(r.complete_us <= last + rounds as f64 * t_msg + 1e-9);
-    });
-}
-
-/// Resource conservation for any capacity: starts are FIFO
-/// (nondecreasing), nothing starts before arrival, and capacity 1
-/// matches the scalar FIFO server exactly.
-#[test]
-fn resource_conservation() {
-    randomized(128, 0xA11A, |g| {
-        let gaps = g.vec_f64(0.0, 30.0, 1, 40);
-        let services: Vec<f64> = (0..40).map(|_| g.f64_in(1.0, 40.0)).collect();
-        let capacity = g.usize_in(1, 5);
-        let mut r = Resource::new(capacity);
-        let mut scalar = FifoServer::new();
-        let mut t = 0.0f64;
-        let mut last_start = 0.0f64;
-        for (i, &gap) in gaps.iter().enumerate() {
-            t += gap;
-            let svc = r.serve(SimTime::from_us(t), Duration::from_us(services[i]));
-            assert!(svc.start.as_us() >= t - 1e-12);
-            assert!(svc.start.as_us() >= last_start - 1e-12, "FIFO start order");
-            last_start = svc.start.as_us();
-            if capacity == 1 {
-                let s = scalar.serve(SimTime::from_us(t), Duration::from_us(services[i]));
-                assert_eq!(s.start, svc.start);
-                assert_eq!(s.finish, svc.finish);
-            }
-        }
-        assert_eq!(r.served(), gaps.len() as u64);
     });
 }
 

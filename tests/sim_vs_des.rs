@@ -6,7 +6,7 @@
 //! home, and each counter, deepest first, merges its homed arrivals
 //! with its completed children and serves them through one FIFO server.
 //! Its merge order claims to be the `(time, seq)` pop order of an event
-//! engine: an arrival before a propagation on a time tie, arrivals by
+//! loop: an arrival before a propagation on a time tie, arrivals by
 //! proc, propagations by creation order, which is the pop order of the
 //! requests that completed their counters, recursively.
 //!
@@ -18,9 +18,9 @@
 //! timeline, and a third to the paper's Equation (1) closed form at
 //! zero spread.
 //!
-//! The second model is a closure episode on `combar_des::Engine`, kept
-//! here as an oracle: every arrival and every propagation is a boxed
-//! closure on the engine's queue, and it runs on both queue kinds (the
+//! The second model is an event loop kept here as an oracle: every
+//! arrival and every propagation is a `Step` popped from a
+//! `combar_des::EventQueue` in `(time, seq)` order, on both queues (the
 //! binary heap and the timing wheel). The differential tests demand
 //! bit-for-bit equality with each on every `EpisodeResult` field and on
 //! the traced event stream, over ties, `t_c`-lattice arrivals and
@@ -28,7 +28,7 @@
 //! seq)` contract are both checked end to end.
 
 use combar_des::{
-    Duration, Engine, EngineConfig, FifoServer, QueueKind, SimTime, Trace, TraceKind,
+    Duration, Event, EventQueue, FifoServer, HeapQueue, SimTime, Trace, TraceKind, WheelQueue,
 };
 use combar_rng::stats::OnlineStats;
 use combar_rng::{Distribution, Normal, Rng, SeedableRng, Xoshiro256pp};
@@ -210,55 +210,44 @@ struct OracleCounter {
     parent: Option<CounterId>,
 }
 
-struct Oracle {
-    counters: Vec<OracleCounter>,
-    winners: Vec<Option<ProcId>>,
-    signal_done: Vec<f64>,
-    release: SimTime,
-    releasing_proc: ProcId,
-    updates: u64,
-    trace: Trace,
-    tc: Duration,
+/// One pending event of the oracle: a processor arriving at its home
+/// counter, or a counter's last updater climbing to `counter`, the
+/// parent.
+enum Step {
+    Arrive(ProcId),
+    Climb(ProcId, CounterId),
 }
 
-/// One update of `counter` by `proc` at the engine's current time; the
-/// counter's last updater schedules its climb to the parent as a new
-/// closure.
-fn oracle_request(e: &mut Engine<Oracle>, proc: ProcId, counter: CounterId) {
-    let now = e.now();
-    let st = &mut e.state;
-    let c = &mut st.counters[counter as usize];
-    let svc = c.server.serve(now, st.tc);
-    c.count += 1;
-    st.updates += 1;
-    st.trace
-        .record(svc.start, proc, TraceKind::UpdateStart(counter));
-    st.trace
-        .record(svc.finish, proc, TraceKind::UpdateEnd(counter));
-    if c.count < c.fan_in {
-        st.signal_done[proc as usize] = svc.finish.as_us();
-        return;
-    }
-    st.winners[counter as usize] = Some(proc);
-    match c.parent {
-        Some(parent) => e.schedule_at(svc.finish, move |e| oracle_request(e, proc, parent)),
-        None => {
-            st.release = svc.finish;
-            st.releasing_proc = proc;
-            st.signal_done[proc as usize] = svc.finish.as_us();
-            st.trace.record(svc.finish, proc, TraceKind::Release);
-        }
-    }
+/// Queues `step` at `at` under the next `seq`. Nothing may be scheduled
+/// before the current time: the wheel relies on it, and the kernel's
+/// `-0.0` check mirrors it.
+fn schedule(
+    queue: &mut impl EventQueue<Step>,
+    seq: &mut u64,
+    now: SimTime,
+    at: SimTime,
+    step: Step,
+) {
+    assert!(
+        at >= now,
+        "cannot schedule into the past: now = {now}, at = {at}"
+    );
+    queue.schedule(at, *seq, Event::new(step));
+    *seq += 1;
 }
 
-/// The closure-engine episode under the central-flag release: every
-/// arrival is scheduled in processor order before the run.
+/// The event-driven episode under the central-flag release, on any
+/// [`EventQueue`]: every arrival is queued in processor order (`seq`
+/// `0..p`) before the loop, and each climb takes the next `seq` when
+/// its counter completes. Each popped step is one update of a counter
+/// at the popped time; the counter's last updater queues its climb to
+/// the parent.
 fn oracle_episode(
     topo: &Topology,
     homes: &[CounterId],
     arrivals_us: &[f64],
     tc: Duration,
-    cfg: &EngineConfig,
+    mut queue: impl EventQueue<Step>,
     trace_capacity: usize,
 ) -> (EpisodeResult, Trace) {
     let p = arrivals_us.len();
@@ -268,37 +257,59 @@ fn oracle_episode(
         fan_in: n.fan_in(),
         parent: n.parent,
     });
-    let mut eng = cfg.build(Oracle {
-        counters: counters.collect(),
-        winners: vec![None; topo.num_counters()],
-        signal_done: vec![0.0; p],
-        release: SimTime::ZERO,
-        releasing_proc: 0,
-        updates: 0,
-        trace: Trace::new(trace_capacity),
-        tc,
-    });
+    let mut counters: Vec<OracleCounter> = counters.collect();
+    let mut winners = vec![None; topo.num_counters()];
+    let mut signal_done = vec![0.0; p];
+    let (mut release, mut releasing_proc, mut updates) = (SimTime::ZERO, 0, 0u64);
+    let mut trace = Trace::new(trace_capacity);
+    let (mut now, mut seq) = (SimTime::ZERO, 0u64);
     let (mut last_arrival, mut last_arriver) = (f64::NEG_INFINITY, 0);
     for (i, &a) in arrivals_us.iter().enumerate() {
         if a >= last_arrival {
             (last_arrival, last_arriver) = (a, i as ProcId);
         }
-        let (proc, home) = (i as ProcId, homes[i]);
-        eng.schedule_at(SimTime::from_us(a), move |e| {
-            let now = e.now();
-            e.state.trace.record(now, proc, TraceKind::Arrive);
-            oracle_request(e, proc, home)
-        });
+        let step = Step::Arrive(i as ProcId);
+        schedule(&mut queue, &mut seq, now, SimTime::from_us(a), step);
     }
-    eng.run();
-    let st = eng.state;
+    while let Some((at, _, step)) = queue.pop_next() {
+        now = at;
+        let (proc, counter) = match step {
+            Step::Arrive(proc) => {
+                trace.record(now, proc, TraceKind::Arrive);
+                (proc, homes[proc as usize])
+            }
+            Step::Climb(proc, counter) => (proc, counter),
+        };
+        let c = &mut counters[counter as usize];
+        let svc = c.server.serve(now, tc);
+        c.count += 1;
+        updates += 1;
+        trace.record(svc.start, proc, TraceKind::UpdateStart(counter));
+        trace.record(svc.finish, proc, TraceKind::UpdateEnd(counter));
+        if c.count < c.fan_in {
+            signal_done[proc as usize] = svc.finish.as_us();
+            continue;
+        }
+        winners[counter as usize] = Some(proc);
+        match c.parent {
+            Some(parent) => {
+                let step = Step::Climb(proc, parent);
+                schedule(&mut queue, &mut seq, now, svc.finish, step);
+            }
+            None => {
+                (release, releasing_proc) = (svc.finish, proc);
+                signal_done[proc as usize] = svc.finish.as_us();
+                trace.record(svc.finish, proc, TraceKind::Release);
+            }
+        }
+    }
     let mut level_wait_us = vec![0.0; topo.depth() as usize];
-    for (c, counter) in st.counters.iter().enumerate() {
+    for (c, counter) in counters.iter().enumerate() {
         level_wait_us[topo.path_len(c as CounterId) as usize - 1] +=
             counter.server.total_wait().as_us();
     }
-    let release_us = st.release.as_us();
-    let releasing_depth = topo.path_len(homes[st.releasing_proc as usize]);
+    let release_us = release.as_us();
+    let releasing_depth = topo.path_len(homes[releasing_proc as usize]);
     let sync_delay_us = release_us - last_arrival;
     let update_delay_us = releasing_depth as f64 * tc.as_us();
     let result = EpisodeResult {
@@ -307,16 +318,16 @@ fn oracle_episode(
         sync_delay_us,
         update_delay_us,
         contention_delay_us: sync_delay_us - update_delay_us,
-        releasing_proc: st.releasing_proc,
+        releasing_proc,
         releasing_depth,
         last_arriver,
-        winners: st.winners,
-        signal_done_us: st.signal_done,
-        total_updates: st.updates,
+        winners,
+        signal_done_us: signal_done,
+        total_updates: updates,
         level_wait_us,
         release_per_proc_us: vec![release_us; p],
     };
-    (result, st.trace)
+    (result, trace)
 }
 
 /// The wakeup-tree release from the root down: each counter notifies
@@ -422,10 +433,10 @@ fn assert_matches_oracle_at(
     let notify_us = 1.5;
     let wakeup = ReleaseModel::WakeupTree { notify_us };
     let woken = run_episode_with(topo, homes, arrivals, tc, wakeup);
-    for kind in [QueueKind::Heap, QueueKind::Wheel] {
-        let cell = format!("{cell} {kind:?}");
-        let cfg = EngineConfig::new().queue(kind);
-        let (want, want_trace) = oracle_episode(topo, homes, arrivals, tc, &cfg, capacity);
+    let heap = oracle_episode(topo, homes, arrivals, tc, HeapQueue::new(), capacity);
+    let wheel = oracle_episode(topo, homes, arrivals, tc, WheelQueue::new(), capacity);
+    for (queue, (want, want_trace)) in [("heap", heap), ("wheel", wheel)] {
+        let cell = format!("{cell} {queue}");
         assert_same(&got, &want, &cell);
         assert_eq!(
             trace_bits(&got_trace),
@@ -460,7 +471,7 @@ fn differential_topologies(p: u32) -> Vec<Topology> {
     topos
 }
 
-/// The kernel against the closure engine over p × topology × σ/t_c,
+/// The kernel against the event-loop oracle over p × topology × σ/t_c,
 /// bit for bit.
 #[test]
 fn kernel_matches_engine_oracle_on_grid() {
@@ -543,17 +554,17 @@ fn kernel_matches_engine_oracle_on_edge_cases() {
         );
     });
     assert!(planned.contains(nan_wait), "plan: {planned}");
-    let engine = panic_of(&|| {
+    let oracle = panic_of(&|| {
         oracle_episode(
             &topo,
             topo.homes(),
             &[0.0; 4],
             overflow,
-            &EngineConfig::new(),
+            HeapQueue::new(),
             0,
         );
     });
-    assert!(engine.contains(nan_wait), "engine: {engine}");
+    assert!(oracle.contains(nan_wait), "oracle: {oracle}");
 }
 
 /// Arrival vectors built to trip a byte-wise radix sort: all zeros, a
@@ -561,7 +572,7 @@ fn kernel_matches_engine_oracle_on_edge_cases() {
 /// whose high bytes differ, and values that differ in their lowest byte
 /// only. On the flat tree every arrival pops at the one counter, so the
 /// traced `Arrive` events list the kernel's arrival order, which must
-/// be the engine's `(time, proc)` order; the trees check the merges.
+/// be the oracle's `(time, proc)` order; the trees check the merges.
 #[test]
 fn adversarial_arrival_vectors_pop_in_engine_order() {
     let mut rng = Xoshiro256pp::seed_from_u64(0xd1ff_0003);
@@ -698,7 +709,7 @@ fn plan_rejects_bad_homes_with_the_episode_messages() {
     assert!(short.contains("arrivals length mismatch"), "{short}");
 }
 
-/// One `-0.0` beside `+0.0`s: the engine refuses to schedule it (in its
+/// One `-0.0` beside `+0.0`s: the oracle refuses to schedule it (in its
 /// total order it lies before time zero), and the kernel rejects the
 /// same processor's arrival.
 #[test]
@@ -707,11 +718,11 @@ fn negative_zero_arrival_is_rejected_like_the_engine() {
     let mut arrivals = vec![0.0; 64];
     arrivals[5] = -0.0;
     arrivals[40] = 7.0;
-    let engine = panic_of(&|| {
+    let oracle = panic_of(&|| {
         let tc = Duration::from_us(TC_US);
-        oracle_episode(&topo, topo.homes(), &arrivals, tc, &EngineConfig::new(), 0);
+        oracle_episode(&topo, topo.homes(), &arrivals, tc, HeapQueue::new(), 0);
     });
-    assert!(engine.contains("cannot schedule into the past"), "{engine}");
+    assert!(oracle.contains("cannot schedule into the past"), "{oracle}");
     let kernel = panic_of(&|| {
         run_episode(&topo, topo.homes(), &arrivals, Duration::from_us(TC_US));
     });
