@@ -90,16 +90,6 @@ impl FifoServer {
         }
     }
 
-    /// The time at which the server next becomes idle.
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
-    }
-
-    /// Whether the server is idle at time `t`.
-    pub fn is_idle_at(&self, t: SimTime) -> bool {
-        t >= self.free_at
-    }
-
     /// Number of requests served.
     pub fn served(&self) -> u64 {
         self.served
@@ -113,11 +103,6 @@ impl FifoServer {
     /// Sum of service times across all requests (busy time).
     pub fn total_service(&self) -> Duration {
         self.total_service
-    }
-
-    /// Resets the server to idle at time zero, clearing statistics.
-    pub fn reset(&mut self) {
-        *self = Self::new();
     }
 }
 
@@ -172,25 +157,6 @@ mod tests {
         let b = s.serve(SimTime::from_us(10.0), d); // waits 10
         assert_eq!(b.start.as_us(), 20.0);
         assert_eq!(b.queueing_delay().as_us(), 10.0);
-    }
-
-    #[test]
-    fn idle_query_matches_free_at() {
-        let mut s = FifoServer::new();
-        assert!(s.is_idle_at(SimTime::ZERO));
-        s.serve(SimTime::ZERO, Duration::from_us(TC));
-        assert!(!s.is_idle_at(SimTime::from_us(19.9)));
-        assert!(s.is_idle_at(SimTime::from_us(20.0)));
-        assert_eq!(s.free_at().as_us(), 20.0);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut s = FifoServer::new();
-        s.serve(SimTime::from_us(1.0), Duration::from_us(TC));
-        s.reset();
-        assert_eq!(s.served(), 0);
-        assert_eq!(s.free_at(), SimTime::ZERO);
     }
 
     #[test]

@@ -15,9 +15,21 @@
 //! jitter spreads a herd of re-senders; the pace never grows, because a
 //! re-send also renews the session lease.
 //!
+//! **The shard's NACK.** The one other re-send is the shard's to ask
+//! for: its tick re-sends an overdue release as [`Response::Overdue`]
+//! `{episode, round}` to a session that has not arrived since. A client
+//! still arriving for `episode` lost the release and takes the frame as
+//! it. A client arriving for `episode + 1` re-arrives once per `round`
+//! above the highest it has answered for this arrival, under the
+//! deadline it has: so a lost arrival costs a tick, not a time-out, and
+//! a copy or wire duplicate of one round sends nothing. Any other client
+//! drops the frame. A bare stale `Release` never makes a client send:
+//! the fan-out's later copies look just like it.
+//!
 //! **Loss memory.** A re-send of the arrival in flight adds a copy, up to
 //! three, to every arrival the session sends ([`Redundancy`]) — fresh,
-//! re-sent, or asked for again by a late `Welcome` or a `Resumed`.
+//! re-sent, answering an `Overdue`, or asked for again by a late
+//! `Welcome` or a `Resumed`.
 
 use std::time::{Duration, Instant};
 
@@ -85,6 +97,8 @@ pub(crate) struct ClientCore {
     /// The request in flight and when it is re-sent.
     pub(crate) pending: Option<(Pending, Instant)>,
     jitter: JitterBackoff,
+    /// The highest `Overdue` round answered for the arrival in flight.
+    answered: u64,
     redundancy: Redundancy,
     /// Highest server incarnation seen: a frame stamped lower comes from
     /// a fenced zombie and is dropped unread.
@@ -101,6 +115,7 @@ impl ClientCore {
             timeout,
             wait: timeout + jitter.next_delay(),
             jitter,
+            answered: 0,
             episode: 0,
             seq: 0,
             joined: false,
@@ -166,12 +181,14 @@ impl ClientCore {
 
     /// Sends the arrival for the current episode — a re-send of the one
     /// in flight is evidence of loss and adds a copy, any other takes the
-    /// session's count — and, sent at `now`, restarts its deadline.
+    /// session's count and has answered no `Overdue` yet — and, sent at
+    /// `now`, restarts its deadline.
     fn arrive(&mut self, resend: bool, now: Option<Instant>) {
         let copies = if resend {
             self.redundancy.raise();
             self.redundancy.copies()
         } else {
+            self.answered = 0;
             self.redundancy.fresh()
         };
         let (session, episode, seq) = (self.session, self.episode, self.seq());
@@ -215,7 +232,9 @@ impl ClientCore {
             }
             // A `Hello` in flight supersedes the rest: it is stale.
             _ if !arriving => return,
-            Response::Release { episode, .. } if episode >= self.episode => {
+            Response::Release { episode, .. } | Response::Overdue { episode, .. }
+                if episode >= self.episode =>
+            {
                 // A later episode means the server provably released ours
                 // too (episodes are sequential); catch up either way.
                 let done = self.episode;
@@ -224,6 +243,14 @@ impl ClientCore {
                 self.stats.episodes += 1;
                 combar_trace::emit(done as u32, me as u32, Kind::Release);
                 Outcome::Released(done)
+            }
+            Response::Overdue { episode, round, .. }
+                if episode + 1 == self.episode && round > self.answered =>
+            {
+                // The shard has not seen this arrival: it was lost, or
+                // it is still on its way. Send it again, once a round.
+                self.answered = round;
+                return self.arrive(true, None);
             }
             Response::Evicted { session, .. } if session == me => {
                 self.joined = false;
@@ -267,8 +294,9 @@ impl ClientCore {
                 self.pending = None;
                 Outcome::Diverged
             }
-            // Stale or duplicate releases, duplicate welcomes and
-            // cross-session noise are dropped like loss.
+            // Stale or duplicate releases, answered or stale `Overdue`
+            // rounds, duplicate welcomes and cross-session noise are
+            // dropped like loss.
             _ => return,
         });
     }
@@ -360,6 +388,76 @@ mod tests {
         assert_eq!(core.stats.retries, 0);
     }
 
+    /// The answer rules of a client arriving for episode 1 after the
+    /// release of episode 0: the fan-out's later copies of that release
+    /// send nothing; each `Overdue` round for episode 0 draws one
+    /// re-arrival with one more copy and the deadline the arrival had,
+    /// and its wire duplicates and lower rounds draw none; nor does a
+    /// round for an older episode, nor one read while computing or with
+    /// a `Hello` in flight. None is a time-out re-send. An `Overdue` for
+    /// episode 1 completes the client, and the next arrival answers
+    /// rounds afresh.
+    #[test]
+    fn an_overdue_round_is_answered_once_and_a_stale_release_never() {
+        let overdue = |episode, round| {
+            Input::Response(Response::Overdue {
+                episode,
+                round,
+                inc: 0,
+            })
+        };
+        let (mut core, t0) = joined(5, T);
+        core.step(t0, Input::Arrive);
+        let release = Input::Response(Response::Release { episode: 0, inc: 0 });
+        assert_eq!(core.step(t0, release).outcome, Some(Outcome::Released(0)));
+        assert_eq!(
+            core.step(t0, overdue(0, 1)),
+            Effects::default(),
+            "computing"
+        );
+        let due = core.step(t0, Input::Arrive).deadline;
+        let at = t0 + T / 2;
+        for _ in 0..3 {
+            assert_eq!(core.step(at, release).send, None, "a fan-out copy");
+        }
+        let mut copies = Vec::new();
+        for round in 1..=u64::from(shard::RESENDS) {
+            let fx = core.step(at, overdue(0, round));
+            let Some((Request::Arrive { episode: 1, .. }, n)) = fx.send else {
+                panic!("round {round} sent {:?}", fx.send);
+            };
+            copies.push(n);
+            assert_eq!(fx.deadline, due, "round {round} moved the deadline");
+            for stale in 1..=round {
+                assert_eq!(core.step(at, overdue(0, stale)).send, None, "{stale}");
+            }
+            assert_eq!(core.step(at, release).send, None);
+        }
+        assert_eq!(copies, [2, 3, 3, 3]);
+        assert_eq!(
+            core.stats.retries, 0,
+            "a re-arrival asked for is no time-out"
+        );
+        let fx = core.step(at, overdue(1, 2));
+        assert_eq!((fx.outcome, fx.send), (Some(Outcome::Released(1)), None));
+        core.step(at, Input::Arrive);
+        let fx = core.step(at, overdue(0, 4));
+        assert_eq!((fx.send, fx.outcome), (None, None), "an older episode's");
+        let fx = core.step(at, overdue(1, 1));
+        assert!(matches!(
+            fx.send,
+            Some((Request::Arrive { episode: 2, .. }, 3))
+        ));
+
+        let mut hello = ClientCore::new(6, T);
+        hello.step(t0, Input::Join { rejoin: false });
+        assert_eq!(
+            hello.step(t0, overdue(0, 1)).send,
+            None,
+            "a `Hello` in flight"
+        );
+    }
+
     /// The in-memory wire between two clients and one shard, under a
     /// fault plan on the transport's stream convention: session `s`'s
     /// requests on stream `2·s`, its responses on `2·s + 1`.
@@ -371,6 +469,9 @@ mod tests {
         down: [Vec<Response>; 2],
         /// Episodes each client saw released.
         released: [u64; 2],
+        /// Each session's arrivals sent since last read: the episode, and
+        /// whether a copy got through.
+        arrivals: [Vec<(u64, bool)>; 2],
     }
 
     impl Wire {
@@ -400,8 +501,14 @@ mod tests {
 
         fn send(&mut self, req: Request, copies: u32) {
             let mut up = std::mem::take(&mut self.up);
-            self.carry(2 * req.session() as usize, req, copies, &mut up);
+            let arrived = self.carry(2 * req.session() as usize, req, copies, &mut up);
             self.up = up;
+            if let Request::Arrive {
+                session, episode, ..
+            } = req
+            {
+                self.arrivals[session as usize].push((episode, arrived > 0));
+            }
         }
 
         /// Sends `copies` of `resp` to session `to`; how many arrive.
@@ -439,6 +546,28 @@ mod tests {
         }
     }
 
+    /// A lost arrival: its episode, the client's time-out re-sends when
+    /// every copy of it was lost, and whether an answer to an `Overdue`
+    /// got through before the client re-sent.
+    type LostArrival = Option<(u64, u64, bool)>;
+
+    /// Reads the arrivals `core` sent in its last `feed`, `answering` an
+    /// `Overdue` or not: one whose every copy was lost opens `lost`, and
+    /// an answer that got through, with no time-out re-send since, marks
+    /// it repaired by the shard's NACK.
+    fn note(lost: &mut LostArrival, core: &ClientCore, wire: &mut Wire, answering: bool) {
+        let retries = core.stats.retries;
+        for (episode, through) in wire.arrivals[core.session as usize].drain(..) {
+            match lost {
+                None if !through => *lost = Some((episode, retries, false)),
+                Some((ep, at, answered)) if *ep == episode && *at == retries => {
+                    *answered |= through && answering;
+                }
+                _ => {}
+            }
+        }
+    }
+
     /// Two client cores and one shard core cross 1 000 episodes in
     /// virtual time, the shard ticking as often as the wire delivers,
     /// over a wire with 5 % independent drop and 5 % duplicate, and over
@@ -451,7 +580,10 @@ mod tests {
     /// copy was lost, and that a re-send from the shard's tick reached
     /// before its client re-sent, completes with no client re-send: the
     /// burst ended inside the shard's schedule and did not cost the
-    /// client's timeout.
+    /// client's timeout. So does an arrival whose every copy was lost
+    /// and whose client answered a tick's `Overdue` with a re-arrival
+    /// that got through: the shard counts it before the client times
+    /// out, and the answer is no `retries`. Each cell has both repairs.
     #[test]
     fn two_clients_and_a_shard_cross_exactly_once_over_a_lossy_wire() {
         const EPISODES: u64 = 1_000;
@@ -480,6 +612,7 @@ mod tests {
                 up: Vec::new(),
                 down: [Vec::new(), Vec::new()],
                 released: [0; 2],
+                arrivals: [Vec::new(), Vec::new()],
             };
             let (mut credits, mut now, mut report) = ([0u64; 2], t0, None);
             // Per session: the episode whose every release copy was lost
@@ -488,6 +621,9 @@ mod tests {
             // releases the shard repaired.
             let mut lost: [Option<(u64, u64, bool)>; 2] = [None; 2];
             let mut by_shard = 0;
+            // The same for arrivals, repaired by a re-arrival answering
+            // an `Overdue`.
+            let (mut lost_arrival, mut by_nack): ([LostArrival; 2], u64) = ([None; 2], 0);
             for core in &mut clients {
                 feed(
                     core,
@@ -495,6 +631,12 @@ mod tests {
                     now,
                     &mut wire,
                     EPISODES,
+                );
+                note(
+                    &mut lost_arrival[core.session as usize],
+                    core,
+                    &mut wire,
+                    false,
                 );
             }
             while wire.released.iter().any(|&r| r <= EPISODES) {
@@ -504,10 +646,23 @@ mod tests {
                     "wedged: {:?}",
                     wire.released
                 );
-                let mut effects: Vec<shard::Effects> = std::mem::take(&mut wire.up)
-                    .into_iter()
-                    .map(|req| shard.step(now, shard::Input::Request(req.session(), req, false)))
-                    .collect();
+                let mut effects = Vec::new();
+                for req in std::mem::take(&mut wire.up) {
+                    let (i, arrived) = (req.session() as usize, shard.arrived);
+                    effects.push(shard.step(now, shard::Input::Request(i as u64, req, false)));
+                    let Request::Arrive { episode, .. } = req else {
+                        continue;
+                    };
+                    match lost_arrival[i] {
+                        Some((ep, at, answered)) if ep == episode && shard.arrived > arrived => {
+                            let repaired = clients[i].stats.retries == at;
+                            assert!(repaired || !answered, "{chaos:?}: {i} arriving for {ep}");
+                            by_nack += u64::from(answered);
+                            lost_arrival[i] = None;
+                        }
+                        _ => {}
+                    }
+                }
                 let frame = shard.frame;
                 let reports = [(true, report.map_or(0, |r: u64| r + 1), shard.live)];
                 if shard.live == 2 && shard::release_ready(frame, reports, false, false, false) {
@@ -544,13 +699,21 @@ mod tests {
                         }
                     }
                 }
+                // An arrival the shard never counted, for an episode that
+                // released: a join epoch's, released by proxy.
+                for lost in &mut lost_arrival {
+                    *lost = lost.filter(|&(ep, ..)| ep >= shard.frame);
+                }
                 for core in &mut clients {
                     let i = core.session as usize;
                     let inbox = std::mem::take(&mut wire.down[i]);
                     for resp in inbox {
                         feed(core, Input::Response(resp), now, &mut wire, EPISODES);
+                        let answering = matches!(resp, Response::Overdue { .. });
+                        note(&mut lost_arrival[i], core, &mut wire, answering);
                     }
                     feed(core, Input::Tick, now, &mut wire, EPISODES);
+                    note(&mut lost_arrival[i], core, &mut wire, false);
                     if let Some((ep, at, reached)) = lost[i].filter(|l| wire.released[i] > l.0) {
                         let repaired = core.stats.retries == at;
                         assert!(repaired || !reached, "{chaos:?}: session {i}, episode {ep}");
@@ -565,6 +728,7 @@ mod tests {
             let retries: u64 = clients.iter().map(|c| c.stats.retries).sum();
             assert!(retries > 0, "the wire lost nothing");
             assert!(by_shard > 0, "{chaos:?}: the shard repaired no release");
+            assert!(by_nack > 0, "{chaos:?}: the shard repaired no arrival");
         }
     }
 }

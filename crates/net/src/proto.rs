@@ -24,6 +24,12 @@
 //!   its exact coordinate, re-acks a `Release` it missed, or surfaces
 //!   an explicit [`Response::Diverged`] when the journal lost a suffix
 //!   the client already observed — never a silent epoch skew.
+//! * [`Response::Overdue`] is the shard's tick re-send of a release to
+//!   a session that has not arrived since, marked with its `round`. To
+//!   a client that lost the release it is that release; to one whose
+//!   next arrival is lost it is a NACK, answered with one re-arrival per
+//!   round. Copies of the fan-out and wire duplicates carry no new
+//!   round, so no frame the client reads twice makes it send twice.
 //! * `seq` is a per-session monotone request counter — dedup falls
 //!   out of the episode state, not the sequence number, so a reordered
 //!   retry can never corrupt state. Its one other reader is the
@@ -57,10 +63,11 @@ pub(crate) const HOLD: u32 = 1024;
 ///
 /// Each piece of evidence adds one copy, up to [`MAX_COPIES`], and
 /// starts the calm over. Each end counts its own re-sends: the client a
-/// re-send of the in-flight `Arrive`, the server a re-send of an overdue
-/// `Release` on its tick. The server also counts a re-sent arrival for
-/// an episode that has already released. Each fresh frame sent without evidence counts toward
-/// a calm of [`HOLD`]; a full calm drops one copy. So a session that
+/// re-send of the in-flight `Arrive`, timed out or answering an
+/// `Overdue`, the server each `Overdue` it sends on its tick. The server
+/// also counts a re-sent arrival for an episode that has already
+/// released. Each fresh frame sent without evidence counts toward a calm
+/// of [`HOLD`]; a full calm drops one copy. So a session that
 /// keeps losing frames keeps its copies, one whose loss has stopped is
 /// back to one copy within `(MAX_COPIES - 1) · HOLD` frames, and a
 /// clean wire, which never shows evidence, sends every frame once.
@@ -209,6 +216,21 @@ pub enum Response {
         /// Server incarnation issuing the frame.
         inc: u64,
     },
+    /// The shard's tick re-send of an overdue `Release`: `episode`
+    /// completed, and the session has not arrived for `episode + 1`
+    /// since. A client still arriving for `episode` takes it as that
+    /// `Release`; one arriving for `episode + 1` lost that arrival, or
+    /// it is still in flight, and re-arrives once per `round` it has not
+    /// answered. The marker is what tells a re-send from a later copy of
+    /// the fan-out or a wire duplicate, which a client must never answer.
+    Overdue {
+        /// The released episode.
+        episode: u64,
+        /// Which re-send of that release this is, 1 to `RESENDS`.
+        round: u64,
+        /// Server incarnation issuing the frame.
+        inc: u64,
+    },
     /// The session's lease expired (or its shard died) and the
     /// membership was folded without it. The client surfaces
     /// `BarrierError::Evicted` and may `rejoin` via a fresh `Hello`.
@@ -267,6 +289,7 @@ const TAG_EVICTED: u8 = 67;
 const TAG_RESUME_REQUIRED: u8 = 68;
 const TAG_RESUMED: u8 = 69;
 const TAG_DIVERGED: u8 = 70;
+const TAG_OVERDUE: u8 = 71;
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -401,6 +424,7 @@ impl Response {
         match *self {
             Response::Welcome { inc, .. }
             | Response::Release { inc, .. }
+            | Response::Overdue { inc, .. }
             | Response::Evicted { inc, .. }
             | Response::ResumeRequired { inc, .. }
             | Response::Resumed { inc, .. }
@@ -425,6 +449,16 @@ impl Response {
             Response::Release { episode, inc } => {
                 buf.push(TAG_RELEASE);
                 put_u64(&mut buf, episode);
+                put_u64(&mut buf, inc);
+            }
+            Response::Overdue {
+                episode,
+                round,
+                inc,
+            } => {
+                buf.push(TAG_OVERDUE);
+                put_u64(&mut buf, episode);
+                put_u64(&mut buf, round);
                 put_u64(&mut buf, inc);
             }
             Response::Evicted {
@@ -489,6 +523,14 @@ impl Response {
                 Ok(Response::Release {
                     episode: get_u64(frame, 1),
                     inc: get_u64(frame, 9),
+                })
+            }
+            TAG_OVERDUE => {
+                expect_len(frame, tag, 25)?;
+                Ok(Response::Overdue {
+                    episode: get_u64(frame, 1),
+                    round: get_u64(frame, 9),
+                    inc: get_u64(frame, 17),
                 })
             }
             TAG_EVICTED => {
@@ -563,6 +605,11 @@ mod tests {
             Response::Release {
                 episode: 0,
                 inc: u64::MAX,
+            },
+            Response::Overdue {
+                episode: 41,
+                round: 4,
+                inc: 2,
             },
             Response::Evicted {
                 session: 5,

@@ -637,25 +637,14 @@ impl ShardDriver {
         try_release(shared, router);
     }
 
-    /// Root-lease pass. Each target is polled by exactly one shard —
-    /// the lowest-indexed live shard *other than the target* (the
-    /// supervisor's miss counters escalate one miss per poll, so
-    /// concurrent pollers of the same target would fast-track a
-    /// declaration). That is: the lowest live shard polls every peer,
-    /// and the second-lowest polls the lowest — so the poller's own
-    /// death is detected too, instead of silently ending all detection.
-    /// The targets are a slice of one snapshot of the live flags.
+    /// Root-lease pass over this shard's [`lease_targets`] in one
+    /// snapshot of the live flags.
     fn poll_shards(&mut self) {
         let flags = &self.shared.shard_alive;
         let live = (0..flags.len()).filter(|&s| flags[s].load(Ordering::Acquire));
         self.alive.clear();
         self.alive.extend(live.map(|s| s as u32));
-        let me = self.idx as u32;
-        let targets = match self.alive[..] {
-            [lowest, ..] if lowest == me => &self.alive[1..],
-            [_, second, ..] if second == me => &self.alive[..1],
-            _ => &[],
-        };
+        let targets = lease_targets(&self.alive, self.idx as u32);
         let sup = &self.shared.shard_super;
         for shard in sup.lease_pass(self.now, targets.iter().copied()) {
             declare_shard_dead(&self.shared, &self.router, shard as usize);
@@ -745,6 +734,22 @@ impl ShardDriver {
         self.poll_shards();
         self.beacon();
         true
+    }
+}
+
+/// The shards whose root lease shard `me` polls, given the live shards
+/// in ascending order. Each target is polled by exactly one shard — the
+/// lowest-indexed live shard *other than the target* (the supervisor's
+/// miss counters escalate one miss per poll, so concurrent pollers of
+/// the same target would fast-track a declaration). That is: the lowest
+/// live shard polls every peer, and the second-lowest polls the lowest —
+/// so the poller's own death is detected too, instead of silently
+/// ending all detection.
+fn lease_targets(alive: &[u32], me: u32) -> &[u32] {
+    match alive {
+        [lowest, peers @ ..] if *lowest == me => peers,
+        [lowest, second, ..] if *second == me => std::slice::from_ref(lowest),
+        _ => &[],
     }
 }
 
@@ -1426,18 +1431,82 @@ mod tests {
         server.shutdown();
     }
 
+    /// The root lease in virtual time, on a four-shard server's
+    /// `shard_lease` of a 2 ms floor and two misses: each shard beats at
+    /// every turn and then polls its [`lease_targets`], as
+    /// `ShardDriver::turn` does. A turn comes a tick after the last plus
+    /// a seeded jitter of up to a tick, and one turn in a hundred is a
+    /// stall of up to 7 ms. One shard — each in turn, the lowest and so
+    /// the pollers included — stops after 50 ms. It alone is declared
+    /// dead, no earlier than four 2 ms leases after its last beat (a
+    /// miss at one lease, a second at two and the declaration at four)
+    /// and within 40 ms, on each of 100 seeds.
+    #[test]
+    fn only_the_stalled_shard_is_declared_dead() {
+        use combar_rng::{Rng, SplitMix64};
+        let (tick, ms) = (Duration::from_micros(200), Duration::from_millis(1));
+        let cfg = SupervisorConfig {
+            min_grace: 2 * ms,
+            sigma_mult: 4.0,
+            max_misses: 2,
+        };
+        for (stalled, seed) in (0..4u32).flat_map(|s| (0..100u64).map(move |seed| (s, seed))) {
+            let mut rng = SplitMix64::new(seed);
+            let t0 = Instant::now();
+            let sup = Supervisor::starting_at(4, cfg, t0);
+            let (mut turns, mut alive) = ([t0; 4], vec![0, 1, 2, 3]);
+            let (mut last_beat, mut declared) = (t0, Vec::new());
+            while let Some(&me) = alive.iter().min_by_key(|&&s| turns[s as usize]) {
+                let now = turns[me as usize];
+                if now - t0 > 50 * ms + 40 * ms {
+                    break;
+                }
+                let jitter = match rng.next_u64() % 100 {
+                    0 => 7 * ms,
+                    _ => tick,
+                };
+                turns[me as usize] = now + tick + jitter.mul_f64(rng.next_f64());
+                if me == stalled && now - t0 > 50 * ms {
+                    turns[me as usize] = t0 + Duration::from_secs(3_600);
+                    continue;
+                }
+                sup.beat_at(me, now);
+                if me == stalled {
+                    last_beat = now;
+                }
+                for dead in sup.lease_pass(now, lease_targets(&alive, me).to_vec()) {
+                    declared.push((dead, now - last_beat));
+                    alive.retain(|&s| s != dead);
+                }
+            }
+            let [(dead, silent)] = declared[..] else {
+                panic!("seed {seed}, shard {stalled} stalled: {declared:?}");
+            };
+            assert_eq!(dead, stalled, "seed {seed}");
+            assert!(silent >= 8 * ms && silent < 40 * ms, "{silent:?}");
+        }
+    }
+
+    /// A threaded smoke of the same property, on a root lease no host
+    /// stall outlasts: a 250 ms floor, so a stalled shard is declared
+    /// after a second of silence, and its sessions' clients re-send for
+    /// up to four.
     #[test]
     fn dead_shard_degrades_gracefully() {
         let server = EpochServer::start(ServerConfig {
             shards: 4,
             tick: Duration::from_micros(200),
             shard_lease: SupervisorConfig {
-                min_grace: Duration::from_millis(2),
+                min_grace: Duration::from_millis(250),
                 sigma_mult: 4.0,
                 max_misses: 2,
             },
             ..ServerConfig::default()
         });
+        let client_cfg = ClientConfig {
+            max_attempts: 160,
+            ..ClientConfig::default()
+        };
         // Sessions 0..8 spread over 4 shards; shard 2 dies.
         let mut transports: Vec<_> = (0..8u64).map(|_| Some(server.connect())).collect();
         std::thread::scope(|s| {
@@ -1445,7 +1514,7 @@ mod tests {
                 let t = transports[sid as usize].take().unwrap();
                 let server = &server;
                 s.spawn(move || {
-                    let mut c = BarrierClient::new(t, sid, ClientConfig::default());
+                    let mut c = BarrierClient::new(t, sid, client_cfg);
                     c.join().unwrap();
                     let mut done = 0u32;
                     while done < 30 {

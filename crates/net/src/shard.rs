@@ -18,12 +18,14 @@
 //! The root's half of the combining tree — may this episode be released,
 //! given every shard's report — is the pure [`release_ready`].
 //!
-//! **Loss repair.** A session that lost its `Release` would wait out its
-//! client's request timeout, and the whole episode with it. So on the
-//! lease pass's tick the shard re-sends the last release to a session
+//! **Loss repair.** A session that lost its `Release`, or whose next
+//! `Arrive` was lost, would wait out its client's request timeout, and
+//! the whole episode with it. So on the lease pass's tick the shard
+//! re-sends the last release as a marked `Overdue` frame to a session
 //! that has shown loss and has not arrived since, 1, 2, 4 and 8 ticks
 //! after it, and counts each re-send as loss, as the client counts its
-//! own.
+//! own. A client that lost the release takes it as the release; one
+//! whose arrival was lost answers each round once with a re-arrival.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -87,7 +89,7 @@ pub(crate) struct Effects {
     pub(crate) release: Option<u64>,
     pub(crate) fanout: Vec<(ConnId, u32)>,
     /// Responses, each for one connection, in the order they were made:
-    /// acks, re-acks, challenges and re-sent releases.
+    /// acks, re-acks, challenges and `Overdue` rounds.
     pub(crate) frames: Vec<(ConnId, Response)>,
     /// The frame this shard reported complete, at most once per frame.
     pub(crate) report: Option<u64>,
@@ -121,8 +123,8 @@ pub(crate) struct Sess {
     /// a `Release` went missing: a client's re-sent arrival for an
     /// episode that has released, and each of the shard's own re-sends.
     redundancy: Redundancy,
-    /// How often the shard re-sent the release in hand; `RESENDS` once
-    /// the client's own re-send has taken over.
+    /// How many `Overdue` rounds of the release in hand the shard sent;
+    /// `RESENDS` once the client's own re-send has taken over.
     resends: u32,
 }
 
@@ -554,12 +556,14 @@ impl ShardCore {
 
     /// A session the last release went to that has not arrived since
     /// (an eviction clears `arrived_for`, so it is live) gets that
-    /// `Release` again 1, 2, 4 and 8 ticks after it, if its loss memory
-    /// holds more than one copy. To the shard a stalled or computing
-    /// client looks like a lost release, and on a clean wire a stall
-    /// would otherwise raise the copies of every session it held up; one
-    /// that has shown no loss is left to its client's re-send, which is
-    /// evidence too. Each re-send is evidence of loss, so it raises the
+    /// release again as `Overdue` rounds 1 to 4, 1, 2, 4 and 8 ticks after
+    /// it, if its loss memory holds more than one copy. Its client either
+    /// lost the release and takes the round as one, or lost its next
+    /// arrival and answers the round with a re-arrival. To the shard a
+    /// stalled or computing client looks the same, and on a clean wire a
+    /// stall would otherwise raise the copies of every session it held
+    /// up; one that has shown no loss is left to its client's re-send,
+    /// which is evidence too. Each re-send is evidence of loss, so it raises the
     /// session's copies first and goes out at the raised count.
     fn resend_overdue(&mut self) {
         let Some(released) = self.released_at else {
@@ -572,9 +576,16 @@ impl ShardCore {
             if due && s.arrived_for == Some(episode) && s.redundancy.copies() > 1 {
                 s.resends += 1;
                 s.redundancy.raise();
-                let release = (s.conn, Response::Release { episode, inc });
+                let round = u64::from(s.resends);
+                let overdue = Response::Overdue {
+                    episode,
+                    round,
+                    inc,
+                };
                 let copies = s.redundancy.copies() as usize;
-                self.out.frames.extend(std::iter::repeat_n(release, copies));
+                self.out
+                    .frames
+                    .extend(std::iter::repeat_n((s.conn, overdue), copies));
             }
         }
     }
@@ -762,7 +773,7 @@ pub(crate) mod tests {
         cfg
     }
 
-    /// Re-sent releases, as `(ticks after the release, connection,
+    /// `Overdue` rounds sent, as `(ticks after the release, connection,
     /// copies)`.
     type Resent = Vec<(u32, ConnId, usize)>;
 
@@ -789,11 +800,21 @@ pub(crate) mod tests {
         for k in 1..=ticks {
             *now += TICK;
             for (conn, resp) in core.step(*now, Input::Tick(false)).frames {
-                assert_eq!(resp, Response::Release { episode: ep, inc });
+                let Response::Overdue {
+                    episode,
+                    round,
+                    inc: at,
+                } = resp
+                else {
+                    panic!("tick {k} sent {resp:?}");
+                };
+                assert_eq!((episode, at), (ep, inc));
                 match resent.last_mut() {
                     Some(last) if (last.0, last.1) == (k, conn) => last.2 += 1,
                     _ => resent.push((k, conn, 1)),
                 }
+                let rounds = resent.iter().filter(|r| r.1 == conn).count() as u64;
+                assert_eq!(round, rounds, "tick {k}: round of the re-send to {conn}");
             }
             arrivals(core, *now, k);
             if lags.iter().all(|lag| lag.is_some_and(|lag| lag <= k)) {
@@ -889,7 +910,7 @@ pub(crate) mod tests {
             }
             for (conn, resp) in fx.frames {
                 let ticks = &mut resent[conn as usize];
-                if matches!(resp, Response::Release { .. }) && ticks.last() != Some(&k) {
+                if matches!(resp, Response::Overdue { .. }) && ticks.last() != Some(&k) {
                     ticks.push(k);
                 }
             }
@@ -1060,7 +1081,7 @@ pub(crate) mod tests {
         ] {
             assert!(log.contains(needle), "no {needle} in the script");
         }
-        let resent = |line: &str| line.starts_with("Tick") && line.contains("Release {");
+        let resent = |line: &str| line.starts_with("Tick") && line.contains("Overdue {");
         assert!(log.lines().any(resent), "no tick re-sent a release");
         for field in ["credits", "completers", "unroute"] {
             let (any, empty) = (format!("{field}: ["), format!("{field}: []"));
