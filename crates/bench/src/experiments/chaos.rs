@@ -5,13 +5,14 @@
 //! pushes one step further, to load *loss*: a seeded `combar-chaos`
 //! plan kills one participant mid-run and the chaos harness measures,
 //! per barrier kind, whether the survivors can evict the corpse and
-//! keep synchronizing — and at what per-episode cost. Counter-tree
-//! barriers (central, combining, MCS, dynamic, adaptive, blocking)
-//! degrade gracefully through the roster eviction protocol, and the
-//! tournament heals through flag adoption (losers replay a dead
-//! winner's bracket track); only dissemination cannot recover, because
-//! every participant is a unique signaller in every round, and its
-//! survivors give up after exhausting the retry budget.
+//! keep synchronizing — and at what per-episode cost. The counter
+//! barriers (central, combining, MCS, dynamic, adaptive, blocking,
+//! tournament) degrade gracefully through the roster eviction protocol:
+//! a proxy delivers the corpse's arrival, on the tournament its flag
+//! store, and a loser that signals a dead winner plays on for it; only
+//! dissemination cannot recover, because every participant is a unique
+//! signaller in every round, and its survivors give up after exhausting
+//! the retry budget.
 //!
 //! A DES companion replays the same fault timeline against the
 //! simulated central counter, separating the *protocol* cost of

@@ -39,11 +39,11 @@
 //! Two lease layers, both PR 4's [`Supervisor`]:
 //!
 //! * **Session leases** — each shard's core supervises its sessions;
-//!   every request beats the session's slot. A live session that neither
-//!   arrives nor heartbeats past its (exponentially widened) lease is
-//!   evicted: its in-flight arrival is delivered by proxy and the
-//!   membership folds without it, so an episode can never wedge on a
-//!   dead client. The client observes [`Response::Evicted`] and may
+//!   every request beats the session's slot, and the release it waited
+//!   for restarts its lease. A live session that neither arrives nor
+//!   heartbeats past its (exponentially widened) lease is evicted: its
+//!   in-flight arrival is delivered by proxy and the membership folds
+//!   without it, so an episode can never wedge on a dead client. The client observes [`Response::Evicted`] and may
 //!   rejoin with a fresh `Hello`.
 //! * **Shard leases** — every shard beats a root supervisor each loop
 //!   tick; each shard is polled by exactly one peer (the lowest-indexed
@@ -1366,23 +1366,16 @@ mod tests {
         server.shutdown();
     }
 
+    /// A threaded smoke of [`only_the_silent_session_is_evicted`], on a
+    /// session lease no host stall outlasts: a 250 ms floor, so the
+    /// silent session is evicted a second after it joins, and the live
+    /// client re-sends its first arrival for up to four.
     #[test]
     fn silent_session_is_evicted_and_survivors_proceed() {
-        let server = EpochServer::start(ServerConfig {
-            shards: 2,
-            tick: Duration::from_micros(200),
-            lease: SupervisorConfig {
-                min_grace: Duration::from_millis(2),
-                sigma_mult: 4.0,
-                max_misses: 2,
-            },
-            ..ServerConfig::default()
-        });
-        // Session 2 joins and goes silent; session 1 must keep
-        // completing episodes once the lease folds session 2 out.
+        let server = EpochServer::start(lease_cfg(Duration::from_millis(250)));
         let mut dead = BarrierClient::new(server.connect(), 2, ClientConfig::default());
         dead.join().unwrap();
-        let mut live = BarrierClient::new(server.connect(), 1, ClientConfig::default());
+        let mut live = BarrierClient::new(server.connect(), 1, patient_client());
         live.join().unwrap();
         for _ in 0..10 {
             live.arrive().unwrap();
@@ -1393,42 +1386,235 @@ mod tests {
         server.shutdown();
     }
 
+    /// A threaded smoke of [`an_evicted_session_rejoins`] on the same
+    /// lease: session 1's arrivals wait out session 2's lease, session
+    /// 2's next arrival learns of the eviction, and it rejoins.
     #[test]
     fn evicted_session_rejoins() {
-        let server = EpochServer::start(ServerConfig {
+        let server = EpochServer::start(lease_cfg(Duration::from_millis(250)));
+        let mut a = BarrierClient::new(server.connect(), 1, patient_client());
+        let mut b = BarrierClient::new(server.connect(), 2, ClientConfig::default());
+        a.join().unwrap();
+        b.join().unwrap();
+        for _ in 0..8 {
+            a.arrive().unwrap();
+        }
+        // The release of its join epoch may still be queued and answer
+        // its first arrival; the next one learns of the eviction.
+        let refused = (0..2).find_map(|_| b.arrive().err());
+        assert_eq!(refused, Some(combar_rt::BarrierError::Evicted));
+        b.rejoin().unwrap();
+        let stats = server.session_stats();
+        assert_eq!(stats[&2].rejoins, 1, "{stats:?}");
+        server.shutdown();
+    }
+
+    /// A client that re-sends one request for up to four seconds.
+    fn patient_client() -> ClientConfig {
+        ClientConfig {
+            max_attempts: 160,
+            ..ClientConfig::default()
+        }
+    }
+
+    /// A server in virtual time for the session-lease properties: two
+    /// [`ShardCore`]s on [`lease_cfg`]'s 2 ms lease, and
+    /// [`release_ready`] over their reports standing in for the root,
+    /// each release stepped into both shards as the broadcast would.
+    /// Session `s` is routed to shard `s % 2` on connection `s`.
+    struct VirtualServer {
+        t0: Instant,
+        shards: Vec<ShardCore>,
+        reported: Vec<u64>,
+        episode: u64,
+        credits: BTreeMap<SessionId, u64>,
+        /// Every membership change, with when it was stepped.
+        roster: Vec<(SessionId, Delta, Instant)>,
+    }
+
+    impl VirtualServer {
+        /// Steps `input` into `shard` at `now`, then releases every
+        /// episode the reports complete; returns the step's responses.
+        fn step(&mut self, shard: usize, now: Instant, input: Input) -> Vec<(ConnId, Response)> {
+            let fx = self.shards[shard].step(now, input);
+            if let Some(frame) = fx.report {
+                self.reported[shard] = frame + 1;
+            }
+            for session in fx.credits {
+                *self.credits.entry(session).or_default() += 1;
+            }
+            let roster = fx
+                .roster
+                .into_iter()
+                .map(|(session, delta)| (session, delta, now));
+            self.roster.extend(roster);
+            // Reports are stamped with their episode, so a release stepped
+            // into one shard cannot complete the next before all have it.
+            let shards = self.shards.iter().zip(&self.reported);
+            let reports = shards.map(|(s, &r)| (true, r, s.live));
+            if release_ready(self.episode, reports, false, false, false) {
+                self.episode += 1;
+                for shard in 0..self.shards.len() {
+                    self.step(shard, now, Input::Release(self.episode - 1));
+                }
+            }
+            fx.frames
+        }
+
+        /// A request from `session` (its connection), on its shard.
+        fn request(&mut self, now: Instant, input: Input) -> Vec<(ConnId, Response)> {
+            let Input::Request(conn, ..) = input else {
+                unreachable!("not a request")
+            };
+            self.step(conn as usize % 2, now, input)
+        }
+    }
+
+    /// A session lease of `min_grace` with two misses, on two shards.
+    fn lease_cfg(min_grace: Duration) -> ServerConfig {
+        ServerConfig {
             shards: 2,
             tick: Duration::from_micros(200),
             lease: SupervisorConfig {
-                min_grace: Duration::from_millis(2),
+                min_grace,
                 sigma_mult: 4.0,
                 max_misses: 2,
             },
             ..ServerConfig::default()
-        });
-        let mut a = BarrierClient::new(server.connect(), 1, ClientConfig::default());
-        let mut b = BarrierClient::new(server.connect(), 2, ClientConfig::default());
-        a.join().unwrap();
-        b.join().unwrap();
-        for _ in 0..3 {
-            // b sleeps through its lease while a drives episodes.
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    for _ in 0..8 {
-                        a.arrive().unwrap();
-                    }
-                });
-                s.spawn(|| std::thread::sleep(Duration::from_millis(40)));
-            });
-            // Err means the lease fired; Ok means it raced in b's
-            // favor this round.
-            if let Err(e) = b.arrive() {
-                assert_eq!(e, combar_rt::BarrierError::Evicted);
-                b.rejoin().unwrap();
-            }
         }
-        let stats = server.session_stats();
-        assert!(stats[&2].rejoins >= 1, "b never rejoined: {stats:?}");
-        server.shutdown();
+    }
+
+    /// Sessions 1 and 2 join a [`VirtualServer`]; then each shard ticks
+    /// at each of its turns, session 1 arrives at its first turn after it
+    /// sees its last arrival released, and `session_2` takes session 2's
+    /// turn, 40 ms after the last, until it returns `true`. A turn comes
+    /// a tick after the last plus a seeded jitter of up to a tick, and
+    /// one of session 1's turns in ten and one of a shard's in a hundred
+    /// is a stall of up to 7 ms.
+    fn lease_run(
+        seed: u64,
+        mut session_2: impl FnMut(&mut VirtualServer, Instant) -> bool,
+    ) -> VirtualServer {
+        use crate::shard::tests::{arrive, hello};
+        use combar_rng::Rng;
+        let (tick, ms) = (Duration::from_micros(200), Duration::from_millis(1));
+        let mut rng = combar_rng::SplitMix64::new(seed);
+        let t0 = Instant::now();
+        let cfg = lease_cfg(2 * ms);
+        let mut server = VirtualServer {
+            t0,
+            shards: (0..2)
+                .map(|i| ShardCore::new(i, &cfg, 0, 0, None, t0))
+                .collect(),
+            reported: vec![0; 2],
+            episode: 0,
+            credits: BTreeMap::new(),
+            roster: Vec::new(),
+        };
+        server.request(t0, hello(1));
+        server.request(t0, hello(2));
+        // The turns of shard 0, shard 1 and the two sessions, and the
+        // episode session 1 last arrived for (its join's).
+        let (mut turns, mut last) = ([t0, t0, t0, t0 + 40 * ms], 0);
+        loop {
+            let (who, now) = (0..4)
+                .map(|w| (w, turns[w]))
+                .min_by_key(|&(_, t)| t)
+                .unwrap();
+            assert!(now - t0 < Duration::from_secs(1), "seed {seed}: stuck");
+            if who == 3 {
+                if session_2(&mut server, now) {
+                    return server;
+                }
+                turns[3] = now + 40 * ms;
+                continue;
+            }
+            if who < 2 {
+                server.step(who, now, Input::Tick(false));
+            } else if server.episode > last {
+                last = server.episode;
+                let answer = server.request(now, arrive(1, last, last));
+                assert!(answer.is_empty(), "seed {seed}: {answer:?}");
+            }
+            let (odds, jitter) = (if who < 2 { 100 } else { 10 }, rng.next_f64());
+            let stall = if rng.next_u64() % odds == 0 {
+                7 * ms
+            } else {
+                tick
+            };
+            turns[who] = now + tick + stall.mul_f64(jitter);
+        }
+    }
+
+    /// `silent_session_is_evicted_and_survivors_proceed` in virtual
+    /// time: session 2 says nothing. On each of 100 seeds, it alone is
+    /// evicted, once and no earlier than four 2 ms leases after it
+    /// joined, and by its first turn session 1 has crossed more than ten
+    /// episodes, each credited.
+    #[test]
+    fn only_the_silent_session_is_evicted() {
+        for seed in 0..100 {
+            let server = lease_run(seed, |_, _| true);
+            let [_, _, (2, Delta::Evict, at)] = server.roster[..] else {
+                panic!("seed {seed}: membership {:?}", server.roster);
+            };
+            let joined = at - server.t0;
+            assert!(
+                joined >= Duration::from_millis(8),
+                "seed {seed}: {joined:?}"
+            );
+            assert!(
+                server.episode > 10,
+                "seed {seed}: {} episodes",
+                server.episode
+            );
+            assert_eq!(server.credits[&1], server.episode - 1, "seed {seed}");
+        }
+    }
+
+    /// `evicted_session_rejoins` in virtual time: session 2 arrives at
+    /// each of its turns, so it is silent for 40 ms at a time. On each
+    /// of 100 seeds, the first two silences outlast its lease: each ends
+    /// in its eviction, no earlier than four 2 ms leases after its last
+    /// request, and its arrival is answered `Evicted` and its `Hello`
+    /// rejoins it. By then the lease has widened to the pauses it saw
+    /// (`sigma_mult` times the pooled σ of the beat intervals), and the
+    /// next two arrivals count. Session 1 is never evicted and is
+    /// credited every episode released after the joins.
+    #[test]
+    fn an_evicted_session_rejoins() {
+        use crate::shard::tests::{arrive, hello};
+        for seed in 0..100 {
+            let (mut evicted, mut quiet_since) = (Vec::new(), None);
+            let server = lease_run(seed, |server, now| {
+                let eviction = server.roster.last().copied();
+                let eviction = eviction.filter(|c| c.1 == Delta::Evict);
+                if let Some((session, _, at)) = eviction {
+                    let silent = at - quiet_since.unwrap_or(server.t0);
+                    assert_eq!(session, 2, "seed {seed}");
+                    assert!(
+                        silent >= Duration::from_millis(8),
+                        "seed {seed}: {silent:?}"
+                    );
+                }
+                let answer = server.request(now, arrive(2, server.episode, 0));
+                if eviction.is_some() {
+                    assert!(
+                        matches!(answer[..], [(2, Response::Evicted { .. })]),
+                        "{answer:?}"
+                    );
+                    server.request(now, hello(2));
+                    assert_eq!(server.roster.last(), Some(&(2, Delta::Hello(true), now)));
+                } else {
+                    assert!(answer.is_empty(), "seed {seed}: {answer:?}");
+                }
+                evicted.push(eviction.is_some());
+                quiet_since = Some(now);
+                evicted.len() == 4
+            });
+            assert_eq!(evicted, [true, true, false, false], "seed {seed}");
+            assert_eq!(server.credits[&1], server.episode - 1, "seed {seed}");
+        }
     }
 
     /// The root lease in virtual time, on a four-shard server's
@@ -1503,10 +1689,6 @@ mod tests {
             },
             ..ServerConfig::default()
         });
-        let client_cfg = ClientConfig {
-            max_attempts: 160,
-            ..ClientConfig::default()
-        };
         // Sessions 0..8 spread over 4 shards; shard 2 dies.
         let mut transports: Vec<_> = (0..8u64).map(|_| Some(server.connect())).collect();
         std::thread::scope(|s| {
@@ -1514,7 +1696,7 @@ mod tests {
                 let t = transports[sid as usize].take().unwrap();
                 let server = &server;
                 s.spawn(move || {
-                    let mut c = BarrierClient::new(t, sid, client_cfg);
+                    let mut c = BarrierClient::new(t, sid, patient_client());
                     c.join().unwrap();
                     let mut done = 0u32;
                     while done < 30 {

@@ -494,6 +494,8 @@ impl ShardCore {
                 }
                 self.out.fanout.push((s.conn, s.redundancy.fresh()));
                 s.resends = 0;
+                // It owed nothing while it waited: its lease runs from here.
+                self.sup.rearm_at(s.slot, self.now);
                 combar_trace::emit(ep as u32, session as u32, Kind::Release);
             }
         }
@@ -647,7 +649,7 @@ pub(crate) mod tests {
         Input::Request(req.session(), req, false)
     }
 
-    fn hello(session: SessionId) -> Input {
+    pub(crate) fn hello(session: SessionId) -> Input {
         req(Request::Hello { session, seq: 0 })
     }
 
@@ -655,7 +657,7 @@ pub(crate) mod tests {
         req(Request::Heartbeat { session, seq: 0 })
     }
 
-    fn arrive(session: SessionId, episode: u64, seq: u64) -> Input {
+    pub(crate) fn arrive(session: SessionId, episode: u64, seq: u64) -> Input {
         req(Request::Arrive {
             session,
             episode,

@@ -35,6 +35,7 @@
 
 use crate::counter::{sealed, Climb, CounterBarrier, CounterWaiter};
 use crate::pad::CachePadded;
+use crate::roster::Roster;
 use crate::sync::{AtomicU32, Ordering};
 use crate::tree::{combining_topology, Shape};
 use combar_rng::stats::OnlineStats;
@@ -139,14 +140,14 @@ impl Climb for Adaptive {
 
     fn seat(&self, _tid: u32) {}
 
-    fn climb(&self, tid: u32, _seat: &mut (), episode: u32) -> bool {
+    fn climb(&self, tid: u32, _seat: &mut (), episode: u32, _: &Roster) -> bool {
         let now = self.start.elapsed().as_nanos() as u64 + 1;
         self.stamps[tid as usize].store(now, Ordering::Relaxed);
         let shape = self.shape();
         self.settle_if(shape.walk(shape.home_of(tid), tid, episode, |_| {}))
     }
 
-    fn proxy_climb(&self, tid: u32, episode: u32) -> bool {
+    fn proxy_climb(&self, tid: u32, episode: u32, _: &Roster) -> bool {
         self.settle_if(self.shape().proxy_walk(tid, episode))
     }
 

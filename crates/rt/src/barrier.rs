@@ -50,7 +50,7 @@ use crate::dynamic::DynamicBarrier;
 use crate::error::BarrierError;
 use crate::fuzzy::FuzzyWaiter;
 use crate::heal::{SelfHealing, Supervisor, SupervisorConfig};
-use crate::tournament::{TournamentBarrier, TournamentWaiter};
+use crate::tournament::TournamentBarrier;
 use crate::tree::TreeBarrier;
 
 /// The per-thread handle contract every barrier kind implements.
@@ -85,7 +85,7 @@ pub trait Waiter: fmt::Debug + Send {
 
     /// The fuzzy arrive/depart view, for kinds with a separable
     /// signal/enforce split. `None` (the default) for kinds without
-    /// one (dissemination and tournament interleave both phases).
+    /// one (dissemination interleaves both phases).
     fn as_fuzzy(&mut self) -> Option<&mut dyn FuzzyWaiter> {
         None
     }
@@ -223,19 +223,6 @@ impl Waiter for DisseminationWaiter<'_> {
     forward_wait!();
 }
 
-impl Waiter for TournamentWaiter<'_> {
-    forward_wait!();
-    fn evict_stragglers(&mut self) -> Vec<u32> {
-        Self::evict_stragglers(self)
-    }
-    fn rejoin(&mut self) -> Result<bool, BarrierError> {
-        Self::rejoin(self)
-    }
-    fn rejoin_within(&mut self, timeout: Duration) -> Result<bool, BarrierError> {
-        Self::rejoin_within(self, timeout)
-    }
-}
-
 impl<K: Climb, N: Notify> Barrier for CounterBarrier<K, N> {
     fn threads(&self) -> u32 {
         Self::threads(self)
@@ -275,33 +262,6 @@ impl Barrier for DisseminationBarrier {
     }
     fn critical_depth(&self) -> Option<u32> {
         Some(self.rounds()) // ⌈log₂ p⌉ rounds, arrival-order-blind
-    }
-}
-
-impl Barrier for TournamentBarrier {
-    fn threads(&self) -> u32 {
-        Self::threads(self)
-    }
-    fn waiter<'a>(&'a self, tid: u32) -> Box<dyn Waiter + 'a> {
-        Box::new(self.waiter(tid))
-    }
-    fn is_poisoned(&self) -> bool {
-        Self::is_poisoned(self)
-    }
-    fn stragglers(&self) -> Vec<u32> {
-        Self::stragglers(self)
-    }
-    fn evict(&self, tid: u32) -> bool {
-        Self::evict(self, tid)
-    }
-    fn detach(&self, tid: u32) -> bool {
-        Self::detach(self, tid)
-    }
-    fn live_count(&self) -> u32 {
-        Self::live_count(self)
-    }
-    fn critical_depth(&self) -> Option<u32> {
-        Some(self.rounds())
     }
 }
 
@@ -493,13 +453,6 @@ impl AnyBarrier {
     pub fn supervisor(&self) -> Option<&Supervisor> {
         self.supervisor.as_ref()
     }
-
-    /// The async capability of the underlying kind: `Some` for
-    /// [`BarrierKind::Async`], where participants can be parked wakers
-    /// multiplexed by an executor instead of OS threads.
-    pub fn as_async(&self) -> Option<&AsyncBarrier> {
-        self.inner.as_async()
-    }
 }
 
 impl std::ops::Deref for AnyBarrier {
@@ -526,82 +479,22 @@ impl SelfHealing for AnyBarrier {
     }
 }
 
-/// A waiter of any kind: a thin newtype over `Box<dyn Waiter>`.
+/// A waiter of any kind: a thin newtype over `Box<dyn Waiter>`. It
+/// derefs to the trait object, so the [`Waiter`] methods resolve on it
+/// without importing the trait.
 #[derive(Debug)]
 pub struct AnyWaiter<'b>(Box<dyn Waiter + 'b>);
 
-impl<'b> AnyWaiter<'b> {
-    /// Wraps an already-boxed trait-object waiter.
-    pub fn from_boxed(inner: Box<dyn Waiter + 'b>) -> Self {
-        AnyWaiter(inner)
-    }
-
-    /// This participant's id.
-    pub fn tid(&self) -> u32 {
-        self.0.tid()
-    }
-
-    /// One full barrier episode (panicking variant).
-    pub fn wait(&mut self) {
-        self.0.wait()
-    }
-
-    /// Unbounded fallible full barrier.
-    pub fn try_wait(&mut self) -> Result<(), BarrierError> {
-        self.0.try_wait()
-    }
-
-    /// One bounded barrier crossing.
-    pub fn wait_timeout(&mut self, timeout: Duration) -> Result<(), BarrierError> {
-        self.0.wait_timeout(timeout)
-    }
-
-    /// The fuzzy arrive/depart view, where the kind supports it.
-    pub fn as_fuzzy(&mut self) -> Option<&mut dyn FuzzyWaiter> {
-        self.0.as_fuzzy()
-    }
-
-    /// The rescue after a timed-out wait ([`Waiter::evict_stragglers`]).
-    pub fn evict_stragglers(&mut self) -> Vec<u32> {
-        self.0.evict_stragglers()
-    }
-
-    /// Re-admission after eviction; `Ok(false)` if never evicted (or
-    /// the kind has no rejoin protocol).
-    pub fn rejoin(&mut self) -> Result<bool, BarrierError> {
-        self.0.rejoin()
-    }
-
-    /// Bounded [`Self::rejoin`].
-    pub fn rejoin_within(&mut self, timeout: Duration) -> Result<bool, BarrierError> {
-        self.0.rejoin_within(timeout)
+impl<'b> std::ops::Deref for AnyWaiter<'b> {
+    type Target = dyn Waiter + 'b;
+    fn deref(&self) -> &Self::Target {
+        &*self.0
     }
 }
 
-impl Waiter for AnyWaiter<'_> {
-    fn tid(&self) -> u32 {
-        self.0.tid()
-    }
-    fn try_wait(&mut self) -> Result<(), BarrierError> {
-        self.0.try_wait()
-    }
-    fn wait_timeout(&mut self, timeout: Duration) -> Result<(), BarrierError> {
-        self.0.wait_timeout(timeout)
-    }
-    fn wait(&mut self) {
-        self.0.wait()
-    }
-    fn as_fuzzy(&mut self) -> Option<&mut dyn FuzzyWaiter> {
-        self.0.as_fuzzy()
-    }
-    fn evict_stragglers(&mut self) -> Vec<u32> {
-        self.0.evict_stragglers()
-    }
-    fn rejoin(&mut self) -> Result<bool, BarrierError> {
-        self.0.rejoin()
-    }
-    fn rejoin_within(&mut self, timeout: Duration) -> Result<bool, BarrierError> {
-        self.0.rejoin_within(timeout)
+impl std::ops::DerefMut for AnyWaiter<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut *self.0
     }
 }
 

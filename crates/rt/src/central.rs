@@ -16,6 +16,7 @@
 
 use crate::counter::{sealed, Climb, CounterBarrier, CounterWaiter, Notify};
 use crate::pad::CachePadded;
+use crate::roster::Roster;
 use crate::sync::{AtomicU32, Ordering};
 use combar_trace as trace;
 
@@ -93,11 +94,11 @@ impl Climb for Central {
     fn seat(&self, _tid: u32) {}
 
     #[inline]
-    fn climb(&self, tid: u32, _seat: &mut (), episode: u32) -> bool {
+    fn climb(&self, tid: u32, _seat: &mut (), episode: u32, _: &Roster) -> bool {
         self.bump(tid, episode)
     }
 
-    fn proxy_climb(&self, tid: u32, episode: u32) -> bool {
+    fn proxy_climb(&self, tid: u32, episode: u32, _: &Roster) -> bool {
         trace::emit(episode, tid, trace::Kind::ProxyArrival(0));
         self.bump(tid, episode)
     }

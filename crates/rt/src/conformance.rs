@@ -125,18 +125,10 @@ impl BarrierKind {
     }
 
     /// Whether this kind's waiters expose the fuzzy arrive/depart
-    /// split ([`check_fuzzy_slack`] is a no-op for the rest).
+    /// split ([`check_fuzzy_slack`] is a no-op for the rest): every kind
+    /// but dissemination, whose rounds interleave both phases.
     pub fn supports_fuzzy(&self) -> bool {
-        matches!(
-            self,
-            BarrierKind::Central
-                | BarrierKind::Blocking
-                | BarrierKind::CombiningTree { .. }
-                | BarrierKind::McsTree { .. }
-                | BarrierKind::Dynamic { .. }
-                | BarrierKind::Adaptive
-                | BarrierKind::Async { .. }
-        )
+        !matches!(self, BarrierKind::Dissemination)
     }
 
     /// Constructs a barrier of this kind for `p` threads, through the

@@ -1,17 +1,18 @@
 //! The counter-barrier core: one epoch / poison / evict / rejoin state
-//! machine under the central, blocking, tree, dynamic and adaptive
-//! barriers.
+//! machine under the central, blocking, tree, dynamic, adaptive and
+//! tournament barriers.
 //!
 //! The paper's central counter, degree-`d` combining tree and
 //! dynamic-placement tree are one protocol: a thread updates a counter,
 //! the last updater of a counter climbs to its parent, and the root's
 //! last updater releases everyone through one shared epoch flag. They
 //! differ only in degree (central is `d = p`) and in who sits where
-//! (§5.1's victor/victim swap). [`Climb`] is that difference — the
-//! counters, the walk, its proxy form and the shape rewrite a
-//! membership change triggers; everything around it lives here, once:
-//! the waiter life-cycle, the fault surface and the single release
-//! path.
+//! (§5.1's victor/victim swap). The tournament is the degree-2 tree in
+//! which a statically chosen winner advances (Mellor-Crummey & Scott,
+//! TOCS 1991). [`Climb`] is that difference — the counters (or flags),
+//! the walk, its proxy form and the shape rewrite a membership change
+//! triggers; everything around it lives here, once: the waiter
+//! life-cycle, the fault surface and the single release path.
 //!
 //! [`Notify`] is the second axis: how a waiter waits for the release
 //! and how the release (or a poisoning) wakes it. The paper prices
@@ -25,15 +26,17 @@
 //!
 //! # Release path
 //!
-//! A climb (a waiter's own, or a proxy's) that fills the root has
-//! already reset every counter it won, so at that instant no counter
-//! holds a partial episode, every surviving waiter is waiting on the
-//! epoch, and no proxy can start (all non-active roster slots are
+//! A climb (a waiter's own, a proxy's, or a resumed one) that fills the
+//! root has already reset every counter it won, so at that instant no
+//! counter holds a partial episode, every surviving waiter is waiting on
+//! the epoch, and no proxy can start (all non-active roster slots are
 //! stamped for the in-flight target). Inside that *quiescent window*
 //! the releaser folds queued membership changes into the shape, emits
 //! `Release`, and only then bumps the epoch: the Release bump publishes
 //! the new shape to survivors, the roster re-admission CAS publishes it
 //! to rejoiners, and reconfiguration never takes effect mid-episode.
+//! (A tournament co-player may still be replaying the released
+//! episode's track then; its flag values are stale to the next one.)
 //! After the bump it sweeps proxy arrivals for every evicted slot into
 //! the next episode. There is one such path, so an episode completed by
 //! a proxy arrival is traced (`Win`/`Release`) exactly like one
@@ -77,10 +80,10 @@
 //!   [`CounterWaiter::rejoin_within`]).
 
 use crate::error::BarrierError;
-use crate::heal::{self, Change, Membership, RejoinStatus, SelfHealing};
+use crate::heal::{Change, JitterBackoff, Membership, RejoinStatus, SelfHealing};
 use crate::pad::CachePadded;
 use crate::roster::{Arrival, Roster};
-use crate::spin::wait_for_epoch_fallible;
+use crate::spin::{epoch_outcome, wait_for_epoch_fallible, Backoff, Deadline};
 use crate::sync::{AtomicU32, Ordering};
 use combar_trace as trace;
 use std::fmt;
@@ -138,16 +141,25 @@ impl Notify for Flag {
 }
 
 /// What differs between the counter barriers: the counters and the
-/// walk over them. Sealed — the four kinds of this crate are its only
+/// walk over them. Sealed — the five kinds of this crate are its only
 /// implementations, and it is not an extension point.
 ///
 /// Every climb emits its own `Win`/`Lose` trace events, tagged with the
 /// `tid`/`episode` it is given, and resets each counter it fills before
 /// moving on, so a climb that returns `true` leaves the structure in
-/// the quiescent window described in the [module docs](self).
+/// the quiescent window described in the [module docs](self). `episode`
+/// is the number of episodes released before the one climbed for, and
+/// `roster` tells which participants are evicted.
 pub trait Climb: sealed::Sealed + fmt::Debug + Send + Sync {
+    /// Whether a climb can stop short of its part of the episode (a
+    /// tournament winner whose loser has not signalled). Only then does
+    /// the depart wait call [`Self::resume`]; for the counter climbs the
+    /// step compiles away.
+    const RESUMES: bool = false;
+
     /// What a waiter carries from one episode to the next: nothing for
-    /// the static kinds, the first counter for dynamic placement.
+    /// the static kinds, the first counter for dynamic placement, where
+    /// its climb stopped for the tournament.
     type Seat: fmt::Debug + Send + 'static;
 
     /// The seat a fresh (or just re-admitted) waiter of `tid` starts
@@ -155,12 +167,19 @@ pub trait Climb: sealed::Sealed + fmt::Debug + Send + Sync {
     fn seat(&self, tid: u32) -> Self::Seat;
 
     /// `tid`'s own arrival; returns whether it filled the root.
-    fn climb(&self, tid: u32, seat: &mut Self::Seat, episode: u32) -> bool;
+    fn climb(&self, tid: u32, seat: &mut Self::Seat, episode: u32, roster: &Roster) -> bool;
+
+    /// Goes on with a climb that stopped short, without waiting;
+    /// returns whether it filled the root. The depart wait calls it
+    /// between epoch looks, and only when [`Self::RESUMES`] is set.
+    fn resume(&self, _tid: u32, _seat: &mut Self::Seat, _episode: u32, _roster: &Roster) -> bool {
+        false
+    }
 
     /// The arrival of evicted `tid`, performed by whoever evicted it or
     /// released the previous episode; emits `ProxyArrival` and returns
     /// whether it filled the root.
-    fn proxy_climb(&self, tid: u32, episode: u32) -> bool;
+    fn proxy_climb(&self, tid: u32, episode: u32, roster: &Roster) -> bool;
 
     /// Rewrites the shape for the new live set. Called only inside the
     /// releaser's quiescent window, so plain stores suffice.
@@ -173,9 +192,9 @@ pub trait Climb: sealed::Sealed + fmt::Debug + Send + Sync {
 /// A counter barrier: the shared state machine around one [`Climb`]
 /// and one [`Notify`]. Used through its aliases
 /// [`crate::CentralBarrier`], [`crate::BlockingBarrier`],
-/// [`crate::TreeBarrier`], [`crate::DynamicBarrier`] and
-/// [`crate::AdaptiveBarrier`], which add the constructors and the
-/// kind-specific accessors.
+/// [`crate::TreeBarrier`], [`crate::DynamicBarrier`],
+/// [`crate::AdaptiveBarrier`] and [`crate::TournamentBarrier`], which
+/// add the constructors and the kind-specific accessors.
 #[derive(Debug)]
 pub struct CounterBarrier<K: Climb, N: Notify = Flag> {
     kind: K,
@@ -273,11 +292,11 @@ impl<K: Climb, N: Notify> CounterBarrier<K, N> {
     /// the one in flight.
     fn evict_in(&self, tid: u32, episode: Option<u32>) -> bool {
         assert!(tid < self.p, "thread id out of range");
-        if !self.roster.evict(tid, &self.epoch, episode) {
+        let Some(target) = self.roster.evict(tid, &self.epoch, episode) else {
             return false;
-        }
-        trace::emit(self.trace_epoch(), tid, trace::Kind::Evict(tid));
-        if self.proxy_arrival(tid) {
+        };
+        trace::emit(target.wrapping_sub(1), tid, trace::Kind::Evict(tid));
+        if self.proxy_arrival(tid, target) {
             self.maintain();
         }
         true
@@ -326,17 +345,6 @@ impl<K: Climb, N: Notify> CounterBarrier<K, N> {
         self.membership.request_detach(&self.roster, tid)
     }
 
-    /// Episode tag for barrier-side (proxy) emission: the in-flight
-    /// epoch, read only while the calling thread has a trace sink
-    /// attached.
-    fn trace_epoch(&self) -> u32 {
-        if trace::attached() {
-            self.epoch.load(Ordering::Relaxed)
-        } else {
-            0
-        }
-    }
-
     /// Releases the episode whose root a climb just filled (the
     /// quiescent window; see the [module docs](self)).
     fn release(&self, subject: u32, episode: u32) {
@@ -366,11 +374,13 @@ impl<K: Climb, N: Notify> CounterBarrier<K, N> {
         }
     }
 
-    /// One arrival on behalf of evicted `tid`; returns whether it
-    /// released the episode.
-    fn proxy_arrival(&self, tid: u32) -> bool {
-        let episode = self.trace_epoch();
-        let filled = self.kind.proxy_climb(tid, episode);
+    /// One arrival on behalf of evicted `tid` for the episode that
+    /// brings the epoch to `target` — the one its roster slot was just
+    /// stamped for, even if that episode has released since; returns
+    /// whether it released the episode.
+    fn proxy_arrival(&self, tid: u32, target: u32) -> bool {
+        let episode = target.wrapping_sub(1);
+        let filled = self.kind.proxy_climb(tid, episode, &self.roster);
         if filled {
             self.release(tid, episode);
         }
@@ -381,8 +391,8 @@ impl<K: Climb, N: Notify> CounterBarrier<K, N> {
     /// slots are stamped but not climbed for — the live shape no longer
     /// counts them.
     fn maintain(&self) {
-        self.roster.maintain(&self.epoch, |tid| {
-            self.membership.is_live(tid) && self.proxy_arrival(tid)
+        self.roster.maintain(&self.epoch, |tid, target| {
+            self.membership.is_live(tid) && self.proxy_arrival(tid, target)
         });
     }
 }
@@ -404,8 +414,8 @@ impl<K: Climb, N: Notify> SelfHealing for CounterBarrier<K, N> {
 
 /// Per-thread handle to a [`CounterBarrier`] (aliased as
 /// [`crate::CentralWaiter`], [`crate::BlockingWaiter`],
-/// [`crate::TreeWaiter`], [`crate::DynamicWaiter`] and
-/// [`crate::AdaptiveWaiter`]).
+/// [`crate::TreeWaiter`], [`crate::DynamicWaiter`],
+/// [`crate::AdaptiveWaiter`] and [`crate::TournamentWaiter`]).
 ///
 /// Dropping a waiter between `arrive` and a completed depart (e.g. a
 /// panic unwinding through the slack section of a fuzzy episode)
@@ -460,7 +470,9 @@ impl<'a, K: Climb, N: Notify> CounterWaiter<'a, K, N> {
             Arrival::Claimed => {
                 self.pending = true;
                 trace::emit(self.epoch, self.tid, trace::Kind::Arrive);
-                if b.kind.climb(self.tid, &mut self.seat, self.epoch) {
+                if b.kind
+                    .climb(self.tid, &mut self.seat, self.epoch, &b.roster)
+                {
                     b.release(self.tid, self.epoch);
                     b.maintain();
                 }
@@ -486,10 +498,38 @@ impl<'a, K: Climb, N: Notify> CounterWaiter<'a, K, N> {
         assert!(self.pending, "depart called without arrive");
         let b = self.barrier;
         let target = self.epoch.wrapping_add(1);
-        b.notify.wait(&b.epoch, target, &b.poison, deadline)?;
+        if K::RESUMES {
+            self.resume_until(target, deadline)?;
+        } else {
+            b.notify.wait(&b.epoch, target, &b.poison, deadline)?;
+        }
         self.epoch = target;
         self.pending = false;
         Ok(())
+    }
+
+    /// The depart wait of a climb that can stop short: between epoch
+    /// looks it resumes the climb, so the climb's remaining waits get
+    /// this wait's deadline and poison checks. It spins whatever the
+    /// notify (the tournament, its one user, runs on [`Flag`]).
+    fn resume_until(&mut self, target: u32, deadline: Option<Instant>) -> Result<(), BarrierError> {
+        let b = self.barrier;
+        let mut backoff = deadline.map_or_else(Backoff::new, Backoff::with_deadline);
+        loop {
+            if let Some(outcome) = epoch_outcome(&b.epoch, target, &b.poison) {
+                return outcome;
+            }
+            if b.kind
+                .resume(self.tid, &mut self.seat, self.epoch, &b.roster)
+            {
+                b.release(self.tid, self.epoch);
+                b.maintain();
+            } else if backoff.expired() {
+                return Err(BarrierError::Timeout);
+            } else {
+                backoff.snooze();
+            }
+        }
     }
 
     fn wait_deadline(&mut self, deadline: Option<Instant>) -> Result<(), BarrierError> {
@@ -539,8 +579,8 @@ impl<'a, K: Climb, N: Notify> CounterWaiter<'a, K, N> {
     /// the barrier epoch). After a rejoin, reflects the episode the
     /// proxied pending arrival belongs to minus one, so a revived
     /// participant can tell how many episodes its proxy already
-    /// covered. The life-cycle is one type, so this is available on the
-    /// central, tree, dynamic and adaptive waiters alike.
+    /// covered. The life-cycle is one type, so this is available on
+    /// every counter waiter alike.
     pub fn episodes(&self) -> u32 {
         self.epoch
     }
@@ -563,21 +603,35 @@ impl<'a, K: Climb, N: Notify> CounterWaiter<'a, K, N> {
         if b.is_poisoned() {
             return Err(BarrierError::Poisoned);
         }
-        let status = heal::try_rejoin_step(
-            &b.roster,
-            &b.membership,
-            self.tid,
-            &mut self.awaiting_attach,
-            &mut self.epoch,
-            &mut self.pending,
-        );
-        if status == RejoinStatus::Rejoined {
-            // Proxies (fast path) or the boundary reshape (attach path)
-            // kept the thread's place current; resume from there.
-            self.seat = b.kind.seat(self.tid);
-            trace::emit(self.epoch, self.tid, trace::Kind::Rejoin);
-        }
-        Ok(status)
+        let (roster, tid) = (&b.roster, self.tid);
+        let last = if self.awaiting_attach {
+            if roster.is_evicted(tid) {
+                return Ok(RejoinStatus::Pending);
+            }
+            // Granted: the admit CAS published the new shape, and the
+            // slot's tag is the episode the grant released.
+            self.awaiting_attach = false;
+            roster.last_of(tid)
+        } else if !roster.is_evicted(tid) {
+            return Ok(RejoinStatus::NotEvicted);
+        } else if roster.is_parked(tid) || !b.membership.is_live(tid) {
+            b.membership.request_attach(tid);
+            self.awaiting_attach = true;
+            return Ok(RejoinStatus::Pending);
+        } else {
+            match roster.rejoin(tid) {
+                Some(last) => last,
+                // Lost the race with a detacher's park; a retry resolves it.
+                None => return Ok(RejoinStatus::Pending),
+            }
+        };
+        // Arrived for `last`, pending depart: proxies (fast path) or the
+        // boundary reshape (attach path) kept the thread's place current.
+        self.epoch = last.wrapping_sub(1);
+        self.pending = true;
+        self.seat = b.kind.seat(tid);
+        trace::emit(self.epoch, tid, trace::Kind::Rejoin);
+        Ok(RejoinStatus::Rejoined)
     }
 
     /// Re-admission after eviction: drives [`Self::try_rejoin`] until it
@@ -591,7 +645,14 @@ impl<'a, K: Climb, N: Notify> CounterWaiter<'a, K, N> {
     /// complete an episode; if they may be idle, prefer
     /// [`Self::rejoin_within`].
     pub fn rejoin(&mut self) -> Result<bool, BarrierError> {
-        heal::drive_rejoin(|| self.try_rejoin())
+        let mut backoff = Backoff::new();
+        loop {
+            match self.try_rejoin()? {
+                RejoinStatus::NotEvicted => return Ok(false),
+                RejoinStatus::Rejoined => return Ok(true),
+                RejoinStatus::Pending => backoff.snooze(),
+            }
+        }
     }
 
     /// [`Self::rejoin`] bounded by `timeout`, polling with jittered
@@ -600,7 +661,19 @@ impl<'a, K: Climb, N: Notify> CounterWaiter<'a, K, N> {
     /// episode boundary granted the attach in time (the request stays
     /// filed; a later call resumes waiting for it).
     pub fn rejoin_within(&mut self, timeout: Duration) -> Result<bool, BarrierError> {
-        heal::drive_rejoin_within(self.tid, timeout, || self.try_rejoin())
+        let deadline = Deadline::after(timeout);
+        let (base, max) = (Duration::from_micros(50), Duration::from_millis(5));
+        let mut jitter = JitterBackoff::new(u64::from(self.tid) + 1, base, max);
+        loop {
+            match self.try_rejoin()? {
+                RejoinStatus::NotEvicted => return Ok(false),
+                RejoinStatus::Rejoined => return Ok(true),
+                RejoinStatus::Pending if !jitter.sleep(deadline) => {
+                    return Err(BarrierError::Timeout)
+                }
+                RejoinStatus::Pending => {}
+            }
+        }
     }
 
     /// The rescue after a timed-out wait: evicts every participant
@@ -638,10 +711,17 @@ impl<K: Climb, N: Notify> Drop for CounterWaiter<'_, K, N> {
 }
 
 /// Instantiates the [`lifecycle`] checks as `#[test]`s for the barrier
-/// `$make(p)` constructs.
+/// `$make(p)` constructs. A list after `$make;` replaces the checks that
+/// need a proxy to release the episode it completes, which a climb that
+/// releases in its depart cannot promise.
 #[cfg(test)]
 macro_rules! lifecycle_tests {
     ($make:expr) => {
+        $crate::counter::lifecycle_tests!($make;
+            evicting_everyone_spares_the_last_active_participant,
+        );
+    };
+    ($make:expr; $($extra:ident,)*) => {
         $crate::counter::lifecycle_tests!(@ $make;
             single_thread_never_blocks,
             dropping_pending_waiter_poisons_peers,
@@ -649,7 +729,7 @@ macro_rules! lifecycle_tests {
             evicting_an_arrived_thread_is_refused,
             detach_refuses_last_live_participant,
             eviction_lets_survivors_cross_and_rejoin_resumes,
-            evicting_everyone_spares_the_last_active_participant,
+            $($extra,)*
         );
 
         #[test]
@@ -678,7 +758,7 @@ pub(crate) use lifecycle_tests;
 
 /// The shared life-cycle, tested once: each function takes a
 /// constructor `make(p)` and [`lifecycle_tests!`] instantiates the set
-/// in a kind's own test module, so every check runs over all four
+/// in a kind's own test module, so every check runs over all five
 /// climbs and both notifies.
 #[cfg(test)]
 pub(crate) mod lifecycle {

@@ -58,6 +58,7 @@
 
 use crate::counter::{sealed, Climb, CounterBarrier, CounterWaiter};
 use crate::pad::CachePadded;
+use crate::roster::Roster;
 use crate::sync::{AtomicU32, AtomicU64, Ordering};
 use crate::tree::Shape;
 use combar_topo::{CounterId, Topology};
@@ -263,7 +264,7 @@ impl Climb for Dynamic {
     }
 
     #[inline]
-    fn climb(&self, tid: u32, fc: &mut CounterId, episode: u32) -> bool {
+    fn climb(&self, tid: u32, fc: &mut CounterId, episode: u32, _: &Roster) -> bool {
         // Victim side (paper Figure 6d): notice a displacement before
         // touching any counter. One extra communication.
         if let Some(moved) = self.take_notice(tid) {
@@ -280,7 +281,7 @@ impl Climb for Dynamic {
         })
     }
 
-    fn proxy_climb(&self, tid: u32, episode: u32) -> bool {
+    fn proxy_climb(&self, tid: u32, episode: u32, _: &Roster) -> bool {
         if let Some(moved) = self.take_notice(tid) {
             self.shape.set_home(tid, moved);
         }

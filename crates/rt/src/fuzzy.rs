@@ -8,9 +8,9 @@
 //! predictable.
 //!
 //! The counter-barrier waiter (central, blocking, tree, dynamic,
-//! adaptive — one type) and the async waiter expose `arrive`/`depart`;
-//! this module names the split as a trait and adds a convenience
-//! wrapper that times the phases.
+//! adaptive, tournament — one type) and the async waiter expose
+//! `arrive`/`depart`; this module names the split as a trait and adds a
+//! convenience wrapper that times the phases.
 
 use crate::counter::{Climb, CounterWaiter, Notify};
 use std::time::{Duration, Instant};

@@ -35,10 +35,9 @@
 //! at that instant, so the new shape publishes atomically with the
 //! release).
 
-use crate::error::BarrierError;
 use crate::pad::CachePadded;
 use crate::roster::Roster;
-use crate::spin::{Backoff, Deadline};
+use crate::spin::Deadline;
 use crate::sync::{AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -166,6 +165,15 @@ impl Supervisor {
             self.sumsq_us
                 .fetch_add(delta_us.saturating_mul(delta_us), Ordering::Relaxed);
         }
+        self.misses[tid as usize].store(0, Ordering::Release);
+    }
+
+    /// Restarts `tid`'s lease at `now` without recording an interval:
+    /// for a participant that owed nothing before `now` (a served
+    /// session its episode's release just answered), so its silence
+    /// counts from then, not from its last beat.
+    pub fn rearm_at(&self, tid: u32, now: Instant) {
+        self.beats[tid as usize].store(self.ns_at(now), Ordering::Release);
         self.misses[tid as usize].store(0, Ordering::Release);
     }
 
@@ -444,101 +452,6 @@ impl Membership {
     }
 }
 
-/// One non-blocking rejoin step over the roster/membership protocol —
-/// the waiter half of it. The caller checks poisoning first. Reads no
-/// clock.
-///
-/// * Merely evicted (shape untouched) → fast roster re-admission.
-/// * Detached (or detach-parked) → files an attach request the next
-///   episode's releaser grants in its quiescent window; `Pending` until
-///   the grant lands, observed via the roster slot going active (the
-///   admit CAS also publishes the new shape). The slot's `last` tag is
-///   the episode the grant released, so the waiter resumes as "arrived,
-///   pending depart" either way.
-pub(crate) fn try_rejoin_step(
-    roster: &Roster,
-    membership: &Membership,
-    tid: u32,
-    awaiting_attach: &mut bool,
-    epoch: &mut u32,
-    pending: &mut bool,
-) -> RejoinStatus {
-    if *awaiting_attach {
-        if roster.is_evicted(tid) {
-            return RejoinStatus::Pending;
-        }
-        *awaiting_attach = false;
-        *epoch = roster.last_of(tid).wrapping_sub(1);
-        *pending = true;
-        return RejoinStatus::Rejoined;
-    }
-    if !roster.is_evicted(tid) {
-        return RejoinStatus::NotEvicted;
-    }
-    if roster.is_parked(tid) || !membership.is_live(tid) {
-        membership.request_attach(tid);
-        *awaiting_attach = true;
-        return RejoinStatus::Pending;
-    }
-    match roster.rejoin(tid) {
-        Some(last) => {
-            *epoch = last.wrapping_sub(1);
-            *pending = true;
-            RejoinStatus::Rejoined
-        }
-        // Lost the race with a detacher's park; a retry resolves it.
-        None => RejoinStatus::Pending,
-    }
-}
-
-/// Drives a `try_rejoin` step to resolution with spin-then-yield
-/// between polls (an attach resolves only at an episode boundary, so
-/// this blocks until the live participants complete an episode).
-pub(crate) fn drive_rejoin<F>(mut step: F) -> Result<bool, BarrierError>
-where
-    F: FnMut() -> Result<RejoinStatus, BarrierError>,
-{
-    let mut backoff = Backoff::new();
-    loop {
-        match step()? {
-            RejoinStatus::NotEvicted => return Ok(false),
-            RejoinStatus::Rejoined => return Ok(true),
-            RejoinStatus::Pending => backoff.snooze(),
-        }
-    }
-}
-
-/// Bounded [`drive_rejoin`], polling with jittered exponential backoff
-/// (seeded from `tid`) so simultaneous rejoiners desynchronize. On
-/// [`BarrierError::Timeout`] any filed attach request stays pending; a
-/// later call resumes waiting for it.
-pub(crate) fn drive_rejoin_within<F>(
-    tid: u32,
-    timeout: Duration,
-    mut step: F,
-) -> Result<bool, BarrierError>
-where
-    F: FnMut() -> Result<RejoinStatus, BarrierError>,
-{
-    let deadline = Deadline::after(timeout);
-    let mut jitter = JitterBackoff::new(
-        tid as u64 + 1,
-        Duration::from_micros(50),
-        Duration::from_millis(5),
-    );
-    loop {
-        match step()? {
-            RejoinStatus::NotEvicted => return Ok(false),
-            RejoinStatus::Rejoined => return Ok(true),
-            RejoinStatus::Pending => {
-                if !jitter.sleep(deadline) {
-                    return Err(BarrierError::Timeout);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -667,9 +580,9 @@ mod tests {
         let m = Membership::new(2);
         let roster = Roster::new(2);
         let epoch = AtomicU32::new(0);
-        assert!(roster.evict(0, &epoch, None));
+        assert!(roster.evict(0, &epoch, None).is_some());
         assert!(
-            !roster.evict(1, &epoch, None),
+            roster.evict(1, &epoch, None).is_none(),
             "the roster keeps one slot active"
         );
         assert!(m.request_detach(&roster, 0));
@@ -686,7 +599,7 @@ mod tests {
         let m = Membership::new(2);
         let roster = Roster::new(2);
         let epoch = AtomicU32::new(0);
-        assert!(roster.evict(0, &epoch, None));
+        assert!(roster.evict(0, &epoch, None).is_some());
         assert!(m.request_detach(&roster, 0));
         m.request_attach(0); // rejoin lands before any boundary
         let changes = m.collect(&roster);

@@ -15,16 +15,18 @@
 //! * [`DynamicBarrier`] — the paper's dynamic placement barrier
 //!   (Section 5.1): victor/victim swaps migrate slow threads to the
 //!   root;
-//! * [`counter`] — what those and the adaptive barrier share. They are
-//!   one protocol (the last updater of a counter climbs to its parent,
-//!   the root's last updater releases everyone through one epoch flag)
-//!   that differs only in degree and in who sits where, so they are one
-//!   type, [`CounterBarrier`], over four climbs and two notifies — the
-//!   arrival and notification terms of the paper's delay: the epoch /
-//!   poison / evict / rejoin state machine, the waiter life-cycle and
-//!   the release path exist once, `central`, `tree`, `dynamic` and
-//!   `adaptive` hold only their counters and walks, and `blocking` only
-//!   how a waiter sleeps and is woken;
+//! * [`counter`] — what those, the adaptive and the tournament barrier
+//!   share. They are one protocol (the last updater of a counter climbs
+//!   to its parent, the root's last updater releases everyone through
+//!   one epoch flag) that differs only in degree and in who sits where —
+//!   a tournament is the degree-2 tree whose winners are chosen
+//!   statically — so they are one type, [`CounterBarrier`], over five
+//!   climbs and two notifies — the arrival and notification terms of the
+//!   paper's delay: the epoch / poison / evict / rejoin state machine,
+//!   the waiter life-cycle and the release path exist once, `central`,
+//!   `tree`, `dynamic`, `adaptive` and `tournament` hold only their
+//!   counters (or flags) and walks, and `blocking` only how a waiter
+//!   sleeps and is woken;
 //! * [`DisseminationBarrier`] and [`TournamentBarrier`] — the classic
 //!   `⌈log₂ p⌉`-round baselines from the literature the paper builds
 //!   on;
@@ -101,19 +103,17 @@
 //!   unwinding) permanently poisons the barrier, turning a would-be
 //!   deadlock into prompt [`BarrierError::Poisoned`] errors for peers;
 //! * **graceful degradation** — the counter barriers (central,
-//!   blocking, tree, dynamic, adaptive) support *eviction*: a
+//!   blocking, tree, dynamic, adaptive, tournament) support *eviction*: a
 //!   participant that stops arriving can be removed — by a peer whose
 //!   own wait timed out ([`Waiter::evict_stragglers`], bound to the
 //!   episode that waiter is in, so a rescue that runs late evicts
 //!   nobody) or by a supervisor (`evict(tid)`) — and its arrivals are
 //!   thereafter delivered by proxy at each release, so survivors keep
 //!   crossing (never the last active participant: somebody must be
-//!   left to arrive). The
-//!   [`TournamentBarrier`] supports eviction too, through *adoption*:
-//!   losers replay a dead winner's whole signalling track, so the
-//!   static pairwise schedule heals around the corpse. Only the
-//!   dissemination barrier cannot recover — every thread is a
-//!   structurally unique signaller in every round there;
+//!   left to arrive); on the tournament a loser that signals a dead
+//!   winner also plays on for it (*adoption*). Only the dissemination
+//!   barrier cannot recover — every thread is a structurally unique
+//!   signaller in every round there;
 //! * **self-healing** — eviction is the entry point of a full
 //!   detect → reconfigure → rejoin loop ([`heal`]): a lease-based
 //!   [`Supervisor`] turns heartbeat silence into `fail(tid)` calls, the

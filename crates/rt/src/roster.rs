@@ -65,9 +65,10 @@ pub(crate) enum Arrival {
     Evicted,
 }
 
-/// Per-participant eviction state for one barrier.
+/// Per-participant eviction state for one barrier. Public in a private
+/// module only because the sealed [`crate::counter::Climb`] takes it.
 #[derive(Debug)]
-pub(crate) struct Roster {
+pub struct Roster {
     slots: Vec<CachePadded<AtomicU64>>,
     evicted: AtomicU32,
 }
@@ -173,8 +174,9 @@ impl Roster {
 
     /// Evicts `tid` if (and only if) it has not arrived for the episode
     /// in flight and is not the last active participant. On success
-    /// the slot is already tagged with that episode's target and the
-    /// caller **must** deliver the proxy signal for it exactly once.
+    /// the slot is already tagged with that episode's target, which is
+    /// returned, and the caller **must** deliver the proxy signal for
+    /// it exactly once.
     ///
     /// `episode` binds the eviction to one episode: `Some(e)` (a
     /// waiter's rescue, `e` being the episode its own arrival is
@@ -202,10 +204,10 @@ impl Roster {
     /// could release and `tid` re-arrive between the two loads, and the
     /// CAS would evict an arrived participant under a stale target;
     /// `tests/model_check.rs::exhaustive_late_rescue_*` finds that.)
-    pub(crate) fn evict(&self, tid: u32, epoch: &AtomicU32, episode: Option<u32>) -> bool {
+    pub(crate) fn evict(&self, tid: u32, epoch: &AtomicU32, episode: Option<u32>) -> Option<u32> {
         if self.evicted.fetch_add(1, Ordering::AcqRel) + 1 >= self.slots.len() as u32 {
             self.evicted.fetch_sub(1, Ordering::AcqRel);
-            return false; // would leave nobody active
+            return None; // would leave nobody active
         }
         let slot = &self.slots[tid as usize];
         loop {
@@ -214,7 +216,7 @@ impl Roster {
             let (state, last) = unpack(s);
             if state != ACTIVE || last == target || episode.is_some_and(|e| e != target) {
                 self.evicted.fetch_sub(1, Ordering::AcqRel);
-                return false; // already evicted, it did arrive, or `episode` is over
+                return None; // already evicted, it did arrive, or `episode` is over
             }
             if slot
                 .compare_exchange(
@@ -225,7 +227,7 @@ impl Roster {
                 )
                 .is_ok()
             {
-                return true;
+                return Some(target);
             }
         }
     }
@@ -273,13 +275,13 @@ impl Roster {
     /// whoever bumps the barrier's epoch, whenever
     /// `evicted_count() > 0`.
     ///
-    /// `signal(tid)` must perform the barrier's arrival walk for `tid`
-    /// — or, for a participant whose detach has already taken effect
+    /// `signal(tid, target)` must perform the barrier's arrival walk
+    /// for `tid` in the episode `target` ends — or, for a participant whose detach has already taken effect
     /// (the live shape no longer counts it), do nothing — and report
     /// whether it released the episode. The stamp itself still happens
     /// for detached slots: it keeps `last` equal to the in-flight
     /// target, which the boundary [`Roster::admit`] relies on.
-    pub(crate) fn maintain<F: FnMut(u32) -> bool>(&self, epoch: &AtomicU32, mut signal: F) {
+    pub(crate) fn maintain<F: FnMut(u32, u32) -> bool>(&self, epoch: &AtomicU32, mut signal: F) {
         loop {
             if self.evicted.load(Ordering::Acquire) == 0 {
                 return;
@@ -303,7 +305,7 @@ impl Roster {
                         )
                         .is_ok()
                     {
-                        if signal(tid) {
+                        if signal(tid, target) {
                             released = true;
                         }
                         break;
@@ -327,10 +329,10 @@ mod tests {
         let epoch = AtomicU32::new(0);
         assert!(matches!(r.try_arrive(0, 1), Arrival::Claimed));
         assert!(
-            !r.evict(0, &epoch, None),
+            r.evict(0, &epoch, None).is_none(),
             "arrived participant is not evictable"
         );
-        assert!(r.evict(1, &epoch, None));
+        assert!(r.evict(1, &epoch, None).is_some());
         assert!(r.is_evicted(1));
         assert!(matches!(r.try_arrive(1, 1), Arrival::Evicted));
         assert_eq!(r.evicted_count(), 1);
@@ -340,7 +342,7 @@ mod tests {
     fn rejoin_restores_active_state() {
         let r = Roster::new(2);
         let epoch = AtomicU32::new(4);
-        assert!(r.evict(0, &epoch, None));
+        assert!(r.evict(0, &epoch, None).is_some());
         assert_eq!(
             r.rejoin(0),
             Some(5),
@@ -355,16 +357,19 @@ mod tests {
     fn evict_spares_the_last_active_slot() {
         let r = Roster::new(3);
         let epoch = AtomicU32::new(0);
-        assert!(r.evict(0, &epoch, None));
-        assert!(r.evict(1, &epoch, None));
-        assert!(!r.evict(2, &epoch, None), "nobody would be left to arrive");
+        assert!(r.evict(0, &epoch, None).is_some());
+        assert!(r.evict(1, &epoch, None).is_some());
+        assert!(
+            r.evict(2, &epoch, None).is_none(),
+            "nobody would be left to arrive"
+        );
         assert_eq!(r.evicted_count(), 2, "a refused reservation is undone");
         assert!(!r.is_evicted(2));
         // A slot coming back makes room again.
         assert_eq!(r.rejoin(0), Some(1));
-        assert!(r.evict(2, &epoch, None));
+        assert!(r.evict(2, &epoch, None).is_some());
         assert!(
-            !Roster::new(1).evict(0, &epoch, None),
+            Roster::new(1).evict(0, &epoch, None).is_none(),
             "p = 1 is always last"
         );
     }
@@ -374,7 +379,7 @@ mod tests {
         let r = Roster::new(3);
         let epoch = AtomicU32::new(0);
         assert!(matches!(r.try_arrive(0, 1), Arrival::Claimed));
-        assert!(r.evict(2, &epoch, None));
+        assert!(r.evict(2, &epoch, None).is_some());
         assert_eq!(r.stragglers(&epoch, None), vec![1]);
     }
 
@@ -386,29 +391,29 @@ mod tests {
         epoch.store(1, Ordering::Release); // episode 1 released
         assert!(r.stragglers(&epoch, Some(1)).is_empty());
         assert!(
-            !r.evict(0, &epoch, Some(1)),
+            r.evict(0, &epoch, Some(1)).is_none(),
             "late for 2, not missing from 1"
         );
         assert_eq!(r.evicted_count(), 0, "a declined reservation is undone");
-        assert!(r.evict(0, &epoch, Some(2)));
+        assert!(r.evict(0, &epoch, Some(2)).is_some());
     }
 
     #[test]
     fn maintain_delivers_one_proxy_per_target() {
         let r = Roster::new(2);
         let epoch = AtomicU32::new(0);
-        assert!(r.evict(1, &epoch, None)); // tags slot with target 1
+        assert!(r.evict(1, &epoch, None).is_some()); // tags slot with target 1
         let mut calls = Vec::new();
         // Episode 1 not yet released: proxy for 1 already delivered by
         // the evictor, so maintain has nothing to do.
-        r.maintain(&epoch, |t| {
+        r.maintain(&epoch, |t, _| {
             calls.push(t);
             false
         });
         assert!(calls.is_empty());
         // Release episode 1: maintain now delivers the proxy for 2.
         epoch.store(1, Ordering::Release);
-        r.maintain(&epoch, |t| {
+        r.maintain(&epoch, |t, _| {
             calls.push(t);
             false
         });
@@ -420,7 +425,7 @@ mod tests {
         let r = Roster::new(2);
         let epoch = AtomicU32::new(3);
         assert!(!r.park(0), "active participant cannot be parked");
-        assert!(r.evict(0, &epoch, None));
+        assert!(r.evict(0, &epoch, None).is_some());
         assert!(r.park(0));
         assert!(r.park(0), "parking is idempotent");
         assert!(r.is_parked(0));
@@ -438,11 +443,11 @@ mod tests {
     fn maintain_stamps_parked_slots() {
         let r = Roster::new(2);
         let epoch = AtomicU32::new(0);
-        assert!(r.evict(0, &epoch, None)); // tagged for target 1
+        assert!(r.evict(0, &epoch, None).is_some()); // tagged for target 1
         assert!(r.park(0));
         epoch.store(1, Ordering::Release);
         let mut calls = Vec::new();
-        r.maintain(&epoch, |t| {
+        r.maintain(&epoch, |t, _| {
             calls.push(t);
             false
         });
@@ -456,12 +461,12 @@ mod tests {
     fn maintain_loops_while_proxies_release() {
         let r = Roster::new(2);
         let epoch = AtomicU32::new(0);
-        assert!(r.evict(0, &epoch, None)); // slot tagged for target 1
+        assert!(r.evict(0, &epoch, None).is_some()); // slot tagged for target 1
         epoch.store(1, Ordering::Release); // the evictor's proxy released it
                                            // Every further proxy releases an episode; emulate three then
                                            // stop releasing.
         let mut n = 0;
-        r.maintain(&epoch, |_| {
+        r.maintain(&epoch, |_, _| {
             n += 1;
             epoch.fetch_add(1, Ordering::AcqRel);
             n < 3

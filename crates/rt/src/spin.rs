@@ -43,12 +43,6 @@ impl Deadline {
         }
     }
 
-    /// Wraps an optional instant (the shape the `wait_*_deadline`
-    /// public APIs take).
-    pub fn from_instant(at: Option<Instant>) -> Self {
-        Self { at }
-    }
-
     /// The underlying instant, if bounded.
     pub fn instant(&self) -> Option<Instant> {
         self.at
@@ -493,7 +487,6 @@ mod tests {
         assert!(d.remaining().unwrap() > Duration::from_secs(3000));
         d.rearm(Duration::ZERO);
         assert!(d.expired());
-        assert_eq!(Deadline::from_instant(None), Deadline::never());
     }
 
     #[test]

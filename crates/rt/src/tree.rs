@@ -21,6 +21,7 @@
 
 use crate::counter::{sealed, Climb, CounterBarrier, CounterWaiter};
 use crate::pad::CachePadded;
+use crate::roster::Roster;
 use crate::sync::{AtomicU32, Ordering};
 use combar_topo::{CounterId, PrunedShape, Topology};
 use combar_trace as trace;
@@ -307,12 +308,12 @@ impl Climb for Tree {
     fn seat(&self, _tid: u32) {}
 
     #[inline]
-    fn climb(&self, tid: u32, _seat: &mut (), episode: u32) -> bool {
+    fn climb(&self, tid: u32, _seat: &mut (), episode: u32, _: &Roster) -> bool {
         self.shape
             .walk(self.shape.home_of(tid), tid, episode, |_| {})
     }
 
-    fn proxy_climb(&self, tid: u32, episode: u32) -> bool {
+    fn proxy_climb(&self, tid: u32, episode: u32, _: &Roster) -> bool {
         self.shape.proxy_walk(tid, episode)
     }
 

@@ -43,11 +43,16 @@ fn pct_schedules() -> u64 {
         .unwrap_or(200)
 }
 
-/// Runs an exhaustive lane — DFS to preemption bound 3 under a
+/// Runs an exhaustive lane — DFS to preemption `bound` under a
 /// 2 M-schedule cap — requires the whole space to have been enumerated,
-/// and prints the explored-schedule count (`--nocapture`).
-fn expect_full_space(lane: &str, fx: impl Fn() + Sync) -> u64 {
-    match Checker::exhaustive(3).max_schedules(2_000_000).check(fx) {
+/// and prints the explored-schedule count (`--nocapture`). The lanes run
+/// at bound 3, except the tournament's p = 3 lanes with two virtual
+/// threads: they run at 2, where bound 3 costs 30–97 s each in debug.
+fn expect_full_space(lane: &str, bound: u32, fx: impl Fn() + Sync) -> u64 {
+    match Checker::exhaustive(bound)
+        .max_schedules(2_000_000)
+        .check(fx)
+    {
         Outcome::Pass {
             schedules,
             complete,
@@ -117,26 +122,16 @@ where
     }
 }
 
-fn central_wait(b: &CentralBarrier, tid: u32) -> Box<dyn FnMut() -> Result<(), BarrierError> + '_> {
+fn counter_wait<K: Climb>(
+    b: &CounterBarrier<K>,
+    tid: u32,
+) -> Box<dyn FnMut() -> Result<(), BarrierError> + '_> {
     let mut w = b.waiter_for(tid);
-    Box::new(move || w.try_wait())
-}
-
-fn tree_wait(b: &TreeBarrier, tid: u32) -> Box<dyn FnMut() -> Result<(), BarrierError> + '_> {
-    let mut w = b.waiter(tid);
     Box::new(move || w.try_wait())
 }
 
 fn dissemination_wait(
     b: &DisseminationBarrier,
-    tid: u32,
-) -> Box<dyn FnMut() -> Result<(), BarrierError> + '_> {
-    let mut w = b.waiter(tid);
-    Box::new(move || w.try_wait())
-}
-
-fn tournament_wait(
-    b: &TournamentBarrier,
     tid: u32,
 ) -> Box<dyn FnMut() -> Result<(), BarrierError> + '_> {
     let mut w = b.waiter(tid);
@@ -153,8 +148,8 @@ fn tournament_wait(
 /// phase violation.
 #[test]
 fn exhaustive_central_two_threads_full_space() {
-    let fx = lockstep_fixture(2, 1, CentralBarrier::new, central_wait);
-    let schedules = expect_full_space("central p=2 lockstep", fx);
+    let fx = lockstep_fixture(2, 1, CentralBarrier::new, counter_wait);
+    let schedules = expect_full_space("central p=2 lockstep", 3, fx);
     assert!(schedules > 10, "suspiciously few schedules: {schedules}");
 }
 
@@ -164,7 +159,7 @@ fn exhaustive_central_two_threads_full_space() {
 
 #[test]
 fn pct_lockstep_central() {
-    let fx = lockstep_fixture(3, 2, CentralBarrier::new, central_wait);
+    let fx = lockstep_fixture(3, 2, CentralBarrier::new, counter_wait);
     Checker::pct(0x5eed_0001, 3, pct_schedules())
         .check(fx)
         .expect_pass();
@@ -172,7 +167,7 @@ fn pct_lockstep_central() {
 
 #[test]
 fn pct_lockstep_combining_tree() {
-    let fx = lockstep_fixture(3, 2, |p| TreeBarrier::combining(p, 2), tree_wait);
+    let fx = lockstep_fixture(3, 2, |p| TreeBarrier::combining(p, 2), counter_wait);
     Checker::pct(0x5eed_0002, 3, pct_schedules())
         .check(fx)
         .expect_pass();
@@ -180,7 +175,7 @@ fn pct_lockstep_combining_tree() {
 
 #[test]
 fn pct_lockstep_mcs_tree() {
-    let fx = lockstep_fixture(3, 2, |p| TreeBarrier::mcs(p, 2), tree_wait);
+    let fx = lockstep_fixture(3, 2, |p| TreeBarrier::mcs(p, 2), counter_wait);
     Checker::pct(0x5eed_0003, 3, pct_schedules())
         .check(fx)
         .expect_pass();
@@ -196,7 +191,7 @@ fn pct_lockstep_dissemination() {
 
 #[test]
 fn pct_lockstep_tournament() {
-    let fx = lockstep_fixture(3, 2, TournamentBarrier::new, tournament_wait);
+    let fx = lockstep_fixture(3, 2, TournamentBarrier::new, counter_wait);
     Checker::pct(0x5eed_0005, 3, pct_schedules())
         .check(fx)
         .expect_pass();
@@ -319,7 +314,7 @@ fn poisoning_never_strands_peer<K: Climb + 'static>(
             tally.fetch_add(1, StdOrdering::Relaxed);
         }
     };
-    expect_full_space(lane, fx);
+    expect_full_space(lane, 3, fx);
     assert!(
         poisoned_runs.load(StdOrdering::Relaxed) > 0,
         "{lane}: no explored schedule reached the poisoned outcome"
@@ -339,6 +334,11 @@ fn exhaustive_poisoning_never_strands_tree_peers() {
 #[test]
 fn exhaustive_poisoning_never_strands_dynamic_peers() {
     poisoning_never_strands_peer("dynamic p=3 poisoning", 3, dynamic_d2);
+}
+
+#[test]
+fn exhaustive_poisoning_never_strands_tournament_peers() {
+    poisoning_never_strands_peer("tournament p=3 poisoning", 3, TournamentBarrier::new);
 }
 
 // ---------------------------------------------------------------------------
@@ -368,12 +368,14 @@ fn depart_all<K: Climb>(ws: &mut [CounterWaiter<'_, K>]) {
     }
 }
 
-/// The lane described above. `warmup` full-strength episodes, crossed
-/// single-threaded before the first virtual thread exists (so they add
-/// no schedule), shift which release the race lands on; `settled` runs
-/// on the barrier at the end of every schedule.
+/// The lane described above, enumerated to preemption `bound`.
+/// `warmup` full-strength episodes, crossed single-threaded before the
+/// first virtual thread exists (so they add no schedule), shift which
+/// release the race lands on; `settled` runs on the barrier at the end
+/// of every schedule.
 fn evict_rejoin_converges<K: Climb + 'static>(
     lane: &str,
+    bound: u32,
     p: u32,
     make: fn(u32) -> CounterBarrier<K>,
     warmup: u32,
@@ -431,13 +433,14 @@ fn evict_rejoin_converges<K: Climb + 'static>(
         assert!(!b.is_poisoned());
         settled(&b);
     };
-    expect_full_space(lane, fx);
+    expect_full_space(lane, bound, fx);
 }
 
 #[test]
 fn exhaustive_evict_rejoin_converges() {
     evict_rejoin_converges(
         "central p=2 evict/rejoin",
+        3,
         2,
         CentralBarrier::new,
         0,
@@ -447,12 +450,26 @@ fn exhaustive_evict_rejoin_converges() {
 
 #[test]
 fn exhaustive_evict_rejoin_converges_on_the_tree() {
-    evict_rejoin_converges("tree p=3 evict/rejoin", 3, tree_d2, 0, |_| {});
+    evict_rejoin_converges("tree p=3 evict/rejoin", 3, 3, tree_d2, 0, |_| {});
 }
 
 #[test]
 fn exhaustive_evict_rejoin_converges_on_the_dynamic_barrier() {
-    evict_rejoin_converges("dynamic p=3 evict/rejoin", 3, dynamic_d2, 0, |_| {});
+    evict_rejoin_converges("dynamic p=3 evict/rejoin", 3, 3, dynamic_d2, 0, |_| {});
+}
+
+/// The tournament's evicted tid 1 is rank 0's round-0 loser, so its
+/// proxy is a flag store, and the revival races it.
+#[test]
+fn exhaustive_evict_rejoin_converges_on_the_tournament() {
+    evict_rejoin_converges(
+        "tournament p=3 evict/rejoin",
+        2,
+        3,
+        TournamentBarrier::new,
+        0,
+        |b| b.validate_shape().unwrap(),
+    );
 }
 
 /// An adaptive barrier whose policy flips between degree 2 and the flat
@@ -484,6 +501,7 @@ fn exhaustive_evict_rejoin_converges_on_the_adaptive_barrier() {
     evict_rejoin_converges(
         "adaptive p=3 evict/rejoin",
         3,
+        3,
         flipping_adaptive,
         warmup,
         |b| {
@@ -499,14 +517,15 @@ fn exhaustive_evict_rejoin_converges_on_the_adaptive_barrier() {
 /// the spared thread cross alone until the loser rejoins.
 #[test]
 fn exhaustive_racing_evictors_spare_the_last_active() {
-    expect_full_space("central p=2 racing evictors", racing_evictors);
+    expect_full_space("central p=2 racing evictors", 3, racing_evictors);
 }
 
 /// A sink attached on another OS thread (another test tracing in the
 /// same process) leaves a lane's schedule space as it is: an event tag
-/// that costs a shadowed read is guarded by the calling thread's own
-/// sink (`combar_trace::attached`), not by the process-wide
-/// `combar_trace::enabled`. An eviction's event reads such a tag.
+/// that costs a shadowed read would have to be guarded by the calling
+/// thread's own sink (`combar_trace::attached`), not by the process-wide
+/// `combar_trace::enabled`. An eviction's event is tagged with the
+/// episode its roster CAS returned, so it reads nothing.
 #[test]
 fn exhaustive_space_ignores_a_trace_sink_on_another_thread() {
     let (attached_tx, attached) = std::sync::mpsc::channel();
@@ -518,10 +537,14 @@ fn exhaustive_space_ignores_a_trace_sink_on_another_thread() {
         let _ = done_rx.recv();
     });
     attached.recv().unwrap();
-    let beside = expect_full_space("central p=2 racing evictors beside a sink", racing_evictors);
+    let beside = expect_full_space(
+        "central p=2 racing evictors beside a sink",
+        3,
+        racing_evictors,
+    );
     drop(done);
     tracer.join().unwrap();
-    let alone = expect_full_space("central p=2 racing evictors", racing_evictors);
+    let alone = expect_full_space("central p=2 racing evictors", 3, racing_evictors);
     assert_eq!(beside, alone, "another thread's sink changed the space");
 }
 
@@ -578,9 +601,10 @@ fn shuffles(a: u64, b: u64) -> f64 {
 /// over the per-episode step counts. It is printed — for the step
 /// counts of the first, preemption-free schedule; the protocol's
 /// control flow makes them schedule-dependent — beside what
-/// preemption bound 3 explores.
+/// preemption `bound` explores.
 fn late_rescue_is_bound_to_its_episode<K: Climb + 'static>(
     lane: &str,
+    bound: u32,
     p: u32,
     make: fn(u32) -> CounterBarrier<K>,
 ) {
@@ -641,28 +665,68 @@ fn late_rescue_is_bound_to_its_episode<K: Climb + 'static>(
         depart_all(&mut ws);
         wb.try_depart().unwrap();
     };
-    let schedules = expect_full_space(lane, fx);
+    let schedules = expect_full_space(lane, bound, fx);
     let (a, b) = first_counts.get().expect("at least one schedule ran");
     let total: f64 = a.iter().zip(b).map(|(&a, &b)| shuffles(a, b)).product();
     eprintln!(
-        "{lane}: {schedules} schedules at preemption bound 3 of {total:.3e} unbounded \
+        "{lane}: {schedules} schedules at preemption bound {bound} of {total:.3e} unbounded \
          (fork/join with barriers, per-episode steps A {a:?} B {b:?})"
     );
 }
 
 #[test]
 fn exhaustive_late_rescue_is_bound_to_its_episode() {
-    late_rescue_is_bound_to_its_episode("central p=2 late rescue", 2, CentralBarrier::new);
+    late_rescue_is_bound_to_its_episode("central p=2 late rescue", 3, 2, CentralBarrier::new);
 }
 
 #[test]
 fn exhaustive_late_rescue_is_bound_to_its_episode_on_the_tree() {
-    late_rescue_is_bound_to_its_episode("tree p=3 late rescue", 3, tree_d2);
+    late_rescue_is_bound_to_its_episode("tree p=3 late rescue", 3, 3, tree_d2);
 }
 
 #[test]
 fn exhaustive_late_rescue_is_bound_to_its_episode_on_the_dynamic_barrier() {
-    late_rescue_is_bound_to_its_episode("dynamic p=3 late rescue", 3, dynamic_d2);
+    late_rescue_is_bound_to_its_episode("dynamic p=3 late rescue", 3, 3, dynamic_d2);
+}
+
+#[test]
+fn exhaustive_late_rescue_is_bound_to_its_episode_on_the_tournament() {
+    late_rescue_is_bound_to_its_episode("tournament p=3 late rescue", 2, 3, TournamentBarrier::new);
+}
+
+/// Co-players of one track release once. The tournament's champion is
+/// evicted before anyone plays, so both of its losers — tid 1 in round
+/// 0, tid 2 (after a bye) in round 1 — adopt its track when they store
+/// its flag, and in the schedules where each stores before the other
+/// reads, both reach the champion slot of the same episode. The release
+/// ticket elects one: a second release would let a thread cross the
+/// next episode without its peer, which the phase bound catches.
+#[test]
+fn exhaustive_co_adopters_release_once() {
+    let fx = || {
+        let b = Arc::new(TournamentBarrier::new(3));
+        assert!(b.evict(0));
+        let phases: Arc<Vec<AtomicU32>> = Arc::new((0..3).map(|_| AtomicU32::new(0)).collect());
+        let adopters: Vec<_> = [1u32, 2]
+            .into_iter()
+            .map(|tid| {
+                let (b, phases) = (Arc::clone(&b), Arc::clone(&phases));
+                vthread::spawn(move || {
+                    let mut w = b.waiter(tid);
+                    for e in 0..2 {
+                        w.try_wait().unwrap();
+                        phases[tid as usize].store(e + 1, Ordering::SeqCst);
+                        let peer = phases[3 - tid as usize].load(Ordering::SeqCst);
+                        assert!(peer == e || peer == e + 1, "tid {tid} crossed {e} alone");
+                    }
+                })
+            })
+            .collect();
+        for t in adopters {
+            t.join();
+        }
+    };
+    expect_full_space("tournament p=3 co-adopters", 2, fx);
 }
 
 /// Online tree reconfiguration under exhaustive exploration: two live
@@ -699,7 +763,7 @@ fn exhaustive_tree_detach_reparents_with_zero_violations() {
         assert!(!b.is_poisoned());
         b.validate_shape().unwrap();
     };
-    expect_full_space("tree p=3 detach/re-parent", fx);
+    expect_full_space("tree p=3 detach/re-parent", 3, fx);
 }
 
 /// The rejoin race under PCT: a detached thread files its attach
@@ -902,7 +966,7 @@ fn async_park_vs_release(lane: &str, shards: u32) {
         assert_eq!(b.epoch(), EPISODES, "exactly one release per episode");
         assert!(!b.is_poisoned());
     };
-    let schedules = expect_full_space(lane, fx);
+    let schedules = expect_full_space(lane, 3, fx);
     assert!(schedules > 10, "suspiciously few schedules: {schedules}");
 }
 
@@ -1108,7 +1172,7 @@ fn debug_replay() {
         16,
     )
     .unwrap();
-    let fx = lockstep_fixture(3, 2, CentralBarrier::new, central_wait);
+    let fx = lockstep_fixture(3, 2, CentralBarrier::new, counter_wait);
     let out = Checker::replay(tok).check(fx);
     let f = out.failure().expect("token did not fail");
     eprintln!("== {f}");
