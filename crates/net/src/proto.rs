@@ -51,6 +51,11 @@
 /// A client session identifier (chosen by the client at `Hello`).
 pub type SessionId = u64;
 
+/// The longest frame the protocol encodes: a tag and three `u64`
+/// fields. Loopback channels carry a frame this long inline, in the
+/// channel slot, with no heap block of its own.
+pub(crate) const MAX_FRAME: usize = 25;
+
 /// The most copies of one frame [`Redundancy`] sends.
 pub(crate) const MAX_COPIES: u32 = 3;
 
@@ -330,7 +335,7 @@ impl Request {
 
     /// Encodes the request as one frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(25);
+        let mut buf = Vec::with_capacity(MAX_FRAME);
         match *self {
             Request::Hello { session, seq } => {
                 buf.push(TAG_HELLO);
@@ -434,7 +439,7 @@ impl Response {
 
     /// Encodes the response as one frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(25);
+        let mut buf = Vec::with_capacity(MAX_FRAME);
         match *self {
             Response::Welcome {
                 session,

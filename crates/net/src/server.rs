@@ -106,7 +106,7 @@ use crate::journal::{frame_entry, roster_hash, Journal, JournalRecord};
 use crate::proto::{Request, Response, SessionId};
 use crate::recover::RecoveredState;
 use crate::shard::{release_ready, ConnId, Delta, Input, ShardCore};
-use crate::transport::{recv_handoff, LoopbackTransport, Transport};
+use crate::transport::{recv_handoff, Frame, LoopbackTransport, Transport};
 
 /// Tuning for [`EpochServer`].
 #[derive(Debug, Clone)]
@@ -199,23 +199,23 @@ pub struct SessionStats {
 }
 
 enum OutSink {
-    Chan(mpsc::Sender<Vec<u8>>),
+    Chan(mpsc::Sender<Frame>),
     #[cfg(unix)]
     Uds(std::os::unix::net::UnixDatagram),
 }
 
 impl OutSink {
-    fn send(&self, frame: Vec<u8>) {
+    fn send(&self, frame: &[u8]) {
         match self {
             OutSink::Chan(tx) => {
-                let _ = tx.send(frame);
+                let _ = tx.send(Frame::new(frame));
             }
             #[cfg(unix)]
             OutSink::Uds(sock) => {
                 // The socket is nonblocking: a client that stopped
                 // draining its buffer gets wire loss (WouldBlock,
                 // swallowed here), never a blocked shard thread.
-                let _ = sock.send(&frame);
+                let _ = sock.send(frame);
             }
         }
     }
@@ -467,7 +467,7 @@ impl Router {
     /// routed on its own thread, frames for it come back over `rx`.
     fn connect(self: &Arc<Self>) -> LoopbackTransport {
         let conn = self.next_conn.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel::<Vec<u8>>();
+        let (tx, rx) = mpsc::channel::<Frame>();
         self.outbox().insert(conn, OutSink::Chan(tx));
         let router = Arc::clone(self);
         LoopbackTransport {
@@ -617,7 +617,7 @@ impl ShardDriver {
             let outbox = router.outbox();
             for (conn, resp) in &fx.frames {
                 if let Some(sink) = outbox.get(conn) {
-                    sink.send(resp.encode());
+                    sink.send(&resp.encode());
                 }
             }
             if let Some(episode) = fx.release {
@@ -625,7 +625,7 @@ impl ShardDriver {
                 let frame = Response::Release { episode, inc }.encode();
                 for &(conn, copies) in &fx.fanout {
                     if let Some(sink) = outbox.get(&conn) {
-                        (0..copies).for_each(|_| sink.send(frame.clone()));
+                        (0..copies).for_each(|_| sink.send(&frame));
                     }
                 }
             }
@@ -953,7 +953,7 @@ fn declare_shard_dead(shared: &Shared, router: &Router, shard: usize) {
             inc: shared.incarnation,
         };
         if let Some(sink) = outbox.get(&conn) {
-            sink.send(evicted.encode());
+            sink.send(&evicted.encode());
         }
     }
     drop(outbox);

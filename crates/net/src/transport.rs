@@ -28,10 +28,15 @@
 //! [`LoopbackTransport::recv_timeout`] and a shard thread waiting on its
 //! inbox — wait through one function, `recv_handoff`. A parked `mpsc`
 //! receiver costs its sender a futex wake and itself a scheduler
-//! round trip: 43–57 µs per ping-pong on the 2-vCPU reference host,
-//! against 30 ns of codec and 0.6 µs of journal append, which made two
-//! wake-ups *the* served episode. So an endpoint that is in the middle
-//! of a conversation looks before it sleeps:
+//! round trip. While both ends parked on every frame, a bare ping-pong
+//! cost 43–57 µs on the 2-vCPU reference host, against 30 ns of codec
+//! and 0.6 µs of journal append, which made two wake-ups *the* served
+//! episode. With a hot endpoint looking before it sleeps, the same
+//! ping-pong costs about 1 µs (the benchmark's traced
+//! `net.transport.rtt_p50_ns`), and a clean-wire episode of 16 sessions
+//! about 23 µs, whose largest parts are the driver's 16 sends, the
+//! shard's release step and the driver's reads of the release (DESIGN.md
+//! §13 has the table). The rule:
 //!
 //! * **When it spins.** Only when the endpoint is *hot*: its previous
 //!   wait ended with a frame. Traffic predicts traffic — a client that
@@ -55,12 +60,31 @@
 //!   spin phase counts against the caller's timeout and never extends
 //!   it; no wait returns `Timeout` early.
 //! * **A zero timeout** is exactly one `try_recv`: no spin, no park, no
-//!   clock read.
+//!   clock read. Neither does any wait whose first look finds a frame:
+//!   the spin clock starts after that look.
+//!
+//! # Frames cross inside the channel slot
+//!
+//! A loopback channel carries a crate-private `Frame`, which holds a
+//! protocol frame's bytes inline — every `Request` and `Response`
+//! encodes to at most `proto::MAX_FRAME` bytes — and falls back to a
+//! `Vec` only for longer frames. The shard encodes a `Release` once and
+//! copies its bytes into each copy's slot;
+//! [`LoopbackTransport::recv_timeout`] builds the `Vec` the
+//! [`Transport`] trait returns on the receiving thread, which also
+//! frees it. A frame handed over as a `Vec` is a heap block allocated
+//! on the sending thread and freed on the receiving one, and the
+//! release fan-out sent 16 of them per clean-wire episode: the shard's
+//! release step read about 8 µs with them and about 6 µs inline, and
+//! the driver's 16 reads about 5.9 µs and 3.4 µs, against a 7–9 ns
+//! decode (DESIGN.md §13 has the table).
 
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use combar_rt::spin::Backoff;
+
+use crate::proto::MAX_FRAME;
 
 /// Why a transport operation did not complete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,15 +144,16 @@ impl<T: Transport + ?Sized> Transport for Box<T> {
 }
 
 /// How long a hot endpoint looks before it parks: about what a park
-/// costs (a bare loopback ping-pong, two wake-ups, measured 43–57 µs on
-/// the reference host). See the module docs.
+/// costs (a bare loopback ping-pong while both ends parked, two
+/// wake-ups, measured 43–57 µs on the reference host). See the module
+/// docs.
 const SPIN_BUDGET: Duration = Duration::from_micros(50);
 
 #[cfg(test)]
 thread_local! {
-    /// `(empty looks in a spin phase, parks)` made by `recv_handoff` on
-    /// this thread, so a test can tell a spin from a park without a
-    /// stopwatch.
+    /// `(empty looks that read the spin clock, parks)` made by
+    /// `recv_handoff` on this thread, so a test can tell a spin from a
+    /// park without a stopwatch.
     static HANDOFF_COUNTS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
 }
 
@@ -168,38 +193,83 @@ pub(crate) fn recv_handoff<T>(
 
 /// [`recv_handoff`] with the spin budget as an argument (zero: park
 /// straight after the first look), so a test can hold a wait in its
-/// spin phase for as long as it needs.
+/// spin phase for as long as it needs. The first look comes before the
+/// spin clock starts, so a frame that is already queued costs no clock
+/// read.
 fn look_then_park<T>(
     rx: &mpsc::Receiver<T>,
     timeout: Duration,
     spin_for: Duration,
 ) -> Result<T, mpsc::RecvTimeoutError> {
     use mpsc::{RecvTimeoutError, TryRecvError};
+    let look = || match rx.try_recv() {
+        Ok(v) => Some(Ok(v)),
+        Err(TryRecvError::Disconnected) => Some(Err(RecvTimeoutError::Disconnected)),
+        Err(TryRecvError::Empty) => None,
+    };
+    if let Some(got) = look() {
+        return got;
+    }
     let mut left = timeout;
     let budget = timeout.min(spin_for);
-    let mut spin = (!budget.is_zero()).then(|| (Instant::now(), Backoff::new()));
-    loop {
-        match rx.try_recv() {
-            Ok(v) => return Ok(v),
-            Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
-            Err(TryRecvError::Empty) => {}
+    if !budget.is_zero() {
+        let start = Instant::now();
+        let mut backoff = Backoff::new();
+        loop {
+            count_handoff(1, 0);
+            let waited = start.elapsed();
+            if waited >= budget {
+                left = timeout.saturating_sub(waited);
+                break;
+            }
+            backoff.snooze();
+            if let Some(got) = look() {
+                return got;
+            }
         }
-        let Some((start, backoff)) = spin.as_mut() else {
-            break;
-        };
-        count_handoff(1, 0);
-        let waited = start.elapsed();
-        if waited >= budget {
-            left = timeout.saturating_sub(waited);
-            break;
-        }
-        backoff.snooze();
     }
     if left.is_zero() {
         return Err(RecvTimeoutError::Timeout);
     }
     count_handoff(0, 1);
     rx.recv_timeout(left)
+}
+
+/// One loopback frame in flight. A protocol frame — at most
+/// [`MAX_FRAME`] bytes — rides inline in the channel slot, so crossing
+/// threads moves no heap block allocated on one thread and freed on
+/// the other (see the module docs). Longer frames (journal batches on
+/// a raw pair, test payloads) fall back to a `Vec`.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Frame {
+    /// `bytes[..len]` is the frame.
+    Inline { len: u8, bytes: [u8; MAX_FRAME] },
+    /// A frame longer than [`MAX_FRAME`].
+    Heap(Vec<u8>),
+}
+
+impl Frame {
+    /// A copy of `bytes`, inline when it fits.
+    pub(crate) fn new(bytes: &[u8]) -> Frame {
+        if bytes.len() > MAX_FRAME {
+            return Frame::Heap(bytes.to_vec());
+        }
+        let mut inline = [0; MAX_FRAME];
+        inline[..bytes.len()].copy_from_slice(bytes);
+        Frame::Inline {
+            len: bytes.len() as u8,
+            bytes: inline,
+        }
+    }
+
+    /// The frame as the [`Transport`] trait returns it; called on the
+    /// receiving thread, which also frees the result.
+    fn into_vec(self) -> Vec<u8> {
+        match self {
+            Frame::Inline { len, bytes } => bytes[..usize::from(len)].to_vec(),
+            Frame::Heap(v) => v,
+        }
+    }
 }
 
 /// The sending half of a loopback endpoint: a closure into the
@@ -210,7 +280,7 @@ pub(crate) type LoopbackTx = Box<dyn FnMut(&[u8]) -> Result<(), NetError> + Send
 /// into the server's router and come back over an `mpsc` channel.
 pub struct LoopbackTransport {
     pub(crate) tx: LoopbackTx,
-    pub(crate) rx: mpsc::Receiver<Vec<u8>>,
+    pub(crate) rx: mpsc::Receiver<Frame>,
     /// Whether the previous receive ended with a frame (see
     /// `recv_handoff`). A fresh endpoint is cold.
     pub(crate) hot: bool,
@@ -229,7 +299,7 @@ impl Transport for LoopbackTransport {
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, NetError> {
         match recv_handoff(&self.rx, timeout, &mut self.hot) {
-            Ok(f) => Ok(f),
+            Ok(f) => Ok(f.into_vec()),
             Err(mpsc::RecvTimeoutError::Timeout) => Err(NetError::Timeout),
             Err(mpsc::RecvTimeoutError::Disconnected) => Err(NetError::Closed),
         }
@@ -239,15 +309,15 @@ impl Transport for LoopbackTransport {
 /// A symmetric in-process pair, for tests that need a raw wire without
 /// a server behind it.
 pub fn loopback_pair() -> (LoopbackTransport, LoopbackTransport) {
-    let (atx, arx) = mpsc::channel::<Vec<u8>>();
-    let (btx, brx) = mpsc::channel::<Vec<u8>>();
+    let (atx, arx) = mpsc::channel::<Frame>();
+    let (btx, brx) = mpsc::channel::<Frame>();
     let a = LoopbackTransport {
-        tx: Box::new(move |f: &[u8]| atx.send(f.to_vec()).map_err(|_| NetError::Closed)),
+        tx: Box::new(move |f: &[u8]| atx.send(Frame::new(f)).map_err(|_| NetError::Closed)),
         rx: brx,
         hot: false,
     };
     let b = LoopbackTransport {
-        tx: Box::new(move |f: &[u8]| btx.send(f.to_vec()).map_err(|_| NetError::Closed)),
+        tx: Box::new(move |f: &[u8]| btx.send(Frame::new(f)).map_err(|_| NetError::Closed)),
         rx: arx,
         hot: false,
     };
@@ -466,6 +536,120 @@ mod tests {
             assert_eq!(got.unwrap(), frame);
             assert_eq!(cost, (0, 0), "first look finds it: no spin, no park");
         }
+        // A hot endpoint draining a burst: every frame is found by the
+        // first look, whatever the timeout, so none starts the spin
+        // clock, and the endpoint stays hot throughout.
+        let waits = [Duration::ZERO, Duration::from_micros(1), Duration::MAX];
+        for i in 0..waits.len() {
+            b.send(&[i as u8]).unwrap();
+        }
+        for (i, wait) in waits.into_iter().enumerate() {
+            assert!(a.hot);
+            let (got, cost) = handoff_cost(|| a.recv_timeout(wait));
+            assert_eq!(got.unwrap(), [i as u8]);
+            assert_eq!(cost, (0, 0), "hot, frame {i} queued: no spin, no park");
+        }
+    }
+
+    #[test]
+    fn every_protocol_frame_fits_inline() {
+        use crate::proto::{Request, Response};
+        let m = u64::MAX;
+        let requests = [
+            Request::Hello { session: m, seq: m },
+            Request::Arrive {
+                session: m,
+                episode: m,
+                seq: m,
+            },
+            Request::Heartbeat { session: m, seq: m },
+            Request::Leave { session: m, seq: m },
+            Request::Resume {
+                session: m,
+                next_episode: m,
+                seq: m,
+            },
+        ];
+        let responses = [
+            Response::Welcome {
+                session: m,
+                episode: m,
+                inc: m,
+            },
+            Response::Release { episode: m, inc: m },
+            Response::Overdue {
+                episode: m,
+                round: m,
+                inc: m,
+            },
+            Response::Evicted {
+                session: m,
+                episode: m,
+                inc: m,
+            },
+            Response::ResumeRequired {
+                session: m,
+                episode: m,
+                inc: m,
+            },
+            Response::Resumed {
+                session: m,
+                episode: m,
+                inc: m,
+            },
+            Response::Diverged {
+                session: m,
+                expected: m,
+                inc: m,
+            },
+        ];
+        // Exhaustive matches: a new variant does not compile until it
+        // is listed above, and a listed one is checked below.
+        let request_kinds: std::collections::BTreeSet<u8> = requests
+            .iter()
+            .map(|r| match r {
+                Request::Hello { .. } => 0,
+                Request::Arrive { .. } => 1,
+                Request::Heartbeat { .. } => 2,
+                Request::Leave { .. } => 3,
+                Request::Resume { .. } => 4,
+            })
+            .collect();
+        let response_kinds: std::collections::BTreeSet<u8> = responses
+            .iter()
+            .map(|r| match r {
+                Response::Welcome { .. } => 0,
+                Response::Release { .. } => 1,
+                Response::Overdue { .. } => 2,
+                Response::Evicted { .. } => 3,
+                Response::ResumeRequired { .. } => 4,
+                Response::Resumed { .. } => 5,
+                Response::Diverged { .. } => 6,
+            })
+            .collect();
+        assert_eq!((request_kinds.len(), response_kinds.len()), (5, 7));
+        let requests = requests.iter().map(Request::encode);
+        let frames = requests.chain(responses.iter().map(Response::encode));
+        for frame in frames {
+            assert!(frame.len() <= MAX_FRAME, "{frame:?} would go to the heap");
+            assert!(matches!(Frame::new(&frame), Frame::Inline { .. }));
+        }
+    }
+
+    #[test]
+    fn frames_at_the_inline_bounds_roundtrip_in_order() {
+        let (mut a, mut b) = loopback_pair();
+        let largest = [0xA5; MAX_FRAME];
+        let over = [0x5A; MAX_FRAME + 1];
+        let frames: [&[u8]; 4] = [&[], &largest, &over, &[]];
+        assert!(matches!(Frame::new(&over), Frame::Heap(_)));
+        for frame in frames {
+            a.send(frame).unwrap();
+        }
+        for frame in frames {
+            assert_eq!(b.recv_timeout(Duration::ZERO).unwrap(), frame);
+        }
+        assert_eq!(b.recv_timeout(Duration::ZERO), Err(NetError::Timeout));
     }
 
     #[test]
@@ -505,7 +689,7 @@ mod tests {
 
     #[test]
     fn peer_dropped_during_the_spin_phase_reports_closed() {
-        let (tx, rx) = mpsc::channel::<Vec<u8>>();
+        let (tx, rx) = mpsc::channel::<Frame>();
         // A spin budget as long as the timeout: the whole wait is spin
         // phase, so whenever the drop lands, it lands in it.
         let forever = Duration::from_secs(60);
