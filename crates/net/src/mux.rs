@@ -408,9 +408,9 @@ mod tests {
     /// is processed leaves the server crediting exactly one episode the
     /// client never saw acked (`completed == done + 1`).
     ///
-    /// The interleaving is driven by hand on one shard (the shard's
-    /// inbox is FIFO across connections, so send order from this thread
-    /// is processing order), because the term is inherently a race in
+    /// The interleaving is driven by hand on one shard (a request is
+    /// stepped on the thread that sends it, so send order from this
+    /// thread is processing order), because the term is inherently a race in
     /// the mux loop: canceling *before* the releasing arrival would
     /// fold the arrival out with the session and no slack would arise.
     /// The canceller is also made to tick its joining epoch explicitly

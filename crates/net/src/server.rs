@@ -4,21 +4,23 @@
 //!
 //! The server is a two-level combining tree in service clothing.
 //! Sessions are partitioned across *shards* (leaf counters); each shard
-//! is one thread that owns its sessions' membership and arrival state
-//! outright, so every per-session transition happens at a quiescent
-//! point by construction — the shard's message loop serializes arrivals,
+//! owns its sessions' membership and arrival state outright, behind its
+//! own lock, so every per-session transition happens at a quiescent
+//! point by construction — one step at a time serializes arrivals,
 //! evictions, and rejoins the same way PR 4's releaser window serializes
-//! shape changes. A shard that observes all of its live sessions arrived
-//! reports *one* batched completeness bit to the root (its
-//! `shard_reported` slot — per-shard and stamped with the episode, so
-//! a report keeps its identity: a dead shard's report is simply
-//! ignored and a released episode's cannot count towards the next);
-//! the shard whose report completes the root view performs the
-//! release — bump the global episode, broadcast a `Release` control
-//! message — and every shard
-//! fans the release out to its own clients. Arrival traffic therefore
-//! aggregates up the tree (sessions → shard → root) and the release
-//! broadcasts back down, exactly the paper's arrival/release split.
+//! shape changes. As in the paper, each arrival updates its counter
+//! itself: the thread that routes a request (a client's `send`, a UDS
+//! pump) steps it into its shard on the spot. A shard that observes all
+//! of its live sessions arrived reports *one* batched completeness bit
+//! to the root (its `shard_reported` slot — per-shard and stamped with
+//! the episode, so a report keeps its identity: a dead shard's report is
+//! simply ignored and a released episode's cannot count towards the
+//! next); the step whose report completes the root view wins the
+//! release — bump the global episode, journal it — and its thread fans
+//! the release out, stepping it into every live shard, each of which
+//! sends it to its own clients. Arrival traffic therefore aggregates up
+//! the tree (sessions → shard → root) and the release broadcasts back
+//! down, exactly the paper's arrival/release split.
 //!
 //! # Core and driver
 //!
@@ -26,13 +28,27 @@
 //! tombstones, the release fan-out, its completeness report and the
 //! session leases — is `ShardCore` (`shard.rs`): a pure step function
 //! from one input (a request, a release notice or a tick) at a given
-//! `now` to one `Effects` value. This module is its driver: a shard
-//! thread reads the clock once per turn, steps the core once per message
-//! and once for housekeeping, and applies each step's effects to the
-//! routes, the ledger, the outboxes and the root, whose `try_release`
-//! wraps the CAS, journal append and broadcast around the pure
-//! `release_ready`. The shard-lease poller, the router and the UDS pumps
-//! are driver-only.
+//! `now` to one `Effects` value. This module is its driver: each step
+//! reads the clock, steps the core under the shard's lock and applies
+//! the effects to the routes, the ledger, the outboxes and the root,
+//! whose `try_release` wraps the CAS and the journal append around the
+//! pure `release_ready` and hands the won episode back for the fan-out.
+//! A step runs on whichever thread brings its input: a request on the
+//! thread that routes it, a release on the thread that won it, and a
+//! tick on the shard's ticker thread, which waits out each tick and
+//! then runs the housekeeping — the session-lease tick, the root-lease
+//! beat and pass (the shard-lease poller), and the standby beacon. The
+//! router, the tickers and the UDS pumps are driver-only.
+//!
+//! # Lock order
+//!
+//! A shard's lock is outermost and held alone: no thread holds two
+//! shard locks at once, and none takes a shard lock while it holds
+//! `assign`, `stats`, `slots`, `ledger`, `outbox`, `repl`, `recovered`
+//! or the journal's lock. So a step takes those inside its shard's
+//! lock, and a won release is fanned out only once the winner has
+//! dropped it: one shard lock at a time, in index order. The crash
+//! hook's lucky shard may be the winner's own.
 //!
 //! # Liveness and degradation
 //!
@@ -51,8 +67,9 @@
 //!   lowest, so even the poller's own death is detected). A shard
 //!   declared dead is folded out of the root view (episodes complete
 //!   without it — its reported flag stops counting, never the other
-//!   way), it observes the declaration and exits rather than serving on
-//!   as a zombie, the sessions live on it are notified `Evicted`
+//!   way), it is stepped no more — its ticker exits and requests still
+//!   routed to it are dropped — rather than serving on as a zombie, the
+//!   sessions live on it are notified `Evicted`
 //!   best-effort, and every routing assignment to it is cleared so
 //!   rejoins land on surviving shards — graceful shard degradation
 //!   rather than a wedged epoch.
@@ -106,16 +123,17 @@ use crate::journal::{frame_entry, roster_hash, Journal, JournalRecord};
 use crate::proto::{Request, Response, SessionId};
 use crate::recover::RecoveredState;
 use crate::shard::{release_ready, ConnId, Delta, Input, ShardCore};
-use crate::transport::{recv_handoff, Frame, LoopbackTransport, Transport};
+use crate::transport::{Frame, LoopbackTransport, Transport};
 
 /// Tuning for [`EpochServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Number of shards (leaf aggregation points). Sessions hash across
-    /// them; each shard is one thread.
+    /// them.
     pub shards: usize,
-    /// Shard loop tick: the bound on how long a shard sleeps between
-    /// lease polls when no traffic arrives.
+    /// Shard tick: how long a shard's ticker sleeps between runs of its
+    /// housekeeping (lease passes, overdue re-sends, its root-lease
+    /// beat).
     pub tick: Duration,
     /// Per-shard session slot capacity (supervisor size). A `Hello`
     /// beyond capacity is dropped.
@@ -214,23 +232,22 @@ impl OutSink {
             OutSink::Uds(sock) => {
                 // The socket is nonblocking: a client that stopped
                 // draining its buffer gets wire loss (WouldBlock,
-                // swallowed here), never a blocked shard thread.
+                // swallowed here), never a blocked fan-out.
                 let _ = sock.send(frame);
             }
         }
     }
 }
 
+/// What a shard's ticker thread can be told. Requests and releases
+/// never pass through it: they are stepped by the thread that routes or
+/// wins them.
 enum ShardMsg {
-    /// A decoded client request, tagged with its connection.
-    Net(ConnId, Request),
-    /// The named episode completed; fan the release out and open the
-    /// next frame.
-    Release(u64),
-    /// Test/chaos hook: the shard thread exits immediately without
-    /// cleanup, simulating a crash. The shard lease detects it.
+    /// Test/chaos hook: the shard "crashes". Its ticker marks it stalled
+    /// — every later request to it is dropped, like traffic to a dead
+    /// host — and exits without cleanup; the shard lease detects it.
     Stall,
-    /// Orderly shutdown.
+    /// Orderly shutdown, or a halted server's nudge.
     Shutdown,
 }
 
@@ -311,7 +328,7 @@ struct Shared {
     /// and must never release again.
     fenced: AtomicBool,
     /// Set by [`EpochServer::halt`] (and the scripted [`ServerCrash`]):
-    /// the process is "dead". Ingress is dropped, shard loops exit,
+    /// the process is "dead". Ingress is dropped, shard tickers exit,
     /// and — deliberately — client outboxes are *not* torn down, so a
     /// halted server looks like unbroken silence (timeouts), exactly
     /// like a crashed host, never like an orderly close.
@@ -374,10 +391,15 @@ impl Shared {
     }
 }
 
-/// Routes decoded requests to shard inboxes and responses back to
-/// connections. Shared by every connection and shard.
+/// Owns the shards and routes decoded requests to them and responses
+/// back to connections. Shared by every connection and shard ticker.
 struct Router {
-    shard_tx: Vec<mpsc::Sender<ShardMsg>>,
+    /// Each shard's driver state, under its own lock: stepped by the
+    /// thread that routes a request to the shard, by the thread that
+    /// fans a release out, and by the shard's ticker.
+    shards: Vec<Mutex<ShardDriver>>,
+    /// Each shard ticker's inbox.
+    tickers: Vec<mpsc::Sender<ShardMsg>>,
     assign: Mutex<HashMap<SessionId, Assignment>>,
     outbox: Mutex<HashMap<ConnId, OutSink>>,
     /// Times the `outbox` lock was taken, so a test can hold a release
@@ -402,7 +424,7 @@ impl Router {
     /// occupancy; a losing race just drops the `Hello` at the shard
     /// (which clears the assignment) and the retry probes again.
     fn pick_shard(&self, session: SessionId) -> Option<usize> {
-        let n = self.shard_tx.len();
+        let n = self.shards.len();
         let home = (session % n as u64) as usize;
         (0..n).map(|k| (home + k) % n).find(|&s| {
             self.shared.shard_alive[s].load(Ordering::Acquire)
@@ -411,8 +433,10 @@ impl Router {
     }
 
     /// Ingress: decode, resolve the session's shard (reassigning away
-    /// from dead shards), enqueue. Malformed frames and frames for a
-    /// fully-degraded server are dropped — the wire already taught
+    /// from dead shards), and step the request into it on this thread,
+    /// under the shard's lock; then fan out any release the step won.
+    /// Malformed frames, frames for a fully-degraded server and frames
+    /// for a shard that must stop are dropped — the wire already taught
     /// clients to retry.
     fn route(&self, conn: ConnId, frame: &[u8]) {
         // A halted (crashed) server is a dead host: traffic to it
@@ -451,10 +475,119 @@ impl Router {
                 }
             }
         };
-        // A send failure means the shard thread is gone but not yet
-        // declared dead: the frame is dropped, like traffic to a dead
-        // host. The shard lease converts this to eviction + rerouting.
-        let _ = self.shard_tx[shard].send(ShardMsg::Net(conn, req));
+        let won = {
+            let mut st = self.shard(shard);
+            // A stalled shard not yet declared dead drops the frame,
+            // like traffic to a dead host; the shard lease converts that
+            // to eviction and rerouting.
+            if st.must_stop(&self.shared) {
+                return;
+            }
+            let awaiting = self.shared.awaiting_resume(session);
+            st.step(self, Instant::now(), Input::Request(conn, req, awaiting))
+        };
+        self.fan_out(won);
+    }
+
+    /// Shard `idx`'s state, locked. See the module docs for the lock
+    /// order: no other lock may be held while taking this one.
+    fn shard(&self, idx: usize) -> std::sync::MutexGuard<'_, ShardDriver> {
+        self.shards[idx].lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Fans out the episode a step won — `Input::Release` on every live
+    /// shard in index order, one shard lock at a time — and then every
+    /// episode a release step wins in turn: a shard whose sessions all
+    /// arrived by proxy reports its next frame at once. Only the
+    /// outermost caller does this, once it holds no shard lock.
+    fn fan_out(&self, mut won: Option<u64>) {
+        while let Some(ep) = won.take() {
+            if self.crash(ep) {
+                return;
+            }
+            for idx in 0..self.shards.len() {
+                if !self.shared.shard_alive[idx].load(Ordering::Acquire) {
+                    continue;
+                }
+                let mut st = self.shard(idx);
+                if !st.must_stop(&self.shared) {
+                    // Only the last live shard's step can win the next
+                    // episode: until it runs, that shard reports this one.
+                    won = won.or(st.step(self, Instant::now(), Input::Release(ep)));
+                }
+            }
+        }
+    }
+
+    /// The scripted crash window: `true` if `ep` is the scripted crash
+    /// epoch. Its journal append is durable; the broadcast is what dies —
+    /// wholly (kill-at-epoch) or halfway (kill-mid-broadcast: exactly
+    /// the first live shard hears, so some clients observe the epoch
+    /// and some never do). The lucky shard's step has sent its frames
+    /// before the lights go off.
+    fn crash(&self, ep: u64) -> bool {
+        let shared = &*self.shared;
+        let Some(crash) = shared.crash.filter(|c| c.at_epoch == ep) else {
+            return false;
+        };
+        if crash.mid_broadcast {
+            let alive = |&s: &usize| shared.shard_alive[s].load(Ordering::Acquire);
+            if let Some(idx) = (0..self.shards.len()).find(alive) {
+                let mut st = self.shard(idx);
+                if !st.must_stop(shared) {
+                    // Whatever this release completes dies with the host.
+                    let _ = st.step(self, Instant::now(), Input::Release(ep));
+                }
+            }
+        }
+        shared.halted.store(true, Ordering::Release);
+        true
+    }
+
+    /// One pass of shard `idx`'s housekeeping, as its ticker runs it
+    /// after each wait: the shard's root-lease beat, the tick step
+    /// (session leases, overdue re-sends, the recovery grace), the
+    /// root-lease pass over its peers and the standby beacon; then the
+    /// fan-out of any release that won. `false` once the shard must
+    /// stop.
+    fn tick(&self, idx: usize) -> bool {
+        let won = {
+            let mut st = self.shard(idx);
+            if st.must_stop(&self.shared) {
+                return false;
+            }
+            let now = Instant::now();
+            self.shared.shard_super.beat_at(idx as u32, now);
+            let recovering = self.shared.recovering.load(Ordering::Acquire);
+            let won = st.step(self, now, Input::Tick(recovering));
+            // A declaration can complete the episode too, but not one
+            // the tick step already won: no shard reports the next
+            // episode before its release is fanned out.
+            let won = won.or(st.poll_shards(self, now));
+            st.beacon(&self.shared, now);
+            won
+        };
+        self.fan_out(won);
+        true
+    }
+
+    /// One turn of shard `idx`'s ticker: wait out `tick` on its inbox,
+    /// then [`tick`](Self::tick). `false` once the ticker must exit:
+    /// stalled, told to stop, or the shard must stop.
+    fn turn(&self, idx: usize, inbox: &mpsc::Receiver<ShardMsg>, tick: Duration) -> bool {
+        match inbox.recv_timeout(tick) {
+            Ok(ShardMsg::Stall) => {
+                self.shard(idx).stalled = true;
+                false
+            }
+            Ok(ShardMsg::Shutdown) | Err(mpsc::RecvTimeoutError::Disconnected) => false,
+            Err(mpsc::RecvTimeoutError::Timeout) => self.tick(idx),
+        }
+    }
+
+    /// Stalls shard `idx` (see [`ShardMsg::Stall`]).
+    fn stall(&self, idx: usize) {
+        let _ = self.tickers[idx].send(ShardMsg::Stall);
     }
 
     fn outbox(&self) -> std::sync::MutexGuard<'_, HashMap<ConnId, OutSink>> {
@@ -481,63 +614,51 @@ impl Router {
     }
 }
 
-/// Most messages one wake of a shard handles before it runs its
-/// housekeeping again: a flood of traffic may delay a lease poll or the
-/// shard's own heartbeat by one batch, never starve it.
-const BATCH: usize = 64;
-
-/// One shard thread: a [`ShardCore`] and everything the core may not
-/// touch — the inbox, the clock, the root, the router's outboxes and
-/// the journal's ledger.
+/// One shard's driver state: a [`ShardCore`] and what only the driver
+/// touches beside it. It lives in the [`Router`], under the shard's
+/// lock, and holds no handle to the router: each step is given one.
 struct ShardDriver {
     idx: usize,
     core: ShardCore,
-    shared: Arc<Shared>,
-    router: Arc<Router>,
-    cfg: ServerConfig,
-    /// The clock, read once per turn, after its wait.
-    now: Instant,
+    tick: Duration,
+    /// Set when the shard's ticker took `Stall`: a crashed shard serves
+    /// nothing more.
+    stalled: bool,
     /// Last standby-heartbeat send (lowest live shard only).
     last_repl_beat: Instant,
-    /// Whether the last inbox wait ended with a message: the spin-or-park
-    /// state of [`recv_handoff`].
-    inbox_hot: bool,
     /// The live shards at the last root-lease pass, kept so the pass
-    /// allocates nothing on a turn.
+    /// allocates nothing on a tick.
     alive: Vec<u32>,
 }
 
 impl ShardDriver {
-    fn new(idx: usize, shared: Arc<Shared>, router: Arc<Router>, cfg: ServerConfig) -> Self {
+    fn new(idx: usize, shared: &Shared, cfg: &ServerConfig) -> Self {
         let now = Instant::now();
         let frame = shared.episode.load(Ordering::Acquire);
         let inc = shared.incarnation;
-        let core = ShardCore::new(idx, &cfg, inc, frame, shared.recovery_deadline, now);
+        let core = ShardCore::new(idx, cfg, inc, frame, shared.recovery_deadline, now);
         Self {
             idx,
             core,
-            shared,
-            router,
-            cfg,
-            now,
+            tick: cfg.tick,
+            stalled: false,
             last_repl_beat: now,
-            inbox_hot: false,
             alive: Vec::new(),
         }
     }
 
-    /// Steps the core with one input at this turn's `now`, then applies
-    /// what the step did, in order: routing and the live count; the
-    /// recovery; the ledger and the frames under one `stats` guard and
-    /// one `outbox` lock — credit, then release, so a client that has
-    /// seen its `Release` can never read a ledger that has not counted
-    /// it (a step without frames takes no `outbox` lock, one without
-    /// ledger effects no `stats` guard); then the report, filed with its
-    /// completers, and the root's release check.
-    fn step(&mut self, input: Input) {
-        let fx = self.core.step(self.now, input);
-        let (shared, router, idx, frame) =
-            (&*self.shared, &*self.router, self.idx, self.core.frame);
+    /// Steps the core with one input at `now`, then applies what the
+    /// step did, in order: routing and the live count; the recovery; the
+    /// ledger and the frames under one `stats` guard and one `outbox`
+    /// lock — credit, then release, so a client that has seen its
+    /// `Release` can never read a ledger that has not counted it (a step
+    /// without frames takes no `outbox` lock, one without ledger effects
+    /// no `stats` guard); then the report, filed with its completers,
+    /// and the root's release check. Returns the episode that check
+    /// won, for the caller to fan out once it holds no shard lock.
+    fn step(&mut self, router: &Router, now: Instant, input: Input) -> Option<u64> {
+        let fx = self.core.step(now, input);
+        let (shared, idx, frame) = (&*router.shared, self.idx, self.core.frame);
         if !(fx.roster.is_empty() && fx.unroute.is_empty()) {
             let mut assign = router.assign.lock().unwrap_or_else(|e| e.into_inner());
             for &(session, delta) in &fx.roster {
@@ -634,39 +755,44 @@ impl ShardDriver {
         if let Some(frame) = fx.report {
             shared.shard_reported[idx].store(frame + 1, Ordering::Release);
         }
-        try_release(shared, router);
+        try_release(shared)
     }
 
     /// Root-lease pass over this shard's [`lease_targets`] in one
-    /// snapshot of the live flags.
-    fn poll_shards(&mut self) {
-        let flags = &self.shared.shard_alive;
+    /// snapshot of the live flags. Returns the episode a declaration
+    /// completed, if one did.
+    fn poll_shards(&mut self, router: &Router, now: Instant) -> Option<u64> {
+        let shared = &*router.shared;
+        let flags = &shared.shard_alive;
         let live = (0..flags.len()).filter(|&s| flags[s].load(Ordering::Acquire));
         self.alive.clear();
         self.alive.extend(live.map(|s| s as u32));
         let targets = lease_targets(&self.alive, self.idx as u32);
-        let sup = &self.shared.shard_super;
-        for shard in sup.lease_pass(self.now, targets.iter().copied()) {
-            declare_shard_dead(&self.shared, &self.router, shard as usize);
+        let mut won = None;
+        for shard in shared.shard_super.lease_pass(now, targets.iter().copied()) {
+            // The first declaration's release is not fanned out yet, so
+            // no later one can complete another episode.
+            won = won.or(declare_shard_dead(router, shard as usize));
         }
+        won
     }
 
     /// The lowest live shard beacons a heartbeat to any attached
     /// standby each tick, so it can tell an idle primary from a dead
     /// one.
-    fn beacon(&mut self) {
-        let lowest = (0..self.shared.shard_alive.len())
-            .find(|&s| self.shared.shard_alive[s].load(Ordering::Acquire));
-        if self.shared.journal.is_none()
+    fn beacon(&mut self, shared: &Shared, now: Instant) {
+        let lowest =
+            (0..shared.shard_alive.len()).find(|&s| shared.shard_alive[s].load(Ordering::Acquire));
+        if shared.journal.is_none()
             || lowest != Some(self.idx)
-            || self.now.saturating_duration_since(self.last_repl_beat) < self.cfg.tick
+            || now.saturating_duration_since(self.last_repl_beat) < self.tick
         {
             return;
         }
-        self.last_repl_beat = self.now;
-        let mut repl = self.shared.repl.lock().unwrap_or_else(|e| e.into_inner());
+        self.last_repl_beat = now;
+        let mut repl = shared.repl.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(t) = repl.as_mut() {
-            let inc = self.shared.incarnation;
+            let inc = shared.incarnation;
             let _ = t.send(&frame_entry(&JournalRecord::Heartbeat { inc }));
         }
     }
@@ -677,63 +803,13 @@ impl ShardDriver {
     /// was declared, so anything it did from here — reporting its stale
     /// frame complete, answering sessions that rejoined elsewhere —
     /// would be a zombie copy of state that now lives on the surviving
-    /// shards. A halted server is a "crashed" host: same silence.
-    fn must_stop(&self) -> bool {
-        !self.shared.shard_alive[self.idx].load(Ordering::Acquire)
-            || self.shared.halted.load(Ordering::Acquire)
-    }
-
-    /// Steps `msgs` in order, looking at the stop flags before each
-    /// one, so a death declaration or a scripted crash that lands in
-    /// mid-batch leaves every later message unhandled. `false` once the
-    /// shard must exit: flagged, `Stall` (simulated crash: no cleanup)
-    /// or `Shutdown`.
-    fn drain(&mut self, msgs: impl Iterator<Item = ShardMsg>) -> bool {
-        for msg in msgs {
-            if self.must_stop() {
-                return false;
-            }
-            let input = match msg {
-                ShardMsg::Net(conn, req) => {
-                    let awaiting = self.shared.awaiting_resume(req.session());
-                    Input::Request(conn, req, awaiting)
-                }
-                ShardMsg::Release(ep) => Input::Release(ep),
-                ShardMsg::Stall | ShardMsg::Shutdown => return false,
-            };
-            self.step(input);
-        }
-        true
-    }
-
-    /// One wake of the shard loop: wait at most a tick for traffic
-    /// (through the same spin-then-park hand-off as a client, see
-    /// [`crate::transport`]), read the clock, drain at most [`BATCH`]
-    /// queued messages, then run the housekeeping once for the batch and
-    /// not once per message — the lease passes rate-limit themselves per
-    /// tick anyway, and the shard's own beat only has to outrun a grace
-    /// that is floored at `min_grace`. `false` once the shard must exit.
-    fn turn(&mut self, inbox: &mpsc::Receiver<ShardMsg>) -> bool {
-        if self.must_stop() {
-            return false;
-        }
-        let first = match recv_handoff(inbox, self.cfg.tick, &mut self.inbox_hot) {
-            Ok(msg) => Some(msg),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => return false,
-        };
-        self.now = Instant::now();
-        self.shared.shard_super.beat_at(self.idx as u32, self.now);
-        let queued = std::iter::from_fn(|| inbox.try_recv().ok());
-        if !self.drain(first.into_iter().chain(queued).take(BATCH)) || self.must_stop() {
-            return false; // told to, or declared dead (or "crashed") meanwhile
-        }
-        // Membership may change without traffic (evictions), and so may
-        // the recovery.
-        self.step(Input::Tick(self.shared.recovering.load(Ordering::Acquire)));
-        self.poll_shards();
-        self.beacon();
-        true
+    /// shards. A stalled shard, a halted server (a "crashed" host) and a
+    /// stopped one keep the same silence.
+    fn must_stop(&self, shared: &Shared) -> bool {
+        self.stalled
+            || !shared.shard_alive[self.idx].load(Ordering::Acquire)
+            || shared.halted.load(Ordering::Acquire)
+            || shared.shutdown.load(Ordering::Acquire)
     }
 }
 
@@ -755,13 +831,14 @@ fn lease_targets(alive: &[u32], me: u32) -> &[u32] {
 
 /// The downward half of the root: if every live shard has reported the
 /// current episode and any session exists, the winning CAS bumps the
-/// episode (which expires the reports) and broadcasts the release. Any
-/// shard (or the shard poller, after folding a dead shard out) may
-/// perform it; the CAS guarantees exactly one winner per episode.
-/// Reports are read *paired with liveness* — a dead shard's stale
-/// report never counts — so a shard death can only delay a release,
-/// never complete one early.
-fn try_release(shared: &Shared, router: &Router) {
+/// episode (which expires the reports), journals it and returns it for
+/// the caller to fan out ([`Router::fan_out`]). Any shard step (or the
+/// shard poller, after folding a dead shard out) may win it; the CAS
+/// guarantees exactly one winner per episode. Reports are read *paired
+/// with liveness* — a dead shard's stale report never counts — so a
+/// shard death can only delay a release, never complete one early.
+#[must_use = "a won episode must be fanned out"]
+fn try_release(shared: &Shared) -> Option<u64> {
     let ep = shared.episode.load(Ordering::Acquire);
     let load = |a: &AtomicU64| a.load(Ordering::Acquire);
     let alive = shared.shard_alive.iter().map(|a| a.load(Ordering::Acquire));
@@ -779,14 +856,14 @@ fn try_release(shared: &Shared, router: &Router) {
     let fenced = shared.fenced.load(Ordering::Acquire);
     let recovering = shared.recovering.load(Ordering::Acquire);
     if !release_ready(ep, shards, halted, fenced, recovering) {
-        return;
+        return None;
     }
     if shared
         .episode
         .compare_exchange(ep, ep + 1, Ordering::AcqRel, Ordering::Acquire)
         .is_err()
     {
-        return; // another shard released this episode
+        return None; // another shard released this episode
     }
     // The reports were for `ep`, so the CAS has just expired them: a
     // concurrent caller (the shard poller ticks into here at any
@@ -794,8 +871,8 @@ fn try_release(shared: &Shared, router: &Router) {
     // journal append below runs, win the bumped CAS, and run a second
     // release in parallel — draining the completer slots out from
     // under us and appending episodes out of order, which recovery
-    // would then skip as stale. No shard reports `ep + 1` until it
-    // processes the Release broadcast at the bottom.
+    // would then skip as stale. No shard reports `ep + 1` until the
+    // winner's fan-out steps its release.
     // ── Write-ahead: journal the episode before any client can hear of
     // it. Group commit: the batch is every membership delta since the
     // last release plus one episode record — one append per epoch, not
@@ -836,7 +913,7 @@ fn try_release(shared: &Shared, router: &Router) {
                 // hearing from us and fail over to the incarnation that
                 // fenced us out.
                 shared.fenced.store(true, Ordering::Release);
-                return;
+                return None;
             }
             Ok(()) => {
                 // Tee the batch to a warm standby, best effort — the
@@ -861,31 +938,7 @@ fn try_release(shared: &Shared, router: &Router) {
         }
     }
     shared.released.fetch_add(1, Ordering::Release);
-    // ── Scripted crash window: the journal append above is durable,
-    // the broadcast below is what dies — wholly (kill-at-epoch) or
-    // halfway (kill-mid-broadcast: exactly one shard hears).
-    if let Some(crash) = shared.crash {
-        if ep == crash.at_epoch {
-            if crash.mid_broadcast {
-                if let Some(s) = (0..shared.shard_alive.len())
-                    .find(|&s| shared.shard_alive[s].load(Ordering::Acquire))
-                {
-                    let _ = router.shard_tx[s].send(ShardMsg::Release(ep));
-                }
-                // Give the lucky shard a beat to fan out to *its*
-                // clients before the lights go off, so some clients
-                // observe the epoch and some never do.
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            shared.halted.store(true, Ordering::Release);
-            return;
-        }
-    }
-    for (s, tx) in router.shard_tx.iter().enumerate() {
-        if shared.shard_alive[s].load(Ordering::Acquire) {
-            let _ = tx.send(ShardMsg::Release(ep));
-        }
-    }
+    Some(ep)
 }
 
 /// Compacts the journal to `[Incarnation, Snapshot]`. The snapshot
@@ -926,9 +979,11 @@ fn compact_journal(shared: &Shared, journal: &Journal, ep: u64, batch: &[Journal
 /// Folds a dead shard out of the root: episodes complete without it,
 /// the sessions live on it are evicted and told so best-effort, and
 /// every assignment to it clears so rejoins land on live shards.
-fn declare_shard_dead(shared: &Shared, router: &Router, shard: usize) {
+/// Returns the episode the fold completed, if it did.
+fn declare_shard_dead(router: &Router, shard: usize) -> Option<u64> {
+    let shared = &*router.shared;
     if !shared.shard_alive[shard].swap(false, Ordering::AcqRel) {
-        return; // already declared
+        return None; // already declared
     }
     shared.live_sessions[shard].store(0, Ordering::Release);
     let episode = shared.episode.load(Ordering::Acquire);
@@ -962,18 +1017,12 @@ fn declare_shard_dead(shared: &Shared, router: &Router, shard: usize) {
     // instead *already* reported, try_release now disregards that stale
     // flag (reports only count paired with a live shard), so a survivor
     // that still owes its own report keeps the episode open.
-    try_release(shared, router);
+    try_release(shared)
 }
 
-fn run_shard(
-    idx: usize,
-    inbox: mpsc::Receiver<ShardMsg>,
-    shared: Arc<Shared>,
-    router: Arc<Router>,
-    cfg: ServerConfig,
-) {
-    let mut st = ShardDriver::new(idx, shared, router, cfg);
-    while st.turn(&inbox) {}
+/// Shard `idx`'s ticker thread: turns until it must exit.
+fn run_shard(idx: usize, inbox: mpsc::Receiver<ShardMsg>, router: Arc<Router>, tick: Duration) {
+    while router.turn(idx, &inbox, tick) {}
 }
 
 /// A running barrier-as-a-service instance. See the module docs.
@@ -985,7 +1034,7 @@ pub struct EpochServer {
 }
 
 impl EpochServer {
-    /// Starts the shard threads and returns a handle for connecting
+    /// Starts the shard tickers and returns a handle for connecting
     /// clients and inspecting service state. No journal: the server is
     /// fast but mortal — a crash loses everything.
     pub fn start(cfg: ServerConfig) -> Self {
@@ -1019,12 +1068,10 @@ impl EpochServer {
             .into_iter()
             .enumerate()
             .map(|(idx, rx)| {
-                let shared = shared.clone();
                 let router = router.clone();
-                let cfg = cfg.clone();
                 std::thread::Builder::new()
                     .name(format!("combar-net-shard-{idx}"))
-                    .spawn(move || run_shard(idx, rx, shared, router, cfg))
+                    .spawn(move || run_shard(idx, rx, router, cfg.tick))
                     .expect("spawn shard thread")
             })
             .collect();
@@ -1036,9 +1083,9 @@ impl EpochServer {
         }
     }
 
-    /// Builds the root state, the router and one inbox per shard — all of
-    /// a server except its threads, so a test can run a shard's loop by
-    /// hand on an inbox it filled itself.
+    /// Builds the root state, the router with its shards and one ticker
+    /// inbox per shard — all of a server except its threads, so a test
+    /// can route requests and tick shards by hand.
     fn wire_up(
         cfg: &ServerConfig,
         journal: Option<Arc<Journal>>,
@@ -1100,7 +1147,10 @@ impl EpochServer {
             rxs.push(rx);
         }
         let router = Arc::new(Router {
-            shard_tx: txs,
+            shards: (0..shards)
+                .map(|idx| Mutex::new(ShardDriver::new(idx, &shared, cfg)))
+                .collect(),
+            tickers: txs,
             assign: Mutex::new(HashMap::new()),
             outbox: Mutex::new(HashMap::new()),
             #[cfg(test)]
@@ -1124,7 +1174,7 @@ impl EpochServer {
     ///
     /// Two pairs, one per direction, so each side's *send* socket can
     /// be nonblocking — a full buffer is wire loss, and a client that
-    /// stops reading must never block a shard thread mid-broadcast —
+    /// stops reading must never block a release mid-broadcast —
     /// while each side's *recv* socket keeps its blocking read timeout.
     /// (One shared socketpair cannot do this: `O_NONBLOCK` lives on the
     /// open file description, so flipping it for sends would also make
@@ -1203,23 +1253,23 @@ impl EpochServer {
             .clone()
     }
 
-    /// Chaos hook: makes shard `idx` exit its loop without cleanup,
-    /// simulating a crashed shard. The shard lease declares it dead and
+    /// Chaos hook: shard `idx` "crashes" — its ticker stops it serving
+    /// and exits without cleanup. The shard lease declares it dead and
     /// the service degrades onto the survivors.
     pub fn stall_shard(&self, idx: usize) {
-        let _ = self.router.shard_tx[idx].send(ShardMsg::Stall);
+        self.router.stall(idx);
     }
 
     /// Chaos hook: "kills" the whole server process. Ingress is dropped
-    /// on the floor, every shard loop exits at its next tick, and —
+    /// on the floor, every shard ticker exits at once, and —
     /// unlike [`shutdown`](Self::shutdown) — client connections are
     /// *not* closed: to a client the host simply went silent, exactly
     /// like a kernel panic. The journal (if any) keeps whatever was
     /// durably appended; nothing in flight survives.
     pub fn halt(&self) {
         self.shared.halted.store(true, Ordering::Release);
-        for tx in &self.router.shard_tx {
-            // Nudge parked shards so they notice the halt now rather
+        for tx in &self.router.tickers {
+            // Nudge parked tickers so they notice the halt now rather
             // than at the next tick timeout.
             let _ = tx.send(ShardMsg::Shutdown);
         }
@@ -1251,14 +1301,15 @@ impl EpochServer {
         *self.shared.repl.lock().unwrap_or_else(|e| e.into_inner()) = Some(transport);
     }
 
-    /// Stops every shard (and UDS pump) thread and waits for them.
+    /// Stops every shard ticker (and UDS pump) thread and waits for
+    /// them. A stopped server handles no more traffic.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        for tx in &self.router.shard_tx {
+        for tx in &self.router.tickers {
             let _ = tx.send(ShardMsg::Shutdown);
         }
         for h in self.shard_handles.drain(..) {
@@ -1793,49 +1844,58 @@ mod tests {
         server.shutdown();
     }
 
-    /// Shard 0 of a server without its threads, and that shard's inbox:
-    /// the test is the shard thread.
-    fn hand_cranked(cfg: ServerConfig) -> (ShardDriver, mpsc::Receiver<ShardMsg>) {
-        let (shared, router, mut inboxes) = EpochServer::wire_up(&cfg, None, None);
-        (ShardDriver::new(0, shared, router, cfg), inboxes.remove(0))
+    /// A server without its threads, and its shards' ticker inboxes: the
+    /// test routes requests on its own thread and turns the tickers by
+    /// hand.
+    fn hand_cranked(cfg: ServerConfig) -> (Arc<Router>, Vec<mpsc::Receiver<ShardMsg>>) {
+        let (_, router, inboxes) = EpochServer::wire_up(&cfg, None, None);
+        (router, inboxes)
     }
 
+    fn send_hello(w: &mut impl Transport, session: SessionId) {
+        w.send(&Request::Hello { session, seq: 0 }.encode())
+            .unwrap();
+    }
+
+    /// Each routed arrival is stepped before its `send` returns, and the
+    /// one that completes the episode fans its release out before its
+    /// own `send` returns: one `outbox` lock for all sixteen, and the
+    /// ledger credits every session.
     #[test]
-    fn sixteen_queued_arrives_cost_one_turn_and_one_outbox_lock() {
-        let (mut st, inbox) = hand_cranked(quick_cfg(1));
-        let mut wires: Vec<_> = (0..16).map(|_| st.router.connect()).collect();
-        let mut send_all = |req: &dyn Fn(u64) -> Request| {
-            for (sid, w) in wires.iter_mut().enumerate() {
-                while w.recv_timeout(Duration::ZERO).is_ok() {} // earlier replies
-                w.send(&req(sid as u64).encode()).unwrap();
-            }
-        };
-        // Sixteen joins, and the release of the join epoch that the
-        // first of them completes by proxy: one batch.
-        send_all(&|session| Request::Hello { session, seq: 0 });
-        assert!(st.turn(&inbox));
-        assert_eq!((st.core.frame, st.core.live, st.core.arrived), (1, 16, 0));
-        // Sixteen arrivals and the release the last one causes: one
-        // turn — so one housekeeping pass — and one lock of the outbox
-        // for the whole fan-out.
-        send_all(&|session| Request::Arrive {
-            session,
-            episode: 1,
-            seq: 1,
-        });
-        let locks = st.router.outbox_locks.load(Ordering::Relaxed);
-        assert!(st.turn(&inbox));
-        assert_eq!(st.router.outbox_locks.load(Ordering::Relaxed) - locks, 1);
-        assert_eq!(st.core.frame, 2, "the release rode in the arrivals' batch");
-        assert!(inbox.try_recv().is_err(), "nothing left for a second turn");
-        for w in &mut wires {
-            let frame = w.recv_timeout(Duration::ZERO).expect("released");
-            let release = Response::Release { episode: 1, inc: 0 };
-            assert_eq!(Response::decode(&frame), Ok(release));
-            assert_eq!(w.recv_timeout(Duration::ZERO), Err(NetError::Timeout));
+    fn a_routed_arrival_is_stepped_before_its_send_returns_and_the_last_fans_out() {
+        let (router, _inboxes) = hand_cranked(quick_cfg(1));
+        let mut wires: Vec<_> = (0..16).map(|_| router.connect()).collect();
+        // The first join completes its join epoch alone, by proxy; the
+        // rest join episode 1 arrived by proxy, so session 0's arrival
+        // releases it.
+        for (session, w) in (0..).zip(&mut wires) {
+            send_hello(w, session);
         }
-        let ledger = st.shared.stats.lock().unwrap();
-        assert!((0..16).all(|sid| ledger[&sid].completed == 1), "{ledger:?}");
+        send_arrive_raw(&mut wires[0], 0, 1, 1);
+        assert_eq!(router.shard(0).core.frame, 2);
+        wires.iter_mut().for_each(|w| drop(drain_wire(w)));
+        let before = router.shared.stats.lock().unwrap().clone();
+        let locks = router.outbox_locks.load(Ordering::Relaxed);
+        for (session, w) in (0..16).zip(&mut wires) {
+            send_arrive_raw(w, session, 2, 2);
+            let st = router.shard(0);
+            let counted = if session < 15 {
+                (2, session + 1)
+            } else {
+                (3, 0)
+            };
+            assert_eq!((st.core.frame, st.core.arrived), counted);
+        }
+        assert_eq!(router.outbox_locks.load(Ordering::Relaxed) - locks, 1);
+        let release = Response::Release { episode: 2, inc: 0 }.encode();
+        for w in &mut wires {
+            assert_eq!(drain_wire(w), std::slice::from_ref(&release));
+        }
+        let ledger = router.shared.stats.lock().unwrap();
+        for session in 0..16 {
+            let done = ledger[&session].completed;
+            assert_eq!(done, before[&session].completed + 1, "session {session}");
+        }
     }
 
     /// Every frame waiting on a hand-rolled wire, oldest first.
@@ -1898,7 +1958,7 @@ mod tests {
     fn a_clean_wire_sends_one_arrive_and_one_release_per_session_per_episode() {
         const SESSIONS: u64 = 4;
         const EPISODES: u64 = 1_000;
-        let (st, inbox) = hand_cranked(quick_cfg(1));
+        let (router, _inboxes) = hand_cranked(quick_cfg(1));
         let log = Arc::new(Mutex::new(Vec::new()));
         // No attempt may time out on a loaded host and re-send.
         let cfg = ClientConfig {
@@ -1908,45 +1968,36 @@ mod tests {
         let mut clients: Vec<_> = (0..SESSIONS)
             .map(|session| {
                 let wire = Tally {
-                    inner: st.router.connect(),
+                    inner: router.connect(),
                     session,
                     log: Arc::clone(&log),
                 };
                 BarrierClient::new(wire, session, cfg)
             })
             .collect();
-        // Joining needs a shard that answers: run the loop on a helper
-        // thread until every client is in and they all stand at one
-        // episode, then take the shard back and crank it by hand.
-        let running = AtomicBool::new(true);
-        let (mut st, inbox) = std::thread::scope(|s| {
-            let running = &running;
-            let shard = s.spawn(move || {
-                let mut st = st;
-                while running.load(Ordering::Acquire) {
-                    assert!(st.turn(&inbox));
-                }
-                (st, inbox)
-            });
-            for c in &mut clients {
-                c.join().unwrap();
+        // Each request is stepped on the thread that sends it, so the
+        // clients join, catch up and cross with no shard thread.
+        for c in &mut clients {
+            c.join().unwrap();
+        }
+        let front = clients.iter().map(|c| c.episode()).max().unwrap();
+        for c in &mut clients {
+            while c.episode() < front {
+                c.arrive().unwrap();
             }
-            let front = clients.iter().map(|c| c.episode()).max().unwrap();
-            for c in &mut clients {
-                while c.episode() < front {
-                    c.arrive().unwrap();
-                }
-            }
-            running.store(false, Ordering::Release);
-            shard.join().unwrap()
-        });
+        }
+        // The first to join owes the episode the others joined arrived
+        // by proxy, so its arrival releases it at once and theirs are
+        // re-acked: cross it before counting.
+        for c in &mut clients {
+            c.arrive().unwrap();
+        }
         let first = clients[0].episode();
         let setup = log.lock().unwrap().len();
         for episode in first..first + EPISODES {
             for c in &mut clients {
                 c.send_arrive().unwrap();
             }
-            assert!(st.turn(&inbox));
             for c in &mut clients {
                 assert_eq!(c.poll_release(Duration::from_secs(1)), Ok(episode));
             }
@@ -1987,26 +2038,29 @@ mod tests {
             (ARMED, _) => 3 - ((episode - 3) / hold).min(2) as usize,
             _ => 1,
         };
-        let (mut st, inbox) = hand_cranked(quick_cfg(1));
-        let mut wires: Vec<_> = (0..SESSIONS).map(|_| st.router.connect()).collect();
+        let (router, _inboxes) = hand_cranked(quick_cfg(1));
+        let mut wires: Vec<_> = (0..SESSIONS).map(|_| router.connect()).collect();
         for (session, w) in (0..).zip(&mut wires) {
-            w.send(&Request::Hello { session, seq: 0 }.encode())
-                .unwrap();
+            send_hello(w, session);
         }
-        assert!(st.turn(&inbox));
-        assert_eq!(st.core.frame, 1, "joined in one batch, epoch 0 by proxy");
+        assert_eq!(router.shard(0).core.frame, 1, "epoch 0 released by proxy");
         let release = |episode| Response::Release { episode, inc: 0 }.encode();
         for episode in 1..=last {
-            for (session, w) in (0..).zip(&mut wires) {
-                drain_wire(w);
+            wires.iter_mut().for_each(|w| drop(drain_wire(w)));
+            let locks = router.outbox_locks.load(Ordering::Relaxed);
+            // Session 0, the first to join, arrives last: the others
+            // joined episode 1 arrived by proxy. The armed session
+            // arrives first, so every copy it sends is stepped before
+            // the release (one stepped after it is re-acked, see
+            // `shard::tests`).
+            for session in [ARMED, 1, 0] {
+                let w = &mut wires[session as usize];
                 for _ in 0..copies(session, episode) {
                     send_arrive_raw(w, session, episode, 2 * episode);
                 }
             }
-            let locks = st.router.outbox_locks.load(Ordering::Relaxed);
-            assert!(st.turn(&inbox));
-            assert_eq!(st.router.outbox_locks.load(Ordering::Relaxed) - locks, 1);
-            assert_eq!(st.core.frame, episode + 1);
+            assert_eq!(router.outbox_locks.load(Ordering::Relaxed) - locks, 1);
+            assert_eq!(router.shard(0).core.frame, episode + 1);
             for (session, w) in (0..).zip(&mut wires) {
                 assert_eq!(
                     drain_wire(w),
@@ -2018,52 +2072,163 @@ mod tests {
                 // The armed session's `Release` is lost; it re-sends.
                 let w = &mut wires[ARMED as usize];
                 send_arrive_raw(w, ARMED, episode, 2 * episode + 1);
-                assert!(st.turn(&inbox));
                 assert_eq!(drain_wire(w), vec![release(episode)]);
             }
         }
-        let ledger = st.shared.stats.lock().unwrap();
+        let ledger = router.shared.stats.lock().unwrap();
         for session in 0..SESSIONS {
             assert_eq!(ledger[&session].completed, last, "{ledger:?}");
         }
     }
 
+    /// A stalled shard, a shard declared dead and a server halted by its
+    /// crash hook each leave every later routed request unhandled.
     #[test]
-    fn a_stop_in_mid_batch_leaves_every_later_message_unhandled() {
-        let hello = |session| ShardMsg::Net(session, Request::Hello { session, seq: 0 });
-        let joined = |st: &ShardDriver| {
-            let mut sids: Vec<_> = st.core.sessions.keys().copied().collect();
-            sids.sort_unstable();
-            sids
+    fn a_stalled_dead_or_halted_shard_leaves_every_later_request_unhandled() {
+        let joined = |router: &Router| -> Vec<SessionId> {
+            router.shard(0).core.sessions.keys().copied().collect()
         };
-        // A simulated shard crash.
-        let (mut st, _inbox) = hand_cranked(quick_cfg(1));
-        assert!(!st.drain([hello(0), ShardMsg::Stall, hello(1)].into_iter()));
-        assert_eq!(joined(&st), [0]);
+        // A simulated shard crash: its ticker takes `Stall`.
+        let (router, inboxes) = hand_cranked(quick_cfg(1));
+        let mut w = router.connect();
+        send_hello(&mut w, 0);
+        router.stall(0);
+        assert!(!router.turn(0, &inboxes[0], Duration::ZERO));
+        send_hello(&mut w, 1);
+        assert_eq!(joined(&router), [0]);
+        // A death declaration by the root lease.
+        let (router, _inboxes) = hand_cranked(quick_cfg(1));
+        let mut w = router.connect();
+        send_hello(&mut w, 0);
+        assert_eq!(declare_shard_dead(&router, 0), None);
+        send_hello(&mut w, 1);
+        assert_eq!(joined(&router), [0]);
         // A scripted whole-server crash, raised by the release that the
-        // first message's own handling wins.
-        let (mut st, _inbox) = hand_cranked(ServerConfig {
+        // first request's own step wins: its welcome went out, the
+        // release died with the host.
+        let (router, _inboxes) = hand_cranked(ServerConfig {
             crash: Some(ServerCrash {
                 at_epoch: 0,
                 mid_broadcast: false,
             }),
             ..quick_cfg(1)
         });
-        assert!(!st.drain([hello(0), hello(1)].into_iter()));
-        assert!(st.shared.halted.load(Ordering::Acquire));
-        assert_eq!(joined(&st), [0]);
-        // A death declaration by the root lease, landing between the
-        // first message and the second.
-        let (mut st, _inbox) = hand_cranked(quick_cfg(1));
-        let shared = st.shared.clone();
-        let msgs = [hello(0), hello(1), hello(2)].into_iter().enumerate();
-        assert!(!st.drain(msgs.map(|(i, msg)| {
-            if i == 1 {
-                shared.shard_alive[0].store(false, Ordering::Release);
+        let mut w = router.connect();
+        send_hello(&mut w, 0);
+        assert!(router.shared.halted.load(Ordering::Acquire));
+        send_hello(&mut w, 1);
+        assert_eq!(joined(&router), [0]);
+        let welcome = Response::Welcome {
+            session: 0,
+            episode: 0,
+            inc: 0,
+        };
+        assert_eq!(drain_wire(&mut w), [welcome.encode()]);
+    }
+
+    /// A crash in mid-broadcast on two shards: the crash epoch's release
+    /// reaches the first live shard's clients and nobody else's, whether
+    /// the winning arrival came through that shard or the other one.
+    /// Each case runs on a helper thread under a deadline, so a winner
+    /// that kept its own shard's lock into the broadcast fails the test
+    /// instead of hanging it.
+    #[test]
+    fn a_crash_in_mid_broadcast_releases_on_exactly_one_shard() {
+        for winner in [1, 0] {
+            let (done_tx, done_rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let (router, _inboxes) = hand_cranked(ServerConfig {
+                    crash: Some(ServerCrash {
+                        at_epoch: 1,
+                        mid_broadcast: true,
+                    }),
+                    ..quick_cfg(2)
+                });
+                // Session s homes on shard s; the second join completes
+                // epoch 0, and both sessions owe epoch 1.
+                let mut wires = [router.connect(), router.connect()];
+                for (session, w) in (0..).zip(&mut wires) {
+                    send_hello(w, session);
+                }
+                for w in &mut wires {
+                    drain_wire(w);
+                }
+                for session in [1 - winner, winner] {
+                    send_arrive_raw(&mut wires[session as usize], session, 1, 1);
+                }
+                let seen = wires.map(|mut w| drain_wire(&mut w));
+                let _ = done_tx.send((router.shared.halted.load(Ordering::Acquire), seen));
+            });
+            let outcome = done_rx.recv_timeout(Duration::from_secs(10));
+            let (halted, seen) = outcome.expect("the crash deadlocked");
+            assert!(halted, "winner on shard {winner}");
+            let release = Response::Release { episode: 1, inc: 0 }.encode();
+            assert_eq!(seen, [vec![release], vec![]], "winner on shard {winner}");
+        }
+    }
+
+    /// Four shards and sixteen sessions as `SessionMux` tasks on four
+    /// client threads cross 500 episodes, and shard 2 stalls halfway:
+    /// requests and releases are stepped on the client threads under
+    /// the shard locks while the tickers tick, declare shard 2 dead and
+    /// fan out what that completes. Every session finishes, the ledger
+    /// is exactly-once, and the run has a deadline, so a deadlock fails
+    /// the test instead of hanging it.
+    #[test]
+    fn four_shards_cross_on_client_threads_through_a_stalled_shard() {
+        const EPISODES: u64 = 500;
+        let server = Arc::new(EpochServer::start(ServerConfig {
+            shard_lease: SupervisorConfig {
+                min_grace: Duration::from_millis(50),
+                sigma_mult: 4.0,
+                max_misses: 2,
+            },
+            ..quick_cfg(4)
+        }));
+        let cfg = crate::MuxConfig {
+            sessions: 16,
+            episodes: EPISODES,
+            client: ClientConfig {
+                request_timeout: Duration::from_millis(10),
+                ..ClientConfig::default()
+            },
+            poll: Duration::from_millis(1),
+            ..crate::MuxConfig::default()
+        };
+        let run = {
+            let (server, cfg) = (Arc::clone(&server), cfg.clone());
+            std::thread::spawn(move || {
+                let exec = combar_rt::Executor::new(4);
+                crate::SessionMux::drive(&exec, |_| Box::new(server.connect()), &cfg)
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let wait_for = |done: &dyn Fn() -> bool, what: &str| {
+            while !done() {
+                assert!(Instant::now() < deadline, "{what} by the deadline");
+                std::thread::sleep(Duration::from_millis(1));
             }
-            msg
-        })));
-        assert_eq!(joined(&st), [0]);
+        };
+        wait_for(
+            &|| server.episodes_released() >= EPISODES / 2,
+            "half the episodes crossed",
+        );
+        server.stall_shard(2);
+        wait_for(&|| run.is_finished(), "every session finished");
+        let report = run.join().expect("no session driver panics");
+        for sid in 0..16 {
+            assert_eq!(report.done(sid), EPISODES, "session {sid}");
+        }
+        report.assert_ledger(&server, &cfg);
+        assert!(!server.shared.shard_alive[2].load(Ordering::Acquire));
+        let stats = server.session_stats();
+        for sid in [2, 6, 10, 14] {
+            assert!(
+                stats[&sid].evictions >= 1,
+                "session {sid}: {:?}",
+                stats[&sid]
+            );
+        }
     }
 
     /// What a release winner preempted straight after its CAS leaves
@@ -2071,85 +2236,73 @@ mod tests {
     /// A second caller must not take them for the next episode's.
     #[test]
     fn reports_expire_with_the_episode_they_were_for() {
-        let (st, inbox) = hand_cranked(quick_cfg(1));
-        let shared = &st.shared;
+        let (router, _inboxes) = hand_cranked(quick_cfg(1));
+        let shared = &*router.shared;
         shared.live_sessions[0].store(1, Ordering::Release);
         shared.shard_reported[0].store(1, Ordering::Release); // episode 0
         shared.episode.store(1, Ordering::Release); // the winner's CAS
-        try_release(shared, &st.router);
+        assert_eq!(try_release(shared), None, "released with nobody arrived");
         assert_eq!(shared.episode.load(Ordering::Acquire), 1);
-        assert!(inbox.try_recv().is_err(), "released with nobody arrived");
         // Once the shard reports episode 1 itself, it releases.
         shared.shard_reported[0].store(2, Ordering::Release);
-        try_release(shared, &st.router);
-        assert!(matches!(inbox.try_recv(), Ok(ShardMsg::Release(1))));
+        assert_eq!(try_release(shared), Some(1));
     }
 
     /// A one-shard server, hand-cranked, with session 0 joined and its
     /// join epoch released: the session owes frame 1.
-    fn one_joined_session() -> (ShardDriver, mpsc::Receiver<ShardMsg>, LoopbackTransport) {
-        let (mut st, inbox) = hand_cranked(quick_cfg(1));
-        let mut wire = st.router.connect();
-        wire.send(&Request::Hello { session: 0, seq: 0 }.encode())
-            .unwrap();
-        assert!(st.turn(&inbox));
+    fn one_joined_session() -> (Arc<Router>, LoopbackTransport) {
+        let (router, _inboxes) = hand_cranked(quick_cfg(1));
+        let mut wire = router.connect();
+        send_hello(&mut wire, 0);
+        let st = router.shard(0);
         assert_eq!((st.core.frame, st.core.live), (1, 1));
-        (st, inbox, wire)
+        drop(st);
+        (router, wire)
     }
 
-    fn evictions(st: &ShardDriver, session: SessionId) -> u64 {
-        st.shared.stats.lock().unwrap()[&session].evictions
+    fn evictions(router: &Router, session: SessionId) -> u64 {
+        router.shared.stats.lock().unwrap()[&session].evictions
     }
 
     #[test]
     fn a_dead_shard_does_not_evict_a_session_that_left() {
-        let (mut st, inbox, mut wire) = one_joined_session();
+        let (router, mut wire) = one_joined_session();
         wire.send(&Request::Leave { session: 0, seq: 1 }.encode())
             .unwrap();
-        assert!(st.turn(&inbox));
-        declare_shard_dead(&st.shared, &st.router, 0);
-        assert_eq!(evictions(&st, 0), 0);
+        assert_eq!(declare_shard_dead(&router, 0), None);
+        assert_eq!(evictions(&router, 0), 0);
     }
 
     #[test]
     fn a_dead_shard_does_not_evict_a_lease_evicted_session_again() {
-        let (mut st, _inbox, _wire) = one_joined_session();
+        let (router, _wire) = one_joined_session();
         // Silent on a virtual clock until its lease declares it.
+        let mut now = Instant::now();
+        let mut st = router.shard(0);
         while st.core.live > 0 {
-            st.now += Duration::from_secs(10);
-            st.step(Input::Tick(false));
+            now += Duration::from_secs(10);
+            assert_eq!(st.step(&router, now, Input::Tick(false)), None);
         }
-        assert_eq!(evictions(&st, 0), 1);
-        declare_shard_dead(&st.shared, &st.router, 0);
-        assert_eq!(evictions(&st, 0), 1);
+        drop(st);
+        assert_eq!(evictions(&router, 0), 1);
+        assert_eq!(declare_shard_dead(&router, 0), None);
+        assert_eq!(evictions(&router, 0), 1);
     }
 
+    /// An idle ticker waits out its tick and never spins: nothing but
+    /// `Stall` and `Shutdown` ever comes through its inbox.
     #[test]
     fn idle_shard_never_spins_and_waits_out_its_tick() {
         use crate::transport::handoff_cost;
-        let (mut st, inbox) = hand_cranked(quick_cfg(1));
-        let tick = st.cfg.tick;
-        // `(spins, parks)` of one turn; an idle one must last its tick.
-        let turn = |st: &mut ShardDriver, idle: bool| {
-            let t0 = Instant::now();
-            let (alive, cost) = handoff_cost(|| st.turn(&inbox));
-            assert!(alive);
-            assert!(
-                !idle || t0.elapsed() >= tick,
-                "an idle turn cut its tick short"
-            );
-            cost
-        };
+        let (router, inboxes) = hand_cranked(quick_cfg(1));
+        let tick = quick_cfg(1).tick;
         for _ in 0..3 {
-            assert_eq!(turn(&mut st, true), (0, 1));
+            let t0 = Instant::now();
+            let (alive, (spins, _)) = handoff_cost(|| router.turn(0, &inboxes[0], tick));
+            assert!(alive);
+            assert!(t0.elapsed() >= tick, "an idle turn cut its tick short");
+            assert_eq!(spins, 0);
         }
-        // Traffic makes the shard hot for exactly one more wait.
-        let beat = Request::Heartbeat { session: 9, seq: 0 };
-        st.router.shard_tx[0].send(ShardMsg::Net(0, beat)).unwrap();
-        assert_eq!(turn(&mut st, false), (0, 0), "the message was waiting");
-        let (spins, parks) = turn(&mut st, true);
-        assert!(spins > 0 && parks <= 1, "hot: looked, then parked");
-        assert_eq!(turn(&mut st, true), (0, 1), "cold again");
     }
 
     /// Router assignments are sticky, so a shard with no free session

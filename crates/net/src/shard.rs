@@ -147,7 +147,9 @@ pub(crate) struct ShardCore {
     /// Whether any recovered session was outstanding at the last tick.
     recovery_open: bool,
     pub(crate) sessions: BTreeMap<SessionId, Sess>,
-    /// Slot → the live session holding it. Grows up to `capacity`.
+    /// Slot → the live session holding it. Grows up to `capacity`, and
+    /// `sup` with it: a shard holds a lease slot per seat it ever filled,
+    /// not per seat it may fill.
     owners: Vec<Option<SessionId>>,
     free_slots: Vec<u32>,
     /// The episode this shard's bookkeeping is for. Trails the global
@@ -197,7 +199,7 @@ impl ShardCore {
             arrived: 0,
             reported: false,
             released_at: None,
-            sup: Supervisor::starting_at(cfg.session_capacity, cfg.lease, now),
+            sup: Supervisor::starting_at(0, cfg.lease, now),
             last_lease_poll: now,
             now,
             out: Effects::default(),
@@ -273,6 +275,8 @@ impl ShardCore {
             Some(slot) => slot,
             None if self.owners.len() < self.capacity as usize => {
                 self.owners.push(None);
+                // The lease slot grows with the seat; it is beaten below.
+                self.sup.grow(self.owners.len() as u32);
                 self.owners.len() as u32 - 1
             }
             None => {
@@ -705,6 +709,25 @@ pub(crate) mod tests {
     fn a_session_that_beats_every_tick_is_never_evicted() {
         let evictions = lease_scenario(2, 10_000);
         assert!(evictions.iter().all(|&(_, session)| session != 2));
+    }
+
+    /// The lease supervisor is sized by the seats a shard filled, not
+    /// by its admission bound: a 4 096-seat shard holding 16 sessions
+    /// keeps 16 lease slots.
+    #[test]
+    fn the_session_supervisor_grows_with_occupancy() {
+        let t0 = Instant::now();
+        let cfg = ServerConfig {
+            session_capacity: 4_096,
+            ..config(3)
+        };
+        let mut core = ShardCore::new(0, &cfg, 0, 0, None, t0);
+        assert_eq!(core.sup.participants(), 0);
+        for session in 0..16 {
+            core.step(t0, hello(session));
+        }
+        assert_eq!((core.live, core.owners.len()), (16, 16));
+        assert_eq!(core.sup.participants(), 16);
     }
 
     #[test]

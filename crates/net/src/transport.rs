@@ -9,8 +9,9 @@
 //! and reordering, and the [`FaultyTransport`](crate::FaultyTransport)
 //! decorator injects exactly those faults for testing.
 //!
-//! * [`LoopbackTransport`] — an `mpsc` pair routed straight into the
-//!   server's shard inboxes. Cheap enough to open thousands of
+//! * [`LoopbackTransport`] — a send routed straight into the server's
+//!   shards on the sending thread, and an `mpsc` channel back. Cheap
+//!   enough to open thousands of
 //!   connections inside one process; this is what the traffic
 //!   generator and the benches use. Its receive is the spin-then-park
 //!   hand-off described below.
@@ -24,24 +25,24 @@
 //!
 //! # The loopback hand-off: spin, then park
 //!
-//! Both ends of a loopback connection — a client in
-//! [`LoopbackTransport::recv_timeout`] and a shard thread waiting on its
-//! inbox — wait through one function, `recv_handoff`. A parked `mpsc`
+//! Only clients wait on a loopback channel: a server's shards are
+//! stepped by the thread that sends them a request, so nothing on the
+//! server side waits for a frame. A client waits in
+//! [`LoopbackTransport::recv_timeout`], through `recv_handoff` (a raw
+//! [`loopback_pair`] waits the same way at both ends). A parked `mpsc`
 //! receiver costs its sender a futex wake and itself a scheduler
-//! round trip. While both ends parked on every frame, a bare ping-pong
-//! cost 43–57 µs on the 2-vCPU reference host, against 30 ns of codec
-//! and 0.6 µs of journal append, which made two wake-ups *the* served
-//! episode. With a hot endpoint looking before it sleeps, the same
-//! ping-pong costs about 1 µs (the benchmark's traced
-//! `net.transport.rtt_p50_ns`), and a clean-wire episode of 16 sessions
-//! about 23 µs, whose largest parts are the driver's 16 sends, the
-//! shard's release step and the driver's reads of the release (DESIGN.md
-//! §13 has the table). The rule:
+//! round trip. While both ends of a served connection parked on every
+//! frame, a bare ping-pong cost 43–57 µs on the 2-vCPU reference host,
+//! against 30 ns of codec and 0.6 µs of journal append, which made two
+//! wake-ups *the* served episode. With a hot endpoint looking before it
+//! sleeps, the same ping-pong costs about 1 µs (the benchmark's traced
+//! `net.transport.rtt_p50_ns`); a clean-wire episode of 16 sessions,
+//! now stepped on the driver's own thread, about 17 µs (DESIGN.md §13
+//! has the table). The rule:
 //!
 //! * **When it spins.** Only when the endpoint is *hot*: its previous
 //!   wait ended with a frame. Traffic predicts traffic — a client that
-//!   just got a `Release` is about to be answered again, a shard that
-//!   just handled a batch is about to get the next arrivals. A wait
+//!   just got a `Release` is about to be answered again. A wait
 //!   that ends in `Timeout` (or `Closed`) leaves the endpoint cold, and
 //!   a cold endpoint parks at once, so an idle server, a silent session
 //!   and a lossy wire's timed-out polls never spin at all.
@@ -68,8 +69,8 @@
 //! A loopback channel carries a crate-private `Frame`, which holds a
 //! protocol frame's bytes inline — every `Request` and `Response`
 //! encodes to at most `proto::MAX_FRAME` bytes — and falls back to a
-//! `Vec` only for longer frames. The shard encodes a `Release` once and
-//! copies its bytes into each copy's slot;
+//! `Vec` only for longer frames. A release fan-out encodes its
+//! `Release` once and copies its bytes into each copy's slot;
 //! [`LoopbackTransport::recv_timeout`] builds the `Vec` the
 //! [`Transport`] trait returns on the receiving thread, which also
 //! frees it. A frame handed over as a `Vec` is a heap block allocated
@@ -175,10 +176,10 @@ fn count_handoff(_spins: u64, _parks: u64) {
     });
 }
 
-/// The loopback wait, shared by both ends of a connection: one look,
-/// then — only if the endpoint is `hot` — more looks under [`Backoff`]
-/// for at most [`SPIN_BUDGET`], then a parked `recv_timeout` for the
-/// rest of `timeout`. Leaves `hot` set iff the wait ended with a value.
+/// The loopback wait of a client (and of both ends of a raw pair): one
+/// look, then — only if the endpoint is `hot` — more looks under
+/// [`Backoff`] for at most [`SPIN_BUDGET`], then a parked `recv_timeout`
+/// for the rest of `timeout`. Leaves `hot` set iff the wait ended with a value.
 /// See the module docs for the rule and its reasons.
 pub(crate) fn recv_handoff<T>(
     rx: &mpsc::Receiver<T>,
@@ -810,8 +811,8 @@ mod tests {
         let (mut a, _b) = uds_pair().unwrap();
         // Nobody reads: the kernel buffer fills and further sends must
         // degrade to wire loss (Ok) instead of parking the caller —
-        // the hang this guards against would block a shard thread for
-        // as long as a client neglects its socket.
+        // the hang this guards against would block a release fan-out
+        // for as long as a client neglects its socket.
         let frame = [0u8; 200];
         for _ in 0..10_000 {
             a.send(&frame).unwrap();

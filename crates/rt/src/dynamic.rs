@@ -94,21 +94,28 @@ pub struct Dynamic {
 ///
 /// # Examples
 ///
-/// A systematically slow thread migrates to the root (depth 1):
+/// A systematically slow thread migrates to the root (depth 1). Thread
+/// 3 arrives last in every episode by construction: it waits until the
+/// other three have counted themselves in for this episode.
 ///
 /// ```
 /// use combar_rt::DynamicBarrier;
-/// use std::time::Duration;
+/// use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// let barrier = DynamicBarrier::mcs(4, 2);
+/// let early = AtomicUsize::new(0);
 /// std::thread::scope(|s| {
 ///     for tid in 0..4 {
-///         let barrier = &barrier;
+///         let (barrier, early) = (&barrier, &early);
 ///         s.spawn(move || {
 ///             let mut w = barrier.waiter(tid);
-///             for _ in 0..20 {
+///             for episode in 0..20 {
 ///                 if tid == 3 {
-///                     std::thread::sleep(Duration::from_millis(1));
+///                     while early.load(Ordering::Acquire) < 3 * (episode + 1) {
+///                         std::thread::yield_now();
+///                     }
+///                 } else {
+///                     early.fetch_add(1, Ordering::Release);
 ///                 }
 ///                 w.wait();
 ///             }

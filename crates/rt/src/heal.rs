@@ -149,6 +149,24 @@ impl Supervisor {
         }
     }
 
+    /// Appends participants up to `p` (never shrinks). A new one has
+    /// never beaten, so it has been silent since the supervisor's
+    /// start: beat it when it is admitted. For a caller that admits
+    /// participants one at a time and sizes the supervisor by
+    /// occupancy rather than by its bound.
+    pub fn grow(&mut self, p: u32) {
+        let p = p as usize;
+        while self.beats.len() < p {
+            self.beats.push(CachePadded::new(AtomicU64::new(0)));
+            self.misses.push(CachePadded::new(AtomicU32::new(0)));
+        }
+    }
+
+    /// Number of participants the supervisor holds a lease for.
+    pub fn participants(&self) -> u32 {
+        self.beats.len() as u32
+    }
+
     /// Records a heartbeat for `tid`. Call on every barrier-wait entry.
     pub fn beat(&self, tid: u32) {
         self.beat_at(tid, Instant::now());
