@@ -305,9 +305,9 @@ impl ClientCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::ServerConfig;
-    use crate::shard::{self, ConnId, ShardCore};
-    use combar_chaos::{NetChaosConfig, NetFault, NetFaultPlan};
+    use crate::shard;
+    use crate::simnet::{self, Scenario};
+    use combar_chaos::{NetChaosConfig, NetFaultPlan};
 
     const T: Duration = Duration::from_millis(10);
 
@@ -458,132 +458,20 @@ mod tests {
         );
     }
 
-    /// The in-memory wire between two clients and one shard, under a
-    /// fault plan on the transport's stream convention: session `s`'s
-    /// requests on stream `2·s`, its responses on `2·s + 1`.
-    struct Wire {
-        plan: NetFaultPlan,
-        /// The next message index on each stream.
-        next: [u64; 4],
-        up: Vec<Request>,
-        down: [Vec<Response>; 2],
-        /// Episodes each client saw released.
-        released: [u64; 2],
-        /// Each session's arrivals sent since last read: the episode, and
-        /// whether a copy got through.
-        arrivals: [Vec<(u64, bool)>; 2],
-    }
-
-    impl Wire {
-        /// Puts `copies` of `frame` on `stream`'s queue as the plan
-        /// decides; how many arrive.
-        fn carry<F: Copy>(
-            &mut self,
-            stream: usize,
-            frame: F,
-            copies: u32,
-            queue: &mut Vec<F>,
-        ) -> u32 {
-            let mut arrived = 0;
-            for _ in 0..copies {
-                let idx = self.next[stream];
-                self.next[stream] += 1;
-                let n = match self.plan.fault(stream as u64, idx) {
-                    Some(NetFault::Drop) => 0,
-                    Some(NetFault::Duplicate) => 2,
-                    _ => 1,
-                };
-                queue.extend(std::iter::repeat_n(frame, n));
-                arrived += n as u32;
-            }
-            arrived
-        }
-
-        fn send(&mut self, req: Request, copies: u32) {
-            let mut up = std::mem::take(&mut self.up);
-            let arrived = self.carry(2 * req.session() as usize, req, copies, &mut up);
-            self.up = up;
-            if let Request::Arrive {
-                session, episode, ..
-            } = req
-            {
-                self.arrivals[session as usize].push((episode, arrived > 0));
-            }
-        }
-
-        /// Sends `copies` of `resp` to session `to`; how many arrive.
-        fn reply(&mut self, to: ConnId, resp: Response, copies: u32) -> u32 {
-            let mut down = std::mem::take(&mut self.down[to as usize]);
-            let arrived = self.carry(2 * to as usize + 1, resp, copies, &mut down);
-            self.down[to as usize] = down;
-            arrived
-        }
-    }
-
-    /// Steps `input` into `core` (session `i`), puts what it sends on
-    /// the wire and arrives again after each join and release, until
-    /// `released[i]` passes `quota`.
-    fn feed(core: &mut ClientCore, input: Input, at: Instant, wire: &mut Wire, quota: u64) {
-        let i = core.session as usize;
-        let mut fx = core.step(at, input);
-        loop {
-            if let Some((req, copies)) = fx.send {
-                wire.send(req, copies);
-            }
-            match fx.outcome {
-                Some(Outcome::Released(ep)) => {
-                    assert_eq!(ep, wire.released[i], "session {i} crossed out of order");
-                    wire.released[i] += 1;
-                }
-                Some(Outcome::Joined(_)) => {}
-                None => return,
-                Some(other) => panic!("session {i}: {other:?}"),
-            }
-            if wire.released[i] > quota {
-                return;
-            }
-            fx = core.step(at, Input::Arrive);
-        }
-    }
-
-    /// A lost arrival: its episode, the client's time-out re-sends when
-    /// every copy of it was lost, and whether an answer to an `Overdue`
-    /// got through before the client re-sent.
-    type LostArrival = Option<(u64, u64, bool)>;
-
-    /// Reads the arrivals `core` sent in its last `feed`, `answering` an
-    /// `Overdue` or not: one whose every copy was lost opens `lost`, and
-    /// an answer that got through, with no time-out re-send since, marks
-    /// it repaired by the shard's NACK.
-    fn note(lost: &mut LostArrival, core: &ClientCore, wire: &mut Wire, answering: bool) {
-        let retries = core.stats.retries;
-        for (episode, through) in wire.arrivals[core.session as usize].drain(..) {
-            match lost {
-                None if !through => *lost = Some((episode, retries, false)),
-                Some((ep, at, answered)) if *ep == episode && *at == retries => {
-                    *answered |= through && answering;
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Two client cores and one shard core cross 1 000 episodes in
-    /// virtual time, the shard ticking as often as the wire delivers,
-    /// over a wire with 5 % independent drop and 5 % duplicate, and over
-    /// one that loses 5 % of frames in windows of eight (where a frame's
-    /// copies are lost together). On both the shard credits each session
-    /// exactly the episodes its client saw released. The root releases
-    /// by `release_ready` once both sessions are live, so episode 0 is
-    /// both sessions' join-proxy episode, which credits nobody, and every
-    /// later one is crossed by explicit arrivals. A release whose every
-    /// copy was lost, and that a re-send from the shard's tick reached
-    /// before its client re-sent, completes with no client re-send: the
-    /// burst ended inside the shard's schedule and did not cost the
-    /// client's timeout. So does an arrival whose every copy was lost
-    /// and whose client answered a tick's `Overdue` with a re-arrival
-    /// that got through: the shard counts it before the client times
-    /// out, and the answer is no `retries`. Each cell has both repairs.
+    /// Two client cores and one shard core cross 1 000 episodes each in
+    /// `simnet`, the shard ticking every 50 µs, over a wire with 5 %
+    /// independent drop and 5 % duplicate, and over one that loses 5 % of
+    /// frames in windows of eight (where a frame's copies are lost
+    /// together). On both the shard credits each session exactly the
+    /// episodes its client saw released past its join. A release whose
+    /// every copy was lost, and that a re-send from the shard's tick
+    /// reached before its client re-sent, completes with no client
+    /// re-send: the burst ended inside the shard's schedule and did not
+    /// cost the client's timeout. So does an arrival whose every copy was
+    /// lost and whose client answered a tick's `Overdue` with a
+    /// re-arrival that got through: the shard counts it before the client
+    /// times out, and the answer is no `retries`. `simnet` asserts both
+    /// on every repair; each cell has both.
     #[test]
     fn two_clients_and_a_shard_cross_exactly_once_over_a_lossy_wire() {
         const EPISODES: u64 = 1_000;
@@ -594,141 +482,19 @@ mod tests {
             ..NetChaosConfig::default()
         };
         for chaos in [NetChaosConfig::lossy(7, 0.05), bursty] {
-            let (t0, tick) = (Instant::now(), Duration::from_micros(50));
-            let cfg = ServerConfig {
-                shards: 1,
-                tick,
-                lease: combar_rt::SupervisorConfig {
-                    min_grace: Duration::from_secs(3_600),
-                    ..ServerConfig::default().lease
-                },
-                ..ServerConfig::default()
+            let scenario = Scenario {
+                plan: vec![(0, NetFaultPlan::new(chaos))],
+                tick: Duration::from_micros(50),
+                client_timeout: Duration::from_millis(1),
+                ..Scenario::new(2, EPISODES)
             };
-            let mut shard = ShardCore::new(0, &cfg, 0, 0, None, t0);
-            let mut clients = [0, 1].map(|s| ClientCore::new(s, Duration::from_millis(1)));
-            let mut wire = Wire {
-                plan: NetFaultPlan::new(chaos),
-                next: [0; 4],
-                up: Vec::new(),
-                down: [Vec::new(), Vec::new()],
-                released: [0; 2],
-                arrivals: [Vec::new(), Vec::new()],
-            };
-            let (mut credits, mut now, mut report) = ([0u64; 2], t0, None);
-            // Per session: the episode whose every release copy was lost
-            // and the client's re-sends then, whether a tick's re-send
-            // reached it before the client re-sent; and how many such
-            // releases the shard repaired.
-            let mut lost: [Option<(u64, u64, bool)>; 2] = [None; 2];
-            let mut by_shard = 0;
-            // The same for arrivals, repaired by a re-arrival answering
-            // an `Overdue`.
-            let (mut lost_arrival, mut by_nack): ([LostArrival; 2], u64) = ([None; 2], 0);
-            for core in &mut clients {
-                feed(
-                    core,
-                    Input::Join { rejoin: false },
-                    now,
-                    &mut wire,
-                    EPISODES,
-                );
-                note(
-                    &mut lost_arrival[core.session as usize],
-                    core,
-                    &mut wire,
-                    false,
-                );
-            }
-            while wire.released.iter().any(|&r| r <= EPISODES) {
-                now += tick;
-                assert!(
-                    now - t0 < Duration::from_secs(600),
-                    "wedged: {:?}",
-                    wire.released
-                );
-                let mut effects = Vec::new();
-                for req in std::mem::take(&mut wire.up) {
-                    let (i, arrived) = (req.session() as usize, shard.arrived);
-                    effects.push(shard.step(now, shard::Input::Request(i as u64, req, false)));
-                    let Request::Arrive { episode, .. } = req else {
-                        continue;
-                    };
-                    match lost_arrival[i] {
-                        Some((ep, at, answered)) if ep == episode && shard.arrived > arrived => {
-                            let repaired = clients[i].stats.retries == at;
-                            assert!(repaired || !answered, "{chaos:?}: {i} arriving for {ep}");
-                            by_nack += u64::from(answered);
-                            lost_arrival[i] = None;
-                        }
-                        _ => {}
-                    }
-                }
-                let frame = shard.frame;
-                let reports = [(true, report.map_or(0, |r: u64| r + 1), shard.live)];
-                if shard.live == 2 && shard::release_ready(frame, reports, false, false, false) {
-                    effects.push(shard.step(now, shard::Input::Release(frame)));
-                }
-                // The tick's frames are the shard's re-sent releases, each
-                // of the last release.
-                let mut tick = shard.step(now, shard::Input::Tick(false));
-                for (conn, resp) in std::mem::take(&mut tick.frames) {
-                    let retries = clients[conn as usize].stats.retries;
-                    let arrived = wire.reply(conn, resp, 1);
-                    if let Some((_, at, reached)) = &mut lost[conn as usize] {
-                        *reached |= arrived > 0 && retries == *at;
-                    }
-                }
-                effects.push(tick);
-                for fx in effects {
-                    report = fx.report.or(report);
-                    for (conn, resp) in fx.frames {
-                        wire.reply(conn, resp, 1);
-                    }
-                    if let Some(episode) = fx.release {
-                        for (conn, copies) in fx.fanout {
-                            let release = Response::Release { episode, inc: 0 };
-                            if wire.reply(conn, release, copies) == 0 {
-                                let retries = clients[conn as usize].stats.retries;
-                                lost[conn as usize] = Some((episode, retries, false));
-                            }
-                        }
-                    }
-                    if fx.release.is_some_and(|episode| episode > 0) {
-                        for s in fx.credits {
-                            credits[s as usize] += 1;
-                        }
-                    }
-                }
-                // An arrival the shard never counted, for an episode that
-                // released: a join epoch's, released by proxy.
-                for lost in &mut lost_arrival {
-                    *lost = lost.filter(|&(ep, ..)| ep >= shard.frame);
-                }
-                for core in &mut clients {
-                    let i = core.session as usize;
-                    let inbox = std::mem::take(&mut wire.down[i]);
-                    for resp in inbox {
-                        feed(core, Input::Response(resp), now, &mut wire, EPISODES);
-                        let answering = matches!(resp, Response::Overdue { .. });
-                        note(&mut lost_arrival[i], core, &mut wire, answering);
-                    }
-                    feed(core, Input::Tick, now, &mut wire, EPISODES);
-                    note(&mut lost_arrival[i], core, &mut wire, false);
-                    if let Some((ep, at, reached)) = lost[i].filter(|l| wire.released[i] > l.0) {
-                        let repaired = core.stats.retries == at;
-                        assert!(repaired || !reached, "{chaos:?}: session {i}, episode {ep}");
-                        by_shard += u64::from(repaired);
-                        lost[i] = None;
-                    }
-                }
-            }
-            let crossed = wire.released.map(|r| r - 1);
-            assert_eq!(crossed, [EPISODES; 2]);
-            assert_eq!(credits, crossed, "the ledger is exactly-once");
-            let retries: u64 = clients.iter().map(|c| c.stats.retries).sum();
-            assert!(retries > 0, "the wire lost nothing");
-            assert!(by_shard > 0, "{chaos:?}: the shard repaired no release");
-            assert!(by_nack > 0, "{chaos:?}: the shard repaired no arrival");
+            let run = simnet::run(Instant::now(), 7, &scenario);
+            assert!(run.crossed.iter().all(|&c| c >= EPISODES), "{chaos:?}");
+            assert_eq!(run.credits, run.crossed, "the ledger is exactly-once");
+            let timeouts = run.episodes.iter().map(|e| e.timeouts).sum::<u32>();
+            assert!(timeouts > 0, "the wire lost nothing");
+            assert!(run.by_shard > 0, "{chaos:?}: the shard repaired no release");
+            assert!(run.by_nack > 0, "{chaos:?}: the shard repaired no arrival");
         }
     }
 }

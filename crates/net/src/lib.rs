@@ -43,6 +43,8 @@
 //!   server    — sharded EpochServer: the driver (threads, locks, clock,
 //!               journal, router), root release, shard leases
 //!   shard     — ShardCore: one shard's protocol as a pure step function
+//!   simnet    — (tests) the client and shard cores in one seeded
+//!               virtual-time simulation
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,6 +59,8 @@ pub mod proto;
 pub mod recover;
 pub mod server;
 mod shard;
+#[cfg(test)]
+mod simnet;
 pub mod transport;
 
 pub use client::{BarrierClient, ClientConfig, ClientStats};

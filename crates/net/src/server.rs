@@ -1334,6 +1334,7 @@ mod tests {
     use super::*;
     use crate::client::{BarrierClient, ClientConfig};
     use crate::proto::HOLD;
+    use crate::simnet::{self, Scenario};
     use crate::transport::NetError;
 
     /// Fast ticks with a generous session lease: these tests exercise
@@ -1417,13 +1418,24 @@ mod tests {
         server.shutdown();
     }
 
-    /// A threaded smoke of [`only_the_silent_session_is_evicted`], on a
-    /// session lease no host stall outlasts: a 250 ms floor, so the
-    /// silent session is evicted a second after it joins, and the live
-    /// client re-sends its first arrival for up to four.
+    /// The [`LEASE`] on two shards, at a floor no host stall outlasts:
+    /// 250 ms, so a silent session is evicted a second after it joins,
+    /// and a live client re-sends its first arrival for up to four.
+    fn smoke_cfg() -> ServerConfig {
+        ServerConfig {
+            lease: SupervisorConfig {
+                min_grace: Duration::from_millis(250),
+                ..LEASE
+            },
+            ..quick_cfg(2)
+        }
+    }
+
+    /// A threaded smoke of [`only_the_silent_session_is_evicted`] on
+    /// [`smoke_cfg`].
     #[test]
     fn silent_session_is_evicted_and_survivors_proceed() {
-        let server = EpochServer::start(lease_cfg(Duration::from_millis(250)));
+        let server = EpochServer::start(smoke_cfg());
         let mut dead = BarrierClient::new(server.connect(), 2, ClientConfig::default());
         dead.join().unwrap();
         let mut live = BarrierClient::new(server.connect(), 1, patient_client());
@@ -1437,12 +1449,12 @@ mod tests {
         server.shutdown();
     }
 
-    /// A threaded smoke of [`an_evicted_session_rejoins`] on the same
-    /// lease: session 1's arrivals wait out session 2's lease, session
-    /// 2's next arrival learns of the eviction, and it rejoins.
+    /// A threaded smoke of [`an_evicted_session_rejoins`] on
+    /// [`smoke_cfg`]: session 1's arrivals wait out session 2's lease,
+    /// session 2's next arrival learns of the eviction, and it rejoins.
     #[test]
     fn evicted_session_rejoins() {
-        let server = EpochServer::start(lease_cfg(Duration::from_millis(250)));
+        let server = EpochServer::start(smoke_cfg());
         let mut a = BarrierClient::new(server.connect(), 1, patient_client());
         let mut b = BarrierClient::new(server.connect(), 2, ClientConfig::default());
         a.join().unwrap();
@@ -1468,203 +1480,78 @@ mod tests {
         }
     }
 
-    /// A server in virtual time for the session-lease properties: two
-    /// [`ShardCore`]s on [`lease_cfg`]'s 2 ms lease, and
-    /// [`release_ready`] over their reports standing in for the root,
-    /// each release stepped into both shards as the broadcast would.
-    /// Session `s` is routed to shard `s % 2` on connection `s`.
-    struct VirtualServer {
-        t0: Instant,
-        shards: Vec<ShardCore>,
-        reported: Vec<u64>,
-        episode: u64,
-        credits: BTreeMap<SessionId, u64>,
-        /// Every membership change, with when it was stepped.
-        roster: Vec<(SessionId, Delta, Instant)>,
-    }
+    const MS: Duration = Duration::from_millis(1);
 
-    impl VirtualServer {
-        /// Steps `input` into `shard` at `now`, then releases every
-        /// episode the reports complete; returns the step's responses.
-        fn step(&mut self, shard: usize, now: Instant, input: Input) -> Vec<(ConnId, Response)> {
-            let fx = self.shards[shard].step(now, input);
-            if let Some(frame) = fx.report {
-                self.reported[shard] = frame + 1;
-            }
-            for session in fx.credits {
-                *self.credits.entry(session).or_default() += 1;
-            }
-            let roster = fx
-                .roster
-                .into_iter()
-                .map(|(session, delta)| (session, delta, now));
-            self.roster.extend(roster);
-            // Reports are stamped with their episode, so a release stepped
-            // into one shard cannot complete the next before all have it.
-            let shards = self.shards.iter().zip(&self.reported);
-            let reports = shards.map(|(s, &r)| (true, r, s.live));
-            if release_ready(self.episode, reports, false, false, false) {
-                self.episode += 1;
-                for shard in 0..self.shards.len() {
-                    self.step(shard, now, Input::Release(self.episode - 1));
-                }
-            }
-            fx.frames
-        }
+    /// The session lease of the lease tests: a 2 ms floor, two misses.
+    const LEASE: SupervisorConfig = SupervisorConfig {
+        min_grace: Duration::from_millis(2),
+        sigma_mult: 4.0,
+        max_misses: 2,
+    };
 
-        /// A request from `session` (its connection), on its shard.
-        fn request(&mut self, now: Instant, input: Input) -> Vec<(ConnId, Response)> {
-            let Input::Request(conn, ..) = input else {
-                unreachable!("not a request")
-            };
-            self.step(conn as usize % 2, now, input)
-        }
-    }
-
-    /// A session lease of `min_grace` with two misses, on two shards.
-    fn lease_cfg(min_grace: Duration) -> ServerConfig {
-        ServerConfig {
-            shards: 2,
-            tick: Duration::from_micros(200),
-            lease: SupervisorConfig {
-                min_grace,
-                sigma_mult: 4.0,
-                max_misses: 2,
-            },
-            ..ServerConfig::default()
-        }
-    }
-
-    /// Sessions 1 and 2 join a [`VirtualServer`]; then each shard ticks
-    /// at each of its turns, session 1 arrives at its first turn after it
-    /// sees its last arrival released, and `session_2` takes session 2's
-    /// turn, 40 ms after the last, until it returns `true`. A turn comes
-    /// a tick after the last plus a seeded jitter of up to a tick, and
-    /// one of session 1's turns in ten and one of a shard's in a hundred
-    /// is a stall of up to 7 ms.
-    fn lease_run(
-        seed: u64,
-        mut session_2: impl FnMut(&mut VirtualServer, Instant) -> bool,
-    ) -> VirtualServer {
-        use crate::shard::tests::{arrive, hello};
-        use combar_rng::Rng;
-        let (tick, ms) = (Duration::from_micros(200), Duration::from_millis(1));
-        let mut rng = combar_rng::SplitMix64::new(seed);
-        let t0 = Instant::now();
-        let cfg = lease_cfg(2 * ms);
-        let mut server = VirtualServer {
-            t0,
-            shards: (0..2)
-                .map(|i| ShardCore::new(i, &cfg, 0, 0, None, t0))
-                .collect(),
-            reported: vec![0; 2],
-            episode: 0,
-            credits: BTreeMap::new(),
-            roster: Vec::new(),
-        };
-        server.request(t0, hello(1));
-        server.request(t0, hello(2));
-        // The turns of shard 0, shard 1 and the two sessions, and the
-        // episode session 1 last arrived for (its join's).
-        let (mut turns, mut last) = ([t0, t0, t0, t0 + 40 * ms], 0);
-        loop {
-            let (who, now) = (0..4)
-                .map(|w| (w, turns[w]))
-                .min_by_key(|&(_, t)| t)
-                .unwrap();
-            assert!(now - t0 < Duration::from_secs(1), "seed {seed}: stuck");
-            if who == 3 {
-                if session_2(&mut server, now) {
-                    return server;
-                }
-                turns[3] = now + 40 * ms;
-                continue;
-            }
-            if who < 2 {
-                server.step(who, now, Input::Tick(false));
-            } else if server.episode > last {
-                last = server.episode;
-                let answer = server.request(now, arrive(1, last, last));
-                assert!(answer.is_empty(), "seed {seed}: {answer:?}");
-            }
-            let (odds, jitter) = (if who < 2 { 100 } else { 10 }, rng.next_f64());
-            let stall = if rng.next_u64() % odds == 0 {
-                7 * ms
-            } else {
-                tick
-            };
-            turns[who] = now + tick + stall.mul_f64(jitter);
-        }
+    /// Sessions 0 and 1 on two shards in `simnet`, on the [`LEASE`], each
+    /// shard ticking every 200 µs plus a jitter of up to a tick and one
+    /// tick in a hundred a stall of up to 7 ms. Session 0 arrives as soon
+    /// as it has its release, but one turn in ten stalls up to 7 ms.
+    /// Ends once each live session has crossed `episodes` past its last
+    /// join.
+    fn lease_scenario(episodes: u64) -> Scenario {
+        let mut scenario = Scenario::new(2, episodes);
+        (scenario.shards, scenario.shard_stall, scenario.lease) = (2, 0.01, LEASE);
+        scenario.sessions[0].stall = 0.1;
+        scenario
     }
 
     /// `silent_session_is_evicted_and_survivors_proceed` in virtual
-    /// time: session 2 says nothing. On each of 100 seeds, it alone is
-    /// evicted, once and no earlier than four 2 ms leases after it
-    /// joined, and by its first turn session 1 has crossed more than ten
-    /// episodes, each credited.
+    /// time: session 1 says nothing after its `Hello`. On each of 100
+    /// seeds, it alone is evicted, once and no earlier than four 2 ms
+    /// leases after it joined, and within 40 ms session 0 has crossed
+    /// more than ten episodes, each credited, its arrivals drawing no
+    /// response frame.
     #[test]
     fn only_the_silent_session_is_evicted() {
+        let mut scenario = lease_scenario(11);
+        scenario.sessions[1].silent = true;
         for seed in 0..100 {
-            let server = lease_run(seed, |_, _| true);
-            let [_, _, (2, Delta::Evict, at)] = server.roster[..] else {
-                panic!("seed {seed}: membership {:?}", server.roster);
+            let run = simnet::run(Instant::now(), seed, &scenario);
+            let [_, _, (at, 1, Delta::Evict, _)] = run.roster[..] else {
+                panic!("seed {seed}: membership {:?}", run.roster);
             };
-            let joined = at - server.t0;
-            assert!(
-                joined >= Duration::from_millis(8),
-                "seed {seed}: {joined:?}"
-            );
-            assert!(
-                server.episode > 10,
-                "seed {seed}: {} episodes",
-                server.episode
-            );
-            assert_eq!(server.credits[&1], server.episode - 1, "seed {seed}");
+            assert!(at >= 8 * MS, "seed {seed}: {at:?}");
+            assert!(run.released > 10, "seed {seed}: {} episodes", run.released);
+            assert!(run.elapsed < 40 * MS, "seed {seed}: {:?}", run.elapsed);
+            assert_eq!(run.credits[0], run.released - 1, "seed {seed}");
+            assert_eq!(run.answers, 0, "seed {seed}");
         }
     }
 
-    /// `evicted_session_rejoins` in virtual time: session 2 arrives at
-    /// each of its turns, so it is silent for 40 ms at a time. On each
-    /// of 100 seeds, the first two silences outlast its lease: each ends
-    /// in its eviction, no earlier than four 2 ms leases after its last
-    /// request, and its arrival is answered `Evicted` and its `Hello`
-    /// rejoins it. By then the lease has widened to the pauses it saw
-    /// (`sigma_mult` times the pooled σ of the beat intervals), and the
-    /// next two arrivals count. Session 1 is never evicted and is
-    /// credited every episode released after the joins.
+    /// `evicted_session_rejoins` in virtual time: session 1 thinks for
+    /// 40 ms before each arrival. On each of 100 seeds, its first two
+    /// silences outlast its lease: each ends in its eviction, no earlier
+    /// than four 2 ms leases after its last request, and at its next
+    /// turn it reads `Evicted` and its `Hello` rejoins it. By then
+    /// the lease has widened to the pauses it saw (`sigma_mult` times
+    /// the pooled σ of the beat intervals), and its next two arrivals
+    /// count. Session 0 is never evicted and is credited every episode
+    /// released after the joins. A live session's arrival draws no
+    /// response frame.
     #[test]
     fn an_evicted_session_rejoins() {
-        use crate::shard::tests::{arrive, hello};
+        let mut scenario = lease_scenario(1);
+        scenario.sessions[1].think = 40 * MS;
         for seed in 0..100 {
-            let (mut evicted, mut quiet_since) = (Vec::new(), None);
-            let server = lease_run(seed, |server, now| {
-                let eviction = server.roster.last().copied();
-                let eviction = eviction.filter(|c| c.1 == Delta::Evict);
-                if let Some((session, _, at)) = eviction {
-                    let silent = at - quiet_since.unwrap_or(server.t0);
-                    assert_eq!(session, 2, "seed {seed}");
-                    assert!(
-                        silent >= Duration::from_millis(8),
-                        "seed {seed}: {silent:?}"
-                    );
-                }
-                let answer = server.request(now, arrive(2, server.episode, 0));
-                if eviction.is_some() {
-                    assert!(
-                        matches!(answer[..], [(2, Response::Evicted { .. })]),
-                        "{answer:?}"
-                    );
-                    server.request(now, hello(2));
-                    assert_eq!(server.roster.last(), Some(&(2, Delta::Hello(true), now)));
-                } else {
-                    assert!(answer.is_empty(), "seed {seed}: {answer:?}");
-                }
-                evicted.push(eviction.is_some());
-                quiet_since = Some(now);
-                evicted.len() == 4
-            });
-            assert_eq!(evicted, [true, true, false, false], "seed {seed}");
-            assert_eq!(server.credits[&1], server.episode - 1, "seed {seed}");
+            let run = simnet::run(Instant::now(), seed, &scenario);
+            let changes = run.roster.iter().map(|c| format!("{}:{:?} ", c.1, c.2));
+            let twice = "1:Evict 1:Hello(true) ";
+            let roster = format!("0:Hello(false) 1:Hello(false) {twice}{twice}");
+            assert_eq!(changes.collect::<String>(), roster, "seed {seed}");
+            for &(_, _, delta, silent) in &run.roster {
+                let early = delta == Delta::Evict && silent < 8 * MS;
+                assert!(!early, "seed {seed}: evicted after {silent:?}");
+            }
+            assert_eq!(run.crossed[1], 1, "seed {seed}");
+            assert_eq!(run.credits[0], run.released - 1, "seed {seed}");
+            assert_eq!(run.answers, 0, "seed {seed}");
         }
     }
 

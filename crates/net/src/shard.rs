@@ -364,9 +364,15 @@ impl ShardCore {
             // again, is the server's one sign that a `Release` went
             // missing: one more copy of the session's releases. Sent
             // again means a higher `seq`: a copy of the counted arrival,
-            // stepped after the release, is no such sign, and neither is
-            // the catch-up arrival for a join epoch released by proxy.
-            if s.arrived_for == Some(episode) && s.explicit && seq > s.seq {
+            // stepped after the release it completed, is no such sign and
+            // draws no frame, as that release has just gone out at the
+            // session's copies. The catch-up arrival for a join epoch
+            // released by proxy is re-acked, but is no sign either.
+            let counted = s.arrived_for == Some(episode) && s.explicit;
+            if counted && seq <= s.seq {
+                return;
+            }
+            if counted {
                 s.seq = seq;
                 s.redundancy.raise();
                 if episode + 1 == frame {
@@ -653,7 +659,7 @@ pub(crate) mod tests {
         Input::Request(req.session(), req, false)
     }
 
-    pub(crate) fn hello(session: SessionId) -> Input {
+    fn hello(session: SessionId) -> Input {
         req(Request::Hello { session, seq: 0 })
     }
 
@@ -661,7 +667,7 @@ pub(crate) mod tests {
         req(Request::Heartbeat { session, seq: 0 })
     }
 
-    pub(crate) fn arrive(session: SessionId, episode: u64, seq: u64) -> Input {
+    fn arrive(session: SessionId, episode: u64, seq: u64) -> Input {
         req(Request::Arrive {
             session,
             episode,
@@ -761,9 +767,9 @@ pub(crate) mod tests {
     /// Evidence of a lost `Release` is a re-send, never a copy: copies
     /// of the arrival that completed a frame — the redundant ones a
     /// client sends, a wire duplicate, the copies of an in-flight
-    /// re-send — stepped after its release are re-acked and leave the
-    /// session at one copy; a re-send with a higher `seq` raises it to
-    /// two, for that session alone.
+    /// re-send — stepped after its release draw no frame and leave the
+    /// session at one copy; a re-send with a higher `seq` is re-acked
+    /// and raises it to two, for that session alone.
     #[test]
     fn a_copy_of_the_counted_arrival_is_no_evidence_and_a_resend_is() {
         let t0 = Instant::now();
@@ -780,10 +786,9 @@ pub(crate) mod tests {
             core.step(t0, Input::Release(episode)).fanout
         };
         assert_eq!(cross(&mut core, 1, 10), [(1, 1), (2, 1)]);
-        let reack = Response::Release { episode: 1, inc: 0 };
         for (session, seq) in [(1, 10), (1, 11), (1, 11), (2, 10)] {
             let fx = core.step(t0, arrive(session, 1, seq));
-            assert_eq!(fx.frames, [(session, reack)], "a copy is re-acked once");
+            assert_eq!(fx.frames, [], "a copy draws no frame");
         }
         assert_eq!(cross(&mut core, 2, 20), [(1, 1), (2, 1)], "copies");
         let fx = core.step(t0, arrive(2, 2, 21));
