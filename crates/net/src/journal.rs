@@ -38,7 +38,7 @@
 //! the incarnation of the server performing it, and an append with an
 //! incarnation below the highest the journal has seen fails with
 //! [`JournalError::Fenced`]. A zombie primary that lost its lease can
-//! therefore never extend the ledger — its `try_release` fails at the
+//! therefore never extend the ledger — its release fails at the
 //! append, before any broadcast — no matter how stale its view is.
 
 use std::collections::BTreeMap;

@@ -41,9 +41,11 @@
 //!   transport — Transport trait; loopback + Unix-datagram endpoints
 //!   proto     — request/response frames, total binary codec
 //!   server    — sharded EpochServer: the driver (threads, locks, clock,
-//!               journal, router), root release, shard leases
+//!               journal, router) of the root and shard cores
+//!   root      — RootCore: release, ledger, journal batch and shard
+//!               leases as pure steps
 //!   shard     — ShardCore: one shard's protocol as a pure step function
-//!   simnet    — (tests) the client and shard cores in one seeded
+//!   simnet    — (tests) the client, shard and root cores in one seeded
 //!               virtual-time simulation
 //! ```
 
@@ -57,6 +59,7 @@ pub mod journal;
 pub mod mux;
 pub mod proto;
 pub mod recover;
+mod root;
 pub mod server;
 mod shard;
 #[cfg(test)]

@@ -4,75 +4,68 @@
 //!
 //! The server is a two-level combining tree in service clothing.
 //! Sessions are partitioned across *shards* (leaf counters); each shard
-//! owns its sessions' membership and arrival state outright, behind its
-//! own lock, so every per-session transition happens at a quiescent
-//! point by construction — one step at a time serializes arrivals,
-//! evictions, and rejoins the same way PR 4's releaser window serializes
-//! shape changes. As in the paper, each arrival updates its counter
-//! itself: the thread that routes a request (a client's `send`, a UDS
-//! pump) steps it into its shard on the spot. A shard that observes all
-//! of its live sessions arrived reports *one* batched completeness bit
-//! to the root (its `shard_reported` slot — per-shard and stamped with
-//! the episode, so a report keeps its identity: a dead shard's report is
-//! simply ignored and a released episode's cannot count towards the
-//! next); the step whose report completes the root view wins the
-//! release — bump the global episode, journal it — and its thread fans
-//! the release out, stepping it into every live shard, each of which
-//! sends it to its own clients. Arrival traffic therefore aggregates up
-//! the tree (sessions → shard → root) and the release broadcasts back
-//! down, exactly the paper's arrival/release split.
+//! owns its sessions' membership and arrival state behind its own lock,
+//! so one step at a time serializes arrivals, evictions and rejoins at a
+//! quiescent point by construction. As in the paper, each arrival
+//! updates its counter itself: the thread that routes a request (a
+//! client's `send`, a UDS pump) steps it into its shard on the spot. A
+//! shard whose live sessions have all arrived reports *one* batched
+//! completeness bit to the root; the step whose report completes the
+//! root view wins the release, and its thread fans the release out into
+//! every live shard, each of which sends it to its own clients. Arrivals
+//! aggregate up the tree (sessions → shard → root) and the release
+//! broadcasts back down: the paper's arrival/release split.
 //!
 //! # Core and driver
 //!
-//! A shard is two halves. Its protocol — sessions, admissions, arrivals,
-//! tombstones, the release fan-out, its completeness report and the
-//! session leases — is `ShardCore` (`shard.rs`): a pure step function
-//! from one input (a request, a release notice or a tick) at a given
-//! `now` to one `Effects` value. This module is its driver: each step
-//! reads the clock, steps the core under the shard's lock and applies
-//! the effects to the routes, the ledger, the outboxes and the root,
-//! whose `try_release` wraps the CAS and the journal append around the
-//! pure `release_ready` and hands the won episode back for the fan-out.
-//! A step runs on whichever thread brings its input: a request on the
+//! The protocol is two pure cores, each a step from one input at a
+//! given `now` to the effects it has outside: `ShardCore` (`shard.rs`)
+//! for a shard's sessions, arrivals, tombstones, fan-out, report and
+//! session leases, and `RootCore` (`root.rs`) for the episode, the
+//! ledger, the journal batch, the recovery and the root lease. This
+//! module is their driver. A step reads the clock, steps a shard's core
+//! under the shard's lock and drops the routes it could not seat. If
+//! the effects carry anything for the root, it applies them under the
+//! root lock: the root books them and hands back the frames, and the
+//! release check's winner appends its batch to the journal and tees it
+//! to a standby before it lets the lock go. Then the frames go out. A
+//! step runs on whichever thread brings its input: a request on the
 //! thread that routes it, a release on the thread that won it, and a
-//! tick on the shard's ticker thread, which waits out each tick and
-//! then runs the housekeeping — the session-lease tick, the root-lease
-//! beat and pass (the shard-lease poller), and the standby beacon. The
-//! router, the tickers and the UDS pumps are driver-only.
+//! tick on the shard's ticker thread, which waits out each tick and then
+//! runs the tick step, the root-lease beat and pass, and the standby
+//! beacon. Routing, the stop checks and [`EpochServer::episode`] take no
+//! lock: they read atomic mirrors of the root, stored under its lock.
 //!
 //! # Lock order
 //!
 //! A shard's lock is outermost and held alone: no thread holds two
-//! shard locks at once, and none takes a shard lock while it holds
-//! `assign`, `stats`, `slots`, `ledger`, `outbox`, `repl`, `recovered`
-//! or the journal's lock. So a step takes those inside its shard's
-//! lock, and a won release is fanned out only once the winner has
-//! dropped it: one shard lock at a time, in index order. The crash
-//! hook's lucky shard may be the winner's own.
+//! shard locks at once, and none takes one while it holds `assign`, the
+//! root, `outbox` or `repl`. A step takes those inside its shard's lock,
+//! one at a time, except that the root's holder appends to the journal
+//! and then takes `repl`. A won release is fanned out only once the
+//! winner has dropped its shard lock: one shard lock at a time, in index
+//! order. The crash hook's lucky shard may be the winner's own.
 //!
 //! # Liveness and degradation
 //!
-//! Two lease layers, both PR 4's [`Supervisor`]:
+//! Two lease layers, both PR 4's [`combar_rt::Supervisor`]:
 //!
 //! * **Session leases** — each shard's core supervises its sessions;
 //!   every request beats the session's slot, and the release it waited
 //!   for restarts its lease. A live session that neither arrives nor
 //!   heartbeats past its (exponentially widened) lease is evicted: its
 //!   in-flight arrival is delivered by proxy and the membership folds
-//!   without it, so an episode can never wedge on a dead client. The client observes [`Response::Evicted`] and may
-//!   rejoin with a fresh `Hello`.
-//! * **Shard leases** — every shard beats a root supervisor each loop
-//!   tick; each shard is polled by exactly one peer (the lowest-indexed
-//!   live shard polls everyone else, the second-lowest polls the
-//!   lowest, so even the poller's own death is detected). A shard
-//!   declared dead is folded out of the root view (episodes complete
-//!   without it — its reported flag stops counting, never the other
-//!   way), it is stepped no more — its ticker exits and requests still
-//!   routed to it are dropped — rather than serving on as a zombie, the
-//!   sessions live on it are notified `Evicted`
-//!   best-effort, and every routing assignment to it is cleared so
-//!   rejoins land on surviving shards — graceful shard degradation
-//!   rather than a wedged epoch.
+//!   without it, so an episode can never wedge on a dead client. The
+//!   client observes [`Response::Evicted`] and may rejoin with a fresh
+//!   `Hello`.
+//! * **Shard leases** — every shard beats the root lease at each tick,
+//!   and each is polled by exactly one peer (see `root.rs`). A shard
+//!   declared dead is folded out of the root view — episodes complete
+//!   without it, as its report counts no more — and stepped no more:
+//!   its ticker exits and requests still routed to it are dropped,
+//!   rather than served by a zombie. The sessions live on it are told
+//!   `Evicted` best effort, and every route to it is cleared, so rejoins
+//!   land on surviving shards.
 //!
 //! # Idempotency
 //!
@@ -110,19 +103,19 @@
 //! evicted) releases are paused, so the first resumer cannot race the
 //! epoch forward alone.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use combar_rt::{Supervisor, SupervisorConfig};
-use combar_trace::Kind;
+use combar_rt::SupervisorConfig;
 
-use crate::journal::{frame_entry, roster_hash, Journal, JournalRecord};
+use crate::journal::{frame_entry, Journal, JournalRecord};
 use crate::proto::{Request, Response, SessionId};
 use crate::recover::RecoveredState;
-use crate::shard::{release_ready, ConnId, Delta, Input, ShardCore};
+use crate::root::RootCore;
+use crate::shard::{ConnId, Effects, Input, ShardCore};
 use crate::transport::{Frame, LoopbackTransport, Transport};
 
 /// Tuning for [`EpochServer`].
@@ -255,43 +248,25 @@ enum ShardMsg {
 struct Assignment {
     shard: usize,
     conn: ConnId,
-    /// Whether the session is live on `shard`: admitted there, and
-    /// neither gone nor evicted since. A shard's death evicts exactly
-    /// these.
-    live: bool,
 }
 
-/// The journal-facing half of the ledger, mutated under one lock so
-/// the release winner's drain sees an atomic snapshot: the pending
-/// membership deltas *and* the roster they produced. The roster here —
-/// not any per-shard view — is what the winner hashes into the episode
-/// record, so recovery's delta-reconstructed roster matches it exactly
-/// by construction.
-#[derive(Default)]
-struct LedgerBuf {
-    /// Membership deltas since the last episode append, in event order.
-    pending: Vec<JournalRecord>,
-    /// The authoritative live roster.
-    roster: BTreeSet<SessionId>,
-}
-
-/// Shared coordination state: the root of the aggregation tree.
+/// What every thread shares: the root under its lock, the mirrors of
+/// the root that readers without the lock need, and the driver's own
+/// flags and handles.
 struct Shared {
-    /// The global current episode. Bumped (CAS) by the releasing shard.
+    /// The root of the aggregation tree (see [`RootCore`]).
+    root: Mutex<RootCore>,
+    /// Mirrors of the root for readers that take no lock, stored under
+    /// it by [`Shared::root`]: the episode, for [`EpochServer::episode`];
+    /// each shard's liveness and live count, for `pick_shard`,
+    /// `must_stop` and the fan-out; whether the recovery awaits anyone,
+    /// so `route` looks a session's challenge up only while it does; and
+    /// `halted`, for `route`, `must_stop` and the UDS pumps.
     episode: AtomicU64,
-    /// Per-shard "all my live sessions arrived" reports — the root state
-    /// of the combining tree. Each holds the episode it is for, plus one
-    /// (0: none yet); `release_ready` says why a report is keyed by shard
-    /// and stamped with its episode.
-    shard_reported: Vec<AtomicU64>,
     shard_alive: Vec<AtomicBool>,
-    /// Live session count per shard (owner-written, root-read).
     live_sessions: Vec<AtomicU64>,
-    /// Root failure detector over shard heartbeats.
-    shard_super: Supervisor,
-    /// Total episodes released since start.
-    released: AtomicU64,
-    stats: Mutex<HashMap<SessionId, SessionStats>>,
+    recovering: AtomicBool,
+    halted: AtomicBool,
     shutdown: AtomicBool,
     /// This server's incarnation: 0 for an unjournaled server, else
     /// claimed from the journal at start. Stamped on every response
@@ -299,95 +274,59 @@ struct Shared {
     incarnation: u64,
     /// The write-ahead epoch journal, if crash recovery is enabled.
     journal: Option<Arc<Journal>>,
-    /// Pending journal deltas + authoritative roster (see [`LedgerBuf`]).
-    ledger: Mutex<LedgerBuf>,
-    /// Per-shard completer slots: `(session, cumulative completed)` for
-    /// the sessions a shard reported explicitly arrived, drained by the
-    /// release winner into the episode record.
-    slots: Vec<Mutex<Vec<(SessionId, u64)>>>,
-    /// Sessions the journal says were live but that have not yet proven
-    /// themselves to this incarnation with `Resume` (or a fresh
-    /// `Hello`).
-    recovered: Mutex<BTreeSet<SessionId>>,
-    /// Whether `recovered` still holds anyone — cleared when the last
-    /// one proves itself or the grace purges the rest. Releases are
-    /// paused while it is set.
-    recovering: AtomicBool,
-    /// When the recovery grace lapses and outstanding recovered
-    /// sessions are purged as evicted.
-    recovery_deadline: Option<Instant>,
     /// Replication stream to a warm standby: the winner tees every
     /// journaled batch here, best effort, and the lowest live shard
     /// beacons heartbeats so the standby can tell idle from dead.
     repl: Mutex<Option<Box<dyn Transport>>>,
-    /// Compact the journal to a snapshot every this many released
-    /// episodes (mirrored from [`ServerConfig::snapshot_every`]).
-    snapshot_every: Option<u64>,
-    /// Set when a journal append came back [`JournalError::Fenced`]:
-    /// this server is a zombie — a newer incarnation owns the ledger —
-    /// and must never release again.
-    fenced: AtomicBool,
-    /// Set by [`EpochServer::halt`] (and the scripted [`ServerCrash`]):
-    /// the process is "dead". Ingress is dropped, shard tickers exit,
-    /// and — deliberately — client outboxes are *not* torn down, so a
-    /// halted server looks like unbroken silence (timeouts), exactly
-    /// like a crashed host, never like an orderly close.
-    halted: AtomicBool,
     crash: Option<ServerCrash>,
 }
 
 impl Shared {
-    fn total_sessions(&self) -> u64 {
-        self.shard_alive
-            .iter()
-            .zip(&self.live_sessions)
-            .filter(|(alive, _)| alive.load(Ordering::Acquire))
-            .map(|(_, n)| n.load(Ordering::Acquire))
-            .sum()
+    /// Runs `f` on the root under its lock, then stores the mirrors.
+    fn root<R>(&self, f: impl FnOnce(&mut RootCore) -> R) -> R {
+        let mut root = self.root.lock().unwrap_or_else(|e| e.into_inner());
+        let out = f(&mut root);
+        self.episode.store(root.episode, Ordering::Release);
+        let mirrors = self.shard_alive.iter().zip(&self.live_sessions);
+        for (leaf, (alive, live)) in root.leaves.iter().zip(mirrors) {
+            alive.store(leaf.alive, Ordering::Release);
+            live.store(leaf.live, Ordering::Release);
+        }
+        self.recovering.store(root.recovering(), Ordering::Release);
+        self.halted.store(root.halted, Ordering::Release);
+        out
     }
 
-    /// Records a session joining the roster. The delta is emitted only
-    /// when the roster actually changes, which makes the call idempotent
-    /// and silently correct for resumed sessions (already in the
-    /// journaled roster).
-    fn ledger_join(&self, session: SessionId, epoch: u64, rejoin: bool) {
-        if self.journal.is_none() {
-            return;
+    /// The root's release, write-ahead: the winner appends the batch —
+    /// and, once it is durable, tees it to a standby and compacts the
+    /// journal when a snapshot is due — before anyone can hear of the
+    /// episode, and returns it for the caller to fan out once it holds
+    /// no shard lock ([`Router::fan_out`]). A refused append fences the
+    /// root: no broadcast, ever again, and clients fail over to the
+    /// incarnation that fenced us out. Exactly one caller wins an
+    /// episode: the root lock serializes them, and the release expires
+    /// the reports it was won on.
+    fn release(&self, root: &mut RootCore) -> Option<u64> {
+        let release = root.release()?;
+        let (Some(journal), inc) = (&self.journal, self.incarnation) else {
+            return Some(release.episode);
+        };
+        if journal.append_batch(inc, &release.batch).is_err() {
+            root.fence();
+            return None;
         }
-        let mut lb = self.ledger.lock().unwrap_or_else(|e| e.into_inner());
-        if lb.roster.insert(session) {
-            lb.pending.push(JournalRecord::Join {
-                session,
-                epoch,
-                rejoin,
-            });
+        let mut repl = self.repl.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(t) = repl.as_mut() {
+            let bytes: Vec<u8> = release.batch.iter().flat_map(frame_entry).collect();
+            let _ = t.send(&bytes);
         }
-    }
-
-    /// Records a session leaving the roster (eviction or orderly
-    /// leave). Emits only on an actual roster change.
-    fn ledger_remove(&self, session: SessionId, epoch: u64, orderly: bool) {
-        if self.journal.is_none() {
-            return;
+        drop(repl);
+        if let Some(snapshot) = &release.snapshot {
+            // A fence race here (a takeover between our append and this
+            // compact) just leaves the journal uncompacted.
+            let _ = journal.compact(inc, snapshot);
         }
-        let mut lb = self.ledger.lock().unwrap_or_else(|e| e.into_inner());
-        if lb.roster.remove(&session) {
-            lb.pending.push(if orderly {
-                JournalRecord::Leave { session, epoch }
-            } else {
-                JournalRecord::Evict { session, epoch }
-            });
-        }
-    }
-
-    /// Whether the recovery still awaits `session`'s `Resume`.
-    fn awaiting_resume(&self, session: SessionId) -> bool {
-        self.recovering.load(Ordering::Acquire)
-            && self
-                .recovered
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .contains(&session)
+        Some(release.episode)
     }
 }
 
@@ -420,7 +359,7 @@ impl Router {
     /// assignments are sticky while the shard lives: a `Hello` routed
     /// to a shard with no free slot would otherwise pin every retry to
     /// that same shard until the client's attempts burn out. The
-    /// published live-session counts are a racy approximation of slot
+    /// mirrored live-session counts are a racy approximation of slot
     /// occupancy; a losing race just drops the `Hello` at the shard
     /// (which clears the assignment) and the retry probes again.
     fn pick_shard(&self, session: SessionId) -> Option<usize> {
@@ -449,7 +388,7 @@ impl Router {
         };
         let session = req.session();
         let shard = {
-            let mut assign = self.assign.lock().unwrap_or_else(|e| e.into_inner());
+            let mut assign = self.assign();
             match assign.get_mut(&session) {
                 Some(a) => {
                     a.conn = conn;
@@ -465,12 +404,7 @@ impl Router {
                     let Some(s) = self.pick_shard(session) else {
                         return;
                     };
-                    let assignment = Assignment {
-                        shard: s,
-                        conn,
-                        live: false, // until the shard admits it
-                    };
-                    assign.insert(session, assignment);
+                    assign.insert(session, Assignment { shard: s, conn });
                     s
                 }
             }
@@ -483,7 +417,9 @@ impl Router {
             if st.must_stop(&self.shared) {
                 return;
             }
-            let awaiting = self.shared.awaiting_resume(session);
+            let shared = &self.shared;
+            let awaiting = shared.recovering.load(Ordering::Acquire)
+                && shared.root(|root| root.recovered.contains(&session));
             st.step(self, Instant::now(), Input::Request(conn, req, awaiting))
         };
         self.fan_out(won);
@@ -495,20 +431,25 @@ impl Router {
         self.shards[idx].lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    fn assign(&self) -> std::sync::MutexGuard<'_, HashMap<SessionId, Assignment>> {
+        self.assign.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Fans out the episode a step won — `Input::Release` on every live
     /// shard in index order, one shard lock at a time — and then every
     /// episode a release step wins in turn: a shard whose sessions all
     /// arrived by proxy reports its next frame at once. Only the
-    /// outermost caller does this, once it holds no shard lock.
+    /// outermost caller does this, once it holds no shard lock. At the
+    /// scripted crash epoch, whose append is durable, the broadcast is
+    /// what dies: wholly (kill-at-epoch), or once the first live shard
+    /// has sent its frames (kill-mid-broadcast), so some clients observe
+    /// the epoch and some never do. What that step wins dies with it.
     fn fan_out(&self, mut won: Option<u64>) {
         while let Some(ep) = won.take() {
-            if self.crash(ep) {
-                return;
-            }
-            for idx in 0..self.shards.len() {
-                if !self.shared.shard_alive[idx].load(Ordering::Acquire) {
-                    continue;
-                }
+            let crash = self.shared.crash.filter(|c| c.at_epoch == ep);
+            let reach = crash.map_or(self.shards.len(), |c| usize::from(c.mid_broadcast));
+            let alive = |&idx: &usize| self.shared.shard_alive[idx].load(Ordering::Acquire);
+            for idx in (0..self.shards.len()).filter(alive).take(reach) {
                 let mut st = self.shard(idx);
                 if !st.must_stop(&self.shared) {
                     // Only the last live shard's step can win the next
@@ -516,40 +457,18 @@ impl Router {
                     won = won.or(st.step(self, Instant::now(), Input::Release(ep)));
                 }
             }
-        }
-    }
-
-    /// The scripted crash window: `true` if `ep` is the scripted crash
-    /// epoch. Its journal append is durable; the broadcast is what dies —
-    /// wholly (kill-at-epoch) or halfway (kill-mid-broadcast: exactly
-    /// the first live shard hears, so some clients observe the epoch
-    /// and some never do). The lucky shard's step has sent its frames
-    /// before the lights go off.
-    fn crash(&self, ep: u64) -> bool {
-        let shared = &*self.shared;
-        let Some(crash) = shared.crash.filter(|c| c.at_epoch == ep) else {
-            return false;
-        };
-        if crash.mid_broadcast {
-            let alive = |&s: &usize| shared.shard_alive[s].load(Ordering::Acquire);
-            if let Some(idx) = (0..self.shards.len()).find(alive) {
-                let mut st = self.shard(idx);
-                if !st.must_stop(shared) {
-                    // Whatever this release completes dies with the host.
-                    let _ = st.step(self, Instant::now(), Input::Release(ep));
-                }
+            if crash.is_some() {
+                self.shared.root(RootCore::halt);
+                return;
             }
         }
-        shared.halted.store(true, Ordering::Release);
-        true
     }
 
     /// One pass of shard `idx`'s housekeeping, as its ticker runs it
-    /// after each wait: the shard's root-lease beat, the tick step
-    /// (session leases, overdue re-sends, the recovery grace), the
-    /// root-lease pass over its peers and the standby beacon; then the
-    /// fan-out of any release that won. `false` once the shard must
-    /// stop.
+    /// after each wait: the tick step (session leases, overdue re-sends,
+    /// the recovery grace), the root-lease beat and pass over its peers
+    /// and the standby beacon; then the fan-out of any release that won.
+    /// `false` once the shard must stop.
     fn tick(&self, idx: usize) -> bool {
         let won = {
             let mut st = self.shard(idx);
@@ -557,13 +476,15 @@ impl Router {
                 return false;
             }
             let now = Instant::now();
-            self.shared.shard_super.beat_at(idx as u32, now);
             let recovering = self.shared.recovering.load(Ordering::Acquire);
             let won = st.step(self, now, Input::Tick(recovering));
             // A declaration can complete the episode too, but not one
             // the tick step already won: no shard reports the next
             // episode before its release is fanned out.
-            let won = won.or(st.poll_shards(self, now));
+            let dead = self.shared.root(|root| root.lease(idx, now));
+            let won = dead.into_iter().fold(won, |won, shard| {
+                won.or(declare_shard_dead(self, shard as usize))
+            });
             st.beacon(&self.shared, now);
             won
         };
@@ -596,6 +517,30 @@ impl Router {
         self.outbox.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Sends what a step sends, under one `outbox` lock: its frames, then
+    /// its release's one encoded frame at each connection's copies. A
+    /// step that sends nothing takes no lock.
+    fn send(&self, sends: Effects) {
+        if sends.frames.is_empty() && sends.fanout.is_empty() {
+            return;
+        }
+        let outbox = self.outbox();
+        for (conn, resp) in &sends.frames {
+            if let Some(sink) = outbox.get(conn) {
+                sink.send(&resp.encode());
+            }
+        }
+        if let Some(episode) = sends.release {
+            let inc = self.shared.incarnation;
+            let frame = Response::Release { episode, inc }.encode();
+            for &(conn, copies) in &sends.fanout {
+                if let Some(sink) = outbox.get(&conn) {
+                    (0..copies).for_each(|_| sink.send(&frame));
+                }
+            }
+        }
+    }
+
     /// Registers a loopback connection: frames the client sends are
     /// routed on its own thread, frames for it come back over `rx`.
     fn connect(self: &Arc<Self>) -> LoopbackTransport {
@@ -626,154 +571,48 @@ struct ShardDriver {
     stalled: bool,
     /// Last standby-heartbeat send (lowest live shard only).
     last_repl_beat: Instant,
-    /// The live shards at the last root-lease pass, kept so the pass
-    /// allocates nothing on a tick.
-    alive: Vec<u32>,
 }
 
 impl ShardDriver {
-    fn new(idx: usize, shared: &Shared, cfg: &ServerConfig) -> Self {
-        let now = Instant::now();
-        let frame = shared.episode.load(Ordering::Acquire);
-        let inc = shared.incarnation;
-        let core = ShardCore::new(idx, cfg, inc, frame, shared.recovery_deadline, now);
+    fn new(idx: usize, root: &RootCore, cfg: &ServerConfig, now: Instant) -> Self {
+        let (frame, deadline) = (root.episode, root.recovery_deadline);
         Self {
             idx,
-            core,
+            core: ShardCore::new(idx, cfg, root.inc, frame, deadline, now),
             tick: cfg.tick,
             stalled: false,
             last_repl_beat: now,
-            alive: Vec::new(),
         }
     }
 
-    /// Steps the core with one input at `now`, then applies what the
-    /// step did, in order: routing and the live count; the recovery; the
-    /// ledger and the frames under one `stats` guard and one `outbox`
-    /// lock — credit, then release, so a client that has seen its
-    /// `Release` can never read a ledger that has not counted it (a step
-    /// without frames takes no `outbox` lock, one without ledger effects
-    /// no `stats` guard); then the report, filed with its completers,
-    /// and the root's release check. Returns the episode that check
-    /// won, for the caller to fan out once it holds no shard lock.
+    /// Steps the core with one input at `now`, drops the routes of the
+    /// sessions it could not seat, and hands the effects to the root
+    /// under its lock, which books them and checks the release before
+    /// it hands the frames back; then sends them, so a client that has
+    /// seen its `Release` never reads a ledger that has not counted it.
+    /// A step with nothing for the root takes no root lock, and one that
+    /// sends nothing no `outbox` lock. Returns the episode the release
+    /// check won, for the caller to fan out once it holds no shard lock.
     fn step(&mut self, router: &Router, now: Instant, input: Input) -> Option<u64> {
-        let fx = self.core.step(now, input);
-        let (shared, idx, frame) = (&*router.shared, self.idx, self.core.frame);
-        if !(fx.roster.is_empty() && fx.unroute.is_empty()) {
-            let mut assign = router.assign.lock().unwrap_or_else(|e| e.into_inner());
-            for &(session, delta) in &fx.roster {
-                if let Some(a) = assign.get_mut(&session).filter(|a| a.shard == idx) {
-                    a.live = delta.admits();
-                }
-            }
-            for session in &fx.unroute {
-                if assign.get(session).is_some_and(|a| a.shard == idx) {
-                    assign.remove(session);
-                }
-            }
-            drop(assign);
-            shared.live_sessions[idx].store(self.core.live, Ordering::Release);
-        }
-        // Admissions prove their sessions to the recovery (a recovered
-        // session greeting us with a fresh `Hello` rather than `Resume`
-        // chose the rejoin path; either way it has proven itself to this
-        // incarnation), and a lapsed grace purges the laggards.
-        let mut laggards = BTreeSet::new();
-        let recovery = fx.purge || fx.roster.iter().any(|d| d.1.admits());
-        if recovery && shared.recovering.load(Ordering::Acquire) {
-            let mut rec = shared.recovered.lock().unwrap_or_else(|e| e.into_inner());
-            rec.retain(|s| !fx.roster.iter().any(|d| d.0 == *s && d.1.admits()));
-            if fx.purge {
-                laggards = std::mem::take(&mut *rec);
-            }
-            if rec.is_empty() {
-                shared.recovering.store(false, Ordering::Release);
-            }
-        }
-        let files = shared.journal.is_some() && !fx.completers.is_empty();
-        let settles = files || !(fx.roster.is_empty() && fx.credits.is_empty());
-        let stats = (settles || !laggards.is_empty()).then(|| {
-            let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-            for session in laggards {
-                stats.entry(session).or_default().evictions += 1;
-                shared.ledger_remove(session, frame, false);
-            }
-            for &(session, delta) in &fx.roster {
-                let entry = stats.entry(session).or_default();
-                match delta {
-                    // A local tombstone proves a rejoin; a session unknown
-                    // here may still be rejoining cross-shard (its home
-                    // shard died and routing moved it) — the global stats
-                    // ledger records the eviction either way.
-                    Delta::Hello(tombstone) => {
-                        let rejoin = tombstone || entry.evictions > entry.rejoins;
-                        if rejoin {
-                            entry.rejoins += 1;
-                            combar_trace::emit(frame as u32, session as u32, Kind::Rejoin);
-                        }
-                        shared.ledger_join(session, frame, rejoin);
-                    }
-                    // A roster no-op (still journaled live) but covers
-                    // the corner where the session was purged a beat ago.
-                    Delta::Resume => shared.ledger_join(session, frame, false),
-                    Delta::Leave => shared.ledger_remove(session, frame, true),
-                    Delta::Evict => {
-                        entry.evictions += 1;
-                        shared.ledger_remove(session, frame, false);
-                    }
-                }
-            }
-            for &session in &fx.credits {
-                stats.entry(session).or_default().completed += 1;
-            }
-            if files {
-                let done = |sid| stats.get(&sid).map_or(0, |e| e.completed) + 1;
-                let filed = fx.completers.iter().map(|&sid| (sid, done(sid)));
-                let mut slot = shared.slots[idx].lock().unwrap_or_else(|e| e.into_inner());
-                slot.extend(filed);
-            }
-            stats
-        });
-        if !(fx.frames.is_empty() && fx.fanout.is_empty()) {
-            let outbox = router.outbox();
-            for (conn, resp) in &fx.frames {
-                if let Some(sink) = outbox.get(conn) {
-                    sink.send(&resp.encode());
-                }
-            }
-            if let Some(episode) = fx.release {
-                let inc = shared.incarnation;
-                let frame = Response::Release { episode, inc }.encode();
-                for &(conn, copies) in &fx.fanout {
-                    if let Some(sink) = outbox.get(&conn) {
-                        (0..copies).for_each(|_| sink.send(&frame));
-                    }
+        let mut fx = self.core.step(now, input);
+        if !fx.unroute.is_empty() {
+            let mut assign = router.assign();
+            for session in std::mem::take(&mut fx.unroute) {
+                if assign.get(&session).is_some_and(|a| a.shard == self.idx) {
+                    assign.remove(&session);
                 }
             }
         }
-        drop(stats);
-        if let Some(frame) = fx.report {
-            shared.shard_reported[idx].store(frame + 1, Ordering::Release);
-        }
-        try_release(shared)
-    }
-
-    /// Root-lease pass over this shard's [`lease_targets`] in one
-    /// snapshot of the live flags. Returns the episode a declaration
-    /// completed, if one did.
-    fn poll_shards(&mut self, router: &Router, now: Instant) -> Option<u64> {
-        let shared = &*router.shared;
-        let flags = &shared.shard_alive;
-        let live = (0..flags.len()).filter(|&s| flags[s].load(Ordering::Acquire));
-        self.alive.clear();
-        self.alive.extend(live.map(|s| s as u32));
-        let targets = lease_targets(&self.alive, self.idx as u32);
-        let mut won = None;
-        for shard in shared.shard_super.lease_pass(now, targets.iter().copied()) {
-            // The first declaration's release is not fanned out yet, so
-            // no later one can complete another episode.
-            won = won.or(declare_shard_dead(router, shard as usize));
-        }
+        let (sends, won) = if fx.for_root() {
+            let (core, shared) = (&self.core, &*router.shared);
+            shared.root(|root| {
+                let sends = root.apply(self.idx, core.frame, core.live, fx);
+                (sends, shared.release(root))
+            })
+        } else {
+            (fx, None)
+        };
+        router.send(sends);
         won
     }
 
@@ -813,216 +652,27 @@ impl ShardDriver {
     }
 }
 
-/// The shards whose root lease shard `me` polls, given the live shards
-/// in ascending order. Each target is polled by exactly one shard — the
-/// lowest-indexed live shard *other than the target* (the supervisor's
-/// miss counters escalate one miss per poll, so concurrent pollers of
-/// the same target would fast-track a declaration). That is: the lowest
-/// live shard polls every peer, and the second-lowest polls the lowest —
-/// so the poller's own death is detected too, instead of silently
-/// ending all detection.
-fn lease_targets(alive: &[u32], me: u32) -> &[u32] {
-    match alive {
-        [lowest, peers @ ..] if *lowest == me => peers,
-        [lowest, second, ..] if *second == me => std::slice::from_ref(lowest),
-        _ => &[],
-    }
-}
-
-/// The downward half of the root: if every live shard has reported the
-/// current episode and any session exists, the winning CAS bumps the
-/// episode (which expires the reports), journals it and returns it for
-/// the caller to fan out ([`Router::fan_out`]). Any shard step (or the
-/// shard poller, after folding a dead shard out) may win it; the CAS
-/// guarantees exactly one winner per episode. Reports are read *paired
-/// with liveness* — a dead shard's stale report never counts — so a
-/// shard death can only delay a release, never complete one early.
-#[must_use = "a won episode must be fanned out"]
-fn try_release(shared: &Shared) -> Option<u64> {
-    let ep = shared.episode.load(Ordering::Acquire);
-    let load = |a: &AtomicU64| a.load(Ordering::Acquire);
-    let alive = shared.shard_alive.iter().map(|a| a.load(Ordering::Acquire));
-    let reports = alive.zip(shared.shard_reported.iter().map(load));
-    let shards = reports.zip(shared.live_sessions.iter().map(load));
-    let shards = shards.map(|((alive, report), live)| (alive, report, live));
-    // A halted server is dead and a fenced one is a zombie: neither may
-    // ever release (the fence guard also stops a zombie from burning
-    // phantom CAS bumps after its first rejected append). A recovered
-    // server holds releases until every journaled-live session has
-    // resumed (or the grace purges it): the recovered roster *is* the
-    // membership, and crossing without it would let the first resumer
-    // race ahead alone.
-    let halted = shared.halted.load(Ordering::Acquire);
-    let fenced = shared.fenced.load(Ordering::Acquire);
-    let recovering = shared.recovering.load(Ordering::Acquire);
-    if !release_ready(ep, shards, halted, fenced, recovering) {
-        return None;
-    }
-    if shared
-        .episode
-        .compare_exchange(ep, ep + 1, Ordering::AcqRel, Ordering::Acquire)
-        .is_err()
-    {
-        return None; // another shard released this episode
-    }
-    // The reports were for `ep`, so the CAS has just expired them: a
-    // concurrent caller (the shard poller ticks into here at any
-    // moment) cannot read them as the *next* episode's while the
-    // journal append below runs, win the bumped CAS, and run a second
-    // release in parallel — draining the completer slots out from
-    // under us and appending episodes out of order, which recovery
-    // would then skip as stale. No shard reports `ep + 1` until the
-    // winner's fan-out steps its release.
-    // ── Write-ahead: journal the episode before any client can hear of
-    // it. Group commit: the batch is every membership delta since the
-    // last release plus one episode record — one append per epoch, not
-    // per arrival.
-    if let Some(journal) = &shared.journal {
-        let (mut batch, hash) = {
-            let mut lb = shared.ledger.lock().unwrap_or_else(|e| e.into_inner());
-            // Drain + hash under one lock: the hash covers exactly the
-            // roster the drained deltas produce, so recovery's replayed
-            // roster matches by construction.
-            let batch = std::mem::take(&mut lb.pending);
-            (batch, roster_hash(lb.roster.iter().copied()))
-        };
-        let mut completers: BTreeMap<SessionId, u64> = BTreeMap::new();
-        for (s, slot) in shared.slots.iter().enumerate() {
-            if shared.shard_alive[s].load(Ordering::Acquire) {
-                let drained = std::mem::take(&mut *slot.lock().unwrap_or_else(|e| e.into_inner()));
-                for (sid, done) in drained {
-                    // Cumulative counters: a stale entry (a late
-                    // proxy→explicit upgrade that missed last epoch's
-                    // drain) merges away under max.
-                    let e = completers.entry(sid).or_insert(done);
-                    *e = (*e).max(done);
-                }
-            }
-        }
-        batch.push(JournalRecord::Episode {
-            epoch: ep,
-            inc: shared.incarnation,
-            roster_hash: hash,
-            completers: completers.into_iter().collect(),
-        });
-        match journal.append_batch(shared.incarnation, &batch) {
-            Err(_) => {
-                // Fenced (or the backing store died): this server may
-                // not extend the ledger. Freeze — no flag clears, no
-                // released bump, above all no broadcast. Clients stop
-                // hearing from us and fail over to the incarnation that
-                // fenced us out.
-                shared.fenced.store(true, Ordering::Release);
-                return None;
-            }
-            Ok(()) => {
-                // Tee the batch to a warm standby, best effort — the
-                // journal is the durable copy; this just keeps the
-                // standby's lag near zero.
-                let mut repl = shared.repl.lock().unwrap_or_else(|e| e.into_inner());
-                if let Some(t) = repl.as_mut() {
-                    let mut bytes = Vec::new();
-                    for rec in &batch {
-                        bytes.extend_from_slice(&frame_entry(rec));
-                    }
-                    let _ = t.send(&bytes);
-                }
-                drop(repl);
-                if let Some(every) = shared.snapshot_every {
-                    let done = shared.released.load(Ordering::Acquire) + 1;
-                    if every > 0 && done % every == 0 {
-                        compact_journal(shared, journal, ep, &batch);
-                    }
-                }
-            }
-        }
-    }
-    shared.released.fetch_add(1, Ordering::Release);
-    Some(ep)
-}
-
-/// Compacts the journal to `[Incarnation, Snapshot]`. The snapshot
-/// folds the just-appended episode's completers into the stats map
-/// (their `completed` ticks land in the shards only after the
-/// broadcast, which has not happened yet) so replay-from-snapshot and
-/// replay-from-history agree exactly.
-fn compact_journal(shared: &Shared, journal: &Journal, ep: u64, batch: &[JournalRecord]) {
-    let mut sessions: BTreeMap<SessionId, (bool, SessionStats)> = {
-        let stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-        let roster = &shared
-            .ledger
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .roster;
-        stats
-            .iter()
-            .map(|(&sid, &st)| (sid, (roster.contains(&sid), st)))
-            .collect()
-    };
-    for rec in batch {
-        if let JournalRecord::Episode { completers, .. } = rec {
-            for &(sid, done) in completers {
-                let entry = sessions
-                    .entry(sid)
-                    .or_insert((true, SessionStats::default()));
-                entry.1.completed = entry.1.completed.max(done);
-            }
-        }
-    }
-    let snap = crate::journal::snapshot_record(ep + 1, shared.incarnation, &sessions);
-    // A fence race here (a takeover between our append and this
-    // compact) simply leaves the journal uncompacted; the new
-    // incarnation owns compaction from now on.
-    let _ = journal.compact(shared.incarnation, &snap);
-}
-
-/// Folds a dead shard out of the root: episodes complete without it,
-/// the sessions live on it are evicted and told so best-effort, and
-/// every assignment to it clears so rejoins land on live shards.
-/// Returns the episode the fold completed, if it did.
+/// Folds a dead shard out of the root ([`RootCore::declare_dead`]),
+/// clears every route to it so rejoins land on live shards, and tells
+/// its sessions they were evicted, best effort. Returns the episode the
+/// fold completed, if it did: the dead shard may have been the missing
+/// report, while a stale report of its own counts no more.
 fn declare_shard_dead(router: &Router, shard: usize) -> Option<u64> {
     let shared = &*router.shared;
-    if !shared.shard_alive[shard].swap(false, Ordering::AcqRel) {
-        return None; // already declared
-    }
-    shared.live_sessions[shard].store(0, Ordering::Release);
-    let episode = shared.episode.load(Ordering::Acquire);
-    let mut orphans: Vec<(SessionId, ConnId)> = Vec::new();
-    let mut assign = router.assign.lock().unwrap_or_else(|e| e.into_inner());
-    assign.retain(|&session, a| {
-        if a.shard == shard && a.live {
-            orphans.push((session, a.conn));
-        }
-        a.shard != shard
-    });
+    let (evicted, won) = shared.root(|root| (root.declare_dead(shard), shared.release(root)));
+    let mut assign = router.assign();
+    let conn = |s| assign.get(&s).filter(|a| a.shard == shard).map(|a| a.conn);
+    let frames = evicted
+        .into_iter()
+        .filter_map(|(s, resp)| Some((conn(s)?, resp)));
+    let frames = frames.collect();
+    assign.retain(|_, a| a.shard != shard);
     drop(assign);
-    let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-    let outbox = router.outbox();
-    for (session, conn) in orphans {
-        stats.entry(session).or_default().evictions += 1;
-        shared.ledger_remove(session, episode, false);
-        combar_trace::emit(episode as u32, session as u32, Kind::Evict(session as u32));
-        let evicted = Response::Evicted {
-            session,
-            episode,
-            inc: shared.incarnation,
-        };
-        if let Some(sink) = outbox.get(&conn) {
-            sink.send(&evicted.encode());
-        }
-    }
-    drop(outbox);
-    drop(stats);
-    // The dead shard may have been the missing report — and if it had
-    // instead *already* reported, try_release now disregards that stale
-    // flag (reports only count paired with a live shard), so a survivor
-    // that still owes its own report keeps the episode open.
-    try_release(shared)
-}
-
-/// Shard `idx`'s ticker thread: turns until it must exit.
-fn run_shard(idx: usize, inbox: mpsc::Receiver<ShardMsg>, router: Arc<Router>, tick: Duration) {
-    while router.turn(idx, &inbox, tick) {}
+    router.send(Effects {
+        frames,
+        ..Effects::default()
+    });
+    won
 }
 
 /// A running barrier-as-a-service instance. See the module docs.
@@ -1071,7 +721,7 @@ impl EpochServer {
                 let router = router.clone();
                 std::thread::Builder::new()
                     .name(format!("combar-net-shard-{idx}"))
-                    .spawn(move || run_shard(idx, rx, router, cfg.tick))
+                    .spawn(move || while router.turn(idx, &rx, cfg.tick) {})
                     .expect("spawn shard thread")
             })
             .collect();
@@ -1083,9 +733,9 @@ impl EpochServer {
         }
     }
 
-    /// Builds the root state, the router with its shards and one ticker
-    /// inbox per shard — all of a server except its threads, so a test
-    /// can route requests and tick shards by hand.
+    /// Builds the root, the router with its shards and one ticker inbox
+    /// per shard — all of a server except its threads, so a test can
+    /// route requests and tick shards by hand.
     fn wire_up(
         cfg: &ServerConfig,
         journal: Option<Arc<Journal>>,
@@ -1099,57 +749,26 @@ impl EpochServer {
                 .expect("claim incarnation on a journal nobody else holds yet"),
             None => 0,
         };
-        let epoch0 = state.as_ref().map_or(0, |s| s.epoch);
-        let mut stats0 = HashMap::new();
-        let mut ledger0 = LedgerBuf::default();
-        let mut recovered0 = BTreeSet::new();
-        if let Some(state) = &state {
-            for (&sid, sess) in &state.sessions {
-                stats0.insert(sid, sess.stats);
-                if sess.live {
-                    ledger0.roster.insert(sid);
-                    recovered0.insert(sid);
-                }
-            }
-        }
-        let recovery_deadline = if recovered0.is_empty() {
-            None
-        } else {
-            Some(Instant::now() + cfg.recovery_grace)
-        };
+        let now = Instant::now();
+        let root = RootCore::new(cfg, incarnation, state.as_ref(), now);
+        let driver = |idx| Mutex::new(ShardDriver::new(idx, &root, cfg, now));
+        let drivers = (0..shards).map(driver).collect();
         let shared = Arc::new(Shared {
-            episode: AtomicU64::new(epoch0),
-            shard_reported: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            episode: AtomicU64::new(root.episode),
             shard_alive: (0..shards).map(|_| AtomicBool::new(true)).collect(),
             live_sessions: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            shard_super: Supervisor::with_config(shards as u32, cfg.shard_lease),
-            released: AtomicU64::new(epoch0),
-            stats: Mutex::new(stats0),
+            recovering: AtomicBool::new(root.recovering()),
+            root: Mutex::new(root),
+            halted: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             incarnation,
             journal,
-            ledger: Mutex::new(ledger0),
-            slots: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
-            recovering: AtomicBool::new(!recovered0.is_empty()),
-            recovered: Mutex::new(recovered0),
-            recovery_deadline,
             repl: Mutex::new(None),
-            snapshot_every: cfg.snapshot_every,
-            fenced: AtomicBool::new(false),
-            halted: AtomicBool::new(false),
             crash: cfg.crash,
         });
-        let mut txs = Vec::with_capacity(shards);
-        let mut rxs = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = mpsc::channel();
-            txs.push(tx);
-            rxs.push(rx);
-        }
+        let (txs, rxs) = (0..shards).map(|_| mpsc::channel()).unzip();
         let router = Arc::new(Router {
-            shards: (0..shards)
-                .map(|idx| Mutex::new(ShardDriver::new(idx, &shared, cfg)))
-                .collect(),
+            shards: drivers,
             tickers: txs,
             assign: Mutex::new(HashMap::new()),
             outbox: Mutex::new(HashMap::new()),
@@ -1230,7 +849,7 @@ impl EpochServer {
 
     /// Episodes released since start.
     pub fn episodes_released(&self) -> u64 {
-        self.shared.released.load(Ordering::Acquire)
+        self.shared.root(|root| root.released())
     }
 
     /// Shards not declared dead.
@@ -1241,16 +860,14 @@ impl EpochServer {
 
     /// Live sessions across live shards.
     pub fn live_sessions(&self) -> u64 {
-        self.shared.total_sessions()
+        let live =
+            |root: &mut RootCore| root.leaves.iter().filter(|l| l.alive).map(|l| l.live).sum();
+        self.shared.root(live)
     }
 
     /// A snapshot of per-session service counters.
     pub fn session_stats(&self) -> HashMap<SessionId, SessionStats> {
-        self.shared
-            .stats
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        self.shared.root(|root| root.stats.clone())
     }
 
     /// Chaos hook: shard `idx` "crashes" — its ticker stops it serving
@@ -1267,7 +884,7 @@ impl EpochServer {
     /// like a kernel panic. The journal (if any) keeps whatever was
     /// durably appended; nothing in flight survives.
     pub fn halt(&self) {
-        self.shared.halted.store(true, Ordering::Release);
+        self.shared.root(RootCore::halt);
         for tx in &self.router.tickers {
             // Nudge parked tickers so they notice the halt now rather
             // than at the next tick timeout.
@@ -1278,7 +895,7 @@ impl EpochServer {
     /// Whether this server has been fenced out by a newer incarnation
     /// (a journal append was rejected). A fenced server never releases.
     pub fn fenced(&self) -> bool {
-        self.shared.fenced.load(Ordering::Acquire)
+        self.shared.root(|root| root.fenced)
     }
 
     /// Whether [`halt`](Self::halt) (or a scripted [`ServerCrash`]) has
@@ -1334,8 +951,11 @@ mod tests {
     use super::*;
     use crate::client::{BarrierClient, ClientConfig};
     use crate::proto::HOLD;
+    use crate::root::lease_targets;
+    use crate::shard::Delta;
     use crate::simnet::{self, Scenario};
     use crate::transport::NetError;
+    use combar_rt::Supervisor;
 
     /// Fast ticks with a generous session lease: these tests exercise
     /// the protocol, not eviction, and must not lose a session to a
@@ -1662,73 +1282,41 @@ mod tests {
         server.shutdown();
     }
 
-    /// The root must pair completeness reports with shard liveness: a
-    /// shard that reported complete and then died must not leave a
-    /// stale report that — against the post-death live count —
-    /// releases the episode while a surviving shard's session still
-    /// owes its arrival. (A bare `shards_done` counter had exactly
-    /// this hazard: the count kept the dead shard's report while
-    /// `live` lost the shard, so `done >= live` came true one genuine
-    /// arrival short.)
+    /// The root pairs completeness reports with shard liveness: a shard
+    /// that reported complete and then died must not leave a stale
+    /// report that — against the post-death live count — releases the
+    /// episode while a surviving shard's session still owes its arrival.
+    /// (A bare `shards_done` counter had exactly this hazard.) In
+    /// `simnet`, on seeds 7 and 23: session 0 on shard 0 thinks 300 ms
+    /// before each arrival, session 1 on shard 1 arrives at once, and
+    /// shard 1, which has reported the episode in flight, stalls 5 ms in.
+    /// The default root lease declares it dead eight 10 ms leases after
+    /// its last beat, at most two ticks before the stall, and session 1
+    /// rejoins on shard 0; yet each episode waits for session 0's
+    /// arrival, 300 ms after the last.
     #[test]
     fn dead_shards_stale_report_cannot_release_early() {
-        let server = EpochServer::start(ServerConfig {
-            shards: 2,
-            tick: Duration::from_micros(200),
-            // Sessions effectively never lease out; only the shard dies.
-            lease: SupervisorConfig {
-                min_grace: Duration::from_secs(30),
-                sigma_mult: 4.0,
-                max_misses: 30,
-            },
-            shard_lease: SupervisorConfig {
-                min_grace: Duration::from_millis(2),
-                sigma_mult: 4.0,
-                max_misses: 2,
-            },
-            ..ServerConfig::default()
-        });
-        // Session 0 homes on shard 0, session 1 on shard 1.
-        let mut c0 = BarrierClient::new(server.connect(), 0, ClientConfig::default());
-        let mut c1 = BarrierClient::new(server.connect(), 1, ClientConfig::default());
-        c0.join().unwrap();
-        c1.join().unwrap();
-        // Let the join-side proxy arrivals settle: shard 1's membership
-        // (only session 1, proxy-arrived) is complete, so its reported
-        // flag is up, while shard 0 waits on session 0's real arrival.
-        std::thread::sleep(Duration::from_millis(10));
-        let ep = server.episode();
-        // The reported shard dies. (Shard 0 is a root poller, so its
-        // peer's death is detected.)
-        server.stall_shard(1);
-        let t = Instant::now();
-        while server.live_shards() != 1 {
+        let mut scenario = Scenario::new(2, 2);
+        (scenario.shards, scenario.stalled) = (2, Some((1, 5 * MS)));
+        scenario.sessions[0].think = 300 * MS;
+        for seed in [7, 23] {
+            let run = simnet::run(Instant::now(), seed, &scenario);
+            let changes = run.roster.iter().map(|c| format!("{}:{:?} ", c.1, c.2));
+            let roster = "0:Hello(false) 1:Hello(false) 1:Evict 1:Hello(false) ";
+            assert_eq!(changes.collect::<String>(), roster, "seed {seed}");
+            let evicted = run.roster[2].0;
             assert!(
-                t.elapsed() < Duration::from_secs(5),
-                "shard death undetected"
+                evicted >= 84 * MS && evicted < 200 * MS,
+                "seed {seed}: {evicted:?}"
             );
-            std::thread::sleep(Duration::from_millis(1));
+            let released = &run.episodes[..run.released as usize];
+            for pair in released.windows(2) {
+                assert!(
+                    pair[1].at >= pair[0].at + 300 * MS,
+                    "seed {seed}: {released:?}"
+                );
+            }
         }
-        // Session 0 still owes its arrival, so the in-flight episode
-        // must stay open — the dead shard's report must not combine
-        // with the shrunken live count into an early release.
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(
-            server.episode(),
-            ep,
-            "released on a dead shard's stale report"
-        );
-        // Session 0's real arrival (after draining any stale releases
-        // of already-completed episodes) is what releases the episode.
-        let t = Instant::now();
-        while server.episode() == ep {
-            c0.arrive().unwrap();
-            assert!(
-                t.elapsed() < Duration::from_secs(5),
-                "no release after arrival"
-            );
-        }
-        server.shutdown();
     }
 
     /// A server without its threads, and its shards' ticker inboxes: the
@@ -1761,7 +1349,7 @@ mod tests {
         send_arrive_raw(&mut wires[0], 0, 1, 1);
         assert_eq!(router.shard(0).core.frame, 2);
         wires.iter_mut().for_each(|w| drop(drain_wire(w)));
-        let before = router.shared.stats.lock().unwrap().clone();
+        let before = router.shared.root(|root| root.stats.clone());
         let locks = router.outbox_locks.load(Ordering::Relaxed);
         for (session, w) in (0..16).zip(&mut wires) {
             send_arrive_raw(w, session, 2, 2);
@@ -1778,7 +1366,7 @@ mod tests {
         for w in &mut wires {
             assert_eq!(drain_wire(w), std::slice::from_ref(&release));
         }
-        let ledger = router.shared.stats.lock().unwrap();
+        let ledger = router.shared.root(|root| root.stats.clone());
         for session in 0..16 {
             let done = ledger[&session].completed;
             assert_eq!(done, before[&session].completed + 1, "session {session}");
@@ -1962,7 +1550,7 @@ mod tests {
                 assert_eq!(drain_wire(w), vec![release(episode)]);
             }
         }
-        let ledger = router.shared.stats.lock().unwrap();
+        let ledger = router.shared.root(|root| root.stats.clone());
         for session in 0..SESSIONS {
             assert_eq!(ledger[&session].completed, last, "{ledger:?}");
         }
@@ -2118,21 +1706,29 @@ mod tests {
         }
     }
 
-    /// What a release winner preempted straight after its CAS leaves
-    /// behind: the episode bumped, the reports it won on still standing.
-    /// A second caller must not take them for the next episode's.
+    /// What a release leaves behind: the episode bumped, the reports it
+    /// was won on still standing. A second release check must not take
+    /// them for the next episode's.
     #[test]
     fn reports_expire_with_the_episode_they_were_for() {
         let (router, _inboxes) = hand_cranked(quick_cfg(1));
-        let shared = &*router.shared;
-        shared.live_sessions[0].store(1, Ordering::Release);
-        shared.shard_reported[0].store(1, Ordering::Release); // episode 0
-        shared.episode.store(1, Ordering::Release); // the winner's CAS
-        assert_eq!(try_release(shared), None, "released with nobody arrived");
-        assert_eq!(shared.episode.load(Ordering::Acquire), 1);
-        // Once the shard reports episode 1 itself, it releases.
-        shared.shard_reported[0].store(2, Ordering::Release);
-        assert_eq!(try_release(shared), Some(1));
+        let report = |frame| Effects {
+            report: Some(frame),
+            ..Effects::default()
+        };
+        router.shared.root(|root| {
+            let _ = root.apply(0, 0, 1, report(0));
+            assert_eq!(root.release().map(|r| r.episode), Some(0));
+            assert_eq!(
+                root.release().map(|r| r.episode),
+                None,
+                "released with nobody arrived"
+            );
+            assert_eq!(root.episode, 1);
+            // Once the shard reports episode 1 itself, it releases.
+            let _ = root.apply(0, 1, 1, report(1));
+            assert_eq!(root.release().map(|r| r.episode), Some(1));
+        });
     }
 
     /// A one-shard server, hand-cranked, with session 0 joined and its
@@ -2148,7 +1744,7 @@ mod tests {
     }
 
     fn evictions(router: &Router, session: SessionId) -> u64 {
-        router.shared.stats.lock().unwrap()[&session].evictions
+        router.shared.root(|root| root.stats[&session].evictions)
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! them in with the input: whether a session is awaiting `Resume` (the
 //! recovery's outstanding set), and whether recovery is still open.
 //!
-//! The root's half of the combining tree — may this episode be released,
-//! given every shard's report — is the pure [`release_ready`].
+//! The root's half of the combining tree is [`crate::root`]'s core, which
+//! takes every step's effects.
 //!
 //! **Loss repair.** A session that lost its `Release`, or whose next
 //! `Arrive` was lost, would wait out its client's request timeout, and
@@ -61,19 +61,13 @@ pub(crate) enum Input {
 pub(crate) enum Delta {
     /// Admitted by `Hello`; `true` if this shard had evicted it before.
     Hello(bool),
-    /// Re-admitted by `Resume` at its journaled coordinate.
+    /// Re-admitted by `Resume` at its journaled coordinate, un-arrived:
+    /// it retracts the shard's report for the frame.
     Resume,
     /// Left in order.
     Leave,
     /// Declared dead by its lease.
     Evict,
-}
-
-impl Delta {
-    /// Whether the session joined, which also proves it to the recovery.
-    pub(crate) fn admits(self) -> bool {
-        matches!(self, Delta::Hello(_) | Delta::Resume)
-    }
 }
 
 /// Everything one step changes outside the core.
@@ -91,7 +85,8 @@ pub(crate) struct Effects {
     /// Responses, each for one connection, in the order they were made:
     /// acks, re-acks, challenges and `Overdue` rounds.
     pub(crate) frames: Vec<(ConnId, Response)>,
-    /// The frame this shard reported complete, at most once per frame.
+    /// The frame this shard reported complete: once per frame, or again
+    /// after a `Resume` retracted the report.
     pub(crate) report: Option<u64>,
     /// Sessions whose explicit arrival the journal's next episode record
     /// credits: the report's, or one that upgraded a proxy after it.
@@ -102,6 +97,16 @@ pub(crate) struct Effects {
     /// The recovery grace lapsed: every session still outstanding is
     /// purged as evicted.
     pub(crate) purge: bool,
+}
+
+impl Effects {
+    /// Whether the root has anything to take from the step: a membership
+    /// change, a credit, a completer, a report or the recovery purge.
+    pub(crate) fn for_root(&self) -> bool {
+        !(self.roster.is_empty() && self.credits.is_empty() && self.completers.is_empty())
+            || self.report.is_some()
+            || self.purge
+    }
 }
 
 pub(crate) struct Sess {
@@ -464,6 +469,11 @@ impl ShardCore {
                 if !self.admit(session, conn, false) {
                     return;
                 }
+                // It joins the frame un-arrived, so a report this shard
+                // filed for the frame no longer holds: the root retracts
+                // it with the delta, and the shard reports again once
+                // the session arrives.
+                self.reported = false;
                 self.out.roster.push((session, Delta::Resume));
                 resumed
             }
@@ -603,33 +613,12 @@ impl ShardCore {
     }
 }
 
-/// The root's half of the combining tree: whether `episode` may be
-/// released, given every shard's `(alive, report, live sessions)`.
-///
-/// A report holds the episode it is for plus one (0: none yet), and
-/// counts only paired with a live shard. Paired, because a shard that
-/// reported and then died must not keep satisfying a bare count against
-/// the post-death live count while a survivor still owes its report —
-/// that released episodes early. Stamped, so a report expires with the
-/// winning CAS itself: flags cleared *after* the CAS left a window in
-/// which a second caller read the released episode's flags as the next
-/// one's, won the bumped CAS too and released an episode nobody had
-/// arrived for, which every client then crossed uncredited. A halted
-/// (dead), fenced (zombie) or recovering server never releases, and
-/// neither does one without sessions.
-pub(crate) fn release_ready(
-    episode: u64,
-    shards: impl IntoIterator<Item = (bool, u64, u64)>,
-    halted: bool,
-    fenced: bool,
-    recovering: bool,
-) -> bool {
-    let (mut ready, mut sessions) = (!(halted || fenced || recovering), 0);
-    for (_, report, live) in shards.into_iter().filter(|shard| shard.0) {
-        ready &= report == episode + 1;
-        sessions += live;
+#[cfg(test)]
+impl Delta {
+    /// Whether the session joined.
+    pub(crate) fn admits(self) -> bool {
+        matches!(self, Delta::Hello(_) | Delta::Resume)
     }
-    ready && sessions > 0
 }
 
 #[cfg(test)]

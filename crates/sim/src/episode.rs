@@ -186,51 +186,15 @@ impl Arrivals {
     }
 }
 
-/// Above this many arrivals the radix passes' arrays no longer fit a
-/// 2 MiB L2 and a comparison sort wins. On a 2-vCPU Xeon, radix vs
-/// comparison: 4.9 vs 7.6 ms at 2¹⁷ arrivals, 12.7 vs 12.6 ms at 2¹⁸,
-/// 115 vs 60 ms at 2²⁰.
-const RADIX_MAX_ARRIVALS: usize = 1 << 17;
-
 /// The processors sorted by time, then proc. Every time is a
-/// non-negative f64, whose bits are `f64::total_cmp`'s integer key, so up
-/// to [`RADIX_MAX_ARRIVALS`] this is a stable LSD radix sort of the
-/// processor indices by those bits, one byte per pass, starting from
-/// processor order; a pass whose byte is the same in every key would
-/// move nothing and is skipped.
+/// non-negative f64, whose bits are `f64::total_cmp`'s integer key, so
+/// one unstable sort of `bits << 32 | proc` keys gives that order.
 fn pop_order(times: &[f64]) -> Vec<ProcId> {
-    let n = times.len();
-    if n > RADIX_MAX_ARRIVALS {
-        let mut sorted: Vec<(f64, ProcId)> = times.iter().copied().zip(0..).collect();
-        sorted.sort_unstable_by(|(ta, a), (tb, b)| ta.total_cmp(tb).then(a.cmp(b)));
-        return sorted.into_iter().map(|(_, proc)| proc).collect();
-    }
-    let key = |proc: ProcId| times[proc as usize].to_bits();
-    let mut counts = [[0u32; 256]; 8];
-    for proc in 0..n as ProcId {
-        let key = key(proc);
-        for (byte, count) in counts.iter_mut().enumerate() {
-            count[(key >> (8 * byte)) as usize & 0xff] += 1;
-        }
-    }
-    let mut order: Vec<ProcId> = (0..n as ProcId).collect();
-    let mut next = vec![0 as ProcId; n];
-    for (byte, count) in counts.iter_mut().enumerate() {
-        if count.contains(&(n as u32)) {
-            continue;
-        }
-        let mut slot = 0;
-        for c in count.iter_mut() {
-            (*c, slot) = (slot, slot + *c);
-        }
-        for &proc in &order {
-            let digit = (key(proc) >> (8 * byte)) as usize & 0xff;
-            next[count[digit] as usize] = proc;
-            count[digit] += 1;
-        }
-        std::mem::swap(&mut order, &mut next);
-    }
-    order
+    let mut keys: Vec<u128> = (0..times.len())
+        .map(|proc| u128::from(times[proc].to_bits()) << 32 | proc as u128)
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|key| key as ProcId).collect()
 }
 
 /// What an episode on one `(topology, homes)` pair needs that no
@@ -1103,10 +1067,10 @@ mod tests {
         assert!(trace.dropped() > 0);
     }
 
-    /// The radix order is the `(bits, proc)` comparison sort's on
+    /// The packed-key order is the `(bits, proc)` comparison sort's on
     /// vectors built to trip it: zeros, heavy duplicates, subnormals,
-    /// `0.0` beside the largest values, keys differing in one byte only.
-    /// The comparison path past the radix bound is held to it too.
+    /// `0.0` beside the largest values, keys differing in one byte only,
+    /// and a vector past 2¹⁷ arrivals.
     #[test]
     fn radix_order_equals_a_bits_then_proc_sort() {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
@@ -1139,8 +1103,7 @@ mod tests {
             (0..4096)
                 .map(|i| ((i * 7919) % 4099) as f64 * 0.37)
                 .collect(),
-            // Past the radix bound: the comparison sort's order.
-            (0..RADIX_MAX_ARRIVALS + 1)
+            (0..(1 << 17) + 1)
                 .map(|_| pick(&[0.0, sub(1), 3.5, 1e300]))
                 .collect(),
         ];
