@@ -19,7 +19,7 @@ use combar_exec::Sweep;
 use combar_rng::{SeedableRng, Xoshiro256pp};
 use combar_sim::{
     build_tree, default_degree_sweep, optimal_degree, run_episode, sweep_degrees, Arrivals,
-    EpisodePlan, EpisodeScratch, Sampler, SweepConfig, Topology, TreeStyle, Workload,
+    EpisodePlan, EpisodeScratch, SweepConfig, Topology, TreeStyle, WorkSource, Workload,
 };
 
 /// Optimal degree under each arrival-time distribution shape.
@@ -53,24 +53,24 @@ pub fn run_shapes(p: u32, sigma_tcs: &[f64], reps: usize) -> Vec<ShapeRow> {
     Sweep::grid2(seeds::BASE, sigma_tcs, &shapes).run(|cell| {
         let &(sigma_tc, shape) = cell.param;
         let sigma_us = sigma_tc * TC_US;
+        let seed = seeds::ablate_shape(sigma_tc);
         let mut w = match shape {
-            "normal" => Workload::iid_normal(10.0 * sigma_us + 100.0, sigma_us),
-            "exponential" => Workload::iid_exponential(10.0 * sigma_us + 100.0, sigma_us),
+            "normal" => Workload::iid_normal(10.0 * sigma_us + 100.0, sigma_us, seed),
+            "exponential" => Workload::iid_exponential(10.0 * sigma_us + 100.0, sigma_us, seed),
             // shape 2.5 → heavy tail with finite variance; scale
             // chosen so σ matches: σ² = s²·α/((α−1)²(α−2)),
             // α = 2.5 → σ = s·√(2.5/(1.5²·0.5)) = s·1.491
-            "pareto" => Workload::iid_pareto(10.0 * sigma_us + 100.0, sigma_us / 1.491, 2.5),
+            "pareto" => Workload::iid_pareto(10.0 * sigma_us + 100.0, sigma_us / 1.491, 2.5, seed),
             _ => unreachable!(),
         };
         // build per-rep arrival sets from the workload and sweep
         // degrees with common random numbers: one sorted arrival order
         // per rep, shared by every degree
-        let mut rng = Xoshiro256pp::seed_from_u64(seeds::ablate_shape(sigma_tc));
         let mut per_degree: Vec<(u32, f64)> = degrees.iter().map(|&d| (d, 0.0)).collect();
         let mut buf = vec![0.0f64; p as usize];
         let mut scratch = EpisodeScratch::default();
-        for _ in 0..reps {
-            w.sample_into(&mut rng, &mut buf);
+        for rep in 0..reps {
+            w.sample_episode(rep as u32, &mut buf);
             let min = buf.iter().copied().fold(f64::INFINITY, f64::min);
             let arrivals: Vec<f64> = buf.iter().map(|&x| x - min).collect();
             let arrivals = Arrivals::new(&arrivals);

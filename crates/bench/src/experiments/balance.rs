@@ -136,7 +136,7 @@ pub fn config_for(preset: &Balance, regime: BalanceRegime) -> BalanceConfig {
 }
 
 /// Runs the full shapes × regimes grid as one parallel
-/// [`Sweep`](combar_exec::Sweep), then the per-shape DES mirror.
+/// [`Sweep`], then the per-shape DES mirror.
 pub fn run(preset: &Balance) -> BalanceResult {
     let topo = Topology::mcs(preset.p, preset.degree);
     let grid: Vec<(&'static str, BalanceRegime)> = SHAPES

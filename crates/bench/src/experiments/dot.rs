@@ -6,9 +6,7 @@
 use crate::experiments::Rendered;
 use combar::combar_des::Duration;
 use combar::combar_rng::{SeedableRng, Xoshiro256pp};
-use combar_sim::{
-    apply_dynamic_swaps, run_episode, Placement, Seeded, Topology, WorkSource, Workload,
-};
+use combar_sim::{apply_dynamic_swaps, run_episode, Placement, Topology, WorkSource, Workload};
 
 /// The `dot` experiment; it has one size.
 pub fn rendered(_quick: bool) -> Rendered {
@@ -20,10 +18,7 @@ pub fn rendered(_quick: bool) -> Rendered {
     let topo = Topology::mcs(P as u32, 2);
     let before = format!("// initial placement\n{}", topo.to_dot(None));
     let mut seed_rng = Xoshiro256pp::seed_from_u64(2);
-    let mut w = Seeded::new(
-        Workload::systemic(P, 9_500.0, 300.0, 20.0, &mut seed_rng),
-        Xoshiro256pp::seed_from_u64(1),
-    );
+    let mut w = Workload::systemic(P, 9_500.0, 300.0, 20.0, &mut seed_rng, 1);
     // The fuzzy-barrier iteration loop, kept here so the converged
     // placement stays in hand for the second drawing.
     let mut placement = Placement::initial(&topo);

@@ -18,7 +18,6 @@ use crate::table::Table;
 use combar::presets::Fig5;
 use combar_des::Duration;
 use combar_rng::stats::{spearman, OnlineStats};
-use combar_rng::{SeedableRng, Xoshiro256pp};
 use combar_sim::{run_iterations, IterateConfig, PlacementMode, Topology, Workload};
 
 /// Persistence at one (slack, lag) point.
@@ -60,10 +59,8 @@ pub fn run(preset: &Fig5) -> Fig5Result {
             record_arrivals: true,
             release_model: combar_sim::ReleaseModel::CentralFlag,
         };
-        let mut workload = combar_sim::Seeded::new(
-            Workload::iid_normal(preset.work_mean_us, preset.sigma_us),
-            Xoshiro256pp::seed_from_u64(seeds::fig5(slack)),
-        );
+        let mut workload =
+            Workload::iid_normal(preset.work_mean_us, preset.sigma_us, seeds::fig5(slack));
         let rep = run_iterations(&topo, &cfg, &mut workload);
 
         preset

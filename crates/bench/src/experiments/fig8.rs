@@ -9,7 +9,6 @@ use crate::experiments::seeds;
 use crate::table::Table;
 use combar::presets::{Fig8, TC_US};
 use combar_des::Duration;
-use combar_rng::{SeedableRng, Xoshiro256pp};
 use combar_sim::{run_modes, IterateConfig, PlacementMode, Topology, Workload};
 
 /// One (degree, slack) measurement.
@@ -58,10 +57,7 @@ pub fn run(preset: &Fig8) -> Fig8Result {
         };
         let seed = seeds::fig8(degree, slack);
         let (stat, dynamic) = run_modes(&topo, &cfg, || {
-            combar_sim::Seeded::new(
-                Workload::iid_normal(preset.work_mean_us, preset.sigma_us),
-                Xoshiro256pp::seed_from_u64(seed),
-            )
+            Workload::iid_normal(preset.work_mean_us, preset.sigma_us, seed)
         });
 
         Fig8Cell {

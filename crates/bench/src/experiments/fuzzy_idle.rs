@@ -14,7 +14,7 @@ use combar::presets::TC_US;
 use combar_des::Duration;
 use combar_exec::Sweep;
 use combar_rng::stats::{mean, std_dev, OnlineStats};
-use combar_rng::{Histogram, SeedableRng, Xoshiro256pp};
+use combar_rng::Histogram;
 use combar_sim::{run_iterations, IterateConfig, PlacementMode, Topology, Workload};
 
 /// One slack point.
@@ -69,9 +69,10 @@ pub fn run(p: u32, sigma_us: f64, slacks_us: &[f64], iterations: usize) -> Fuzzy
                 record_arrivals: true,
                 release_model: combar_sim::ReleaseModel::CentralFlag,
             };
-            let mut w = combar_sim::Seeded::new(
-                Workload::iid_normal(10.0 * sigma_us + 1_000.0, sigma_us),
-                Xoshiro256pp::seed_from_u64(seeds::fuzzy_idle(slack)),
+            let mut w = Workload::iid_normal(
+                10.0 * sigma_us + 1_000.0,
+                sigma_us,
+                seeds::fuzzy_idle(slack),
             );
             let rep = run_iterations(&topo, &cfg, &mut w);
             let mut spread = OnlineStats::new();

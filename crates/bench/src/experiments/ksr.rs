@@ -15,7 +15,6 @@ use combar::presets::{Fig12, Fig13};
 use combar_des::Duration;
 use combar_exec::Sweep;
 use combar_machine::{ring_topology, KsrParams, SorWork};
-use combar_rng::{SeedableRng, Xoshiro256pp};
 use combar_sim::{run_iterations, IterateConfig, IterateReport, PlacementMode};
 
 fn iterate_cfg(
@@ -50,10 +49,7 @@ struct SorRun {
 
 fn run_sor(params: &KsrParams, run: SorRun) -> IterateReport {
     let topo = ring_topology(params, run.degree);
-    let mut work = combar_sim::Seeded::new(
-        SorWork::new(params.clone(), 60, run.dy),
-        Xoshiro256pp::seed_from_u64(run.seed),
-    );
+    let mut work = SorWork::new(params.clone(), 60, run.dy, run.seed);
     run_iterations(
         &topo,
         &iterate_cfg(params, run.slack_us, run.iterations, run.warmup, run.mode),
@@ -88,7 +84,7 @@ pub struct Fig12Result {
 /// Runs the Figure 12 experiment. Each `d_y` row is independently
 /// seeded (the degree scan within a row is a paired comparison over one
 /// seed), so the axis evaluates as a parallel
-/// [`Sweep`](combar_exec::Sweep).
+/// [`Sweep`].
 pub fn run_fig12(preset: &Fig12) -> Fig12Result {
     let params = KsrParams::default();
     let rows = preset.sweep().run(|cell| {
@@ -125,7 +121,7 @@ pub fn run_fig12(preset: &Fig12) -> Fig12Result {
         let (optimal_degree, optimal_delay_us) = best.expect("at least one degree");
         Fig12Row {
             dy,
-            sigma_us: SorWork::paper_config(dy).analytic_sigma_us(),
+            sigma_us: SorWork::paper_config(dy, 0).analytic_sigma_us(),
             optimal_degree,
             speedup_vs_4: degree4 / optimal_delay_us,
             optimal_delay_us,
@@ -180,7 +176,7 @@ pub struct Fig13Result {
 
 /// Runs the Figure 13 experiment. Every `(degree, slack)` cell is
 /// independently seeded, so the grid evaluates as one parallel
-/// [`Sweep`](combar_exec::Sweep); inside a cell the static/dynamic
+/// [`Sweep`]; inside a cell the static/dynamic
 /// pair replays the same seed (paired comparison).
 pub fn run_fig13(preset: &Fig13) -> Fig13Result {
     let params = KsrParams::default();
@@ -275,10 +271,8 @@ pub fn run_fig13_correlation(
         let &rho = cell.param;
         let run_mode = |mode| {
             let topo = ring_topology(&params, 2);
-            let mut work = combar_sim::Seeded::new(
-                SorWork::new(params.clone(), 60, 210).with_ring_correlation(rho),
-                Xoshiro256pp::seed_from_u64(seeds::fig13_correlation(rho)),
-            );
+            let mut work = SorWork::new(params.clone(), 60, 210, seeds::fig13_correlation(rho))
+                .with_ring_correlation(rho);
             run_iterations(
                 &topo,
                 &iterate_cfg(&params, slack_us, iterations, 10, mode),

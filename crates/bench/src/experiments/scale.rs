@@ -262,7 +262,7 @@ fn run_cell(preset: &Scale, p: u32, k: u32) -> Cell {
 }
 
 /// Runs the full (p, k) grid as one parallel
-/// [`Sweep`](combar_exec::Sweep).
+/// [`Sweep`].
 pub fn run(preset: &Scale) -> ScaleResult {
     let grid: Vec<(u32, u32)> = preset
         .procs

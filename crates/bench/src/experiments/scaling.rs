@@ -12,7 +12,6 @@ use crate::experiments::seeds;
 use crate::table::{fmt_us, Table};
 use combar::presets::{ScalingSweep, TC_US};
 use combar_des::Duration;
-use combar_rng::{SeedableRng, Xoshiro256pp};
 use combar_sim::{
     default_degree_sweep, optimal_degree, run_modes, sweep_degrees, IterateConfig, PlacementMode,
     SweepConfig, Topology, TreeStyle, Workload,
@@ -114,10 +113,7 @@ pub fn run_placement(preset: &ScalingSweep, degree: u32) -> Vec<PlacementPoint> 
         // work mean ≫ σ so the fuzzy chaining stays realistic
         let mean = 3.0 * preset.small_sigma_us + 10_000.0;
         let (stat, dynamic) = run_modes(&topo, &cfg, || {
-            combar_sim::Seeded::new(
-                Workload::iid_normal(mean, preset.small_sigma_us),
-                Xoshiro256pp::seed_from_u64(seed),
-            )
+            Workload::iid_normal(mean, preset.small_sigma_us, seed)
         });
         PlacementPoint {
             p,

@@ -196,7 +196,7 @@ pub fn run(quick: bool) -> Vec<Verdict> {
 
     // 5. KSR1 calibration anchors.
     {
-        let w = SorWork::paper_config(210);
+        let w = SorWork::paper_config(210, 0);
         let mean_ok = (w.analytic_mean_us() - paper::KSR_SOR_MEAN_US).abs() < 200.0;
         let sigma_ok = (w.analytic_sigma_us() - paper::KSR_SOR_SIGMA_US).abs() < 5.0;
         out.push(Verdict::new(

@@ -77,8 +77,8 @@ pub mod prelude {
     };
     pub use combar_sim::{
         full_tree_degrees, optimal_degree, run_balance, run_episode, run_iterations, sweep_degrees,
-        BalanceConfig, BalanceRegime, Diffuser, IterateConfig, Placement, PlacementMode, Sampler,
-        Seeded, SweepConfig, Topology, TreeStyle, WorkModel, WorkSource, Workload,
+        BalanceConfig, BalanceRegime, Diffuser, IterateConfig, Placement, PlacementMode,
+        SweepConfig, Topology, TreeStyle, WorkModel, WorkSource, Workload,
     };
 }
 

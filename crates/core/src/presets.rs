@@ -475,7 +475,7 @@ impl Fig13 {
 /// The simulated mode exists so the `server` experiment row is
 /// byte-deterministic (golden-snapshotable, thread-count invariant);
 /// the wall-clock companions are `benchmark/`'s `served_clean` and
-/// `served_lossy` workloads against the real [`combar-net`] server.
+/// `served_lossy` workloads against the real `combar-net` server.
 #[derive(Debug, Clone)]
 pub struct ServerSim {
     /// Client sessions crossing the barrier together.

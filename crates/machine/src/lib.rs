@@ -10,8 +10,8 @@
 //! * [`SorWork`] — the SOR iteration-time model (`4·⌈d_y/16⌉`
 //!   communication events with exponential contention jitter),
 //!   calibrated to the paper's measured point (d_y = 210 → 9.5 ms
-//!   iterations, σ ≈ 110 µs), pluggable into `combar-sim`'s iteration
-//!   runner as a [`combar_sim::Sampler`] (via [`combar_sim::Seeded`]);
+//!   iterations, σ ≈ 110 µs); it is a `combar_work::WorkSource`, so
+//!   `combar-sim`'s iteration runner draws from it directly;
 //! * [`sor`] — the actual numeric relaxation kernel (double-buffered
 //!   four-neighbour averaging), used by the threaded example and tested
 //!   against harmonic-function fixed points;
@@ -56,12 +56,11 @@ mod tests {
     /// the ring topology and produces a sane synchronization delay.
     #[test]
     fn sor_work_drives_barrier_iterations() {
-        use combar_rng::{SeedableRng, Xoshiro256pp};
-        use combar_sim::{run_iterations, IterateConfig, PlacementMode, Seeded};
+        use combar_sim::{run_iterations, IterateConfig, PlacementMode};
 
         let k = KsrParams::default();
         let topo = ring_topology(&k, 4);
-        let mut work = Seeded::new(SorWork::paper_config(210), Xoshiro256pp::seed_from_u64(1));
+        let mut work = SorWork::paper_config(210, 1);
         let cfg = IterateConfig {
             iterations: 50,
             warmup: 5,

@@ -1,7 +1,7 @@
 //! SOR iteration-time model: turning the machine parameters into a
-//! [`Sampler`] for the barrier simulator (wrap it in
-//! [`combar_sim::Seeded`] to cross the shared
-//! `combar_work::WorkSource` seam).
+//! [`WorkSource`] for the barrier simulator. Like
+//! [`combar_work::Workload`], it owns its RNG stream and draws one
+//! episode per call, in call order.
 //!
 //! Per the authors' companion study (their reference \[13\]), the
 //! variance of a processor's iteration time on the KSR1 comes from
@@ -18,8 +18,8 @@
 //! operating point (d_y = 210 → 9.5 ms, σ ≈ 110 µs).
 
 use crate::params::KsrParams;
-use combar_rng::{Distribution, Exponential, Normal, Rng};
-use combar_sim::Sampler;
+use combar_rng::{Distribution, Exponential, Normal, SeedableRng, Xoshiro256pp};
+use combar_work::WorkSource;
 
 /// Per-processor SOR iteration-time generator on the modelled KSR1.
 #[derive(Debug, Clone)]
@@ -34,16 +34,17 @@ pub struct SorWork {
     /// Fraction of the communication-jitter *variance* shared by all
     /// processors of a ring (0 = fully independent, the default).
     ring_correlation: f64,
+    rng: Xoshiro256pp,
 }
 
 impl SorWork {
     /// Creates the work model for a `d_x`-rows-per-processor by `d_y`
-    /// SOR partition.
+    /// SOR partition, drawing from the RNG stream `seed` starts.
     ///
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn new(params: KsrParams, dx_per_proc: u32, dy: u32) -> Self {
+    pub fn new(params: KsrParams, dx_per_proc: u32, dy: u32, seed: u64) -> Self {
         assert!(
             dx_per_proc > 0 && dy > 0,
             "grid dimensions must be positive"
@@ -57,6 +58,7 @@ impl SorWork {
             events,
             compute_us,
             ring_correlation: 0.0,
+            rng: Xoshiro256pp::seed_from_u64(seed),
         }
     }
 
@@ -84,8 +86,8 @@ impl SorWork {
 
     /// The paper's measurement configuration: `d_x = 60` rows per
     /// processor on the default machine.
-    pub fn paper_config(dy: u32) -> Self {
-        Self::new(KsrParams::default(), 60, dy)
+    pub fn paper_config(dy: u32, seed: u64) -> Self {
+        Self::new(KsrParams::default(), 60, dy, seed)
     }
 
     /// Communication events per iteration (`4·⌈d_y/16⌉`).
@@ -111,12 +113,12 @@ impl SorWork {
     }
 }
 
-impl Sampler for SorWork {
+impl WorkSource for SorWork {
     fn mean_us(&self) -> f64 {
         self.analytic_mean_us()
     }
 
-    fn sample_into<R: Rng>(&mut self, rng: &mut R, out: &mut [f64]) {
+    fn sample_episode(&mut self, _episode: u32, out: &mut [f64]) {
         let base = self.compute_us + self.events as f64 * self.params.comm_base_us;
         if self.ring_correlation == 0.0 {
             // Calibration path: independent exponential jitter per
@@ -126,7 +128,7 @@ impl Sampler for SorWork {
             for w in out.iter_mut() {
                 let mut t = base;
                 for _ in 0..self.events {
-                    t += jitter.sample(rng);
+                    t += jitter.sample(&mut self.rng);
                 }
                 *w = t;
             }
@@ -142,10 +144,10 @@ impl Sampler for SorWork {
         let unit = Normal::standard();
         let ring_size = self.params.ring_size as usize;
         let num_rings = out.len().div_ceil(ring_size.max(1));
-        let shared: Vec<f64> = (0..num_rings).map(|_| unit.sample(rng)).collect();
+        let shared: Vec<f64> = (0..num_rings).map(|_| unit.sample(&mut self.rng)).collect();
         for (i, w) in out.iter_mut().enumerate() {
             let ring = i / ring_size.max(1);
-            let z = rho.sqrt() * shared[ring] + (1.0 - rho).sqrt() * unit.sample(rng);
+            let z = rho.sqrt() * shared[ring] + (1.0 - rho).sqrt() * unit.sample(&mut self.rng);
             *w = (base + mean_noise + sigma * z).max(self.compute_us);
         }
     }
@@ -154,13 +156,13 @@ impl Sampler for SorWork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use combar_rng::{stats, SeedableRng, Xoshiro256pp};
+    use combar_rng::stats;
 
     /// The paper's measured operating point: d_y = 210 → mean 9.5 ms,
     /// σ ≈ 110 µs. The calibration should land within a few percent.
     #[test]
     fn calibration_matches_paper_operating_point() {
-        let w = SorWork::paper_config(210);
+        let w = SorWork::paper_config(210, 0);
         let mean_ms = w.analytic_mean_us() / 1000.0;
         let sigma_us = w.analytic_sigma_us();
         assert!(
@@ -175,10 +177,9 @@ mod tests {
 
     #[test]
     fn sampled_moments_match_analytic() {
-        let mut w = SorWork::paper_config(210);
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
+        let mut w = SorWork::paper_config(210, 1);
         let mut buf = vec![0.0; 4000];
-        w.sample_into(&mut rng, &mut buf);
+        w.sample_episode(0, &mut buf);
         let mean = stats::mean(&buf);
         let sd = stats::std_dev(&buf);
         assert!(
@@ -199,7 +200,7 @@ mod tests {
     fn sigma_grows_with_dy() {
         let mut prev = 0.0;
         for dy in [30u32, 60, 120, 210, 420, 840] {
-            let w = SorWork::paper_config(dy);
+            let w = SorWork::paper_config(dy, 0);
             assert!(w.analytic_sigma_us() > prev, "dy = {dy}");
             prev = w.analytic_sigma_us();
         }
@@ -207,10 +208,9 @@ mod tests {
 
     #[test]
     fn work_is_always_above_pure_compute() {
-        let mut w = SorWork::paper_config(64);
-        let mut rng = Xoshiro256pp::seed_from_u64(2);
+        let mut w = SorWork::paper_config(64, 2);
         let mut buf = vec![0.0; 1000];
-        w.sample_into(&mut rng, &mut buf);
+        w.sample_episode(0, &mut buf);
         let floor = 60.0 * 64.0 * w.params().point_time_us;
         assert!(buf.iter().all(|&x| x > floor));
     }
@@ -221,9 +221,8 @@ mod tests {
     #[test]
     fn ring_correlation_is_induced_without_breaking_calibration() {
         let rho = 0.6;
-        let mut w = SorWork::paper_config(210).with_ring_correlation(rho);
+        let mut w = SorWork::paper_config(210, 9).with_ring_correlation(rho);
         assert_eq!(w.ring_correlation(), rho);
-        let mut rng = Xoshiro256pp::seed_from_u64(9);
         let iters = 4000;
         let p = 56usize;
         // track two in-ring procs (3, 17) and one cross-ring pair (3, 40)
@@ -232,8 +231,8 @@ mod tests {
         let mut c = Vec::with_capacity(iters);
         let mut all = Vec::with_capacity(iters * p);
         let mut buf = vec![0.0; p];
-        for _ in 0..iters {
-            w.sample_into(&mut rng, &mut buf);
+        for e in 0..iters {
+            w.sample_episode(e as u32, &mut buf);
             a.push(buf[3]);
             b.push(buf[17]);
             c.push(buf[40]);
@@ -259,12 +258,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "correlation must be in")]
     fn correlation_of_one_rejected() {
-        let _ = SorWork::paper_config(210).with_ring_correlation(1.0);
+        let _ = SorWork::paper_config(210, 0).with_ring_correlation(1.0);
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_dy_rejected() {
-        let _ = SorWork::paper_config(0);
+        let _ = SorWork::paper_config(0, 0);
     }
 }

@@ -25,7 +25,7 @@
 //! * **The server itself can die** — every completed episode is
 //!   write-ahead journaled ([`journal`]) *before* its release is
 //!   broadcast, so a restarted (or warm-standby) server replays the
-//!   journal ([`recover`]), re-derives the roster, and answers in-flight
+//!   journal ([`recover()`]), re-derives the roster, and answers in-flight
 //!   arrivals idempotently; a monotonic incarnation number in every
 //!   frame fences out zombie predecessors.
 //!

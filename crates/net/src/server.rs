@@ -88,7 +88,7 @@
 //! record plus every membership delta since the last one). The
 //! invariant that buys everything else: *any epoch a client could have
 //! observed is journaled.* After a crash, [`EpochServer::resume`]
-//! replays the journal ([`crate::recover`]), seeds epoch / roster /
+//! replays the journal ([`crate::recover()`]), seeds epoch / roster /
 //! counters from it, claims a fresh **incarnation** (stamped on every
 //! response frame and every append — the fencing token; the journal
 //! rejects appends from superseded incarnations, and clients drop

@@ -1065,7 +1065,7 @@ pub(crate) mod tests {
                         6 => Request::Leave { session, seq: 0 },
                         _ => Request::Resume {
                             session,
-                            next_episode: frame + 1 - next(&mut rng) % 3,
+                            next_episode: (frame + 1).saturating_sub(next(&mut rng) % 3),
                             seq: 0,
                         },
                     };

@@ -95,7 +95,7 @@ pub fn check_logical_contract(cfg: LogicalConfig) {
 ///
 /// A rejoiner is not part of epochs it was absent from, so after the
 /// churn point its epoch numbering may trail its peers by one —
-/// sessions therefore end with a graceful [`AsyncWaiter::leave`]
+/// sessions therefore end with a graceful [`AsyncWaiter::leave`](super::AsyncWaiter::leave)
 /// (exactly how a real session ends), letting stragglers finish among
 /// the shrinking membership instead of waiting on departed peers.
 ///

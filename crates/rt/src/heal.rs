@@ -26,7 +26,7 @@
 //!    jittered exponential delays so a herd of rejoiners does not
 //!    hammer the roster.
 //!
-//! [`Membership`] is the crate-internal half the counter-barrier core
+//! `Membership` is the crate-internal half the counter-barrier core
 //! ([`crate::counter`], under central, tree and dynamic) drives: the
 //! live-shape flags plus the pending attach/detach requests, with the
 //! apply step run only inside

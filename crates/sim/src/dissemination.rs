@@ -84,7 +84,7 @@ pub fn mean_dissemination_delay<R: combar_rng::Rng>(
 ) -> OnlineStats {
     let mut stats = OnlineStats::new();
     for _ in 0..reps.max(1) {
-        let arrivals = crate::workload::normal_arrivals(p, sigma_us, rng);
+        let arrivals = combar_work::normal_arrivals(p, sigma_us, rng);
         stats.push(run_dissemination(&arrivals, t_msg_us).sync_delay_us);
     }
     stats

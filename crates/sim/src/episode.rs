@@ -18,7 +18,7 @@
 //! and sorted once by `(time, proc)` into an [`Arrivals`] (which a
 //! degree sweep shares across every tree), bucketed by home counter,
 //! and each counter, deepest first, merges its homed arrivals with its
-//! completed children and serves them through one [`FifoServer`]. The
+//! completed children and serves them through one [`FifoServer`](combar_des::FifoServer). The
 //! fan-in-th request wins and climbs to the parent, or releases the
 //! barrier at the root. The order used for each merge (and for the
 //! trace) is exactly the `(time, seq)` pop order of an event loop that

@@ -16,12 +16,9 @@
 //! exploits.
 
 use crate::episode::{run_episode_with, ReleaseModel};
-use crate::source::Seeded;
-use crate::workload::Sampler;
 use combar_des::Duration;
-use combar_exec::{par_map, par_map_indexed};
+use combar_exec::par_map;
 use combar_rng::stats::OnlineStats;
-use combar_rng::{SeedableRng, Xoshiro256pp};
 use combar_topo::{Placement, ProcId, Topology};
 use combar_work::WorkSource;
 
@@ -145,8 +142,8 @@ pub fn apply_dynamic_swaps(
 /// timing.
 ///
 /// `source` answers the per-episode work question through the shared
-/// [`WorkSource`] seam: wrap a classic [`Sampler`] + RNG pair in a
-/// [`Seeded`], or pass a pure [`combar_work::WorkModel`] directly.
+/// [`WorkSource`] seam: an RNG-driven [`combar_work::Workload`], a pure
+/// [`combar_work::WorkModel`] or the KSR1 SOR model.
 pub fn run_iterations<S: WorkSource + ?Sized>(
     topo: &Topology,
     cfg: &IterateConfig,
@@ -236,7 +233,7 @@ pub fn run_iterations<S: WorkSource + ?Sized>(
 /// a pair, in parallel on the `combar-exec` pool.
 ///
 /// `make` constructs a fresh [`WorkSource`] per mode (typically a
-/// [`Seeded`] sampler + RNG pair, so both runs see identical random
+/// seeded [`combar_work::Workload`], so both runs see identical random
 /// inputs) — the paired comparison the paper's Figure 8 speedup columns
 /// are built on. Returns `(static, dynamic)`.
 pub fn run_modes<S, F>(
@@ -262,33 +259,11 @@ where
     (static_, dynamic)
 }
 
-/// Runs `replicas` independent repetitions of the same configuration in
-/// parallel, replica `r` drawing from the RNG stream `split(seed, r)`.
-///
-/// The stream is keyed by the replica index, never by the worker, so
-/// the returned reports are identical for any thread count.
-pub fn run_replicas<W, F>(
-    topo: &Topology,
-    cfg: &IterateConfig,
-    seed: u64,
-    replicas: usize,
-    make_workload: F,
-) -> Vec<IterateReport>
-where
-    W: Sampler + Send,
-    F: Fn() -> W + Sync,
-{
-    par_map_indexed(replicas, |r| {
-        let mut source = Seeded::new(make_workload(), Xoshiro256pp::split(seed, r as u64));
-        run_iterations(topo, cfg, &mut source)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::Workload;
     use combar_rng::stats;
+    use combar_work::Workload;
 
     fn cfg(slack_us: f64, mode: PlacementMode) -> IterateConfig {
         IterateConfig {
@@ -305,10 +280,7 @@ mod tests {
     #[test]
     fn static_run_reports_consistent_counts() {
         let topo = Topology::mcs(64, 4);
-        let mut w = Seeded::new(
-            Workload::iid_normal(1000.0, 100.0),
-            Xoshiro256pp::seed_from_u64(1),
-        );
+        let mut w = Workload::iid_normal(1000.0, 100.0, 1);
         let rep = run_iterations(&topo, &cfg(0.0, PlacementMode::Static), &mut w);
         assert_eq!(rep.sync_delay.count(), 60);
         assert_eq!(rep.idle.count(), 60 * 64);
@@ -329,10 +301,7 @@ mod tests {
         let sigma = 100.0;
         let mut idles = Vec::new();
         for slack in [0.0, 200.0, 400.0, 1600.0] {
-            let mut w = Seeded::new(
-                Workload::iid_normal(10_000.0, sigma),
-                Xoshiro256pp::seed_from_u64(31),
-            );
+            let mut w = Workload::iid_normal(10_000.0, sigma, 31);
             let rep = run_iterations(&topo, &cfg(slack, PlacementMode::Static), &mut w);
             if let Some(&prev) = idles.last() {
                 assert!(
@@ -356,12 +325,7 @@ mod tests {
     #[test]
     fn dynamic_placement_cuts_releasing_depth_with_slack() {
         let topo = Topology::mcs(256, 4);
-        let make = || {
-            Seeded::new(
-                Workload::iid_normal(10_000.0, 100.0),
-                Xoshiro256pp::seed_from_u64(7),
-            )
-        };
+        let make = || Workload::iid_normal(10_000.0, 100.0, 7);
         let slack = 4000.0; // ≫ arrival spread
         let stat = run_iterations(&topo, &cfg(slack, PlacementMode::Static), &mut make());
         let dyn_ = run_iterations(&topo, &cfg(slack, PlacementMode::Dynamic), &mut make());
@@ -385,12 +349,7 @@ mod tests {
     #[test]
     fn dynamic_placement_useless_without_slack() {
         let topo = Topology::mcs(256, 4);
-        let make = || {
-            Seeded::new(
-                Workload::iid_normal(10_000.0, 100.0),
-                Xoshiro256pp::seed_from_u64(9),
-            )
-        };
+        let make = || Workload::iid_normal(10_000.0, 100.0, 9);
         let stat = run_iterations(&topo, &cfg(0.0, PlacementMode::Static), &mut make());
         let dyn_ = run_iterations(&topo, &cfg(0.0, PlacementMode::Dynamic), &mut make());
         let ratio = stat.sync_delay.mean() / dyn_.sync_delay.mean();
@@ -405,10 +364,7 @@ mod tests {
     #[test]
     fn comm_overhead_is_bounded() {
         let topo = Topology::mcs(256, 4);
-        let mut w = Seeded::new(
-            Workload::iid_normal(10_000.0, 100.0),
-            Xoshiro256pp::seed_from_u64(11),
-        );
+        let mut w = Workload::iid_normal(10_000.0, 100.0, 11);
         let rep = run_iterations(&topo, &cfg(0.0, PlacementMode::Dynamic), &mut w);
         let bound = 1.0 + 1.0 / (4.0 + 1.0);
         assert!(
@@ -430,10 +386,7 @@ mod tests {
         let corr_at = |slack_us: f64, seed: u64| -> f64 {
             let mut c = base_cfg.clone();
             c.slack = Duration::from_us(slack_us);
-            let mut w = Seeded::new(
-                Workload::iid_normal(10_000.0, 100.0),
-                Xoshiro256pp::seed_from_u64(seed),
-            );
+            let mut w = Workload::iid_normal(10_000.0, 100.0, seed);
             let rep = run_iterations(&topo, &c, &mut w);
             let mut corr = OnlineStats::new();
             for k in 0..rep.arrivals.len() - 1 {
@@ -453,12 +406,7 @@ mod tests {
     fn run_modes_matches_sequential_pair() {
         let topo = Topology::mcs(64, 4);
         let c = cfg(2000.0, PlacementMode::Static);
-        let make = || {
-            Seeded::new(
-                Workload::iid_normal(10_000.0, 100.0),
-                Xoshiro256pp::seed_from_u64(17),
-            )
-        };
+        let make = || Workload::iid_normal(10_000.0, 100.0, 17);
         let (stat, dyn_) = combar_exec::with_thread_count(4, || run_modes(&topo, &c, make));
         let by_hand_stat = run_iterations(&topo, &c, &mut make());
         let dyn_cfg = cfg(2000.0, PlacementMode::Dynamic);
@@ -468,31 +416,10 @@ mod tests {
         assert_eq!(dyn_.swaps, by_hand_dyn.swaps);
     }
 
-    /// Replica streams are keyed by index, so thread count is
-    /// irrelevant to the results.
-    #[test]
-    fn run_replicas_is_thread_count_invariant() {
-        let topo = Topology::mcs(32, 4);
-        let c = cfg(0.0, PlacementMode::Static);
-        let make = || Workload::iid_normal(5_000.0, 80.0);
-        let serial = combar_exec::with_thread_count(1, || run_replicas(&topo, &c, 3, 6, make));
-        let pooled = combar_exec::with_thread_count(4, || run_replicas(&topo, &c, 3, 6, make));
-        assert_eq!(serial.len(), 6);
-        for (a, b) in serial.iter().zip(&pooled) {
-            assert_eq!(a.sync_delay.mean(), b.sync_delay.mean());
-            assert_eq!(a.idle.mean(), b.idle.mean());
-        }
-        // distinct streams actually differ
-        assert_ne!(serial[0].sync_delay.mean(), serial[1].sync_delay.mean());
-    }
-
     #[test]
     fn ring_topology_runs_dynamic_without_crossing_rings() {
         let topo = Topology::ring_mcs(56, 4, 32);
-        let mut w = Seeded::new(
-            Workload::iid_normal(9500.0, 110.0),
-            Xoshiro256pp::seed_from_u64(13),
-        );
+        let mut w = Workload::iid_normal(9500.0, 110.0, 13);
         let rep = run_iterations(&topo, &cfg(2000.0, PlacementMode::Dynamic), &mut w);
         assert!(rep.sync_delay.mean() > 0.0);
         // with 56 procs and slack the releasing depth should shrink

@@ -7,11 +7,10 @@
 //!   the paper's synchronization-delay decomposition. It needs no event
 //!   queue: one bottom-up pass over the tree serves each counter's
 //!   requests in exactly the order an event loop would pop them;
-//! * [`workload`] — arrival/work-time models (i.i.d. normal — the
-//!   paper's assumption — plus systemic, evolving, exponential and
-//!   Pareto variants);
 //! * [`iterate`] — chained iterations under fuzzy-barrier slack with
-//!   optional dynamic placement (victor/victim swaps);
+//!   optional dynamic placement (victor/victim swaps), drawing each
+//!   episode's work from any [`WorkSource`] (a [`Workload`], a
+//!   [`WorkModel`] or the KSR1 SOR model);
 //! * [`optimal`] — exhaustive optimal-degree search with common random
 //!   numbers (Figures 3/4 methodology), sorting each replication's
 //!   arrivals once for every degree ([`Arrivals`]) and planning each
@@ -37,26 +36,23 @@ pub mod dissemination;
 pub mod episode;
 pub mod iterate;
 pub mod optimal;
-pub mod source;
-pub mod workload;
 
 pub use balance::{run_balance, BalanceConfig, BalanceRegime, BalanceReport};
 pub use combar_topo::{
     default_degree_sweep, full_tree_degrees, CounterId, Placement, ProcId, Topology, TopologyKind,
 };
-pub use combar_work::{Diffuser, Redundant, WorkModel, WorkSource, UNIT_SCALE};
+pub use combar_work::{
+    normal_arrivals, Diffuser, Redundant, WorkModel, WorkSource, Workload, UNIT_SCALE,
+};
 pub use dissemination::{mean_dissemination_delay, run_dissemination, DisseminationResult};
 pub use episode::{
     run_episode, run_episode_traced, run_episode_with, Arrivals, EpisodeDelays, EpisodePlan,
     EpisodeResult, EpisodeScratch, ReleaseModel,
 };
 pub use iterate::{
-    apply_dynamic_swaps, run_iterations, run_modes, run_replicas, IterateConfig, IterateReport,
-    PlacementMode,
+    apply_dynamic_swaps, run_iterations, run_modes, IterateConfig, IterateReport, PlacementMode,
 };
 pub use optimal::{
     build_tree, optimal_degree, speedup_vs_degree4, sweep_degrees, DegreeResult, SweepConfig,
     TreeStyle,
 };
-pub use source::Seeded;
-pub use workload::{normal_arrivals, Sampler, Workload};

@@ -7,12 +7,12 @@
 //! smallest mean synchronization delay.
 
 use crate::episode::{Arrivals, EpisodeDelays, EpisodePlan, EpisodeScratch};
-use crate::workload::normal_arrivals;
 use combar_des::Duration;
 use combar_exec::par_map_indexed;
 use combar_rng::stats::OnlineStats;
 use combar_rng::{SeedableRng, Xoshiro256pp};
 use combar_topo::Topology;
+use combar_work::normal_arrivals;
 
 /// Which tree family the sweep builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -107,12 +107,11 @@ enum ModelKind {
 
 /// A pure seeded work schedule for `p` participants.
 ///
-/// Mirrors the distribution family of `combar_sim::Workload`
+/// Mirrors the distribution family of [`crate::Workload`]
 /// (the paper's Section 1 imbalance taxonomy: non-deterministic,
 /// systemic, evolving, plus the heavy-tailed ablation shapes) but with
-/// hash-derived draws instead of a threaded RNG, so it implements the
-/// dyn-compatible [`WorkSource`] *and* supports point queries from
-/// concurrent harnesses.
+/// hash-derived draws instead of an RNG stream, so beside
+/// [`WorkSource`] it answers point queries from concurrent harnesses.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkModel {
     seed: u64,

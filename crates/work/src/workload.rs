@@ -1,4 +1,4 @@
-//! Workload models: how processor work times fluctuate.
+//! RNG-driven work models: how processor work times fluctuate.
 //!
 //! The paper distinguishes (Section 1) **non-deterministic** imbalance
 //! (the slow processor changes every iteration), **systemic** imbalance
@@ -6,30 +6,23 @@
 //! **evolving** imbalance (the workload drifts slowly). All three are
 //! modelled here, plus heavier-tailed alternatives used by the
 //! distribution-shape ablation.
+//!
+//! A [`Workload`] owns its RNG stream and draws **sequentially**: each
+//! [`WorkSource::sample_episode`] call continues the stream in call
+//! order and ignores the episode index, so the simulator's episode
+//! loops reproduce one seeded run exactly. The pure, episode-keyed
+//! counterpart is [`crate::WorkModel`].
 
-use combar_rng::{Distribution, Exponential, Normal, Pareto, Rng};
+use crate::WorkSource;
+use combar_rng::{Distribution, Exponential, Normal, Pareto, Rng, SeedableRng, Xoshiro256pp};
 
-/// Anything that can generate one iteration's work times for all
-/// processors by drawing from a caller-supplied RNG. Implemented by
-/// [`Workload`] here and by the KSR1 SOR model in `combar-machine`.
-///
-/// This is the *stateful-RNG* half of the work layer; the episode
-/// loops themselves consume the dyn-compatible
-/// [`combar_work::WorkSource`] seam. Pair a `Sampler` with an RNG via
-/// [`crate::Seeded`] to cross the boundary.
-pub trait Sampler {
-    /// Draws one iteration's per-processor work times (µs) into `out`.
-    fn sample_into<R: Rng>(&mut self, rng: &mut R, out: &mut [f64]);
-
-    /// Nominal mean work time (µs).
-    fn mean_us(&self) -> f64;
-}
-
-/// Per-iteration work-time generator for `p` processors.
+/// Per-iteration work-time generator for `p` processors, drawing from
+/// its own `Xoshiro256pp` stream.
 #[derive(Debug, Clone)]
 pub struct Workload {
     mean_us: f64,
     kind: Kind,
+    rng: Xoshiro256pp,
 }
 
 #[derive(Debug, Clone)]
@@ -55,84 +48,86 @@ enum Kind {
 }
 
 impl Workload {
-    /// I.i.d. normal work times `N(mean, σ²)` — the paper's main model.
-    pub fn iid_normal(mean_us: f64, sigma_us: f64) -> Self {
-        assert!(sigma_us >= 0.0, "sigma must be non-negative");
+    fn new(mean_us: f64, kind: Kind, seed: u64) -> Self {
         Self {
             mean_us,
-            kind: Kind::IidNormal { sigma_us },
+            kind,
+            rng: Xoshiro256pp::seed_from_u64(seed),
         }
     }
 
-    /// Systemic imbalance: biases drawn once from `N(0, σ_b²)`, then
+    /// I.i.d. normal work times `N(mean, σ²)` — the paper's main model.
+    pub fn iid_normal(mean_us: f64, sigma_us: f64, seed: u64) -> Self {
+        assert!(sigma_us >= 0.0, "sigma must be non-negative");
+        Self::new(mean_us, Kind::IidNormal { sigma_us }, seed)
+    }
+
+    /// Systemic imbalance: biases drawn once from `N(0, σ_b²)` out of
+    /// `bias_rng` (a stream apart from the one `seed` starts), then
     /// every iteration adds fresh `N(0, σ_n²)` noise.
     pub fn systemic<R: Rng>(
         p: usize,
         mean_us: f64,
         bias_sigma_us: f64,
         noise_sigma_us: f64,
-        rng: &mut R,
+        bias_rng: &mut R,
+        seed: u64,
     ) -> Self {
         let normal = Normal::new(0.0, bias_sigma_us).expect("valid bias sigma");
-        let bias = normal.sample_vec(rng, p);
-        Self {
+        let bias = normal.sample_vec(bias_rng, p);
+        Self::new(
             mean_us,
-            kind: Kind::Systemic {
+            Kind::Systemic {
                 noise_sigma_us,
                 bias,
             },
-        }
+            seed,
+        )
     }
 
     /// Evolving imbalance: biases start at 0 and random-walk with step
     /// `σ_w` each iteration, plus `N(0, σ_n²)` noise.
-    pub fn evolving(p: usize, mean_us: f64, walk_sigma_us: f64, noise_sigma_us: f64) -> Self {
-        Self {
-            mean_us,
-            kind: Kind::Evolving {
-                noise_sigma_us,
-                walk_sigma_us,
-                bias: vec![0.0; p],
-            },
-        }
+    pub fn evolving(
+        p: usize,
+        mean_us: f64,
+        walk_sigma_us: f64,
+        noise_sigma_us: f64,
+        seed: u64,
+    ) -> Self {
+        let kind = Kind::Evolving {
+            noise_sigma_us,
+            walk_sigma_us,
+            bias: vec![0.0; p],
+        };
+        Self::new(mean_us, kind, seed)
     }
 
     /// Exponential-tailed work times with the given mean and standard
     /// deviation σ.
-    pub fn iid_exponential(mean_us: f64, sigma_us: f64) -> Self {
+    pub fn iid_exponential(mean_us: f64, sigma_us: f64, seed: u64) -> Self {
         assert!(sigma_us > 0.0, "sigma must be positive");
-        Self {
-            mean_us,
-            kind: Kind::IidExponential { sigma_us },
-        }
+        Self::new(mean_us, Kind::IidExponential { sigma_us }, seed)
     }
 
     /// Pareto-tailed work times: `shape > 2` keeps the variance finite.
-    pub fn iid_pareto(mean_us: f64, scale_us: f64, shape: f64) -> Self {
+    pub fn iid_pareto(mean_us: f64, scale_us: f64, shape: f64, seed: u64) -> Self {
         assert!(
             scale_us > 0.0 && shape > 1.0,
             "need scale > 0 and shape > 1"
         );
-        Self {
-            mean_us,
-            kind: Kind::IidPareto { scale_us, shape },
-        }
-    }
-
-    /// The nominal mean work time.
-    pub fn mean_us(&self) -> f64 {
-        self.mean_us
+        Self::new(mean_us, Kind::IidPareto { scale_us, shape }, seed)
     }
 }
 
-impl Sampler for Workload {
+impl WorkSource for Workload {
     fn mean_us(&self) -> f64 {
         self.mean_us
     }
 
-    /// Draws one iteration's work times into `out` (clamped at 0: a
-    /// processor cannot take negative time).
-    fn sample_into<R: Rng>(&mut self, rng: &mut R, out: &mut [f64]) {
+    /// Draws the next iteration's work times into `out` (clamped at 0:
+    /// a processor cannot take negative time).
+    fn sample_episode(&mut self, _episode: u32, out: &mut [f64]) {
+        let rng = &mut self.rng;
         match &mut self.kind {
             Kind::IidNormal { sigma_us } => {
                 let normal = Normal::new(self.mean_us, *sigma_us).expect("valid sigma");
@@ -200,27 +195,26 @@ pub fn normal_arrivals<R: Rng>(p: usize, sigma_us: f64, rng: &mut R) -> Vec<f64>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use combar_rng::{stats, SeedableRng, Xoshiro256pp};
+    use combar_rng::stats;
 
     #[test]
     fn iid_normal_moments() {
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
-        let mut w = Workload::iid_normal(1000.0, 50.0);
+        let mut w = Workload::iid_normal(1000.0, 50.0, 1);
         let mut buf = vec![0.0; 10_000];
-        w.sample_into(&mut rng, &mut buf);
+        w.sample_episode(0, &mut buf);
         assert!((stats::mean(&buf) - 1000.0).abs() < 3.0);
         assert!((stats::std_dev(&buf) - 50.0).abs() < 3.0);
     }
 
     #[test]
     fn systemic_biases_persist_across_iterations() {
-        let mut rng = Xoshiro256pp::seed_from_u64(2);
         let p = 64;
-        let mut w = Workload::systemic(p, 1000.0, 100.0, 1.0, &mut rng);
+        let mut bias_rng = Xoshiro256pp::seed_from_u64(2);
+        let mut w = Workload::systemic(p, 1000.0, 100.0, 1.0, &mut bias_rng, 2);
         let mut a = vec![0.0; p];
         let mut b = vec![0.0; p];
-        w.sample_into(&mut rng, &mut a);
-        w.sample_into(&mut rng, &mut b);
+        w.sample_episode(0, &mut a);
+        w.sample_episode(1, &mut b);
         // With tiny noise, iteration-to-iteration correlation is ~1.
         let corr = stats::pearson(&a, &b);
         assert!(corr > 0.99, "systemic correlation = {corr}");
@@ -228,27 +222,25 @@ mod tests {
 
     #[test]
     fn iid_draws_are_uncorrelated() {
-        let mut rng = Xoshiro256pp::seed_from_u64(3);
         let p = 2000;
-        let mut w = Workload::iid_normal(1000.0, 100.0);
+        let mut w = Workload::iid_normal(1000.0, 100.0, 3);
         let mut a = vec![0.0; p];
         let mut b = vec![0.0; p];
-        w.sample_into(&mut rng, &mut a);
-        w.sample_into(&mut rng, &mut b);
+        w.sample_episode(0, &mut a);
+        w.sample_episode(1, &mut b);
         let corr = stats::pearson(&a, &b);
         assert!(corr.abs() < 0.08, "iid correlation = {corr}");
     }
 
     #[test]
     fn evolving_bias_drifts() {
-        let mut rng = Xoshiro256pp::seed_from_u64(4);
         let p = 16;
-        let mut w = Workload::evolving(p, 1000.0, 10.0, 0.1);
+        let mut w = Workload::evolving(p, 1000.0, 10.0, 0.1, 4);
         let mut first = vec![0.0; p];
-        w.sample_into(&mut rng, &mut first);
+        w.sample_episode(0, &mut first);
         let mut last = vec![0.0; p];
-        for _ in 0..200 {
-            w.sample_into(&mut rng, &mut last);
+        for e in 1..=200 {
+            w.sample_episode(e, &mut last);
         }
         // After 200 random-walk steps the spread grows ~ 10·√200 ≈ 141.
         let spread = stats::std_dev(&last);
@@ -257,22 +249,20 @@ mod tests {
 
     #[test]
     fn exponential_and_pareto_match_requested_mean() {
-        let mut rng = Xoshiro256pp::seed_from_u64(5);
         let mut buf = vec![0.0; 50_000];
-        let mut we = Workload::iid_exponential(1000.0, 100.0);
-        we.sample_into(&mut rng, &mut buf);
+        let mut we = Workload::iid_exponential(1000.0, 100.0, 5);
+        we.sample_episode(0, &mut buf);
         assert!((stats::mean(&buf) - 1000.0).abs() < 3.0);
-        let mut wp = Workload::iid_pareto(1000.0, 50.0, 3.0);
-        wp.sample_into(&mut rng, &mut buf);
+        let mut wp = Workload::iid_pareto(1000.0, 50.0, 3.0, 5);
+        wp.sample_episode(0, &mut buf);
         assert!((stats::mean(&buf) - 1000.0).abs() < 3.0);
     }
 
     #[test]
     fn work_times_never_negative() {
-        let mut rng = Xoshiro256pp::seed_from_u64(6);
-        let mut w = Workload::iid_normal(10.0, 1000.0); // mostly negative draws
+        let mut w = Workload::iid_normal(10.0, 1000.0, 6); // mostly negative draws
         let mut buf = vec![0.0; 1000];
-        w.sample_into(&mut rng, &mut buf);
+        w.sample_episode(0, &mut buf);
         assert!(buf.iter().all(|&x| x >= 0.0));
     }
 

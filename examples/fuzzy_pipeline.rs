@@ -98,10 +98,7 @@ fn main() {
             record_arrivals: true,
             ..IterateConfig::default()
         };
-        let mut w = Seeded::new(
-            Workload::iid_normal(9_500.0, 250.0),
-            Xoshiro256pp::seed_from_u64(7),
-        );
+        let mut w = Workload::iid_normal(9_500.0, 250.0, 7);
         let rep = combar_sim::run_iterations(&topo, &cfg, &mut w);
         let mut rho = OnlineStats::new();
         for k in 0..rep.arrivals.len() - 1 {

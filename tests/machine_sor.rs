@@ -3,23 +3,21 @@
 
 use combar_des::Duration;
 use combar_machine::{ring_topology, Grid, KsrParams, SorWork};
-use combar_rng::{stats, SeedableRng, Xoshiro256pp};
-use combar_sim::{run_iterations, IterateConfig, PlacementMode, Sampler, Seeded};
+use combar_rng::stats;
+use combar_sim::{run_iterations, IterateConfig, PlacementMode, WorkSource};
 
 /// The calibration anchors from the paper's Section 7: d_y = 210 gives
 /// ~9.5 ms iterations with σ ≈ 110 µs, and the communication count is
 /// 4·⌈d_y/16⌉.
 #[test]
 fn paper_calibration_anchors() {
-    let w = SorWork::paper_config(210);
+    let mut w = SorWork::paper_config(210, 3);
     assert_eq!(w.comm_events(), 56);
     assert!((w.analytic_mean_us() / 1000.0 - 9.5).abs() < 0.2);
     assert!((w.analytic_sigma_us() - 110.0).abs() < 5.0);
-    // empirical check through the Sampler interface
-    let mut rng = Xoshiro256pp::seed_from_u64(3);
+    // empirical check through the WorkSource interface
     let mut buf = vec![0.0; 5000];
-    let mut w = w;
-    w.sample_into(&mut rng, &mut buf);
+    w.sample_episode(0, &mut buf);
     assert!((stats::mean(&buf) - w.analytic_mean_us()).abs() / w.analytic_mean_us() < 0.01);
 }
 
@@ -30,7 +28,7 @@ fn larger_dy_flips_the_degree_comparison() {
     let params = KsrParams::default();
     let delay = |degree: u32, dy: u32| {
         let topo = ring_topology(&params, degree);
-        let mut work = Seeded::new(SorWork::paper_config(dy), Xoshiro256pp::seed_from_u64(17));
+        let mut work = SorWork::paper_config(dy, 17);
         let cfg = IterateConfig {
             tc: Duration::from_us(params.tc_us),
             iterations: 120,
@@ -60,7 +58,7 @@ fn zero_slack_dynamic_placement_does_not_pay() {
     let params = KsrParams::default();
     let run = |mode| {
         let topo = ring_topology(&params, 2);
-        let mut work = Seeded::new(SorWork::paper_config(210), Xoshiro256pp::seed_from_u64(5));
+        let mut work = SorWork::paper_config(210, 5);
         let cfg = IterateConfig {
             tc: Duration::from_us(params.tc_us),
             iterations: 120,
@@ -117,7 +115,7 @@ fn ring_depth_bounds_hold_through_iterations() {
     let params = KsrParams::default();
     let topo = ring_topology(&params, 16);
     assert_eq!(topo.depth(), 3);
-    let mut work = Seeded::new(SorWork::paper_config(210), Xoshiro256pp::seed_from_u64(23));
+    let mut work = SorWork::paper_config(210, 23);
     let cfg = IterateConfig {
         tc: Duration::from_us(params.tc_us),
         slack: Duration::from_us(4_000.0),

@@ -3,9 +3,7 @@
 
 use combar_des::Duration;
 use combar_rng::{SeedableRng, Xoshiro256pp};
-use combar_sim::{
-    run_iterations, IterateConfig, IterateReport, PlacementMode, Seeded, Topology, Workload,
-};
+use combar_sim::{run_iterations, IterateConfig, IterateReport, PlacementMode, Topology, Workload};
 
 fn run(
     topo: &Topology,
@@ -24,10 +22,7 @@ fn run(
         record_arrivals: false,
         release_model: combar_sim::ReleaseModel::CentralFlag,
     };
-    let mut w = Seeded::new(
-        Workload::iid_normal(9_500.0, sigma_us),
-        Xoshiro256pp::seed_from_u64(seed),
-    );
+    let mut w = Workload::iid_normal(9_500.0, sigma_us, seed);
     run_iterations(topo, &cfg, &mut w)
 }
 
@@ -80,11 +75,11 @@ fn systemic_imbalance_is_the_easy_case() {
     };
     let mk = || {
         let mut seed_rng = Xoshiro256pp::seed_from_u64(7);
-        Workload::systemic(256, 9_500.0, 300.0, 30.0, &mut seed_rng)
+        Workload::systemic(256, 9_500.0, 300.0, 30.0, &mut seed_rng, 100)
     };
-    let mut w1 = Seeded::new(mk(), Xoshiro256pp::seed_from_u64(100));
+    let mut w1 = mk();
     let stat = run_iterations(&topo, &cfg(PlacementMode::Static), &mut w1);
-    let mut w2 = Seeded::new(mk(), Xoshiro256pp::seed_from_u64(100));
+    let mut w2 = mk();
     let dynamic = run_iterations(&topo, &cfg(PlacementMode::Dynamic), &mut w2);
     assert!(
         dynamic.sync_delay.mean() < stat.sync_delay.mean() * 0.75,
@@ -109,15 +104,9 @@ fn evolving_imbalance_still_benefits() {
         record_arrivals: false,
         release_model: combar_sim::ReleaseModel::CentralFlag,
     };
-    let mut w1 = Seeded::new(
-        Workload::evolving(256, 9_500.0, 40.0, 30.0),
-        Xoshiro256pp::seed_from_u64(5),
-    );
+    let mut w1 = Workload::evolving(256, 9_500.0, 40.0, 30.0, 5);
     let stat = run_iterations(&topo, &cfg(PlacementMode::Static), &mut w1);
-    let mut w2 = Seeded::new(
-        Workload::evolving(256, 9_500.0, 40.0, 30.0),
-        Xoshiro256pp::seed_from_u64(5),
-    );
+    let mut w2 = Workload::evolving(256, 9_500.0, 40.0, 30.0, 5);
     let dynamic = run_iterations(&topo, &cfg(PlacementMode::Dynamic), &mut w2);
     assert!(
         dynamic.sync_delay.mean() < stat.sync_delay.mean(),
