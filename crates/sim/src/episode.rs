@@ -586,10 +586,16 @@ impl<'a> Episode<'a> {
                 // (which may have migrated) determine who is woken where.
                 let mut node_release = vec![0.0f64; topo.num_counters()];
                 let mut per_proc = vec![0.0f64; p];
-                // occupants per counter under the provided homes
-                let mut occupants: Vec<Vec<ProcId>> = vec![Vec::new(); topo.num_counters()];
+                // The occupants under the provided homes, in processor
+                // order, on the plan's slots: counter `c`'s are
+                // `occupants[first[c]..first[c + 1]]`.
+                let first = &plan.first;
+                let mut fill = first.clone();
+                let mut occupants = vec![0 as ProcId; p];
                 for (proc, &h) in homes.iter().enumerate() {
-                    occupants[h as usize].push(proc as ProcId);
+                    let slot = &mut fill[h as usize];
+                    occupants[*slot as usize] = proc as ProcId;
+                    *slot += 1;
                 }
                 node_release[root as usize] = release_us;
                 let mut stack = vec![root];
@@ -600,7 +606,8 @@ impl<'a> Episode<'a> {
                         node_release[child as usize] = t;
                         stack.push(child);
                     }
-                    for &proc in &occupants[c as usize] {
+                    let c = c as usize;
+                    for &proc in &occupants[first[c] as usize..first[c + 1] as usize] {
                         t += notify_us;
                         per_proc[proc as usize] = t;
                     }

@@ -87,8 +87,9 @@ impl Default for SweepConfig {
 /// as one [`EpisodePlan`] shared by every replication, and each
 /// replication runs every plan through one [`EpisodeScratch`].
 ///
-/// The trees and plans are built, and the replications run, in
-/// parallel on the `combar-exec` pool. Each rep's RNG stream is
+/// The trees are built, and the replications run, in parallel on the
+/// `combar-exec` pool; the plans are derived serially, since each
+/// fork-join spawns threads of its own. Each rep's RNG stream is
 /// `split(cfg.seed, rep)` — keyed by the replication index, never by
 /// the worker — and the per-degree statistics are folded serially in
 /// rep order afterwards, so the accumulated means are bit-identical to
@@ -100,9 +101,10 @@ impl Default for SweepConfig {
 /// its single deterministic replication regardless).
 pub fn sweep_degrees(p: u32, degrees: &[u32], cfg: &SweepConfig) -> Vec<DegreeResult> {
     let topos = par_map_indexed(degrees.len(), |i| build_tree(cfg.style, p, degrees[i]));
-    let plans = par_map_indexed(topos.len(), |i| {
-        EpisodePlan::new(&topos[i], topos[i].homes())
-    });
+    let plans: Vec<EpisodePlan> = topos
+        .iter()
+        .map(|t| EpisodePlan::new(t, t.homes()))
+        .collect();
     let mut out: Vec<DegreeResult> = degrees
         .iter()
         .zip(&topos)

@@ -366,10 +366,10 @@ impl Topology {
         let mut stack = vec![self.root];
         self.nodes[self.root as usize].path_len = 1;
         while let Some(id) = stack.pop() {
-            let len = self.nodes[id as usize].path_len;
-            let children = self.nodes[id as usize].children.clone();
-            for c in children {
-                self.nodes[c as usize].path_len = len + 1;
+            let len = self.nodes[id as usize].path_len + 1;
+            for i in 0..self.nodes[id as usize].children.len() {
+                let c = self.nodes[id as usize].children[i];
+                self.nodes[c as usize].path_len = len;
                 stack.push(c);
             }
         }

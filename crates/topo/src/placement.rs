@@ -58,7 +58,11 @@ pub struct Swap {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     home: Vec<CounterId>,
-    occupants: Vec<Vec<ProcId>>,
+    /// Counter `c`'s occupants are `occupants[slots[c]..slots[c + 1]]`.
+    /// A swap keeps every counter's occupant count, so the slots are
+    /// fixed at construction.
+    slots: Vec<u32>,
+    occupants: Vec<ProcId>,
     swaps_applied: u64,
 }
 
@@ -66,9 +70,16 @@ impl Placement {
     /// The initial placement of a topology (each processor at its
     /// construction-time home).
     pub fn initial(topo: &Topology) -> Self {
-        let occupants = topo.nodes().iter().map(|n| n.procs.clone()).collect();
+        let mut slots = Vec::with_capacity(topo.num_counters() + 1);
+        let mut occupants = Vec::with_capacity(topo.num_procs() as usize);
+        slots.push(0);
+        for n in topo.nodes() {
+            occupants.extend_from_slice(&n.procs);
+            slots.push(occupants.len() as u32);
+        }
         Self {
             home: topo.homes().to_vec(),
+            slots,
             occupants,
             swaps_applied: 0,
         }
@@ -82,7 +93,7 @@ impl Placement {
     /// The processor attached to counter `c`, when exactly one is (the
     /// swappable case); `None` for empty or multi-processor counters.
     pub fn owner(&self, c: CounterId) -> Option<ProcId> {
-        match self.occupants[c as usize].as_slice() {
+        match self.occupants(c) {
             [only] => Some(*only),
             _ => None,
         }
@@ -90,7 +101,7 @@ impl Placement {
 
     /// All processors currently attached to counter `c`.
     pub fn occupants(&self, c: CounterId) -> &[ProcId] {
-        &self.occupants[c as usize]
+        &self.occupants[self.slots[c as usize] as usize..self.slots[c as usize + 1] as usize]
     }
 
     /// All current homes, indexed by processor.
@@ -137,14 +148,18 @@ impl Placement {
         let old_home = self.home(victor);
         let victim = self.owner(target).expect("checked by swap_allowed");
         // Victor takes sole possession of the target counter.
-        self.occupants[target as usize] = vec![victor];
+        self.occupants[self.slots[target as usize] as usize] = victor;
         self.home[victor as usize] = target;
         // Victim replaces the victor among the old home's occupants.
-        let slot = self.occupants[old_home as usize]
+        let (lo, hi) = (
+            self.slots[old_home as usize] as usize,
+            self.slots[old_home as usize + 1] as usize,
+        );
+        let slot = self.occupants[lo..hi]
             .iter()
             .position(|&p| p == victor)
             .expect("victor must occupy its home");
-        self.occupants[old_home as usize][slot] = victim;
+        self.occupants[lo + slot] = victim;
         self.home[victim as usize] = old_home;
         self.swaps_applied += 1;
         Some(Swap {
@@ -162,11 +177,12 @@ impl Placement {
         if self.home.len() != topo.num_procs() as usize {
             return Err("home table size mismatch".into());
         }
-        if self.occupants.len() != topo.num_counters() {
+        if self.slots.len() != topo.num_counters() + 1 {
             return Err("occupants table size mismatch".into());
         }
         let mut counted = 0usize;
-        for (c, occ) in self.occupants.iter().enumerate() {
+        for c in 0..topo.num_counters() {
+            let occ = self.occupants(c as CounterId);
             if occ.len() != topo.node(c as CounterId).procs.len() {
                 return Err(format!("counter {c} occupancy count changed"));
             }
